@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -370,6 +371,13 @@ def prepare_token_register(pair_a: BellLabel, pair_b: BellLabel) -> StateVector:
     return state
 
 
+@lru_cache(maxsize=None)
+def _token_root(pair_a: BellLabel, pair_b: BellLabel) -> StateVector:
+    # Memoised token register of the sampled run (see statevec's memo
+    # convention); the exact enumerations use the plain register.
+    return statevec.memo_root(prepare_token_register(pair_a, pair_b))
+
+
 def run_auth_tokens(
     pairs: Mapping[str, tuple[BellLabel, BellLabel]] | None,
     rng: np.random.Generator,
@@ -391,7 +399,7 @@ def run_auth_tokens(
     eavesdropped: dict[str, str] = {}
     for receiver, target in ((RECEIVER_1, "auth-r1"), (RECEIVER_2, "auth-r2")):
         pair_a, pair_b = pairs[receiver]
-        state = prepare_token_register(pair_a, pair_b)
+        state = _token_root(pair_a, pair_b)
         if transcript:
             transcript.quantum_send(SENDER, receiver, "token-pair1-half")
             transcript.quantum_send(SENDER, receiver, "token-pair2-half")
@@ -434,10 +442,21 @@ def prepare_splitting_register(secret: StateVector, pair1: BellLabel, pair2: Bel
     return state
 
 
+@lru_cache(maxsize=None)
+def _splitting_root(secret_bit: int, pair1: BellLabel, pair2: BellLabel) -> StateVector:
+    # Memoised splitting register of the sampled (2,2) run; a qubit secret
+    # of the (5,5) run has no finite set of registers, so it stays plain.
+    secret = statevec.computational_state([secret_bit])
+    return statevec.memo_root(prepare_splitting_register(secret, pair1, pair2))
+
+
+def _attach_ancilla(state: StateVector) -> StateVector:
+    state = statevec.tensor(state, statevec.zero_state(1))
+    return statevec.apply_cnot(state, 4, 5)
+
+
 def _run_splitting(
-    secret: StateVector,
-    pair1: BellLabel,
-    pair2: BellLabel,
+    state: StateVector,
     rng: np.random.Generator,
     transcript: _TranscriptBuilder | None,
     attack: AttackModel,
@@ -446,7 +465,6 @@ def _run_splitting(
 ) -> SplitResult:
     if order not in ("swap-first", "teleport-first"):
         raise ValueError(f"unknown measurement order {order!r}")
-    state = prepare_splitting_register(secret, pair1, pair2)
     eavesdropped: dict[str, str] = {}
     if transcript:
         transcript.quantum_send(SENDER, RECEIVER_1, "split-pair1-half")
@@ -466,8 +484,7 @@ def _run_splitting(
             bit, state = statevec.measure_computational(state, 4, rng)
             eavesdropped["split-r2"] = str(bit)
         elif attack.kind == "entangle-ancilla":
-            state = statevec.tensor(state, statevec.zero_state(1))
-            state = statevec.apply_cnot(state, 4, 5)
+            state = statevec.derived(state, "ancilla", _attach_ancilla)
             ancilla = True
     # The two Bell measurements act on disjoint qubits and commute; the
     # default order runs R1's swap measurement before the teleportation one.
@@ -512,8 +529,8 @@ def run_splitting_22(
     """Splitting phase of the (2,2) scheme on a computational-basis secret."""
     if secret_bit not in (0, 1):
         raise ValueError(f"secret bit must be 0 or 1, got {secret_bit}")
-    secret = statevec.computational_state([secret_bit])
-    return _run_splitting(secret, pair1, pair2, rng, transcript, attack, True, order)
+    state = _splitting_root(secret_bit, pair1, pair2)
+    return _run_splitting(state, rng, transcript, attack, True, order)
 
 
 def splitting_branch(
@@ -741,7 +758,8 @@ def run_qss55(
     pair2 = BELL_LABELS[int(rng.integers(4))]
     builder.classical(SENDER, RECEIVER_3, pair1.bits, private=True)
     builder.classical(SENDER, RECEIVER_4, pair2.bits, private=True)
-    split = _run_splitting(secret, pair1, pair2, rng, builder, NO_ATTACK, measure_cipher=False)
+    state = prepare_splitting_register(secret, pair1, pair2)
+    split = _run_splitting(state, rng, builder, NO_ATTACK, measure_cipher=False)
     builder.classical(SENDER, RECEIVER_5, split.teleport_bsm.bits, private=True)
 
     shares = ShareSet55(

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,3 +172,20 @@ def test_amplitude_parser():
     assert cli.parse_amplitude("-0.8i") == -0.8j
     with pytest.raises(cli.UsageError):
         cli.parse_amplitude("spam")
+
+
+# ---------------------------------------------------------------------------
+# Cold start
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    code = (
+        "import sys, qsshare.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -12,6 +12,7 @@ from qsshare.security import (
     PIECES,
     VIEW_NAMES,
     attack_sweep,
+    chi_square_sf,
     encrypted_qubit_mixedness_55,
     enumerate_honest_cases,
     exact_detection_rate,
@@ -207,6 +208,52 @@ def test_public_messages_are_uniform_and_secret_independent():
         assert message.exact_secret_independent, name
         assert message.chi_square_p > 1e-3, (name, message.chi_square_p)
         assert sum(message.empirical_counts.values()) == 2000
+
+
+# Reference values of the chi-square survival function and of Pearson's
+# test against a uniform distribution, as given by scipy.stats (chi2.sf and
+# chisquare).
+CHI_SQUARE_SF = [
+    (1, 0.0, 1.0),
+    (1, 0.1, 0.7518296340458492),
+    (1, 0.5, 0.47950012218695337),
+    (1, 1.0, 0.31731050786291115),
+    (1, 2.5, 0.11384629800665763),
+    (1, 5.0, 0.025347318677468325),
+    (1, 10.0, 0.001565402258002549),
+    (1, 20.0, 7.744216431044088e-06),
+    (3, 0.0, 1.0),
+    (3, 0.1, 0.9918374237318764),
+    (3, 0.5, 0.9188914116546758),
+    (3, 1.0, 0.8012519569012009),
+    (3, 2.5, 0.4752910833430205),
+    (3, 5.0, 0.1717971442967335),
+    (3, 10.0, 0.01856613546304325),
+    (3, 20.0, 0.00016974243555282632),
+]
+
+UNIFORM_CHI_SQUARE_P = [
+    ([260, 240, 255, 245], 0.8012519569012009),
+    ([510, 490], 0.5270892568655381),
+    ([1, 0, 0, 0], 0.3916251762710877),
+    ([300, 200, 250, 250], 0.00016974243555282632),
+    ([7, 3], 0.20590321073206466),
+]
+
+
+@pytest.mark.parametrize("dof,statistic,expected", CHI_SQUARE_SF)
+def test_chi_square_closed_forms(dof, statistic, expected):
+    assert abs(chi_square_sf(statistic, dof) - expected) <= 1e-14
+
+
+@pytest.mark.parametrize("counts,expected", UNIFORM_CHI_SQUARE_P)
+def test_uniform_chi_square_p(counts, expected):
+    assert abs(security._uniform_chi_square_p(counts) - expected) <= 1e-14
+
+
+def test_chi_square_sf_rejects_other_degrees_of_freedom():
+    with pytest.raises(ValueError, match="degrees of freedom"):
+        chi_square_sf(1.0, 2)
 
 
 # ---------------------------------------------------------------------------
