@@ -184,24 +184,28 @@ def generate_teleport_table() -> dict:
     from . import statevec
 
     probe = statevec.single_qubit(*_PROBE_AMPLITUDES)
+    candidates = {
+        (outcome, corr): statevec.tensor(
+            statevec.prepare_bell(outcome.as_label()), statevec.apply_pauli(probe, 0, corr)
+        )
+        for outcome in BSM_OUTCOMES
+        for corr in PAULI_CORRECTIONS
+    }
     table = {}
     for channel in BELL_LABELS:
+        state = statevec.tensor(probe, statevec.prepare_bell(channel))
         for outcome in BSM_OUTCOMES:
-            state = statevec.tensor(probe, statevec.prepare_bell(channel))
             prob, post = statevec.bell_project(state, 0, 1, outcome.as_label())
             if post is None or abs(prob - 0.25) > 1e-9:
                 raise AssertionError(
                     f"teleportation outcome {outcome.bits} on channel "
                     f"{channel.bits} had probability {prob}, expected 1/4"
                 )
-            matches = []
-            for corr in PAULI_CORRECTIONS:
-                candidate = statevec.tensor(
-                    statevec.prepare_bell(outcome.as_label()),
-                    statevec.apply_pauli(probe, 0, corr),
-                )
-                if statevec.states_equal(post, candidate):
-                    matches.append(corr)
+            matches = [
+                corr
+                for corr in PAULI_CORRECTIONS
+                if statevec.states_equal(post, candidates[(outcome, corr)])
+            ]
             if len(matches) != 1:
                 raise AssertionError(
                     f"teleportation case ({channel.bits}, {outcome.bits}) "
@@ -221,26 +225,29 @@ def generate_swap_table() -> dict:
     """
     from . import statevec
 
+    candidates = {}
+    for outcome, result in product(BSM_OUTCOMES, BELL_LABELS):
+        candidate = statevec.zero_state(4)
+        candidate = statevec.prepare_bell_on(candidate, 1, 2, outcome.as_label())
+        candidates[(outcome, result)] = statevec.prepare_bell_on(candidate, 0, 3, result)
     table = {}
     for pair_a, pair_b in product(BELL_LABELS, repeat=2):
+        state = statevec.zero_state(4)
+        state = statevec.prepare_bell_on(state, 0, 1, pair_a)
+        state = statevec.prepare_bell_on(state, 2, 3, pair_b)
         seen = set()
         for outcome in BSM_OUTCOMES:
-            state = statevec.zero_state(4)
-            state = statevec.prepare_bell_on(state, 0, 1, pair_a)
-            state = statevec.prepare_bell_on(state, 2, 3, pair_b)
             prob, post = statevec.bell_project(state, 1, 2, outcome.as_label())
             if post is None or abs(prob - 0.25) > 1e-9:
                 raise AssertionError(
                     f"swap outcome {outcome.bits} on pairs "
                     f"({pair_a.bits}, {pair_b.bits}) had probability {prob}"
                 )
-            matches = []
-            for result in BELL_LABELS:
-                candidate = statevec.zero_state(4)
-                candidate = statevec.prepare_bell_on(candidate, 1, 2, outcome.as_label())
-                candidate = statevec.prepare_bell_on(candidate, 0, 3, result)
-                if statevec.states_equal(post, candidate):
-                    matches.append(result)
+            matches = [
+                result
+                for result in BELL_LABELS
+                if statevec.states_equal(post, candidates[(outcome, result)])
+            ]
             if len(matches) != 1:
                 raise AssertionError(
                     f"swap case ({pair_a.bits}, {pair_b.bits}, {outcome.bits}) "

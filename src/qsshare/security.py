@@ -1,12 +1,19 @@
 """Exact secrecy and authentication analysis of the (2,2) and (5,5) schemes.
 
-All claims that are stated as exact are backed by exhaustive enumeration:
-the 512 equiprobable randomness/secret cases of an honest (2,2) run (two pair
-codes, the swap and teleport measurement outcomes, and the secret bit) are
-generated by postselected runs of the state-vector simulator, and attack
-detection rates are summed over every measurement branch with probabilities
-tracked as exact rationals.  Floating point only appears at the reporting
-boundary, so "exactly zero" results do not depend on rounding.
+All claims that are stated as exact are backed by exhaustive enumeration.
+Each exact branch set is read off the joint Born distribution of the
+circuit's measurements (:func:`statevec.joint_distribution`): the swap and
+teleport Bell outcomes and the cipher bit of the splitting register, or the
+code and observed outcomes of a token register, after any eavesdropper
+measurement.  The circuits are Clifford circuits on stabilizer inputs, so
+every Born probability of an n-qubit register is a multiple of 2^-n; each
+one is snapped to that grid, with a float residual below 1e-12 asserted,
+and tracked as an exact rational from there on.  The 512 equiprobable
+randomness/secret cases of an honest (2,2) run (two pair codes, the swap
+and teleport measurement outcomes, and the secret bit) are the honest
+branch sets, and attack detection rates are exact sums over every branch.
+Floating point only appears at the reporting boundary, so "exactly zero"
+results do not depend on rounding.
 
 Priors: all hidden protocol randomness is uniform (matching the Born-rule
 outcome distributions) and the secret bit is uniform.
@@ -79,30 +86,31 @@ class HonestCase:
 
 @lru_cache(maxsize=1)
 def enumerate_honest_cases() -> tuple[HonestCase, ...]:
-    """All 512 randomness/secret cases, generated from the simulator.
+    """All 512 randomness/secret cases, read off the honest splitting
+    branches.
 
-    Each case is checked to occur with probability exactly 1/16 given the
-    pair codes, and the cipher bit is read off the collapsed receiver qubit.
+    Given the secret and the pair codes, each of the 16 (swap, teleport)
+    outcome pairs must occur in exactly one branch, with probability exactly
+    1/16; a second branch for the same pair would mean the cipher qubit has
+    not collapsed.  Cases are ordered by secret, pair codes, swap outcome,
+    then teleport outcome.
     """
     cases = []
     for secret in (0, 1):
-        secret_state = statevec.computational_state([secret])
         for pair1, pair2 in product(BELL_LABELS, repeat=2):
-            for swap in BSM_OUTCOMES:
-                for tele in BSM_OUTCOMES:
-                    prob, qubit = protocol.splitting_branch(
-                        secret_state, pair1, pair2, swap, tele
-                    )
-                    if abs(prob - 1 / 16) > 1e-12:
-                        raise AssertionError(
-                            f"honest branch probability {prob}, expected 1/16"
-                        )
-                    p_one = abs(qubit.amplitudes[1]) ** 2
-                    if min(p_one, 1 - p_one) > 1e-12:
-                        raise AssertionError("cipher qubit not collapsed")
-                    cases.append(
-                        HonestCase(secret, pair1, pair2, swap, tele, int(p_one > 0.5))
-                    )
+            ciphers = {}
+            for p, swap, tele, cipher in _splitting_branches(secret, pair1, pair2, None):
+                if (swap, tele) in ciphers:
+                    raise AssertionError("cipher qubit not collapsed")
+                if p != Fraction(1, 16):
+                    raise AssertionError(f"honest branch probability {p}, expected 1/16")
+                ciphers[swap, tele] = cipher
+            if len(ciphers) != 16:
+                raise AssertionError(f"{len(ciphers)} honest branches, expected 16")
+            cases.extend(
+                HonestCase(secret, pair1, pair2, swap, tele, ciphers[swap, tele])
+                for swap, tele in product(BSM_OUTCOMES, repeat=2)
+            )
     return tuple(cases)
 
 
@@ -230,11 +238,16 @@ def encrypted_qubit_mixedness_55(
 # ---------------------------------------------------------------------------
 # Exact attack detection rates by branch enumeration.
 
-def _as_fraction(probability: float) -> Fraction:
-    snapped = Fraction(probability).limit_denominator(1 << 16)
-    if abs(float(snapped) - probability) > 1e-9:
-        raise AssertionError(f"branch probability {probability} is not a small rational")
-    return snapped
+def _dyadic(probability: float, n_qubits: int) -> Fraction:
+    """The multiple of 2^-n nearest a Born probability of an n-qubit
+    stabilizer register; raises unless the float is within 1e-12 of it."""
+    scale = 1 << n_qubits
+    count = round(probability * scale)
+    if not abs(probability - count / scale) < 1e-12:
+        raise AssertionError(
+            f"branch probability {probability} is not a multiple of 1/{scale}"
+        )
+    return Fraction(count, scale)
 
 
 def _accepts(
@@ -265,12 +278,13 @@ def _splitting_branches(
     pair2: BellLabel,
     intercept: str | None,
 ) -> tuple[tuple[Fraction, BsmOutcome, BsmOutcome, int], ...]:
-    """All (probability, swap, teleport, cipher) branches of the splitting
-    circuit, optionally with an eavesdropper measurement inserted on the
-    in-flight qubits."""
+    """All nonzero (probability, swap, teleport, cipher) branches of the
+    splitting circuit, optionally with an eavesdropper measurement inserted
+    on the in-flight qubits, in swap-major order per eavesdropper outcome."""
     base = protocol.prepare_splitting_register(
         statevec.computational_state([secret]), pair1, pair2
     )
+    n = base.n_qubits
     staged: list[tuple[Fraction, statevec.StateVector]] = []
     if intercept is None:
         staged.append((Fraction(1), base))
@@ -278,7 +292,7 @@ def _splitting_branches(
         for bit in (0, 1):
             p, state = statevec.project_computational(base, 4, bit)
             if state is not None:
-                staged.append((_as_fraction(p), state))
+                staged.append((_dyadic(p, n), state))
     elif intercept == "comp-r1":
         for b1 in (0, 1):
             p1, mid = statevec.project_computational(base, 2, b1)
@@ -287,12 +301,12 @@ def _splitting_branches(
             for b2 in (0, 1):
                 p2, state = statevec.project_computational(mid, 3, b2)
                 if state is not None:
-                    staged.append((_as_fraction(p1) * _as_fraction(p2), state))
+                    staged.append((_dyadic(p1, n) * _dyadic(p2, n), state))
     elif intercept == "bell-r1":
         for label in BELL_LABELS:
             p, state = statevec.bell_project(base, 2, 3, label)
             if state is not None:
-                staged.append((_as_fraction(p), state))
+                staged.append((_dyadic(p, n), state))
     elif intercept == "ancilla-r2":
         extended = statevec.tensor(base, statevec.zero_state(1))
         staged.append((Fraction(1), statevec.apply_cnot(extended, 4, 5)))
@@ -300,26 +314,13 @@ def _splitting_branches(
         raise ValueError(f"unknown intercept {intercept!r}")
     branches = []
     for p_eve, state in staged:
-        for swap in BSM_OUTCOMES:
-            p_swap, after_swap = statevec.bell_project(state, 2, 3, swap.as_label())
-            if after_swap is None:
-                continue
-            for tele in BSM_OUTCOMES:
-                p_tele, after_tele = statevec.bell_project(after_swap, 0, 1, tele.as_label())
-                if after_tele is None:
-                    continue
-                for cipher in (0, 1):
-                    p_cipher, _ = statevec.project_computational(after_tele, 4, cipher)
-                    if p_cipher < 1e-15:
-                        continue
-                    branches.append(
-                        (
-                            p_eve * _as_fraction(p_swap) * _as_fraction(p_tele) * _as_fraction(p_cipher),
-                            swap,
-                            tele,
-                            cipher,
-                        )
-                    )
+        if not p_eve:
+            continue
+        joint = statevec.joint_distribution(state, [(2, 3), (0, 1)], [4])
+        for (swap, tele, cipher), p in np.ndenumerate(joint):
+            p = _dyadic(float(p), state.n_qubits)
+            if p:
+                branches.append((p_eve * p, BSM_OUTCOMES[swap], BSM_OUTCOMES[tele], cipher))
     return tuple(branches)
 
 
@@ -328,9 +329,10 @@ def _token_phase_branches(
     pair_b: BellLabel,
     intercept: str | None,
 ) -> Iterable[tuple[Fraction, BellLabel, BellLabel]]:
-    """All (probability, receiver code, sender record) branches of one
-    token-phase round, optionally with an intercept on the sent halves."""
+    """All nonzero (probability, receiver code, sender record) branches of
+    one token-phase round, optionally with an intercept on the sent halves."""
     base = protocol.prepare_token_register(pair_a, pair_b)
+    n = base.n_qubits
     staged: list[tuple[Fraction, statevec.StateVector]] = []
     if intercept is None:
         staged.append((Fraction(1), base))
@@ -342,25 +344,23 @@ def _token_phase_branches(
             for b2 in (0, 1):
                 p2, state = statevec.project_computational(mid, 2, b2)
                 if state is not None:
-                    staged.append((_as_fraction(p1) * _as_fraction(p2), state))
+                    staged.append((_dyadic(p1, n) * _dyadic(p2, n), state))
     elif intercept == "bell":
         for label in BELL_LABELS:
             p, state = statevec.bell_project(base, 1, 2, label)
             if state is not None:
-                staged.append((_as_fraction(p), state))
+                staged.append((_dyadic(p, n), state))
     else:
         raise ValueError(f"unknown intercept {intercept!r}")
     for p_eve, state in staged:
-        for code in BELL_LABELS:
-            p_code, after_code = statevec.bell_project(state, 1, 2, code)
-            if after_code is None:
-                continue
-            for observed in BELL_LABELS:
-                p_obs, _ = statevec.bell_project(after_code, 0, 3, observed)
-                if p_obs < 1e-15:
-                    continue
-                record = infer_remote_bsm(pair_a, pair_b, observed.as_outcome()).as_label()
-                yield p_eve * _as_fraction(p_code) * _as_fraction(p_obs), code, record
+        if not p_eve:
+            continue
+        joint = statevec.joint_distribution(state, [(1, 2), (0, 3)])
+        for (code, observed), p in np.ndenumerate(joint):
+            p = _dyadic(float(p), n)
+            if p:
+                record = infer_remote_bsm(pair_a, pair_b, BSM_OUTCOMES[observed]).as_label()
+                yield p_eve * p, BELL_LABELS[code], record
 
 
 def exact_detection_rate(attack: AttackModel) -> Fraction:

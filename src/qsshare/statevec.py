@@ -34,7 +34,9 @@ Conventions, fixed once so that transcripts are reproducible:
   the first qubit onto the second, then the one-qubit mixing gate on the
   first) followed by two computational measurements: the first bit is the
   phase bit, the second the parity bit.  The measured pair is rotated back
-  so it collapses to the reported pair state.
+  so it collapses to the reported pair state.  :func:`joint_distribution`
+  rotates several disjoint pairs into that frame at once and reads all their
+  outcomes, with any computational ones, off one set of squared amplitudes.
 - Measurement outcomes with probability below 1e-15 are treated as exactly
   zero and never sampled; renormalisation divides by the outcome amplitude
   norm, which that floor keeps away from zero.
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -341,11 +343,39 @@ def bell_project(state: StateVector, q1: int, q2: int, label: BellLabel) -> tupl
 
 def bell_probabilities(state: StateVector, q1: int, q2: int) -> dict[BellLabel, float]:
     """Born probabilities of the four pair outcomes on ``(q1, q2)``."""
-    probs = {}
-    for label in BELL_LABELS:
-        prob, _ = bell_project(state, q1, q2, label)
-        probs[label] = prob
-    return probs
+    return dict(zip(BELL_LABELS, joint_distribution(state, [(q1, q2)]).tolist()))
+
+
+def joint_distribution(
+    state: StateVector,
+    pairs: Sequence[tuple[int, int]],
+    singles: Sequence[int] = (),
+) -> np.ndarray:
+    """Joint Born distribution of Bell measurements on disjoint qubit pairs
+    and computational measurements on single qubits of ``state``.
+
+    Every pair is rotated into the computational frame once, with the
+    rotation :func:`bell_measure` uses, and the squared amplitudes are
+    summed over the qubits not named.  The result has one axis of length 4
+    per pair (indexed like ``BELL_LABELS``) followed by one axis of length 2
+    per single qubit.  The measurements act on disjoint qubits and commute,
+    so each entry equals the product of conditional probabilities of any
+    sequential order.
+    """
+    named = [q for pair in pairs for q in pair] + list(singles)
+    for q in named:
+        _check_qubit(state, q)
+    if len(set(named)) != len(named):
+        raise ValueError(f"measured qubits must be distinct, got {named}")
+    rotated = state
+    for q1, q2 in pairs:
+        rotated = _rotate_from_pair_basis(rotated, q1, q2)
+    n = state.n_qubits
+    amps = rotated.amplitudes
+    probs = (amps.real**2 + amps.imag**2).reshape((2,) * n)
+    rest = [q for q in range(n) if q not in named]
+    shape = (4,) * len(pairs) + (2,) * len(singles) + (-1,)
+    return probs.transpose(named + rest).reshape(shape).sum(axis=-1)
 
 
 def _rotate_from_pair_basis(state: StateVector, q1: int, q2: int) -> StateVector:

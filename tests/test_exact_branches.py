@@ -1,0 +1,204 @@
+"""The exact branch sets behind the secrecy and detection-rate claims.
+
+The splitting and token-phase branches are read off one joint Born
+distribution per eavesdropper outcome.  These tests pin them to a walk that
+projects one outcome label at a time, check the dyadic snap that turns Born
+probabilities into rationals, and check that a cold exact pass keeps no
+state beyond the package's lru caches.
+"""
+
+import inspect
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from itertools import product
+from pathlib import Path
+
+import pytest
+
+from qsshare import protocol, security, statevec
+from qsshare.bell import BELL_LABELS, BSM_OUTCOMES, infer_remote_bsm
+
+SPLITTING_INTERCEPTS = (None, "comp-r1", "comp-r2", "bell-r1", "ancilla-r2")
+TOKEN_INTERCEPTS = ("computational", "bell")
+
+# The 13 attack specs of the README table.
+SPECS = (
+    "none",
+    "token-flip",
+    "r1-lie:01",
+    "r1-lie:11",
+    "r1-lie:10",
+    "intercept-resend-computational:auth-r1",
+    "intercept-resend-computational:auth-r2",
+    "intercept-resend-computational:split-r1",
+    "intercept-resend-computational:split-r2",
+    "intercept-resend-bell:auth-r1",
+    "intercept-resend-bell:auth-r2",
+    "intercept-resend-bell:split-r1",
+    "entangle-ancilla:split-r2",
+)
+
+
+def snap(probability):
+    # Every conditional probability of these circuits is a multiple of 1/64.
+    fraction = Fraction(round(probability * 64), 64)
+    assert abs(probability - float(fraction)) < 1e-12
+    return fraction
+
+
+def walk(state, steps):
+    """Every (probability, outcomes) of the measurements in ``steps``, one
+    projection per outcome label, in the order the labels are listed."""
+    if not steps:
+        yield Fraction(1), ()
+        return
+    step, rest = steps[0], steps[1:]
+    if step[0] == "bell":
+        projections = [
+            (label, statevec.bell_project(state, step[1], step[2], label)) for label in BELL_LABELS
+        ]
+    else:
+        projections = [
+            (bit, statevec.project_computational(state, step[1], bit)) for bit in (0, 1)
+        ]
+    for outcome, (p, after) in projections:
+        if after is None:
+            continue
+        for p_rest, outcomes in walk(after, rest):
+            yield snap(p) * p_rest, (outcome,) + outcomes
+
+
+def reference_splitting(secret, pair1, pair2, intercept):
+    secret_state = statevec.computational_state([secret])
+    state = protocol.prepare_splitting_register(secret_state, pair1, pair2)
+    eve = {
+        None: [],
+        "comp-r1": [("z", 2), ("z", 3)],
+        "comp-r2": [("z", 4)],
+        "bell-r1": [("bell", 2, 3)],
+        "ancilla-r2": [],
+    }[intercept]
+    if intercept == "ancilla-r2":
+        state = statevec.apply_cnot(statevec.tensor(state, statevec.zero_state(1)), 4, 5)
+    branches = []
+    for p, outcomes in walk(state, eve + [("bell", 2, 3), ("bell", 0, 1), ("z", 4)]):
+        swap, tele, cipher = outcomes[-3:]
+        if p:
+            branches.append((p, swap.as_outcome(), tele.as_outcome(), cipher))
+    return tuple(branches)
+
+
+def reference_token_phase(pair_a, pair_b, intercept):
+    state = protocol.prepare_token_register(pair_a, pair_b)
+    eve = {"computational": [("z", 1), ("z", 2)], "bell": [("bell", 1, 2)]}[intercept]
+    branches = []
+    for p, outcomes in walk(state, eve + [("bell", 1, 2), ("bell", 0, 3)]):
+        code, observed = outcomes[-2:]
+        if p:
+            record = infer_remote_bsm(pair_a, pair_b, observed.as_outcome()).as_label()
+            branches.append((p, code, record))
+    return tuple(branches)
+
+
+@pytest.mark.parametrize("intercept", SPLITTING_INTERCEPTS)
+def test_splitting_branches_match_per_label_walk(intercept):
+    for secret, pair1, pair2 in product((0, 1), BELL_LABELS, BELL_LABELS):
+        branches = security._splitting_branches(secret, pair1, pair2, intercept)
+        assert branches == reference_splitting(secret, pair1, pair2, intercept)
+        assert all(type(p) is Fraction for p, *_ in branches)
+        assert sum(p for p, *_ in branches) == Fraction(1)
+
+
+@pytest.mark.parametrize("receiver", [protocol.RECEIVER_1, protocol.RECEIVER_2])
+@pytest.mark.parametrize("intercept", TOKEN_INTERCEPTS)
+def test_token_phase_branches_match_per_label_walk(receiver, intercept):
+    pair_a, pair_b = protocol.DEFAULT_AUTH_PAIRS[receiver]
+    branches = tuple(security._token_phase_branches(pair_a, pair_b, intercept))
+    assert branches == reference_token_phase(pair_a, pair_b, intercept)
+    assert all(type(p) is Fraction for p, *_ in branches)
+    assert sum(p for p, *_ in branches) == Fraction(1)
+
+
+def test_honest_cases_follow_the_splitting_branches():
+    cases = security.enumerate_honest_cases()
+    expected = list(product((0, 1), BELL_LABELS, BELL_LABELS, BSM_OUTCOMES, BSM_OUTCOMES))
+    assert [(c.secret, c.pair1, c.pair2, c.swap_bsm, c.teleport_bsm) for c in cases] == expected
+    for case in cases:
+        branches = security._splitting_branches(case.secret, case.pair1, case.pair2, None)
+        assert (Fraction(1, 16), case.swap_bsm, case.teleport_bsm, case.cipher_bit) in branches
+
+
+# ---------------------------------------------------------------------------
+# Dyadic snap.
+
+@pytest.mark.parametrize("probability", [1 / 3, 0.25 + 1e-9])
+def test_dyadic_snap_rejects_off_grid_probabilities(probability):
+    with pytest.raises(AssertionError):
+        security._dyadic(probability, 5)
+
+
+@pytest.mark.parametrize("probability", [0.25 - 1e-15, 0.25, 0.25 + 1e-15])
+def test_dyadic_snap_accepts_float_residue(probability):
+    assert security._dyadic(probability, 5) == Fraction(1, 4)
+
+
+def test_no_limit_denominator_in_security():
+    assert "limit_denominator" not in inspect.getsource(security)
+
+
+# ---------------------------------------------------------------------------
+# Cold passes.
+
+COLD_PASSES = """
+from qsshare import bell, security, statevec
+from qsshare.protocol import AttackModel
+
+SPECS = {specs!r}
+CACHES = (
+    bell.generate_teleport_table,
+    bell.generate_swap_table,
+    security.enumerate_honest_cases,
+    security._splitting_branches,
+)
+calls = 0
+real = statevec.apply_hadamard
+
+def counted(state, q):
+    global calls
+    calls += 1
+    return real(state, q)
+
+statevec.apply_hadamard = counted
+counts = []
+for _ in range(2):
+    calls = 0
+    for cache in CACHES:
+        cache.cache_clear()
+    bell.diff_teleport_table()
+    bell.diff_swap_table()
+    for view in security.VIEW_NAMES:
+        security.mutual_information_22(view)
+    for spec in SPECS:
+        security.exact_detection_rate(AttackModel.from_spec(spec))
+    security.encrypted_qubit_mixedness_55()
+    counts.append(calls)
+print(*counts)
+"""
+
+
+def test_cold_exact_passes_keep_no_state_beyond_the_lru_caches():
+    # A fresh interpreter, so that nothing an earlier test ran is warm.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    result = subprocess.run(
+        [sys.executable, "-c", COLD_PASSES.format(specs=SPECS)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    first, second = map(int, result.stdout.split())
+    assert first == second > 0
