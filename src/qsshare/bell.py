@@ -53,7 +53,7 @@ class BellLabel:
         return ("Φ+", "Ψ+", "Φ-", "Ψ-")[2 * self.z + self.x]
 
     def as_outcome(self) -> "BsmOutcome":
-        return BsmOutcome(self.z, self.x)
+        return BSM_OUTCOMES[2 * self.z + self.x]
 
 
 @dataclass(frozen=True, order=True)
@@ -76,7 +76,7 @@ class BsmOutcome:
         return f"{self.b1}{self.b2}"
 
     def as_label(self) -> BellLabel:
-        return BellLabel(self.b1, self.b2)
+        return BELL_LABELS[2 * self.b1 + self.b2]
 
 
 @dataclass(frozen=True, order=True)
@@ -109,8 +109,10 @@ PHI_PLUS = BellLabel(0, 0)
 PSI_PLUS = BellLabel(0, 1)
 PHI_MINUS = BellLabel(1, 0)
 PSI_MINUS = BellLabel(1, 1)
+# Canonical instances: ``as_outcome``/``as_label`` hand these out, so
+# converted codes compare and hash by identity in table lookups.
 BELL_LABELS = (PHI_PLUS, PSI_PLUS, PHI_MINUS, PSI_MINUS)
-BSM_OUTCOMES = tuple(label.as_outcome() for label in BELL_LABELS)
+BSM_OUTCOMES = (BsmOutcome(0, 0), BsmOutcome(0, 1), BsmOutcome(1, 0), BsmOutcome(1, 1))
 
 CORRECTION_I = PauliCorrection(0, 0)
 CORRECTION_X = PauliCorrection(0, 1)

@@ -35,6 +35,7 @@ import numpy as np
 from . import statevec
 from .bell import (
     BELL_LABELS,
+    BSM_OUTCOMES,
     BellLabel,
     BsmOutcome,
     PHI_MINUS,
@@ -286,27 +287,38 @@ class Transcript:
 
 
 class _TranscriptBuilder:
+    # Each helper appends one positionally built Event: (index, phase, kind,
+    # sender, recipient, payload, basis, result).
     def __init__(self, seed: int, scheme: str) -> None:
         self.transcript = Transcript(seed=seed, scheme=scheme)
+        self._events = self.transcript.events
         self._phase = ""
-
-    def _add(self, **kwargs) -> None:
-        events = self.transcript.events
-        events.append(Event(index=len(events), phase=self._phase, **kwargs))
 
     def phase(self, name: str) -> None:
         self._phase = name
-        self._add(kind="phase", payload=name)
+        events = self._events
+        events.append(Event(len(events), name, "phase", None, None, name))
 
     def quantum_send(self, sender: str, recipient: str, wire: str) -> None:
-        self._add(kind="quantum-send", sender=sender, recipient=recipient, payload=wire)
+        events = self._events
+        events.append(Event(len(events), self._phase, "quantum-send", sender, recipient, wire))
 
     def classical(self, sender: str, recipient: str, bits: str, private: bool = False) -> None:
         kind = "classical-private" if private else "classical-public"
-        self._add(kind=kind, sender=sender, recipient=recipient, payload=bits)
+        events = self._events
+        events.append(Event(len(events), self._phase, kind, sender, recipient, bits))
 
     def measurement(self, party: str, basis: str, result: str) -> None:
-        self._add(kind="measurement", sender=party, basis=basis, result=result)
+        events = self._events
+        events.append(
+            Event(len(events), self._phase, "measurement", party, None, None, basis, result)
+        )
+
+
+# Payloads a classical channel may carry and results a measurement may
+# report: 1-2 bit strings.
+_BIT_STRINGS = frozenset({"0", "1", "00", "01", "10", "11"})
+_PARTY_SET = frozenset(PARTIES)
 
 
 def validate_transcript(transcript: Transcript) -> None:
@@ -319,15 +331,17 @@ def validate_transcript(transcript: Transcript) -> None:
     for i, event in enumerate(transcript.events):
         if event.index != i:
             raise ValueError(f"event {i} carries index {event.index}")
-        if event.kind in ("classical-public", "classical-private"):
-            payload = event.payload or ""
-            if not (1 <= len(payload) <= 2 and all(c in "01" for c in payload)):
+        kind = event.kind
+        if kind == "phase":
+            continue
+        if kind in ("classical-public", "classical-private"):
+            if event.payload not in _BIT_STRINGS:
                 raise ValueError(
                     f"classical event {i} payload {event.payload!r} is not a 1-2 bit string"
                 )
-            if event.sender not in PARTIES or event.recipient not in PARTIES:
+            if event.sender not in _PARTY_SET or event.recipient not in _PARTY_SET:
                 raise ValueError(f"classical event {i} has unknown endpoints")
-        elif event.kind == "quantum-send":
+        elif kind == "quantum-send":
             payload = event.payload or ""
             if not payload or all(c in "01" for c in payload):
                 raise ValueError(
@@ -335,13 +349,12 @@ def validate_transcript(transcript: Transcript) -> None:
                 )
             if event.basis is not None or event.result is not None:
                 raise ValueError(f"quantum send {i} carries measurement fields")
-        elif event.kind == "measurement":
+        elif kind == "measurement":
             if event.basis not in ("bell", "computational"):
                 raise ValueError(f"measurement {i} has basis {event.basis!r}")
-            result = event.result or ""
-            if not (1 <= len(result) <= 2 and all(c in "01" for c in result)):
+            if event.result not in _BIT_STRINGS:
                 raise ValueError(f"measurement {i} result {event.result!r} malformed")
-        elif event.kind != "phase":
+        else:
             raise ValueError(f"unknown event kind {event.kind!r}")
     if transcript.outcome == "rejected":
         for event in transcript.events:
@@ -587,10 +600,11 @@ def verify_authentication(
     the end-to-end correction.  Only on acceptance may the teleport
     measurement be published.
     """
-    recovered_swap = BsmOutcome(
-        token_r1[0] ^ records.pair1_label.z,
-        token_r1[1] ^ records.pair1_label.x,
-    )
+    b1 = token_r1[0] ^ records.pair1_label.z
+    b2 = token_r1[1] ^ records.pair1_label.x
+    if b1 not in (0, 1) or b2 not in (0, 1):
+        raise ValueError(f"outcome bits must be 0 or 1, got ({b1}, {b2})")
+    recovered_swap = BSM_OUTCOMES[2 * b1 + b2]
     recovered_cipher = token_r2 ^ records.pair2_label.z ^ records.pair2_label.x
     correction = end_to_end_correction(
         records.pair1_label, records.pair2_label, recovered_swap, records.teleport_bsm

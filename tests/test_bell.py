@@ -54,6 +54,19 @@ def test_label_round_trips():
     assert [c.symbol for c in bell.PAULI_CORRECTIONS] == ["I", "X", "Z", "ZX"]
 
 
+def test_conversions_hand_out_the_canonical_constants():
+    for i, (label, outcome) in enumerate(zip(BELL_LABELS, BSM_OUTCOMES)):
+        z, x = divmod(i, 2)
+        assert BellLabel(z, x).as_outcome() is outcome
+        assert BsmOutcome(z, x).as_label() is label
+        assert label.as_outcome() is outcome
+        assert outcome.as_label() is label
+        assert BsmOutcome.from_bits(label.bits) is outcome
+        assert label.as_outcome().as_label() is label
+        assert outcome.as_label().as_outcome() is outcome
+        assert (outcome.b1, outcome.b2) == (label.z, label.x) == (z, x)
+
+
 def test_correction_composition_is_xor():
     for a, b in product(bell.PAULI_CORRECTIONS, repeat=2):
         composed = a.compose(b)

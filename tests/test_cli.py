@@ -55,6 +55,36 @@ def test_run_qss55_renormalises_with_warning(capsys):
     assert "renormalising" in err
 
 
+@pytest.mark.parametrize(
+    "secret, seed",
+    [
+        # Norm off by 9.0e-13, squared norm by 1.8e-12: the simulator rejects
+        # the secret itself.
+        ("0.60000000000054,0+0.80000000000072i", 0),
+        # Squared norm off by 2e-13, within the simulator's bound, but the
+        # four outcome-0 projections of this seed leave it 16 times larger.
+        ("0.9999999999999,0", 609),
+    ],
+)
+def test_run_qss55_renormalises_near_normalised_secrets(secret, seed, capsys):
+    code, out, err = run_main(
+        ["run", "--scheme", "qss55", "--secret", secret, "--seed", str(seed)], capsys
+    )
+    assert code == EXIT_OK
+    assert "renormalising" in err
+    footer = json.loads(out.strip().splitlines()[-1])
+    assert footer["fidelity"] >= 1 - 1e-12
+
+
+def test_run_qss55_keeps_secrets_normalised_to_float_precision(capsys):
+    code, _, err = run_main(
+        ["run", "--scheme", "qss55", "--secret", "0.70710678118654757,0.70710678118654757"],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert err == ""
+
+
 def test_run_multi_trial_ordering(capsys):
     code, out, _ = run_main(
         ["run", "--secret", "1", "--seed", "4", "--trials", "3", "--format", "text"], capsys

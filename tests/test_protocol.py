@@ -1,4 +1,5 @@
 import json
+import re
 from itertools import product
 
 import numpy as np
@@ -25,6 +26,7 @@ from qsshare.protocol import (
     RECEIVER_5,
     SENDER,
     AttackModel,
+    Event,
     IncompleteSharesError,
     SenderRecords,
     ShareSet22,
@@ -172,6 +174,13 @@ def test_swap_token_lies():
         assert verify_authentication(records, (honest[0] ^ 1, honest[1]), token_r2)
 
 
+@pytest.mark.parametrize("token_r1", [(0, 2), (2, 0), (-1, 0)])
+def test_swap_token_must_be_two_bits(token_r1):
+    records = SenderRecords(PHI_PLUS, PHI_PLUS, BsmOutcome(0, 0), 0)
+    with pytest.raises(ValueError, match="outcome bits must be 0 or 1"):
+        verify_authentication(records, token_r1, 0)
+
+
 # ---------------------------------------------------------------------------
 # Full (2,2) runs.
 
@@ -227,6 +236,87 @@ def test_channel_discipline_is_enforced():
     quantum[0].payload = "01"
     with pytest.raises(ValueError, match="wire name"):
         validate_transcript(tampered)
+
+
+def _tampered(event_kind, **fields):
+    """An honest transcript whose first event of ``event_kind`` has ``fields`` set."""
+    transcript = run_qss22(0, 3)
+    event = next(e for e in transcript.events if e.kind == event_kind)
+    for name, value in fields.items():
+        setattr(event, name, value)
+    return transcript, event.index
+
+
+def test_validator_rejects_a_misnumbered_event():
+    transcript = run_qss22(0, 3)
+    transcript.events[3].index = 7
+    with pytest.raises(ValueError, match=re.escape("event 3 carries index 7")):
+        validate_transcript(transcript)
+
+
+@pytest.mark.parametrize("payload", ["", None, "012", "2"])
+def test_validator_rejects_non_bit_classical_payloads(payload):
+    transcript, i = _tampered("classical-public", payload=payload)
+    message = f"classical event {i} payload {payload!r} is not a 1-2 bit string"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        validate_transcript(transcript)
+
+
+@pytest.mark.parametrize("endpoint", ["sender", "recipient"])
+def test_validator_rejects_unknown_classical_endpoints(endpoint):
+    transcript, i = _tampered("classical-public", **{endpoint: "Eve"})
+    message = f"classical event {i} has unknown endpoints"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        validate_transcript(transcript)
+
+
+@pytest.mark.parametrize("payload", ["", "1"])
+def test_validator_rejects_quantum_sends_without_a_wire_name(payload):
+    transcript, i = _tampered("quantum-send", payload=payload)
+    message = f"quantum send {i} must carry a wire name, got {payload!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        validate_transcript(transcript)
+
+
+@pytest.mark.parametrize("fields", [{"basis": "bell"}, {"result": "01"}])
+def test_validator_rejects_quantum_sends_with_measurement_fields(fields):
+    transcript, i = _tampered("quantum-send", **fields)
+    message = f"quantum send {i} carries measurement fields"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        validate_transcript(transcript)
+
+
+def test_validator_rejects_an_unknown_measurement_basis():
+    transcript, i = _tampered("measurement", basis="diagonal")
+    message = f"measurement {i} has basis 'diagonal'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        validate_transcript(transcript)
+
+
+@pytest.mark.parametrize("result", ["", "000"])
+def test_validator_rejects_malformed_measurement_results(result):
+    transcript, i = _tampered("measurement", result=result)
+    message = f"measurement {i} result {result!r} malformed"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        validate_transcript(transcript)
+
+
+def test_validator_rejects_an_unknown_event_kind():
+    transcript, _ = _tampered("quantum-send", kind="teleport")
+    with pytest.raises(ValueError, match=re.escape("unknown event kind 'teleport'")):
+        validate_transcript(transcript)
+
+
+def test_validator_rejects_a_sender_message_in_a_rejected_run():
+    transcript = run_qss22(0, 5, AttackModel.from_spec("token-flip"))
+    assert transcript.outcome == "rejected"
+    i = len(transcript.events)
+    transcript.events.append(
+        Event(i, "authentication", "classical-public", SENDER, RECEIVER_1, "01")
+    )
+    message = f"rejected run published a sender message (event {i})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        validate_transcript(transcript)
 
 
 def test_multi_bit_secrets_run_bitwise():
