@@ -7,7 +7,6 @@ from .bell import (
     BSM_OUTCOMES,
     PAULI_CORRECTIONS,
     BellLabel,
-    BsmOutcome,
     PauliCorrection,
     decode_classical,
     end_to_end_correction,
@@ -36,7 +35,6 @@ __all__ = [
     "BSM_OUTCOMES",
     "PAULI_CORRECTIONS",
     "BellLabel",
-    "BsmOutcome",
     "DensityMatrix",
     "PauliCorrection",
     "StateVector",

@@ -1,19 +1,25 @@
-"""Closed-form algebra of the four maximally entangled two-qubit states.
+"""Pair algebra of the four maximally entangled two-qubit states.
 
-The four states are indexed by 2-bit codes: the first bit is the phase bit
-(+ or -), the second the parity bit (00/11 vs 01/10 support)::
+The four states, and the four outcomes of a Bell-basis measurement, are
+2-bit codes: the first bit is the phase (Z) bit, the second the parity (X)
+bit (00/11 vs 01/10 support)::
 
     00  (|00> + |11>)/sqrt(2)   Phi+
     01  (|01> + |10>)/sqrt(2)   Psi+
     10  (|00> - |11>)/sqrt(2)   Phi-
     11  (|01> - |10>)/sqrt(2)   Psi-
 
-Teleportation corrections and entanglement-swapping outcomes are *generated*
-by sweeping the state-vector simulator, not hard-coded: the lookup tables are
-built on first use and cached.  Fixed reference tables (the expected 16- and
-64-row contents) live alongside and are diffed against the generated ones by
-the test suite and by the ``verify-tables`` command, which guards against any
-drift in labeling or sign conventions between the simulator and this module.
+Every operation of the protocol is XOR on these codes, the Pauli-frame
+bookkeeping of a Clifford circuit (Aaronson & Gottesman, PRA 70, 052328,
+2004): teleporting over channel ``c`` with outcome ``m`` leaves the Pauli
+encoding ``c ^ m``, and swapping pairs ``a`` and ``b`` with outcome ``m``
+leaves the pair ``a ^ b ^ m``.
+
+The oracle tables are the check: the 16-row teleport and 64-row swap tables
+are *generated* by sweeping the state-vector simulator and diffed against
+reference tables transcribed row by row, by the test suite (which also
+compares the XOR operations with both on every row) and by the
+``verify-tables`` command.  Protocol runs use the XOR operations alone.
 
 Global phases are dropped throughout: they are unobservable, and the swapping
 identities only hold modulo a phase.
@@ -27,98 +33,74 @@ from itertools import product
 
 
 @dataclass(frozen=True, order=True)
-class BellLabel:
-    """One of the four maximally entangled pair states as a (phase, parity) bit pair."""
+class _TwoBits:
+    """A Z bit and an X bit.  ``a ^ b`` XORs the bits and returns the
+    canonical instance of ``a``'s type.
+
+    Each subclass lists its four symbols (``_SYMBOLS``) and canonical
+    instances (``_CANONICAL``, set once they exist), indexed by ``2*z + x``.
+    """
 
     z: int
     x: int
 
     def __post_init__(self) -> None:
         if self.z not in (0, 1) or self.x not in (0, 1):
-            raise ValueError(f"label bits must be 0 or 1, got ({self.z}, {self.x})")
-
-    @classmethod
-    def from_bits(cls, bits: str) -> "BellLabel":
-        if len(bits) != 2 or any(c not in "01" for c in bits):
-            raise ValueError(f"expected a 2-bit string, got {bits!r}")
-        return cls(int(bits[0]), int(bits[1]))
+            raise ValueError(f"{type(self).__name__} bits must be 0 or 1, got ({self.z}, {self.x})")
 
     @property
     def bits(self) -> str:
-        """Most-significant-bit-first rendering: phase bit, then parity bit."""
+        """Most-significant-bit-first rendering: Z bit, then X bit."""
         return f"{self.z}{self.x}"
 
     @property
     def symbol(self) -> str:
-        return ("Φ+", "Ψ+", "Φ-", "Ψ-")[2 * self.z + self.x]
+        return self._SYMBOLS[2 * self.z + self.x]
 
-    def as_outcome(self) -> "BsmOutcome":
-        return BSM_OUTCOMES[2 * self.z + self.x]
+    def __xor__(self, other: _TwoBits):
+        return self._CANONICAL[2 * (self.z ^ other.z) + (self.x ^ other.x)]
 
 
-@dataclass(frozen=True, order=True)
-class BsmOutcome:
-    """Two-bit result of a Bell-basis measurement, same bit convention as BellLabel."""
+class BellLabel(_TwoBits):
+    """One of the four pair states, or the outcome of a Bell-basis
+    measurement that projects onto it, as a (phase, parity) bit pair."""
 
-    b1: int
-    b2: int
-
-    def __post_init__(self) -> None:
-        if self.b1 not in (0, 1) or self.b2 not in (0, 1):
-            raise ValueError(f"outcome bits must be 0 or 1, got ({self.b1}, {self.b2})")
+    _SYMBOLS = ("Φ+", "Ψ+", "Φ-", "Ψ-")
 
     @classmethod
-    def from_bits(cls, bits: str) -> "BsmOutcome":
-        return BellLabel.from_bits(bits).as_outcome()
-
-    @property
-    def bits(self) -> str:
-        return f"{self.b1}{self.b2}"
-
-    def as_label(self) -> BellLabel:
-        return BELL_LABELS[2 * self.b1 + self.b2]
+    def from_bits(cls, bits: str) -> BellLabel:
+        if len(bits) != 2 or any(c not in "01" for c in bits):
+            raise ValueError(f"expected a 2-bit string, got {bits!r}")
+        return BELL_LABELS[int(bits, 2)]
 
 
-@dataclass(frozen=True, order=True)
-class PauliCorrection:
-    """Pauli operator Z^z_exp X^x_exp (X applied first) as an exponent pair.
+class PauliCorrection(_TwoBits):
+    """Pauli operator Z^z X^x (X applied first) as an exponent pair.
 
     Z and X are self-inverse up to a global phase, so the operator that
     *encodes* a teleported state and the correction that *decodes* it share
-    the same exponent pair.  Corrections compose by bitwise XOR.
+    the same exponent pair.  Corrections compose by ``^``.
     """
 
-    z_exp: int
-    x_exp: int
-
-    def __post_init__(self) -> None:
-        if self.z_exp not in (0, 1) or self.x_exp not in (0, 1):
-            raise ValueError(
-                f"exponents must be 0 or 1, got ({self.z_exp}, {self.x_exp})"
-            )
-
-    @property
-    def symbol(self) -> str:
-        return ("I", "X", "Z", "ZX")[2 * self.z_exp + self.x_exp]
-
-    def compose(self, other: "PauliCorrection") -> "PauliCorrection":
-        return PauliCorrection(self.z_exp ^ other.z_exp, self.x_exp ^ other.x_exp)
+    _SYMBOLS = ("I", "X", "Z", "ZX")
 
 
 PHI_PLUS = BellLabel(0, 0)
 PSI_PLUS = BellLabel(0, 1)
 PHI_MINUS = BellLabel(1, 0)
 PSI_MINUS = BellLabel(1, 1)
-# Canonical instances: ``as_outcome``/``as_label`` hand these out, so
-# converted codes compare and hash by identity in table lookups.
-BELL_LABELS = (PHI_PLUS, PSI_PLUS, PHI_MINUS, PSI_MINUS)
-BSM_OUTCOMES = (BsmOutcome(0, 0), BsmOutcome(0, 1), BsmOutcome(1, 0), BsmOutcome(1, 1))
+# Canonical instances, indexed by code: ``^`` and ``from_bits`` hand these
+# out.  Bell-measurement outcomes are the same codes.
+BELL_LABELS = BellLabel._CANONICAL = (PHI_PLUS, PSI_PLUS, PHI_MINUS, PSI_MINUS)
+BSM_OUTCOMES = BELL_LABELS
 
 CORRECTION_I = PauliCorrection(0, 0)
 CORRECTION_X = PauliCorrection(0, 1)
 CORRECTION_Z = PauliCorrection(1, 0)
 CORRECTION_ZX = PauliCorrection(1, 1)
-PAULI_CORRECTIONS = (CORRECTION_I, CORRECTION_X, CORRECTION_Z, CORRECTION_ZX)
+PAULI_CORRECTIONS = PauliCorrection._CANONICAL = (
+    CORRECTION_I, CORRECTION_X, CORRECTION_Z, CORRECTION_ZX
+)
 
 # Probe state used by the oracle sweeps.  Its four Pauli images are pairwise
 # distinguishable (no two have unit fidelity), so the encoding is unique.
@@ -126,8 +108,9 @@ _PROBE_AMPLITUDES = (0.6, 0.8j)
 
 
 # ---------------------------------------------------------------------------
-# Reference tables.  Transcribed row by row; the generated tables are diffed
-# against these and any mismatch is reported with the offending rows.
+# Reference tables.  Transcribed row by row, independently of the XOR rule;
+# the generated tables are diffed against these and any mismatch is
+# reported with the offending rows.
 
 _TELEPORT_ROWS = {
     PHI_PLUS: (CORRECTION_I, CORRECTION_X, CORRECTION_Z, CORRECTION_ZX),
@@ -188,7 +171,7 @@ def generate_teleport_table() -> dict:
     probe = statevec.single_qubit(*_PROBE_AMPLITUDES)
     candidates = {
         (outcome, corr): statevec.tensor(
-            statevec.prepare_bell(outcome.as_label()), statevec.apply_pauli(probe, 0, corr)
+            statevec.prepare_bell(outcome), statevec.apply_pauli(probe, 0, corr)
         )
         for outcome in BSM_OUTCOMES
         for corr in PAULI_CORRECTIONS
@@ -197,7 +180,7 @@ def generate_teleport_table() -> dict:
     for channel in BELL_LABELS:
         state = statevec.tensor(probe, statevec.prepare_bell(channel))
         for outcome in BSM_OUTCOMES:
-            prob, post = statevec.bell_project(state, 0, 1, outcome.as_label())
+            prob, post = statevec.bell_project(state, 0, 1, outcome)
             if post is None or abs(prob - 0.25) > 1e-9:
                 raise AssertionError(
                     f"teleportation outcome {outcome.bits} on channel "
@@ -230,7 +213,7 @@ def generate_swap_table() -> dict:
     candidates = {}
     for outcome, result in product(BSM_OUTCOMES, BELL_LABELS):
         candidate = statevec.zero_state(4)
-        candidate = statevec.prepare_bell_on(candidate, 1, 2, outcome.as_label())
+        candidate = statevec.prepare_bell_on(candidate, 1, 2, outcome)
         candidates[(outcome, result)] = statevec.prepare_bell_on(candidate, 0, 3, result)
     table = {}
     for pair_a, pair_b in product(BELL_LABELS, repeat=2):
@@ -239,7 +222,7 @@ def generate_swap_table() -> dict:
         state = statevec.prepare_bell_on(state, 2, 3, pair_b)
         seen = set()
         for outcome in BSM_OUTCOMES:
-            prob, post = statevec.bell_project(state, 1, 2, outcome.as_label())
+            prob, post = statevec.bell_project(state, 1, 2, outcome)
             if post is None or abs(prob - 0.25) > 1e-9:
                 raise AssertionError(
                     f"swap outcome {outcome.bits} on pairs "
@@ -268,42 +251,36 @@ def generate_swap_table() -> dict:
 # ---------------------------------------------------------------------------
 # Operations.
 
-def teleport_correction(channel: BellLabel, bsm: BsmOutcome) -> PauliCorrection:
+def teleport_correction(channel: BellLabel, bsm: BellLabel) -> PauliCorrection:
     """Correction the receiver applies to recover a state teleported over
     ``channel`` when the sender's Bell measurement gave ``bsm``.
 
     Equal to the encoding the in-flight state acquired, since Pauli factors
     are self-inverse up to phase.
     """
-    return generate_teleport_table()[(channel, bsm)]
+    return CORRECTION_I ^ channel ^ bsm
 
 
-def swap_result(pair_sr1: BellLabel, pair_r1r2: BellLabel, bsm_r1: BsmOutcome) -> BellLabel:
+def swap_result(pair_sr1: BellLabel, pair_r1r2: BellLabel, bsm_r1: BellLabel) -> BellLabel:
     """Pair state swapped onto the two end parties after the middle party's
     Bell measurement returns ``bsm_r1``."""
-    return generate_swap_table()[(pair_sr1, pair_r1r2, bsm_r1)]
+    return pair_sr1 ^ pair_r1r2 ^ bsm_r1
 
 
-def infer_remote_bsm(pair_a: BellLabel, pair_b: BellLabel, own_bsm: BsmOutcome) -> BsmOutcome:
+def infer_remote_bsm(pair_a: BellLabel, pair_b: BellLabel, own_bsm: BellLabel) -> BellLabel:
     """Unique remote measurement outcome consistent with observing ``own_bsm``
     on one's own halves of the two shared pairs.
 
-    Inverse of :func:`swap_result` in its third argument; the swap outcome is
-    a bijection in that argument for fixed pairs.
+    Inverse of :func:`swap_result` in its third argument, which XOR is.
     """
-    observed = own_bsm.as_label()
-    table = generate_swap_table()
-    for outcome in BSM_OUTCOMES:
-        if table[(pair_a, pair_b, outcome)] == observed:
-            return outcome
-    raise AssertionError("swap table lost bijectivity")  # pragma: no cover
+    return pair_a ^ pair_b ^ own_bsm
 
 
 def end_to_end_correction(
     pair1: BellLabel,
     pair2: BellLabel,
-    swap_bsm: BsmOutcome,
-    teleport_bsm: BsmOutcome,
+    swap_bsm: BellLabel,
+    teleport_bsm: BellLabel,
 ) -> PauliCorrection:
     """Total encoding on the far receiver's qubit after swapping then
     teleporting: the teleport correction over the swapped channel.
@@ -311,7 +288,7 @@ def end_to_end_correction(
     All four classical pieces are needed to determine it; no proper subset
     fixes even the parity exponent.
     """
-    return teleport_correction(swap_result(pair1, pair2, swap_bsm), teleport_bsm)
+    return CORRECTION_I ^ pair1 ^ pair2 ^ swap_bsm ^ teleport_bsm
 
 
 def decode_classical(cipher_bit: int, corr: PauliCorrection) -> int:
@@ -322,7 +299,7 @@ def decode_classical(cipher_bit: int, corr: PauliCorrection) -> int:
     """
     if cipher_bit not in (0, 1):
         raise ValueError(f"cipher bit must be 0 or 1, got {cipher_bit}")
-    return cipher_bit ^ corr.x_exp
+    return cipher_bit ^ corr.x
 
 
 # ---------------------------------------------------------------------------

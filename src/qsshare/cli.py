@@ -119,9 +119,12 @@ def _parse_run_config(args: argparse.Namespace) -> RunConfig:
 def _write(out: str, content: str) -> None:
     if out == "-":
         sys.stdout.write(content)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(content)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -3,10 +3,10 @@
 The (2,2) scheme shares one classical bit between receivers R1 and R2 in four
 phases: authentication tokens (each receiver Bell-measures halves of two
 publicly known pairs shared with the sender, who infers their outcomes from
-his own measurement), information splitting (the sender prepares pairs
+their own measurement), information splitting (the sender prepares pairs
 labelled by those outcomes, R1's measurement swaps a pair onto the sender and
 R2, and the sender teleports the secret over it), authentication (receivers
-return masked tokens; on a consistency match the sender publishes his
+return masked tokens; on a consistency match the sender publishes their
 measurement result), and combining (both receivers pool their pieces).
 
 The (5,5) scheme runs the same splitting circuit on a qubit secret, with the
@@ -35,9 +35,7 @@ import numpy as np
 from . import statevec
 from .bell import (
     BELL_LABELS,
-    BSM_OUTCOMES,
     BellLabel,
-    BsmOutcome,
     PHI_MINUS,
     PHI_PLUS,
     PSI_MINUS,
@@ -134,6 +132,7 @@ class AttackModel:
                 raise ValueError("r1-lie needs a 2-bit delta, e.g. r1-lie:01")
             if tuple(self.delta) not in {(0, 0), (0, 1), (1, 0), (1, 1)}:
                 raise ValueError(f"delta must be a 2-bit pair, got {self.delta}")
+            object.__setattr__(self, "delta", tuple(self.delta))
         elif self.delta is not None:
             raise ValueError(f"attack {self.kind!r} takes no delta")
 
@@ -197,16 +196,16 @@ class Event:
 class ShareSet22:
     """Decryption pieces of a (2,2) run.
 
-    R1 holds the first pair label and his swap measurement; R2 holds the
+    R1 holds the first pair label and their swap measurement; R2 holds the
     measured cipher bit and the second pair label; the sender's teleport
     measurement becomes public after authentication.
     """
 
     pair1_label: BellLabel | None = None
-    swap_bsm: BsmOutcome | None = None
+    swap_bsm: BellLabel | None = None
     cipher_bit: int | None = None
     pair2_label: BellLabel | None = None
-    teleport_bsm: BsmOutcome | None = None
+    teleport_bsm: BellLabel | None = None
 
     def to_json_obj(self) -> dict:
         return {
@@ -231,11 +230,11 @@ class ShareSet55:
     measurement).
     """
 
-    swap_bsm: BsmOutcome | None = None
+    swap_bsm: BellLabel | None = None
     encrypted_qubit: StateVector | None = None
     pair1_label: BellLabel | None = None
     pair2_label: BellLabel | None = None
-    teleport_bsm: BsmOutcome | None = None
+    teleport_bsm: BellLabel | None = None
 
     def to_json_obj(self) -> dict:
         qubit = None
@@ -400,7 +399,7 @@ def run_auth_tokens(
     """Token phase of the (2,2) scheme.
 
     For each receiver the sender shares two publicly known pairs; the
-    receiver Bell-measures his halves and keeps the outcome as a secret
+    receiver Bell-measures their halves and keeps the outcome as a secret
     2-bit code, while the sender measures the retained halves and infers the
     same code from the swap relation.  Honest runs leave both sides with
     equal, uniformly distributed codes.
@@ -427,7 +426,7 @@ def run_auth_tokens(
         code, state = statevec.bell_measure(state, 1, 2, rng)
         observed, state = statevec.bell_measure(state, 0, 3, rng)
         codes[receiver] = code
-        records[receiver] = infer_remote_bsm(pair_a, pair_b, observed.as_outcome()).as_label()
+        records[receiver] = infer_remote_bsm(pair_a, pair_b, observed)
         if transcript:
             transcript.measurement(receiver, "bell", code.bits)
             transcript.measurement(SENDER, "bell", observed.bits)
@@ -439,8 +438,8 @@ def run_auth_tokens(
 
 @dataclass
 class SplitResult:
-    swap_bsm: BsmOutcome
-    teleport_bsm: BsmOutcome
+    swap_bsm: BellLabel
+    teleport_bsm: BellLabel
     cipher_bit: int | None
     receiver_qubit: StateVector | None
     eavesdropped: dict[str, str]
@@ -522,8 +521,8 @@ def _run_splitting(
         eve_bit, state = statevec.measure_computational(state, 5, rng)
         eavesdropped["split-r2"] = str(eve_bit)
     return SplitResult(
-        swap_bsm=swap_label.as_outcome(),
-        teleport_bsm=tele_label.as_outcome(),
+        swap_bsm=swap_label,
+        teleport_bsm=tele_label,
         cipher_bit=cipher_bit,
         receiver_qubit=receiver_qubit,
         eavesdropped=eavesdropped,
@@ -550,8 +549,8 @@ def splitting_branch(
     secret: StateVector,
     pair1: BellLabel,
     pair2: BellLabel,
-    swap_bsm: BsmOutcome,
-    teleport_bsm: BsmOutcome,
+    swap_bsm: BellLabel,
+    teleport_bsm: BellLabel,
     order: str = "swap-first",
 ) -> tuple[float, StateVector | None]:
     """Deterministic splitting run postselected on both measurement outcomes.
@@ -568,7 +567,7 @@ def splitting_branch(
         raise ValueError(f"unknown measurement order {order!r}")
     probability = 1.0
     for q1, q2, outcome in projections:
-        p, state = statevec.bell_project(state, q1, q2, outcome.as_label())
+        p, state = statevec.bell_project(state, q1, q2, outcome)
         if state is None:
             return 0.0, None
         probability *= p
@@ -584,8 +583,20 @@ class SenderRecords:
 
     pair1_label: BellLabel
     pair2_label: BellLabel
-    teleport_bsm: BsmOutcome
+    teleport_bsm: BellLabel
     secret_bit: int
+
+
+def mask_tokens(
+    code1: BellLabel, code2: BellLabel, swap_bsm: BellLabel, cipher_bit: int
+) -> tuple[BellLabel, int]:
+    """R1's token, its swap outcome XOR its code, and R2's token, its cipher
+    bit XOR both bits of its code.
+
+    XOR is its own inverse, so the sender unmasks received tokens with the
+    same call and their stored codes.
+    """
+    return swap_bsm ^ code1, cipher_bit ^ code2.z ^ code2.x
 
 
 def verify_authentication(
@@ -595,21 +606,24 @@ def verify_authentication(
 ) -> bool:
     """Sender-side consistency check of the two masked tokens.
 
-    The sender unmasks R1's swap outcome and R2's cipher bit with his stored
-    codes and accepts when the cipher bit equals his exact prediction from
-    the end-to-end correction.  Only on acceptance may the teleport
-    measurement be published.
+    The sender unmasks R1's swap outcome and R2's cipher bit with their
+    stored codes and accepts when the cipher bit equals their exact
+    prediction from the end-to-end correction.  Only on acceptance may the
+    teleport measurement be published.  Tokens that are not bits raise
+    ``ValueError``.
     """
-    b1 = token_r1[0] ^ records.pair1_label.z
-    b2 = token_r1[1] ^ records.pair1_label.x
-    if b1 not in (0, 1) or b2 not in (0, 1):
-        raise ValueError(f"outcome bits must be 0 or 1, got ({b1}, {b2})")
-    recovered_swap = BSM_OUTCOMES[2 * b1 + b2]
-    recovered_cipher = token_r2 ^ records.pair2_label.z ^ records.pair2_label.x
-    correction = end_to_end_correction(
-        records.pair1_label, records.pair2_label, recovered_swap, records.teleport_bsm
+    z, x = token_r1
+    if z not in (0, 1) or x not in (0, 1):
+        raise ValueError(f"outcome bits must be 0 or 1, got ({z}, {x})")
+    if token_r2 not in (0, 1):
+        raise ValueError(f"cipher token must be 0 or 1, got {token_r2!r}")
+    swap_bsm, cipher_bit = mask_tokens(
+        records.pair1_label, records.pair2_label, BELL_LABELS[2 * z + x], token_r2
     )
-    return recovered_cipher == (records.secret_bit ^ correction.x_exp)
+    correction = end_to_end_correction(
+        records.pair1_label, records.pair2_label, swap_bsm, records.teleport_bsm
+    )
+    return cipher_bit == records.secret_bit ^ correction.x
 
 
 def reconstruct22(shares: ShareSet22) -> int:
@@ -694,13 +708,12 @@ def run_qss22(
     builder.phase("authentication")
     code1 = auth.codes[RECEIVER_1]
     code2 = auth.codes[RECEIVER_2]
-    token_r1 = (split.swap_bsm.b1 ^ code1.z, split.swap_bsm.b2 ^ code1.x)
+    token_r1, token_r2 = mask_tokens(code1, code2, split.swap_bsm, split.cipher_bit)
     if attack.kind == "r1-lie":
-        token_r1 = (token_r1[0] ^ attack.delta[0], token_r1[1] ^ attack.delta[1])
-    token_r2 = split.cipher_bit ^ code2.z ^ code2.x
+        token_r1 ^= BellLabel(*attack.delta)
     if attack.kind == "token-flip":
         token_r2 ^= 1
-    builder.classical(RECEIVER_1, SENDER, f"{token_r1[0]}{token_r1[1]}")
+    builder.classical(RECEIVER_1, SENDER, token_r1.bits)
     builder.classical(RECEIVER_2, SENDER, str(token_r2))
 
     records = SenderRecords(
@@ -709,7 +722,7 @@ def run_qss22(
         teleport_bsm=split.teleport_bsm,
         secret_bit=secret_bit,
     )
-    accepted = verify_authentication(records, token_r1, token_r2)
+    accepted = verify_authentication(records, (token_r1.z, token_r1.x), token_r2)
 
     transcript = builder.transcript
     if accepted:

@@ -34,8 +34,8 @@ from . import protocol, statevec
 from .bell import (
     BELL_LABELS,
     BSM_OUTCOMES,
+    PHI_PLUS,
     BellLabel,
-    BsmOutcome,
     end_to_end_correction,
     infer_remote_bsm,
 )
@@ -45,6 +45,7 @@ from .protocol import (
     RECEIVER_2,
     AttackModel,
     SenderRecords,
+    mask_tokens,
     run_qss22,
     verify_authentication,
 )
@@ -71,17 +72,13 @@ class HonestCase:
     secret: int
     pair1: BellLabel
     pair2: BellLabel
-    swap_bsm: BsmOutcome
-    teleport_bsm: BsmOutcome
+    swap_bsm: BellLabel
+    teleport_bsm: BellLabel
     cipher_bit: int
 
     @property
-    def masked_swap_token(self) -> tuple[int, int]:
-        return (self.swap_bsm.b1 ^ self.pair1.z, self.swap_bsm.b2 ^ self.pair1.x)
-
-    @property
-    def masked_cipher_token(self) -> int:
-        return self.cipher_bit ^ self.pair2.z ^ self.pair2.x
+    def masked_tokens(self) -> tuple[BellLabel, int]:
+        return mask_tokens(self.pair1, self.pair2, self.swap_bsm, self.cipher_bit)
 
 
 @lru_cache(maxsize=1)
@@ -144,11 +141,12 @@ def _view_values(view: str, case: HonestCase) -> tuple:
     stronger ``r2-with-r1-token`` adds that token and quantifies the
     resulting leak.
     """
-    public_full = (case.masked_swap_token, case.masked_cipher_token, case.teleport_bsm)
+    token_r1, token_r2 = case.masked_tokens
+    public_full = (token_r1, token_r2, case.teleport_bsm)
     if view == "r1-alone":
         return (case.pair1, case.swap_bsm) + public_full
     if view == "r2-alone":
-        return (case.pair2, case.cipher_bit, case.masked_cipher_token, case.teleport_bsm)
+        return (case.pair2, case.cipher_bit, token_r2, case.teleport_bsm)
     if view == "public-only":
         return public_full
     if view == "all-shares":
@@ -194,7 +192,7 @@ def mutual_information_22(view: str) -> SecrecyReport:
 # Mixedness of the encrypted qubit in the (5,5) scheme.
 
 def encrypted_qubit_mixedness_55(
-    known: Mapping[str, BellLabel | BsmOutcome] | None = None,
+    known: Mapping[str, BellLabel] | None = None,
     secret_amplitudes: tuple[complex, complex] = _PROBE_QUBIT,
 ) -> float:
     """Trace distance from the maximally mixed state of the encrypted qubit
@@ -209,25 +207,16 @@ def encrypted_qubit_mixedness_55(
     unknown = [p for p in PIECES if p not in known]
     if set(known) - set(PIECES):
         raise ValueError(f"unknown piece names: {sorted(set(known) - set(PIECES))}")
+    for name, value in known.items():
+        if value not in BELL_LABELS:
+            raise ValueError(f"piece {name} must be one of the four 2-bit codes, got {value!r}")
     secret = statevec.single_qubit(*secret_amplitudes)
     accumulated = np.zeros((2, 2), dtype=complex)
     count = 0
-    domains = {
-        "pair1": BELL_LABELS,
-        "pair2": BELL_LABELS,
-        "swap-bsm": BSM_OUTCOMES,
-        "teleport-bsm": BSM_OUTCOMES,
-    }
-    for assignment in product(*(domains[p] for p in unknown)):
+    for assignment in product(BELL_LABELS, repeat=len(unknown)):
         pieces = dict(known)
         pieces.update(zip(unknown, assignment))
-        swap = pieces["swap-bsm"]
-        tele = pieces["teleport-bsm"]
-        if isinstance(swap, BellLabel):
-            swap = swap.as_outcome()
-        if isinstance(tele, BellLabel):
-            tele = tele.as_outcome()
-        correction = end_to_end_correction(pieces["pair1"], pieces["pair2"], swap, tele)
+        correction = end_to_end_correction(*(pieces[p] for p in PIECES))
         encrypted = statevec.apply_pauli(secret, 0, correction)
         accumulated += np.outer(encrypted.amplitudes, encrypted.amplitudes.conj())
         count += 1
@@ -255,20 +244,17 @@ def _accepts(
     sender_pair2: BellLabel,
     receiver_code1: BellLabel,
     receiver_code2: BellLabel,
-    swap: BsmOutcome,
-    tele: BsmOutcome,
+    swap: BellLabel,
+    tele: BellLabel,
     cipher: int,
     secret: int,
-    delta: tuple[int, int] = (0, 0),
+    lie: BellLabel = PHI_PLUS,
     flip: int = 0,
 ) -> bool:
-    token_r1 = (
-        swap.b1 ^ receiver_code1.z ^ delta[0],
-        swap.b2 ^ receiver_code1.x ^ delta[1],
-    )
-    token_r2 = cipher ^ receiver_code2.z ^ receiver_code2.x ^ flip
+    token_r1, token_r2 = mask_tokens(receiver_code1, receiver_code2, swap, cipher)
+    token_r1 ^= lie
     records = SenderRecords(sender_pair1, sender_pair2, tele, secret)
-    return verify_authentication(records, token_r1, token_r2)
+    return verify_authentication(records, (token_r1.z, token_r1.x), token_r2 ^ flip)
 
 
 @lru_cache(maxsize=None)
@@ -277,7 +263,7 @@ def _splitting_branches(
     pair1: BellLabel,
     pair2: BellLabel,
     intercept: str | None,
-) -> tuple[tuple[Fraction, BsmOutcome, BsmOutcome, int], ...]:
+) -> tuple[tuple[Fraction, BellLabel, BellLabel, int], ...]:
     """All nonzero (probability, swap, teleport, cipher) branches of the
     splitting circuit, optionally with an eavesdropper measurement inserted
     on the in-flight qubits, in swap-major order per eavesdropper outcome."""
@@ -359,7 +345,7 @@ def _token_phase_branches(
         for (code, observed), p in np.ndenumerate(joint):
             p = _dyadic(float(p), n)
             if p:
-                record = infer_remote_bsm(pair_a, pair_b, BSM_OUTCOMES[observed]).as_label()
+                record = infer_remote_bsm(pair_a, pair_b, BSM_OUTCOMES[observed])
                 yield p_eve * p, BELL_LABELS[code], record
 
 
@@ -368,13 +354,13 @@ def exact_detection_rate(attack: AttackModel) -> Fraction:
     summed over every measurement branch with uniform hidden randomness."""
     if attack.kind in ("none", "token-flip", "r1-lie"):
         flip = 1 if attack.kind == "token-flip" else 0
-        delta = attack.delta if attack.kind == "r1-lie" else (0, 0)
+        lie = BellLabel(*attack.delta) if attack.kind == "r1-lie" else PHI_PLUS
         cases = enumerate_honest_cases()
         rejected = sum(
             not _accepts(
                 c.pair1, c.pair2, c.pair1, c.pair2,
                 c.swap_bsm, c.teleport_bsm, c.cipher_bit, c.secret,
-                delta=delta, flip=flip,
+                lie=lie, flip=flip,
             )
             for c in cases
         )
@@ -541,8 +527,8 @@ def public_transcript_uniformity(trials: int, seed: int) -> UniformityReport:
     cases = enumerate_honest_cases()
     secrets = [c.secret for c in cases]
     exact = {
-        "masked-swap-token": _exact_message_stats([c.masked_swap_token for c in cases], secrets),
-        "masked-cipher-token": _exact_message_stats([c.masked_cipher_token for c in cases], secrets),
+        "masked-swap-token": _exact_message_stats([c.masked_tokens[0] for c in cases], secrets),
+        "masked-cipher-token": _exact_message_stats([c.masked_tokens[1] for c in cases], secrets),
         "published-teleport-bsm": _exact_message_stats([c.teleport_bsm for c in cases], secrets),
     }
     empirical: dict[str, dict[str, int]] = {name: {} for name in exact}

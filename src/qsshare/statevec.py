@@ -190,24 +190,24 @@ def prepare_bell_on(state: StateVector, q_first: int, q_second: int, label: Bell
         raise ValueError("pair qubits must start in |0>")
     out = apply_hadamard(state, q_first)
     out = apply_cnot(out, q_first, q_second)
-    return apply_pauli(out, q_first, PauliCorrection(label.z, label.x))
+    return apply_pauli(out, q_first, label)
 
 
 # ---------------------------------------------------------------------------
 # Gates.
 
-def apply_pauli(state: StateVector, q: int, corr: PauliCorrection) -> StateVector:
-    """Apply Z^z_exp X^x_exp (X first) to qubit ``q``."""
+def apply_pauli(state: StateVector, q: int, corr: PauliCorrection | BellLabel) -> StateVector:
+    """Apply Z^z X^x (X first) to qubit ``q``."""
     _check_qubit(state, q)
     n = state.n_qubits
     view = _qubit_axis(state.amplitudes, n, q)
     out = np.empty_like(view)
-    if corr.x_exp:
+    if corr.x:
         out[:, 0, :] = view[:, 1, :]
         out[:, 1, :] = view[:, 0, :]
     else:
         out[:] = view
-    if corr.z_exp:
+    if corr.z:
         out[:, 1, :] *= -1.0
     return StateVector._wrap(n, out.reshape(-1))
 

@@ -10,7 +10,7 @@ from qsshare import bell, security, statevec
 from qsshare.bell import (
     BELL_LABELS,
     BSM_OUTCOMES,
-    BsmOutcome,
+    BellLabel,
     CORRECTION_X,
     PHI_MINUS,
     PHI_PLUS,
@@ -44,7 +44,7 @@ def _report(number: int, name: str, ok: bool) -> None:
 def test_criterion_1_teleport_table_reproduction(capsys, tmp_path):
     generated = bell.generate_teleport_table()
     all_match = generated == TELEPORT_REFERENCE and len(generated) == 16
-    spot_check = generated[(PHI_MINUS, BsmOutcome(1, 1))] == CORRECTION_X
+    spot_check = generated[(PHI_MINUS, BellLabel(1, 1))] == CORRECTION_X
     exit_code = main(["verify-tables", "--out", str(tmp_path / "tables.txt")])
     with capsys.disabled():
         _report(1, "teleport corrections, 16/16 exact + verify-tables exit 0",
@@ -57,10 +57,10 @@ def test_criterion_2_swap_table_reproduction(capsys):
         state = statevec.zero_state(4)
         state = statevec.prepare_bell_on(state, 0, 1, pair_a)
         state = statevec.prepare_bell_on(state, 2, 3, pair_b)
-        _, post = statevec.bell_project(state, 1, 2, outcome.as_label())
+        _, post = statevec.bell_project(state, 1, 2, outcome)
         expected = SWAP_REFERENCE[(pair_a, pair_b, outcome)]
         candidate = statevec.zero_state(4)
-        candidate = statevec.prepare_bell_on(candidate, 1, 2, outcome.as_label())
+        candidate = statevec.prepare_bell_on(candidate, 1, 2, outcome)
         candidate = statevec.prepare_bell_on(candidate, 0, 3, expected)
         ok = ok and statevec.fidelity(post, candidate) >= 1 - 1e-12
     spot_check = [

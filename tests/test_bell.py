@@ -8,7 +8,6 @@ from qsshare.bell import (
     BELL_LABELS,
     BSM_OUTCOMES,
     BellLabel,
-    BsmOutcome,
     CORRECTION_I,
     CORRECTION_X,
     PauliCorrection,
@@ -39,7 +38,7 @@ def test_label_bit_validation():
     with pytest.raises(ValueError):
         BellLabel(2, 0)
     with pytest.raises(ValueError):
-        BsmOutcome(0, -1)
+        BellLabel(0, -1)
     with pytest.raises(ValueError):
         PauliCorrection(1, 3)
     with pytest.raises(ValueError):
@@ -49,28 +48,31 @@ def test_label_bit_validation():
 def test_label_round_trips():
     for label in BELL_LABELS:
         assert BellLabel.from_bits(label.bits) == label
-        assert label.as_outcome().as_label() == label
     assert [label.symbol for label in BELL_LABELS] == ["Φ+", "Ψ+", "Φ-", "Ψ-"]
     assert [c.symbol for c in bell.PAULI_CORRECTIONS] == ["I", "X", "Z", "ZX"]
 
 
 def test_conversions_hand_out_the_canonical_constants():
-    for i, (label, outcome) in enumerate(zip(BELL_LABELS, BSM_OUTCOMES)):
+    # Outcomes are labels, and ``^`` and ``from_bits`` return the canonical
+    # instance of the left operand's type.
+    assert BSM_OUTCOMES is BELL_LABELS
+    for i, label in enumerate(BELL_LABELS):
         z, x = divmod(i, 2)
-        assert BellLabel(z, x).as_outcome() is outcome
-        assert BsmOutcome(z, x).as_label() is label
-        assert label.as_outcome() is outcome
-        assert outcome.as_label() is label
-        assert BsmOutcome.from_bits(label.bits) is outcome
-        assert label.as_outcome().as_label() is label
-        assert outcome.as_label().as_outcome() is outcome
-        assert (outcome.b1, outcome.b2) == (label.z, label.x) == (z, x)
+        assert (label.z, label.x) == (z, x)
+        assert BellLabel.from_bits(label.bits) is label
+        assert BellLabel(z, x) ^ PHI_PLUS is label
+        assert PHI_PLUS ^ BellLabel(z, x) is label
+        assert label ^ label is PHI_PLUS
+        assert CORRECTION_I ^ label is bell.PAULI_CORRECTIONS[i]
+        assert bell.PAULI_CORRECTIONS[i] ^ PHI_PLUS is bell.PAULI_CORRECTIONS[i]
+    assert BellLabel(0, 0) != CORRECTION_I
 
 
 def test_correction_composition_is_xor():
     for a, b in product(bell.PAULI_CORRECTIONS, repeat=2):
-        composed = a.compose(b)
-        assert (composed.z_exp, composed.x_exp) == (a.z_exp ^ b.z_exp, a.x_exp ^ b.x_exp)
+        composed = a ^ b
+        assert (composed.z, composed.x) == (a.z ^ b.z, a.x ^ b.x)
+        assert composed in bell.PAULI_CORRECTIONS
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +82,21 @@ def test_generated_teleport_table_matches_reference():
     assert bell.diff_teleport_table() == []
 
 
+def _bits(value):
+    return value.bits
+
+
+@pytest.mark.parametrize("channel, outcome", list(TELEPORT_REFERENCE), ids=_bits)
+def test_teleport_xor_matches_both_tables(channel, outcome):
+    want = TELEPORT_REFERENCE[channel, outcome]
+    assert bell.generate_teleport_table()[channel, outcome] is want
+    assert teleport_correction(channel, outcome) is want
+    assert (want.z, want.x) == (channel.z ^ outcome.z, channel.x ^ outcome.x)
+
+
 def test_teleport_reference_spot_checks():
-    assert teleport_correction(PHI_MINUS, BsmOutcome(1, 1)) == CORRECTION_X
-    assert teleport_correction(PHI_PLUS, BsmOutcome(0, 0)) == CORRECTION_I
+    assert teleport_correction(PHI_MINUS, BellLabel(1, 1)) == CORRECTION_X
+    assert teleport_correction(PHI_PLUS, BellLabel(0, 0)) == CORRECTION_I
 
 
 def test_teleport_oracle_round_trip():
@@ -95,7 +109,7 @@ def test_teleport_oracle_round_trip():
             correction = teleport_correction(channel, outcome)
             for probe in qubits:
                 state = statevec.tensor(probe, statevec.prepare_bell(channel))
-                prob, post = statevec.bell_project(state, 0, 1, outcome.as_label())
+                prob, post = statevec.bell_project(state, 0, 1, outcome)
                 assert abs(prob - 0.25) < 1e-12
                 received = statevec.extract_pure_qubit(post, 2)
                 recovered = statevec.apply_pauli(received, 0, correction)
@@ -109,11 +123,22 @@ def test_generated_swap_table_matches_reference():
     assert bell.diff_swap_table() == []
 
 
+@pytest.mark.parametrize("pair_a, pair_b, outcome", list(SWAP_REFERENCE), ids=_bits)
+def test_swap_xor_matches_both_tables(pair_a, pair_b, outcome):
+    want = SWAP_REFERENCE[pair_a, pair_b, outcome]
+    assert bell.generate_swap_table()[pair_a, pair_b, outcome] is want
+    assert swap_result(pair_a, pair_b, outcome) is want
+    assert infer_remote_bsm(pair_a, pair_b, want) is outcome
+    assert want == BellLabel(
+        pair_a.z ^ pair_b.z ^ outcome.z, pair_a.x ^ pair_b.x ^ outcome.x
+    )
+
+
 def test_swap_reference_spot_checks():
-    assert swap_result(PHI_PLUS, PSI_MINUS, BsmOutcome(0, 0)) == PSI_MINUS
-    assert swap_result(PHI_PLUS, PSI_MINUS, BsmOutcome(0, 1)) == PHI_MINUS
-    assert swap_result(PHI_PLUS, PSI_MINUS, BsmOutcome(1, 0)) == PSI_PLUS
-    assert swap_result(PHI_PLUS, PSI_MINUS, BsmOutcome(1, 1)) == PHI_PLUS
+    assert swap_result(PHI_PLUS, PSI_MINUS, BellLabel(0, 0)) == PSI_MINUS
+    assert swap_result(PHI_PLUS, PSI_MINUS, BellLabel(0, 1)) == PHI_MINUS
+    assert swap_result(PHI_PLUS, PSI_MINUS, BellLabel(1, 0)) == PSI_PLUS
+    assert swap_result(PHI_PLUS, PSI_MINUS, BellLabel(1, 1)) == PHI_PLUS
 
 
 def test_swap_is_bijective_in_outcome():
@@ -126,14 +151,14 @@ def test_infer_remote_bsm_inverts_swap():
     for pair_a, pair_b in product(BELL_LABELS, repeat=2):
         for outcome in BSM_OUTCOMES:
             observed = swap_result(pair_a, pair_b, outcome)
-            assert infer_remote_bsm(pair_a, pair_b, observed.as_outcome()) == outcome
+            assert infer_remote_bsm(pair_a, pair_b, observed) == outcome
 
 
 def test_infer_identity_row():
-    assert infer_remote_bsm(PHI_PLUS, PHI_PLUS, BsmOutcome(0, 0)) == BsmOutcome(0, 0)
+    assert infer_remote_bsm(PHI_PLUS, PHI_PLUS, BellLabel(0, 0)) == BellLabel(0, 0)
     # Observing Phi- over the (Phi+, Psi-) pairs means the remote outcome
     # mapped onto Phi-, i.e. Psi+.
-    assert infer_remote_bsm(PHI_PLUS, PSI_MINUS, PHI_MINUS.as_outcome()) == PSI_PLUS.as_outcome()
+    assert infer_remote_bsm(PHI_PLUS, PSI_MINUS, PHI_MINUS) == PSI_PLUS
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +173,13 @@ def test_end_to_end_is_the_composition():
 
 
 def test_end_to_end_identity_chain():
-    assert end_to_end_correction(PHI_PLUS, PHI_PLUS, BsmOutcome(0, 0), BsmOutcome(0, 0)) == CORRECTION_I
+    assert end_to_end_correction(PHI_PLUS, PHI_PLUS, BellLabel(0, 0), BellLabel(0, 0)) == CORRECTION_I
 
 
 def test_end_to_end_composed_spot_check():
     # Swapping (Phi+, Psi-) on outcome 01 leaves a Phi- channel, and
     # teleporting over Phi- with outcome 11 needs the X correction.
-    got = end_to_end_correction(PHI_PLUS, PSI_MINUS, BsmOutcome(0, 1), BsmOutcome(1, 1))
+    got = end_to_end_correction(PHI_PLUS, PSI_MINUS, BellLabel(0, 1), BellLabel(1, 1))
     assert got == CORRECTION_X
 
 
@@ -211,7 +236,7 @@ def test_no_proper_subset_determines_the_parity_exponent():
                     values[i] = v
                 for i, v in zip(unknown, unknown_values):
                     values[i] = v
-                seen.add(end_to_end_correction(*values).x_exp)
+                seen.add(end_to_end_correction(*values).x)
             assert seen == {0, 1}
 
 

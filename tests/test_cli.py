@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from qsshare import bell, cli
-from qsshare.bell import BsmOutcome, CORRECTION_I, PHI_MINUS
+from qsshare.bell import CORRECTION_I, PHI_MINUS, BellLabel
 from qsshare.cli import EXIT_OK, EXIT_REJECTED, EXIT_TABLE_MISMATCH, EXIT_USAGE, main
 
 
@@ -117,7 +117,7 @@ def test_verify_tables_passes_on_fresh_build(capsys):
 
 def test_verify_tables_reports_corruption(monkeypatch, capsys):
     corrupted = dict(bell.generate_teleport_table())
-    corrupted[(PHI_MINUS, BsmOutcome(1, 1))] = CORRECTION_I
+    corrupted[(PHI_MINUS, BellLabel(1, 1))] = CORRECTION_I
     monkeypatch.setattr(bell, "generate_teleport_table", lambda: corrupted)
     code, out, _ = run_main(["verify-tables"], capsys)
     assert code == EXIT_TABLE_MISMATCH
@@ -185,6 +185,22 @@ def test_usage_errors_exit_one(argv, capsys):
     code, _, err = run_main(argv, capsys)
     assert code == EXIT_USAGE
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--secret", "1"],
+        ["verify-tables"],
+        ["analyze", "--view", "public-only"],
+    ],
+)
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "x.jsonl"
+    code, out, err = run_main(argv + ["--out", str(path)], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"qsshare: error: cannot write {path}: No such file or directory\n"
 
 
 def test_malformed_flags_exit_one(capsys):

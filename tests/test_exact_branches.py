@@ -86,7 +86,7 @@ def reference_splitting(secret, pair1, pair2, intercept):
     for p, outcomes in walk(state, eve + [("bell", 2, 3), ("bell", 0, 1), ("z", 4)]):
         swap, tele, cipher = outcomes[-3:]
         if p:
-            branches.append((p, swap.as_outcome(), tele.as_outcome(), cipher))
+            branches.append((p, swap, tele, cipher))
     return tuple(branches)
 
 
@@ -97,7 +97,7 @@ def reference_token_phase(pair_a, pair_b, intercept):
     for p, outcomes in walk(state, eve + [("bell", 1, 2), ("bell", 0, 3)]):
         code, observed = outcomes[-2:]
         if p:
-            record = infer_remote_bsm(pair_a, pair_b, observed.as_outcome()).as_label()
+            record = infer_remote_bsm(pair_a, pair_b, observed)
             branches.append((p, code, record))
     return tuple(branches)
 

@@ -9,7 +9,7 @@ from qsshare import statevec
 from qsshare.bell import (
     BELL_LABELS,
     BSM_OUTCOMES,
-    BsmOutcome,
+    BellLabel,
     PHI_MINUS,
     PHI_PLUS,
     PSI_MINUS,
@@ -79,7 +79,7 @@ def test_token_round_agrees_for_every_outcome(pairs):
             if statevec.bell_project(after, 0, 3, observed)[0] > 1e-12
         ]
         assert len(seen) == 1
-        assert infer_remote_bsm(pair_a, pair_b, seen[0].as_outcome()).as_label() == code
+        assert infer_remote_bsm(pair_a, pair_b, seen[0]) == code
 
 
 def test_run_auth_tokens_honest_records_match():
@@ -105,7 +105,7 @@ def test_token_outcomes_are_uniform():
 
 def test_identity_chain_gives_plain_bit():
     probe = statevec.computational_state([0])
-    prob, qubit = splitting_branch(probe, PHI_PLUS, PHI_PLUS, BsmOutcome(0, 0), BsmOutcome(0, 0))
+    prob, qubit = splitting_branch(probe, PHI_PLUS, PHI_PLUS, BellLabel(0, 0), BellLabel(0, 0))
     assert abs(prob - 1 / 16) < 1e-12
     assert statevec.fidelity(qubit, statevec.single_qubit(1, 0)) >= 1 - 1e-12
 
@@ -114,7 +114,7 @@ def test_documented_splitting_example():
     # secret 1 over pairs (Phi+, Psi-) with swap outcome 01 and teleport
     # outcome 11: the end-to-end encoding is X, so the measured bit is 0.
     probe = statevec.computational_state([1])
-    _, qubit = splitting_branch(probe, PHI_PLUS, PSI_MINUS, BsmOutcome(0, 1), BsmOutcome(1, 1))
+    _, qubit = splitting_branch(probe, PHI_PLUS, PSI_MINUS, BellLabel(0, 1), BellLabel(1, 1))
     assert statevec.fidelity(qubit, statevec.single_qubit(1, 0)) >= 1 - 1e-12
 
 
@@ -122,7 +122,7 @@ def test_exhaustive_decode_recovers_secret():
     seen = 0
     for secret, pair1, pair2, swap, tele, prob, cipher in enumerate_honest():
         assert abs(prob - 1 / 16) < 1e-12
-        decoded = cipher ^ end_to_end_correction(pair1, pair2, swap, tele).x_exp
+        decoded = cipher ^ end_to_end_correction(pair1, pair2, swap, tele).x
         assert decoded == secret
         seen += 1
     assert seen == 512
@@ -142,7 +142,7 @@ def test_measurement_order_is_irrelevant():
 def test_splitting_branch_rejects_unknown_order():
     probe = statevec.computational_state([0])
     with pytest.raises(ValueError):
-        splitting_branch(probe, PHI_PLUS, PHI_PLUS, BsmOutcome(0, 0), BsmOutcome(0, 0), "sideways")
+        splitting_branch(probe, PHI_PLUS, PHI_PLUS, BellLabel(0, 0), BellLabel(0, 0), "sideways")
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +151,7 @@ def test_splitting_branch_rejects_unknown_order():
 def test_honest_tokens_always_accepted():
     for secret, pair1, pair2, swap, tele, _, cipher in enumerate_honest():
         records = SenderRecords(pair1, pair2, tele, secret)
-        token_r1 = (swap.b1 ^ pair1.z, swap.b2 ^ pair1.x)
+        token_r1 = (swap.z ^ pair1.z, swap.x ^ pair1.x)
         token_r2 = cipher ^ pair2.z ^ pair2.x
         assert verify_authentication(records, token_r1, token_r2)
 
@@ -159,7 +159,7 @@ def test_honest_tokens_always_accepted():
 def test_flipped_cipher_token_always_rejected():
     for secret, pair1, pair2, swap, tele, _, cipher in enumerate_honest():
         records = SenderRecords(pair1, pair2, tele, secret)
-        token_r1 = (swap.b1 ^ pair1.z, swap.b2 ^ pair1.x)
+        token_r1 = (swap.z ^ pair1.z, swap.x ^ pair1.x)
         token_r2 = cipher ^ pair2.z ^ pair2.x ^ 1
         assert not verify_authentication(records, token_r1, token_r2)
 
@@ -169,16 +169,23 @@ def test_swap_token_lies():
     for secret, pair1, pair2, swap, tele, _, cipher in enumerate_honest():
         records = SenderRecords(pair1, pair2, tele, secret)
         token_r2 = cipher ^ pair2.z ^ pair2.x
-        honest = (swap.b1 ^ pair1.z, swap.b2 ^ pair1.x)
+        honest = (swap.z ^ pair1.z, swap.x ^ pair1.x)
         assert not verify_authentication(records, (honest[0], honest[1] ^ 1), token_r2)
         assert verify_authentication(records, (honest[0] ^ 1, honest[1]), token_r2)
 
 
 @pytest.mark.parametrize("token_r1", [(0, 2), (2, 0), (-1, 0)])
 def test_swap_token_must_be_two_bits(token_r1):
-    records = SenderRecords(PHI_PLUS, PHI_PLUS, BsmOutcome(0, 0), 0)
+    records = SenderRecords(PHI_PLUS, PHI_PLUS, BellLabel(0, 0), 0)
     with pytest.raises(ValueError, match="outcome bits must be 0 or 1"):
         verify_authentication(records, token_r1, 0)
+
+
+@pytest.mark.parametrize("token_r2", [2, -1])
+def test_cipher_token_must_be_a_bit(token_r2):
+    records = SenderRecords(PHI_PLUS, PHI_PLUS, BellLabel(0, 0), 0)
+    with pytest.raises(ValueError, match="cipher token must be 0 or 1"):
+        verify_authentication(records, (0, 0), token_r2)
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +347,12 @@ def test_run_qss22_input_validation():
 # Reconstruction contracts.
 
 def test_reconstruct22_trivial_case():
-    shares = ShareSet22(PHI_PLUS, BsmOutcome(0, 0), 1, PHI_PLUS, BsmOutcome(0, 0))
+    shares = ShareSet22(PHI_PLUS, BellLabel(0, 0), 1, PHI_PLUS, BellLabel(0, 0))
     assert reconstruct22(shares) == 1
 
 
 def test_reconstruct22_requires_every_share():
-    complete = ShareSet22(PHI_PLUS, BsmOutcome(0, 0), 1, PHI_PLUS, BsmOutcome(0, 0))
+    complete = ShareSet22(PHI_PLUS, BellLabel(0, 0), 1, PHI_PLUS, BellLabel(0, 0))
     for missing in ("pair1_label", "swap_bsm", "cipher_bit", "pair2_label", "teleport_bsm"):
         shares = ShareSet22(**{**complete.__dict__, missing: None})
         with pytest.raises(IncompleteSharesError):
@@ -354,13 +361,13 @@ def test_reconstruct22_requires_every_share():
 
 def test_reconstruct55_identity_case():
     qubit = statevec.single_qubit(0.6, 0.8j)
-    shares = ShareSet55(BsmOutcome(0, 0), qubit, PHI_PLUS, PHI_PLUS, BsmOutcome(0, 0))
+    shares = ShareSet55(BellLabel(0, 0), qubit, PHI_PLUS, PHI_PLUS, BellLabel(0, 0))
     assert statevec.fidelity(reconstruct55(shares), qubit) >= 1 - 1e-12
 
 
 def test_reconstruct55_requires_every_share():
     qubit = statevec.single_qubit(1, 0)
-    complete = ShareSet55(BsmOutcome(0, 0), qubit, PHI_PLUS, PHI_PLUS, BsmOutcome(0, 0))
+    complete = ShareSet55(BellLabel(0, 0), qubit, PHI_PLUS, PHI_PLUS, BellLabel(0, 0))
     for missing in ("swap_bsm", "encrypted_qubit", "pair1_label", "pair2_label", "teleport_bsm"):
         shares = ShareSet55(**{**complete.__dict__, missing: None})
         with pytest.raises(IncompleteSharesError):
@@ -420,6 +427,11 @@ def test_attack_spec_round_trips():
         assert AttackModel.from_spec(spec).spec_string == spec
     assert AttackModel.from_spec("intercept-resend-computational").target == "split-r2"
     assert AttackModel.from_spec("intercept-resend-bell").target == "split-r1"
+    # A delta given as a list is stored as a tuple, so the model hashes.
+    listed = AttackModel("r1-lie", delta=[0, 1])
+    assert listed.delta == (0, 1)
+    assert listed == AttackModel.from_spec("r1-lie:01")
+    assert hash(listed) == hash(AttackModel.from_spec("r1-lie:01"))
 
 
 def test_attack_validation():

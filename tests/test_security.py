@@ -5,8 +5,8 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from qsshare import security
-from qsshare.bell import BELL_LABELS, BSM_OUTCOMES, BsmOutcome, PHI_PLUS
+from qsshare import bell, security
+from qsshare.bell import BELL_LABELS, BSM_OUTCOMES, PHI_PLUS, BellLabel
 from qsshare.protocol import AttackModel, run_qss22
 from qsshare.security import (
     PIECES,
@@ -115,7 +115,7 @@ def test_all_four_pieces_reveal_a_pure_state():
             "pair1": PHI_PLUS,
             "pair2": BELL_LABELS[2],
             "swap-bsm": swap,
-            "teleport-bsm": BsmOutcome(1, 1),
+            "teleport-bsm": BellLabel(1, 1),
         }
         assert abs(encrypted_qubit_mixedness_55(known) - 0.5) < 1e-12
 
@@ -123,6 +123,12 @@ def test_all_four_pieces_reveal_a_pure_state():
 def test_mixedness_rejects_unknown_piece_names():
     with pytest.raises(ValueError):
         encrypted_qubit_mixedness_55({"pair3": PHI_PLUS})
+
+
+@pytest.mark.parametrize("value", ["00", (0, 0), bell.CORRECTION_I])
+def test_mixedness_rejects_values_that_are_not_codes(value):
+    with pytest.raises(ValueError, match="piece pair1"):
+        encrypted_qubit_mixedness_55({"pair1": value})
 
 
 def test_mixedness_holds_for_other_secrets():
@@ -146,6 +152,21 @@ def test_exact_detection_rates_match_pinned_constants(spec, expected):
 
 # ---------------------------------------------------------------------------
 # Empirical sweeps.
+
+def test_runs_and_exact_rates_do_not_consult_the_oracle_tables():
+    # The generated tables only serve verify-tables and the tests; runs and
+    # exact rates use the XOR operations alone.
+    bell.generate_teleport_table.cache_clear()
+    bell.generate_swap_table.cache_clear()
+    security._splitting_branches.cache_clear()
+    security.enumerate_honest_cases.cache_clear()
+    attack = AttackModel.from_spec("intercept-resend-computational:auth-r2")
+    assert run_qss22(1, 11).outcome == "accepted"
+    run_qss22(0, 12, attack)
+    assert exact_detection_rate(attack) == Fraction(1, 2)
+    assert bell.generate_teleport_table.cache_info().misses == 0
+    assert bell.generate_swap_table.cache_info().misses == 0
+
 
 def test_token_flip_sweep_detects_every_run():
     report = attack_sweep(AttackModel.from_spec("token-flip"), trials=300, seed=1)
