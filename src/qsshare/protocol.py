@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -365,6 +366,170 @@ def validate_transcript(transcript: Transcript) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Phase steps and their two readers.
+
+class Step(NamedTuple):
+    """One step of a phase's circuit.
+
+    ``kind`` is ``"z"``, a computational measurement of ``qubits[0]``;
+    ``"bell"``, a Bell measurement of the pair ``qubits``; or ``"ancilla"``,
+    the eavesdropper attaching an ancilla (:func:`_attach_ancilla`), which
+    produces no result.  ``name`` labels the result a measurement produces:
+    ``eve``, ``code``, ``observed``, ``swap``, ``tele`` or ``cipher``.
+    """
+
+    kind: str
+    qubits: tuple[int, ...] = ()
+    name: str | None = None
+
+
+def _intercept_steps(attack: AttackModel, target: str, in_flight: tuple[int, ...]) -> tuple[Step, ...]:
+    # The eavesdropper's steps on the qubits of one quantum send.
+    if attack.target != target:
+        return ()
+    if attack.kind == "intercept-resend-computational":
+        return tuple(Step("z", (q,), "eve") for q in in_flight)
+    if attack.kind == "intercept-resend-bell":
+        return (Step("bell", in_flight, "eve"),)
+    return (Step("ancilla"),)  # entangle-ancilla
+
+
+@lru_cache(maxsize=None)
+def token_steps(target: str, attack: AttackModel) -> tuple[Step, ...]:
+    """Steps of one token round on :func:`prepare_token_register`: any
+    intercept of the two sent halves (quantum send ``target``), the
+    receiver's Bell measurement (``code``), then the sender's (``observed``)."""
+    return _intercept_steps(attack, target, (1, 2)) + (
+        Step("bell", (1, 2), "code"),
+        Step("bell", (0, 3), "observed"),
+    )
+
+
+@lru_cache(maxsize=None)
+def splitting_steps(attack: AttackModel, measure_cipher: bool) -> tuple[Step, ...]:
+    """Steps of the splitting phase on :func:`prepare_splitting_register`:
+    any intercept, R1's swap measurement, the sender's teleport measurement,
+    R2's measurement of the cipher qubit when ``measure_cipher``, and the
+    eavesdropper's reading of an attached ancilla."""
+    steps = (
+        _intercept_steps(attack, "split-r1", (2, 3))
+        + _intercept_steps(attack, "split-r2", (4,))
+        + (Step("bell", (2, 3), "swap"), Step("bell", (0, 1), "tele"))
+    )
+    if measure_cipher:
+        steps += (Step("z", (4,), "cipher"),)
+    if attack.kind == "entangle-ancilla":
+        steps += (Step("z", (5,), "eve"),)
+    return steps
+
+
+def _attach_ancilla(state: StateVector) -> StateVector:
+    # A fresh qubit 5 entangled with the cipher qubit 4.
+    state = statevec.tensor(state, statevec.zero_state(1))
+    return statevec.apply_cnot(state, 4, 5)
+
+
+def _note(results: dict, name: str, outcome: BellLabel | int) -> None:
+    # Keeps one outcome under its name; the eavesdropper's outcomes join
+    # into one bit string, in step order.
+    if name == "eve":
+        bits = outcome.bits if isinstance(outcome, BellLabel) else str(outcome)
+        results["eve"] = results.get("eve", "") + bits
+    else:
+        results[name] = outcome
+
+
+def _sample_steps(
+    state: StateVector, steps: tuple[Step, ...], rng: np.random.Generator
+) -> tuple[dict, StateVector]:
+    """Run ``steps`` on ``state``, drawing each outcome from ``rng``.
+
+    Returns the outcomes by name (see :func:`_note`) and the final state.
+    """
+    results: dict = {}
+    for kind, qubits, name in steps:
+        if kind == "bell":
+            outcome, state = statevec.bell_measure(state, qubits[0], qubits[1], rng)
+        elif kind == "z":
+            outcome, state = statevec.measure_computational(state, qubits[0], rng)
+        else:
+            state = statevec.derived(state, "ancilla", _attach_ancilla)
+            continue
+        _note(results, name, outcome)
+    return results, state
+
+
+def _dyadic(probability: float, n_qubits: int) -> Fraction:
+    """The multiple of 2^-n nearest a Born probability of an n-qubit
+    stabilizer register; raises unless the float is within 1e-12 of it."""
+    scale = 1 << n_qubits
+    count = round(probability * scale)
+    if not abs(probability - count / scale) < 1e-12:
+        raise AssertionError(
+            f"branch probability {probability} is not a multiple of 1/{scale}"
+        )
+    return Fraction(count, scale)
+
+
+def _enumerate_steps(state: StateVector, steps: tuple[Step, ...]) -> list[tuple[Fraction, dict]]:
+    """Every nonzero (probability, outcomes by name) branch of ``steps`` on a
+    plain stabilizer register, in step-major outcome order.
+
+    The trailing measurements on disjoint qubits commute, so they are read
+    off one :func:`statevec.joint_distribution`; each step before them forks
+    the state by projection.  Every probability is snapped by
+    :func:`_dyadic`, so the weights are exact.
+    """
+    split = len(steps)
+    measured: set[int] = set()
+    while split and steps[split - 1].kind != "ancilla" and measured.isdisjoint(steps[split - 1].qubits):
+        split -= 1
+        measured.update(steps[split].qubits)
+    branches: list = []
+    _fork(state, Fraction(1), {}, steps[:split], steps[split:], branches)
+    return branches
+
+
+def _fork(state, weight, results, leading, trailing, branches) -> None:
+    if leading:
+        (kind, qubits, name), rest = leading[0], leading[1:]
+        if kind == "ancilla":
+            _fork(_attach_ancilla(state), weight, results, rest, trailing, branches)
+            return
+        if kind == "bell":
+            forks = [(label, statevec.bell_project(state, *qubits, label)) for label in BELL_LABELS]
+        else:
+            forks = [(bit, statevec.project_computational(state, *qubits, bit)) for bit in (0, 1)]
+        for outcome, (p, after) in forks:
+            if after is None:
+                continue
+            p = _dyadic(p, state.n_qubits)
+            if p:
+                noted = dict(results)
+                _note(noted, name, outcome)
+                _fork(after, weight * p, noted, rest, trailing, branches)
+        return
+    # joint_distribution lays out the pair axes before the single ones;
+    # ``order`` lists the steps that way and moveaxis puts them back.
+    order = sorted(range(len(trailing)), key=lambda i: trailing[i].kind != "bell")
+    n_pairs = sum(kind == "bell" for kind, _, _ in trailing)
+    joint = statevec.joint_distribution(
+        state,
+        [trailing[i].qubits for i in order[:n_pairs]],
+        [trailing[i].qubits[0] for i in order[n_pairs:]],
+    )
+    joint = np.moveaxis(joint, range(len(order)), order)
+    # An entry within 1e-12 of zero snaps to zero; every other one must be
+    # within 1e-12 of a nonzero multiple of 2^-n.
+    for index in np.argwhere(joint > 1e-12).tolist():
+        p = _dyadic(float(joint[tuple(index)]), state.n_qubits)
+        noted = dict(results)
+        for (kind, _, name), i in zip(trailing, index):
+            _note(noted, name, BELL_LABELS[i] if kind == "bell" else i)
+        branches.append((weight * p, noted))
+
+
+# ---------------------------------------------------------------------------
 # Authentication-token phase.
 
 @dataclass
@@ -372,6 +537,10 @@ class AuthResult:
     codes: dict[str, BellLabel]
     records: dict[str, BellLabel]
     eavesdropped: dict[str, str]
+
+
+# Each receiver's token round and the quantum send an eavesdropper targets.
+_TOKEN_TARGETS = {RECEIVER_1: "auth-r1", RECEIVER_2: "auth-r2"}
 
 
 def prepare_token_register(pair_a: BellLabel, pair_b: BellLabel) -> StateVector:
@@ -409,28 +578,32 @@ def run_auth_tokens(
     codes: dict[str, BellLabel] = {}
     records: dict[str, BellLabel] = {}
     eavesdropped: dict[str, str] = {}
-    for receiver, target in ((RECEIVER_1, "auth-r1"), (RECEIVER_2, "auth-r2")):
+    for receiver, target in _TOKEN_TARGETS.items():
         pair_a, pair_b = pairs[receiver]
-        state = _token_root(pair_a, pair_b)
         if transcript:
             transcript.quantum_send(SENDER, receiver, "token-pair1-half")
             transcript.quantum_send(SENDER, receiver, "token-pair2-half")
-        if attack.target == target:
-            if attack.kind == "intercept-resend-computational":
-                e1, state = statevec.measure_computational(state, 1, rng)
-                e2, state = statevec.measure_computational(state, 2, rng)
-                eavesdropped[target] = f"{e1}{e2}"
-            elif attack.kind == "intercept-resend-bell":
-                label, state = statevec.bell_measure(state, 1, 2, rng)
-                eavesdropped[target] = label.bits
-        code, state = statevec.bell_measure(state, 1, 2, rng)
-        observed, state = statevec.bell_measure(state, 0, 3, rng)
+        results, _ = _sample_steps(_token_root(pair_a, pair_b), token_steps(target, attack), rng)
+        code, observed = results["code"], results["observed"]
         codes[receiver] = code
         records[receiver] = infer_remote_bsm(pair_a, pair_b, observed)
+        if "eve" in results:
+            eavesdropped[target] = results["eve"]
         if transcript:
             transcript.measurement(receiver, "bell", code.bits)
             transcript.measurement(SENDER, "bell", observed.bits)
     return AuthResult(codes=codes, records=records, eavesdropped=eavesdropped)
+
+
+def token_branches(receiver: str, attack: AttackModel) -> list[tuple[Fraction, BellLabel, BellLabel]]:
+    """Every nonzero (probability, receiver's code, sender's record) branch
+    of the receiver's token round on the default pairs under the attack."""
+    pair_a, pair_b = DEFAULT_AUTH_PAIRS[receiver]
+    steps = token_steps(_TOKEN_TARGETS[receiver], attack)
+    branches = []
+    for p, results in _enumerate_steps(prepare_token_register(pair_a, pair_b), steps):
+        branches.append((p, results["code"], infer_remote_bsm(pair_a, pair_b, results["observed"])))
+    return branches
 
 
 # ---------------------------------------------------------------------------
@@ -462,70 +635,31 @@ def _splitting_root(secret_bit: int, pair1: BellLabel, pair2: BellLabel) -> Stat
     return statevec.memo_root(prepare_splitting_register(secret, pair1, pair2))
 
 
-def _attach_ancilla(state: StateVector) -> StateVector:
-    state = statevec.tensor(state, statevec.zero_state(1))
-    return statevec.apply_cnot(state, 4, 5)
-
-
 def _run_splitting(
     state: StateVector,
     rng: np.random.Generator,
     transcript: _TranscriptBuilder | None,
     attack: AttackModel,
     measure_cipher: bool,
-    order: str = "swap-first",
 ) -> SplitResult:
-    if order not in ("swap-first", "teleport-first"):
-        raise ValueError(f"unknown measurement order {order!r}")
-    eavesdropped: dict[str, str] = {}
     if transcript:
         transcript.quantum_send(SENDER, RECEIVER_1, "split-pair1-half")
         transcript.quantum_send(SENDER, RECEIVER_1, "split-pair2-half")
         transcript.quantum_send(SENDER, RECEIVER_2, "split-cipher-qubit")
-    ancilla = False
-    if attack.target == "split-r1":
-        if attack.kind == "intercept-resend-computational":
-            e1, state = statevec.measure_computational(state, 2, rng)
-            e2, state = statevec.measure_computational(state, 3, rng)
-            eavesdropped["split-r1"] = f"{e1}{e2}"
-        elif attack.kind == "intercept-resend-bell":
-            label, state = statevec.bell_measure(state, 2, 3, rng)
-            eavesdropped["split-r1"] = label.bits
-    elif attack.target == "split-r2":
-        if attack.kind == "intercept-resend-computational":
-            bit, state = statevec.measure_computational(state, 4, rng)
-            eavesdropped["split-r2"] = str(bit)
-        elif attack.kind == "entangle-ancilla":
-            state = statevec.derived(state, "ancilla", _attach_ancilla)
-            ancilla = True
-    # The two Bell measurements act on disjoint qubits and commute; the
-    # default order runs R1's swap measurement before the teleportation one.
-    if order == "swap-first":
-        swap_label, state = statevec.bell_measure(state, 2, 3, rng)
-        tele_label, state = statevec.bell_measure(state, 0, 1, rng)
-    else:
-        tele_label, state = statevec.bell_measure(state, 0, 1, rng)
-        swap_label, state = statevec.bell_measure(state, 2, 3, rng)
+    results, state = _sample_steps(state, splitting_steps(attack, measure_cipher), rng)
+    swap_label, tele_label = results["swap"], results["tele"]
+    cipher_bit = results.get("cipher")
     if transcript:
         transcript.measurement(RECEIVER_1, "bell", swap_label.bits)
         transcript.measurement(SENDER, "bell", tele_label.bits)
-    cipher_bit = None
-    receiver_qubit = None
-    if measure_cipher:
-        cipher_bit, state = statevec.measure_computational(state, 4, rng)
-        if transcript:
+        if measure_cipher:
             transcript.measurement(RECEIVER_2, "computational", str(cipher_bit))
-    else:
-        receiver_qubit = statevec.extract_pure_qubit(state, 4)
-    if ancilla:
-        eve_bit, state = statevec.measure_computational(state, 5, rng)
-        eavesdropped["split-r2"] = str(eve_bit)
     return SplitResult(
         swap_bsm=swap_label,
         teleport_bsm=tele_label,
         cipher_bit=cipher_bit,
-        receiver_qubit=receiver_qubit,
-        eavesdropped=eavesdropped,
+        receiver_qubit=None if measure_cipher else statevec.extract_pure_qubit(state, 4),
+        eavesdropped={attack.target: results["eve"]} if "eve" in results else {},
     )
 
 
@@ -536,13 +670,26 @@ def run_splitting_22(
     rng: np.random.Generator,
     transcript: _TranscriptBuilder | None = None,
     attack: AttackModel = NO_ATTACK,
-    order: str = "swap-first",
 ) -> SplitResult:
     """Splitting phase of the (2,2) scheme on a computational-basis secret."""
     if secret_bit not in (0, 1):
         raise ValueError(f"secret bit must be 0 or 1, got {secret_bit}")
     state = _splitting_root(secret_bit, pair1, pair2)
-    return _run_splitting(state, rng, transcript, attack, True, order)
+    return _run_splitting(state, rng, transcript, attack, True)
+
+
+def splitting_branches(
+    secret_bit: int, pair1: BellLabel, pair2: BellLabel, steps: tuple[Step, ...]
+) -> tuple[tuple[Fraction, BellLabel, BellLabel, int], ...]:
+    """Every nonzero (probability, swap, teleport, cipher) branch of the
+    splitting ``steps`` (from :func:`splitting_steps`, cipher measured) on a
+    computational-basis secret."""
+    secret = statevec.computational_state([secret_bit])
+    state = prepare_splitting_register(secret, pair1, pair2)
+    branches = []
+    for p, results in _enumerate_steps(state, steps):
+        branches.append((p, results["swap"], results["tele"], results["cipher"]))
+    return tuple(branches)
 
 
 def splitting_branch(
@@ -597,6 +744,21 @@ def mask_tokens(
     same call and their stored codes.
     """
     return swap_bsm ^ code1, cipher_bit ^ code2.z ^ code2.x
+
+
+def sent_tokens(
+    code1: BellLabel, code2: BellLabel, swap_bsm: BellLabel, cipher_bit: int, attack: AttackModel
+) -> tuple[BellLabel, int]:
+    """The two tokens as the sender receives them: masked by
+    :func:`mask_tokens`, then altered by an ``r1-lie`` or ``token-flip``
+    attack."""
+    token_r1, token_r2 = mask_tokens(code1, code2, swap_bsm, cipher_bit)
+    if attack.kind == "r1-lie":
+        z, x = attack.delta
+        token_r1 ^= BELL_LABELS[2 * z + x]
+    if attack.kind == "token-flip":
+        token_r2 ^= 1
+    return token_r1, token_r2
 
 
 def verify_authentication(
@@ -708,11 +870,7 @@ def run_qss22(
     builder.phase("authentication")
     code1 = auth.codes[RECEIVER_1]
     code2 = auth.codes[RECEIVER_2]
-    token_r1, token_r2 = mask_tokens(code1, code2, split.swap_bsm, split.cipher_bit)
-    if attack.kind == "r1-lie":
-        token_r1 ^= BellLabel(*attack.delta)
-    if attack.kind == "token-flip":
-        token_r2 ^= 1
+    token_r1, token_r2 = sent_tokens(code1, code2, split.swap_bsm, split.cipher_bit, attack)
     builder.classical(RECEIVER_1, SENDER, token_r1.bits)
     builder.classical(RECEIVER_2, SENDER, str(token_r2))
 
@@ -751,17 +909,6 @@ def run_qss22(
         }
     validate_transcript(transcript)
     return transcript
-
-
-def run_qss22_bits(bits: str, seed: int, attack: AttackModel | None = None) -> list[Transcript]:
-    """Share a multi-bit classical secret as independent sequential
-    single-bit runs, one per bit, with per-bit derived seeds."""
-    if not bits or any(c not in "01" for c in bits):
-        raise ValueError(f"secret must be a nonempty bit string, got {bits!r}")
-    return [
-        run_qss22(int(c), (seed + i) % (MAX_SEED + 1), attack)
-        for i, c in enumerate(bits)
-    ]
 
 
 def run_qss55(

@@ -1,17 +1,15 @@
 """Exact secrecy and authentication analysis of the (2,2) and (5,5) schemes.
 
 All claims that are stated as exact are backed by exhaustive enumeration.
-Each exact branch set is read off the joint Born distribution of the
-circuit's measurements (:func:`statevec.joint_distribution`): the swap and
-teleport Bell outcomes and the cipher bit of the splitting register, or the
-code and observed outcomes of a token register, after any eavesdropper
-measurement.  The circuits are Clifford circuits on stabilizer inputs, so
-every Born probability of an n-qubit register is a multiple of 2^-n; each
-one is snapped to that grid, with a float residual below 1e-12 asserted,
-and tracked as an exact rational from there on.  The 512 equiprobable
-randomness/secret cases of an honest (2,2) run (two pair codes, the swap
-and teleport measurement outcomes, and the secret bit) are the honest
-branch sets, and attack detection rates are exact sums over every branch.
+The branch sets come from :mod:`protocol`, which writes each phase's
+measurements once as a step list (:func:`protocol.token_steps`,
+:func:`protocol.splitting_steps`) and enumerates it exactly: every branch
+of a token round or of the splitting phase, under any attack, with a
+weight that is a multiple of 2^-n for an n-qubit register.  The 512
+equiprobable randomness/secret cases of an honest (2,2) run (two pair
+codes, the swap and teleport measurement outcomes, and the secret bit) are
+the honest splitting branches, and attack detection rates are exact sums
+over every branch of both token rounds and the splitting phase.
 Floating point only appears at the reporting boundary, so "exactly zero"
 results do not depend on rounding.
 
@@ -26,27 +24,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from . import protocol, statevec
-from .bell import (
-    BELL_LABELS,
-    BSM_OUTCOMES,
-    PHI_PLUS,
-    BellLabel,
-    end_to_end_correction,
-    infer_remote_bsm,
-)
+from .bell import BELL_LABELS, BSM_OUTCOMES, BellLabel, end_to_end_correction
 from .protocol import (
-    DEFAULT_AUTH_PAIRS,
+    NO_ATTACK,
     RECEIVER_1,
     RECEIVER_2,
     AttackModel,
     SenderRecords,
     mask_tokens,
     run_qss22,
+    sent_tokens,
     verify_authentication,
 )
 
@@ -60,6 +52,8 @@ PIECES = ("pair1", "pair2", "swap-bsm", "teleport-bsm")
 VIEW_NAMES = ("r1-alone", "r2-alone", "public-only", "all-shares", "r2-with-r1-token")
 
 _PROBE_QUBIT = (0.6, 0.8j)
+
+_HONEST_SPLITTING = protocol.splitting_steps(NO_ATTACK, True)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +90,7 @@ def enumerate_honest_cases() -> tuple[HonestCase, ...]:
     for secret in (0, 1):
         for pair1, pair2 in product(BELL_LABELS, repeat=2):
             ciphers = {}
-            for p, swap, tele, cipher in _splitting_branches(secret, pair1, pair2, None):
+            for p, swap, tele, cipher in _splitting_branches(secret, pair1, pair2, _HONEST_SPLITTING):
                 if (swap, tele) in ciphers:
                     raise AssertionError("cipher qubit not collapsed")
                 if p != Fraction(1, 16):
@@ -227,178 +221,40 @@ def encrypted_qubit_mixedness_55(
 # ---------------------------------------------------------------------------
 # Exact attack detection rates by branch enumeration.
 
-def _dyadic(probability: float, n_qubits: int) -> Fraction:
-    """The multiple of 2^-n nearest a Born probability of an n-qubit
-    stabilizer register; raises unless the float is within 1e-12 of it."""
-    scale = 1 << n_qubits
-    count = round(probability * scale)
-    if not abs(probability - count / scale) < 1e-12:
-        raise AssertionError(
-            f"branch probability {probability} is not a multiple of 1/{scale}"
-        )
-    return Fraction(count, scale)
-
-
-def _accepts(
-    sender_pair1: BellLabel,
-    sender_pair2: BellLabel,
-    receiver_code1: BellLabel,
-    receiver_code2: BellLabel,
-    swap: BellLabel,
-    tele: BellLabel,
-    cipher: int,
-    secret: int,
-    lie: BellLabel = PHI_PLUS,
-    flip: int = 0,
-) -> bool:
-    token_r1, token_r2 = mask_tokens(receiver_code1, receiver_code2, swap, cipher)
-    token_r1 ^= lie
-    records = SenderRecords(sender_pair1, sender_pair2, tele, secret)
-    return verify_authentication(records, (token_r1.z, token_r1.x), token_r2 ^ flip)
-
-
 @lru_cache(maxsize=None)
 def _splitting_branches(
     secret: int,
     pair1: BellLabel,
     pair2: BellLabel,
-    intercept: str | None,
+    steps: tuple[protocol.Step, ...],
 ) -> tuple[tuple[Fraction, BellLabel, BellLabel, int], ...]:
     """All nonzero (probability, swap, teleport, cipher) branches of the
-    splitting circuit, optionally with an eavesdropper measurement inserted
-    on the in-flight qubits, in swap-major order per eavesdropper outcome."""
-    base = protocol.prepare_splitting_register(
-        statevec.computational_state([secret]), pair1, pair2
-    )
-    n = base.n_qubits
-    staged: list[tuple[Fraction, statevec.StateVector]] = []
-    if intercept is None:
-        staged.append((Fraction(1), base))
-    elif intercept == "comp-r2":
-        for bit in (0, 1):
-            p, state = statevec.project_computational(base, 4, bit)
-            if state is not None:
-                staged.append((_dyadic(p, n), state))
-    elif intercept == "comp-r1":
-        for b1 in (0, 1):
-            p1, mid = statevec.project_computational(base, 2, b1)
-            if mid is None:
-                continue
-            for b2 in (0, 1):
-                p2, state = statevec.project_computational(mid, 3, b2)
-                if state is not None:
-                    staged.append((_dyadic(p1, n) * _dyadic(p2, n), state))
-    elif intercept == "bell-r1":
-        for label in BELL_LABELS:
-            p, state = statevec.bell_project(base, 2, 3, label)
-            if state is not None:
-                staged.append((_dyadic(p, n), state))
-    elif intercept == "ancilla-r2":
-        extended = statevec.tensor(base, statevec.zero_state(1))
-        staged.append((Fraction(1), statevec.apply_cnot(extended, 4, 5)))
-    else:
-        raise ValueError(f"unknown intercept {intercept!r}")
-    branches = []
-    for p_eve, state in staged:
-        if not p_eve:
-            continue
-        joint = statevec.joint_distribution(state, [(2, 3), (0, 1)], [4])
-        for (swap, tele, cipher), p in np.ndenumerate(joint):
-            p = _dyadic(float(p), state.n_qubits)
-            if p:
-                branches.append((p_eve * p, BSM_OUTCOMES[swap], BSM_OUTCOMES[tele], cipher))
-    return tuple(branches)
+    splitting ``steps`` (:func:`protocol.splitting_steps`), cached per key.
 
-
-def _token_phase_branches(
-    pair_a: BellLabel,
-    pair_b: BellLabel,
-    intercept: str | None,
-) -> Iterable[tuple[Fraction, BellLabel, BellLabel]]:
-    """All nonzero (probability, receiver code, sender record) branches of
-    one token-phase round, optionally with an intercept on the sent halves."""
-    base = protocol.prepare_token_register(pair_a, pair_b)
-    n = base.n_qubits
-    staged: list[tuple[Fraction, statevec.StateVector]] = []
-    if intercept is None:
-        staged.append((Fraction(1), base))
-    elif intercept == "computational":
-        for b1 in (0, 1):
-            p1, mid = statevec.project_computational(base, 1, b1)
-            if mid is None:
-                continue
-            for b2 in (0, 1):
-                p2, state = statevec.project_computational(mid, 2, b2)
-                if state is not None:
-                    staged.append((_dyadic(p1, n) * _dyadic(p2, n), state))
-    elif intercept == "bell":
-        for label in BELL_LABELS:
-            p, state = statevec.bell_project(base, 1, 2, label)
-            if state is not None:
-                staged.append((_dyadic(p, n), state))
-    else:
-        raise ValueError(f"unknown intercept {intercept!r}")
-    for p_eve, state in staged:
-        if not p_eve:
-            continue
-        joint = statevec.joint_distribution(state, [(1, 2), (0, 3)])
-        for (code, observed), p in np.ndenumerate(joint):
-            p = _dyadic(float(p), n)
-            if p:
-                record = infer_remote_bsm(pair_a, pair_b, BSM_OUTCOMES[observed])
-                yield p_eve * p, BELL_LABELS[code], record
+    Keyed by the step list rather than the attack, so every attack that
+    leaves the splitting phase alone shares the honest branch sets.
+    """
+    return protocol.splitting_branches(secret, pair1, pair2, steps)
 
 
 def exact_detection_rate(attack: AttackModel) -> Fraction:
     """Exact probability that a (2,2) run under the attack is rejected,
-    summed over every measurement branch with uniform hidden randomness."""
-    if attack.kind in ("none", "token-flip", "r1-lie"):
-        flip = 1 if attack.kind == "token-flip" else 0
-        lie = BellLabel(*attack.delta) if attack.kind == "r1-lie" else PHI_PLUS
-        cases = enumerate_honest_cases()
-        rejected = sum(
-            not _accepts(
-                c.pair1, c.pair2, c.pair1, c.pair2,
-                c.swap_bsm, c.teleport_bsm, c.cipher_bit, c.secret,
-                lie=lie, flip=flip,
-            )
-            for c in cases
-        )
-        return Fraction(rejected, len(cases))
-
-    if attack.target in ("split-r1", "split-r2"):
-        intercept = {
-            ("intercept-resend-computational", "split-r1"): "comp-r1",
-            ("intercept-resend-computational", "split-r2"): "comp-r2",
-            ("intercept-resend-bell", "split-r1"): "bell-r1",
-            ("entangle-ancilla", "split-r2"): "ancilla-r2",
-        }[(attack.kind, attack.target)]
-        total = Fraction(0)
-        weight = Fraction(1, 2 * 16)  # secret x (pair1, pair2) codes
-        for secret in (0, 1):
-            for pair1, pair2 in product(BELL_LABELS, repeat=2):
-                for p, swap, tele, cipher in _splitting_branches(secret, pair1, pair2, intercept):
-                    if not _accepts(pair1, pair2, pair1, pair2, swap, tele, cipher, secret):
-                        total += weight * p
-        return total
-
-    # Token-phase intercepts: the targeted receiver's code and the sender's
-    # record may disagree; the other receiver stays honest and uniform.
-    intercept = "computational" if attack.kind == "intercept-resend-computational" else "bell"
-    which = RECEIVER_1 if attack.target == "auth-r1" else RECEIVER_2
-    pair_a, pair_b = DEFAULT_AUTH_PAIRS[which]
+    summed over every measurement branch with uniform hidden randomness:
+    R1's token branches, R2's, the secret bit and the splitting branches."""
+    token_r1 = protocol.token_branches(RECEIVER_1, attack)
+    token_r2 = protocol.token_branches(RECEIVER_2, attack)
+    splitting = protocol.splitting_steps(attack, True)
     total = Fraction(0)
-    for p_auth, code, record in _token_phase_branches(pair_a, pair_b, intercept):
-        for other in BELL_LABELS:
-            if which == RECEIVER_1:
-                code1, record1, code2, record2 = code, record, other, other
-            else:
-                code1, record1, code2, record2 = other, other, code, record
-            for secret in (0, 1):
-                for p, swap, tele, cipher in _splitting_branches(secret, record1, record2, None):
-                    if not _accepts(record1, record2, code1, code2, swap, tele, cipher, secret):
-                        total += Fraction(1, 2 * 4) * p_auth * p
-    return total
+    for (p1, code1, record1), (p2, code2, record2) in product(token_r1, token_r2):
+        for secret in (0, 1):
+            rejected = 0
+            for p, swap, tele, cipher in _splitting_branches(secret, record1, record2, splitting):
+                sent_r1, sent_r2 = sent_tokens(code1, code2, swap, cipher, attack)
+                records = SenderRecords(record1, record2, tele, secret)
+                if not verify_authentication(records, (sent_r1.z, sent_r1.x), sent_r2):
+                    rejected += p
+            total += p1 * p2 * rejected
+    return total / 2
 
 
 # ---------------------------------------------------------------------------

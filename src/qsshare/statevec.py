@@ -127,10 +127,6 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
-def maximally_mixed(dim: int = 2) -> DensityMatrix:
-    return DensityMatrix(np.eye(dim, dtype=complex) / dim)
-
-
 # ---------------------------------------------------------------------------
 # Construction.
 
@@ -339,11 +335,6 @@ def bell_project(state: StateVector, q1: int, q2: int, label: BellLabel) -> tupl
     if rotated is None:
         return 0.0, None
     return p1 * p2, _rotate_to_pair_basis(rotated, q1, q2)
-
-
-def bell_probabilities(state: StateVector, q1: int, q2: int) -> dict[BellLabel, float]:
-    """Born probabilities of the four pair outcomes on ``(q1, q2)``."""
-    return dict(zip(BELL_LABELS, joint_distribution(state, [(q1, q2)]).tolist()))
 
 
 def joint_distribution(

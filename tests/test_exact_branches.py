@@ -1,9 +1,11 @@
 """The exact branch sets behind the secrecy and detection-rate claims.
 
-The splitting and token-phase branches are read off one joint Born
-distribution per eavesdropper outcome.  These tests pin them to a walk that
-projects one outcome label at a time, check the dyadic snap that turns Born
-probabilities into rationals, and check that a cold exact pass keeps no
+``protocol`` writes each phase once as a step list, and two readers run it:
+the sampler of a seeded run and the exact enumerator.  These tests pin the
+enumerator's splitting and token-phase branches, per attack spec, to a walk
+written here that projects one outcome label at a time, check the sampler
+against the enumerator on every step list, check the dyadic snap that turns
+Born probabilities into rationals, and check that a cold exact pass keeps no
 state beyond the package's lru caches.
 """
 
@@ -19,9 +21,7 @@ import pytest
 
 from qsshare import protocol, security, statevec
 from qsshare.bell import BELL_LABELS, BSM_OUTCOMES, infer_remote_bsm
-
-SPLITTING_INTERCEPTS = (None, "comp-r1", "comp-r2", "bell-r1", "ancilla-r2")
-TOKEN_INTERCEPTS = ("computational", "bell")
+from qsshare.protocol import NO_ATTACK, AttackModel
 
 # The 13 attack specs of the README table.
 SPECS = (
@@ -39,6 +39,22 @@ SPECS = (
     "intercept-resend-bell:split-r1",
     "entangle-ancilla:split-r2",
 )
+
+# The eavesdropper measurement the reference walks below insert for each
+# spec that intercepts a quantum send; every other spec leaves the splitting
+# phase (None) or both token rounds alone.
+SPLITTING_INTERCEPTS = {
+    "intercept-resend-computational:split-r1": "comp-r1",
+    "intercept-resend-computational:split-r2": "comp-r2",
+    "intercept-resend-bell:split-r1": "bell-r1",
+    "entangle-ancilla:split-r2": "ancilla-r2",
+}
+TOKEN_INTERCEPTS = {
+    "intercept-resend-computational:auth-r1": (protocol.RECEIVER_1, "computational"),
+    "intercept-resend-computational:auth-r2": (protocol.RECEIVER_2, "computational"),
+    "intercept-resend-bell:auth-r1": (protocol.RECEIVER_1, "bell"),
+    "intercept-resend-bell:auth-r2": (protocol.RECEIVER_2, "bell"),
+}
 
 
 def snap(probability):
@@ -102,20 +118,22 @@ def reference_token_phase(pair_a, pair_b, intercept):
     return tuple(branches)
 
 
-@pytest.mark.parametrize("intercept", SPLITTING_INTERCEPTS)
-def test_splitting_branches_match_per_label_walk(intercept):
+@pytest.mark.parametrize("spec", SPECS)
+def test_splitting_branches_match_per_label_walk(spec):
+    steps = protocol.splitting_steps(AttackModel.from_spec(spec), True)
+    intercept = SPLITTING_INTERCEPTS.get(spec)
     for secret, pair1, pair2 in product((0, 1), BELL_LABELS, BELL_LABELS):
-        branches = security._splitting_branches(secret, pair1, pair2, intercept)
+        branches = security._splitting_branches(secret, pair1, pair2, steps)
         assert branches == reference_splitting(secret, pair1, pair2, intercept)
         assert all(type(p) is Fraction for p, *_ in branches)
         assert sum(p for p, *_ in branches) == Fraction(1)
 
 
-@pytest.mark.parametrize("receiver", [protocol.RECEIVER_1, protocol.RECEIVER_2])
-@pytest.mark.parametrize("intercept", TOKEN_INTERCEPTS)
-def test_token_phase_branches_match_per_label_walk(receiver, intercept):
+@pytest.mark.parametrize("spec", TOKEN_INTERCEPTS)
+def test_token_phase_branches_match_per_label_walk(spec):
+    receiver, intercept = TOKEN_INTERCEPTS[spec]
     pair_a, pair_b = protocol.DEFAULT_AUTH_PAIRS[receiver]
-    branches = tuple(security._token_phase_branches(pair_a, pair_b, intercept))
+    branches = tuple(protocol.token_branches(receiver, AttackModel.from_spec(spec)))
     assert branches == reference_token_phase(pair_a, pair_b, intercept)
     assert all(type(p) is Fraction for p, *_ in branches)
     assert sum(p for p, *_ in branches) == Fraction(1)
@@ -125,9 +143,77 @@ def test_honest_cases_follow_the_splitting_branches():
     cases = security.enumerate_honest_cases()
     expected = list(product((0, 1), BELL_LABELS, BELL_LABELS, BSM_OUTCOMES, BSM_OUTCOMES))
     assert [(c.secret, c.pair1, c.pair2, c.swap_bsm, c.teleport_bsm) for c in cases] == expected
+    honest = protocol.splitting_steps(NO_ATTACK, True)
     for case in cases:
-        branches = security._splitting_branches(case.secret, case.pair1, case.pair2, None)
+        branches = security._splitting_branches(case.secret, case.pair1, case.pair2, honest)
         assert (Fraction(1, 16), case.swap_bsm, case.teleport_bsm, case.cipher_bit) in branches
+
+
+# ---------------------------------------------------------------------------
+# The sampler against the enumerator.
+
+class OutOfCoins(Exception):
+    pass
+
+
+class ScriptedCoins:
+    """Generator stand-in that answers a script of fair coins: 0.25 reads
+    as 1 and 0.75 as 0 against a Born probability of one half."""
+
+    def __init__(self, script):
+        self.script = iter(script)
+
+    def random(self):
+        for coin in self.script:
+            return coin
+        raise OutOfCoins
+
+
+def sampled_leaves(root, steps):
+    """Every set of outcomes the sampler can produce from ``root``, each
+    weighted 2^-coins by the fair coins it drew."""
+    leaves = {}
+    pending = [()]
+    while pending:
+        script = pending.pop()
+        try:
+            results, _ = protocol._sample_steps(root, steps, ScriptedCoins(script))
+        except OutOfCoins:
+            pending += [script + (0.25,), script + (0.75,)]
+            continue
+        leaf = tuple(results.items())
+        leaves[leaf] = leaves.get(leaf, 0) + Fraction(1, 2 ** len(script))
+    return leaves
+
+
+def enumerated(state, steps):
+    branches = protocol._enumerate_steps(state, steps)
+    leaves = {tuple(results.items()): p for p, results in branches}
+    assert len(leaves) == len(branches)
+    return leaves
+
+
+def test_sampler_and_enumerator_agree_on_every_step_list():
+    attacks = [AttackModel.from_spec(spec) for spec in SPECS]
+    token_lists = {protocol.token_steps(t, a) for a in attacks for t in ("auth-r1", "auth-r2")}
+    splitting_lists = {protocol.splitting_steps(a, True) for a in attacks}
+    assert (len(token_lists), len(splitting_lists)) == (3, 5)
+    for steps, (pair_a, pair_b) in product(token_lists, product(BELL_LABELS, repeat=2)):
+        root = protocol._token_root(pair_a, pair_b)
+        plain = protocol.prepare_token_register(pair_a, pair_b)
+        assert sampled_leaves(root, steps) == enumerated(plain, steps)
+    for steps, secret, pair1, pair2 in product(splitting_lists, (0, 1), BELL_LABELS, BELL_LABELS):
+        root = protocol._splitting_root(secret, pair1, pair2)
+        plain = protocol.prepare_splitting_register(
+            statevec.computational_state([secret]), pair1, pair2
+        )
+        assert sampled_leaves(root, steps) == enumerated(plain, steps)
+
+
+def test_security_leaves_the_circuits_to_protocol():
+    source = inspect.getsource(security)
+    for name in ("prepare_splitting_register", "project_computational", "bell_project"):
+        assert name not in source
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +222,17 @@ def test_honest_cases_follow_the_splitting_branches():
 @pytest.mark.parametrize("probability", [1 / 3, 0.25 + 1e-9])
 def test_dyadic_snap_rejects_off_grid_probabilities(probability):
     with pytest.raises(AssertionError):
-        security._dyadic(probability, 5)
+        protocol._dyadic(probability, 5)
 
 
 @pytest.mark.parametrize("probability", [0.25 - 1e-15, 0.25, 0.25 + 1e-15])
 def test_dyadic_snap_accepts_float_residue(probability):
-    assert security._dyadic(probability, 5) == Fraction(1, 4)
+    assert protocol._dyadic(probability, 5) == Fraction(1, 4)
 
 
 def test_no_limit_denominator_in_security():
     assert "limit_denominator" not in inspect.getsource(security)
+    assert "limit_denominator" not in inspect.getsource(protocol)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from qsshare.protocol import (
     reconstruct55,
     run_auth_tokens,
     run_qss22,
-    run_qss22_bits,
     run_qss55,
     splitting_branch,
     validate_transcript,
@@ -324,14 +323,6 @@ def test_validator_rejects_a_sender_message_in_a_rejected_run():
     message = f"rejected run published a sender message (event {i})"
     with pytest.raises(ValueError, match=re.escape(message)):
         validate_transcript(transcript)
-
-
-def test_multi_bit_secrets_run_bitwise():
-    transcripts = run_qss22_bits("1011", 77)
-    assert [t.reconstructed for t in transcripts] == [1, 0, 1, 1]
-    assert len({t.seed for t in transcripts}) == 4
-    with pytest.raises(ValueError):
-        run_qss22_bits("10x", 0)
 
 
 def test_run_qss22_input_validation():

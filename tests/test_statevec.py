@@ -100,7 +100,8 @@ def test_bell_measure_eigenstate_is_deterministic(label):
 def test_bell_outcomes_on_product_zero_state():
     # <Phi+-|00> = 1/sqrt(2) and <Psi+-|00> = 0, so the two Phi outcomes
     # split the probability and the Psi outcomes never occur.
-    probs = statevec.bell_probabilities(statevec.computational_state([0, 0]), 0, 1)
+    joint = statevec.joint_distribution(statevec.computational_state([0, 0]), [(0, 1)])
+    probs = dict(zip(BELL_LABELS, joint.tolist()))
     assert abs(probs[PHI_PLUS] - 0.5) < 1e-12
     assert abs(probs[PHI_MINUS] - 0.5) < 1e-12
     assert probs[PSI_PLUS] == 0.0
@@ -275,7 +276,7 @@ def test_fidelity_dimension_mismatch():
 
 
 def test_trace_distance_extremes():
-    mixed = statevec.maximally_mixed(2)
+    mixed = statevec.DensityMatrix(np.eye(2, dtype=complex) / 2)
     assert statevec.trace_distance(mixed, mixed) == 0.0
     two_zeros = statevec.tensor(statevec.single_qubit(1, 0), statevec.single_qubit(1, 0))
     pure = statevec.reduced_density(two_zeros, [0])
@@ -336,5 +337,5 @@ def test_bell_outcome_probabilities_sum_to_one(seed, n):
     state = random_state(n, rng)
     q1 = int(rng.integers(n))
     q2 = (q1 + 1 + int(rng.integers(n - 1))) % n
-    total = sum(statevec.bell_probabilities(state, q1, q2).values())
+    total = statevec.joint_distribution(state, [(q1, q2)]).sum()
     assert abs(total - 1.0) < 1e-12
