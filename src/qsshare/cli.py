@@ -22,10 +22,10 @@ EXIT_REJECTED = 2
 EXIT_TABLE_MISMATCH = 3
 
 QUBIT_NORM_ERROR = 1e-9
-# A qss55 run measures four bits, and each outcome-0 projection rescales by
-# 1 - p(1), which can double the register's squared-norm deviation.  A secret
-# off by up to statevec.NORM_TOL could end 16 times further off than the
-# simulator accepts, so one off by more than a 32nd of it is renormalised.
+# A secret whose squared norm is off by more than a 32nd of statevec.NORM_TOL
+# is renormalised with a warning.  Runs no longer need it (projections do not
+# grow the deviation); raising it would change which secrets warn and the
+# amplitudes their runs print.
 QUBIT_NORM_SQ_WARN = statevec.NORM_TOL / 32
 
 

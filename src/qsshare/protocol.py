@@ -369,14 +369,11 @@ def validate_transcript(transcript: Transcript) -> None:
 # Phase steps and their two readers.
 
 class Step(NamedTuple):
-    """One step of a phase's circuit.
-
-    ``kind`` is ``"z"``, a computational measurement of ``qubits[0]``;
-    ``"bell"``, a Bell measurement of the pair ``qubits``; or ``"ancilla"``,
-    the eavesdropper attaching an ancilla (:func:`_attach_ancilla`), which
-    produces no result.  ``name`` labels the result a measurement produces:
-    ``eve``, ``code``, ``observed``, ``swap``, ``tele`` or ``cipher``.
-    """
+    """One step of a phase: ``kind`` ``"z"`` measures ``qubits[0]`` in the
+    computational basis, ``"bell"`` the pair ``qubits`` in the Bell basis,
+    and ``"ancilla"`` attaches the eavesdropper's ancilla
+    (:func:`_attach_ancilla`).  ``name`` labels a measurement's result:
+    ``eve``, ``code``, ``observed``, ``swap``, ``tele`` or ``cipher``."""
 
     kind: str
     qubits: tuple[int, ...] = ()
@@ -442,10 +439,8 @@ def _note(results: dict, name: str, outcome: BellLabel | int) -> None:
 def _sample_steps(
     state: StateVector, steps: tuple[Step, ...], rng: np.random.Generator
 ) -> tuple[dict, StateVector]:
-    """Run ``steps`` on ``state``, drawing each outcome from ``rng``.
-
-    Returns the outcomes by name (see :func:`_note`) and the final state.
-    """
+    # Runs ``steps`` on ``state``, drawing each outcome from ``rng``; returns
+    # the outcomes by name (see _note) and the final state.
     results: dict = {}
     for kind, qubits, name in steps:
         if kind == "bell":
@@ -473,12 +468,12 @@ def _dyadic(probability: float, n_qubits: int) -> Fraction:
 
 def _enumerate_steps(state: StateVector, steps: tuple[Step, ...]) -> list[tuple[Fraction, dict]]:
     """Every nonzero (probability, outcomes by name) branch of ``steps`` on a
-    plain stabilizer register, in step-major outcome order.
+    plain stabilizer register, with each probability snapped by
+    :func:`_dyadic`.
 
     The trailing measurements on disjoint qubits commute, so they are read
     off one :func:`statevec.joint_distribution`; each step before them forks
-    the state by projection.  Every probability is snapped by
-    :func:`_dyadic`, so the weights are exact.
+    the state by projection.
     """
     split = len(steps)
     measured: set[int] = set()
@@ -509,22 +504,17 @@ def _fork(state, weight, results, leading, trailing, branches) -> None:
                 _note(noted, name, outcome)
                 _fork(after, weight * p, noted, rest, trailing, branches)
         return
-    # joint_distribution lays out the pair axes before the single ones;
-    # ``order`` lists the steps that way and moveaxis puts them back.
-    order = sorted(range(len(trailing)), key=lambda i: trailing[i].kind != "bell")
-    n_pairs = sum(kind == "bell" for kind, _, _ in trailing)
+    pairs = [step for step in trailing if step.kind == "bell"]
+    singles = [step for step in trailing if step.kind == "z"]
     joint = statevec.joint_distribution(
-        state,
-        [trailing[i].qubits for i in order[:n_pairs]],
-        [trailing[i].qubits[0] for i in order[n_pairs:]],
+        state, [step.qubits for step in pairs], [step.qubits[0] for step in singles]
     )
-    joint = np.moveaxis(joint, range(len(order)), order)
     # An entry within 1e-12 of zero snaps to zero; every other one must be
     # within 1e-12 of a nonzero multiple of 2^-n.
     for index in np.argwhere(joint > 1e-12).tolist():
         p = _dyadic(float(joint[tuple(index)]), state.n_qubits)
         noted = dict(results)
-        for (kind, _, name), i in zip(trailing, index):
+        for (kind, _, name), i in zip(pairs + singles, index):
             _note(noted, name, BELL_LABELS[i] if kind == "bell" else i)
         branches.append((weight * p, noted))
 
@@ -600,10 +590,10 @@ def token_branches(receiver: str, attack: AttackModel) -> list[tuple[Fraction, B
     of the receiver's token round on the default pairs under the attack."""
     pair_a, pair_b = DEFAULT_AUTH_PAIRS[receiver]
     steps = token_steps(_TOKEN_TARGETS[receiver], attack)
-    branches = []
-    for p, results in _enumerate_steps(prepare_token_register(pair_a, pair_b), steps):
-        branches.append((p, results["code"], infer_remote_bsm(pair_a, pair_b, results["observed"])))
-    return branches
+    return [
+        (p, results["code"], infer_remote_bsm(pair_a, pair_b, results["observed"]))
+        for p, results in _enumerate_steps(prepare_token_register(pair_a, pair_b), steps)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -684,12 +674,11 @@ def splitting_branches(
     """Every nonzero (probability, swap, teleport, cipher) branch of the
     splitting ``steps`` (from :func:`splitting_steps`, cipher measured) on a
     computational-basis secret."""
-    secret = statevec.computational_state([secret_bit])
-    state = prepare_splitting_register(secret, pair1, pair2)
-    branches = []
-    for p, results in _enumerate_steps(state, steps):
-        branches.append((p, results["swap"], results["tele"], results["cipher"]))
-    return tuple(branches)
+    state = prepare_splitting_register(statevec.computational_state([secret_bit]), pair1, pair2)
+    return tuple(
+        (p, results["swap"], results["tele"], results["cipher"])
+        for p, results in _enumerate_steps(state, steps)
+    )
 
 
 def splitting_branch(

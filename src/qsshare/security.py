@@ -53,8 +53,6 @@ VIEW_NAMES = ("r1-alone", "r2-alone", "public-only", "all-shares", "r2-with-r1-t
 
 _PROBE_QUBIT = (0.6, 0.8j)
 
-_HONEST_SPLITTING = protocol.splitting_steps(NO_ATTACK, True)
-
 
 # ---------------------------------------------------------------------------
 # Honest-case enumeration.
@@ -87,10 +85,11 @@ def enumerate_honest_cases() -> tuple[HonestCase, ...]:
     then teleport outcome.
     """
     cases = []
+    honest = protocol.splitting_steps(NO_ATTACK, True)
     for secret in (0, 1):
         for pair1, pair2 in product(BELL_LABELS, repeat=2):
             ciphers = {}
-            for p, swap, tele, cipher in _splitting_branches(secret, pair1, pair2, _HONEST_SPLITTING):
+            for p, swap, tele, cipher in _splitting_branches(secret, pair1, pair2, honest):
                 if (swap, tele) in ciphers:
                     raise AssertionError("cipher qubit not collapsed")
                 if p != Fraction(1, 16):
@@ -228,12 +227,9 @@ def _splitting_branches(
     pair2: BellLabel,
     steps: tuple[protocol.Step, ...],
 ) -> tuple[tuple[Fraction, BellLabel, BellLabel, int], ...]:
-    """All nonzero (probability, swap, teleport, cipher) branches of the
-    splitting ``steps`` (:func:`protocol.splitting_steps`), cached per key.
-
-    Keyed by the step list rather than the attack, so every attack that
-    leaves the splitting phase alone shares the honest branch sets.
-    """
+    """:func:`protocol.splitting_branches`, cached.  Keyed by the step list
+    rather than the attack, so the attacks that leave the splitting phase
+    alone share the honest branch sets."""
     return protocol.splitting_branches(secret, pair1, pair2, steps)
 
 

@@ -23,13 +23,17 @@ Conventions, fixed once so that transcripts are reproducible:
   outcomes, the Born probability it computed and the post-measurement
   states it handed back, never the rotated intermediates.  Memoised states
   are shared between every caller that reaches them, so their amplitudes
-  are read-only.  A sampling measurement draws ``rng.random()`` under the
-  same conditions and against the same stored float whether an entry is
-  computed or reused, so a run's outcomes and draw count do not depend on
-  what was memoised before it.  Plain states carry no memo: they compute
-  the same entries and do not keep them, and no projection, gate or
-  constructor gives a memo to its result.  Concurrent runs may compute one
-  entry twice; both copies hold the same values.
+  are read-only.  A memoised register is a Clifford circuit on stabilizer
+  inputs, whose Born probabilities are 0, 1/2 or 1 (Aaronson & Gottesman,
+  PRA 70, 052328, 2004), so the memo stores each one snapped to that set
+  (a float further than 1e-9 from all three raises) and a sampled run draws
+  ``rng.random()`` only at 1/2.  It draws under the same conditions and
+  against the same stored value whether an entry is computed or reused, so
+  a run's outcomes and draw count do not depend on what was memoised before
+  it.  Plain states carry no memo: they compute the same entries, unsnapped,
+  and do not keep them, and no projection, gate or constructor gives a memo
+  to its result.  Concurrent runs may compute one entry twice; both copies
+  hold the same values.
 - A Bell measurement is realised as a basis rotation (entangling gate from
   the first qubit onto the second, then the one-qubit mixing gate on the
   first) followed by two computational measurements: the first bit is the
@@ -37,9 +41,10 @@ Conventions, fixed once so that transcripts are reproducible:
   so it collapses to the reported pair state.  :func:`joint_distribution`
   rotates several disjoint pairs into that frame at once and reads all their
   outcomes, with any computational ones, off one set of squared amplitudes.
-- Measurement outcomes with probability below 1e-15 are treated as exactly
-  zero and never sampled; renormalisation divides by the outcome amplitude
-  norm, which that floor keeps away from zero.
+- A projection zeroes the other outcome's amplitudes and divides the rest
+  by their own norm, so a register's norm deviation does not grow over a
+  run.  Outcomes with probability below 1e-15 are treated as exactly zero
+  and never sampled.
 - State comparisons ignore global phase: states are equal when their
   fidelity is at least 1 - 1e-12.
 """
@@ -251,7 +256,7 @@ def measure_computational(
     _check_qubit(state, q)
     node = _entry(state, ("z", q))
     if node.p_one is None:
-        node.p_one = _probability_of_one(state.amplitudes, state.n_qubits, q)
+        node.p_one = _p_one(state, state.amplitudes, q)
     bit = _sample_bit(node.p_one, rng)
     collapsed = node.below[bit]
     if collapsed is None:
@@ -271,12 +276,12 @@ def project_computational(state: StateVector, q: int, bit: int) -> tuple[float, 
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
     n = state.n_qubits
-    p_one = _probability_of_one(state.amplitudes, n, q)
-    prob = p_one if bit else 1.0 - p_one
+    amps = state.amplitudes.copy()
+    _qubit_axis(amps, n, q)[:, 1 - bit, :] = 0.0
+    prob = float(np.real(np.vdot(amps, amps)))
     if prob < ZERO_PROBABILITY:
         return 0.0, None
-    amps = state.amplitudes * (1.0 / math.sqrt(prob))
-    _qubit_axis(amps, n, q)[:, 1 - bit, :] = 0.0
+    amps *= 1.0 / math.sqrt(prob)
     return prob, StateVector._wrap(n, amps)
 
 
@@ -293,19 +298,18 @@ def bell_measure(
     _check_qubit(state, q2)
     if q1 == q2:
         raise ValueError("Bell measurement needs two distinct qubits")
-    n = state.n_qubits
     rotated = halfway = None
     first = _entry(state, ("bell", q1, q2))
     if first.p_one is None:
         rotated = _rotate_from_pair_basis(state, q1, q2)
-        first.p_one = _probability_of_one(rotated.amplitudes, n, q1)
+        first.p_one = _p_one(state, rotated.amplitudes, q1)
     b1 = _sample_bit(first.p_one, rng)
     second = first.below[b1]
     if second is None:
         if rotated is None:
             rotated = _rotate_from_pair_basis(state, q1, q2)
         _, halfway = project_computational(rotated, q1, b1)
-        second = first.below[b1] = _Node(_probability_of_one(halfway.amplitudes, n, q2))
+        second = first.below[b1] = _Node(_p_one(state, halfway.amplitudes, q2))
     b2 = _sample_bit(second.p_one, rng)
     collapsed = second.below[b2]
     if collapsed is None:
@@ -381,7 +385,11 @@ def _rotate_to_pair_basis(state: StateVector, q1: int, q2: int) -> StateVector:
 # Memoised states.
 
 def memo_root(state: StateVector) -> StateVector:
-    """Read-only copy of ``state`` that starts an empty measurement memo."""
+    """Read-only copy of ``state`` that starts an empty measurement memo.
+
+    For stabilizer registers only: measurements on the result assert that
+    every Born probability is 0, 1/2 or 1.
+    """
     amps = state.amplitudes.copy()
     amps.flags.writeable = False
     root = StateVector._wrap(state.n_qubits, amps)
@@ -431,6 +439,18 @@ def _entry(state: StateVector, key: tuple) -> _Node:
 
 def _inherit_memo(parent: StateVector, child: StateVector) -> StateVector:
     return child if parent.memo is None else memo_root(child)
+
+
+def _p_one(state: StateVector, amps: np.ndarray, q: int) -> float:
+    # Born probability of reading 1 on qubit q of ``amps``, ``state`` or a
+    # rotation of it; snapped when ``state`` is memoised (module docstring).
+    p_one = _probability_of_one(amps, state.n_qubits, q)
+    if state.memo is None:
+        return p_one
+    snapped = round(2 * p_one) / 2
+    if not abs(p_one - snapped) < 1e-9:
+        raise AssertionError(f"Born probability {p_one} of a memoised state is not 0, 1/2 or 1")
+    return snapped
 
 
 def _sample_bit(p_one: float, rng: np.random.Generator) -> int:

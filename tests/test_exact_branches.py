@@ -40,21 +40,17 @@ SPECS = (
     "entangle-ancilla:split-r2",
 )
 
-# The eavesdropper measurement the reference walks below insert for each
-# spec that intercepts a quantum send; every other spec leaves the splitting
-# phase (None) or both token rounds alone.
-SPLITTING_INTERCEPTS = {
-    "intercept-resend-computational:split-r1": "comp-r1",
-    "intercept-resend-computational:split-r2": "comp-r2",
-    "intercept-resend-bell:split-r1": "bell-r1",
-    "entangle-ancilla:split-r2": "ancilla-r2",
+# The attack spec behind each eavesdropper measurement the reference walks
+# below insert: None is the honest splitting phase.
+SPLITTING_SPECS = {
+    None: "none",
+    "comp-r1": "intercept-resend-computational:split-r1",
+    "comp-r2": "intercept-resend-computational:split-r2",
+    "bell-r1": "intercept-resend-bell:split-r1",
+    "ancilla-r2": "entangle-ancilla:split-r2",
 }
-TOKEN_INTERCEPTS = {
-    "intercept-resend-computational:auth-r1": (protocol.RECEIVER_1, "computational"),
-    "intercept-resend-computational:auth-r2": (protocol.RECEIVER_2, "computational"),
-    "intercept-resend-bell:auth-r1": (protocol.RECEIVER_1, "bell"),
-    "intercept-resend-bell:auth-r2": (protocol.RECEIVER_2, "bell"),
-}
+TOKEN_SPECS = {"computational": "intercept-resend-computational", "bell": "intercept-resend-bell"}
+TOKEN_TARGETS = {protocol.RECEIVER_1: "auth-r1", protocol.RECEIVER_2: "auth-r2"}
 
 
 def snap(probability):
@@ -118,10 +114,9 @@ def reference_token_phase(pair_a, pair_b, intercept):
     return tuple(branches)
 
 
-@pytest.mark.parametrize("spec", SPECS)
-def test_splitting_branches_match_per_label_walk(spec):
-    steps = protocol.splitting_steps(AttackModel.from_spec(spec), True)
-    intercept = SPLITTING_INTERCEPTS.get(spec)
+@pytest.mark.parametrize("intercept", SPLITTING_SPECS)
+def test_splitting_branches_match_per_label_walk(intercept):
+    steps = protocol.splitting_steps(AttackModel.from_spec(SPLITTING_SPECS[intercept]), True)
     for secret, pair1, pair2 in product((0, 1), BELL_LABELS, BELL_LABELS):
         branches = security._splitting_branches(secret, pair1, pair2, steps)
         assert branches == reference_splitting(secret, pair1, pair2, intercept)
@@ -129,11 +124,12 @@ def test_splitting_branches_match_per_label_walk(spec):
         assert sum(p for p, *_ in branches) == Fraction(1)
 
 
-@pytest.mark.parametrize("spec", TOKEN_INTERCEPTS)
-def test_token_phase_branches_match_per_label_walk(spec):
-    receiver, intercept = TOKEN_INTERCEPTS[spec]
+@pytest.mark.parametrize("receiver", [protocol.RECEIVER_1, protocol.RECEIVER_2])
+@pytest.mark.parametrize("intercept", TOKEN_SPECS)
+def test_token_phase_branches_match_per_label_walk(receiver, intercept):
+    attack = AttackModel.from_spec(f"{TOKEN_SPECS[intercept]}:{TOKEN_TARGETS[receiver]}")
     pair_a, pair_b = protocol.DEFAULT_AUTH_PAIRS[receiver]
-    branches = tuple(protocol.token_branches(receiver, AttackModel.from_spec(spec)))
+    branches = tuple(protocol.token_branches(receiver, attack))
     assert branches == reference_token_phase(pair_a, pair_b, intercept)
     assert all(type(p) is Fraction for p, *_ in branches)
     assert sum(p for p, *_ in branches) == Fraction(1)
@@ -181,14 +177,14 @@ def sampled_leaves(root, steps):
         except OutOfCoins:
             pending += [script + (0.25,), script + (0.75,)]
             continue
-        leaf = tuple(results.items())
+        leaf = frozenset(results.items())
         leaves[leaf] = leaves.get(leaf, 0) + Fraction(1, 2 ** len(script))
     return leaves
 
 
 def enumerated(state, steps):
     branches = protocol._enumerate_steps(state, steps)
-    leaves = {tuple(results.items()): p for p, results in branches}
+    leaves = {frozenset(results.items()): p for p, results in branches}
     assert len(leaves) == len(branches)
     return leaves
 

@@ -380,6 +380,16 @@ def test_qss55_round_trip_on_random_qubits():
         assert transcript.reconstruction_fidelity >= 1 - 1e-12
 
 
+@pytest.mark.parametrize("seed", [609, *range(20)])
+def test_qss55_runs_secrets_just_inside_the_norm_tolerance(seed):
+    # Squared norm off by 2e-13, inside statevec.NORM_TOL: the run's four
+    # projections must not grow the deviation past the density-matrix check.
+    secret = (0.9999999999999, 0)
+    transcript, shares = run_qss55(secret, seed)
+    assert transcript.reconstruction_fidelity >= 1 - 1e-12
+    assert statevec.fidelity(reconstruct55(shares), statevec.single_qubit(*secret)) >= 1 - 1e-12
+
+
 def test_qss55_piece_assignment():
     transcript, shares = run_qss55((0.6, 0.8j), seed=5)
     private = {e.recipient: e.payload for e in transcript.events if e.kind == "classical-private"}
