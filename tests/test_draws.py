@@ -31,8 +31,10 @@ SPECS = (
     "intercept-resend-bell:split-r1",
     "entangle-ancilla:split-r2",
 )
-# Four coins per token round and four for the two splitting measurements;
-# a computational intercept of a token round's halves adds two.
+# Two coins per token round (the receiver's Bell outcome; the sender's then
+# follows) and two for each splitting Bell measurement: 8.  A computational
+# intercept of a token round's halves draws two and leaves one coin in each
+# Bell measurement of the round: 10.
 TEN_COIN_SPECS = (
     "intercept-resend-computational:auth-r1",
     "intercept-resend-computational:auth-r2",
@@ -63,9 +65,6 @@ class CountingRng:
     def random(self):
         self.draws += 1
         return self.rng.random()
-
-    def integers(self, *args):
-        return self.rng.integers(*args)
 
 
 @pytest.fixture
