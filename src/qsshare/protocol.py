@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -366,7 +367,7 @@ def validate_transcript(transcript: Transcript) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Phase steps and their two readers.
+# Phase steps, their exact enumeration and its coin trees.
 
 class Step(NamedTuple):
     """One step of a phase: ``kind`` ``"z"`` measures ``qubits[0]`` in the
@@ -436,11 +437,26 @@ def _note(results: dict, name: str, outcome: BellLabel | int) -> None:
         results[name] = outcome
 
 
+def _named(steps: tuple[Step, ...], outcomes: tuple) -> dict:
+    # The outcomes of the measurement steps, in step order, by name (_note).
+    results: dict = {}
+    for step, outcome in zip((step for step in steps if step.kind != "ancilla"), outcomes):
+        _note(results, step.name, outcome)
+    return results
+
+
+def _positions(steps: tuple[Step, ...], *names: str) -> list[int]:
+    # Where the outcome of each named step sits in an enumerated branch.
+    measured = [step.name for step in steps if step.kind != "ancilla"]
+    return [measured.index(name) for name in names]
+
+
 def _sample_steps(
     state: StateVector, steps: tuple[Step, ...], rng: np.random.Generator
 ) -> tuple[dict, StateVector]:
     # Runs ``steps`` on ``state``, drawing each outcome from ``rng``; returns
-    # the outcomes by name (see _note) and the final state.
+    # the outcomes by name (see _note) and the final state.  The (5,5) run's
+    # qubit secret has no finite set of coin trees, so it samples this way.
     results: dict = {}
     for kind, qubits, name in steps:
         if kind == "bell":
@@ -448,7 +464,7 @@ def _sample_steps(
         elif kind == "z":
             outcome, state = statevec.measure_computational(state, qubits[0], rng)
         else:
-            state = statevec.derived(state, "ancilla", _attach_ancilla)
+            state = _attach_ancilla(state)
             continue
         _note(results, name, outcome)
     return results, state
@@ -466,10 +482,10 @@ def _dyadic(probability: float, n_qubits: int) -> Fraction:
     return Fraction(count, scale)
 
 
-def _enumerate_steps(state: StateVector, steps: tuple[Step, ...]) -> list[tuple[Fraction, dict]]:
-    """Every nonzero (probability, outcomes by name) branch of ``steps`` on a
-    plain stabilizer register, with each probability snapped by
-    :func:`_dyadic`.
+def _enumerate_steps(state: StateVector, steps: tuple[Step, ...]) -> list[tuple[Fraction, tuple]]:
+    """Every nonzero (probability, outcomes) branch of ``steps`` on a plain
+    stabilizer register, with each probability snapped by :func:`_dyadic`.
+    ``outcomes`` holds one label or bit per measurement step, in step order.
 
     The trailing measurements on disjoint qubits commute, so they are read
     off one :func:`statevec.joint_distribution`; each step before them forks
@@ -481,15 +497,15 @@ def _enumerate_steps(state: StateVector, steps: tuple[Step, ...]) -> list[tuple[
         split -= 1
         measured.update(steps[split].qubits)
     branches: list = []
-    _fork(state, Fraction(1), {}, steps[:split], steps[split:], branches)
+    _fork(state, Fraction(1), (), steps[:split], steps[split:], branches)
     return branches
 
 
-def _fork(state, weight, results, leading, trailing, branches) -> None:
+def _fork(state, weight, outcomes, leading, trailing, branches) -> None:
     if leading:
-        (kind, qubits, name), rest = leading[0], leading[1:]
+        (kind, qubits, _), rest = leading[0], leading[1:]
         if kind == "ancilla":
-            _fork(_attach_ancilla(state), weight, results, rest, trailing, branches)
+            _fork(_attach_ancilla(state), weight, outcomes, rest, trailing, branches)
             return
         if kind == "bell":
             forks = [(label, statevec.bell_project(state, *qubits, label)) for label in BELL_LABELS]
@@ -500,23 +516,71 @@ def _fork(state, weight, results, leading, trailing, branches) -> None:
                 continue
             p = _dyadic(p, state.n_qubits)
             if p:
-                noted = dict(results)
-                _note(noted, name, outcome)
-                _fork(after, weight * p, noted, rest, trailing, branches)
+                _fork(after, weight * p, outcomes + (outcome,), rest, trailing, branches)
         return
-    pairs = [step for step in trailing if step.kind == "bell"]
-    singles = [step for step in trailing if step.kind == "z"]
-    joint = statevec.joint_distribution(
-        state, [step.qubits for step in pairs], [step.qubits[0] for step in singles]
-    )
+    pairs = [step.qubits for step in trailing if step.kind == "bell"]
+    singles = [step.qubits[0] for step in trailing if step.kind == "z"]
+    # The joint distribution's axes hold the steps listed in ``order``, Bell
+    # measurements first; transposed by the inverse permutation, they follow
+    # the steps.
+    order = sorted(range(len(trailing)), key=lambda i: trailing[i].kind == "z")
+    axes = sorted(range(len(order)), key=order.__getitem__)
+    joint = statevec.joint_distribution(state, pairs, singles).transpose(axes)
+    read = [BELL_LABELS if step.kind == "bell" else (0, 1) for step in trailing]
     # An entry within 1e-12 of zero snaps to zero; every other one must be
     # within 1e-12 of a nonzero multiple of 2^-n.
     for index in np.argwhere(joint > 1e-12).tolist():
         p = _dyadic(float(joint[tuple(index)]), state.n_qubits)
-        noted = dict(results)
-        for (kind, _, name), i in zip(pairs + singles, index):
-            _note(noted, name, BELL_LABELS[i] if kind == "bell" else i)
-        branches.append((weight * p, noted))
+        branches.append((weight * p, outcomes + tuple(map(tuple.__getitem__, read, index))))
+
+
+def _coin_tree(state: StateVector, steps: tuple[Step, ...]):
+    """The branches of ``steps`` on ``state`` as a tree of fair coins.
+
+    Each branch reads as a bit sequence: a Bell outcome is its z bit, then
+    its x bit, and a computational outcome is its bit.  A bit whose exact
+    conditional probability, given the bits before it, is 0 or 1 is
+    skipped; one of 1/2 becomes a coin, a pair ``(tree if 0, tree if 1)``;
+    any other raises.  A leaf is the branch's outcomes by name, read-only
+    because every run that reaches it shares it.  Walking the tree with
+    :func:`_walk` draws the coins :func:`_sample_steps` draws on the same
+    steps and reaches the same outcomes.
+    """
+    enumerated = _enumerate_steps(state, steps)
+    # Every weight is a multiple of 2^-k, so one scale makes them integers.
+    scale = max(p.denominator for p, _ in enumerated)
+    branches = []
+    for p, outcomes in enumerated:
+        bits = []
+        for outcome in outcomes:
+            bits += (outcome.z, outcome.x) if isinstance(outcome, BellLabel) else (outcome,)
+        leaf = MappingProxyType(_named(steps, outcomes))
+        branches.append((p.numerator * (scale // p.denominator), bits, leaf))
+    return _fold(branches, 0)
+
+
+def _fold(branches: list, depth: int):
+    # The tree of (integer weight, bits, leaf) ``branches``, which share
+    # their first ``depth`` bits.
+    total = sum(weight for weight, _, _ in branches)
+    while len(branches) > 1:
+        ones = [branch for branch in branches if branch[1][depth]]
+        weight = sum(weight for weight, _, _ in ones)
+        if 2 * weight == total:
+            zeros = [branch for branch in branches if not branch[1][depth]]
+            return (_fold(zeros, depth + 1), _fold(ones, depth + 1))
+        if weight not in (0, total):
+            share = Fraction(weight, total)
+            raise AssertionError(f"conditional probability {share} is not 0, 1/2 or 1")
+        depth += 1
+    return branches[0][2]
+
+
+def _walk(tree, rng: np.random.Generator) -> Mapping:
+    # The leaf of a coin tree that ``rng``'s fair coins lead to.
+    while type(tree) is tuple:
+        tree = tree[rng.random() < 0.5]
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -543,37 +607,33 @@ def prepare_token_register(pair_a: BellLabel, pair_b: BellLabel) -> StateVector:
 
 
 @lru_cache(maxsize=None)
-def _token_root(pair_a: BellLabel, pair_b: BellLabel) -> StateVector:
-    # Memoised token register of the sampled run (see statevec's memo
-    # convention); the exact enumerations use the plain register.
-    return statevec.memo_root(prepare_token_register(pair_a, pair_b))
+def _token_tree(pair_a: BellLabel, pair_b: BellLabel, steps: tuple[Step, ...]):
+    # The coin tree (_coin_tree) of a token round of the sampled run.
+    return _coin_tree(prepare_token_register(pair_a, pair_b), steps)
 
 
 def run_auth_tokens(
-    pairs: Mapping[str, tuple[BellLabel, BellLabel]] | None,
     rng: np.random.Generator,
     transcript: _TranscriptBuilder | None = None,
     attack: AttackModel = NO_ATTACK,
 ) -> AuthResult:
     """Token phase of the (2,2) scheme.
 
-    For each receiver the sender shares two publicly known pairs; the
-    receiver Bell-measures their halves and keeps the outcome as a secret
-    2-bit code, while the sender measures the retained halves and infers the
-    same code from the swap relation.  Honest runs leave both sides with
-    equal, uniformly distributed codes.
+    For each receiver the sender shares the two publicly known pairs of
+    :data:`DEFAULT_AUTH_PAIRS`; the receiver Bell-measures their halves and
+    keeps the outcome as a secret 2-bit code, while the sender measures the
+    retained halves and infers the same code from the swap relation.
+    Honest runs leave both sides with equal, uniformly distributed codes.
     """
-    if pairs is None:
-        pairs = DEFAULT_AUTH_PAIRS
     codes: dict[str, BellLabel] = {}
     records: dict[str, BellLabel] = {}
     eavesdropped: dict[str, str] = {}
     for receiver, target in _TOKEN_TARGETS.items():
-        pair_a, pair_b = pairs[receiver]
+        pair_a, pair_b = DEFAULT_AUTH_PAIRS[receiver]
         if transcript:
             transcript.quantum_send(SENDER, receiver, "token-pair1-half")
             transcript.quantum_send(SENDER, receiver, "token-pair2-half")
-        results, _ = _sample_steps(_token_root(pair_a, pair_b), token_steps(target, attack), rng)
+        results = _walk(_token_tree(pair_a, pair_b, token_steps(target, attack)), rng)
         code, observed = results["code"], results["observed"]
         codes[receiver] = code
         records[receiver] = infer_remote_bsm(pair_a, pair_b, observed)
@@ -590,9 +650,10 @@ def token_branches(receiver: str, attack: AttackModel) -> list[tuple[Fraction, B
     of the receiver's token round on the default pairs under the attack."""
     pair_a, pair_b = DEFAULT_AUTH_PAIRS[receiver]
     steps = token_steps(_TOKEN_TARGETS[receiver], attack)
+    code, observed = _positions(steps, "code", "observed")
     return [
-        (p, results["code"], infer_remote_bsm(pair_a, pair_b, results["observed"]))
-        for p, results in _enumerate_steps(prepare_token_register(pair_a, pair_b), steps)
+        (p, outcomes[code], infer_remote_bsm(pair_a, pair_b, outcomes[observed]))
+        for p, outcomes in _enumerate_steps(prepare_token_register(pair_a, pair_b), steps)
     ]
 
 
@@ -603,8 +664,7 @@ def token_branches(receiver: str, attack: AttackModel) -> list[tuple[Fraction, B
 class SplitResult:
     swap_bsm: BellLabel
     teleport_bsm: BellLabel
-    cipher_bit: int | None
-    receiver_qubit: StateVector | None
+    cipher_bit: int
     eavesdropped: dict[str, str]
 
 
@@ -618,39 +678,24 @@ def prepare_splitting_register(secret: StateVector, pair1: BellLabel, pair2: Bel
 
 
 @lru_cache(maxsize=None)
-def _splitting_root(secret_bit: int, pair1: BellLabel, pair2: BellLabel) -> StateVector:
-    # Memoised splitting register of the sampled (2,2) run; a qubit secret
-    # of the (5,5) run has no finite set of registers, so it stays plain.
+def _splitting_tree(secret_bit: int, pair1: BellLabel, pair2: BellLabel, steps: tuple[Step, ...]):
+    # The coin tree (_coin_tree) of the splitting phase of the sampled (2,2)
+    # run.
     secret = statevec.computational_state([secret_bit])
-    return statevec.memo_root(prepare_splitting_register(secret, pair1, pair2))
+    return _coin_tree(prepare_splitting_register(secret, pair1, pair2), steps)
 
 
-def _run_splitting(
-    state: StateVector,
-    rng: np.random.Generator,
-    transcript: _TranscriptBuilder | None,
-    attack: AttackModel,
-    measure_cipher: bool,
-) -> SplitResult:
+def _record_splitting(transcript: _TranscriptBuilder | None, results: Mapping) -> None:
+    # The splitting phase's sends and its receivers' and sender's
+    # measurements, from the outcomes by name.
     if transcript:
         transcript.quantum_send(SENDER, RECEIVER_1, "split-pair1-half")
         transcript.quantum_send(SENDER, RECEIVER_1, "split-pair2-half")
         transcript.quantum_send(SENDER, RECEIVER_2, "split-cipher-qubit")
-    results, state = _sample_steps(state, splitting_steps(attack, measure_cipher), rng)
-    swap_label, tele_label = results["swap"], results["tele"]
-    cipher_bit = results.get("cipher")
-    if transcript:
-        transcript.measurement(RECEIVER_1, "bell", swap_label.bits)
-        transcript.measurement(SENDER, "bell", tele_label.bits)
-        if measure_cipher:
-            transcript.measurement(RECEIVER_2, "computational", str(cipher_bit))
-    return SplitResult(
-        swap_bsm=swap_label,
-        teleport_bsm=tele_label,
-        cipher_bit=cipher_bit,
-        receiver_qubit=None if measure_cipher else statevec.extract_pure_qubit(state, 4),
-        eavesdropped={attack.target: results["eve"]} if "eve" in results else {},
-    )
+        transcript.measurement(RECEIVER_1, "bell", results["swap"].bits)
+        transcript.measurement(SENDER, "bell", results["tele"].bits)
+        if "cipher" in results:
+            transcript.measurement(RECEIVER_2, "computational", str(results["cipher"]))
 
 
 def run_splitting_22(
@@ -664,8 +709,14 @@ def run_splitting_22(
     """Splitting phase of the (2,2) scheme on a computational-basis secret."""
     if secret_bit not in (0, 1):
         raise ValueError(f"secret bit must be 0 or 1, got {secret_bit}")
-    state = _splitting_root(secret_bit, pair1, pair2)
-    return _run_splitting(state, rng, transcript, attack, True)
+    results = _walk(_splitting_tree(secret_bit, pair1, pair2, splitting_steps(attack, True)), rng)
+    _record_splitting(transcript, results)
+    return SplitResult(
+        swap_bsm=results["swap"],
+        teleport_bsm=results["tele"],
+        cipher_bit=results["cipher"],
+        eavesdropped={attack.target: results["eve"]} if "eve" in results else {},
+    )
 
 
 def splitting_branches(
@@ -675,9 +726,10 @@ def splitting_branches(
     splitting ``steps`` (from :func:`splitting_steps`, cipher measured) on a
     computational-basis secret."""
     state = prepare_splitting_register(statevec.computational_state([secret_bit]), pair1, pair2)
+    swap, tele, cipher = _positions(steps, "swap", "tele", "cipher")
     return tuple(
-        (p, results["swap"], results["tele"], results["cipher"])
-        for p, results in _enumerate_steps(state, steps)
+        (p, outcomes[swap], outcomes[tele], outcomes[cipher])
+        for p, outcomes in _enumerate_steps(state, steps)
     )
 
 
@@ -830,7 +882,6 @@ def run_qss22(
     secret_bit: int,
     seed: int,
     attack: AttackModel | None = None,
-    auth_pairs: Mapping[str, tuple[BellLabel, BellLabel]] | None = None,
 ) -> Transcript:
     """One full (2,2) run: tokens, splitting, authentication, combining.
 
@@ -844,7 +895,7 @@ def run_qss22(
     builder = _TranscriptBuilder(seed, "qss22")
 
     builder.phase("authentication-tokens")
-    auth = run_auth_tokens(auth_pairs, rng, builder, attack)
+    auth = run_auth_tokens(rng, builder, attack)
 
     builder.phase("information-splitting")
     split = run_splitting_22(
@@ -922,15 +973,16 @@ def run_qss55(
     builder.classical(SENDER, RECEIVER_3, pair1.bits, private=True)
     builder.classical(SENDER, RECEIVER_4, pair2.bits, private=True)
     state = prepare_splitting_register(secret, pair1, pair2)
-    split = _run_splitting(state, rng, builder, NO_ATTACK, measure_cipher=False)
-    builder.classical(SENDER, RECEIVER_5, split.teleport_bsm.bits, private=True)
+    results, state = _sample_steps(state, splitting_steps(NO_ATTACK, False), rng)
+    _record_splitting(builder, results)
+    builder.classical(SENDER, RECEIVER_5, results["tele"].bits, private=True)
 
     shares = ShareSet55(
-        swap_bsm=split.swap_bsm,
-        encrypted_qubit=split.receiver_qubit,
+        swap_bsm=results["swap"],
+        encrypted_qubit=statevec.extract_pure_qubit(state, 4),
         pair1_label=pair1,
         pair2_label=pair2,
-        teleport_bsm=split.teleport_bsm,
+        teleport_bsm=results["tele"],
     )
     builder.phase("decoding")
     recovered = reconstruct55(shares)

@@ -12,28 +12,8 @@ Conventions, fixed once so that transcripts are reproducible:
   plus two entangled pairs) needs 5; the sixth leaves room for one
   eavesdropper ancilla.
 - Operations never mutate their inputs; every function returns a fresh
-  ``StateVector``, except the two sampling measurements on a memoised state
-  (below).  Values are safe to share between threads, and all randomness
-  comes from an explicitly passed ``numpy.random.Generator``.
-- Memoised states are opt-in: :func:`memo_root` turns a state into the root
-  of a measurement tree (the sampled (2,2) run builds one per register it
-  prepares), and everything :func:`measure_computational`,
-  :func:`bell_measure` and :func:`derived` return from a memoised state is
-  memoised too.  Such a state keeps, per measurement and prefix of
-  outcomes, the Born probability it computed and the post-measurement
-  states it handed back, never the rotated intermediates.  Memoised states
-  are shared between every caller that reaches them, so their amplitudes
-  are read-only.  A memoised register is a Clifford circuit on stabilizer
-  inputs, whose Born probabilities are 0, 1/2 or 1 (Aaronson & Gottesman,
-  PRA 70, 052328, 2004), so the memo stores each one snapped to that set
-  (a float further than 1e-9 from all three raises) and a sampled run draws
-  ``rng.random()`` only at 1/2.  It draws under the same conditions and
-  against the same stored value whether an entry is computed or reused, so
-  a run's outcomes and draw count do not depend on what was memoised before
-  it.  Plain states carry no memo: they compute the same entries, unsnapped,
-  and do not keep them, and no projection, gate or constructor gives a memo
-  to its result.  Concurrent runs may compute one entry twice; both copies
-  hold the same values.
+  ``StateVector``.  Values are safe to share between threads, and all
+  randomness comes from an explicitly passed ``numpy.random.Generator``.
 - A Bell measurement is realised as a basis rotation (entangling gate from
   the first qubit onto the second, then the one-qubit mixing gate on the
   first) followed by two computational measurements: the first bit is the
@@ -68,13 +48,9 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 class StateVector:
-    """Normalised complex amplitudes over a register of 1 to 6 qubits.
+    """Normalised complex amplitudes over a register of 1 to 6 qubits."""
 
-    ``memo`` is ``None`` on a plain state; on a memoised state it maps each
-    measurement taken on the state to what is known of its outcomes.
-    """
-
-    __slots__ = ("n_qubits", "amplitudes", "memo")
+    __slots__ = ("n_qubits", "amplitudes")
 
     def __init__(self, n_qubits: int, amplitudes) -> None:
         if not 1 <= n_qubits <= MAX_QUBITS:
@@ -91,7 +67,6 @@ class StateVector:
             raise ValueError(f"state is not normalised: |amplitudes|^2 = {norm_sq}")
         self.n_qubits = n_qubits
         self.amplitudes = amps
-        self.memo = None
 
     @classmethod
     def _wrap(cls, n_qubits: int, amps: np.ndarray) -> "StateVector":
@@ -100,7 +75,6 @@ class StateVector:
         state = object.__new__(cls)
         state.n_qubits = n_qubits
         state.amplitudes = amps
-        state.memo = None
         return state
 
     def __repr__(self) -> str:
@@ -254,14 +228,8 @@ def measure_computational(
     Returns the bit and the collapsed, renormalised state.
     """
     _check_qubit(state, q)
-    node = _entry(state, ("z", q))
-    if node.p_one is None:
-        node.p_one = _p_one(state, state.amplitudes, q)
-    bit = _sample_bit(node.p_one, rng)
-    collapsed = node.below[bit]
-    if collapsed is None:
-        _, collapsed = project_computational(state, q, bit)
-        collapsed = node.below[bit] = _inherit_memo(state, collapsed)
+    bit = _sample_bit(_probability_of_one(state.amplitudes, state.n_qubits, q), rng)
+    _, collapsed = project_computational(state, q, bit)
     return bit, collapsed
 
 
@@ -298,27 +266,9 @@ def bell_measure(
     _check_qubit(state, q2)
     if q1 == q2:
         raise ValueError("Bell measurement needs two distinct qubits")
-    rotated = halfway = None
-    first = _entry(state, ("bell", q1, q2))
-    if first.p_one is None:
-        rotated = _rotate_from_pair_basis(state, q1, q2)
-        first.p_one = _p_one(state, rotated.amplitudes, q1)
-    b1 = _sample_bit(first.p_one, rng)
-    second = first.below[b1]
-    if second is None:
-        if rotated is None:
-            rotated = _rotate_from_pair_basis(state, q1, q2)
-        _, halfway = project_computational(rotated, q1, b1)
-        second = first.below[b1] = _Node(_p_one(state, halfway.amplitudes, q2))
-    b2 = _sample_bit(second.p_one, rng)
-    collapsed = second.below[b2]
-    if collapsed is None:
-        if halfway is None:
-            _, halfway = project_computational(_rotate_from_pair_basis(state, q1, q2), q1, b1)
-        _, collapsed = project_computational(halfway, q2, b2)
-        collapsed = _rotate_to_pair_basis(collapsed, q1, q2)
-        collapsed = second.below[b2] = _inherit_memo(state, collapsed)
-    return BELL_LABELS[2 * b1 + b2], collapsed
+    b1, rotated = measure_computational(_rotate_from_pair_basis(state, q1, q2), q1, rng)
+    b2, rotated = measure_computational(rotated, q2, rng)
+    return BELL_LABELS[2 * b1 + b2], _rotate_to_pair_basis(rotated, q1, q2)
 
 
 def bell_project(state: StateVector, q1: int, q2: int, label: BellLabel) -> tuple[float, StateVector | None]:
@@ -379,78 +329,6 @@ def _rotate_from_pair_basis(state: StateVector, q1: int, q2: int) -> StateVector
 
 def _rotate_to_pair_basis(state: StateVector, q1: int, q2: int) -> StateVector:
     return apply_cnot(apply_hadamard(state, q1), q1, q2)
-
-
-# ---------------------------------------------------------------------------
-# Memoised states.
-
-def memo_root(state: StateVector) -> StateVector:
-    """Read-only copy of ``state`` that starts an empty measurement memo.
-
-    For stabilizer registers only: measurements on the result assert that
-    every Born probability is 0, 1/2 or 1.
-    """
-    amps = state.amplitudes.copy()
-    amps.flags.writeable = False
-    root = StateVector._wrap(state.n_qubits, amps)
-    root.memo = {}
-    return root
-
-
-def derived(state: StateVector, key, build) -> StateVector:
-    """``build(state)``, kept in the memo of a memoised ``state`` under ``key``.
-
-    For the steps of a memoised run that are not measurements, such as
-    attaching an ancilla; the result is memoised too.  On a plain state this
-    is ``build(state)``.
-    """
-    memo = state.memo
-    if memo is None:
-        return build(state)
-    out = memo.get(("derived", key))
-    if out is None:
-        out = memo[("derived", key)] = memo_root(build(state))
-    return out
-
-
-class _Node:
-    """One measurement in a memo: the Born probability of reading 1 and,
-    per bit, what follows it (the state handed back, or the next
-    measurement of the same Bell measurement)."""
-
-    __slots__ = ("p_one", "below")
-
-    def __init__(self, p_one: float | None = None) -> None:
-        self.p_one = p_one
-        self.below = [None, None]
-
-
-def _entry(state: StateVector, key: tuple) -> _Node:
-    # The memo node of one measurement; a fresh node that nothing keeps when
-    # the state is plain.
-    memo = state.memo
-    if memo is None:
-        return _Node()
-    node = memo.get(key)
-    if node is None:
-        node = memo[key] = _Node()
-    return node
-
-
-def _inherit_memo(parent: StateVector, child: StateVector) -> StateVector:
-    return child if parent.memo is None else memo_root(child)
-
-
-def _p_one(state: StateVector, amps: np.ndarray, q: int) -> float:
-    # Born probability of reading 1 on qubit q of ``amps``, ``state`` or a
-    # rotation of it; snapped when ``state`` is memoised (module docstring).
-    p_one = _probability_of_one(amps, state.n_qubits, q)
-    if state.memo is None:
-        return p_one
-    snapped = round(2 * p_one) / 2
-    if not abs(p_one - snapped) < 1e-9:
-        raise AssertionError(f"Born probability {p_one} of a memoised state is not 0, 1/2 or 1")
-    return snapped
 
 
 def _sample_bit(p_one: float, rng: np.random.Generator) -> int:

@@ -1,13 +1,14 @@
 """Every random draw of a seeded run is a fair coin.
 
 The (2,2) registers are Clifford circuits on stabilizer inputs, so every
-Born probability a sampled run meets is 0, 1/2 or 1 and the run draws only
-at 1/2: a fixed number of coins per attack spec, whatever the seed.  A
-golden hash pins the seed -> transcript map of both schemes.
-"""
+exact conditional probability of an outcome bit is 0, 1/2 or 1.  A sampled
+(2,2) run walks coin trees folded from the exact branches and draws only at
+1/2: a fixed number of coins per attack spec, whatever the seed.  A golden
+hash pins the seed -> transcript map of both schemes."""
 
 import hashlib
 import math
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -89,9 +90,13 @@ def test_each_spec_draws_a_fixed_number_of_coins(spec, counted):
 
 
 def test_memoised_states_hold_only_stabilizer_probabilities():
-    root = statevec.memo_root(statevec.single_qubit(0.6, 0.8))
-    with pytest.raises(AssertionError, match="0, 1/2 or 1"):
-        statevec.measure_computational(root, 0, protocol.make_rng(0))
+    # sqrt(1/4)|00> + sqrt(3/4)|10>: dyadic branch weights 1/4 and 3/4, so
+    # the enumerator accepts it, but its first bit is no fair coin.
+    state = statevec.StateVector(2, [0.5, 0, math.sqrt(0.75), 0])
+    steps = (protocol.Step("z", (0,), "eve"),)
+    assert [p for p, _ in protocol._enumerate_steps(state, steps)] == [Fraction(1, 4), Fraction(3, 4)]
+    with pytest.raises(AssertionError, match="3/4 is not 0, 1/2 or 1"):
+        protocol._coin_tree(state, steps)
 
 
 def test_golden_transcripts():

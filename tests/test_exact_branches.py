@@ -1,12 +1,15 @@
 """The exact branch sets behind the secrecy and detection-rate claims.
 
-``protocol`` writes each phase once as a step list, and two readers run it:
-the sampler of a seeded run and the exact enumerator.  These tests pin the
+``protocol`` writes each phase once as a step list, and the exact
+enumerator is its one reader in the (2,2) scheme: a seeded (2,2) run walks
+a coin tree folded from the enumerated branches.  These tests pin the
 enumerator's splitting and token-phase branches, per attack spec, to a walk
-written here that projects one outcome label at a time, check the sampler
-against the enumerator on every step list, check the dyadic snap that turns
-Born probabilities into rationals, and check that a cold exact pass keeps no
-state beyond the package's lru caches.
+written here that projects one outcome label at a time, check both the tree
+walk and the plain-register sampler against the enumerator on every step
+list, check every coin sequence of a full run against the exact detection
+rate, check the dyadic snap that turns Born probabilities into rationals,
+and check that a cold exact pass keeps no state beyond the package's lru
+caches.
 """
 
 import inspect
@@ -165,18 +168,24 @@ class ScriptedCoins:
         raise OutOfCoins
 
 
-def sampled_leaves(root, steps):
-    """Every set of outcomes the sampler can produce from ``root``, each
-    weighted 2^-coins by the fair coins it drew."""
-    leaves = {}
+def coin_sequences(run):
+    """``run(rng)``'s result for every script of fair coins it can read,
+    keyed by the script."""
+    results = {}
     pending = [()]
     while pending:
         script = pending.pop()
         try:
-            results, _ = protocol._sample_steps(root, steps, ScriptedCoins(script))
+            results[script] = run(ScriptedCoins(script))
         except OutOfCoins:
             pending += [script + (0.25,), script + (0.75,)]
-            continue
+    return results
+
+
+def weighted(sequences):
+    """Each set of outcomes, weighted 2^-coins by the fair coins drawn."""
+    leaves = {}
+    for script, results in sequences.items():
         leaf = frozenset(results.items())
         leaves[leaf] = leaves.get(leaf, 0) + Fraction(1, 2 ** len(script))
     return leaves
@@ -184,9 +193,17 @@ def sampled_leaves(root, steps):
 
 def enumerated(state, steps):
     branches = protocol._enumerate_steps(state, steps)
-    leaves = {frozenset(results.items()): p for p, results in branches}
+    leaves = {frozenset(protocol._named(steps, outcomes).items()): p for p, outcomes in branches}
     assert len(leaves) == len(branches)
     return leaves
+
+
+def assert_readers_agree(state, steps, tree):
+    walked = coin_sequences(lambda rng: protocol._walk(tree, rng))
+    sampled = coin_sequences(lambda rng: protocol._sample_steps(state, steps, rng)[0])
+    # The same coins, in the same order, lead both to the same outcomes.
+    assert walked == sampled
+    assert weighted(walked) == enumerated(state, steps)
 
 
 def test_sampler_and_enumerator_agree_on_every_step_list():
@@ -195,15 +212,37 @@ def test_sampler_and_enumerator_agree_on_every_step_list():
     splitting_lists = {protocol.splitting_steps(a, True) for a in attacks}
     assert (len(token_lists), len(splitting_lists)) == (3, 5)
     for steps, (pair_a, pair_b) in product(token_lists, product(BELL_LABELS, repeat=2)):
-        root = protocol._token_root(pair_a, pair_b)
-        plain = protocol.prepare_token_register(pair_a, pair_b)
-        assert sampled_leaves(root, steps) == enumerated(plain, steps)
-    for steps, secret, pair1, pair2 in product(splitting_lists, (0, 1), BELL_LABELS, BELL_LABELS):
-        root = protocol._splitting_root(secret, pair1, pair2)
-        plain = protocol.prepare_splitting_register(
-            statevec.computational_state([secret]), pair1, pair2
+        assert_readers_agree(
+            protocol.prepare_token_register(pair_a, pair_b),
+            steps,
+            protocol._token_tree(pair_a, pair_b, steps),
         )
-        assert sampled_leaves(root, steps) == enumerated(plain, steps)
+    for steps, secret, pair1, pair2 in product(splitting_lists, (0, 1), BELL_LABELS, BELL_LABELS):
+        assert_readers_agree(
+            protocol.prepare_splitting_register(
+                statevec.computational_state([secret]), pair1, pair2
+            ),
+            steps,
+            protocol._splitting_tree(secret, pair1, pair2, steps),
+        )
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_every_coin_sequence_of_a_run_sums_to_the_exact_rate(spec, monkeypatch):
+    # The run's acceptance glue as well as its phases: each scripted run is
+    # one leaf of the whole run, weighted 2^-coins.
+    attack = AttackModel.from_spec(spec)
+    rejected = Fraction(0)
+    for secret in (0, 1):
+
+        def run(rng):
+            monkeypatch.setattr(protocol, "make_rng", lambda seed: rng)
+            return protocol.run_qss22(secret, 0, attack).outcome
+
+        for script, outcome in coin_sequences(run).items():
+            if outcome == "rejected":
+                rejected += Fraction(1, 2 ** len(script))
+    assert rejected / 2 == security.exact_detection_rate(attack)
 
 
 def test_security_leaves_the_circuits_to_protocol():

@@ -83,7 +83,7 @@ def test_token_round_agrees_for_every_outcome(pairs):
 
 def test_run_auth_tokens_honest_records_match():
     for seed in range(50):
-        result = run_auth_tokens(None, make_rng(seed))
+        result = run_auth_tokens(make_rng(seed))
         assert result.records == result.codes
 
 
@@ -91,7 +91,7 @@ def test_token_outcomes_are_uniform():
     counts = {label: 0 for label in BELL_LABELS}
     trials = 10000
     for seed in range(trials):
-        result = run_auth_tokens(None, make_rng(seed))
+        result = run_auth_tokens(make_rng(seed))
         counts[result.codes[RECEIVER_1]] += 1
     # each outcome has probability 1/4; allow 3 sigma
     sigma = (trials * 0.25 * 0.75) ** 0.5
