@@ -86,6 +86,55 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
+# Philox4x64-10 (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as
+# easy as 1, 2, 3", SC'11): the multipliers and the key increments.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The high and low words of the 128-bit products a * b, built from
+    # 32-bit halves so that no partial sum overflows 64 bits.
+    a_hi, a_lo = np.uint64(a >> 32), np.uint64(a & 0xFFFFFFFF)
+    b_hi, b_lo = b >> 32, b & _LOW32
+    low = a_lo * b_lo
+    middle = a_hi * b_lo + (low >> 32)
+    other = a_lo * b_hi + (middle & _LOW32)
+    return a_hi * b_hi + (middle >> 32) + (other >> 32), np.uint64(a) * b
+
+
+def philox_words(keys: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` raw words of ``np.random.Philox(key=k)`` for each
+    uint64 key ``k`` of ``keys``, as an array of shape (len(keys), count).
+
+    numpy's Philox increments its counter before it fills each block of
+    four words, so the first block is the cipher of counter 1.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)[:, None]
+    blocks = -(-count // 4)
+    x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (len(keys), blocks))
+    x1 = x2 = x3 = np.zeros_like(x0)
+    for r in range(_PHILOX_ROUNDS):
+        k0 = keys + np.uint64(r * _PHILOX_W[0] % (MAX_SEED + 1))
+        k1 = np.uint64(r * _PHILOX_W[1] % (MAX_SEED + 1))
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    return np.stack((x0, x1, x2, x3), axis=-1).reshape(len(keys), 4 * blocks)[:, :count]
+
+
+def fair_coins(keys: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` coins ``make_rng(k)`` gives each key: whether
+    each ``random()`` draw is below 1/2, the branch a coin-tree walk takes.
+
+    ``random()`` is ``(w >> 11) * 2^-53`` for the next raw word ``w``, so
+    it is below 1/2 exactly when the word's top bit is 0.
+    """
+    return philox_words(keys, count) < np.uint64(1 << 63)
+
+
 # ---------------------------------------------------------------------------
 # Attack models.
 
@@ -683,6 +732,27 @@ def _splitting_tree(secret_bit: int, pair1: BellLabel, pair2: BellLabel, steps: 
     # run.
     secret = statevec.computational_state([secret_bit])
     return _coin_tree(prepare_splitting_register(secret, pair1, pair2), steps)
+
+
+def coin_count(attack: AttackModel) -> int:
+    """How many coins a seeded (2,2) run under the attack draws: the depth
+    of R1's token tree, of R2's and of one splitting tree.
+
+    Every leaf of a tree sits at one depth, and the 32 splitting trees of
+    one step list differ only by Paulis on their inputs, so they share it
+    (a test checks both); the first path of each tree gives its depth.
+    """
+    trees = [
+        _token_tree(*DEFAULT_AUTH_PAIRS[receiver], token_steps(target, attack))
+        for receiver, target in _TOKEN_TARGETS.items()
+    ]
+    trees.append(_splitting_tree(0, PHI_PLUS, PHI_PLUS, splitting_steps(attack, True)))
+    count = 0
+    for tree in trees:
+        while type(tree) is tuple:
+            tree = tree[0]
+            count += 1
+    return count
 
 
 def _record_splitting(transcript: _TranscriptBuilder | None, results: Mapping) -> None:

@@ -299,19 +299,71 @@ def interval_around_rate(rate: float, trials: int, z: float = Z_99) -> tuple[flo
     return max(0.0, rate - half), min(1.0, rate + half)
 
 
+# Trials whose coins one numpy pass computes: it bounds the arrays a sweep
+# holds, whatever its trial count.
+_CHUNK_TRIALS = 4096
+
+
+@lru_cache(maxsize=None)
+def _leaf_table(attack: AttackModel) -> tuple[np.ndarray, list[tuple[bool, tuple[str, ...]]]]:
+    # ``leaves`` holds the distinct outcomes of runs under the attack:
+    # whether the run was rejected, and its first three public payloads.
+    # ``positions`` gives, for each (coins, secret) pattern of a run
+    # (_trial_leaves), where its leaf sits in ``leaves``, or -1 until a
+    # trial first draws the pattern.
+    return np.full(2 << protocol.coin_count(attack), -1, dtype=np.int16), []
+
+
+def _trial_keys(seed: int, start: int, stop: int) -> np.ndarray:
+    # The seeds (seed + i) mod 2^64 of trials start <= i < stop, as uint64.
+    return np.arange(start, stop, dtype=np.uint64) + np.uint64(seed % (protocol.MAX_SEED + 1))
+
+
+def _trial_leaves(attack: AttackModel, trials: int, seed: int):
+    """Yield ``((rejected, public payloads), count)`` over the distinct
+    outcomes of ``trials`` seeded (2,2) runs under the attack.
+
+    Trial ``i`` runs with seed ``(seed + i) mod 2^64`` and secret ``i mod 2``.
+    A run's transcript is a function of the attack, its secret and its
+    :func:`protocol.coin_count` coins, apart from the seed in its header, so
+    the trials' coins are computed in one numpy pass per chunk
+    (:func:`protocol.fair_coins`), and each (coins, secret) pattern not yet
+    in :func:`_leaf_table` costs one full :func:`run_qss22`, which builds
+    and validates its transcript.
+    """
+    coins = protocol.coin_count(attack)
+    positions, leaves = _leaf_table(attack)
+    weights = 1 << np.arange(coins)
+    for start in range(0, trials, _CHUNK_TRIALS):
+        stop = min(start + _CHUNK_TRIALS, trials)
+        keys = _trial_keys(seed, start, stop)
+        secrets = np.arange(start, stop) & 1
+        patterns = protocol.fair_coins(keys, coins) @ weights | secrets << coins
+        for i in np.flatnonzero(positions[patterns] < 0).tolist():
+            pattern = int(patterns[i])
+            if positions[pattern] >= 0:  # an earlier trial of the chunk drew it
+                continue
+            transcript = run_qss22(pattern >> coins, int(keys[i]), attack)
+            payloads = tuple(event.payload for event in transcript.public_messages()[:3])
+            leaf = (transcript.outcome == "rejected", payloads)
+            if leaf not in leaves:
+                leaves.append(leaf)
+            positions[pattern] = leaves.index(leaf)
+        counts = np.bincount(positions[patterns], minlength=len(leaves))
+        yield from ((leaf, count) for leaf, count in zip(leaves, counts.tolist()) if count)
+
+
 def attack_sweep(attack: AttackModel, trials: int, seed: int) -> AttackSweepReport:
     """Run the (2,2) scheme ``trials`` times under the attack and compare the
     rejection fraction with the exact branch-enumeration rate.
 
     Trial ``i`` runs with seed ``(seed + i) mod 2^64`` and secret ``i mod 2``,
-    so every trial is reproducible in isolation.
+    so every trial is reproducible in isolation.  Trials that draw the same
+    coins with the same secret share one full run (:func:`_trial_leaves`).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    detections = 0
-    for i in range(trials):
-        transcript = run_qss22(i % 2, (seed + i) % (protocol.MAX_SEED + 1), attack)
-        detections += transcript.outcome == "rejected"
+    detections = sum(count for (rejected, _), count in _trial_leaves(attack, trials, seed) if rejected)
     rate = detections / trials
     exact = exact_detection_rate(attack)
     low, high = interval_around_rate(float(exact), trials)
@@ -375,25 +427,25 @@ def _exact_message_stats(values: list, secrets: list[int]) -> tuple[bool, bool]:
 def public_transcript_uniformity(trials: int, seed: int) -> UniformityReport:
     """Check that every public classical message is uniform over its range
     and independent of the secret: exactly, by enumeration over the 512
-    honest cases, and empirically with a chi-square test over seeded runs."""
+    honest cases, and empirically with a chi-square test over seeded runs.
+
+    Trial ``i`` is the honest run with seed ``(seed + i) mod 2^64`` and
+    secret ``i mod 2``; its three public messages are counted.  Trials that
+    draw the same coins with the same secret share one full run
+    (:func:`_trial_leaves`).
+    """
     cases = enumerate_honest_cases()
     secrets = [c.secret for c in cases]
+    # In the order the run publishes them.
     exact = {
         "masked-swap-token": _exact_message_stats([c.masked_tokens[0] for c in cases], secrets),
         "masked-cipher-token": _exact_message_stats([c.masked_tokens[1] for c in cases], secrets),
         "published-teleport-bsm": _exact_message_stats([c.teleport_bsm for c in cases], secrets),
     }
     empirical: dict[str, dict[str, int]] = {name: {} for name in exact}
-    for i in range(trials):
-        transcript = run_qss22(i % 2, (seed + i) % (protocol.MAX_SEED + 1))
-        public = transcript.public_messages()
-        observed = {
-            "masked-swap-token": public[0].payload,
-            "masked-cipher-token": public[1].payload,
-            "published-teleport-bsm": public[2].payload,
-        }
-        for name, value in observed.items():
-            empirical[name][value] = empirical[name].get(value, 0) + 1
+    for (_, payloads), count in _trial_leaves(NO_ATTACK, trials, seed):
+        for name, value in zip(exact, payloads):
+            empirical[name][value] = empirical[name].get(value, 0) + count
     messages = {}
     sizes = {"masked-swap-token": 4, "masked-cipher-token": 2, "published-teleport-bsm": 4}
     for name, (uniform, independent) in exact.items():

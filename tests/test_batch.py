@@ -1,0 +1,265 @@
+"""Batched sweeps: every trial's coins in one numpy pass, one full run per
+distinct (coins, secret) pattern.
+
+A seeded (2,2) run draws a fixed number of fair coins, and coin j of the
+run with seed k is the top bit of raw word j of ``Philox(key=k)``.  The
+sweeps compute those words for all trials at once with a vectorised
+Philox4x64-10 and run one full :func:`run_qss22` per pattern they have not
+seen.  These tests pin the words against numpy, the coin counts against
+the trees, and the reports byte for byte against the scalar loop the
+sweeps used to run, which is kept here as the reference.
+"""
+
+import hashlib
+import random
+from itertools import product
+
+import numpy as np
+import pytest
+
+from qsshare import cli, protocol, security
+from qsshare.bell import BELL_LABELS
+from qsshare.protocol import MAX_SEED, AttackModel, run_qss22
+from qsshare.security import (
+    AttackSweepReport,
+    MessageUniformity,
+    UniformityReport,
+    attack_sweep,
+    public_transcript_uniformity,
+    report_to_jsonl,
+)
+from test_draws import SPECS, TEN_COIN_SPECS
+
+# Keys at the edges of the 64-bit range, and a few drawn at random.
+KEY_GRID = (0, 1, 2, 7, 2**32, 2**63, 2**64 - 1, 12345678901234567890) + tuple(
+    random.Random(8).getrandbits(64) for _ in range(24)
+)
+# ``qsshare analyze --attack SPEC --trials 1000 --format structured`` for
+# the 13 specs, stdout concatenated in SPECS order; computed with the
+# scalar sweep before the batched one replaced it.
+GOLDEN_ANALYZE = "1c1bd2500014128b71e7aea9367ce4bec4d5e2dae2de7ac9d044e6dbf0e224f5"
+
+
+def scalar_attack_sweep(attack, trials, seed):
+    # The sweep as a loop of full runs, one per trial.
+    detections = 0
+    for i in range(trials):
+        transcript = run_qss22(i % 2, (seed + i) % (MAX_SEED + 1), attack)
+        detections += transcript.outcome == "rejected"
+    rate = detections / trials
+    exact = security.exact_detection_rate(attack)
+    low, high = security.interval_around_rate(float(exact), trials)
+    return AttackSweepReport(
+        attack=attack.spec_string,
+        trials=trials,
+        detections=detections,
+        detection_rate=rate,
+        ci99=security.wilson_interval(detections, trials),
+        exact_rate=float(exact),
+        exact_rate_rational=f"{exact.numerator}/{exact.denominator}",
+        consistent=low <= rate <= high,
+    )
+
+
+def scalar_uniformity(trials, seed):
+    # The uniformity sweep as a loop of full runs, one per trial.
+    cases = security.enumerate_honest_cases()
+    secrets = [c.secret for c in cases]
+    exact = {
+        "masked-swap-token": security._exact_message_stats([c.masked_tokens[0] for c in cases], secrets),
+        "masked-cipher-token": security._exact_message_stats([c.masked_tokens[1] for c in cases], secrets),
+        "published-teleport-bsm": security._exact_message_stats([c.teleport_bsm for c in cases], secrets),
+    }
+    empirical = {name: {} for name in exact}
+    for i in range(trials):
+        public = run_qss22(i % 2, (seed + i) % (MAX_SEED + 1)).public_messages()
+        for name, event in zip(exact, public):
+            empirical[name][event.payload] = empirical[name].get(event.payload, 0) + 1
+    sizes = {"masked-swap-token": 4, "masked-cipher-token": 2, "published-teleport-bsm": 4}
+    messages = {}
+    for name, (uniform, independent) in exact.items():
+        counts = empirical[name]
+        observed = [counts.get(v, 0) for v in security._message_domain(name)]
+        messages[name] = MessageUniformity(
+            values=sizes[name],
+            exact_uniform=uniform,
+            exact_secret_independent=independent,
+            empirical_counts=dict(sorted(counts.items())),
+            chi_square_p=security._uniform_chi_square_p(observed) if trials else 1.0,
+        )
+    return UniformityReport(trials=trials, messages=messages)
+
+
+@pytest.fixture
+def counted_calls(monkeypatch):
+    # Counts the full runs a sweep makes and the generators they key.
+    calls = {"run_qss22": 0, "make_rng": 0}
+    real_run, real_make_rng = security.run_qss22, protocol.make_rng
+
+    def counting_run(*args):
+        calls["run_qss22"] += 1
+        return real_run(*args)
+
+    def counting_make_rng(seed):
+        calls["make_rng"] += 1
+        return real_make_rng(seed)
+
+    monkeypatch.setattr(security, "run_qss22", counting_run)
+    monkeypatch.setattr(protocol, "make_rng", counting_make_rng)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# The vectorised Philox.
+
+def test_philox_words_match_numpy():
+    words = protocol.philox_words(np.array(KEY_GRID, dtype=np.uint64), 12)
+    assert words.shape == (len(KEY_GRID), 12)
+    for key, row in zip(KEY_GRID, words):
+        assert row.tolist() == np.random.Philox(key=key).random_raw(12).tolist(), key
+
+
+@pytest.mark.parametrize("count", [1, 4, 5, 8, 10])
+def test_philox_words_cut_to_any_count(count):
+    keys = np.array(KEY_GRID[:6], dtype=np.uint64)
+    assert (protocol.philox_words(keys, count) == protocol.philox_words(keys, 12)[:, :count]).all()
+
+
+def test_trial_keys_wrap_past_the_last_seed():
+    keys = security._trial_keys(2**64 - 3, 0, 6)
+    assert keys.tolist() == [2**64 - 3, 2**64 - 2, 2**64 - 1, 0, 1, 2]
+    words = protocol.philox_words(keys, 12)
+    for i, row in enumerate(words):
+        expected = np.random.Philox(key=(2**64 - 3 + i) % 2**64).random_raw(12)
+        assert row.tolist() == expected.tolist()
+
+
+def test_fair_coins_are_the_draws_a_run_compares():
+    coins = protocol.fair_coins(np.array(KEY_GRID, dtype=np.uint64), 10)
+    for key, row in zip(KEY_GRID, coins):
+        rng = protocol.make_rng(key)
+        assert row.tolist() == [rng.random() < 0.5 for _ in range(10)], key
+
+
+# ---------------------------------------------------------------------------
+# Coin counts.
+
+def _leaf_depths(tree, depth=0):
+    if type(tree) is not tuple:
+        return {depth}
+    return _leaf_depths(tree[0], depth + 1) | _leaf_depths(tree[1], depth + 1)
+
+
+def test_every_leaf_of_a_step_list_sits_at_one_depth():
+    attacks = [AttackModel.from_spec(spec) for spec in SPECS]
+    token_lists = {
+        (receiver, protocol.token_steps(target, attack))
+        for attack in attacks
+        for receiver, target in protocol._TOKEN_TARGETS.items()
+    }
+    for receiver, steps in token_lists:
+        pair_a, pair_b = protocol.DEFAULT_AUTH_PAIRS[receiver]
+        assert len(_leaf_depths(protocol._token_tree(pair_a, pair_b, steps))) == 1, steps
+    splitting_lists = {protocol.splitting_steps(attack, True) for attack in attacks}
+    for steps in splitting_lists:
+        depths = set()
+        for secret, pair1, pair2 in product((0, 1), BELL_LABELS, BELL_LABELS):
+            depths |= _leaf_depths(protocol._splitting_tree(secret, pair1, pair2, steps))
+        assert len(depths) == 1, steps
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_coin_count_is_the_pinned_draw_count(spec):
+    expected = 10 if spec in TEN_COIN_SPECS else 8
+    assert protocol.coin_count(AttackModel.from_spec(spec)) == expected
+
+
+# ---------------------------------------------------------------------------
+# Byte identity with the scalar loop.
+
+def test_attack_sweeps_match_the_scalar_loop_across_the_last_seed():
+    seed = 2**64 - 500
+    for spec in SPECS:
+        attack = AttackModel.from_spec(spec)
+        expected = report_to_jsonl(scalar_attack_sweep(attack, 1000, seed))
+        assert report_to_jsonl(attack_sweep(attack, 1000, seed)) == expected, spec
+
+
+@pytest.mark.parametrize("seed", [0, 9, 2**64 - 300])
+def test_uniformity_matches_the_scalar_loop(seed):
+    expected = report_to_jsonl(scalar_uniformity(1000, seed))
+    assert report_to_jsonl(public_transcript_uniformity(1000, seed)) == expected
+
+
+def test_analyze_attack_reports_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for spec in SPECS:
+        cli.main(["analyze", "--attack", spec, "--trials", "1000", "--format", "structured"])
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == GOLDEN_ANALYZE
+
+
+# ---------------------------------------------------------------------------
+# Edge cases.
+
+def test_uniformity_of_no_trials():
+    report = public_transcript_uniformity(0, 5)
+    assert report_to_jsonl(report) == report_to_jsonl(scalar_uniformity(0, 5))
+    assert all(m.empirical_counts == {} and m.chi_square_p == 1.0 for m in report.messages.values())
+
+
+@pytest.mark.parametrize("seed", [-7, 2**64 + 11])
+def test_out_of_range_library_seeds(seed):
+    attack = AttackModel.from_spec("intercept-resend-computational:auth-r2")
+    expected = report_to_jsonl(scalar_attack_sweep(attack, 40, seed))
+    assert report_to_jsonl(attack_sweep(attack, 40, seed)) == expected
+    assert report_to_jsonl(public_transcript_uniformity(40, seed)) == report_to_jsonl(
+        scalar_uniformity(40, seed)
+    )
+
+
+def test_sweeps_spanning_several_chunks(monkeypatch):
+    monkeypatch.setattr(security, "_CHUNK_TRIALS", 7)
+    attack = AttackModel.from_spec("intercept-resend-computational:auth-r2")
+    seed = 2**64 - 20
+    expected = report_to_jsonl(scalar_attack_sweep(attack, 60, seed))
+    assert report_to_jsonl(attack_sweep(attack, 60, seed)) == expected
+    assert report_to_jsonl(public_transcript_uniformity(60, seed)) == report_to_jsonl(
+        scalar_uniformity(60, seed)
+    )
+
+
+def test_a_warm_sweep_makes_no_run(counted_calls):
+    attack = AttackModel.from_spec("intercept-resend-computational:auth-r2")
+    security._leaf_table.cache_clear()
+    first = report_to_jsonl(attack_sweep(attack, 500, 3)), report_to_jsonl(
+        public_transcript_uniformity(500, 3)
+    )
+    assert 0 < counted_calls["run_qss22"] == counted_calls["make_rng"] <= 500 + 500
+    counted_calls.update(run_qss22=0, make_rng=0)
+    second = report_to_jsonl(attack_sweep(attack, 500, 3)), report_to_jsonl(
+        public_transcript_uniformity(500, 3)
+    )
+    assert second == first
+    assert counted_calls == {"run_qss22": 0, "make_rng": 0}
+
+
+def test_leaf_tables_hold_one_slot_per_pattern_and_distinct_leaves():
+    for spec in SPECS:
+        attack = AttackModel.from_spec(spec)
+        attack_sweep(attack, 3000, 1)
+        positions, leaves = security._leaf_table(attack)
+        assert len(positions) == 2 * 2 ** protocol.coin_count(attack)
+        assert len(set(leaves)) == len(leaves)
+        assert set(positions[positions >= 0].tolist()) == set(range(len(leaves)))
+        rejected = {leaf[0] for leaf in leaves}
+        rate = security.exact_detection_rate(attack)
+        assert rejected == ({False} if rate == 0 else {True} if rate == 1 else {False, True}), spec
+
+
+def test_exact_rates_read_no_leaf_table():
+    security._leaf_table.cache_clear()
+    security._splitting_branches.cache_clear()
+    for spec in SPECS:
+        security.exact_detection_rate(AttackModel.from_spec(spec))
+    assert security._leaf_table.cache_info()[:2] == (0, 0)
