@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 from . import bell, security, statevec
 from .bell import BELL_LABELS, BSM_OUTCOMES
@@ -38,18 +37,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass
-class RunConfig:
-    scheme: str
-    secret_bit: int | None
-    secret_amplitudes: tuple[complex, complex] | None
-    seed: int
-    trials: int
-    attack: AttackModel | None
-    out: str
-    format: str
 
 
 def parse_amplitude(text: str) -> complex:
@@ -83,37 +70,21 @@ def parse_secret_qubit(text: str) -> tuple[complex, complex]:
     return amp0, amp1
 
 
-def _parse_run_config(args: argparse.Namespace) -> RunConfig:
-    if not 0 <= args.seed <= MAX_SEED:
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= MAX_SEED:
         raise UsageError("seed must be an unsigned 64-bit integer")
-    if args.trials < 1:
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
         raise UsageError("trials must be at least 1")
-    attack = None
-    if args.attack:
-        if args.scheme == "qss55":
-            raise UsageError("attack models are only defined for qss22")
-        try:
-            attack = AttackModel.from_spec(args.attack)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    secret_bit = None
-    secret_amplitudes = None
-    if args.scheme == "qss22":
-        if args.secret not in ("0", "1"):
-            raise UsageError("qss22 shares a single bit: --secret 0 or 1")
-        secret_bit = int(args.secret)
-    else:
-        secret_amplitudes = parse_secret_qubit(args.secret)
-    return RunConfig(
-        scheme=args.scheme,
-        secret_bit=secret_bit,
-        secret_amplitudes=secret_amplitudes,
-        seed=args.seed,
-        trials=args.trials,
-        attack=attack,
-        out=args.out,
-        format=args.format,
-    )
+
+
+def _parse_attack(spec: str) -> AttackModel:
+    try:
+        return AttackModel.from_spec(spec)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _write(out: str, content: str) -> None:
@@ -128,31 +99,40 @@ def _write(out: str, content: str) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _parse_run_config(args)
+    _check_seed(args.seed)
+    _check_trials(args.trials)
+    attack = None
+    if args.attack:
+        if args.scheme == "qss55":
+            raise UsageError("attack models are only defined for qss22")
+        attack = _parse_attack(args.attack)
+    if args.scheme == "qss22":
+        if args.secret not in ("0", "1"):
+            raise UsageError("qss22 shares a single bit: --secret 0 or 1")
+        secret = int(args.secret)
+    else:
+        secret = parse_secret_qubit(args.secret)
     chunks: list[str] = []
     any_rejected = False
-    for i in range(config.trials):
-        trial_seed = (config.seed + i) % (MAX_SEED + 1)
-        if config.scheme == "qss22":
-            transcript = run_qss22(config.secret_bit, trial_seed, config.attack)
-            rejected = (
-                transcript.outcome == "rejected"
-                or transcript.reconstructed != config.secret_bit
-            )
+    for i in range(args.trials):
+        trial_seed = (args.seed + i) % (MAX_SEED + 1)
+        if args.scheme == "qss22":
+            transcript = run_qss22(secret, trial_seed, attack)
+            rejected = transcript.outcome == "rejected" or transcript.reconstructed != secret
             summary = (
                 f"trial={i} scheme=qss22 seed={trial_seed} outcome={transcript.outcome}"
                 f" reconstructed={transcript.reconstructed}"
             )
         else:
-            transcript, _ = run_qss55(config.secret_amplitudes, trial_seed)
+            transcript, _ = run_qss55(secret, trial_seed)
             rejected = transcript.reconstruction_fidelity < 1 - 1e-12
             summary = (
                 f"trial={i} scheme=qss55 seed={trial_seed} outcome={transcript.outcome}"
                 f" fidelity={transcript.reconstruction_fidelity!r}"
             )
         any_rejected = any_rejected or rejected
-        chunks.append(transcript.to_jsonl() if config.format == "structured" else summary + "\n")
-    _write(config.out, "".join(chunks))
+        chunks.append(transcript.to_jsonl() if args.format == "structured" else summary + "\n")
+    _write(args.out, "".join(chunks))
     return EXIT_REJECTED if any_rejected else EXIT_OK
 
 
@@ -186,8 +166,7 @@ def cmd_verify_tables(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     if bool(args.view) == bool(args.attack):
         raise UsageError("analyze needs exactly one of --view or --attack")
-    if not 0 <= args.seed <= MAX_SEED:
-        raise UsageError("seed must be an unsigned 64-bit integer")
+    _check_seed(args.seed)
     if args.view:
         try:
             report = security.mutual_information_22(args.view)
@@ -199,12 +178,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f" cases={report.cases_enumerated} exact={report.exact}\n"
         )
     else:
-        if args.trials < 1:
-            raise UsageError("trials must be at least 1")
-        try:
-            attack = AttackModel.from_spec(args.attack)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        _check_trials(args.trials)
+        attack = _parse_attack(args.attack)
         report = security.attack_sweep(attack, args.trials, args.seed)
         text = (
             f"attack={report.attack} trials={report.trials}"

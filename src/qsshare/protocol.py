@@ -476,21 +476,16 @@ def _attach_ancilla(state: StateVector) -> StateVector:
     return statevec.apply_cnot(state, 4, 5)
 
 
-def _note(results: dict, name: str, outcome: BellLabel | int) -> None:
-    # Keeps one outcome under its name; the eavesdropper's outcomes join
-    # into one bit string, in step order.
-    if name == "eve":
-        bits = outcome.bits if isinstance(outcome, BellLabel) else str(outcome)
-        results["eve"] = results.get("eve", "") + bits
-    else:
-        results[name] = outcome
-
-
 def _named(steps: tuple[Step, ...], outcomes: tuple) -> dict:
-    # The outcomes of the measurement steps, in step order, by name (_note).
+    # The outcomes of the measurement steps, in step order, by name; the
+    # eavesdropper's outcomes join into one bit string, in step order.
     results: dict = {}
     for step, outcome in zip((step for step in steps if step.kind != "ancilla"), outcomes):
-        _note(results, step.name, outcome)
+        if step.name == "eve":
+            bits = outcome.bits if isinstance(outcome, BellLabel) else str(outcome)
+            results["eve"] = results.get("eve", "") + bits
+        else:
+            results[step.name] = outcome
     return results
 
 
@@ -498,25 +493,6 @@ def _positions(steps: tuple[Step, ...], *names: str) -> list[int]:
     # Where the outcome of each named step sits in an enumerated branch.
     measured = [step.name for step in steps if step.kind != "ancilla"]
     return [measured.index(name) for name in names]
-
-
-def _sample_steps(
-    state: StateVector, steps: tuple[Step, ...], rng: np.random.Generator
-) -> tuple[dict, StateVector]:
-    # Runs ``steps`` on ``state``, drawing each outcome from ``rng``; returns
-    # the outcomes by name (see _note) and the final state.  The (5,5) run's
-    # qubit secret has no finite set of coin trees, so it samples this way.
-    results: dict = {}
-    for kind, qubits, name in steps:
-        if kind == "bell":
-            outcome, state = statevec.bell_measure(state, qubits[0], qubits[1], rng)
-        elif kind == "z":
-            outcome, state = statevec.measure_computational(state, qubits[0], rng)
-        else:
-            state = _attach_ancilla(state)
-            continue
-        _note(results, name, outcome)
-    return results, state
 
 
 def _dyadic(probability: float, n_qubits: int) -> Fraction:
@@ -592,8 +568,8 @@ def _coin_tree(state: StateVector, steps: tuple[Step, ...]):
     skipped; one of 1/2 becomes a coin, a pair ``(tree if 0, tree if 1)``;
     any other raises.  A leaf is the branch's outcomes by name, read-only
     because every run that reaches it shares it.  Walking the tree with
-    :func:`_walk` draws the coins :func:`_sample_steps` draws on the same
-    steps and reaches the same outcomes.
+    :func:`_walk` draws one uniform per coin and reads 1 below 1/2, as a
+    sampler drawing each uncertain bit as ``random() < p(1)`` would.
     """
     enumerated = _enumerate_steps(state, steps)
     # Every weight is a multiple of 2^-k, so one scale makes them integers.
@@ -728,8 +704,7 @@ def prepare_splitting_register(secret: StateVector, pair1: BellLabel, pair2: Bel
 
 @lru_cache(maxsize=None)
 def _splitting_tree(secret_bit: int, pair1: BellLabel, pair2: BellLabel, steps: tuple[Step, ...]):
-    # The coin tree (_coin_tree) of the splitting phase of the sampled (2,2)
-    # run.
+    # The coin tree (_coin_tree) of the splitting phase of a sampled run.
     secret = statevec.computational_state([secret_bit])
     return _coin_tree(prepare_splitting_register(secret, pair1, pair2), steps)
 
@@ -755,17 +730,16 @@ def coin_count(attack: AttackModel) -> int:
     return count
 
 
-def _record_splitting(transcript: _TranscriptBuilder | None, results: Mapping) -> None:
+def _record_splitting(transcript: _TranscriptBuilder, results: Mapping) -> None:
     # The splitting phase's sends and its receivers' and sender's
     # measurements, from the outcomes by name.
-    if transcript:
-        transcript.quantum_send(SENDER, RECEIVER_1, "split-pair1-half")
-        transcript.quantum_send(SENDER, RECEIVER_1, "split-pair2-half")
-        transcript.quantum_send(SENDER, RECEIVER_2, "split-cipher-qubit")
-        transcript.measurement(RECEIVER_1, "bell", results["swap"].bits)
-        transcript.measurement(SENDER, "bell", results["tele"].bits)
-        if "cipher" in results:
-            transcript.measurement(RECEIVER_2, "computational", str(results["cipher"]))
+    transcript.quantum_send(SENDER, RECEIVER_1, "split-pair1-half")
+    transcript.quantum_send(SENDER, RECEIVER_1, "split-pair2-half")
+    transcript.quantum_send(SENDER, RECEIVER_2, "split-cipher-qubit")
+    transcript.measurement(RECEIVER_1, "bell", results["swap"].bits)
+    transcript.measurement(SENDER, "bell", results["tele"].bits)
+    if "cipher" in results:
+        transcript.measurement(RECEIVER_2, "computational", str(results["cipher"]))
 
 
 def run_splitting_22(
@@ -773,8 +747,8 @@ def run_splitting_22(
     pair1: BellLabel,
     pair2: BellLabel,
     rng: np.random.Generator,
-    transcript: _TranscriptBuilder | None = None,
-    attack: AttackModel = NO_ATTACK,
+    transcript: _TranscriptBuilder,
+    attack: AttackModel,
 ) -> SplitResult:
     """Splitting phase of the (2,2) scheme on a computational-basis secret."""
     if secret_bit not in (0, 1):
@@ -809,27 +783,22 @@ def splitting_branch(
     pair2: BellLabel,
     swap_bsm: BellLabel,
     teleport_bsm: BellLabel,
-    order: str = "swap-first",
-) -> tuple[float, StateVector | None]:
-    """Deterministic splitting run postselected on both measurement outcomes.
+) -> tuple[float, StateVector]:
+    """The honest splitting phase postselected on both Bell outcomes.
 
-    Returns the branch probability and R2's (unmeasured) qubit state; used
-    by the exhaustive enumerations and the oracle sweeps.
+    Projects the Bell steps of :func:`splitting_steps` in step order, each
+    onto the outcome of its name.  Returns the branch probability, 1/16 for
+    every pair of outcomes whatever the secret, and the state of R2's qubit:
+    the one the cipher step would measure, left unmeasured here.
     """
     state = prepare_splitting_register(secret, pair1, pair2)
-    if order == "swap-first":
-        projections = ((2, 3, swap_bsm), (0, 1, teleport_bsm))
-    elif order == "teleport-first":
-        projections = ((0, 1, teleport_bsm), (2, 3, swap_bsm))
-    else:
-        raise ValueError(f"unknown measurement order {order!r}")
+    outcomes = {"swap": swap_bsm, "tele": teleport_bsm}
+    *bell_steps, cipher_step = splitting_steps(NO_ATTACK, True)
     probability = 1.0
-    for q1, q2, outcome in projections:
-        p, state = statevec.bell_project(state, q1, q2, outcome)
-        if state is None:
-            return 0.0, None
+    for _, qubits, name in bell_steps:
+        p, state = statevec.bell_project(state, *qubits, outcomes[name])
         probability *= p
-    return probability, statevec.extract_pure_qubit(state, 4)
+    return probability, statevec.extract_pure_qubit(state, *cipher_step.qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -1042,14 +1011,16 @@ def run_qss55(
     pair2 = BELL_LABELS[int(rng.integers(4))]
     builder.classical(SENDER, RECEIVER_3, pair1.bits, private=True)
     builder.classical(SENDER, RECEIVER_4, pair2.bits, private=True)
-    state = prepare_splitting_register(secret, pair1, pair2)
-    results, state = _sample_steps(state, splitting_steps(NO_ATTACK, False), rng)
+    # The swap and teleport outcomes are uniform whatever the secret qubit
+    # (the teleportation property), so the coin tree of secret 0 stands in.
+    results = _walk(_splitting_tree(0, pair1, pair2, splitting_steps(NO_ATTACK, False)), rng)
     _record_splitting(builder, results)
     builder.classical(SENDER, RECEIVER_5, results["tele"].bits, private=True)
 
+    _, encrypted = splitting_branch(secret, pair1, pair2, results["swap"], results["tele"])
     shares = ShareSet55(
         swap_bsm=results["swap"],
-        encrypted_qubit=statevec.extract_pure_qubit(state, 4),
+        encrypted_qubit=encrypted,
         pair1_label=pair1,
         pair2_label=pair2,
         teleport_bsm=results["tele"],

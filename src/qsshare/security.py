@@ -432,8 +432,11 @@ def public_transcript_uniformity(trials: int, seed: int) -> UniformityReport:
     Trial ``i`` is the honest run with seed ``(seed + i) mod 2^64`` and
     secret ``i mod 2``; its three public messages are counted.  Trials that
     draw the same coins with the same secret share one full run
-    (:func:`_trial_leaves`).
+    (:func:`_trial_leaves`).  No trials report p = 1; a negative count
+    raises ``ValueError``.
     """
+    if trials < 0:
+        raise ValueError(f"trials must not be negative, got {trials}")
     cases = enumerate_honest_cases()
     secrets = [c.secret for c in cases]
     # In the order the run publishes them.
@@ -447,13 +450,12 @@ def public_transcript_uniformity(trials: int, seed: int) -> UniformityReport:
         for name, value in zip(exact, payloads):
             empirical[name][value] = empirical[name].get(value, 0) + count
     messages = {}
-    sizes = {"masked-swap-token": 4, "masked-cipher-token": 2, "published-teleport-bsm": 4}
     for name, (uniform, independent) in exact.items():
         counts = empirical[name]
-        observed_counts = [counts.get(v, 0) for v in _message_domain(name)]
-        chi_p = _uniform_chi_square_p(observed_counts) if trials else 1.0
+        domain = _message_domain(name)
+        chi_p = _uniform_chi_square_p([counts.get(v, 0) for v in domain]) if trials else 1.0
         messages[name] = MessageUniformity(
-            values=sizes[name],
+            values=len(domain),
             exact_uniform=uniform,
             exact_secret_independent=independent,
             empirical_counts=dict(sorted(counts.items())),

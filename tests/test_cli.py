@@ -179,12 +179,33 @@ def test_analyze_writes_report_file(tmp_path, capsys):
         ["analyze"],
         ["analyze", "--view", "nonsense"],
         ["analyze", "--attack", "r1-lie"],
+        ["analyze", "--attack", "laser"],
+        ["analyze", "--view", "r2-alone", "--seed", "-1"],
+        ["analyze", "--attack", "token-flip", "--seed", str(2**64)],
+        ["analyze", "--attack", "token-flip", "--trials", "0"],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys):
     code, _, err = run_main(argv, capsys)
     assert code == EXIT_USAGE
     assert "error" in err
+
+
+@pytest.mark.parametrize("command", [["run", "--secret", "1"], ["analyze"]])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--attack", "token-flip", "--seed", "-1", "--trials", "0"], "seed must be an unsigned 64-bit integer"),
+        (["--attack", "laser", "--trials", "0"], "trials must be at least 1"),
+        (["--attack", "laser"], "unknown attack kind 'laser'"),
+    ],
+)
+def test_run_and_analyze_share_their_checks(command, flags, message, capsys):
+    # The same messages, checked in the same order: seed, trials, spec.
+    code, out, err = run_main(command + flags, capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"qsshare: error: {message}\n"
 
 
 @pytest.mark.parametrize(

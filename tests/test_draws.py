@@ -3,14 +3,17 @@
 The (2,2) registers are Clifford circuits on stabilizer inputs, so every
 exact conditional probability of an outcome bit is 0, 1/2 or 1.  A sampled
 (2,2) run walks coin trees folded from the exact branches and draws only at
-1/2: a fixed number of coins per attack spec, whatever the seed.  A golden
-hash pins the seed -> transcript map of both schemes."""
+1/2: a fixed number of coins per attack spec, whatever the seed.  A (5,5)
+run draws its two pair labels as integers and then walks the honest
+splitting tree of secret 0: four coins, whatever the qubit secret.  A
+golden hash pins the seed -> transcript map of both schemes."""
 
 import hashlib
 import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from qsshare import protocol, statevec
@@ -57,15 +60,20 @@ GOLDEN_QSS55 = "608b41b9f8bac54172fe50e7fff13fb72d455c93f3f489f05a64f96f6d783ea4
 
 
 class CountingRng:
-    """Generator stand-in that counts the uniforms a run draws."""
+    """Generator stand-in that counts the uniforms and integers a run draws."""
 
     def __init__(self, rng):
         self.rng = rng
         self.draws = 0
+        self.integer_draws = 0
 
     def random(self):
         self.draws += 1
         return self.rng.random()
+
+    def integers(self, *args):
+        self.integer_draws += 1
+        return self.rng.integers(*args)
 
 
 @pytest.fixture
@@ -87,6 +95,15 @@ def test_each_spec_draws_a_fixed_number_of_coins(spec, counted):
     for seed, secret in product(range(300), (0, 1)):
         protocol.run_qss22(secret, seed, attack)
     assert {rng.draws for rng in counted} == {10 if spec in TEN_COIN_SPECS else 8}
+
+
+def test_each_qss55_run_draws_two_integers_and_four_coins(counted):
+    # The two pair labels, then the swap and teleport outcomes.
+    secrets = np.random.default_rng(55)
+    for seed in range(300):
+        amplitudes = secrets.normal(size=2) + 1j * secrets.normal(size=2)
+        protocol.run_qss55(tuple(amplitudes / np.linalg.norm(amplitudes)), seed)
+    assert {(rng.integer_draws, rng.draws) for rng in counted} == {(2, 4)}
 
 
 def test_memoised_states_hold_only_stabilizer_probabilities():

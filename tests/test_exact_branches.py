@@ -1,15 +1,16 @@
 """The exact branch sets behind the secrecy and detection-rate claims.
 
 ``protocol`` writes each phase once as a step list, and the exact
-enumerator is its one reader in the (2,2) scheme: a seeded (2,2) run walks
-a coin tree folded from the enumerated branches.  These tests pin the
-enumerator's splitting and token-phase branches, per attack spec, to a walk
-written here that projects one outcome label at a time, check both the tree
-walk and the plain-register sampler against the enumerator on every step
-list, check every coin sequence of a full run against the exact detection
-rate, check the dyadic snap that turns Born probabilities into rationals,
-and check that a cold exact pass keeps no state beyond the package's lru
-caches.
+enumerator is its one sampling reader: every seeded run walks a coin tree
+folded from the enumerated branches.  These tests pin the enumerator's
+splitting and token-phase branches, per attack spec, to a walk written here
+that projects one outcome label at a time, check the tree walk against a
+plain-register Born sampler written here and against the enumerator on
+every step list, check the (5,5) run's walk of the secret-0 tree and its
+postselected cipher qubit against that sampler on qubit secrets, check
+every coin sequence of a full run against the exact detection rate, check
+the dyadic snap that turns Born probabilities into rationals, and check
+that a cold exact pass keeps no state beyond the package's lru caches.
 """
 
 import inspect
@@ -20,6 +21,7 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qsshare import protocol, security, statevec
@@ -191,6 +193,23 @@ def weighted(sequences):
     return leaves
 
 
+def sample_steps(state, steps, rng):
+    """Runs ``steps`` on the plain register ``state``, drawing each outcome
+    with statevec's Born sampler; returns the outcomes by name and the
+    final state."""
+    outcomes = []
+    for kind, qubits, _ in steps:
+        if kind == "bell":
+            outcome, state = statevec.bell_measure(state, *qubits, rng)
+        elif kind == "z":
+            outcome, state = statevec.measure_computational(state, *qubits, rng)
+        else:
+            state = protocol._attach_ancilla(state)
+            continue
+        outcomes.append(outcome)
+    return protocol._named(steps, tuple(outcomes)), state
+
+
 def enumerated(state, steps):
     branches = protocol._enumerate_steps(state, steps)
     leaves = {frozenset(protocol._named(steps, outcomes).items()): p for p, outcomes in branches}
@@ -200,7 +219,7 @@ def enumerated(state, steps):
 
 def assert_readers_agree(state, steps, tree):
     walked = coin_sequences(lambda rng: protocol._walk(tree, rng))
-    sampled = coin_sequences(lambda rng: protocol._sample_steps(state, steps, rng)[0])
+    sampled = coin_sequences(lambda rng: sample_steps(state, steps, rng)[0])
     # The same coins, in the same order, lead both to the same outcomes.
     assert walked == sampled
     assert weighted(walked) == enumerated(state, steps)
@@ -225,6 +244,49 @@ def test_sampler_and_enumerator_agree_on_every_step_list():
             steps,
             protocol._splitting_tree(secret, pair1, pair2, steps),
         )
+
+
+def random_qubits(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        amplitudes = rng.normal(size=2) + 1j * rng.normal(size=2)
+        yield statevec.single_qubit(*amplitudes / np.linalg.norm(amplitudes))
+
+
+def test_swap_and_teleport_outcomes_are_uniform_for_any_qubit_secret():
+    # Why the (5,5) run may walk the tree of secret 0: the joint outcome
+    # distribution does not depend on the secret.
+    rng = np.random.default_rng(16)
+    for secret in random_qubits(240, 1995):
+        pair1, pair2 = (BELL_LABELS[i] for i in rng.integers(4, size=2))
+        state = protocol.prepare_splitting_register(secret, pair1, pair2)
+        joint = statevec.joint_distribution(state, [(2, 3), (0, 1)])
+        assert np.abs(joint - 1 / 16).max() < 1e-12
+
+
+def test_qss55_walk_and_postselection_match_the_sampler():
+    # Every coin sequence leads the tree walk and the Born sampler to the
+    # same outcomes and the same bits of R2's qubit.
+    steps = protocol.splitting_steps(NO_ATTACK, False)
+    secrets = list(random_qubits(3, 1993))
+    for (pair1, pair2), secret in product(product(BELL_LABELS, repeat=2), secrets):
+        tree = protocol._splitting_tree(0, pair1, pair2, steps)
+        state = protocol.prepare_splitting_register(secret, pair1, pair2)
+
+        def walked(rng):
+            results = protocol._walk(tree, rng)
+            _, qubit = protocol.splitting_branch(
+                secret, pair1, pair2, results["swap"], results["tele"]
+            )
+            return dict(results), qubit.amplitudes.tobytes()
+
+        def sampled(rng):
+            results, after = sample_steps(state, steps, rng)
+            return results, statevec.extract_pure_qubit(after, 4).amplitudes.tobytes()
+
+        walks = coin_sequences(walked)
+        assert len(walks) == 16 and all(len(script) == 4 for script in walks)
+        assert walks == coin_sequences(sampled)
 
 
 @pytest.mark.parametrize("spec", SPECS)

@@ -1,10 +1,11 @@
-"""The memoised coin trees of the sampled (2,2) run.
+"""The memoised coin trees of the sampled runs.
 
 A sampled run walks lru-cached coin trees, one per register and step list,
 folded from the exact enumerator's branches.  These tests pin that reusing
 them changes nothing a run does: the transcripts and the number of random
 draws of a run are the same whether every tree it walks is built afresh or
-read from the cache, and only the sampled (2,2) run reads them.
+read from the cache, a (5,5) run reads only the honest splitting trees
+without the cipher measurement, and the exact enumeration reads none.
 """
 
 from itertools import product
@@ -123,7 +124,9 @@ def test_warm_runs_call_no_statevec_measurement(monkeypatch):
 
 
 def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
-    # Both measure registers themselves and never read a coin tree.
+    # qss55 walks the no-cipher splitting trees of secret 0 and postselects
+    # its own register; the exact enumeration measures registers itself and
+    # never reads a coin tree.  Neither samples a register.
     seen = []
 
     def spy(name):
@@ -137,10 +140,29 @@ def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
 
     for name in MEASUREMENTS:
         spy(name)
+    read = []
+    real_splitting_tree = protocol._splitting_tree
+
+    def recorded_tree(*key):
+        read.append(key)
+        return real_splitting_tree(*key)
+
+    monkeypatch.setattr(protocol, "_splitting_tree", recorded_tree)
     clear_trees()
-    protocol.run_qss55((0.6, 0.8j), 5)
+    for seed in range(20):
+        protocol.run_qss55((0.6, 0.8j), seed)
+    no_cipher = protocol.splitting_steps(protocol.NO_ATTACK, False)
+    assert len(read) == 20
+    assert {(secret, steps) for secret, _, _, steps in read} == {(0, no_cipher)}
+    assert protocol._token_tree.cache_info()[:2] == (0, 0)
+    assert "bell_project" in seen
+    assert not {"bell_measure", "measure_computational"} & set(seen)
+
+    seen.clear()
+    clear_trees()
     security._splitting_branches.cache_clear()
     for spec in SPECS:
         security.exact_detection_rate(AttackModel.from_spec(spec))
-    assert {"bell_measure", "bell_project", "project_computational", "joint_distribution"} <= set(seen)
+    assert {"bell_project", "project_computational", "joint_distribution"} <= set(seen)
+    assert not {"bell_measure", "measure_computational"} & set(seen)
     assert [tree.cache_info()[:2] for tree in TREES] == [(0, 0), (0, 0)]

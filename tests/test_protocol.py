@@ -32,6 +32,7 @@ from qsshare.protocol import (
     ShareSet22,
     ShareSet55,
     make_rng,
+    prepare_splitting_register,
     prepare_token_register,
     reconstruct22,
     reconstruct55,
@@ -44,13 +45,13 @@ from qsshare.protocol import (
 )
 
 
-def enumerate_honest(order="swap-first"):
+def enumerate_honest():
     for secret in (0, 1):
         probe = statevec.computational_state([secret])
         for pair1, pair2 in product(BELL_LABELS, repeat=2):
             for swap in BSM_OUTCOMES:
                 for tele in BSM_OUTCOMES:
-                    prob, qubit = splitting_branch(probe, pair1, pair2, swap, tele, order)
+                    prob, qubit = splitting_branch(probe, pair1, pair2, swap, tele)
                     cipher = int(abs(qubit.amplitudes[1]) ** 2 > 0.5)
                     yield secret, pair1, pair2, swap, tele, prob, cipher
 
@@ -128,20 +129,19 @@ def test_exhaustive_decode_recovers_secret():
 
 
 def test_measurement_order_is_irrelevant():
-    # The swap and teleport measurements act on disjoint qubits; both orders
-    # give identical branch probabilities and cipher bits on all 512 cases.
-    first = list(enumerate_honest("swap-first"))
-    second = list(enumerate_honest("teleport-first"))
-    for a, b in zip(first, second):
-        assert a[:5] == b[:5]
-        assert abs(a[5] - b[5]) < 1e-12
-        assert a[6] == b[6]
-
-
-def test_splitting_branch_rejects_unknown_order():
-    probe = statevec.computational_state([0])
-    with pytest.raises(ValueError):
-        splitting_branch(probe, PHI_PLUS, PHI_PLUS, BellLabel(0, 0), BellLabel(0, 0), "sideways")
+    # The swap and teleport measurements act on disjoint qubits; projecting
+    # the teleport pair first gives identical branch probabilities and
+    # cipher bits on all 512 cases.
+    seen = 0
+    for secret, pair1, pair2, swap, tele, prob, cipher in enumerate_honest():
+        state = prepare_splitting_register(statevec.computational_state([secret]), pair1, pair2)
+        p_tele, state = statevec.bell_project(state, 0, 1, tele)
+        p_swap, state = statevec.bell_project(state, 2, 3, swap)
+        assert abs(p_tele * p_swap - prob) < 1e-12
+        qubit = statevec.extract_pure_qubit(state, 4)
+        assert int(abs(qubit.amplitudes[1]) ** 2 > 0.5) == cipher
+        seen += 1
+    assert seen == 512
 
 
 # ---------------------------------------------------------------------------

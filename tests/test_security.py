@@ -229,6 +229,13 @@ def test_public_messages_are_uniform_and_secret_independent():
         assert message.exact_secret_independent, name
         assert message.chi_square_p > 1e-3, (name, message.chi_square_p)
         assert sum(message.empirical_counts.values()) == 2000
+    assert [m.values for m in report.messages.values()] == [4, 2, 4]
+
+
+@pytest.mark.parametrize("trials", [-1, -1000])
+def test_uniformity_rejects_a_negative_trial_count(trials):
+    with pytest.raises(ValueError, match=f"trials must not be negative, got {trials}"):
+        public_transcript_uniformity(trials, 0)
 
 
 # Reference values of the chi-square survival function and of Pearson's
