@@ -305,10 +305,8 @@ def decode_classical(cipher_bit: int, corr: PauliCorrection) -> int:
 # ---------------------------------------------------------------------------
 # Table verification.
 
-def diff_teleport_table(generated: dict | None = None) -> list[str]:
+def diff_teleport_table(generated: dict) -> list[str]:
     """Rows of the generated teleport table that disagree with the reference."""
-    if generated is None:
-        generated = generate_teleport_table()
     rows = []
     for channel in BELL_LABELS:
         for outcome in BSM_OUTCOMES:
@@ -322,10 +320,8 @@ def diff_teleport_table(generated: dict | None = None) -> list[str]:
     return rows
 
 
-def diff_swap_table(generated: dict | None = None) -> list[str]:
+def diff_swap_table(generated: dict) -> list[str]:
     """Rows of the generated swap table that disagree with the reference."""
-    if generated is None:
-        generated = generate_swap_table()
     rows = []
     for pair_a, pair_b in product(BELL_LABELS, repeat=2):
         for outcome in BSM_OUTCOMES:

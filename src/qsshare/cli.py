@@ -13,7 +13,7 @@ import sys
 
 from . import bell, security, statevec
 from .bell import BELL_LABELS, BSM_OUTCOMES
-from .protocol import MAX_SEED, AttackModel, run_qss22, run_qss55
+from .protocol import MAX_SEED, NO_ATTACK, AttackModel, run_qss22, run_qss55
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -101,7 +101,7 @@ def _write(out: str, content: str) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
     _check_trials(args.trials)
-    attack = None
+    attack = NO_ATTACK
     if args.attack:
         if args.scheme == "qss55":
             raise UsageError("attack models are only defined for qss22")

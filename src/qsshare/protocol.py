@@ -127,7 +127,7 @@ def philox_words(keys: np.ndarray, count: int) -> np.ndarray:
 
 def fair_coins(keys: np.ndarray, count: int) -> np.ndarray:
     """The first ``count`` coins ``make_rng(k)`` gives each key: whether
-    each ``random()`` draw is below 1/2, the branch a coin-tree walk takes.
+    each ``random()`` draw is below 1/2, the bit :func:`_draw` reads.
 
     ``random()`` is ``(w >> 11) * 2^-53`` for the next raw word ``w``, so
     it is below 1/2 exactly when the word's top bit is 0.
@@ -416,7 +416,7 @@ def validate_transcript(transcript: Transcript) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Phase steps, their exact enumeration and its coin trees.
+# Phase steps, their exact enumeration and its branch tables.
 
 class Step(NamedTuple):
     """One step of a phase: ``kind`` ``"z"`` measures ``qubits[0]`` in the
@@ -559,53 +559,31 @@ def _fork(state, weight, outcomes, leading, trailing, branches) -> None:
         branches.append((weight * p, outcomes + tuple(map(tuple.__getitem__, read, index))))
 
 
-def _coin_tree(state: StateVector, steps: tuple[Step, ...]):
-    """The branches of ``steps`` on ``state`` as a tree of fair coins.
+def _branch_table(state: StateVector, steps: tuple[Step, ...]) -> tuple[Mapping, ...]:
+    """The outcomes by name of each branch of ``steps`` on ``state``, for
+    :func:`_draw` to index with fair coins.
 
-    Each branch reads as a bit sequence: a Bell outcome is its z bit, then
-    its x bit, and a computational outcome is its bit.  A bit whose exact
-    conditional probability, given the bits before it, is 0 or 1 is
-    skipped; one of 1/2 becomes a coin, a pair ``(tree if 0, tree if 1)``;
-    any other raises.  A leaf is the branch's outcomes by name, read-only
-    because every run that reaches it shares it.  Walking the tree with
-    :func:`_walk` draws one uniform per coin and reads 1 below 1/2, as a
-    sampler drawing each uncertain bit as ``random() < p(1)`` would.
+    The branches must be 2^d equally likely ones; any other distribution
+    raises.  They are sorted by their bits (a Bell outcome orders by its z
+    bit, then its x bit), so d coins read as a binary number index them.
+    Each row is read-only because every run that draws it shares it.
     """
     enumerated = _enumerate_steps(state, steps)
-    # Every weight is a multiple of 2^-k, so one scale makes them integers.
-    scale = max(p.denominator for p, _ in enumerated)
-    branches = []
-    for p, outcomes in enumerated:
-        bits = []
-        for outcome in outcomes:
-            bits += (outcome.z, outcome.x) if isinstance(outcome, BellLabel) else (outcome,)
-        leaf = MappingProxyType(_named(steps, outcomes))
-        branches.append((p.numerator * (scale // p.denominator), bits, leaf))
-    return _fold(branches, 0)
+    count = len(enumerated)
+    if count & (count - 1) or any(p != Fraction(1, count) for p, _ in enumerated):
+        weights = ", ".join(str(p) for p, _ in enumerated)
+        raise AssertionError(f"branch weights {weights} are not 2^d equal shares")
+    by_bits = sorted(enumerated, key=lambda branch: branch[1])
+    return tuple(MappingProxyType(_named(steps, outcomes)) for _, outcomes in by_bits)
 
 
-def _fold(branches: list, depth: int):
-    # The tree of (integer weight, bits, leaf) ``branches``, which share
-    # their first ``depth`` bits.
-    total = sum(weight for weight, _, _ in branches)
-    while len(branches) > 1:
-        ones = [branch for branch in branches if branch[1][depth]]
-        weight = sum(weight for weight, _, _ in ones)
-        if 2 * weight == total:
-            zeros = [branch for branch in branches if not branch[1][depth]]
-            return (_fold(zeros, depth + 1), _fold(ones, depth + 1))
-        if weight not in (0, total):
-            share = Fraction(weight, total)
-            raise AssertionError(f"conditional probability {share} is not 0, 1/2 or 1")
-        depth += 1
-    return branches[0][2]
-
-
-def _walk(tree, rng: np.random.Generator) -> Mapping:
-    # The leaf of a coin tree that ``rng``'s fair coins lead to.
-    while type(tree) is tuple:
-        tree = tree[rng.random() < 0.5]
-    return tree
+def _draw(table: tuple[Mapping, ...], rng: np.random.Generator) -> Mapping:
+    # The row of a branch table that ``rng``'s fair coins, most significant
+    # first, index.
+    index = 0
+    for _ in range(len(table).bit_length() - 1):
+        index = 2 * index + (rng.random() < 0.5)
+    return table[index]
 
 
 # ---------------------------------------------------------------------------
@@ -632,15 +610,15 @@ def prepare_token_register(pair_a: BellLabel, pair_b: BellLabel) -> StateVector:
 
 
 @lru_cache(maxsize=None)
-def _token_tree(pair_a: BellLabel, pair_b: BellLabel, steps: tuple[Step, ...]):
-    # The coin tree (_coin_tree) of a token round of the sampled run.
-    return _coin_tree(prepare_token_register(pair_a, pair_b), steps)
+def _token_table(pair_a: BellLabel, pair_b: BellLabel, steps: tuple[Step, ...]):
+    # The branch table (_branch_table) of a token round of the sampled run.
+    return _branch_table(prepare_token_register(pair_a, pair_b), steps)
 
 
 def run_auth_tokens(
     rng: np.random.Generator,
-    transcript: _TranscriptBuilder | None = None,
-    attack: AttackModel = NO_ATTACK,
+    transcript: _TranscriptBuilder,
+    attack: AttackModel,
 ) -> AuthResult:
     """Token phase of the (2,2) scheme.
 
@@ -655,18 +633,16 @@ def run_auth_tokens(
     eavesdropped: dict[str, str] = {}
     for receiver, target in _TOKEN_TARGETS.items():
         pair_a, pair_b = DEFAULT_AUTH_PAIRS[receiver]
-        if transcript:
-            transcript.quantum_send(SENDER, receiver, "token-pair1-half")
-            transcript.quantum_send(SENDER, receiver, "token-pair2-half")
-        results = _walk(_token_tree(pair_a, pair_b, token_steps(target, attack)), rng)
+        transcript.quantum_send(SENDER, receiver, "token-pair1-half")
+        transcript.quantum_send(SENDER, receiver, "token-pair2-half")
+        results = _draw(_token_table(pair_a, pair_b, token_steps(target, attack)), rng)
         code, observed = results["code"], results["observed"]
         codes[receiver] = code
         records[receiver] = infer_remote_bsm(pair_a, pair_b, observed)
         if "eve" in results:
             eavesdropped[target] = results["eve"]
-        if transcript:
-            transcript.measurement(receiver, "bell", code.bits)
-            transcript.measurement(SENDER, "bell", observed.bits)
+        transcript.measurement(receiver, "bell", code.bits)
+        transcript.measurement(SENDER, "bell", observed.bits)
     return AuthResult(codes=codes, records=records, eavesdropped=eavesdropped)
 
 
@@ -703,31 +679,25 @@ def prepare_splitting_register(secret: StateVector, pair1: BellLabel, pair2: Bel
 
 
 @lru_cache(maxsize=None)
-def _splitting_tree(secret_bit: int, pair1: BellLabel, pair2: BellLabel, steps: tuple[Step, ...]):
-    # The coin tree (_coin_tree) of the splitting phase of a sampled run.
+def _splitting_table(secret_bit: int, pair1: BellLabel, pair2: BellLabel, steps: tuple[Step, ...]):
+    # The branch table (_branch_table) of the splitting phase of a sampled run.
     secret = statevec.computational_state([secret_bit])
-    return _coin_tree(prepare_splitting_register(secret, pair1, pair2), steps)
+    return _branch_table(prepare_splitting_register(secret, pair1, pair2), steps)
 
 
 def coin_count(attack: AttackModel) -> int:
-    """How many coins a seeded (2,2) run under the attack draws: the depth
-    of R1's token tree, of R2's and of one splitting tree.
+    """How many coins a seeded (2,2) run under the attack draws: the index
+    widths of R1's token table, of R2's and of one splitting table.
 
-    Every leaf of a tree sits at one depth, and the 32 splitting trees of
-    one step list differ only by Paulis on their inputs, so they share it
-    (a test checks both); the first path of each tree gives its depth.
+    The 32 splitting tables of one step list differ only by Paulis on their
+    inputs, so they have one length (a test checks it).
     """
-    trees = [
-        _token_tree(*DEFAULT_AUTH_PAIRS[receiver], token_steps(target, attack))
+    tables = [
+        _token_table(*DEFAULT_AUTH_PAIRS[receiver], token_steps(target, attack))
         for receiver, target in _TOKEN_TARGETS.items()
     ]
-    trees.append(_splitting_tree(0, PHI_PLUS, PHI_PLUS, splitting_steps(attack, True)))
-    count = 0
-    for tree in trees:
-        while type(tree) is tuple:
-            tree = tree[0]
-            count += 1
-    return count
+    tables.append(_splitting_table(0, PHI_PLUS, PHI_PLUS, splitting_steps(attack, True)))
+    return sum(len(table).bit_length() - 1 for table in tables)
 
 
 def _record_splitting(transcript: _TranscriptBuilder, results: Mapping) -> None:
@@ -753,7 +723,7 @@ def run_splitting_22(
     """Splitting phase of the (2,2) scheme on a computational-basis secret."""
     if secret_bit not in (0, 1):
         raise ValueError(f"secret bit must be 0 or 1, got {secret_bit}")
-    results = _walk(_splitting_tree(secret_bit, pair1, pair2, splitting_steps(attack, True)), rng)
+    results = _draw(_splitting_table(secret_bit, pair1, pair2, splitting_steps(attack, True)), rng)
     _record_splitting(transcript, results)
     return SplitResult(
         swap_bsm=results["swap"],
@@ -920,7 +890,7 @@ def reconstruct55(shares: ShareSet55) -> StateVector:
 def run_qss22(
     secret_bit: int,
     seed: int,
-    attack: AttackModel | None = None,
+    attack: AttackModel = NO_ATTACK,
 ) -> Transcript:
     """One full (2,2) run: tokens, splitting, authentication, combining.
 
@@ -929,7 +899,6 @@ def run_qss22(
     """
     if secret_bit not in (0, 1):
         raise ValueError(f"secret bit must be 0 or 1, got {secret_bit}")
-    attack = attack or NO_ATTACK
     rng = make_rng(seed)
     builder = _TranscriptBuilder(seed, "qss22")
 
@@ -1012,8 +981,8 @@ def run_qss55(
     builder.classical(SENDER, RECEIVER_3, pair1.bits, private=True)
     builder.classical(SENDER, RECEIVER_4, pair2.bits, private=True)
     # The swap and teleport outcomes are uniform whatever the secret qubit
-    # (the teleportation property), so the coin tree of secret 0 stands in.
-    results = _walk(_splitting_tree(0, pair1, pair2, splitting_steps(NO_ATTACK, False)), rng)
+    # (the teleportation property), so the branch table of secret 0 stands in.
+    results = _draw(_splitting_table(0, pair1, pair2, splitting_steps(NO_ATTACK, False)), rng)
     _record_splitting(builder, results)
     builder.classical(SENDER, RECEIVER_5, results["tele"].bits, private=True)
 

@@ -6,7 +6,7 @@ run with seed k is the top bit of raw word j of ``Philox(key=k)``.  The
 sweeps compute those words for all trials at once with a vectorised
 Philox4x64-10 and run one full :func:`run_qss22` per pattern they have not
 seen.  These tests pin the words against numpy, the coin counts against
-the trees, and the reports byte for byte against the scalar loop the
+the tables, and the reports byte for byte against the scalar loop the
 sweeps used to run, which is kept here as the reference.
 """
 
@@ -144,28 +144,15 @@ def test_fair_coins_are_the_draws_a_run_compares():
 # ---------------------------------------------------------------------------
 # Coin counts.
 
-def _leaf_depths(tree, depth=0):
-    if type(tree) is not tuple:
-        return {depth}
-    return _leaf_depths(tree[0], depth + 1) | _leaf_depths(tree[1], depth + 1)
-
-
-def test_every_leaf_of_a_step_list_sits_at_one_depth():
+def test_all_32_splitting_tables_of_a_step_list_have_one_length():
+    # coin_count reads the index width of one splitting table per step list.
     attacks = [AttackModel.from_spec(spec) for spec in SPECS]
-    token_lists = {
-        (receiver, protocol.token_steps(target, attack))
-        for attack in attacks
-        for receiver, target in protocol._TOKEN_TARGETS.items()
-    }
-    for receiver, steps in token_lists:
-        pair_a, pair_b = protocol.DEFAULT_AUTH_PAIRS[receiver]
-        assert len(_leaf_depths(protocol._token_tree(pair_a, pair_b, steps))) == 1, steps
-    splitting_lists = {protocol.splitting_steps(attack, True) for attack in attacks}
-    for steps in splitting_lists:
-        depths = set()
-        for secret, pair1, pair2 in product((0, 1), BELL_LABELS, BELL_LABELS):
-            depths |= _leaf_depths(protocol._splitting_tree(secret, pair1, pair2, steps))
-        assert len(depths) == 1, steps
+    for steps in {protocol.splitting_steps(attack, True) for attack in attacks}:
+        lengths = {
+            len(protocol._splitting_table(secret, pair1, pair2, steps))
+            for secret, pair1, pair2 in product((0, 1), BELL_LABELS, BELL_LABELS)
+        }
+        assert len(lengths) == 1, steps
 
 
 @pytest.mark.parametrize("spec", SPECS)

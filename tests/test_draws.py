@@ -1,12 +1,13 @@
 """Every random draw of a seeded run is a fair coin.
 
 The (2,2) registers are Clifford circuits on stabilizer inputs, so every
-exact conditional probability of an outcome bit is 0, 1/2 or 1.  A sampled
-(2,2) run walks coin trees folded from the exact branches and draws only at
-1/2: a fixed number of coins per attack spec, whatever the seed.  A (5,5)
-run draws its two pair labels as integers and then walks the honest
-splitting tree of secret 0: four coins, whatever the qubit secret.  A
-golden hash pins the seed -> transcript map of both schemes."""
+exact conditional probability of an outcome bit is 0, 1/2 or 1, and each
+phase has 2^d equally likely branches.  A sampled (2,2) run indexes branch
+tables built from the exact branches with d fair coins per phase: a fixed
+number of coins per attack spec, whatever the seed.  A (5,5) run draws its
+two pair labels as integers and then indexes the honest splitting table of
+secret 0: four coins, whatever the qubit secret.  A golden hash pins the
+seed -> transcript map of both schemes."""
 
 import hashlib
 import math
@@ -112,8 +113,20 @@ def test_memoised_states_hold_only_stabilizer_probabilities():
     state = statevec.StateVector(2, [0.5, 0, math.sqrt(0.75), 0])
     steps = (protocol.Step("z", (0,), "eve"),)
     assert [p for p, _ in protocol._enumerate_steps(state, steps)] == [Fraction(1, 4), Fraction(3, 4)]
-    with pytest.raises(AssertionError, match="3/4 is not 0, 1/2 or 1"):
-        protocol._coin_tree(state, steps)
+    with pytest.raises(AssertionError, match="1/4, 3/4 are not 2\\^d equal shares"):
+        protocol._branch_table(state, steps)
+
+
+def test_a_branch_table_needs_equally_likely_branches():
+    # sqrt(1/2)|00> + sqrt(1/4)|10> + sqrt(1/4)|11>: each bit is a fair coin
+    # or certain given the bits before it, yet the branches weigh 1/2, 1/4
+    # and 1/4, so no fixed number of coins indexes them.
+    state = statevec.StateVector(2, [math.sqrt(0.5), 0, 0.5, 0.5])
+    steps = (protocol.Step("z", (0,), "eve"), protocol.Step("z", (1,), "eve"))
+    weights = [p for p, _ in protocol._enumerate_steps(state, steps)]
+    assert weights == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
+    with pytest.raises(AssertionError, match="1/2, 1/4, 1/4 are not 2\\^d equal shares"):
+        protocol._branch_table(state, steps)
 
 
 def test_golden_transcripts():

@@ -1,12 +1,12 @@
 """The exact branch sets behind the secrecy and detection-rate claims.
 
 ``protocol`` writes each phase once as a step list, and the exact
-enumerator is its one sampling reader: every seeded run walks a coin tree
-folded from the enumerated branches.  These tests pin the enumerator's
+enumerator is its one sampling reader: every seeded run indexes a branch
+table built from the enumerated branches.  These tests pin the enumerator's
 splitting and token-phase branches, per attack spec, to a walk written here
-that projects one outcome label at a time, check the tree walk against a
+that projects one outcome label at a time, check the table draw against a
 plain-register Born sampler written here and against the enumerator on
-every step list, check the (5,5) run's walk of the secret-0 tree and its
+every step list, check the (5,5) run's draw from the secret-0 table and its
 postselected cipher qubit against that sampler on qubit secrets, check
 every coin sequence of a full run against the exact detection rate, check
 the dyadic snap that turns Born probabilities into rationals, and check
@@ -217,12 +217,12 @@ def enumerated(state, steps):
     return leaves
 
 
-def assert_readers_agree(state, steps, tree):
-    walked = coin_sequences(lambda rng: protocol._walk(tree, rng))
+def assert_readers_agree(state, steps, table):
+    drawn = coin_sequences(lambda rng: protocol._draw(table, rng))
     sampled = coin_sequences(lambda rng: sample_steps(state, steps, rng)[0])
     # The same coins, in the same order, lead both to the same outcomes.
-    assert walked == sampled
-    assert weighted(walked) == enumerated(state, steps)
+    assert drawn == sampled
+    assert weighted(drawn) == enumerated(state, steps)
 
 
 def test_sampler_and_enumerator_agree_on_every_step_list():
@@ -234,7 +234,7 @@ def test_sampler_and_enumerator_agree_on_every_step_list():
         assert_readers_agree(
             protocol.prepare_token_register(pair_a, pair_b),
             steps,
-            protocol._token_tree(pair_a, pair_b, steps),
+            protocol._token_table(pair_a, pair_b, steps),
         )
     for steps, secret, pair1, pair2 in product(splitting_lists, (0, 1), BELL_LABELS, BELL_LABELS):
         assert_readers_agree(
@@ -242,7 +242,7 @@ def test_sampler_and_enumerator_agree_on_every_step_list():
                 statevec.computational_state([secret]), pair1, pair2
             ),
             steps,
-            protocol._splitting_tree(secret, pair1, pair2, steps),
+            protocol._splitting_table(secret, pair1, pair2, steps),
         )
 
 
@@ -254,7 +254,7 @@ def random_qubits(count, seed):
 
 
 def test_swap_and_teleport_outcomes_are_uniform_for_any_qubit_secret():
-    # Why the (5,5) run may walk the tree of secret 0: the joint outcome
+    # Why the (5,5) run may draw from the table of secret 0: the joint outcome
     # distribution does not depend on the secret.
     rng = np.random.default_rng(16)
     for secret in random_qubits(240, 1995):
@@ -264,17 +264,17 @@ def test_swap_and_teleport_outcomes_are_uniform_for_any_qubit_secret():
         assert np.abs(joint - 1 / 16).max() < 1e-12
 
 
-def test_qss55_walk_and_postselection_match_the_sampler():
-    # Every coin sequence leads the tree walk and the Born sampler to the
+def test_qss55_draw_and_postselection_match_the_sampler():
+    # Every coin sequence leads the table draw and the Born sampler to the
     # same outcomes and the same bits of R2's qubit.
     steps = protocol.splitting_steps(NO_ATTACK, False)
     secrets = list(random_qubits(3, 1993))
     for (pair1, pair2), secret in product(product(BELL_LABELS, repeat=2), secrets):
-        tree = protocol._splitting_tree(0, pair1, pair2, steps)
+        table = protocol._splitting_table(0, pair1, pair2, steps)
         state = protocol.prepare_splitting_register(secret, pair1, pair2)
 
-        def walked(rng):
-            results = protocol._walk(tree, rng)
+        def drawn(rng):
+            results = protocol._draw(table, rng)
             _, qubit = protocol.splitting_branch(
                 secret, pair1, pair2, results["swap"], results["tele"]
             )
@@ -284,9 +284,9 @@ def test_qss55_walk_and_postselection_match_the_sampler():
             results, after = sample_steps(state, steps, rng)
             return results, statevec.extract_pure_qubit(after, 4).amplitudes.tobytes()
 
-        walks = coin_sequences(walked)
-        assert len(walks) == 16 and all(len(script) == 4 for script in walks)
-        assert walks == coin_sequences(sampled)
+        draws = coin_sequences(drawn)
+        assert len(draws) == 16 and all(len(script) == 4 for script in draws)
+        assert draws == coin_sequences(sampled)
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -360,8 +360,8 @@ for _ in range(2):
     calls = 0
     for cache in CACHES:
         cache.cache_clear()
-    bell.diff_teleport_table()
-    bell.diff_swap_table()
+    bell.diff_teleport_table(bell.generate_teleport_table())
+    bell.diff_swap_table(bell.generate_swap_table())
     for view in security.VIEW_NAMES:
         security.mutual_information_22(view)
     for spec in SPECS:

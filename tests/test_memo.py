@@ -1,11 +1,12 @@
-"""The memoised coin trees of the sampled runs.
+"""The memoised branch tables of the sampled runs.
 
-A sampled run walks lru-cached coin trees, one per register and step list,
-folded from the exact enumerator's branches.  These tests pin that reusing
-them changes nothing a run does: the transcripts and the number of random
-draws of a run are the same whether every tree it walks is built afresh or
-read from the cache, a (5,5) run reads only the honest splitting trees
-without the cipher measurement, and the exact enumeration reads none.
+A sampled run indexes lru-cached branch tables, one per register and step
+list, built from the exact enumerator's branches.  These tests pin that
+reusing them changes nothing a run does: the transcripts and the number of
+random draws of a run are the same whether every table it reads is built
+afresh or read from the cache, a (5,5) run reads only the honest splitting
+tables without the cipher measurement, and the exact enumeration reads
+none.
 """
 
 from itertools import product
@@ -32,7 +33,7 @@ SPECS = (
     "entangle-ancilla:split-r2",
 )
 SEEDS = range(200)
-TREES = (protocol._token_tree, protocol._splitting_tree)
+TABLES = (protocol._token_table, protocol._splitting_table)
 MEASUREMENTS = (
     "measure_computational",
     "bell_measure",
@@ -54,13 +55,13 @@ class CountingRng:
         return self.rng.random()
 
 
-def clear_trees():
-    for tree in TREES:
-        tree.cache_clear()
+def clear_tables():
+    for table in TABLES:
+        table.cache_clear()
 
 
-def cached_trees():
-    return sum(tree.cache_info().currsize for tree in TREES)
+def cached_tables():
+    return sum(table.cache_info().currsize for table in TABLES)
 
 
 @pytest.fixture
@@ -87,26 +88,26 @@ def test_cold_and_warm_runs_agree(counted_runs):
         counted_runs(attack, seed)
     warm = {(attack, seed): counted_runs(attack, seed) for attack, seed in product(attacks, SEEDS)}
     for attack, seed in product(attacks, SEEDS):
-        clear_trees()
+        clear_tables()
         cold = counted_runs(attack, seed)
         assert cold == warm[attack, seed], (attack.spec_string, seed)
     assert all(draws > 0 for _, draws in warm.values())
 
 
 def test_second_rotation_adds_no_entries():
-    # A rerun of the same trials walks only trees the first rotation built,
+    # A rerun of the same trials reads only tables the first rotation built,
     # so it must find every one rather than build a new one.
-    clear_trees()
+    clear_tables()
     attacks = [AttackModel.from_spec(spec) for spec in SPECS]
     for attack in attacks:
         security.attack_sweep(attack, 300, 0)
-    entries = cached_trees()
-    misses = [tree.cache_info().misses for tree in TREES]
+    entries = cached_tables()
+    misses = [table.cache_info().misses for table in TABLES]
     assert entries > 0
     for attack in attacks:
         security.attack_sweep(attack, 300, 0)
-    assert cached_trees() == entries
-    assert [tree.cache_info().misses for tree in TREES] == misses
+    assert cached_tables() == entries
+    assert [table.cache_info().misses for table in TABLES] == misses
 
 
 def test_warm_runs_call_no_statevec_measurement(monkeypatch):
@@ -124,9 +125,9 @@ def test_warm_runs_call_no_statevec_measurement(monkeypatch):
 
 
 def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
-    # qss55 walks the no-cipher splitting trees of secret 0 and postselects
-    # its own register; the exact enumeration measures registers itself and
-    # never reads a coin tree.  Neither samples a register.
+    # qss55 indexes the no-cipher splitting tables of secret 0 and
+    # postselects its own register; the exact enumeration measures registers
+    # itself and never reads a branch table.  Neither samples a register.
     seen = []
 
     def spy(name):
@@ -141,28 +142,28 @@ def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
     for name in MEASUREMENTS:
         spy(name)
     read = []
-    real_splitting_tree = protocol._splitting_tree
+    real_splitting_table = protocol._splitting_table
 
-    def recorded_tree(*key):
+    def recorded_table(*key):
         read.append(key)
-        return real_splitting_tree(*key)
+        return real_splitting_table(*key)
 
-    monkeypatch.setattr(protocol, "_splitting_tree", recorded_tree)
-    clear_trees()
+    monkeypatch.setattr(protocol, "_splitting_table", recorded_table)
+    clear_tables()
     for seed in range(20):
         protocol.run_qss55((0.6, 0.8j), seed)
     no_cipher = protocol.splitting_steps(protocol.NO_ATTACK, False)
     assert len(read) == 20
     assert {(secret, steps) for secret, _, _, steps in read} == {(0, no_cipher)}
-    assert protocol._token_tree.cache_info()[:2] == (0, 0)
+    assert protocol._token_table.cache_info()[:2] == (0, 0)
     assert "bell_project" in seen
     assert not {"bell_measure", "measure_computational"} & set(seen)
 
     seen.clear()
-    clear_trees()
+    clear_tables()
     security._splitting_branches.cache_clear()
     for spec in SPECS:
         security.exact_detection_rate(AttackModel.from_spec(spec))
     assert {"bell_project", "project_computational", "joint_distribution"} <= set(seen)
     assert not {"bell_measure", "measure_computational"} & set(seen)
-    assert [tree.cache_info()[:2] for tree in TREES] == [(0, 0), (0, 0)]
+    assert [table.cache_info()[:2] for table in TABLES] == [(0, 0), (0, 0)]

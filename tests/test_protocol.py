@@ -19,6 +19,7 @@ from qsshare.bell import (
 )
 from qsshare.protocol import (
     DEFAULT_AUTH_PAIRS,
+    NO_ATTACK,
     RECEIVER_1,
     RECEIVER_2,
     RECEIVER_3,
@@ -31,6 +32,7 @@ from qsshare.protocol import (
     SenderRecords,
     ShareSet22,
     ShareSet55,
+    _TranscriptBuilder,
     make_rng,
     prepare_splitting_register,
     prepare_token_register,
@@ -84,7 +86,7 @@ def test_token_round_agrees_for_every_outcome(pairs):
 
 def test_run_auth_tokens_honest_records_match():
     for seed in range(50):
-        result = run_auth_tokens(make_rng(seed))
+        result = run_auth_tokens(make_rng(seed), _TranscriptBuilder(seed, "qss22"), NO_ATTACK)
         assert result.records == result.codes
 
 
@@ -92,7 +94,7 @@ def test_token_outcomes_are_uniform():
     counts = {label: 0 for label in BELL_LABELS}
     trials = 10000
     for seed in range(trials):
-        result = run_auth_tokens(make_rng(seed))
+        result = run_auth_tokens(make_rng(seed), _TranscriptBuilder(seed, "qss22"), NO_ATTACK)
         counts[result.codes[RECEIVER_1]] += 1
     # each outcome has probability 1/4; allow 3 sigma
     sigma = (trials * 0.25 * 0.75) ** 0.5
