@@ -8,8 +8,15 @@ of a token round or of the splitting phase, under any attack, with a
 weight that is a multiple of 2^-n for an n-qubit register.  The 512
 equiprobable randomness/secret cases of an honest (2,2) run (two pair
 codes, the swap and teleport measurement outcomes, and the secret bit) are
-the honest splitting branches, and attack detection rates are exact sums
-over every branch of both token rounds and the splitting phase.
+the honest splitting branches.
+
+Attack detection rates are exact sums over every branch of both token
+rounds and the splitting phase, computed on integer codes: 2-bit values as
+``2*z + x``, probabilities as integer weights over one power of two.  The
+splitting branches of all 32 (secret, pair1, pair2) inputs of a step list
+are stacked into arrays once, the sender's acceptance rule is tabulated
+once (:data:`_ACCEPT`, from :func:`protocol.verify_authentication`), and a
+rate is a numpy gather over those arrays and a sum of integer weights.
 Floating point only appears at the reporting boundary, so "exactly zero"
 results do not depend on rounding.
 
@@ -29,7 +36,7 @@ from typing import Mapping
 import numpy as np
 
 from . import protocol, statevec
-from .bell import BELL_LABELS, BSM_OUTCOMES, BellLabel, end_to_end_correction
+from .bell import BELL_LABELS, BellLabel, end_to_end_correction
 from .protocol import (
     NO_ATTACK,
     RECEIVER_1,
@@ -85,22 +92,28 @@ def enumerate_honest_cases() -> tuple[HonestCase, ...]:
     then teleport outcome.
     """
     cases = []
-    honest = protocol.splitting_steps(NO_ATTACK, True)
-    for secret in (0, 1):
-        for pair1, pair2 in product(BELL_LABELS, repeat=2):
-            ciphers = {}
-            for p, swap, tele, cipher in _splitting_branches(secret, pair1, pair2, honest):
-                if (swap, tele) in ciphers:
-                    raise AssertionError("cipher qubit not collapsed")
-                if p != Fraction(1, 16):
-                    raise AssertionError(f"honest branch probability {p}, expected 1/16")
-                ciphers[swap, tele] = cipher
-            if len(ciphers) != 16:
-                raise AssertionError(f"{len(ciphers)} honest branches, expected 16")
-            cases.extend(
-                HonestCase(secret, pair1, pair2, swap, tele, ciphers[swap, tele])
-                for swap, tele in product(BSM_OUTCOMES, repeat=2)
+    denominator, weight, swap, tele, cipher = _splitting_branches(
+        protocol.splitting_steps(NO_ATTACK, True)
+    )
+    for secret, pair1, pair2 in product((0, 1), range(4), range(4)):
+        ciphers = {}
+        branches = (array[secret, pair1, pair2].tolist() for array in (weight, swap, tele, cipher))
+        for w, swap_code, tele_code, cipher_bit in zip(*branches):
+            if (swap_code, tele_code) in ciphers:
+                raise AssertionError("cipher qubit not collapsed")
+            p = Fraction(w, denominator)
+            if p != Fraction(1, 16):
+                raise AssertionError(f"honest branch probability {p}, expected 1/16")
+            ciphers[swap_code, tele_code] = cipher_bit
+        if len(ciphers) != 16:
+            raise AssertionError(f"{len(ciphers)} honest branches, expected 16")
+        cases.extend(
+            HonestCase(
+                secret, BELL_LABELS[pair1], BELL_LABELS[pair2], BELL_LABELS[swap_code],
+                BELL_LABELS[tele_code], ciphers[swap_code, tele_code],
             )
+            for swap_code, tele_code in product(range(4), repeat=2)
+        )
     return tuple(cases)
 
 
@@ -218,39 +231,115 @@ def encrypted_qubit_mixedness_55(
 
 
 # ---------------------------------------------------------------------------
-# Exact attack detection rates by branch enumeration.
+# Exact attack detection rates over integer-coded branches.
+
+def _code(label: BellLabel) -> int:
+    return 2 * label.z + label.x
+
+
+def _accept_table() -> np.ndarray:
+    # verify_authentication on every input, indexed by the records' codes,
+    # the secret, R1's token code and R2's token bit.
+    accept = np.zeros((4, 4, 4, 2, 4, 2), dtype=bool)
+    for index in product(range(4), range(4), range(4), (0, 1), range(4), (0, 1)):
+        record1, record2, tele, secret, token_r1, token_r2 = index
+        labels = (BELL_LABELS[record1], BELL_LABELS[record2], BELL_LABELS[tele])
+        records = SenderRecords(*labels, secret)
+        accept[index] = verify_authentication(records, divmod(token_r1, 2), token_r2)
+    accept.flags.writeable = False
+    return accept
+
+
+# Whether the sender accepts: _ACCEPT[record1, record2, tele, secret,
+# token_r1, token_r2], with 2-bit values as codes 2*z + x.
+_ACCEPT = _accept_table()
+
+
+def _over(denominator: int, p: Fraction) -> int:
+    # The numerator of ``p`` over a multiple of its own denominator.
+    return p.numerator * (denominator // p.denominator)
+
 
 @lru_cache(maxsize=None)
 def _splitting_branches(
-    secret: int,
-    pair1: BellLabel,
-    pair2: BellLabel,
     steps: tuple[protocol.Step, ...],
-) -> tuple[tuple[Fraction, BellLabel, BellLabel, int], ...]:
-    """:func:`protocol.splitting_branches`, cached.  Keyed by the step list
-    rather than the attack, so the attacks that leave the splitting phase
-    alone share the honest branch sets."""
-    return protocol.splitting_branches(secret, pair1, pair2, steps)
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`protocol.splitting_branches` of all 32 (secret, pair1, pair2)
+    inputs of the step list, int-coded: ``(denominator, weight, swap, tele,
+    cipher)``.  Each array is shaped (2, 4, 4, B), indexed by the secret,
+    the pair codes and the branch, and ``weight / denominator`` is a
+    branch's probability.  The 32 inputs differ only by Paulis, so each has
+    the same B branches.  Keyed by the step list rather than the attack, so
+    the attacks that leave the splitting phase alone share them."""
+    branches = [
+        protocol.splitting_branches(secret, pair1, pair2, steps)
+        for secret, pair1, pair2 in product((0, 1), BELL_LABELS, BELL_LABELS)
+    ]
+    denominator = max(p.denominator for rows in branches for p, *_ in rows)
+    coded = np.array(
+        [
+            [
+                (_over(denominator, p), _code(swap), _code(tele), cipher)
+                for p, swap, tele, cipher in rows
+            ]
+            for rows in branches
+        ],
+        dtype=np.int64,
+    )
+    coded.flags.writeable = False
+    return (denominator, *np.moveaxis(coded.reshape(2, 4, 4, -1, 4), -1, 0))
+
+
+def _token_codes(
+    receiver: str, attack: AttackModel
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    # The receiver's token branches as (denominator, weight, code, record).
+    branches = protocol.token_branches(receiver, attack)
+    denominator = max(p.denominator for p, _, _ in branches)
+    coded = np.array(
+        [(_over(denominator, p), _code(code), _code(record)) for p, code, record in branches]
+    )
+    return (denominator, *coded.T)
+
+
+def _sent_token_codes(attack: AttackModel) -> tuple[np.ndarray, np.ndarray]:
+    # sent_tokens on every (code1, code2, swap, cipher): R1's token codes and
+    # R2's token bits, each shaped (4, 4, 4, 2).
+    sent = [
+        sent_tokens(code1, code2, swap, cipher, attack)
+        for code1, code2, swap, cipher in product(BELL_LABELS, BELL_LABELS, BELL_LABELS, (0, 1))
+    ]
+    sent = [(_code(token_r1), token_r2) for token_r1, token_r2 in sent]
+    return tuple(np.array(sent).T.reshape(2, 4, 4, 4, 2))
 
 
 def exact_detection_rate(attack: AttackModel) -> Fraction:
     """Exact probability that a (2,2) run under the attack is rejected,
     summed over every measurement branch with uniform hidden randomness:
-    R1's token branches, R2's, the secret bit and the splitting branches."""
-    token_r1 = protocol.token_branches(RECEIVER_1, attack)
-    token_r2 = protocol.token_branches(RECEIVER_2, attack)
+    R1's token branches, R2's, the secret bit and the splitting branches.
+
+    Every branch is int-coded (2-bit values as ``2*z + x``, probabilities as
+    integer weights over a power of two), so the sum is one numpy gather:
+    the splitting branches of each pair of token branches are picked by the
+    sender's records, the tokens the sender receives are looked up in a
+    table of :func:`protocol.sent_tokens`, and acceptance in
+    :data:`_ACCEPT`, the sender's rule tabulated once.  The rejected
+    branches' integer weights add up to the numerator of the rate.
+    """
+    denominator1, weight1, code1, record1 = _token_codes(RECEIVER_1, attack)
+    denominator2, weight2, code2, record2 = _token_codes(RECEIVER_2, attack)
     splitting = protocol.splitting_steps(attack, True)
-    total = Fraction(0)
-    for (p1, code1, record1), (p2, code2, record2) in product(token_r1, token_r2):
-        for secret in (0, 1):
-            rejected = 0
-            for p, swap, tele, cipher in _splitting_branches(secret, record1, record2, splitting):
-                sent_r1, sent_r2 = sent_tokens(code1, code2, swap, cipher, attack)
-                records = SenderRecords(record1, record2, tele, secret)
-                if not verify_authentication(records, (sent_r1.z, sent_r1.x), sent_r2):
-                    rejected += p
-            total += p1 * p2 * rejected
-    return total / 2
+    denominator, weight, swap, tele, cipher = _splitting_branches(splitting)
+    sent_r1, sent_r2 = _sent_token_codes(attack)
+    # Axes: secret, R1's token branch, R2's token branch, splitting branch.
+    r1, r2 = record1[:, None], record2[None, :]
+    weight, swap, tele, cipher = (array[:, r1, r2] for array in (weight, swap, tele, cipher))
+    tokens = code1[:, None, None], code2[None, :, None], swap, cipher
+    secret = np.arange(2)[:, None, None, None]
+    accepted = _ACCEPT[r1[..., None], r2[..., None], tele, secret, sent_r1[tokens], sent_r2[tokens]]
+    rejected = np.where(accepted, 0, weight).sum(axis=(0, 3))
+    total = int(weight1 @ rejected @ weight2)
+    return Fraction(total, 2 * denominator1 * denominator2 * denominator)
 
 
 # ---------------------------------------------------------------------------

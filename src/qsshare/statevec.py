@@ -225,7 +225,9 @@ def measure_computational(
 ) -> tuple[int, StateVector]:
     """Sample qubit ``q`` in the computational basis.
 
-    Returns the bit and the collapsed, renormalised state.
+    Returns the bit and the collapsed, renormalised state.  Oracle API: no
+    run samples with it (runs index branch tables with fair coins); the
+    tests' plain-register Born sampler uses it as the reference.
     """
     _check_qubit(state, q)
     bit = _sample_bit(_probability_of_one(state.amplitudes, state.n_qubits, q), rng)
@@ -260,7 +262,8 @@ def bell_measure(
 
     The outcome is sampled with Born probabilities; the returned state has
     the measured pair collapsed to the reported pair state, so repeating the
-    measurement returns the same label with certainty.
+    measurement returns the same label with certainty.  Oracle API, like
+    :func:`measure_computational`: the tests' reference sampler uses it.
     """
     _check_qubit(state, q1)
     _check_qubit(state, q2)
@@ -332,7 +335,8 @@ def _rotate_to_pair_basis(state: StateVector, q1: int, q2: int) -> StateVector:
 
 
 def _sample_bit(p_one: float, rng: np.random.Generator) -> int:
-    # Draws only for an outcome that is not certain at the sampling floor.
+    # The coin of the oracle's sampled measurements; draws only for an
+    # outcome that is not certain at the sampling floor.
     if p_one < ZERO_PROBABILITY:
         return 0
     if 1.0 - p_one < ZERO_PROBABILITY:

@@ -9,8 +9,11 @@ plain-register Born sampler written here and against the enumerator on
 every step list, check the (5,5) run's draw from the secret-0 table and its
 postselected cipher qubit against that sampler on qubit secrets, check
 every coin sequence of a full run against the exact detection rate, check
-the dyadic snap that turns Born probabilities into rationals, and check
-that a cold exact pass keeps no state beyond the package's lru caches.
+the integer-coded detection rate against a per-branch loop written here and
+its stacked splitting branches and acceptance table against what they
+tabulate, check the dyadic snap that turns Born probabilities into
+rationals, and check that a cold exact pass keeps no state beyond the
+package's lru caches.
 """
 
 import inspect
@@ -123,7 +126,7 @@ def reference_token_phase(pair_a, pair_b, intercept):
 def test_splitting_branches_match_per_label_walk(intercept):
     steps = protocol.splitting_steps(AttackModel.from_spec(SPLITTING_SPECS[intercept]), True)
     for secret, pair1, pair2 in product((0, 1), BELL_LABELS, BELL_LABELS):
-        branches = security._splitting_branches(secret, pair1, pair2, steps)
+        branches = protocol.splitting_branches(secret, pair1, pair2, steps)
         assert branches == reference_splitting(secret, pair1, pair2, intercept)
         assert all(type(p) is Fraction for p, *_ in branches)
         assert sum(p for p, *_ in branches) == Fraction(1)
@@ -146,7 +149,7 @@ def test_honest_cases_follow_the_splitting_branches():
     assert [(c.secret, c.pair1, c.pair2, c.swap_bsm, c.teleport_bsm) for c in cases] == expected
     honest = protocol.splitting_steps(NO_ATTACK, True)
     for case in cases:
-        branches = security._splitting_branches(case.secret, case.pair1, case.pair2, honest)
+        branches = protocol.splitting_branches(case.secret, case.pair1, case.pair2, honest)
         assert (Fraction(1, 16), case.swap_bsm, case.teleport_bsm, case.cipher_bit) in branches
 
 
@@ -305,6 +308,95 @@ def test_every_coin_sequence_of_a_run_sums_to_the_exact_rate(spec, monkeypatch):
             if outcome == "rejected":
                 rejected += Fraction(1, 2 ** len(script))
     assert rejected / 2 == security.exact_detection_rate(attack)
+
+
+# ---------------------------------------------------------------------------
+# The integer-coded detection rate against the per-branch loop.
+
+def reference_detection_rate(attack):
+    """The detection rate summed branch by branch: every (R1 token branch,
+    R2 token branch, secret, splitting branch) decided by
+    ``verify_authentication`` and weighted by its ``Fraction``."""
+    token_r1 = protocol.token_branches(protocol.RECEIVER_1, attack)
+    token_r2 = protocol.token_branches(protocol.RECEIVER_2, attack)
+    steps = protocol.splitting_steps(attack, True)
+    total = Fraction(0)
+    for (p1, code1, record1), (p2, code2, record2) in product(token_r1, token_r2):
+        for secret in (0, 1):
+            rejected = 0
+            splitting = protocol.splitting_branches(secret, record1, record2, steps)
+            for p, swap, tele, cipher in splitting:
+                sent_r1, sent_r2 = protocol.sent_tokens(code1, code2, swap, cipher, attack)
+                records = protocol.SenderRecords(record1, record2, tele, secret)
+                if not protocol.verify_authentication(records, (sent_r1.z, sent_r1.x), sent_r2):
+                    rejected += p
+            total += p1 * p2 * rejected
+    return total / 2
+
+
+@pytest.mark.parametrize("spec", SPECS + ("r1-lie:00",))
+def test_exact_rate_equals_the_per_branch_loop_cold_and_warm(spec):
+    attack = AttackModel.from_spec(spec)
+    expected = reference_detection_rate(attack)
+    security._splitting_branches.cache_clear()
+    cold = security.exact_detection_rate(attack)
+    warm = security.exact_detection_rate(attack)
+    assert type(cold) is type(warm) is Fraction
+    assert cold == warm == expected
+
+
+def test_stacked_splitting_branches_match_the_enumerator():
+    lists = {protocol.splitting_steps(AttackModel.from_spec(spec), True) for spec in SPECS}
+    assert len(lists) == 5
+    for steps in lists:
+        denominator, *arrays = security._splitting_branches(steps)
+        assert denominator & (denominator - 1) == 0
+        assert {array.shape for array in arrays} == {(2, 4, 4, arrays[0].shape[3])}
+        for secret, pair1, pair2 in product((0, 1), range(4), range(4)):
+            coded = zip(*(array[secret, pair1, pair2].tolist() for array in arrays))
+            rows = [
+                (Fraction(weight, denominator), BELL_LABELS[swap], BELL_LABELS[tele], cipher)
+                for weight, swap, tele, cipher in coded
+            ]
+            labels = BELL_LABELS[pair1], BELL_LABELS[pair2]
+            assert rows == list(protocol.splitting_branches(secret, *labels, steps))
+
+
+def test_accept_table_is_the_sender_rule():
+    accept = security._ACCEPT
+    assert accept.shape == (4, 4, 4, 2, 4, 2) and accept.dtype == bool
+    for index in product(range(4), range(4), range(4), (0, 1), range(4), (0, 1)):
+        record1, record2, tele, secret, token_r1, token_r2 = index
+        records = protocol.SenderRecords(
+            BELL_LABELS[record1], BELL_LABELS[record2], BELL_LABELS[tele], secret
+        )
+        token = (BELL_LABELS[token_r1].z, BELL_LABELS[token_r1].x)
+        assert accept[index] == protocol.verify_authentication(records, token, token_r2)
+
+
+def test_acceptance_does_not_depend_on_the_r1_record():
+    # Unmasking R1's token and the end-to-end correction each XOR R1's
+    # stored code in once, so it cancels: R1's code reaches the check only
+    # through R1's own token.  R2's stored code does not cancel.
+    accept = security._ACCEPT
+    assert (accept == accept[:1]).all()
+    assert not (accept == accept[:, :1]).all()
+
+
+def test_exact_rates_make_no_verify_authentication_call(monkeypatch):
+    calls = []
+    real = protocol.verify_authentication
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(protocol, "verify_authentication", counted)
+    monkeypatch.setattr(security, "verify_authentication", counted)
+    security._splitting_branches.cache_clear()
+    for spec in SPECS:
+        security.exact_detection_rate(AttackModel.from_spec(spec))
+    assert calls == []
 
 
 def test_security_leaves_the_circuits_to_protocol():
