@@ -102,7 +102,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
     _check_trials(args.trials)
     attack = NO_ATTACK
-    if args.attack:
+    if args.attack is not None:
         if args.scheme == "qss55":
             raise UsageError("attack models are only defined for qss22")
         attack = _parse_attack(args.attack)
@@ -164,10 +164,10 @@ def cmd_verify_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if bool(args.view) == bool(args.attack):
+    if (args.view is None) == (args.attack is None):
         raise UsageError("analyze needs exactly one of --view or --attack")
     _check_seed(args.seed)
-    if args.view:
+    if args.view is not None:
         try:
             report = security.mutual_information_22(args.view)
         except ValueError as exc:

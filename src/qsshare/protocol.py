@@ -678,6 +678,46 @@ def prepare_splitting_register(secret: StateVector, pair1: BellLabel, pair2: Bel
     return state
 
 
+def splitting_frame(
+    secret_bit: int, pair1: BellLabel, pair2: BellLabel, steps: tuple[Step, ...]
+) -> tuple:
+    """How each measurement of ``steps`` on the (secret_bit, pair1, pair2)
+    register differs from the same measurement on the (0, Φ+, Φ+) one.
+
+    Every step is Clifford, and the register is the reference one under a
+    Pauli frame, a (z, x) pair per qubit: (0, secret_bit) on qubit 0 and
+    each pair's label on its first qubit (:func:`statevec.prepare_bell_on`).
+    A Bell measurement of (a, b) then reads flipped by ``frame[a] ^
+    frame[b]``, a computational one by its qubit's X bit, and the ancilla's
+    CNOT from qubit 4 (:func:`_attach_ancilla`) copies that qubit's X bit
+    onto qubit 5.  So each branch of the reference register, its outcomes
+    XORed with the returned flips (a label per Bell step, a bit per
+    computational one, in step order), is a branch of this register with
+    the same probability.
+    """
+    frame = [PHI_PLUS] * statevec.MAX_QUBITS
+    frame[0], frame[1], frame[4] = BellLabel(0, secret_bit), pair1, pair2
+    flips = []
+    for kind, qubits, _ in steps:
+        if kind == "ancilla":
+            frame[5] = BellLabel(0, frame[4].x)
+        elif kind == "bell":
+            flips.append(frame[qubits[0]] ^ frame[qubits[1]])
+        else:
+            flips.append(frame[qubits[0]].x)
+    return tuple(flips)
+
+
+def splitting_flips(
+    secret_bit: int, pair1: BellLabel, pair2: BellLabel, steps: tuple[Step, ...]
+) -> tuple[BellLabel, BellLabel, int]:
+    """The (swap, teleport, cipher) part of :func:`splitting_frame`: what
+    turns a row of the reference register's :func:`splitting_branches` into
+    a row of this register's."""
+    flips = splitting_frame(secret_bit, pair1, pair2, steps)
+    return tuple(flips[i] for i in _positions(steps, "swap", "tele", "cipher"))
+
+
 @lru_cache(maxsize=None)
 def _splitting_table(secret_bit: int, pair1: BellLabel, pair2: BellLabel, steps: tuple[Step, ...]):
     # The branch table (_branch_table) of the splitting phase of a sampled run.

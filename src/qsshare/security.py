@@ -14,9 +14,12 @@ Attack detection rates are exact sums over every branch of both token
 rounds and the splitting phase, computed on integer codes: 2-bit values as
 ``2*z + x``, probabilities as integer weights over one power of two.  The
 splitting branches of all 32 (secret, pair1, pair2) inputs of a step list
-are stacked into arrays once, the sender's acceptance rule is tabulated
-once (:data:`_ACCEPT`, from :func:`protocol.verify_authentication`), and a
-rate is a numpy gather over those arrays and a sum of integer weights.
+are stacked into arrays once, from one enumeration of the (0, Φ+, Φ+)
+input whose outcome codes each input's Pauli frame XORs
+(:func:`protocol.splitting_flips`); the tests hold them to the statevec
+enumerator of every input.  The sender's acceptance rule is tabulated once
+(:data:`_ACCEPT`, from :func:`protocol.verify_authentication`), and a rate
+is a numpy gather over those arrays and a sum of integer weights.
 Floating point only appears at the reporting boundary, so "exactly zero"
 results do not depend on rounding.
 
@@ -36,7 +39,7 @@ from typing import Mapping
 import numpy as np
 
 from . import protocol, statevec
-from .bell import BELL_LABELS, BellLabel, end_to_end_correction
+from .bell import BELL_LABELS, PHI_PLUS, BellLabel, end_to_end_correction
 from .protocol import (
     NO_ATTACK,
     RECEIVER_1,
@@ -268,24 +271,30 @@ def _splitting_branches(
     inputs of the step list, int-coded: ``(denominator, weight, swap, tele,
     cipher)``.  Each array is shaped (2, 4, 4, B), indexed by the secret,
     the pair codes and the branch, and ``weight / denominator`` is a
-    branch's probability.  The 32 inputs differ only by Paulis, so each has
-    the same B branches.  Keyed by the step list rather than the attack, so
-    the attacks that leave the splitting phase alone share them."""
-    branches = [
-        protocol.splitting_branches(secret, pair1, pair2, steps)
-        for secret, pair1, pair2 in product((0, 1), BELL_LABELS, BELL_LABELS)
+    branch's probability.  Keyed by the step list rather than the attack,
+    so the attacks that leave the splitting phase alone share them.
+
+    The 32 inputs differ from (0, Φ+, Φ+) only by a Pauli frame, so the
+    reference input is enumerated once and every input's B branches are its
+    branches with the same weights, their outcome codes XORed with the
+    input's :func:`protocol.splitting_flips`.  Within one input the rows
+    keep the reference input's order, not the enumerator's.
+    """
+    reference = protocol.splitting_branches(0, PHI_PLUS, PHI_PLUS, steps)
+    denominator = max(p.denominator for p, *_ in reference)
+    rows = [
+        (_over(denominator, p), _code(swap), _code(tele), cipher)
+        for p, swap, tele, cipher in reference
     ]
-    denominator = max(p.denominator for rows in branches for p, *_ in rows)
-    coded = np.array(
-        [
-            [
-                (_over(denominator, p), _code(swap), _code(tele), cipher)
-                for p, swap, tele, cipher in rows
-            ]
-            for rows in branches
-        ],
-        dtype=np.int64,
-    )
+    # Each input's flips, 0 for the weight, by (secret, pair1, pair2).
+    flips = [
+        (0, _code(swap), _code(tele), cipher)
+        for swap, tele, cipher in (
+            protocol.splitting_flips(*labels, steps)
+            for labels in product((0, 1), BELL_LABELS, BELL_LABELS)
+        )
+    ]
+    coded = np.array(flips, dtype=np.int64)[:, None] ^ np.array(rows, dtype=np.int64)
     coded.flags.writeable = False
     return (denominator, *np.moveaxis(coded.reshape(2, 4, 4, -1, 4), -1, 0))
 

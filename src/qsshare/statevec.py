@@ -126,6 +126,8 @@ def single_qubit(amp0: complex, amp1: complex) -> StateVector:
 def computational_state(bits: Iterable[int]) -> StateVector:
     """Product basis state |b0 b1 ...> for the given bit sequence."""
     bits = list(bits)
+    if not 1 <= len(bits) <= MAX_QUBITS:
+        raise ValueError(f"register must hold 1..{MAX_QUBITS} qubits, got {len(bits)}")
     index = 0
     for b in bits:
         if b not in (0, 1):

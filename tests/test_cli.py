@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qsshare import bell, cli
+from qsshare import bell, cli, security
 from qsshare.bell import CORRECTION_I, PHI_MINUS, BellLabel
 from qsshare.cli import EXIT_OK, EXIT_REJECTED, EXIT_TABLE_MISMATCH, EXIT_USAGE, main
 
@@ -203,6 +203,26 @@ def test_usage_errors_exit_one(argv, capsys):
 def test_run_and_analyze_share_their_checks(command, flags, message, capsys):
     # The same messages, checked in the same order: seed, trials, spec.
     code, out, err = run_main(command + flags, capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"qsshare: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--secret", "1", "--attack", ""], "unknown attack kind ''"),
+        (["analyze", "--attack", ""], "unknown attack kind ''"),
+        (
+            ["analyze", "--view", ""],
+            f"unknown view ''; known views: {', '.join(security.VIEW_NAMES)}",
+        ),
+    ],
+)
+def test_empty_attack_and_view_are_usage_errors(argv, message, capsys):
+    # An empty spec is a spec, not a missing flag: no honest run, no
+    # "exactly one of" complaint.
+    code, out, err = run_main(argv, capsys)
     assert code == EXIT_USAGE
     assert out == ""
     assert err == f"qsshare: error: {message}\n"

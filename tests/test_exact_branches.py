@@ -11,9 +11,11 @@ postselected cipher qubit against that sampler on qubit secrets, check
 every coin sequence of a full run against the exact detection rate, check
 the integer-coded detection rate against a per-branch loop written here and
 its stacked splitting branches and acceptance table against what they
-tabulate, check the dyadic snap that turns Born probabilities into
-rationals, and check that a cold exact pass keeps no state beyond the
-package's lru caches.
+tabulate, check the Pauli frame that stacks those branches from one
+enumeration against the enumerator on every input of every step list,
+check the dyadic snap that turns Born probabilities into rationals, and
+check that a cold exact pass keeps no state beyond the package's lru
+caches.
 """
 
 import inspect
@@ -28,7 +30,7 @@ import numpy as np
 import pytest
 
 from qsshare import protocol, security, statevec
-from qsshare.bell import BELL_LABELS, BSM_OUTCOMES, infer_remote_bsm
+from qsshare.bell import BELL_LABELS, BSM_OUTCOMES, PHI_PLUS, infer_remote_bsm
 from qsshare.protocol import NO_ATTACK, AttackModel
 
 # The 13 attack specs of the README table.
@@ -352,6 +354,7 @@ def test_stacked_splitting_branches_match_the_enumerator():
         denominator, *arrays = security._splitting_branches(steps)
         assert denominator & (denominator - 1) == 0
         assert {array.shape for array in arrays} == {(2, 4, 4, arrays[0].shape[3])}
+        assert all(array.dtype == np.int64 and not array.flags.writeable for array in arrays)
         for secret, pair1, pair2 in product((0, 1), range(4), range(4)):
             coded = zip(*(array[secret, pair1, pair2].tolist() for array in arrays))
             rows = [
@@ -359,7 +362,66 @@ def test_stacked_splitting_branches_match_the_enumerator():
                 for weight, swap, tele, cipher in coded
             ]
             labels = BELL_LABELS[pair1], BELL_LABELS[pair2]
-            assert rows == list(protocol.splitting_branches(secret, *labels, steps))
+            # Row order within one input carries no meaning to any result.
+            assert sorted(rows) == sorted(protocol.splitting_branches(secret, *labels, steps))
+
+
+def every_attack():
+    """Every valid attack model: each kind with each target it allows and,
+    for r1-lie, each delta."""
+    for kind, target, delta in product(
+        protocol.ATTACK_KINDS,
+        (None,) + protocol.QUANTUM_SEND_TARGETS,
+        (None,) + tuple(product((0, 1), repeat=2)),
+    ):
+        try:
+            yield AttackModel(kind, target, delta)
+        except ValueError:
+            pass
+
+
+def splitting_register(secret, pair1, pair2):
+    return protocol.prepare_splitting_register(
+        statevec.computational_state([secret]), pair1, pair2
+    )
+
+
+def test_pauli_frame_matches_the_enumerator_on_every_step_list():
+    lists = {protocol.splitting_steps(attack, True) for attack in every_attack()}
+    assert lists == {protocol.splitting_steps(AttackModel.from_spec(s), True) for s in SPECS}
+    assert len(lists) == 5
+    reference_register = splitting_register(0, PHI_PLUS, PHI_PLUS)
+    for steps in lists:
+        reference = protocol._enumerate_steps(reference_register, steps)
+        for secret, pair1, pair2 in product((0, 1), BELL_LABELS, BELL_LABELS):
+            flips = protocol.splitting_frame(secret, pair1, pair2, steps)
+            flipped = [
+                (p, tuple(outcome ^ flip for outcome, flip in zip(outcomes, flips)))
+                for p, outcomes in reference
+            ]
+            expected = protocol._enumerate_steps(splitting_register(secret, pair1, pair2), steps)
+            assert all(type(p) is Fraction for p, _ in flipped)
+            assert sorted(flipped) == sorted(expected)
+            # The rule read off the qubits, as the three outcomes see it.
+            swap, tele, cipher = protocol.splitting_flips(secret, pair1, pair2, steps)
+            assert (swap, tele, cipher) == (PHI_PLUS, BELL_LABELS[secret] ^ pair1, pair2.x)
+
+
+def test_stacked_splitting_branches_enumerate_once_per_step_list(monkeypatch):
+    calls = []
+    real = protocol._enumerate_steps
+
+    def counted(state, steps):
+        calls.append(steps)
+        return real(state, steps)
+
+    monkeypatch.setattr(protocol, "_enumerate_steps", counted)
+    lists = {protocol.splitting_steps(AttackModel.from_spec(spec), True) for spec in SPECS}
+    security._splitting_branches.cache_clear()
+    for steps in lists:
+        calls.clear()
+        security._splitting_branches(steps)
+        assert calls == [steps]
 
 
 def test_accept_table_is_the_sender_rule():

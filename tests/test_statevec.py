@@ -307,6 +307,16 @@ def test_register_size_limits():
         statevec.StateVector(1, [np.nan, 0])
 
 
+@pytest.mark.parametrize("bits, n", [([], 0), ([0] * 7, 7)])
+def test_computational_state_respects_register_size(bits, n):
+    # The same bound and message as zero_state.
+    with pytest.raises(ValueError) as caught:
+        statevec.computational_state(bits)
+    with pytest.raises(ValueError) as expected:
+        statevec.zero_state(n)
+    assert str(caught.value) == str(expected.value) == f"register must hold 1..6 qubits, got {n}"
+
+
 def test_tensor_respects_register_cap():
     with pytest.raises(ValueError):
         statevec.tensor(statevec.zero_state(4), statevec.zero_state(3))
