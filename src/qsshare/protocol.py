@@ -191,7 +191,9 @@ class AttackModel:
     def from_spec(cls, text: str) -> "AttackModel":
         """Parse an attack spec string, e.g. ``token-flip``, ``r1-lie:01``,
         ``intercept-resend-computational:auth-r2``."""
-        kind, _, arg = text.strip().partition(":")
+        kind, colon, arg = text.strip().partition(":")
+        if colon and not arg:
+            raise ValueError(f"attack spec {text!r} has nothing after its ':'")
         if kind == "r1-lie":
             if len(arg) != 2 or any(c not in "01" for c in arg):
                 raise ValueError(f"r1-lie needs a 2-bit delta, got {arg!r}")

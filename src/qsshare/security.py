@@ -10,16 +10,27 @@ equiprobable randomness/secret cases of an honest (2,2) run (two pair
 codes, the swap and teleport measurement outcomes, and the secret bit) are
 the honest splitting branches.
 
-Attack detection rates are exact sums over every branch of both token
-rounds and the splitting phase, computed on integer codes: 2-bit values as
-``2*z + x``, probabilities as integer weights over one power of two.  The
-splitting branches of all 32 (secret, pair1, pair2) inputs of a step list
-are stacked into arrays once, from one enumeration of the (0, Φ+, Φ+)
-input whose outcome codes each input's Pauli frame XORs
+Everything is computed on integer codes: 2-bit values as ``2*z + x``,
+probabilities as integer weights over one power of two.  The splitting
+branches of all 32 (secret, pair1, pair2) inputs of a step list are
+stacked into arrays once, from one enumeration of the (0, Φ+, Φ+) input
+whose outcome codes each input's Pauli frame XORs
 (:func:`protocol.splitting_flips`); the tests hold them to the statevec
-enumerator of every input.  The sender's acceptance rule is tabulated once
-(:data:`_ACCEPT`, from :func:`protocol.verify_authentication`), and a rate
-is a numpy gather over those arrays and a sum of integer weights.
+enumerator of every input.  The rest is group-bys over those codes:
+
+- a view of the honest cases is a set of int columns (:data:`_VIEW_COLUMNS`,
+  the masked tokens read off :data:`_MASK`, tabulated from
+  :func:`protocol.mask_tokens`), counted by one integer key per case;
+- the encrypted qubit's correction XORs the four pieces, so unknown pieces
+  XOR-convolve a 4-bin histogram of corrections, and the average is at
+  most four Pauli conjugations;
+- an attack detection rate is an exact sum over every branch of both token
+  rounds and the splitting phase: a numpy gather over the arrays, the
+  sender's acceptance rule tabulated once (:data:`_ACCEPT`, from
+  :func:`protocol.verify_authentication`), and a sum of integer weights.
+  The two token rounds differ by a Pauli frame that the sender's record
+  undoes, so when their steps agree they are enumerated once.
+
 Floating point only appears at the reporting boundary, so "exactly zero"
 results do not depend on rounding.
 
@@ -39,7 +50,14 @@ from typing import Mapping
 import numpy as np
 
 from . import protocol, statevec
-from .bell import BELL_LABELS, PHI_PLUS, BellLabel, end_to_end_correction
+from .bell import (
+    BELL_LABELS,
+    PAULI_CORRECTIONS,
+    PHI_PLUS,
+    BellLabel,
+    PauliCorrection,
+    end_to_end_correction,
+)
 from .protocol import (
     NO_ATTACK,
     RECEIVER_1,
@@ -59,7 +77,19 @@ Z_99 = 2.5758293035489004
 
 PIECES = ("pair1", "pair2", "swap-bsm", "teleport-bsm")
 
-VIEW_NAMES = ("r1-alone", "r2-alone", "public-only", "all-shares", "r2-with-r1-token")
+# The honest columns (_honest_columns) each adversary view sees in one run.
+# ``r1-alone`` and ``public-only`` include a full tap of the public channel.
+# ``r2-alone`` includes R2's own traffic and the broadcast teleport result
+# but not R1's point-to-point token; the deliberately stronger
+# ``r2-with-r1-token`` adds that token and quantifies the resulting leak.
+_VIEW_COLUMNS = {
+    "r1-alone": ("pair1", "swap", "token_r1", "token_r2", "tele"),
+    "r2-alone": ("pair2", "cipher", "token_r2", "tele"),
+    "public-only": ("token_r1", "token_r2", "tele"),
+    "all-shares": ("pair1", "swap", "pair2", "cipher", "tele"),
+    "r2-with-r1-token": ("pair2", "cipher", "token_r1", "token_r2", "tele"),
+}
+VIEW_NAMES = tuple(_VIEW_COLUMNS)
 
 _PROBE_QUBIT = (0.6, 0.8j)
 
@@ -120,6 +150,31 @@ def enumerate_honest_cases() -> tuple[HonestCase, ...]:
     return tuple(cases)
 
 
+def _honest_columns() -> dict[str, np.ndarray]:
+    """The 512 honest cases as int columns, one entry per case in
+    :func:`enumerate_honest_cases` order: ``secret``, the codes ``pair1``,
+    ``pair2``, ``swap`` and ``tele``, the ``cipher`` bit and the masked
+    tokens (``token_r1``, a code, and ``token_r2``, a bit)."""
+    enumerate_honest_cases()  # its checks guard every reader of the columns
+    _, _, swap, tele, cipher = _splitting_branches(protocol.splitting_steps(NO_ATTACK, True))
+    ordered = np.empty((2, 4, 4, 4, 4), dtype=np.int64)
+    ordered[(*np.indices(swap.shape)[:3], swap, tele)] = cipher
+    names = ("secret", "pair1", "pair2", "swap", "tele")
+    columns = dict(zip(names, np.indices(ordered.shape).reshape(5, -1)))
+    columns["cipher"] = ordered.reshape(-1)
+    columns["token_r1"], columns["token_r2"] = _MASK[
+        :, columns["pair1"], columns["pair2"], columns["swap"], columns["cipher"]
+    ]
+    return columns
+
+
+def _secret_counts(key: np.ndarray, secret: np.ndarray) -> np.ndarray:
+    # The (secret 0, secret 1) case counts of each key that occurs, in
+    # ascending key order.
+    counts = np.bincount(2 * key + secret, minlength=2 * int(key.max()) + 2).reshape(-1, 2)
+    return counts[counts.any(axis=1)]
+
+
 # ---------------------------------------------------------------------------
 # Mutual information of adversary views.
 
@@ -141,53 +196,37 @@ class SecrecyReport:
         }
 
 
-def _view_values(view: str, case: HonestCase) -> tuple:
-    """Everything visible to the named adversary view in one run.
-
-    ``r1-alone`` and ``public-only`` include a full tap of the public
-    channel.  ``r2-alone`` includes R2's own traffic and the broadcast
-    teleport result but not R1's point-to-point token; the deliberately
-    stronger ``r2-with-r1-token`` adds that token and quantifies the
-    resulting leak.
-    """
-    token_r1, token_r2 = case.masked_tokens
-    public_full = (token_r1, token_r2, case.teleport_bsm)
-    if view == "r1-alone":
-        return (case.pair1, case.swap_bsm) + public_full
-    if view == "r2-alone":
-        return (case.pair2, case.cipher_bit, token_r2, case.teleport_bsm)
-    if view == "public-only":
-        return public_full
-    if view == "all-shares":
-        return (case.pair1, case.swap_bsm, case.pair2, case.cipher_bit, case.teleport_bsm)
-    if view == "r2-with-r1-token":
-        return (case.pair2, case.cipher_bit) + public_full
-    raise ValueError(f"unknown view {view!r}; known views: {', '.join(VIEW_NAMES)}")
-
-
 def mutual_information_22(view: str) -> SecrecyReport:
     """Exact mutual information between the secret bit and a view, by
-    brute-force enumeration of all 512 cases under uniform priors."""
-    counts: dict[tuple, list[int]] = {}
-    cases = enumerate_honest_cases()
-    for case in cases:
-        counts.setdefault(_view_values(view, case), [0, 0])[case.secret] += 1
-    total = len(cases)
+    brute-force enumeration of all 512 cases under uniform priors.
+
+    The view's columns (:data:`_VIEW_COLUMNS`) are read as one base-4 key
+    per case, and the cases are counted by key and secret."""
+    columns = _honest_columns()
+    if view not in _VIEW_COLUMNS:
+        raise ValueError(f"unknown view {view!r}; known views: {', '.join(VIEW_NAMES)}")
+    key = 0
+    for name in _VIEW_COLUMNS[view]:
+        key = 4 * key + columns[name]
+    counts = _secret_counts(key, columns["secret"])
+    total = len(key)
     # With a uniform secret, I = 1 - H(secret | view); the conditional
     # entropy is 0 or 1 exactly when every view value pins down or is
     # independent of the secret.
-    if all(c0 == c1 for c0, c1 in counts.values()):
+    if (counts[:, 0] == counts[:, 1]).all():
         information, exact = 0.0, True
-    elif all(c0 == 0 or c1 == 0 for c0, c1 in counts.values()):
+    elif (counts.min(axis=1) == 0).all():
         information, exact = 1.0, True
     else:
         information, exact = 0.0, False
-        for c0, c1 in counts.values():
+        # Summed in the order of each view value's first case.
+        _, first = np.unique(key, return_index=True)
+        for c0, c1 in counts[np.argsort(first)].tolist():
             seen = c0 + c1
             for c in (c0, c1):
                 if c:
                     information += (c / total) * math.log2(2 * c / seen)
-    advantage = Fraction(sum(max(c0, c1) for c0, c1 in counts.values()), total) - Fraction(1, 2)
+    advantage = Fraction(int(counts.max(axis=1).sum()), total) - Fraction(1, 2)
     return SecrecyReport(
         view=view,
         mutual_information=information,
@@ -211,6 +250,12 @@ def encrypted_qubit_mixedness_55(
     ``teleport-bsm``) to their fixed values; the remaining pieces are
     averaged uniformly.  With any piece unknown the average is maximally
     mixed; with all four known the state is pure and the distance is 1/2.
+
+    The encrypted qubit is the secret under the Pauli
+    :func:`end_to_end_correction`, the XOR of the pieces.  So the known
+    pieces' correction (Φ+ standing in for each unknown piece), XOR-convolved
+    with a uniform 4-bin histogram per unknown piece, weighs at most four
+    Pauli conjugations of the secret.
     """
     known = dict(known or {})
     unknown = [p for p in PIECES if p not in known]
@@ -219,25 +264,29 @@ def encrypted_qubit_mixedness_55(
     for name, value in known.items():
         if value not in BELL_LABELS:
             raise ValueError(f"piece {name} must be one of the four 2-bit codes, got {value!r}")
+    weights = np.zeros(4, dtype=np.int64)
+    weights[_code(end_to_end_correction(*(known.get(p, PHI_PLUS) for p in PIECES)))] = 1
+    for _ in unknown:
+        weights = weights[_XOR_CODES].sum(axis=1)
     secret = statevec.single_qubit(*secret_amplitudes)
     accumulated = np.zeros((2, 2), dtype=complex)
-    count = 0
-    for assignment in product(BELL_LABELS, repeat=len(unknown)):
-        pieces = dict(known)
-        pieces.update(zip(unknown, assignment))
-        correction = end_to_end_correction(*(pieces[p] for p in PIECES))
-        encrypted = statevec.apply_pauli(secret, 0, correction)
-        accumulated += np.outer(encrypted.amplitudes, encrypted.amplitudes.conj())
-        count += 1
-    averaged = accumulated / count
+    for code in np.flatnonzero(weights).tolist():
+        encrypted = statevec.apply_pauli(secret, 0, PAULI_CORRECTIONS[code]).amplitudes
+        accumulated += weights[code] * np.outer(encrypted, encrypted.conj())
+    averaged = accumulated / weights.sum()
     return statevec.trace_distance(averaged, np.eye(2, dtype=complex) / 2)
 
 
 # ---------------------------------------------------------------------------
 # Exact attack detection rates over integer-coded branches.
 
-def _code(label: BellLabel) -> int:
+def _code(label: BellLabel | PauliCorrection) -> int:
     return 2 * label.z + label.x
+
+
+# _XOR_CODES[c, v] == c ^ v: indexing 4 weights by it and summing each row
+# XOR-convolves them with a uniform 2-bit value.
+_XOR_CODES = np.bitwise_xor.outer(np.arange(4), np.arange(4))
 
 
 def _accept_table() -> np.ndarray:
@@ -256,6 +305,23 @@ def _accept_table() -> np.ndarray:
 # Whether the sender accepts: _ACCEPT[record1, record2, tele, secret,
 # token_r1, token_r2], with 2-bit values as codes 2*z + x.
 _ACCEPT = _accept_table()
+
+
+def _mask_table() -> np.ndarray:
+    # mask_tokens on every input, indexed by the two codes, the swap code and
+    # the cipher bit: R1's token codes, then R2's token bits.
+    masked = np.zeros((2, 4, 4, 4, 2), dtype=np.int64)
+    for index in product(range(4), range(4), range(4), (0, 1)):
+        code1, code2, swap, cipher = index
+        token_r1, token_r2 = mask_tokens(BELL_LABELS[code1], BELL_LABELS[code2], BELL_LABELS[swap], cipher)
+        masked[(slice(None), *index)] = _code(token_r1), token_r2
+    masked.flags.writeable = False
+    return masked
+
+
+# The masked tokens: _MASK[:, code1, code2, swap, cipher] is R1's token
+# code and R2's token bit.
+_MASK = _mask_table()
 
 
 def _over(denominator: int, p: Fraction) -> int:
@@ -313,13 +379,11 @@ def _token_codes(
 
 def _sent_token_codes(attack: AttackModel) -> tuple[np.ndarray, np.ndarray]:
     # sent_tokens on every (code1, code2, swap, cipher): R1's token codes and
-    # R2's token bits, each shaped (4, 4, 4, 2).
-    sent = [
-        sent_tokens(code1, code2, swap, cipher, attack)
-        for code1, code2, swap, cipher in product(BELL_LABELS, BELL_LABELS, BELL_LABELS, (0, 1))
-    ]
-    sent = [(_code(token_r1), token_r2) for token_r1, token_r2 in sent]
-    return tuple(np.array(sent).T.reshape(2, 4, 4, 4, 2))
+    # R2's token bits, each shaped (4, 4, 4, 2).  An attack XORs a fixed
+    # alteration into the masked tokens, read off the input they mask to
+    # (Φ+, 0).
+    token_r1, token_r2 = sent_tokens(PHI_PLUS, PHI_PLUS, PHI_PLUS, 0, attack)
+    return _MASK[0] ^ _code(token_r1), _MASK[1] ^ token_r2
 
 
 def exact_detection_rate(attack: AttackModel) -> Fraction:
@@ -334,9 +398,17 @@ def exact_detection_rate(attack: AttackModel) -> Fraction:
     table of :func:`protocol.sent_tokens`, and acceptance in
     :data:`_ACCEPT`, the sender's rule tabulated once.  The rejected
     branches' integer weights add up to the numerator of the rate.
+
+    Both token registers are the (Φ+, Φ+) one under a Pauli frame on qubits
+    0 and 3, which flips only the sender's observed outcome, by ``pair_a ^
+    pair_b``, and the sender's record undoes it (:func:`infer_remote_bsm`).
+    So two rounds with the same steps have the same branches.
     """
-    denominator1, weight1, code1, record1 = _token_codes(RECEIVER_1, attack)
-    denominator2, weight2, code2, record2 = _token_codes(RECEIVER_2, attack)
+    tokens_r1 = _token_codes(RECEIVER_1, attack)
+    same_steps = protocol.token_steps("auth-r1", attack) == protocol.token_steps("auth-r2", attack)
+    tokens_r2 = tokens_r1 if same_steps else _token_codes(RECEIVER_2, attack)
+    denominator1, weight1, code1, record1 = tokens_r1
+    denominator2, weight2, code2, record2 = tokens_r2
     splitting = protocol.splitting_steps(attack, True)
     denominator, weight, swap, tele, cipher = _splitting_branches(splitting)
     sent_r1, sent_r2 = _sent_token_codes(attack)
@@ -510,16 +582,12 @@ class UniformityReport:
         }
 
 
-def _exact_message_stats(values: list, secrets: list[int]) -> tuple[bool, bool]:
-    domain = sorted(set(values))
-    counts = {v: 0 for v in domain}
-    by_secret = {v: [0, 0] for v in domain}
-    for v, s in zip(values, secrets):
-        counts[v] += 1
-        by_secret[v][s] += 1
-    uniform = len(set(counts.values())) == 1
-    independent = all(c0 == c1 for c0, c1 in by_secret.values())
-    return uniform, independent
+def _exact_message_stats(values: np.ndarray, secrets: np.ndarray) -> tuple[bool, bool]:
+    # Whether every value a message takes is equally likely, and whether each
+    # is as likely under either secret.
+    counts = _secret_counts(values, secrets)
+    totals = counts.sum(axis=1)
+    return bool((totals == totals[0]).all()), bool((counts[:, 0] == counts[:, 1]).all())
 
 
 def public_transcript_uniformity(trials: int, seed: int) -> UniformityReport:
@@ -535,13 +603,12 @@ def public_transcript_uniformity(trials: int, seed: int) -> UniformityReport:
     """
     if trials < 0:
         raise ValueError(f"trials must not be negative, got {trials}")
-    cases = enumerate_honest_cases()
-    secrets = [c.secret for c in cases]
-    # In the order the run publishes them.
+    columns = _honest_columns()
+    # In the order the run publishes them: the public-only view's columns.
+    names = ("masked-swap-token", "masked-cipher-token", "published-teleport-bsm")
     exact = {
-        "masked-swap-token": _exact_message_stats([c.masked_tokens[0] for c in cases], secrets),
-        "masked-cipher-token": _exact_message_stats([c.masked_tokens[1] for c in cases], secrets),
-        "published-teleport-bsm": _exact_message_stats([c.teleport_bsm for c in cases], secrets),
+        name: _exact_message_stats(columns[column], columns["secret"])
+        for name, column in zip(names, _VIEW_COLUMNS["public-only"])
     }
     empirical: dict[str, dict[str, int]] = {name: {} for name in exact}
     for (_, payloads), count in _trial_leaves(NO_ATTACK, trials, seed):

@@ -38,6 +38,10 @@ KEY_GRID = (0, 1, 2, 7, 2**32, 2**63, 2**64 - 1, 12345678901234567890) + tuple(
 # the 13 specs, stdout concatenated in SPECS order; computed with the
 # scalar sweep before the batched one replaced it.
 GOLDEN_ANALYZE = "1c1bd2500014128b71e7aea9367ce4bec4d5e2dae2de7ac9d044e6dbf0e224f5"
+# ``qsshare analyze --view VIEW --format FORMAT`` for the 5 views, text then
+# structured for each, stdout concatenated in VIEW_NAMES order; computed
+# with the per-case dict count before the int-coded group-by replaced it.
+GOLDEN_VIEWS = "45c3311ee506e34c9d63898ffc8d2da680ce668864cb243403a80038fe7b4d05"
 
 
 def scalar_attack_sweep(attack, trials, seed):
@@ -61,14 +65,28 @@ def scalar_attack_sweep(attack, trials, seed):
     )
 
 
+def scalar_message_stats(values, secrets):
+    # Whether a message is exactly uniform and secret-independent, counted
+    # per case.
+    domain = sorted(set(values))
+    counts = {v: 0 for v in domain}
+    by_secret = {v: [0, 0] for v in domain}
+    for v, s in zip(values, secrets):
+        counts[v] += 1
+        by_secret[v][s] += 1
+    uniform = len(set(counts.values())) == 1
+    independent = all(c0 == c1 for c0, c1 in by_secret.values())
+    return uniform, independent
+
+
 def scalar_uniformity(trials, seed):
     # The uniformity sweep as a loop of full runs, one per trial.
     cases = security.enumerate_honest_cases()
     secrets = [c.secret for c in cases]
     exact = {
-        "masked-swap-token": security._exact_message_stats([c.masked_tokens[0] for c in cases], secrets),
-        "masked-cipher-token": security._exact_message_stats([c.masked_tokens[1] for c in cases], secrets),
-        "published-teleport-bsm": security._exact_message_stats([c.teleport_bsm for c in cases], secrets),
+        "masked-swap-token": scalar_message_stats([c.masked_tokens[0] for c in cases], secrets),
+        "masked-cipher-token": scalar_message_stats([c.masked_tokens[1] for c in cases], secrets),
+        "published-teleport-bsm": scalar_message_stats([c.teleport_bsm for c in cases], secrets),
     }
     empirical = {name: {} for name in exact}
     for i in range(trials):
@@ -184,6 +202,15 @@ def test_analyze_attack_reports_are_pinned(capsys):
         cli.main(["analyze", "--attack", spec, "--trials", "1000", "--format", "structured"])
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == GOLDEN_ANALYZE
+
+
+def test_analyze_view_reports_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for view in security.VIEW_NAMES:
+        for fmt in ("text", "structured"):
+            assert cli.main(["analyze", "--view", view, "--format", fmt]) == cli.EXIT_OK
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == GOLDEN_VIEWS
 
 
 # ---------------------------------------------------------------------------

@@ -214,14 +214,19 @@ def test_run_and_analyze_share_their_checks(command, flags, message, capsys):
         (["run", "--secret", "1", "--attack", ""], "unknown attack kind ''"),
         (["analyze", "--attack", ""], "unknown attack kind ''"),
         (
+            ["run", "--secret", "1", "--attack", "token-flip:"],
+            "attack spec 'token-flip:' has nothing after its ':'",
+        ),
+        (["analyze", "--attack", "none:"], "attack spec 'none:' has nothing after its ':'"),
+        (
             ["analyze", "--view", ""],
             f"unknown view ''; known views: {', '.join(security.VIEW_NAMES)}",
         ),
     ],
 )
 def test_empty_attack_and_view_are_usage_errors(argv, message, capsys):
-    # An empty spec is a spec, not a missing flag: no honest run, no
-    # "exactly one of" complaint.
+    # An empty spec is a spec, not a missing flag, and a spec's colon needs
+    # an argument after it: no honest run, no "exactly one of" complaint.
     code, out, err = run_main(argv, capsys)
     assert code == EXIT_USAGE
     assert out == ""

@@ -437,6 +437,16 @@ def test_attack_spec_round_trips():
     assert hash(listed) == hash(AttackModel.from_spec("r1-lie:01"))
 
 
+@pytest.mark.parametrize(
+    "spec", ["token-flip:", "none:", "intercept-resend-bell:", "r1-lie:", " entangle-ancilla: "]
+)
+def test_attack_spec_with_nothing_after_its_colon_is_rejected(spec):
+    # Without the check these parsed as the kind alone, or with its default
+    # target.
+    with pytest.raises(ValueError, match=re.escape(f"attack spec {spec!r} has nothing after its ':'")):
+        AttackModel.from_spec(spec)
+
+
 def test_attack_validation():
     with pytest.raises(ValueError):
         AttackModel.from_spec("laser")

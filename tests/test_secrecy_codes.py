@@ -1,0 +1,227 @@
+"""The secrecy side of the exact pass on 2-bit codes.
+
+Adversary views, the encrypted qubit's mixedness and the token rounds are
+read off int codes: views group the honest cases' int columns by one
+integer key, mixedness XOR-convolves the unknown pieces into at most four
+Pauli corrections, and the two token rounds share one enumeration when
+their steps agree.  These tests hold each to the per-case loop it
+replaced, which is kept here as the reference.
+"""
+
+import math
+import random
+from fractions import Fraction
+from itertools import combinations, product
+
+import numpy as np
+import pytest
+
+from qsshare import protocol, security, statevec
+from qsshare.bell import BELL_LABELS, end_to_end_correction
+from qsshare.protocol import RECEIVER_1, RECEIVER_2, AttackModel, sent_tokens
+from qsshare.security import PIECES, VIEW_NAMES, SecrecyReport
+from test_exact_branches import SPECS, every_attack
+
+
+# ---------------------------------------------------------------------------
+# Views.
+
+def reference_view_values(view, case):
+    # Everything the named view sees in one run, as HonestCase fields.
+    token_r1, token_r2 = case.masked_tokens
+    public_full = (token_r1, token_r2, case.teleport_bsm)
+    if view == "r1-alone":
+        return (case.pair1, case.swap_bsm) + public_full
+    if view == "r2-alone":
+        return (case.pair2, case.cipher_bit, token_r2, case.teleport_bsm)
+    if view == "public-only":
+        return public_full
+    if view == "all-shares":
+        return (case.pair1, case.swap_bsm, case.pair2, case.cipher_bit, case.teleport_bsm)
+    if view == "r2-with-r1-token":
+        return (case.pair2, case.cipher_bit) + public_full
+    raise ValueError(f"unknown view {view!r}; known views: {', '.join(VIEW_NAMES)}")
+
+
+def reference_report(view, values, secrets):
+    # The per-case dict count: cases grouped by their view value, in the
+    # order of each value's first case.
+    counts = {}
+    for value, secret in zip(values, secrets):
+        counts.setdefault(value, [0, 0])[secret] += 1
+    total = len(values)
+    if all(c0 == c1 for c0, c1 in counts.values()):
+        information, exact = 0.0, True
+    elif all(c0 == 0 or c1 == 0 for c0, c1 in counts.values()):
+        information, exact = 1.0, True
+    else:
+        information, exact = 0.0, False
+        for c0, c1 in counts.values():
+            seen = c0 + c1
+            for c in (c0, c1):
+                if c:
+                    information += (c / total) * math.log2(2 * c / seen)
+    advantage = Fraction(sum(max(c0, c1) for c0, c1 in counts.values()), total) - Fraction(1, 2)
+    return SecrecyReport(view, information, float(advantage), total, exact)
+
+
+@pytest.mark.parametrize("view", VIEW_NAMES)
+def test_views_match_the_per_case_dict_count(view):
+    cases = security.enumerate_honest_cases()
+    values = [reference_view_values(view, case) for case in cases]
+    expected = reference_report(view, values, [case.secret for case in cases])
+    assert security.mutual_information_22(view) == expected
+
+
+def test_honest_columns_are_the_honest_cases():
+    columns = security._honest_columns()
+    assert all(len(column) == 512 for column in columns.values())
+    rows = [
+        (
+            case.secret, case.pair1, case.pair2, case.swap_bsm, case.teleport_bsm,
+            case.cipher_bit, *case.masked_tokens,
+        )
+        for case in security.enumerate_honest_cases()
+    ]
+    names = ("secret", "pair1", "pair2", "swap", "tele", "cipher", "token_r1", "token_r2")
+    labels = {"pair1", "pair2", "swap", "tele", "token_r1"}
+    coded = zip(*(columns[name].tolist() for name in names))
+    assert [
+        tuple(BELL_LABELS[value] if name in labels else value for name, value in zip(names, row))
+        for row in coded
+    ] == rows
+
+
+def test_an_inexact_view_sums_in_first_seen_case_order(monkeypatch):
+    # No view of the protocol leaks part of the secret, so a noisy copy of
+    # the secret stands in for one.
+    real = security._honest_columns
+    noise = (np.random.default_rng(0).random(512) < 0.25).astype(np.int64)
+
+    def with_hint():
+        columns = real()
+        columns["hint"] = columns["secret"] ^ noise
+        return columns
+
+    monkeypatch.setattr(security, "_honest_columns", with_hint)
+    monkeypatch.setitem(security._VIEW_COLUMNS, "hint", ("hint", "pair1", "tele"))
+    columns = with_hint()
+    values = list(zip(*(columns[name].tolist() for name in ("hint", "pair1", "tele"))))
+    secrets = columns["secret"].tolist()
+    expected = reference_report("hint", values, secrets)
+    report = security.mutual_information_22("hint")
+    assert not report.exact and 0 < report.mutual_information < 1
+    assert report == expected
+    # The float sum depends on the order: grouped by ascending view value it
+    # comes out different.
+    by_value = sorted(zip(values, secrets))
+    ascending = reference_report("hint", *(list(column) for column in zip(*by_value)))
+    assert ascending.mutual_information != expected.mutual_information
+
+
+def test_unknown_view_message_is_unchanged():
+    with pytest.raises(ValueError) as raised:
+        security.mutual_information_22("r3-alone")
+    with pytest.raises(ValueError) as expected:
+        reference_view_values("r3-alone", security.enumerate_honest_cases()[0])
+    assert str(raised.value) == str(expected.value)
+
+
+# ---------------------------------------------------------------------------
+# Mixedness.
+
+def reference_mixedness(known=None, secret_amplitudes=security._PROBE_QUBIT):
+    # The 4^k loop: one encrypted qubit per assignment of the unknown pieces.
+    known = dict(known or {})
+    unknown = [p for p in PIECES if p not in known]
+    if set(known) - set(PIECES):
+        raise ValueError(f"unknown piece names: {sorted(set(known) - set(PIECES))}")
+    for name, value in known.items():
+        if value not in BELL_LABELS:
+            raise ValueError(f"piece {name} must be one of the four 2-bit codes, got {value!r}")
+    secret = statevec.single_qubit(*secret_amplitudes)
+    accumulated = np.zeros((2, 2), dtype=complex)
+    count = 0
+    for assignment in product(BELL_LABELS, repeat=len(unknown)):
+        pieces = dict(known)
+        pieces.update(zip(unknown, assignment))
+        correction = end_to_end_correction(*(pieces[p] for p in PIECES))
+        encrypted = statevec.apply_pauli(secret, 0, correction)
+        accumulated += np.outer(encrypted.amplitudes, encrypted.amplitudes.conj())
+        count += 1
+    return statevec.trace_distance(accumulated / count, np.eye(2, dtype=complex) / 2)
+
+
+def random_qubit(rng):
+    amplitudes = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2)]
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes))
+    return tuple(a / norm for a in amplitudes)
+
+
+@pytest.mark.parametrize("size", range(len(PIECES) + 1))
+def test_mixedness_matches_the_4k_loop(size):
+    rng = random.Random(size)
+    secrets = [security._PROBE_QUBIT] + [random_qubit(rng) for _ in range(3)]
+    for names in combinations(PIECES, size):
+        for _ in range(3):
+            known = {name: rng.choice(BELL_LABELS) for name in names}
+            for secret in secrets:
+                expected = reference_mixedness(known, secret)
+                assert abs(security.encrypted_qubit_mixedness_55(known, secret) - expected) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "known",
+    [{"pair3": BELL_LABELS[0]}, {"pair1": "00"}, {"pair2": (0, 0)}, {"swap-bsm": 1}],
+)
+def test_mixedness_validation_messages_are_unchanged(known):
+    with pytest.raises(ValueError) as raised:
+        security.encrypted_qubit_mixedness_55(known)
+    with pytest.raises(ValueError) as expected:
+        reference_mixedness(known)
+    assert str(raised.value) == str(expected.value)
+
+
+# ---------------------------------------------------------------------------
+# Token rounds.
+
+def test_token_rounds_with_equal_steps_have_equal_branches():
+    attacks = list(every_attack())
+    shared = [
+        attack
+        for attack in attacks
+        if protocol.token_steps("auth-r1", attack) == protocol.token_steps("auth-r2", attack)
+    ]
+    assert (len(attacks), len(shared)) == (17, 13)
+    for attack in shared:
+        r1 = protocol.token_branches(RECEIVER_1, attack)
+        r2 = protocol.token_branches(RECEIVER_2, attack)
+        assert sorted(r1) == sorted(r2), attack
+
+
+def test_sent_token_codes_are_sent_tokens():
+    for attack in every_attack():
+        sent_r1, sent_r2 = security._sent_token_codes(attack)
+        for index in product(range(4), range(4), range(4), (0, 1)):
+            code1, code2, swap, cipher = index
+            labels = BELL_LABELS[code1], BELL_LABELS[code2], BELL_LABELS[swap]
+            token_r1, token_r2 = sent_tokens(*labels, cipher, attack)
+            assert (BELL_LABELS[sent_r1[index]], sent_r2[index]) == (token_r1, token_r2), attack
+    assert any(attack.spec_string == "r1-lie:00" for attack in every_attack())
+
+
+def test_a_cold_rate_pass_enumerates_17_token_rounds(monkeypatch):
+    calls = []
+    real = protocol._enumerate_steps
+
+    def counted(state, steps):
+        calls.append(steps)
+        return real(state, steps)
+
+    monkeypatch.setattr(protocol, "_enumerate_steps", counted)
+    security._splitting_branches.cache_clear()
+    for spec in SPECS:
+        security.exact_detection_rate(AttackModel.from_spec(spec))
+    token_rounds = [steps for steps in calls if any(step.name == "code" for step in steps)]
+    assert len(token_rounds) == 17
+    assert len(calls) - len(token_rounds) == 5  # one per splitting step list
