@@ -22,9 +22,9 @@ EXIT_TABLE_MISMATCH = 3
 
 QUBIT_NORM_ERROR = 1e-9
 # A secret whose squared norm is off by more than a 32nd of statevec.NORM_TOL
-# is renormalised with a warning.  Runs no longer need it (projections do not
-# grow the deviation); raising it would change which secrets warn and the
-# amplitudes their runs print.
+# is renormalised with a warning.  Runs no longer need it (no run projects a
+# register); raising it would change which secrets warn and the amplitudes
+# their runs print.
 QUBIT_NORM_SQ_WARN = statevec.NORM_TOL / 32
 
 

@@ -26,6 +26,7 @@ concurrently.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -81,9 +82,13 @@ class IncompleteSharesError(ValueError):
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator (Philox) keyed by a 64-bit seed."""
-    if not 0 <= int(seed) <= MAX_SEED:
+    try:
+        key = operator.index(seed)
+    except TypeError:  # a float such as 1.5 is refused, not truncated
+        key = -1
+    if not 0 <= key <= MAX_SEED:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 # Philox4x64-10 (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as
@@ -796,12 +801,14 @@ def splitting_branch(
     swap_bsm: BellLabel,
     teleport_bsm: BellLabel,
 ) -> tuple[float, StateVector]:
-    """The honest splitting phase postselected on both Bell outcomes.
+    """The honest splitting phase postselected on both Bell outcomes: the
+    tests' postselection reference for R2's qubit in :func:`run_qss55`.
 
     Projects the Bell steps of :func:`splitting_steps` in step order, each
     onto the outcome of its name.  Returns the branch probability, 1/16 for
-    every pair of outcomes whatever the secret, and the state of R2's qubit:
-    the one the cipher step would measure, left unmeasured here.
+    every pair of outcomes whatever the secret, and the state of R2's qubit
+    (with an arbitrary global phase): the one the cipher step would measure,
+    left unmeasured here.
     """
     state = prepare_splitting_register(secret, pair1, pair2)
     outcomes = {"swap": swap_bsm, "tele": teleport_bsm}
@@ -1009,9 +1016,12 @@ def run_qss55(
 
     The sender draws both pair labels uniformly, runs the splitting circuit,
     and distributes the four classical pieces over private channels; R2
-    keeps the unmeasured encrypted qubit.  There is no authentication round.
-    The transcript records the fidelity of reconstructing from the returned
-    shares.
+    keeps the unmeasured encrypted qubit.  The circuit is Clifford, so that
+    qubit is the secret under the Pauli :func:`end_to_end_correction` of the
+    pieces (Pauli-frame bookkeeping): no register is simulated, and the
+    printed amplitudes are the secret's own times Pauli signs.  There is no
+    authentication round.  The transcript records the fidelity of
+    reconstructing from the returned shares.
     """
     secret = statevec.single_qubit(*secret_amplitudes)  # validates normalisation
     rng = make_rng(seed)
@@ -1023,19 +1033,15 @@ def run_qss55(
     builder.classical(SENDER, RECEIVER_3, pair1.bits, private=True)
     builder.classical(SENDER, RECEIVER_4, pair2.bits, private=True)
     # The swap and teleport outcomes are uniform whatever the secret qubit
-    # (the teleportation property), so the branch table of secret 0 stands in.
-    results = _draw(_splitting_table(0, pair1, pair2, splitting_steps(NO_ATTACK, False)), rng)
+    # and the pair labels (the teleportation property), so the branch table
+    # of (0, Φ+, Φ+) stands in: every pair's table has the same 16 rows.
+    results = _draw(_splitting_table(0, PHI_PLUS, PHI_PLUS, splitting_steps(NO_ATTACK, False)), rng)
+    swap, tele = results["swap"], results["tele"]
     _record_splitting(builder, results)
-    builder.classical(SENDER, RECEIVER_5, results["tele"].bits, private=True)
+    builder.classical(SENDER, RECEIVER_5, tele.bits, private=True)
 
-    _, encrypted = splitting_branch(secret, pair1, pair2, results["swap"], results["tele"])
-    shares = ShareSet55(
-        swap_bsm=results["swap"],
-        encrypted_qubit=encrypted,
-        pair1_label=pair1,
-        pair2_label=pair2,
-        teleport_bsm=results["tele"],
-    )
+    encrypted = statevec.apply_pauli(secret, 0, end_to_end_correction(pair1, pair2, swap, tele))
+    shares = ShareSet55(swap, encrypted, pair1, pair2, tele)
     builder.phase("decoding")
     recovered = reconstruct55(shares)
     transcript = builder.transcript

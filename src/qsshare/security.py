@@ -115,48 +115,38 @@ class HonestCase:
 
 @lru_cache(maxsize=1)
 def enumerate_honest_cases() -> tuple[HonestCase, ...]:
-    """All 512 randomness/secret cases, read off the honest splitting
-    branches.
-
-    Given the secret and the pair codes, each of the 16 (swap, teleport)
-    outcome pairs must occur in exactly one branch, with probability exactly
-    1/16; a second branch for the same pair would mean the cipher qubit has
-    not collapsed.  Cases are ordered by secret, pair codes, swap outcome,
-    then teleport outcome.
-    """
-    cases = []
-    denominator, weight, swap, tele, cipher = _splitting_branches(
-        protocol.splitting_steps(NO_ATTACK, True)
+    """All 512 randomness/secret cases, built from :func:`_honest_columns`
+    and ordered by secret, pair codes, swap outcome, then teleport outcome."""
+    columns = _honest_columns()
+    names = ("secret", "pair1", "pair2", "swap", "tele", "cipher")
+    return tuple(
+        HonestCase(secret, *(BELL_LABELS[code] for code in codes), cipher)
+        for secret, *codes, cipher in zip(*(columns[name].tolist() for name in names))
     )
-    for secret, pair1, pair2 in product((0, 1), range(4), range(4)):
-        ciphers = {}
-        branches = (array[secret, pair1, pair2].tolist() for array in (weight, swap, tele, cipher))
-        for w, swap_code, tele_code, cipher_bit in zip(*branches):
-            if (swap_code, tele_code) in ciphers:
-                raise AssertionError("cipher qubit not collapsed")
-            p = Fraction(w, denominator)
-            if p != Fraction(1, 16):
-                raise AssertionError(f"honest branch probability {p}, expected 1/16")
-            ciphers[swap_code, tele_code] = cipher_bit
-        if len(ciphers) != 16:
-            raise AssertionError(f"{len(ciphers)} honest branches, expected 16")
-        cases.extend(
-            HonestCase(
-                secret, BELL_LABELS[pair1], BELL_LABELS[pair2], BELL_LABELS[swap_code],
-                BELL_LABELS[tele_code], ciphers[swap_code, tele_code],
-            )
-            for swap_code, tele_code in product(range(4), repeat=2)
-        )
-    return tuple(cases)
 
 
 def _honest_columns() -> dict[str, np.ndarray]:
-    """The 512 honest cases as int columns, one entry per case in
-    :func:`enumerate_honest_cases` order: ``secret``, the codes ``pair1``,
-    ``pair2``, ``swap`` and ``tele``, the ``cipher`` bit and the masked
-    tokens (``token_r1``, a code, and ``token_r2``, a bit)."""
-    enumerate_honest_cases()  # its checks guard every reader of the columns
-    _, _, swap, tele, cipher = _splitting_branches(protocol.splitting_steps(NO_ATTACK, True))
+    """The 512 honest cases as int columns, one entry per case: ``secret``,
+    the codes ``pair1``, ``pair2``, ``swap`` and ``tele``, the ``cipher``
+    bit and the masked tokens (``token_r1``, a code, and ``token_r2``, a
+    bit), ordered by the first five.
+
+    They are read off the honest splitting branches.  Given the secret and
+    the pair codes, each of the 16 (swap, teleport) outcome pairs must occur
+    in exactly one branch, with probability exactly 1/16; a second branch
+    for the same pair would mean the cipher qubit has not collapsed.
+    """
+    denominator, weight, swap, tele, cipher = _splitting_branches(
+        protocol.splitting_steps(NO_ATTACK, True)
+    )
+    if (np.diff(np.sort(4 * swap + tele), axis=-1) == 0).any():
+        raise AssertionError("cipher qubit not collapsed")
+    wrong = weight[16 * weight != denominator]
+    if wrong.size:
+        p = Fraction(int(wrong[0]), denominator)
+        raise AssertionError(f"honest branch probability {p}, expected 1/16")
+    if swap.shape[-1] != 16:
+        raise AssertionError(f"{swap.shape[-1]} honest branches, expected 16")
     ordered = np.empty((2, 4, 4, 4, 4), dtype=np.int64)
     ordered[(*np.indices(swap.shape)[:3], swap, tele)] = cipher
     names = ("secret", "pair1", "pair2", "swap", "tele")

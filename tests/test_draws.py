@@ -57,7 +57,9 @@ GOLDEN_QUBITS = (
     (0.9999999999999, 0),
 )
 GOLDEN_QSS22 = "1c615816998849a5f45d35cec3339cc5546c155c5394122d03a9febb44ee733b"
-GOLDEN_QSS55 = "608b41b9f8bac54172fe50e7fff13fb72d455c93f3f489f05a64f96f6d783ea4"
+# R2's qubit is the secret under a Pauli, not an eigenvector of its reduced
+# density matrix, so its printed phase no longer depends on the LAPACK build.
+GOLDEN_QSS55 = "510f2c3b6bbb81deebd965744307f54fb9d3fe9579830559fa3c4662a28203d8"
 
 
 class CountingRng:

@@ -6,8 +6,8 @@ table built from the enumerated branches.  These tests pin the enumerator's
 splitting and token-phase branches, per attack spec, to a walk written here
 that projects one outcome label at a time, check the table draw against a
 plain-register Born sampler written here and against the enumerator on
-every step list, check the (5,5) run's draw from the secret-0 table and its
-postselected cipher qubit against that sampler on qubit secrets, check
+every step list, check the (5,5) run's draw from the (0, Φ+, Φ+) table and
+its Pauli-frame cipher qubit against that sampler on qubit secrets, check
 every coin sequence of a full run against the exact detection rate, check
 the integer-coded detection rate against a per-branch loop written here and
 its stacked splitting branches and acceptance table against what they
@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from qsshare import protocol, security, statevec
-from qsshare.bell import BELL_LABELS, BSM_OUTCOMES, PHI_PLUS, infer_remote_bsm
+from qsshare.bell import BELL_LABELS, BSM_OUTCOMES, PHI_PLUS, end_to_end_correction, infer_remote_bsm
 from qsshare.protocol import NO_ATTACK, AttackModel
 
 # The 13 attack specs of the README table.
@@ -269,29 +269,43 @@ def test_swap_and_teleport_outcomes_are_uniform_for_any_qubit_secret():
         assert np.abs(joint - 1 / 16).max() < 1e-12
 
 
-def test_qss55_draw_and_postselection_match_the_sampler():
-    # Every coin sequence leads the table draw and the Born sampler to the
-    # same outcomes and the same bits of R2's qubit.
+def test_every_pair_has_the_reference_no_cipher_table():
+    # Why the (5,5) run draws from the (0, Φ+, Φ+) table whatever its pair
+    # labels: without the cipher step, every pair's table holds the same 16
+    # (swap, teleport) rows in the same order.
     steps = protocol.splitting_steps(NO_ATTACK, False)
+    reference = protocol._splitting_table(0, PHI_PLUS, PHI_PLUS, steps)
+    assert len(reference) == 16
+    for pair1, pair2 in product(BELL_LABELS, repeat=2):
+        assert protocol._splitting_table(0, pair1, pair2, steps) == reference
+
+
+def test_qss55_draw_and_postselection_match_the_sampler():
+    # Every coin sequence leads the run's draw from the (0, Φ+, Φ+) table and
+    # the Born sampler on the run's own register to the same outcomes, and
+    # the run's Pauli-frame qubit is the sampler's R2 qubit up to global
+    # phase.
+    steps = protocol.splitting_steps(NO_ATTACK, False)
+    table = protocol._splitting_table(0, PHI_PLUS, PHI_PLUS, steps)
     secrets = list(random_qubits(3, 1993))
     for (pair1, pair2), secret in product(product(BELL_LABELS, repeat=2), secrets):
-        table = protocol._splitting_table(0, pair1, pair2, steps)
         state = protocol.prepare_splitting_register(secret, pair1, pair2)
 
         def drawn(rng):
             results = protocol._draw(table, rng)
-            _, qubit = protocol.splitting_branch(
-                secret, pair1, pair2, results["swap"], results["tele"]
-            )
-            return dict(results), qubit.amplitudes.tobytes()
+            correction = end_to_end_correction(pair1, pair2, results["swap"], results["tele"])
+            return dict(results), statevec.apply_pauli(secret, 0, correction)
 
         def sampled(rng):
             results, after = sample_steps(state, steps, rng)
-            return results, statevec.extract_pure_qubit(after, 4).amplitudes.tobytes()
+            return results, statevec.extract_pure_qubit(after, 4)
 
-        draws = coin_sequences(drawn)
+        draws, samples = coin_sequences(drawn), coin_sequences(sampled)
         assert len(draws) == 16 and all(len(script) == 4 for script in draws)
-        assert draws == coin_sequences(sampled)
+        assert draws.keys() == samples.keys()
+        for script, (results, qubit) in draws.items():
+            assert results == samples[script][0]
+            assert statevec.fidelity(qubit, samples[script][1]) >= 1 - 1e-12
 
 
 @pytest.mark.parametrize("spec", SPECS)

@@ -4,16 +4,18 @@ A sampled run indexes lru-cached branch tables, one per register and step
 list, built from the exact enumerator's branches.  These tests pin that
 reusing them changes nothing a run does: the transcripts and the number of
 random draws of a run are the same whether every table it reads is built
-afresh or read from the cache, a (5,5) run reads only the honest splitting
-tables without the cipher measurement, and the exact enumeration reads
-none.
+afresh or read from the cache, a (5,5) run reads only the honest (0, Φ+, Φ+)
+splitting table without the cipher measurement and, once it is built, no
+register, and the exact enumeration reads none.
 """
 
 from itertools import product
 
+import numpy as np
 import pytest
 
 from qsshare import protocol, security, statevec
+from qsshare.bell import PHI_PLUS
 from qsshare.protocol import AttackModel
 
 # The 13 attack specs of the README table.
@@ -125,9 +127,10 @@ def test_warm_runs_call_no_statevec_measurement(monkeypatch):
 
 
 def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
-    # qss55 indexes the no-cipher splitting tables of secret 0 and
-    # postselects its own register; the exact enumeration measures registers
-    # itself and never reads a branch table.  Neither samples a register.
+    # qss55 indexes the one no-cipher splitting table of (0, Φ+, Φ+) and
+    # takes R2's qubit by Pauli frame, so a warm run touches no register;
+    # the exact enumeration measures registers itself and never reads a
+    # branch table.  Neither samples a register.
     seen = []
 
     def spy(name):
@@ -139,7 +142,7 @@ def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
 
         monkeypatch.setattr(statevec, name, recorded)
 
-    for name in MEASUREMENTS:
+    for name in MEASUREMENTS + ("reduced_density", "extract_pure_qubit"):
         spy(name)
     read = []
     real_splitting_table = protocol._splitting_table
@@ -150,14 +153,23 @@ def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
 
     monkeypatch.setattr(protocol, "_splitting_table", recorded_table)
     clear_tables()
-    for seed in range(20):
-        protocol.run_qss55((0.6, 0.8j), seed)
+    protocol.run_qss55((0.6, 0.8j), 0)  # builds the one table the runs read
+    seen.clear()
+
+    def no_eigendecomposition(*args):
+        raise AssertionError("a warm qss55 run diagonalised a matrix")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "eigh", no_eigendecomposition)
+        patched.setattr(np.linalg, "eigvalsh", no_eigendecomposition)
+        for seed in range(20):
+            protocol.run_qss55((0.6, 0.8j), seed)
     no_cipher = protocol.splitting_steps(protocol.NO_ATTACK, False)
-    assert len(read) == 20
-    assert {(secret, steps) for secret, _, _, steps in read} == {(0, no_cipher)}
+    assert len(read) == 21
+    assert set(read) == {(0, PHI_PLUS, PHI_PLUS, no_cipher)}
+    assert real_splitting_table.cache_info()[:2] == (20, 1)
     assert protocol._token_table.cache_info()[:2] == (0, 0)
-    assert "bell_project" in seen
-    assert not {"bell_measure", "measure_computational"} & set(seen)
+    assert seen == []
 
     seen.clear()
     clear_tables()

@@ -45,6 +45,7 @@ from qsshare.protocol import (
     validate_transcript,
     verify_authentication,
 )
+from test_exact_branches import random_qubits
 
 
 def enumerate_honest():
@@ -336,6 +337,20 @@ def test_run_qss22_input_validation():
         make_rng(2**64)
 
 
+@pytest.mark.parametrize("seed", [1.5, 3.9, 1.0])
+def test_runs_refuse_a_non_integer_seed(seed):
+    # Truncated, 1.5 would draw seed 1's coins under a header that says 1.5.
+    message = re.escape(f"seed must be an unsigned 64-bit integer, got {seed}")
+    with pytest.raises(ValueError, match=message):
+        run_qss22(1, seed)
+    with pytest.raises(ValueError, match=message):
+        run_qss55((0.6, 0.8j), seed)
+
+
+def test_numpy_integer_seeds_key_the_same_generator():
+    assert make_rng(np.uint64(7)).random() == make_rng(7).random()
+
+
 # ---------------------------------------------------------------------------
 # Reconstruction contracts.
 
@@ -384,8 +399,8 @@ def test_qss55_round_trip_on_random_qubits():
 
 @pytest.mark.parametrize("seed", [609, *range(20)])
 def test_qss55_runs_secrets_just_inside_the_norm_tolerance(seed):
-    # Squared norm off by 2e-13, inside statevec.NORM_TOL: the run's four
-    # projections must not grow the deviation past the density-matrix check.
+    # Squared norm off by 2e-13, inside statevec.NORM_TOL: the run must
+    # accept the secret and reconstruct it.
     secret = (0.9999999999999, 0)
     transcript, shares = run_qss55(secret, seed)
     assert transcript.reconstruction_fidelity >= 1 - 1e-12
@@ -402,6 +417,32 @@ def test_qss55_piece_assignment():
     assert quantum == [RECEIVER_1, RECEIVER_1, RECEIVER_2]
     assert shares.encrypted_qubit.n_qubits == 1
     assert shares.swap_bsm in BSM_OUTCOMES
+
+
+def test_frame_qubit_is_the_postselected_qubit():
+    # R2's qubit as run_qss55 takes it, the secret under the end-to-end
+    # Pauli, against the postselected register: every pair code and every
+    # (swap, teleport) outcome.
+    for secret in random_qubits(3, 1955):
+        for pair1, pair2, swap, tele in product(BELL_LABELS, repeat=4):
+            _, postselected = splitting_branch(secret, pair1, pair2, swap, tele)
+            correction = end_to_end_correction(pair1, pair2, swap, tele)
+            frame = statevec.apply_pauli(secret, 0, correction)
+            assert statevec.fidelity(frame, postselected) >= 1 - 1e-12
+
+
+def test_qss55_qubit_is_the_secret_under_a_pauli():
+    # Its moduli are the secret's, swapped when the correction has an X, bit
+    # for bit; and it is the postselected qubit of the run's own pieces.
+    for seed, secret in enumerate(random_qubits(200, 55)):
+        _, shares = run_qss55(tuple(secret.amplitudes), seed)
+        pieces = (shares.pair1_label, shares.pair2_label, shares.swap_bsm, shares.teleport_bsm)
+        moduli = np.abs(secret.amplitudes)
+        if end_to_end_correction(*pieces).x:
+            moduli = moduli[::-1]
+        assert np.abs(shares.encrypted_qubit.amplitudes).tobytes() == moduli.tobytes()
+        _, postselected = splitting_branch(secret, *pieces)
+        assert statevec.fidelity(shares.encrypted_qubit, postselected) >= 1 - 1e-12
 
 
 def test_qss55_rejects_unnormalised_secret():

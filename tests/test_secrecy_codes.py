@@ -92,6 +92,42 @@ def test_honest_columns_are_the_honest_cases():
     ] == rows
 
 
+def duplicate_outcomes(weight, swap, tele, cipher):
+    # Input (1, 2, 3)'s second branch repeats its first (swap, teleport) pair.
+    swap[1, 2, 3, 1], tele[1, 2, 3, 1] = swap[1, 2, 3, 0], tele[1, 2, 3, 0]
+    return weight, swap, tele, cipher
+
+
+def double_weight(weight, swap, tele, cipher):
+    weight[0, 1, 2, 5] *= 2
+    return weight, swap, tele, cipher
+
+
+def drop_branch(*arrays):
+    return tuple(array[..., :15] for array in arrays)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (duplicate_outcomes, "cipher qubit not collapsed"),
+        (double_weight, "honest branch probability 1/8, expected 1/16"),
+        (drop_branch, "15 honest branches, expected 16"),
+    ],
+)
+def test_honest_columns_check_the_honest_branches(corrupt, message, monkeypatch):
+    denominator, *arrays = security._splitting_branches(
+        protocol.splitting_steps(protocol.NO_ATTACK, True)
+    )
+    corrupted = (denominator, *corrupt(*(array.copy() for array in arrays)))
+    monkeypatch.setattr(security, "_splitting_branches", lambda steps: corrupted)
+    security.enumerate_honest_cases.cache_clear()
+    for reader in (security._honest_columns, security.enumerate_honest_cases):
+        with pytest.raises(AssertionError) as raised:
+            reader()
+        assert str(raised.value) == message
+
+
 def test_an_inexact_view_sums_in_first_seen_case_order(monkeypatch):
     # No view of the protocol leaks part of the secret, so a noisy copy of
     # the secret stands in for one.
