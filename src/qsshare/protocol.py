@@ -30,6 +30,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -188,7 +189,8 @@ class AttackModel:
                 raise ValueError("r1-lie needs a 2-bit delta, e.g. r1-lie:01")
             if tuple(self.delta) not in {(0, 0), (0, 1), (1, 0), (1, 1)}:
                 raise ValueError(f"delta must be a 2-bit pair, got {self.delta}")
-            object.__setattr__(self, "delta", tuple(self.delta))
+            # Two Python ints, so that spec_string prints bits; 1.0 raises.
+            object.__setattr__(self, "delta", tuple(map(operator.index, self.delta)))
         elif self.delta is not None:
             raise ValueError(f"attack {self.kind!r} takes no delta")
 
@@ -502,6 +504,12 @@ def _positions(steps: tuple[Step, ...], *names: str) -> list[int]:
     return [measured.index(name) for name in names]
 
 
+def _code(outcome) -> int:
+    # A 2-bit value (a Bell label or a Pauli correction) as its code
+    # 2*z + x; a bit is its own code.
+    return outcome if isinstance(outcome, int) else 2 * outcome.z + outcome.x
+
+
 def _dyadic(probability: float, n_qubits: int) -> Fraction:
     """The multiple of 2^-n nearest a Born probability of an n-qubit
     stabilizer register; raises unless the float is within 1e-12 of it."""
@@ -566,27 +574,33 @@ def _fork(state, weight, outcomes, leading, trailing, branches) -> None:
         branches.append((weight * p, outcomes + tuple(map(tuple.__getitem__, read, index))))
 
 
-def _branch_table(state: StateVector, steps: tuple[Step, ...]) -> tuple[Mapping, ...]:
-    """The outcomes by name of each branch of ``steps`` on ``state``, for
-    :func:`_draw` to index with fair coins.
+def _equal_shares(state: StateVector, steps: tuple[Step, ...]) -> list[tuple]:
+    """The outcomes of every branch of ``steps`` on ``state``, which must be
+    2^d equally likely branches; any other distribution raises."""
+    enumerated = _enumerate_steps(state, steps)
+    count = len(enumerated)
+    share = Fraction(1, count)
+    if count & (count - 1) or any(p != share for p, _ in enumerated):
+        weights = ", ".join(str(p) for p, _ in enumerated)
+        raise AssertionError(f"branch weights {weights} are not 2^d equal shares")
+    return [outcomes for _, outcomes in enumerated]
 
-    The branches must be 2^d equally likely ones; any other distribution
-    raises.  They are sorted by their bits (a Bell outcome orders by its z
+
+def _branch_table(state: StateVector, steps: tuple[Step, ...]) -> tuple[Mapping, ...]:
+    """The outcomes by name of each of the :func:`_equal_shares` of
+    ``steps`` on ``state``, for :func:`_draw` to index with fair coins.
+
+    The branches are sorted by their bits (a Bell outcome orders by its z
     bit, then its x bit), so d coins read as a binary number index them.
     Each row is read-only because every run that draws it shares it.
     """
-    enumerated = _enumerate_steps(state, steps)
-    count = len(enumerated)
-    if count & (count - 1) or any(p != Fraction(1, count) for p, _ in enumerated):
-        weights = ", ".join(str(p) for p, _ in enumerated)
-        raise AssertionError(f"branch weights {weights} are not 2^d equal shares")
-    by_bits = sorted(enumerated, key=lambda branch: branch[1])
-    return tuple(MappingProxyType(_named(steps, outcomes)) for _, outcomes in by_bits)
+    by_bits = sorted(_equal_shares(state, steps))
+    return tuple(MappingProxyType(_named(steps, outcomes)) for outcomes in by_bits)
 
 
-def _draw(table: tuple[Mapping, ...], rng: np.random.Generator) -> Mapping:
-    # The row of a branch table that ``rng``'s fair coins, most significant
-    # first, index.
+def _draw(table, rng: np.random.Generator):
+    # The row of a branch table (or of one input's rows of a splitting
+    # table) that ``rng``'s fair coins, most significant first, index.
     index = 0
     for _ in range(len(table).bit_length() - 1):
         index = 2 * index + (rng.random() < 0.5)
@@ -715,36 +729,56 @@ def splitting_frame(
     return tuple(flips)
 
 
-def splitting_flips(
-    secret_bit: int, pair1: BellLabel, pair2: BellLabel, steps: tuple[Step, ...]
-) -> tuple[BellLabel, BellLabel, int]:
-    """The (swap, teleport, cipher) part of :func:`splitting_frame`: what
-    turns a row of the reference register's :func:`splitting_branches` into
-    a row of this register's."""
-    flips = splitting_frame(secret_bit, pair1, pair2, steps)
-    return tuple(flips[i] for i in _positions(steps, "swap", "tele", "cipher"))
-
-
 @lru_cache(maxsize=None)
-def _splitting_table(secret_bit: int, pair1: BellLabel, pair2: BellLabel, steps: tuple[Step, ...]):
-    # The branch table (_branch_table) of the splitting phase of a sampled run.
-    secret = statevec.computational_state([secret_bit])
-    return _branch_table(prepare_splitting_register(secret, pair1, pair2), steps)
+def _splitting_branches(steps: tuple[Step, ...]) -> np.ndarray:
+    """The splitting ``steps``' branch table of every (secret, pair1, pair2)
+    input, int-coded: shaped (2, 4, 4, B, M) by secret bit, pair codes,
+    branch and measurement step, each outcome ``2*z + x`` for a Bell step
+    and the bit for a computational one, the eavesdropper's included.
+
+    Only (0, Φ+, Φ+) is enumerated.  The other inputs differ from it by a
+    Pauli frame, so their rows are its B equal shares (:func:`_equal_shares`)
+    XORed with their :func:`splitting_frame`, sorted by their bits like a
+    :func:`_branch_table`'s for :func:`_draw` to index.
+    """
+    register = prepare_splitting_register(statevec.computational_state([0]), PHI_PLUS, PHI_PLUS)
+    reference = [list(map(_code, outcomes)) for outcomes in _equal_shares(register, steps)]
+    flips = [
+        list(map(_code, splitting_frame(*labels, steps)))
+        for labels in product((0, 1), BELL_LABELS, BELL_LABELS)
+    ]
+    coded = np.array(flips, dtype=np.int64)[:, None] ^ np.array(reference, dtype=np.int64)
+    # Each input's rows sorted by their bits: packed into one int per row (a
+    # Bell code is two bits, z first), sorted, and unpacked.
+    widths = np.array([2 if step.kind == "bell" else 1 for step in steps if step.kind != "ancilla"])
+    shifts = widths[::-1].cumsum()[::-1] - widths
+    packed = np.sort((coded << shifts).sum(axis=-1))
+    unpacked = (packed[..., None] >> shifts) & ((1 << widths) - 1)
+    table = unpacked.reshape(2, 4, 4, *coded.shape[1:])
+    table.flags.writeable = False
+    return table
+
+
+def _draw_splitting(
+    steps: tuple[Step, ...], secret_bit: int, pair1: BellLabel, pair2: BellLabel, rng
+) -> dict:
+    # The outcomes by name (_named) of the input's row of
+    # _splitting_branches that ``rng``'s fair coins index.
+    row = _draw(_splitting_branches(steps)[secret_bit, _code(pair1), _code(pair2)], rng).tolist()
+    kinds = (step.kind for step in steps if step.kind != "ancilla")
+    return _named(steps, [BELL_LABELS[c] if kind == "bell" else c for kind, c in zip(kinds, row)])
 
 
 def coin_count(attack: AttackModel) -> int:
     """How many coins a seeded (2,2) run under the attack draws: the index
-    widths of R1's token table, of R2's and of one splitting table.
-
-    The 32 splitting tables of one step list differ only by Paulis on their
-    inputs, so they have one length (a test checks it).
-    """
-    tables = [
-        _token_table(*DEFAULT_AUTH_PAIRS[receiver], token_steps(target, attack))
+    widths of R1's token table, of R2's and of the splitting table, whose
+    32 inputs have the same number of branches."""
+    counts = [
+        len(_token_table(*DEFAULT_AUTH_PAIRS[receiver], token_steps(target, attack)))
         for receiver, target in _TOKEN_TARGETS.items()
     ]
-    tables.append(_splitting_table(0, PHI_PLUS, PHI_PLUS, splitting_steps(attack, True)))
-    return sum(len(table).bit_length() - 1 for table in tables)
+    counts.append(_splitting_branches(splitting_steps(attack, True)).shape[3])
+    return sum(count.bit_length() - 1 for count in counts)
 
 
 def _record_splitting(transcript: _TranscriptBuilder, results: Mapping) -> None:
@@ -770,7 +804,7 @@ def run_splitting_22(
     """Splitting phase of the (2,2) scheme on a computational-basis secret."""
     if secret_bit not in (0, 1):
         raise ValueError(f"secret bit must be 0 or 1, got {secret_bit}")
-    results = _draw(_splitting_table(secret_bit, pair1, pair2, splitting_steps(attack, True)), rng)
+    results = _draw_splitting(splitting_steps(attack, True), secret_bit, pair1, pair2, rng)
     _record_splitting(transcript, results)
     return SplitResult(
         swap_bsm=results["swap"],
@@ -785,7 +819,8 @@ def splitting_branches(
 ) -> tuple[tuple[Fraction, BellLabel, BellLabel, int], ...]:
     """Every nonzero (probability, swap, teleport, cipher) branch of the
     splitting ``steps`` (from :func:`splitting_steps`, cipher measured) on a
-    computational-basis secret."""
+    computational-basis secret: the tests' reference for
+    :func:`_splitting_branches`, enumerated on the input's own register."""
     state = prepare_splitting_register(statevec.computational_state([secret_bit]), pair1, pair2)
     swap, tele, cipher = _positions(steps, "swap", "tele", "cipher")
     return tuple(
@@ -949,7 +984,7 @@ def run_qss22(
     if secret_bit not in (0, 1):
         raise ValueError(f"secret bit must be 0 or 1, got {secret_bit}")
     rng = make_rng(seed)
-    builder = _TranscriptBuilder(seed, "qss22")
+    builder = _TranscriptBuilder(operator.index(seed), "qss22")  # make_rng's key
 
     builder.phase("authentication-tokens")
     auth = run_auth_tokens(rng, builder, attack)
@@ -1016,16 +1051,18 @@ def run_qss55(
 
     The sender draws both pair labels uniformly, runs the splitting circuit,
     and distributes the four classical pieces over private channels; R2
-    keeps the unmeasured encrypted qubit.  The circuit is Clifford, so that
-    qubit is the secret under the Pauli :func:`end_to_end_correction` of the
-    pieces (Pauli-frame bookkeeping): no register is simulated, and the
-    printed amplitudes are the secret's own times Pauli signs.  There is no
-    authentication round.  The transcript records the fidelity of
-    reconstructing from the returned shares.
+    keeps the unmeasured encrypted qubit.  The swap and teleport outcomes
+    come from the no-cipher splitting table at the pair codes drawn.  The
+    circuit is Clifford, so R2's qubit is the secret under the Pauli
+    :func:`end_to_end_correction` of the pieces (Pauli-frame bookkeeping):
+    no register is simulated, and the printed amplitudes are the secret's
+    own times Pauli signs.  There is no authentication round.  The
+    transcript records the fidelity of reconstructing from the returned
+    shares.
     """
     secret = statevec.single_qubit(*secret_amplitudes)  # validates normalisation
     rng = make_rng(seed)
-    builder = _TranscriptBuilder(seed, "qss55")
+    builder = _TranscriptBuilder(operator.index(seed), "qss55")  # make_rng's key
 
     builder.phase("information-splitting")
     pair1 = BELL_LABELS[int(rng.integers(4))]
@@ -1033,9 +1070,8 @@ def run_qss55(
     builder.classical(SENDER, RECEIVER_3, pair1.bits, private=True)
     builder.classical(SENDER, RECEIVER_4, pair2.bits, private=True)
     # The swap and teleport outcomes are uniform whatever the secret qubit
-    # and the pair labels (the teleportation property), so the branch table
-    # of (0, Φ+, Φ+) stands in: every pair's table has the same 16 rows.
-    results = _draw(_splitting_table(0, PHI_PLUS, PHI_PLUS, splitting_steps(NO_ATTACK, False)), rng)
+    # (the teleportation property), so the table's secret-bit-0 rows serve.
+    results = _draw_splitting(splitting_steps(NO_ATTACK, False), 0, pair1, pair2, rng)
     swap, tele = results["swap"], results["tele"]
     _record_splitting(builder, results)
     builder.classical(SENDER, RECEIVER_5, tele.bits, private=True)

@@ -12,11 +12,11 @@ the honest splitting branches.
 
 Everything is computed on integer codes: 2-bit values as ``2*z + x``,
 probabilities as integer weights over one power of two.  The splitting
-branches of all 32 (secret, pair1, pair2) inputs of a step list are
-stacked into arrays once, from one enumeration of the (0, Φ+, Φ+) input
-whose outcome codes each input's Pauli frame XORs
-(:func:`protocol.splitting_flips`); the tests hold them to the statevec
-enumerator of every input.  The rest is group-bys over those codes:
+branches are the table the sampled runs draw from
+(:func:`protocol._splitting_branches`): per step list, every (secret,
+pair1, pair2) input's 2^d equal shares, stacked by Pauli frame from one
+enumeration of the (0, Φ+, Φ+) input, so a sum over rows is a count.  The
+rest is group-bys over those codes:
 
 - a view of the honest cases is a set of int columns (:data:`_VIEW_COLUMNS`,
   the masked tokens read off :data:`_MASK`, tabulated from
@@ -55,7 +55,6 @@ from .bell import (
     PAULI_CORRECTIONS,
     PHI_PLUS,
     BellLabel,
-    PauliCorrection,
     end_to_end_correction,
 )
 from .protocol import (
@@ -64,6 +63,8 @@ from .protocol import (
     RECEIVER_2,
     AttackModel,
     SenderRecords,
+    _code,
+    _splitting_branches,
     mask_tokens,
     run_qss22,
     sent_tokens,
@@ -131,20 +132,14 @@ def _honest_columns() -> dict[str, np.ndarray]:
     bit and the masked tokens (``token_r1``, a code, and ``token_r2``, a
     bit), ordered by the first five.
 
-    They are read off the honest splitting branches.  Given the secret and
-    the pair codes, each of the 16 (swap, teleport) outcome pairs must occur
-    in exactly one branch, with probability exactly 1/16; a second branch
-    for the same pair would mean the cipher qubit has not collapsed.
+    They are read off the honest splitting branches, each an equal share of
+    its input.  Given the secret and the pair codes, each of the 16 (swap,
+    teleport) outcome pairs must occur in exactly one branch; a second
+    branch for the same pair would mean the cipher qubit has not collapsed.
     """
-    denominator, weight, swap, tele, cipher = _splitting_branches(
-        protocol.splitting_steps(NO_ATTACK, True)
-    )
+    swap, tele, cipher = _splitting_columns(protocol.splitting_steps(NO_ATTACK, True))
     if (np.diff(np.sort(4 * swap + tele), axis=-1) == 0).any():
         raise AssertionError("cipher qubit not collapsed")
-    wrong = weight[16 * weight != denominator]
-    if wrong.size:
-        p = Fraction(int(wrong[0]), denominator)
-        raise AssertionError(f"honest branch probability {p}, expected 1/16")
     if swap.shape[-1] != 16:
         raise AssertionError(f"{swap.shape[-1]} honest branches, expected 16")
     ordered = np.empty((2, 4, 4, 4, 4), dtype=np.int64)
@@ -270,10 +265,6 @@ def encrypted_qubit_mixedness_55(
 # ---------------------------------------------------------------------------
 # Exact attack detection rates over integer-coded branches.
 
-def _code(label: BellLabel | PauliCorrection) -> int:
-    return 2 * label.z + label.x
-
-
 # _XOR_CODES[c, v] == c ^ v: indexing 4 weights by it and summing each row
 # XOR-convolves them with a uniform 2-bit value.
 _XOR_CODES = np.bitwise_xor.outer(np.arange(4), np.arange(4))
@@ -314,55 +305,22 @@ def _mask_table() -> np.ndarray:
 _MASK = _mask_table()
 
 
-def _over(denominator: int, p: Fraction) -> int:
-    # The numerator of ``p`` over a multiple of its own denominator.
-    return p.numerator * (denominator // p.denominator)
-
-
-@lru_cache(maxsize=None)
-def _splitting_branches(
-    steps: tuple[protocol.Step, ...],
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`protocol.splitting_branches` of all 32 (secret, pair1, pair2)
-    inputs of the step list, int-coded: ``(denominator, weight, swap, tele,
-    cipher)``.  Each array is shaped (2, 4, 4, B), indexed by the secret,
-    the pair codes and the branch, and ``weight / denominator`` is a
-    branch's probability.  Keyed by the step list rather than the attack,
-    so the attacks that leave the splitting phase alone share them.
-
-    The 32 inputs differ from (0, Φ+, Φ+) only by a Pauli frame, so the
-    reference input is enumerated once and every input's B branches are its
-    branches with the same weights, their outcome codes XORed with the
-    input's :func:`protocol.splitting_flips`.  Within one input the rows
-    keep the reference input's order, not the enumerator's.
-    """
-    reference = protocol.splitting_branches(0, PHI_PLUS, PHI_PLUS, steps)
-    denominator = max(p.denominator for p, *_ in reference)
-    rows = [
-        (_over(denominator, p), _code(swap), _code(tele), cipher)
-        for p, swap, tele, cipher in reference
-    ]
-    # Each input's flips, 0 for the weight, by (secret, pair1, pair2).
-    flips = [
-        (0, _code(swap), _code(tele), cipher)
-        for swap, tele, cipher in (
-            protocol.splitting_flips(*labels, steps)
-            for labels in product((0, 1), BELL_LABELS, BELL_LABELS)
-        )
-    ]
-    coded = np.array(flips, dtype=np.int64)[:, None] ^ np.array(rows, dtype=np.int64)
-    coded.flags.writeable = False
-    return (denominator, *np.moveaxis(coded.reshape(2, 4, 4, -1, 4), -1, 0))
+def _splitting_columns(steps: tuple[protocol.Step, ...], *index) -> list[np.ndarray]:
+    # The swap, tele and cipher codes of the splitting branches, each shaped
+    # (2, 4, 4, B) by (secret, pair1, pair2, branch), or as ``index`` picks.
+    branches = _splitting_branches(steps)[index]
+    return [branches[..., i] for i in protocol._positions(steps, "swap", "tele", "cipher")]
 
 
 def _token_codes(
     receiver: str, attack: AttackModel
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    # The receiver's token branches as (denominator, weight, code, record).
+    # The receiver's token branches as (denominator, weight, code, record),
+    # each weight over the largest of their power-of-two denominators.
     branches = protocol.token_branches(receiver, attack)
     denominator = max(p.denominator for p, _, _ in branches)
     coded = np.array(
-        [(_over(denominator, p), _code(code), _code(record)) for p, code, record in branches]
+        [(int(p * denominator), _code(code), _code(record)) for p, code, record in branches]
     )
     return (denominator, *coded.T)
 
@@ -381,13 +339,15 @@ def exact_detection_rate(attack: AttackModel) -> Fraction:
     summed over every measurement branch with uniform hidden randomness:
     R1's token branches, R2's, the secret bit and the splitting branches.
 
-    Every branch is int-coded (2-bit values as ``2*z + x``, probabilities as
-    integer weights over a power of two), so the sum is one numpy gather:
-    the splitting branches of each pair of token branches are picked by the
-    sender's records, the tokens the sender receives are looked up in a
-    table of :func:`protocol.sent_tokens`, and acceptance in
+    Every branch is int-coded (2-bit values as ``2*z + x``, a token
+    branch's probability as an integer weight over a power of two, a
+    splitting branch as one of B equal shares), so the sum is one numpy
+    gather: the splitting branches of each pair of token branches are
+    picked by the sender's records, the tokens the sender receives are
+    looked up in a table of :func:`protocol.sent_tokens`, and acceptance in
     :data:`_ACCEPT`, the sender's rule tabulated once.  The rejected
-    branches' integer weights add up to the numerator of the rate.
+    splitting branches, counted and weighted by their token branches, add
+    up to the numerator of the rate.
 
     Both token registers are the (Φ+, Φ+) one under a Pauli frame on qubits
     0 and 3, which flips only the sender's observed outcome, by ``pair_a ^
@@ -399,18 +359,17 @@ def exact_detection_rate(attack: AttackModel) -> Fraction:
     tokens_r2 = tokens_r1 if same_steps else _token_codes(RECEIVER_2, attack)
     denominator1, weight1, code1, record1 = tokens_r1
     denominator2, weight2, code2, record2 = tokens_r2
-    splitting = protocol.splitting_steps(attack, True)
-    denominator, weight, swap, tele, cipher = _splitting_branches(splitting)
     sent_r1, sent_r2 = _sent_token_codes(attack)
     # Axes: secret, R1's token branch, R2's token branch, splitting branch.
     r1, r2 = record1[:, None], record2[None, :]
-    weight, swap, tele, cipher = (array[:, r1, r2] for array in (weight, swap, tele, cipher))
+    splitting = protocol.splitting_steps(attack, True)
+    swap, tele, cipher = _splitting_columns(splitting, slice(None), r1, r2)
     tokens = code1[:, None, None], code2[None, :, None], swap, cipher
     secret = np.arange(2)[:, None, None, None]
     accepted = _ACCEPT[r1[..., None], r2[..., None], tele, secret, sent_r1[tokens], sent_r2[tokens]]
-    rejected = np.where(accepted, 0, weight).sum(axis=(0, 3))
+    rejected = (~accepted).sum(axis=(0, 3))
     total = int(weight1 @ rejected @ weight2)
-    return Fraction(total, 2 * denominator1 * denominator2 * denominator)
+    return Fraction(total, 2 * denominator1 * denominator2 * swap.shape[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from qsshare.security import (
     report_to_jsonl,
 )
 from test_draws import SPECS, TEN_COIN_SPECS
+from test_exact_branches import splitting_register
 
 # Keys at the edges of the 64-bit range, and a few drawn at random.
 KEY_GRID = (0, 1, 2, 7, 2**32, 2**63, 2**64 - 1, 12345678901234567890) + tuple(
@@ -163,14 +164,16 @@ def test_fair_coins_are_the_draws_a_run_compares():
 # Coin counts.
 
 def test_all_32_splitting_tables_of_a_step_list_have_one_length():
-    # coin_count reads the index width of one splitting table per step list.
+    # coin_count reads the index width of the one stacked splitting table
+    # per step list, so every input's own register must have that many
+    # branches.
     attacks = [AttackModel.from_spec(spec) for spec in SPECS]
     for steps in {protocol.splitting_steps(attack, True) for attack in attacks}:
         lengths = {
-            len(protocol._splitting_table(secret, pair1, pair2, steps))
+            len(protocol._branch_table(splitting_register(secret, pair1, pair2), steps))
             for secret, pair1, pair2 in product((0, 1), BELL_LABELS, BELL_LABELS)
         }
-        assert len(lengths) == 1, steps
+        assert lengths == {protocol._splitting_branches(steps).shape[3]}, steps
 
 
 @pytest.mark.parametrize("spec", SPECS)

@@ -2,20 +2,23 @@
 
 ``protocol`` writes each phase once as a step list, and the exact
 enumerator is its one sampling reader: every seeded run indexes a branch
-table built from the enumerated branches.  These tests pin the enumerator's
-splitting and token-phase branches, per attack spec, to a walk written here
-that projects one outcome label at a time, check the table draw against a
+table built from the enumerated branches.  The splitting phase has one
+such table per step list, stacked over its 32 (secret, pair1, pair2)
+inputs by Pauli frame from one enumeration, and the exact analysis reads
+the same table.  These tests pin the enumerator's splitting and
+token-phase branches, per attack spec, to a walk written here that
+projects one outcome label at a time, check the table draws against a
 plain-register Born sampler written here and against the enumerator on
-every step list, check the (5,5) run's draw from the (0, Φ+, Φ+) table and
+every step list, check each input's rows of the stacked table against the
+branch table of that input's own register, check the (5,5) run's draw and
 its Pauli-frame cipher qubit against that sampler on qubit secrets, check
 every coin sequence of a full run against the exact detection rate, check
 the integer-coded detection rate against a per-branch loop written here and
-its stacked splitting branches and acceptance table against what they
-tabulate, check the Pauli frame that stacks those branches from one
-enumeration against the enumerator on every input of every step list,
-check the dyadic snap that turns Born probabilities into rationals, and
-check that a cold exact pass keeps no state beyond the package's lru
-caches.
+its acceptance table against the rule it tabulates, check the Pauli frame
+against the enumerator on every input of every step list, count the
+splitting registers a process enumerates, check the dyadic snap that turns
+Born probabilities into rationals, and check that a cold exact pass keeps
+no state beyond the package's lru caches.
 """
 
 import inspect
@@ -222,8 +225,8 @@ def enumerated(state, steps):
     return leaves
 
 
-def assert_readers_agree(state, steps, table):
-    drawn = coin_sequences(lambda rng: protocol._draw(table, rng))
+def assert_readers_agree(state, steps, draw):
+    drawn = coin_sequences(draw)
     sampled = coin_sequences(lambda rng: sample_steps(state, steps, rng)[0])
     # The same coins, in the same order, lead both to the same outcomes.
     assert drawn == sampled
@@ -239,15 +242,13 @@ def test_sampler_and_enumerator_agree_on_every_step_list():
         assert_readers_agree(
             protocol.prepare_token_register(pair_a, pair_b),
             steps,
-            protocol._token_table(pair_a, pair_b, steps),
+            lambda rng: protocol._draw(protocol._token_table(pair_a, pair_b, steps), rng),
         )
     for steps, secret, pair1, pair2 in product(splitting_lists, (0, 1), BELL_LABELS, BELL_LABELS):
         assert_readers_agree(
-            protocol.prepare_splitting_register(
-                statevec.computational_state([secret]), pair1, pair2
-            ),
+            splitting_register(secret, pair1, pair2),
             steps,
-            protocol._splitting_table(secret, pair1, pair2, steps),
+            lambda rng: protocol._draw_splitting(steps, secret, pair1, pair2, rng),
         )
 
 
@@ -269,30 +270,50 @@ def test_swap_and_teleport_outcomes_are_uniform_for_any_qubit_secret():
         assert np.abs(joint - 1 / 16).max() < 1e-12
 
 
+def stacked_rows(steps, secret, pair1, pair2):
+    """The input's rows of the stacked splitting table, by name, read
+    through the run's draw: row i is what the coins of i's bits, most
+    significant first, draw."""
+    count = protocol._splitting_branches(steps).shape[3]
+    coins = count.bit_length() - 1
+    return [
+        protocol._draw_splitting(
+            steps,
+            secret,
+            pair1,
+            pair2,
+            ScriptedCoins(0.25 if i >> k & 1 else 0.75 for k in reversed(range(coins))),
+        )
+        for i in range(count)
+    ]
+
+
 def test_every_pair_has_the_reference_no_cipher_table():
-    # Why the (5,5) run draws from the (0, Φ+, Φ+) table whatever its pair
-    # labels: without the cipher step, every pair's table holds the same 16
-    # (swap, teleport) rows in the same order.
+    # Why the (5,5) run may index the table at secret bit 0 whatever its
+    # qubit: without the cipher step, every input's rows are the same 16
+    # (swap, teleport) rows in the same order, each input's own register's
+    # branch table.
     steps = protocol.splitting_steps(NO_ATTACK, False)
-    reference = protocol._splitting_table(0, PHI_PLUS, PHI_PLUS, steps)
-    assert len(reference) == 16
-    for pair1, pair2 in product(BELL_LABELS, repeat=2):
-        assert protocol._splitting_table(0, pair1, pair2, steps) == reference
+    table = protocol._splitting_branches(steps)
+    assert table.shape == (2, 4, 4, 16, 2)
+    assert (table == table[0, 0, 0]).all()
+    for secret, pair1, pair2 in product((0, 1), BELL_LABELS, BELL_LABELS):
+        expected = protocol._branch_table(splitting_register(secret, pair1, pair2), steps)
+        assert stacked_rows(steps, secret, pair1, pair2) == list(expected)
 
 
 def test_qss55_draw_and_postselection_match_the_sampler():
-    # Every coin sequence leads the run's draw from the (0, Φ+, Φ+) table and
-    # the Born sampler on the run's own register to the same outcomes, and
-    # the run's Pauli-frame qubit is the sampler's R2 qubit up to global
-    # phase.
+    # Every coin sequence leads the run's draw from the splitting table at
+    # its pair codes and the Born sampler on the run's own register to the
+    # same outcomes, and the run's Pauli-frame qubit is the sampler's R2
+    # qubit up to global phase.
     steps = protocol.splitting_steps(NO_ATTACK, False)
-    table = protocol._splitting_table(0, PHI_PLUS, PHI_PLUS, steps)
     secrets = list(random_qubits(3, 1993))
     for (pair1, pair2), secret in product(product(BELL_LABELS, repeat=2), secrets):
         state = protocol.prepare_splitting_register(secret, pair1, pair2)
 
         def drawn(rng):
-            results = protocol._draw(table, rng)
+            results = protocol._draw_splitting(steps, 0, pair1, pair2, rng)
             correction = end_to_end_correction(pair1, pair2, results["swap"], results["tele"])
             return dict(results), statevec.apply_pauli(secret, 0, correction)
 
@@ -362,22 +383,20 @@ def test_exact_rate_equals_the_per_branch_loop_cold_and_warm(spec):
 
 
 def test_stacked_splitting_branches_match_the_enumerator():
-    lists = {protocol.splitting_steps(AttackModel.from_spec(spec), True) for spec in SPECS}
-    assert len(lists) == 5
+    # Each input's rows of the stacked table, the eavesdropper's outcomes
+    # included, are the branch table of the input's own register, row for
+    # row and in order: 320 tables, 10 step lists by 32 inputs.
+    attacks = [AttackModel.from_spec(spec) for spec in SPECS + ("r1-lie:00",)]
+    lists = {protocol.splitting_steps(a, cipher) for a in attacks for cipher in (True, False)}
+    assert len(lists) == 10
     for steps in lists:
-        denominator, *arrays = security._splitting_branches(steps)
-        assert denominator & (denominator - 1) == 0
-        assert {array.shape for array in arrays} == {(2, 4, 4, arrays[0].shape[3])}
-        assert all(array.dtype == np.int64 and not array.flags.writeable for array in arrays)
-        for secret, pair1, pair2 in product((0, 1), range(4), range(4)):
-            coded = zip(*(array[secret, pair1, pair2].tolist() for array in arrays))
-            rows = [
-                (Fraction(weight, denominator), BELL_LABELS[swap], BELL_LABELS[tele], cipher)
-                for weight, swap, tele, cipher in coded
-            ]
-            labels = BELL_LABELS[pair1], BELL_LABELS[pair2]
-            # Row order within one input carries no meaning to any result.
-            assert sorted(rows) == sorted(protocol.splitting_branches(secret, *labels, steps))
+        table = protocol._splitting_branches(steps)
+        measured = sum(step.kind != "ancilla" for step in steps)
+        assert table.shape == (2, 4, 4, table.shape[3], measured)
+        assert table.dtype == np.int64 and not table.flags.writeable
+        for secret, pair1, pair2 in product((0, 1), BELL_LABELS, BELL_LABELS):
+            expected = protocol._branch_table(splitting_register(secret, pair1, pair2), steps)
+            assert stacked_rows(steps, secret, pair1, pair2) == list(expected)
 
 
 def every_attack():
@@ -417,7 +436,9 @@ def test_pauli_frame_matches_the_enumerator_on_every_step_list():
             assert all(type(p) is Fraction for p, _ in flipped)
             assert sorted(flipped) == sorted(expected)
             # The rule read off the qubits, as the three outcomes see it.
-            swap, tele, cipher = protocol.splitting_flips(secret, pair1, pair2, steps)
+            swap, tele, cipher = (
+                flips[i] for i in protocol._positions(steps, "swap", "tele", "cipher")
+            )
             assert (swap, tele, cipher) == (PHI_PLUS, BELL_LABELS[secret] ^ pair1, pair2.x)
 
 
@@ -431,11 +452,40 @@ def test_stacked_splitting_branches_enumerate_once_per_step_list(monkeypatch):
 
     monkeypatch.setattr(protocol, "_enumerate_steps", counted)
     lists = {protocol.splitting_steps(AttackModel.from_spec(spec), True) for spec in SPECS}
-    security._splitting_branches.cache_clear()
+    protocol._splitting_branches.cache_clear()
     for steps in lists:
         calls.clear()
-        security._splitting_branches(steps)
+        protocol._splitting_branches(steps)
         assert calls == [steps]
+
+
+def test_runs_and_exact_rates_enumerate_six_splitting_registers(monkeypatch):
+    # In one process, qss22 runs under the 13 specs with either secret, a
+    # qss55 run and the 13 exact rates read one splitting table per step
+    # list, so they enumerate one register each: the 5 step lists that
+    # measure the cipher qubit and qss55's, which does not.
+    calls = []
+    real = protocol._enumerate_steps
+
+    def counted(state, steps):
+        calls.append(steps)
+        return real(state, steps)
+
+    monkeypatch.setattr(protocol, "_enumerate_steps", counted)
+    for module in (protocol, security):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    attacks = [AttackModel.from_spec(spec) for spec in SPECS]
+    for attack, secret in product(attacks, (0, 1)):
+        protocol.run_qss22(secret, 7, attack)
+    protocol.run_qss55((0.6, 0.8j), 7)
+    for attack in attacks:
+        security.exact_detection_rate(attack)
+    splitting = [steps for steps in calls if any(step.name == "swap" for step in steps)]
+    assert len(splitting) == len(set(splitting)) == 6
+    assert sum(not any(step.name == "cipher" for step in steps) for steps in splitting) == 1
+    assert security._splitting_branches is protocol._splitting_branches
 
 
 def test_accept_table_is_the_sender_rule():

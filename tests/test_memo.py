@@ -1,12 +1,14 @@
 """The memoised branch tables of the sampled runs.
 
-A sampled run indexes lru-cached branch tables, one per register and step
-list, built from the exact enumerator's branches.  These tests pin that
-reusing them changes nothing a run does: the transcripts and the number of
-random draws of a run are the same whether every table it reads is built
-afresh or read from the cache, a (5,5) run reads only the honest (0, Φ+, Φ+)
+A sampled run indexes lru-cached branch tables built from the exact
+enumerator's branches: one per token register and step list, and one per
+splitting step list that stacks all 32 splitting inputs.  These tests pin
+that reusing them changes nothing a run does: the transcripts and the
+number of random draws of a run are the same whether every table it reads
+is built afresh or read from the cache, a (5,5) run reads only the honest
 splitting table without the cipher measurement and, once it is built, no
-register, and the exact enumeration reads none.
+register, and the exact enumeration reads no table but the splitting one,
+which is the cache the benchmark empties before a cold pass.
 """
 
 from itertools import product
@@ -15,7 +17,6 @@ import numpy as np
 import pytest
 
 from qsshare import protocol, security, statevec
-from qsshare.bell import PHI_PLUS
 from qsshare.protocol import AttackModel
 
 # The 13 attack specs of the README table.
@@ -35,7 +36,7 @@ SPECS = (
     "entangle-ancilla:split-r2",
 )
 SEEDS = range(200)
-TABLES = (protocol._token_table, protocol._splitting_table)
+TABLES = (protocol._token_table, protocol._splitting_branches)
 MEASUREMENTS = (
     "measure_computational",
     "bell_measure",
@@ -127,10 +128,11 @@ def test_warm_runs_call_no_statevec_measurement(monkeypatch):
 
 
 def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
-    # qss55 indexes the one no-cipher splitting table of (0, Φ+, Φ+) and
-    # takes R2's qubit by Pauli frame, so a warm run touches no register;
-    # the exact enumeration measures registers itself and never reads a
-    # branch table.  Neither samples a register.
+    # qss55 indexes the one no-cipher splitting table and takes R2's qubit
+    # by Pauli frame, so a warm run touches no register; the exact
+    # enumeration reads the splitting tables the runs read, through the
+    # name security's lru cache has, and no token table.  Neither samples
+    # a register.
     seen = []
 
     def spy(name):
@@ -145,13 +147,13 @@ def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
     for name in MEASUREMENTS + ("reduced_density", "extract_pure_qubit"):
         spy(name)
     read = []
-    real_splitting_table = protocol._splitting_table
+    real_splitting_table = protocol._splitting_branches
 
     def recorded_table(*key):
         read.append(key)
         return real_splitting_table(*key)
 
-    monkeypatch.setattr(protocol, "_splitting_table", recorded_table)
+    monkeypatch.setattr(protocol, "_splitting_branches", recorded_table)
     clear_tables()
     protocol.run_qss55((0.6, 0.8j), 0)  # builds the one table the runs read
     seen.clear()
@@ -166,16 +168,19 @@ def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
             protocol.run_qss55((0.6, 0.8j), seed)
     no_cipher = protocol.splitting_steps(protocol.NO_ATTACK, False)
     assert len(read) == 21
-    assert set(read) == {(0, PHI_PLUS, PHI_PLUS, no_cipher)}
+    assert set(read) == {(no_cipher,)}
     assert real_splitting_table.cache_info()[:2] == (20, 1)
     assert protocol._token_table.cache_info()[:2] == (0, 0)
     assert seen == []
 
     seen.clear()
     clear_tables()
-    security._splitting_branches.cache_clear()
     for spec in SPECS:
         security.exact_detection_rate(AttackModel.from_spec(spec))
     assert {"bell_project", "project_computational", "joint_distribution"} <= set(seen)
     assert not {"bell_measure", "measure_computational"} & set(seen)
-    assert [table.cache_info()[:2] for table in TABLES] == [(0, 0), (0, 0)]
+    # Five splitting step lists, each built once and read again by the
+    # specs that share it; security's name is the same lru object.
+    assert security._splitting_branches is real_splitting_table
+    assert real_splitting_table.cache_info()[:2] == (8, 5)
+    assert protocol._token_table.cache_info()[:2] == (0, 0)

@@ -351,6 +351,18 @@ def test_numpy_integer_seeds_key_the_same_generator():
     assert make_rng(np.uint64(7)).random() == make_rng(7).random()
 
 
+@pytest.mark.parametrize(
+    "seed, key", [(np.uint64(5), 5), (np.int64(3), 3), (True, 1), (np.uint64(2**64 - 1), 2**64 - 1)]
+)
+def test_integer_seeds_of_any_type_write_the_same_transcript(seed, key):
+    # The header records the key the generator used, a Python int, so a
+    # numpy integer serialises and a bool does not print as true.
+    assert run_qss22(0, seed).to_jsonl() == run_qss22(0, key).to_jsonl()
+    qubit = (0.6, 0.8j)
+    assert run_qss55(qubit, seed)[0].to_jsonl() == run_qss55(qubit, key)[0].to_jsonl()
+    assert json.loads(run_qss22(1, seed).to_jsonl().splitlines()[0])["seed"] == key
+
+
 # ---------------------------------------------------------------------------
 # Reconstruction contracts.
 
@@ -476,6 +488,13 @@ def test_attack_spec_round_trips():
     assert listed.delta == (0, 1)
     assert listed == AttackModel.from_spec("r1-lie:01")
     assert hash(listed) == hash(AttackModel.from_spec("r1-lie:01"))
+    # Any integer bits are stored as two Python ints, so the spec (also the
+    # transcript footer's) prints bits.
+    for delta in ((True, False), (np.int64(1), np.uint8(0))):
+        typed = AttackModel("r1-lie", delta=delta)
+        assert typed.spec_string == "r1-lie:10"
+        assert typed == AttackModel.from_spec("r1-lie:10")
+        assert all(type(bit) is int for bit in typed.delta)
 
 
 @pytest.mark.parametrize(
@@ -495,6 +514,8 @@ def test_attack_validation():
         AttackModel.from_spec("r1-lie")
     with pytest.raises(ValueError):
         AttackModel.from_spec("r1-lie:2")
+    with pytest.raises(TypeError):
+        AttackModel("r1-lie", delta=(1.0, 0))
     with pytest.raises(ValueError):
         AttackModel.from_spec("intercept-resend-bell:split-r2")
     with pytest.raises(ValueError):

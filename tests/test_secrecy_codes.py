@@ -92,40 +92,55 @@ def test_honest_columns_are_the_honest_cases():
     ] == rows
 
 
-def duplicate_outcomes(weight, swap, tele, cipher):
+HONEST = protocol.splitting_steps(protocol.NO_ATTACK, True)
+
+
+def duplicate_outcomes(table):
     # Input (1, 2, 3)'s second branch repeats its first (swap, teleport) pair.
-    swap[1, 2, 3, 1], tele[1, 2, 3, 1] = swap[1, 2, 3, 0], tele[1, 2, 3, 0]
-    return weight, swap, tele, cipher
+    table[1, 2, 3, 1, :2] = table[1, 2, 3, 0, :2]
+    return table
 
 
-def double_weight(weight, swap, tele, cipher):
-    weight[0, 1, 2, 5] *= 2
-    return weight, swap, tele, cipher
-
-
-def drop_branch(*arrays):
-    return tuple(array[..., :15] for array in arrays)
+def drop_branch(table):
+    return table[..., :15, :]
 
 
 @pytest.mark.parametrize(
     "corrupt, message",
     [
         (duplicate_outcomes, "cipher qubit not collapsed"),
-        (double_weight, "honest branch probability 1/8, expected 1/16"),
         (drop_branch, "15 honest branches, expected 16"),
     ],
 )
 def test_honest_columns_check_the_honest_branches(corrupt, message, monkeypatch):
-    denominator, *arrays = security._splitting_branches(
-        protocol.splitting_steps(protocol.NO_ATTACK, True)
-    )
-    corrupted = (denominator, *corrupt(*(array.copy() for array in arrays)))
+    corrupted = corrupt(protocol._splitting_branches(HONEST).copy())
     monkeypatch.setattr(security, "_splitting_branches", lambda steps: corrupted)
     security.enumerate_honest_cases.cache_clear()
     for reader in (security._honest_columns, security.enumerate_honest_cases):
         with pytest.raises(AssertionError) as raised:
             reader()
         assert str(raised.value) == message
+
+
+def test_honest_columns_need_equal_shares(monkeypatch):
+    # One honest branch at twice its share: the splitting table the honest
+    # columns read refuses it when it is built.
+    real = protocol._enumerate_steps
+
+    def double_weight(state, steps):
+        branches = real(state, steps)
+        if steps == HONEST:
+            p, outcomes = branches[5]
+            branches[5] = 2 * p, outcomes
+        return branches
+
+    monkeypatch.setattr(protocol, "_enumerate_steps", double_weight)
+    protocol._splitting_branches.cache_clear()
+    security.enumerate_honest_cases.cache_clear()
+    message = r"^branch weights (1/16, ){5}1/8(, 1/16){10} are not 2\^d equal shares$"
+    for reader in (security._honest_columns, security.enumerate_honest_cases):
+        with pytest.raises(AssertionError, match=message):
+            reader()
 
 
 def test_an_inexact_view_sums_in_first_seen_case_order(monkeypatch):
