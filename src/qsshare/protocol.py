@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -586,25 +585,97 @@ def _equal_shares(state: StateVector, steps: tuple[Step, ...]) -> list[tuple]:
     return [outcomes for _, outcomes in enumerated]
 
 
-def _branch_table(state: StateVector, steps: tuple[Step, ...]) -> tuple[Mapping, ...]:
-    """The outcomes by name of each of the :func:`_equal_shares` of
-    ``steps`` on ``state``, for :func:`_draw` to index with fair coins.
-
-    The branches are sorted by their bits (a Bell outcome orders by its z
-    bit, then its x bit), so d coins read as a binary number index them.
-    Each row is read-only because every run that draws it shares it.
-    """
-    by_bits = sorted(_equal_shares(state, steps))
-    return tuple(MappingProxyType(_named(steps, outcomes)) for outcomes in by_bits)
-
-
 def _draw(table, rng: np.random.Generator):
-    # The row of a branch table (or of one input's rows of a splitting
-    # table) that ``rng``'s fair coins, most significant first, index.
+    # The row of a branch table (one input's rows of a stacked table) that
+    # ``rng``'s fair coins, most significant first, index.
     index = 0
     for _ in range(len(table).bit_length() - 1):
         index = 2 * index + (rng.random() < 0.5)
     return table[index]
+
+
+def frame_flips(frame: tuple[BellLabel, ...], steps: tuple[Step, ...]) -> tuple:
+    """How each measurement of ``steps`` differs on a phase's register from
+    the same measurement on its reference register, where the two differ by
+    the Pauli ``frame``, a (z, x) pair per qubit (:func:`_phase_frames`).
+
+    Every step is Clifford, so the frame moves through them: a Bell
+    measurement of (a, b) reads flipped by ``frame[a] ^ frame[b]``, a
+    computational one by its qubit's X bit, and the ancilla's CNOT from
+    qubit 4 (:func:`_attach_ancilla`) copies that qubit's X bit onto qubit
+    5.  So each branch of the reference register, its outcomes XORed with
+    the returned flips (a label per Bell step, a bit per computational one,
+    in step order), is a branch of the framed register with the same
+    probability.
+    """
+    frame = [*frame] + [PHI_PLUS] * (statevec.MAX_QUBITS - len(frame))
+    flips = []
+    for kind, qubits, _ in steps:
+        if kind == "ancilla":
+            frame[5] = BellLabel(0, frame[4].x)
+        elif kind == "bell":
+            flips.append(frame[qubits[0]] ^ frame[qubits[1]])
+        else:
+            flips.append(frame[qubits[0]].x)
+    return tuple(flips)
+
+
+def _phase_frames(phase: str) -> tuple[StateVector, tuple[int, ...], list[tuple[BellLabel, ...]]]:
+    """A phase's reference register, the shape of its inputs and each
+    input's Pauli frame on that register, in input order.
+
+    A pair's label sits on its first qubit (:func:`statevec.prepare_bell_on`)
+    and a computational secret ``s`` is (0, s) on qubit 0.  ``"token"``
+    inputs are the (pair_a, pair_b) codes on the (Φ+, Φ+) token register;
+    ``"splitting"`` inputs are (secret, pair1, pair2) on the (0, Φ+, Φ+)
+    splitting register.
+    """
+    if phase == "token":
+        frames = [(a, PHI_PLUS, PHI_PLUS, b) for a, b in product(BELL_LABELS, repeat=2)]
+        return prepare_token_register(PHI_PLUS, PHI_PLUS), (4, 4), frames
+    frames = [
+        (BellLabel(0, secret_bit), pair1, PHI_PLUS, PHI_PLUS, pair2)
+        for secret_bit, pair1, pair2 in product((0, 1), BELL_LABELS, BELL_LABELS)
+    ]
+    register = prepare_splitting_register(statevec.computational_state([0]), PHI_PLUS, PHI_PLUS)
+    return register, (2, 4, 4), frames
+
+
+@lru_cache(maxsize=None)
+def _stacked_branches(phase: str, steps: tuple[Step, ...]) -> np.ndarray:
+    """The branch table of ``steps`` for every input of the ``phase``
+    (:func:`_phase_frames`), int-coded: shaped (*inputs, B, M) by input
+    codes, branch and measurement step, each outcome ``2*z + x`` for a Bell
+    step and the bit for a computational one, the eavesdropper's included.
+    A token table is (4, 4, B, M), a splitting table (2, 4, 4, B, M).
+
+    Only the reference register is enumerated.  The other inputs differ
+    from it by a Pauli frame, so their rows are its B equal shares
+    (:func:`_equal_shares`) XORed with their :func:`frame_flips`, sorted by
+    their bits (a Bell outcome by its z bit, then its x bit) for
+    :func:`_draw` to index.
+    """
+    register, shape, frames = _phase_frames(phase)
+    reference = [list(map(_code, outcomes)) for outcomes in _equal_shares(register, steps)]
+    flips = [list(map(_code, frame_flips(frame, steps))) for frame in frames]
+    coded = np.array(flips, dtype=np.int64)[:, None] ^ np.array(reference, dtype=np.int64)
+    # Each input's rows sorted by their bits: packed into one int per row (a
+    # Bell code is two bits, z first), sorted, and unpacked.
+    widths = np.array([2 if step.kind == "bell" else 1 for step in steps if step.kind != "ancilla"])
+    shifts = widths[::-1].cumsum()[::-1] - widths
+    packed = np.sort((coded << shifts).sum(axis=-1))
+    unpacked = (packed[..., None] >> shifts) & ((1 << widths) - 1)
+    table = unpacked.reshape(*shape, *coded.shape[1:])
+    table.flags.writeable = False
+    return table
+
+
+def _draw_named(phase: str, steps: tuple[Step, ...], inputs: tuple, rng) -> dict:
+    # The outcomes by name (_named) of the row of the input's stacked
+    # branches that ``rng``'s fair coins index; ``inputs`` are labels or bits.
+    row = _draw(_stacked_branches(phase, steps)[tuple(map(_code, inputs))], rng).tolist()
+    kinds = (step.kind for step in steps if step.kind != "ancilla")
+    return _named(steps, [BELL_LABELS[c] if kind == "bell" else c for kind, c in zip(kinds, row)])
 
 
 # ---------------------------------------------------------------------------
@@ -630,12 +701,6 @@ def prepare_token_register(pair_a: BellLabel, pair_b: BellLabel) -> StateVector:
     return state
 
 
-@lru_cache(maxsize=None)
-def _token_table(pair_a: BellLabel, pair_b: BellLabel, steps: tuple[Step, ...]):
-    # The branch table (_branch_table) of a token round of the sampled run.
-    return _branch_table(prepare_token_register(pair_a, pair_b), steps)
-
-
 def run_auth_tokens(
     rng: np.random.Generator,
     transcript: _TranscriptBuilder,
@@ -656,7 +721,7 @@ def run_auth_tokens(
         pair_a, pair_b = DEFAULT_AUTH_PAIRS[receiver]
         transcript.quantum_send(SENDER, receiver, "token-pair1-half")
         transcript.quantum_send(SENDER, receiver, "token-pair2-half")
-        results = _draw(_token_table(pair_a, pair_b, token_steps(target, attack)), rng)
+        results = _draw_named("token", token_steps(target, attack), (pair_a, pair_b), rng)
         code, observed = results["code"], results["observed"]
         codes[receiver] = code
         records[receiver] = infer_remote_bsm(pair_a, pair_b, observed)
@@ -669,7 +734,10 @@ def run_auth_tokens(
 
 def token_branches(receiver: str, attack: AttackModel) -> list[tuple[Fraction, BellLabel, BellLabel]]:
     """Every nonzero (probability, receiver's code, sender's record) branch
-    of the receiver's token round on the default pairs under the attack."""
+    of the receiver's token round on the default pairs under the attack,
+    enumerated on that pair's own register: the statevec reference and
+    oracle API for the stacked token tables (:func:`_stacked_branches`),
+    which runs and the exact analysis read instead."""
     pair_a, pair_b = DEFAULT_AUTH_PAIRS[receiver]
     steps = token_steps(_TOKEN_TARGETS[receiver], attack)
     code, observed = _positions(steps, "code", "observed")
@@ -699,86 +767,15 @@ def prepare_splitting_register(secret: StateVector, pair1: BellLabel, pair2: Bel
     return state
 
 
-def splitting_frame(
-    secret_bit: int, pair1: BellLabel, pair2: BellLabel, steps: tuple[Step, ...]
-) -> tuple:
-    """How each measurement of ``steps`` on the (secret_bit, pair1, pair2)
-    register differs from the same measurement on the (0, Φ+, Φ+) one.
-
-    Every step is Clifford, and the register is the reference one under a
-    Pauli frame, a (z, x) pair per qubit: (0, secret_bit) on qubit 0 and
-    each pair's label on its first qubit (:func:`statevec.prepare_bell_on`).
-    A Bell measurement of (a, b) then reads flipped by ``frame[a] ^
-    frame[b]``, a computational one by its qubit's X bit, and the ancilla's
-    CNOT from qubit 4 (:func:`_attach_ancilla`) copies that qubit's X bit
-    onto qubit 5.  So each branch of the reference register, its outcomes
-    XORed with the returned flips (a label per Bell step, a bit per
-    computational one, in step order), is a branch of this register with
-    the same probability.
-    """
-    frame = [PHI_PLUS] * statevec.MAX_QUBITS
-    frame[0], frame[1], frame[4] = BellLabel(0, secret_bit), pair1, pair2
-    flips = []
-    for kind, qubits, _ in steps:
-        if kind == "ancilla":
-            frame[5] = BellLabel(0, frame[4].x)
-        elif kind == "bell":
-            flips.append(frame[qubits[0]] ^ frame[qubits[1]])
-        else:
-            flips.append(frame[qubits[0]].x)
-    return tuple(flips)
-
-
-@lru_cache(maxsize=None)
-def _splitting_branches(steps: tuple[Step, ...]) -> np.ndarray:
-    """The splitting ``steps``' branch table of every (secret, pair1, pair2)
-    input, int-coded: shaped (2, 4, 4, B, M) by secret bit, pair codes,
-    branch and measurement step, each outcome ``2*z + x`` for a Bell step
-    and the bit for a computational one, the eavesdropper's included.
-
-    Only (0, Φ+, Φ+) is enumerated.  The other inputs differ from it by a
-    Pauli frame, so their rows are its B equal shares (:func:`_equal_shares`)
-    XORed with their :func:`splitting_frame`, sorted by their bits like a
-    :func:`_branch_table`'s for :func:`_draw` to index.
-    """
-    register = prepare_splitting_register(statevec.computational_state([0]), PHI_PLUS, PHI_PLUS)
-    reference = [list(map(_code, outcomes)) for outcomes in _equal_shares(register, steps)]
-    flips = [
-        list(map(_code, splitting_frame(*labels, steps)))
-        for labels in product((0, 1), BELL_LABELS, BELL_LABELS)
-    ]
-    coded = np.array(flips, dtype=np.int64)[:, None] ^ np.array(reference, dtype=np.int64)
-    # Each input's rows sorted by their bits: packed into one int per row (a
-    # Bell code is two bits, z first), sorted, and unpacked.
-    widths = np.array([2 if step.kind == "bell" else 1 for step in steps if step.kind != "ancilla"])
-    shifts = widths[::-1].cumsum()[::-1] - widths
-    packed = np.sort((coded << shifts).sum(axis=-1))
-    unpacked = (packed[..., None] >> shifts) & ((1 << widths) - 1)
-    table = unpacked.reshape(2, 4, 4, *coded.shape[1:])
-    table.flags.writeable = False
-    return table
-
-
-def _draw_splitting(
-    steps: tuple[Step, ...], secret_bit: int, pair1: BellLabel, pair2: BellLabel, rng
-) -> dict:
-    # The outcomes by name (_named) of the input's row of
-    # _splitting_branches that ``rng``'s fair coins index.
-    row = _draw(_splitting_branches(steps)[secret_bit, _code(pair1), _code(pair2)], rng).tolist()
-    kinds = (step.kind for step in steps if step.kind != "ancilla")
-    return _named(steps, [BELL_LABELS[c] if kind == "bell" else c for kind, c in zip(kinds, row)])
-
-
 def coin_count(attack: AttackModel) -> int:
     """How many coins a seeded (2,2) run under the attack draws: the index
-    widths of R1's token table, of R2's and of the splitting table, whose
-    32 inputs have the same number of branches."""
-    counts = [
-        len(_token_table(*DEFAULT_AUTH_PAIRS[receiver], token_steps(target, attack)))
-        for receiver, target in _TOKEN_TARGETS.items()
+    widths of R1's and R2's stacked token tables and of the splitting one,
+    whose inputs each have the same number of branches."""
+    tables = [
+        _stacked_branches("token", token_steps(target, attack)) for target in _TOKEN_TARGETS.values()
     ]
-    counts.append(_splitting_branches(splitting_steps(attack, True)).shape[3])
-    return sum(count.bit_length() - 1 for count in counts)
+    tables.append(_stacked_branches("splitting", splitting_steps(attack, True)))
+    return sum(table.shape[-2].bit_length() - 1 for table in tables)
 
 
 def _record_splitting(transcript: _TranscriptBuilder, results: Mapping) -> None:
@@ -804,7 +801,7 @@ def run_splitting_22(
     """Splitting phase of the (2,2) scheme on a computational-basis secret."""
     if secret_bit not in (0, 1):
         raise ValueError(f"secret bit must be 0 or 1, got {secret_bit}")
-    results = _draw_splitting(splitting_steps(attack, True), secret_bit, pair1, pair2, rng)
+    results = _draw_named("splitting", splitting_steps(attack, True), (secret_bit, pair1, pair2), rng)
     _record_splitting(transcript, results)
     return SplitResult(
         swap_bsm=results["swap"],
@@ -819,8 +816,9 @@ def splitting_branches(
 ) -> tuple[tuple[Fraction, BellLabel, BellLabel, int], ...]:
     """Every nonzero (probability, swap, teleport, cipher) branch of the
     splitting ``steps`` (from :func:`splitting_steps`, cipher measured) on a
-    computational-basis secret: the tests' reference for
-    :func:`_splitting_branches`, enumerated on the input's own register."""
+    computational-basis secret: the tests' reference for the stacked
+    splitting tables (:func:`_stacked_branches`), enumerated on the input's
+    own register."""
     state = prepare_splitting_register(statevec.computational_state([secret_bit]), pair1, pair2)
     swap, tele, cipher = _positions(steps, "swap", "tele", "cipher")
     return tuple(
@@ -1071,7 +1069,7 @@ def run_qss55(
     builder.classical(SENDER, RECEIVER_4, pair2.bits, private=True)
     # The swap and teleport outcomes are uniform whatever the secret qubit
     # (the teleportation property), so the table's secret-bit-0 rows serve.
-    results = _draw_splitting(splitting_steps(NO_ATTACK, False), 0, pair1, pair2, rng)
+    results = _draw_named("splitting", splitting_steps(NO_ATTACK, False), (0, pair1, pair2), rng)
     swap, tele = results["swap"], results["tele"]
     _record_splitting(builder, results)
     builder.classical(SENDER, RECEIVER_5, tele.bits, private=True)

@@ -10,13 +10,12 @@ equiprobable randomness/secret cases of an honest (2,2) run (two pair
 codes, the swap and teleport measurement outcomes, and the secret bit) are
 the honest splitting branches.
 
-Everything is computed on integer codes: 2-bit values as ``2*z + x``,
-probabilities as integer weights over one power of two.  The splitting
-branches are the table the sampled runs draw from
-(:func:`protocol._splitting_branches`): per step list, every (secret,
-pair1, pair2) input's 2^d equal shares, stacked by Pauli frame from one
-enumeration of the (0, Φ+, Φ+) input, so a sum over rows is a count.  The
-rest is group-bys over those codes:
+Everything is computed on integer codes: 2-bit values as ``2*z + x``.
+The branches are the tables the sampled runs draw from
+(:func:`protocol._stacked_branches`): per token or splitting step list,
+every input's 2^d equal shares, stacked by Pauli frame from one
+enumeration of the phase's reference register, so a sum over rows is a
+count.  The rest is group-bys over those codes:
 
 - a view of the honest cases is a set of int columns (:data:`_VIEW_COLUMNS`,
   the masked tokens read off :data:`_MASK`, tabulated from
@@ -24,12 +23,12 @@ rest is group-bys over those codes:
 - the encrypted qubit's correction XORs the four pieces, so unknown pieces
   XOR-convolve a 4-bin histogram of corrections, and the average is at
   most four Pauli conjugations;
-- an attack detection rate is an exact sum over every branch of both token
-  rounds and the splitting phase: a numpy gather over the arrays, the
-  sender's acceptance rule tabulated once (:data:`_ACCEPT`, from
-  :func:`protocol.verify_authentication`), and a sum of integer weights.
-  The two token rounds differ by a Pauli frame that the sender's record
-  undoes, so when their steps agree they are enumerated once.
+- an attack detection rate is an exact count over every branch of both
+  token rounds and the splitting phase: a numpy gather over the arrays and
+  the sender's acceptance rule tabulated once (:data:`_ACCEPT`, from
+  :func:`protocol.verify_authentication`).  Each token step list has one
+  table, so a cold pass over the README's 13 attacks enumerates three
+  token registers.
 
 Floating point only appears at the reporting boundary, so "exactly zero"
 results do not depend on rounding.
@@ -59,12 +58,10 @@ from .bell import (
 )
 from .protocol import (
     NO_ATTACK,
-    RECEIVER_1,
-    RECEIVER_2,
     AttackModel,
     SenderRecords,
     _code,
-    _splitting_branches,
+    _stacked_branches,
     mask_tokens,
     run_qss22,
     sent_tokens,
@@ -72,6 +69,9 @@ from .protocol import (
 )
 
 REPORT_SCHEMA = "qss-report/1"
+
+# The stacked tables' lru cache, by the name the benchmark empties it through.
+_splitting_branches = _stacked_branches
 
 # Normal quantile for a two-sided 99% interval.
 Z_99 = 2.5758293035489004
@@ -137,7 +137,8 @@ def _honest_columns() -> dict[str, np.ndarray]:
     teleport) outcome pairs must occur in exactly one branch; a second
     branch for the same pair would mean the cipher qubit has not collapsed.
     """
-    swap, tele, cipher = _splitting_columns(protocol.splitting_steps(NO_ATTACK, True))
+    honest = protocol.splitting_steps(NO_ATTACK, True)
+    swap, tele, cipher = _columns("splitting", honest, ("swap", "tele", "cipher"))
     if (np.diff(np.sort(4 * swap + tele), axis=-1) == 0).any():
         raise AssertionError("cipher qubit not collapsed")
     if swap.shape[-1] != 16:
@@ -305,24 +306,13 @@ def _mask_table() -> np.ndarray:
 _MASK = _mask_table()
 
 
-def _splitting_columns(steps: tuple[protocol.Step, ...], *index) -> list[np.ndarray]:
-    # The swap, tele and cipher codes of the splitting branches, each shaped
-    # (2, 4, 4, B) by (secret, pair1, pair2, branch), or as ``index`` picks.
-    branches = _splitting_branches(steps)[index]
-    return [branches[..., i] for i in protocol._positions(steps, "swap", "tele", "cipher")]
-
-
-def _token_codes(
-    receiver: str, attack: AttackModel
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    # The receiver's token branches as (denominator, weight, code, record),
-    # each weight over the largest of their power-of-two denominators.
-    branches = protocol.token_branches(receiver, attack)
-    denominator = max(p.denominator for p, _, _ in branches)
-    coded = np.array(
-        [(int(p * denominator), _code(code), _code(record)) for p, code, record in branches]
-    )
-    return (denominator, *coded.T)
+def _columns(
+    phase: str, steps: tuple[protocol.Step, ...], names: tuple[str, ...], *index
+) -> list[np.ndarray]:
+    # The named outcome codes of the phase's stacked branches, each shaped
+    # (*inputs, B) by input codes and branch, or as ``index`` picks.
+    branches = _stacked_branches(phase, steps)[index]
+    return [branches[..., i] for i in protocol._positions(steps, *names)]
 
 
 def _sent_token_codes(attack: AttackModel) -> tuple[np.ndarray, np.ndarray]:
@@ -339,37 +329,32 @@ def exact_detection_rate(attack: AttackModel) -> Fraction:
     summed over every measurement branch with uniform hidden randomness:
     R1's token branches, R2's, the secret bit and the splitting branches.
 
-    Every branch is int-coded (2-bit values as ``2*z + x``, a token
-    branch's probability as an integer weight over a power of two, a
-    splitting branch as one of B equal shares), so the sum is one numpy
-    gather: the splitting branches of each pair of token branches are
-    picked by the sender's records, the tokens the sender receives are
-    looked up in a table of :func:`protocol.sent_tokens`, and acceptance in
-    :data:`_ACCEPT`, the sender's rule tabulated once.  The rejected
-    splitting branches, counted and weighted by their token branches, add
-    up to the numerator of the rate.
+    Every branch is int-coded (2-bit values as ``2*z + x``) and is one of
+    the 2^d equal shares of its phase's stacked table, so the rate is a
+    count over one numpy gather: the splitting branches of each pair of
+    token branches are picked by the sender's records, the tokens the
+    sender receives are looked up in a table of :func:`protocol.sent_tokens`,
+    and acceptance in :data:`_ACCEPT`, the sender's rule tabulated once.
 
-    Both token registers are the (Φ+, Φ+) one under a Pauli frame on qubits
+    Each token register is the (Φ+, Φ+) one under a Pauli frame on qubits
     0 and 3, which flips only the sender's observed outcome, by ``pair_a ^
     pair_b``, and the sender's record undoes it (:func:`infer_remote_bsm`).
-    So two rounds with the same steps have the same branches.
+    So every token round reads the (Φ+, Φ+) rows of its step list's table,
+    where the record is the observed outcome.
     """
-    tokens_r1 = _token_codes(RECEIVER_1, attack)
-    same_steps = protocol.token_steps("auth-r1", attack) == protocol.token_steps("auth-r2", attack)
-    tokens_r2 = tokens_r1 if same_steps else _token_codes(RECEIVER_2, attack)
-    denominator1, weight1, code1, record1 = tokens_r1
-    denominator2, weight2, code2, record2 = tokens_r2
+    (code1, record1), (code2, record2) = (
+        _columns("token", protocol.token_steps(target, attack), ("code", "observed"), 0, 0)
+        for target in ("auth-r1", "auth-r2")
+    )
     sent_r1, sent_r2 = _sent_token_codes(attack)
     # Axes: secret, R1's token branch, R2's token branch, splitting branch.
     r1, r2 = record1[:, None], record2[None, :]
     splitting = protocol.splitting_steps(attack, True)
-    swap, tele, cipher = _splitting_columns(splitting, slice(None), r1, r2)
+    swap, tele, cipher = _columns("splitting", splitting, ("swap", "tele", "cipher"), slice(None), r1, r2)
     tokens = code1[:, None, None], code2[None, :, None], swap, cipher
     secret = np.arange(2)[:, None, None, None]
     accepted = _ACCEPT[r1[..., None], r2[..., None], tele, secret, sent_r1[tokens], sent_r2[tokens]]
-    rejected = (~accepted).sum(axis=(0, 3))
-    total = int(weight1 @ rejected @ weight2)
-    return Fraction(total, 2 * denominator1 * denominator2 * swap.shape[-1])
+    return Fraction(accepted.size - int(np.count_nonzero(accepted)), accepted.size)
 
 
 # ---------------------------------------------------------------------------

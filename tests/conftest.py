@@ -1,7 +1,20 @@
 from hypothesis import settings
 
+from qsshare import protocol
+
 # Fixed example sequence and no example database, so property tests draw the
 # same cases on every run; no per-example deadline, since a loaded host can
 # stall any single example.
 settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
 settings.load_profile("deterministic")
+
+
+def branch_table(state, steps):
+    """The outcomes by name of each of the 2^d equally likely branches of
+    ``steps`` on ``state`` (``protocol._equal_shares``, which raises on any
+    other distribution), sorted by their bits: a Bell outcome orders by its
+    z bit, then its x bit.  These are the rows a stacked table holds for
+    that register, in the order ``protocol._draw`` indexes them; the tests'
+    reference, enumerated on the register itself."""
+    by_bits = sorted(protocol._equal_shares(state, steps))
+    return tuple(protocol._named(steps, outcomes) for outcomes in by_bits)

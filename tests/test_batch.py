@@ -28,6 +28,7 @@ from qsshare.security import (
     public_transcript_uniformity,
     report_to_jsonl,
 )
+from conftest import branch_table
 from test_draws import SPECS, TEN_COIN_SPECS
 from test_exact_branches import splitting_register
 
@@ -170,10 +171,10 @@ def test_all_32_splitting_tables_of_a_step_list_have_one_length():
     attacks = [AttackModel.from_spec(spec) for spec in SPECS]
     for steps in {protocol.splitting_steps(attack, True) for attack in attacks}:
         lengths = {
-            len(protocol._branch_table(splitting_register(secret, pair1, pair2), steps))
+            len(branch_table(splitting_register(secret, pair1, pair2), steps))
             for secret, pair1, pair2 in product((0, 1), BELL_LABELS, BELL_LABELS)
         }
-        assert lengths == {protocol._splitting_branches(steps).shape[3]}, steps
+        assert lengths == {protocol._stacked_branches("splitting", steps).shape[3]}, steps
 
 
 @pytest.mark.parametrize("spec", SPECS)

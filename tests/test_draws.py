@@ -19,6 +19,7 @@ import pytest
 
 from qsshare import protocol, statevec
 from qsshare.protocol import AttackModel
+from conftest import branch_table
 
 # The 13 attack specs of the README table.
 SPECS = (
@@ -116,7 +117,7 @@ def test_memoised_states_hold_only_stabilizer_probabilities():
     steps = (protocol.Step("z", (0,), "eve"),)
     assert [p for p, _ in protocol._enumerate_steps(state, steps)] == [Fraction(1, 4), Fraction(3, 4)]
     with pytest.raises(AssertionError, match="1/4, 3/4 are not 2\\^d equal shares"):
-        protocol._branch_table(state, steps)
+        branch_table(state, steps)
 
 
 def test_a_branch_table_needs_equally_likely_branches():
@@ -128,7 +129,7 @@ def test_a_branch_table_needs_equally_likely_branches():
     weights = [p for p, _ in protocol._enumerate_steps(state, steps)]
     assert weights == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
     with pytest.raises(AssertionError, match="1/2, 1/4, 1/4 are not 2\\^d equal shares"):
-        protocol._branch_table(state, steps)
+        branch_table(state, steps)
 
 
 def test_golden_transcripts():

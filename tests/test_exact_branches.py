@@ -5,20 +5,21 @@ enumerator is its one sampling reader: every seeded run indexes a branch
 table built from the enumerated branches.  The splitting phase has one
 such table per step list, stacked over its 32 (secret, pair1, pair2)
 inputs by Pauli frame from one enumeration, and the exact analysis reads
-the same table.  These tests pin the enumerator's splitting and
+the same table; so has the token phase, stacked over its 16 (pair_a,
+pair_b) inputs.  These tests pin the enumerator's splitting and
 token-phase branches, per attack spec, to a walk written here that
 projects one outcome label at a time, check the table draws against a
 plain-register Born sampler written here and against the enumerator on
-every step list, check each input's rows of the stacked table against the
+every step list, check each input's rows of the stacked tables against the
 branch table of that input's own register, check the (5,5) run's draw and
 its Pauli-frame cipher qubit against that sampler on qubit secrets, check
 every coin sequence of a full run against the exact detection rate, check
 the integer-coded detection rate against a per-branch loop written here and
 its acceptance table against the rule it tabulates, check the Pauli frame
 against the enumerator on every input of every step list, count the
-splitting registers a process enumerates, check the dyadic snap that turns
-Born probabilities into rationals, and check that a cold exact pass keeps
-no state beyond the package's lru caches.
+splitting and token registers a process enumerates, check the dyadic snap
+that turns Born probabilities into rationals, and check that a cold exact
+pass keeps no state beyond the package's lru caches.
 """
 
 import inspect
@@ -35,6 +36,7 @@ import pytest
 from qsshare import protocol, security, statevec
 from qsshare.bell import BELL_LABELS, BSM_OUTCOMES, PHI_PLUS, end_to_end_correction, infer_remote_bsm
 from qsshare.protocol import NO_ATTACK, AttackModel
+from conftest import branch_table
 
 # The 13 attack specs of the README table.
 SPECS = (
@@ -242,13 +244,13 @@ def test_sampler_and_enumerator_agree_on_every_step_list():
         assert_readers_agree(
             protocol.prepare_token_register(pair_a, pair_b),
             steps,
-            lambda rng: protocol._draw(protocol._token_table(pair_a, pair_b, steps), rng),
+            lambda rng: protocol._draw_named("token", steps, (pair_a, pair_b), rng),
         )
     for steps, secret, pair1, pair2 in product(splitting_lists, (0, 1), BELL_LABELS, BELL_LABELS):
         assert_readers_agree(
             splitting_register(secret, pair1, pair2),
             steps,
-            lambda rng: protocol._draw_splitting(steps, secret, pair1, pair2, rng),
+            lambda rng: protocol._draw_named("splitting", steps, (secret, pair1, pair2), rng),
         )
 
 
@@ -270,18 +272,17 @@ def test_swap_and_teleport_outcomes_are_uniform_for_any_qubit_secret():
         assert np.abs(joint - 1 / 16).max() < 1e-12
 
 
-def stacked_rows(steps, secret, pair1, pair2):
-    """The input's rows of the stacked splitting table, by name, read
-    through the run's draw: row i is what the coins of i's bits, most
-    significant first, draw."""
-    count = protocol._splitting_branches(steps).shape[3]
+def stacked_rows(phase, steps, inputs):
+    """The input's rows of the phase's stacked table, by name, read through
+    the run's draw: row i is what the coins of i's bits, most significant
+    first, draw."""
+    count = protocol._stacked_branches(phase, steps).shape[-2]
     coins = count.bit_length() - 1
     return [
-        protocol._draw_splitting(
+        protocol._draw_named(
+            phase,
             steps,
-            secret,
-            pair1,
-            pair2,
+            inputs,
             ScriptedCoins(0.25 if i >> k & 1 else 0.75 for k in reversed(range(coins))),
         )
         for i in range(count)
@@ -294,12 +295,12 @@ def test_every_pair_has_the_reference_no_cipher_table():
     # (swap, teleport) rows in the same order, each input's own register's
     # branch table.
     steps = protocol.splitting_steps(NO_ATTACK, False)
-    table = protocol._splitting_branches(steps)
+    table = protocol._stacked_branches("splitting", steps)
     assert table.shape == (2, 4, 4, 16, 2)
     assert (table == table[0, 0, 0]).all()
-    for secret, pair1, pair2 in product((0, 1), BELL_LABELS, BELL_LABELS):
-        expected = protocol._branch_table(splitting_register(secret, pair1, pair2), steps)
-        assert stacked_rows(steps, secret, pair1, pair2) == list(expected)
+    for inputs in product((0, 1), BELL_LABELS, BELL_LABELS):
+        expected = branch_table(splitting_register(*inputs), steps)
+        assert stacked_rows("splitting", steps, inputs) == list(expected)
 
 
 def test_qss55_draw_and_postselection_match_the_sampler():
@@ -313,7 +314,7 @@ def test_qss55_draw_and_postselection_match_the_sampler():
         state = protocol.prepare_splitting_register(secret, pair1, pair2)
 
         def drawn(rng):
-            results = protocol._draw_splitting(steps, 0, pair1, pair2, rng)
+            results = protocol._draw_named("splitting", steps, (0, pair1, pair2), rng)
             correction = end_to_end_correction(pair1, pair2, results["swap"], results["tele"])
             return dict(results), statevec.apply_pauli(secret, 0, correction)
 
@@ -390,13 +391,38 @@ def test_stacked_splitting_branches_match_the_enumerator():
     lists = {protocol.splitting_steps(a, cipher) for a in attacks for cipher in (True, False)}
     assert len(lists) == 10
     for steps in lists:
-        table = protocol._splitting_branches(steps)
+        table = protocol._stacked_branches("splitting", steps)
         measured = sum(step.kind != "ancilla" for step in steps)
         assert table.shape == (2, 4, 4, table.shape[3], measured)
         assert table.dtype == np.int64 and not table.flags.writeable
-        for secret, pair1, pair2 in product((0, 1), BELL_LABELS, BELL_LABELS):
-            expected = protocol._branch_table(splitting_register(secret, pair1, pair2), steps)
-            assert stacked_rows(steps, secret, pair1, pair2) == list(expected)
+        for inputs in product((0, 1), BELL_LABELS, BELL_LABELS):
+            expected = branch_table(splitting_register(*inputs), steps)
+            assert stacked_rows("splitting", steps, inputs) == list(expected)
+
+
+def token_step_lists():
+    lists = {
+        protocol.token_steps(target, AttackModel.from_spec(spec))
+        for spec in SPECS
+        for target in TOKEN_TARGETS.values()
+    }
+    assert len(lists) == 3
+    return lists
+
+
+def test_stacked_token_branches_match_the_enumerator():
+    # Each (pair_a, pair_b)'s rows of the stacked token table, the
+    # eavesdropper's outcomes included, are the branch table of that pair's
+    # own register, row for row and in order: 48 tables, 3 step lists by 16
+    # pairs.
+    for steps in token_step_lists():
+        table = protocol._stacked_branches("token", steps)
+        measured = sum(step.kind != "ancilla" for step in steps)
+        assert table.shape == (4, 4, table.shape[2], measured)
+        assert table.dtype == np.int64 and not table.flags.writeable
+        for inputs in product(BELL_LABELS, repeat=2):
+            expected = branch_table(protocol.prepare_token_register(*inputs), steps)
+            assert stacked_rows("token", steps, inputs) == list(expected)
 
 
 def every_attack():
@@ -419,22 +445,32 @@ def splitting_register(secret, pair1, pair2):
     )
 
 
+def assert_frame_matches_the_enumerator(steps, register, frame, reference):
+    # The reference branches, flipped by the frame, are the register's own.
+    flips = protocol.frame_flips(frame, steps)
+    flipped = [
+        (p, tuple(outcome ^ flip for outcome, flip in zip(outcomes, flips)))
+        for p, outcomes in reference
+    ]
+    expected = protocol._enumerate_steps(register, steps)
+    assert all(type(p) is Fraction for p, _ in flipped)
+    assert sorted(flipped) == sorted(expected)
+    return flips
+
+
 def test_pauli_frame_matches_the_enumerator_on_every_step_list():
     lists = {protocol.splitting_steps(attack, True) for attack in every_attack()}
     assert lists == {protocol.splitting_steps(AttackModel.from_spec(s), True) for s in SPECS}
     assert len(lists) == 5
-    reference_register = splitting_register(0, PHI_PLUS, PHI_PLUS)
+    reference_register, shape, frames = protocol._phase_frames("splitting")
+    assert shape == (2, 4, 4)
+    assert statevec.states_equal(reference_register, splitting_register(0, PHI_PLUS, PHI_PLUS))
     for steps in lists:
         reference = protocol._enumerate_steps(reference_register, steps)
-        for secret, pair1, pair2 in product((0, 1), BELL_LABELS, BELL_LABELS):
-            flips = protocol.splitting_frame(secret, pair1, pair2, steps)
-            flipped = [
-                (p, tuple(outcome ^ flip for outcome, flip in zip(outcomes, flips)))
-                for p, outcomes in reference
-            ]
-            expected = protocol._enumerate_steps(splitting_register(secret, pair1, pair2), steps)
-            assert all(type(p) is Fraction for p, _ in flipped)
-            assert sorted(flipped) == sorted(expected)
+        inputs = product((0, 1), BELL_LABELS, BELL_LABELS)
+        for (secret, pair1, pair2), frame in zip(inputs, frames, strict=True):
+            register = splitting_register(secret, pair1, pair2)
+            flips = assert_frame_matches_the_enumerator(steps, register, frame, reference)
             # The rule read off the qubits, as the three outcomes see it.
             swap, tele, cipher = (
                 flips[i] for i in protocol._positions(steps, "swap", "tele", "cipher")
@@ -442,7 +478,29 @@ def test_pauli_frame_matches_the_enumerator_on_every_step_list():
             assert (swap, tele, cipher) == (PHI_PLUS, BELL_LABELS[secret] ^ pair1, pair2.x)
 
 
-def test_stacked_splitting_branches_enumerate_once_per_step_list(monkeypatch):
+def test_token_frame_flips_only_the_observed_outcome():
+    # On the token register the pairs sit on qubits 0 and 3, which only the
+    # sender's measurement reads: it flips by pair_a ^ pair_b, and the
+    # receiver's code and every intercept outcome read as on (Φ+, Φ+).
+    targets = TOKEN_TARGETS.values()
+    lists = {protocol.token_steps(target, attack) for attack in every_attack() for target in targets}
+    assert lists == token_step_lists()
+    reference_register, shape, frames = protocol._phase_frames("token")
+    assert shape == (4, 4)
+    reference_pairs = protocol.prepare_token_register(PHI_PLUS, PHI_PLUS)
+    assert statevec.states_equal(reference_register, reference_pairs)
+    for steps in lists:
+        reference = protocol._enumerate_steps(reference_register, steps)
+        observed = protocol._positions(steps, "observed")[0]
+        for (pair_a, pair_b), frame in zip(product(BELL_LABELS, repeat=2), frames, strict=True):
+            register = protocol.prepare_token_register(pair_a, pair_b)
+            flips = assert_frame_matches_the_enumerator(steps, register, frame, reference)
+            others = flips[:observed] + flips[observed + 1 :]
+            assert flips[observed] == pair_a ^ pair_b
+            assert all(flip in (0, PHI_PLUS) for flip in others)
+
+
+def test_stacked_branches_enumerate_once_per_step_list(monkeypatch):
     calls = []
     real = protocol._enumerate_steps
 
@@ -451,11 +509,13 @@ def test_stacked_splitting_branches_enumerate_once_per_step_list(monkeypatch):
         return real(state, steps)
 
     monkeypatch.setattr(protocol, "_enumerate_steps", counted)
-    lists = {protocol.splitting_steps(AttackModel.from_spec(spec), True) for spec in SPECS}
-    protocol._splitting_branches.cache_clear()
-    for steps in lists:
+    attacks = [AttackModel.from_spec(spec) for spec in SPECS]
+    lists = {("splitting", protocol.splitting_steps(attack, True)) for attack in attacks}
+    lists |= {("token", steps) for steps in token_step_lists()}
+    protocol._stacked_branches.cache_clear()
+    for phase, steps in lists:
         calls.clear()
-        protocol._splitting_branches(steps)
+        protocol._stacked_branches(phase, steps)
         assert calls == [steps]
 
 
@@ -485,7 +545,29 @@ def test_runs_and_exact_rates_enumerate_six_splitting_registers(monkeypatch):
     splitting = [steps for steps in calls if any(step.name == "swap" for step in steps)]
     assert len(splitting) == len(set(splitting)) == 6
     assert sum(not any(step.name == "cipher" for step in steps) for steps in splitting) == 1
-    assert security._splitting_branches is protocol._splitting_branches
+    assert security._splitting_branches is protocol._stacked_branches
+
+
+def test_cold_rates_enumerate_three_token_registers_and_runs_none(monkeypatch):
+    # The 13 exact rates read one stacked token table per token step list,
+    # so a cold pass prepares one token register each; qss22 runs under the
+    # same specs then read those tables and prepare none.
+    calls = []
+    real = protocol.prepare_token_register
+
+    def counted(pair_a, pair_b):
+        calls.append((pair_a, pair_b))
+        return real(pair_a, pair_b)
+
+    monkeypatch.setattr(protocol, "prepare_token_register", counted)
+    protocol._stacked_branches.cache_clear()
+    attacks = [AttackModel.from_spec(spec) for spec in SPECS]
+    for attack in attacks:
+        security.exact_detection_rate(attack)
+    assert calls == [(PHI_PLUS, PHI_PLUS)] * 3
+    for attack, seed in product(attacks, range(20)):
+        protocol.run_qss22(seed % 2, seed, attack)
+    assert len(calls) == 3
 
 
 def test_accept_table_is_the_sender_rule():

@@ -1,16 +1,18 @@
 """The memoised branch tables of the sampled runs.
 
 A sampled run indexes lru-cached branch tables built from the exact
-enumerator's branches: one per token register and step list, and one per
-splitting step list that stacks all 32 splitting inputs.  These tests pin
-that reusing them changes nothing a run does: the transcripts and the
-number of random draws of a run are the same whether every table it reads
-is built afresh or read from the cache, a (5,5) run reads only the honest
-splitting table without the cipher measurement and, once it is built, no
-register, and the exact enumeration reads no table but the splitting one,
-which is the cache the benchmark empties before a cold pass.
+enumerator's branches, all in one cache: one table per token step list
+that stacks the 16 (pair_a, pair_b) inputs, and one per splitting step
+list that stacks all 32 splitting inputs.  These tests pin that reusing
+them changes nothing a run does: the transcripts and the number of random
+draws of a run are the same whether every table it reads is built afresh
+or read from the cache, a (5,5) run reads only the honest splitting table
+without the cipher measurement and, once it is built, no register, and the
+exact enumeration reads the same tables as the runs, through the cache the
+benchmark empties before a cold pass, and once they are built no register.
 """
 
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -18,6 +20,7 @@ import pytest
 
 from qsshare import protocol, security, statevec
 from qsshare.protocol import AttackModel
+from test_security import PINNED_EXACT_RATES
 
 # The 13 attack specs of the README table.
 SPECS = (
@@ -36,7 +39,7 @@ SPECS = (
     "entangle-ancilla:split-r2",
 )
 SEEDS = range(200)
-TABLES = (protocol._token_table, protocol._splitting_branches)
+TABLES = (protocol._stacked_branches,)
 MEASUREMENTS = (
     "measure_computational",
     "bell_measure",
@@ -127,12 +130,30 @@ def test_warm_runs_call_no_statevec_measurement(monkeypatch):
         protocol.run_qss22(seed % 2, seed, attack)
 
 
+def test_warm_exact_rates_call_no_statevec_measurement(monkeypatch):
+    # The rates read the stacked tables the runs read, so once one pass has
+    # built them a rate is a count over int codes: no register is projected,
+    # measured or read off a joint distribution.
+    rates = dict(PINNED_EXACT_RATES, **{"r1-lie:00": Fraction(0)})
+    for spec in rates:
+        security.exact_detection_rate(AttackModel.from_spec(spec))
+
+    def forbidden(*args):
+        raise AssertionError("a warm exact rate enumerated a register")
+
+    for name in MEASUREMENTS:
+        monkeypatch.setattr(statevec, name, forbidden)
+    for spec, expected in rates.items():
+        rate = security.exact_detection_rate(AttackModel.from_spec(spec))
+        assert type(rate) is Fraction and rate == expected, spec
+
+
 def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
     # qss55 indexes the one no-cipher splitting table and takes R2's qubit
     # by Pauli frame, so a warm run touches no register; the exact
-    # enumeration reads the splitting tables the runs read, through the
-    # name security's lru cache has, and no token table.  Neither samples
-    # a register.
+    # enumeration reads the token and splitting tables the runs read, from
+    # the one lru cache the benchmark empties through security's name.
+    # Neither samples a register.
     seen = []
 
     def spy(name):
@@ -147,13 +168,14 @@ def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
     for name in MEASUREMENTS + ("reduced_density", "extract_pure_qubit"):
         spy(name)
     read = []
-    real_splitting_table = protocol._splitting_branches
+    real_table = protocol._stacked_branches
 
     def recorded_table(*key):
         read.append(key)
-        return real_splitting_table(*key)
+        return real_table(*key)
 
-    monkeypatch.setattr(protocol, "_splitting_branches", recorded_table)
+    monkeypatch.setattr(protocol, "_stacked_branches", recorded_table)
+    monkeypatch.setattr(security, "_stacked_branches", recorded_table)
     clear_tables()
     protocol.run_qss55((0.6, 0.8j), 0)  # builds the one table the runs read
     seen.clear()
@@ -168,19 +190,26 @@ def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
             protocol.run_qss55((0.6, 0.8j), seed)
     no_cipher = protocol.splitting_steps(protocol.NO_ATTACK, False)
     assert len(read) == 21
-    assert set(read) == {(no_cipher,)}
-    assert real_splitting_table.cache_info()[:2] == (20, 1)
-    assert protocol._token_table.cache_info()[:2] == (0, 0)
+    assert set(read) == {("splitting", no_cipher)}
+    # The one table qss55 reads is the only one in the cache: no token table.
+    assert real_table.cache_info()[:2] == (20, 1)
+    assert real_table.cache_info().currsize == 1
     assert seen == []
 
     seen.clear()
+    read.clear()
     clear_tables()
     for spec in SPECS:
         security.exact_detection_rate(AttackModel.from_spec(spec))
     assert {"bell_project", "project_computational", "joint_distribution"} <= set(seen)
     assert not {"bell_measure", "measure_computational"} & set(seen)
-    # Five splitting step lists, each built once and read again by the
-    # specs that share it; security's name is the same lru object.
-    assert security._splitting_branches is real_splitting_table
-    assert real_splitting_table.cache_info()[:2] == (8, 5)
-    assert protocol._token_table.cache_info()[:2] == (0, 0)
+    # Each rate reads both token rounds' tables and one splitting table.
+    # Five splitting and three token step lists, each built once and read
+    # again by the specs that share it; security's name is the same lru
+    # object, so the benchmark's cold pass empties every one.
+    phases = [phase for phase, _ in read]
+    assert (phases.count("token"), phases.count("splitting")) == (26, 13)
+    assert len({key for key in read if key[0] == "splitting"}) == 5
+    assert len({key for key in read if key[0] == "token"}) == 3
+    assert security._splitting_branches is real_table
+    assert real_table.cache_info()[:2] == (31, 8)

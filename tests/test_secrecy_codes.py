@@ -20,7 +20,7 @@ from qsshare import protocol, security, statevec
 from qsshare.bell import BELL_LABELS, end_to_end_correction
 from qsshare.protocol import RECEIVER_1, RECEIVER_2, AttackModel, sent_tokens
 from qsshare.security import PIECES, VIEW_NAMES, SecrecyReport
-from test_exact_branches import SPECS, every_attack
+from test_exact_branches import SPECS, TOKEN_TARGETS, every_attack
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +113,8 @@ def drop_branch(table):
     ],
 )
 def test_honest_columns_check_the_honest_branches(corrupt, message, monkeypatch):
-    corrupted = corrupt(protocol._splitting_branches(HONEST).copy())
-    monkeypatch.setattr(security, "_splitting_branches", lambda steps: corrupted)
+    corrupted = corrupt(protocol._stacked_branches("splitting", HONEST).copy())
+    monkeypatch.setattr(security, "_stacked_branches", lambda phase, steps: corrupted)
     security.enumerate_honest_cases.cache_clear()
     for reader in (security._honest_columns, security.enumerate_honest_cases):
         with pytest.raises(AssertionError) as raised:
@@ -135,7 +135,7 @@ def test_honest_columns_need_equal_shares(monkeypatch):
         return branches
 
     monkeypatch.setattr(protocol, "_enumerate_steps", double_weight)
-    protocol._splitting_branches.cache_clear()
+    protocol._stacked_branches.cache_clear()
     security.enumerate_honest_cases.cache_clear()
     message = r"^branch weights (1/16, ){5}1/8(, 1/16){10} are not 2\^d equal shares$"
     for reader in (security._honest_columns, security.enumerate_honest_cases):
@@ -250,6 +250,18 @@ def test_token_rounds_with_equal_steps_have_equal_branches():
         assert sorted(r1) == sorted(r2), attack
 
 
+def test_rates_read_each_round_off_the_reference_token_rows():
+    # The rate reads every token round's (code, record) branches as the
+    # (Φ+, Φ+) rows of its step list's stacked table, code and observed
+    # outcome: they are the round's statevec branches on its own pairs.
+    for attack, (receiver, target) in product(every_attack(), TOKEN_TARGETS.items()):
+        steps = protocol.token_steps(target, attack)
+        code, record = security._columns("token", steps, ("code", "observed"), 0, 0)
+        share = Fraction(1, len(code))
+        rows = [(share, BELL_LABELS[c], BELL_LABELS[r]) for c, r in zip(code.tolist(), record.tolist())]
+        assert sorted(rows) == sorted(protocol.token_branches(receiver, attack)), attack
+
+
 def test_sent_token_codes_are_sent_tokens():
     for attack in every_attack():
         sent_r1, sent_r2 = security._sent_token_codes(attack)
@@ -261,7 +273,7 @@ def test_sent_token_codes_are_sent_tokens():
     assert any(attack.spec_string == "r1-lie:00" for attack in every_attack())
 
 
-def test_a_cold_rate_pass_enumerates_17_token_rounds(monkeypatch):
+def test_a_cold_rate_pass_enumerates_one_token_round_per_step_list(monkeypatch):
     calls = []
     real = protocol._enumerate_steps
 
@@ -274,5 +286,5 @@ def test_a_cold_rate_pass_enumerates_17_token_rounds(monkeypatch):
     for spec in SPECS:
         security.exact_detection_rate(AttackModel.from_spec(spec))
     token_rounds = [steps for steps in calls if any(step.name == "code" for step in steps)]
-    assert len(token_rounds) == 17
+    assert len(token_rounds) == len(set(token_rounds)) == 3
     assert len(calls) - len(token_rounds) == 5  # one per splitting step list
