@@ -30,7 +30,6 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -523,66 +522,26 @@ def _dyadic(probability: float, n_qubits: int) -> Fraction:
 
 def _enumerate_steps(state: StateVector, steps: tuple[Step, ...]) -> list[tuple[Fraction, tuple]]:
     """Every nonzero (probability, outcomes) branch of ``steps`` on a plain
-    stabilizer register, with each probability snapped by :func:`_dyadic`.
-    ``outcomes`` holds one label or bit per measurement step, in step order.
-
-    The trailing measurements on disjoint qubits commute, so they are read
-    off one :func:`statevec.joint_distribution`; each step before them forks
-    the state by projection.
-    """
-    split = len(steps)
-    measured: set[int] = set()
-    while split and steps[split - 1].kind != "ancilla" and measured.isdisjoint(steps[split - 1].qubits):
-        split -= 1
-        measured.update(steps[split].qubits)
-    branches: list = []
-    _fork(state, Fraction(1), (), steps[:split], steps[split:], branches)
+    stabilizer register, forked by projection one step at a time, with each
+    probability snapped by :func:`_dyadic`.  ``outcomes`` holds one label
+    or bit per measurement step, in step order.  Oracle API behind
+    :func:`token_branches` and :func:`splitting_branches`, and the tests'
+    reference for the symbolic tables (:func:`_stacked_branches`); no run
+    or exact rate calls it."""
+    if not steps:
+        return [(Fraction(1), ())]
+    (kind, qubits, _), rest = steps[0], steps[1:]
+    if kind == "ancilla":
+        return _enumerate_steps(_attach_ancilla(state), rest)
+    if kind == "bell":
+        forks = [(label, statevec.bell_project(state, *qubits, label)) for label in BELL_LABELS]
+    else:
+        forks = [(bit, statevec.project_computational(state, *qubits, bit)) for bit in (0, 1)]
+    branches = []
+    for outcome, (p, after) in forks:
+        if after is not None and (p := _dyadic(p, state.n_qubits)):
+            branches += [(p * q, (outcome,) + more) for q, more in _enumerate_steps(after, rest)]
     return branches
-
-
-def _fork(state, weight, outcomes, leading, trailing, branches) -> None:
-    if leading:
-        (kind, qubits, _), rest = leading[0], leading[1:]
-        if kind == "ancilla":
-            _fork(_attach_ancilla(state), weight, outcomes, rest, trailing, branches)
-            return
-        if kind == "bell":
-            forks = [(label, statevec.bell_project(state, *qubits, label)) for label in BELL_LABELS]
-        else:
-            forks = [(bit, statevec.project_computational(state, *qubits, bit)) for bit in (0, 1)]
-        for outcome, (p, after) in forks:
-            if after is None:
-                continue
-            p = _dyadic(p, state.n_qubits)
-            if p:
-                _fork(after, weight * p, outcomes + (outcome,), rest, trailing, branches)
-        return
-    pairs = [step.qubits for step in trailing if step.kind == "bell"]
-    singles = [step.qubits[0] for step in trailing if step.kind == "z"]
-    # The joint distribution's axes hold the steps listed in ``order``, Bell
-    # measurements first; transposed by the inverse permutation, they follow
-    # the steps.
-    order = sorted(range(len(trailing)), key=lambda i: trailing[i].kind == "z")
-    axes = sorted(range(len(order)), key=order.__getitem__)
-    joint = statevec.joint_distribution(state, pairs, singles).transpose(axes)
-    read = [BELL_LABELS if step.kind == "bell" else (0, 1) for step in trailing]
-    # An entry within 1e-12 of zero snaps to zero; every other one must be
-    # within 1e-12 of a nonzero multiple of 2^-n.
-    for index in np.argwhere(joint > 1e-12).tolist():
-        p = _dyadic(float(joint[tuple(index)]), state.n_qubits)
-        branches.append((weight * p, outcomes + tuple(map(tuple.__getitem__, read, index))))
-
-
-def _equal_shares(state: StateVector, steps: tuple[Step, ...]) -> list[tuple]:
-    """The outcomes of every branch of ``steps`` on ``state``, which must be
-    2^d equally likely branches; any other distribution raises."""
-    enumerated = _enumerate_steps(state, steps)
-    count = len(enumerated)
-    share = Fraction(1, count)
-    if count & (count - 1) or any(p != share for p, _ in enumerated):
-        weights = ", ".join(str(p) for p, _ in enumerated)
-        raise AssertionError(f"branch weights {weights} are not 2^d equal shares")
-    return [outcomes for _, outcomes in enumerated]
 
 
 def _draw(table, rng: np.random.Generator):
@@ -597,16 +556,16 @@ def _draw(table, rng: np.random.Generator):
 def frame_flips(frame: tuple[BellLabel, ...], steps: tuple[Step, ...]) -> tuple:
     """How each measurement of ``steps`` differs on a phase's register from
     the same measurement on its reference register, where the two differ by
-    the Pauli ``frame``, a (z, x) pair per qubit (:func:`_phase_frames`).
+    the Pauli ``frame``, a (z, x) pair per qubit (:func:`_unit_frames`).
 
     Every step is Clifford, so the frame moves through them: a Bell
     measurement of (a, b) reads flipped by ``frame[a] ^ frame[b]``, a
     computational one by its qubit's X bit, and the ancilla's CNOT from
     qubit 4 (:func:`_attach_ancilla`) copies that qubit's X bit onto qubit
-    5.  So each branch of the reference register, its outcomes XORed with
-    the returned flips (a label per Bell step, a bit per computational one,
-    in step order), is a branch of the framed register with the same
-    probability.
+    5.  The returned flips hold a label per Bell step and a bit per
+    computational one, in step order.  They are XOR-linear in the frame,
+    so :func:`_stacked_branches` calls this once per input bit, on the
+    bit's unit frame, and XORs the results into every input's flips.
     """
     frame = [*frame] + [PHI_PLUS] * (statevec.MAX_QUBITS - len(frame))
     flips = []
@@ -620,52 +579,145 @@ def frame_flips(frame: tuple[BellLabel, ...], steps: tuple[Step, ...]) -> tuple:
     return tuple(flips)
 
 
-def _phase_frames(phase: str) -> tuple[StateVector, tuple[int, ...], list[tuple[BellLabel, ...]]]:
-    """A phase's reference register, the shape of its inputs and each
-    input's Pauli frame on that register, in input order.
+# Each phase's reference register, which prepare_token_register or
+# prepare_splitting_register builds at all-zero inputs: whether the
+# splitting secret |0> sits on qubit 0, and each Φ+ pair's qubits, the
+# first carrying its label.
+_REFERENCES = {"token": (False, ((0, 1), (3, 2))), "splitting": (True, ((1, 2), (4, 3)))}
 
-    A pair's label sits on its first qubit (:func:`statevec.prepare_bell_on`)
-    and a computational secret ``s`` is (0, s) on qubit 0.  ``"token"``
-    inputs are the (pair_a, pair_b) codes on the (Φ+, Φ+) token register;
-    ``"splitting"`` inputs are (secret, pair1, pair2) on the (0, Φ+, Φ+)
-    splitting register.
+# The symbolic pass writes a Pauli as one int: qubit q's X bit is bit q and
+# its Z bit is bit q + _Z.
+_Z = statevec.MAX_QUBITS
+_X_BITS = (1 << _Z) - 1
+
+
+def _unit_frames(phase: str) -> list[tuple[BellLabel, ...]]:
+    """The Pauli frame each input bit of the ``phase`` puts on its reference
+    register, most significant first: a computational secret's bit is X on
+    qubit 0, and a pair's code (z, x) is Z^z X^x on its first qubit.  An
+    input's frame is the XOR of its set bits' frames."""
+    secret, pairs = _REFERENCES[phase]
+    units = [(0, PSI_PLUS)] if secret else []  # PSI_PLUS is (z, x) = X, PHI_MINUS Z
+    units += [(first, label) for first, _ in pairs for label in (PHI_MINUS, PSI_PLUS)]
+    return [(PHI_PLUS,) * qubit + (label,) for qubit, label in units]
+
+
+def _product_sign(generators: list[list[int]], pauli: int) -> int:
+    # The sign mask of the product of ``generators`` that is ``pauli``, by
+    # elimination over GF(2): each generator, reduced on the top bits of the
+    # ones before it, joins the basis, and the Pauli is reduced last.
+    basis = []
+    for p, sign in generators + [[pauli, 0]]:
+        for row, row_sign in basis:
+            if p ^ row < p:  # p holds row's top bit
+                p, sign = p ^ row, sign ^ row_sign
+        basis.append((p, sign))
+    assert p == 0, "a Pauli that commutes with every generator is not their product"
+    return sign
+
+
+def _coin_parities(phase: str, steps: tuple[Step, ...]) -> tuple[list[int], int]:
+    """One symbolic stabilizer pass of ``steps`` on the phase's reference
+    register (Aaronson & Gottesman, PRA 70, 052328, 2004): each outcome
+    bit, in table order (a Bell step's z bit, then its x bit), as the mask
+    of the fair coins it is the XOR of, and the number of coins.
+
+    Each stabilizer generator is a Pauli and a mask of coins: its sign is
+    -1 when the XOR of those coins is 1.  The reference register's are XX
+    and ZZ on each Φ+ pair and Z on the secret, all of sign +.  A measured
+    Pauli that anticommutes with a generator draws a new coin; any other is
+    a product of generators and reads the XOR of their masks.  A Bell step
+    measures ZZ, its x bit, then XX, its z bit.  The ancilla step adds Z on
+    qubit 5 and conjugates by the CNOT from qubit 4.  Every generator and
+    measured Pauli is pure X or pure Z (CSS), so no product of generators
+    picks up a phase.
     """
-    if phase == "token":
-        frames = [(a, PHI_PLUS, PHI_PLUS, b) for a, b in product(BELL_LABELS, repeat=2)]
-        return prepare_token_register(PHI_PLUS, PHI_PLUS), (4, 4), frames
-    frames = [
-        (BellLabel(0, secret_bit), pair1, PHI_PLUS, PHI_PLUS, pair2)
-        for secret_bit, pair1, pair2 in product((0, 1), BELL_LABELS, BELL_LABELS)
-    ]
-    register = prepare_splitting_register(statevec.computational_state([0]), PHI_PLUS, PHI_PLUS)
-    return register, (2, 4, 4), frames
+    secret, pairs = _REFERENCES[phase]
+    generators = [[1 << _Z, 0]] if secret else []
+    for a, b in pairs:
+        generators += [[1 << a | 1 << b, 0], [(1 << a | 1 << b) << _Z, 0]]
+    coins, bits = 0, []
+
+    def measure(pauli: int) -> int:
+        nonlocal coins
+        anticommuting = [
+            g for g in generators if ((g[0] >> _Z) & pauli ^ g[0] & (pauli >> _Z)).bit_count() & 1
+        ]
+        if not anticommuting:
+            return _product_sign(generators, pauli)
+        first, *rest = anticommuting
+        for g in rest:
+            g[0] ^= first[0]
+            g[1] ^= first[1]
+        first[:] = pauli, 1 << coins
+        coins += 1
+        return first[1]
+
+    for kind, qubits, _ in steps:
+        mask = sum(1 << q for q in qubits)
+        if kind == "ancilla":
+            generators.append([1 << (5 + _Z), 0])
+            for g in generators:  # X4 -> X4 X5 and Z5 -> Z4 Z5
+                g[0] ^= (g[0] >> 4 & 1) << 5 | (g[0] >> (5 + _Z) & 1) << (4 + _Z)
+        elif kind == "bell":
+            x = measure(mask << _Z)
+            bits += [measure(mask), x]
+        else:
+            bits.append(measure(mask << _Z))
+        assert not any(p & _X_BITS and p >> _Z for p, _ in generators), "a generator is not CSS"
+    return bits, coins
+
+
+def _span(vectors: list[int]) -> list[int]:
+    # The XOR of every subset of ``vectors``, indexed by the subset's bits,
+    # the first vector most significant.
+    span = [0]
+    for vector in vectors:
+        span = [s ^ t for s in span for t in (0, vector)]
+    return span
 
 
 @lru_cache(maxsize=None)
 def _stacked_branches(phase: str, steps: tuple[Step, ...]) -> np.ndarray:
     """The branch table of ``steps`` for every input of the ``phase``
-    (:func:`_phase_frames`), int-coded: shaped (*inputs, B, M) by input
+    (:func:`_unit_frames`), int-coded: shaped (*inputs, B, M) by input
     codes, branch and measurement step, each outcome ``2*z + x`` for a Bell
     step and the bit for a computational one, the eavesdropper's included.
     A token table is (4, 4, B, M), a splitting table (2, 4, 4, B, M).
 
-    Only the reference register is enumerated.  The other inputs differ
-    from it by a Pauli frame, so their rows are its B equal shares
-    (:func:`_equal_shares`) XORed with their :func:`frame_flips`, sorted by
-    their bits (a Bell outcome by its z bit, then its x bit) for
-    :func:`_draw` to index.
+    One symbolic pass (:func:`_coin_parities`) gives each outcome bit as a
+    parity of d fair coins, so every input's B = 2^d rows are equally likely
+    by construction.  With a row's bits read as one binary number, the
+    reference register's rows are the span of G, each coin's outcome bits.
+    G is put in reduced echelon form with its pivots taken from the most
+    significant bit, so a row's coins are its pivot bits and the span,
+    indexed by them, is sorted by bits (a Bell outcome by its z bit, then
+    its x bit) for :func:`_draw`.  Another input differs from the reference
+    by a Pauli frame, which XORs its :func:`frame_flips` into every row:
+    linear in the input bits, and reduced to zero on the pivots so that the
+    rows stay sorted.
     """
-    register, shape, frames = _phase_frames(phase)
-    reference = [list(map(_code, outcomes)) for outcomes in _equal_shares(register, steps)]
-    flips = [list(map(_code, frame_flips(frame, steps))) for frame in frames]
-    coded = np.array(flips, dtype=np.int64)[:, None] ^ np.array(reference, dtype=np.int64)
-    # Each input's rows sorted by their bits: packed into one int per row (a
-    # Bell code is two bits, z first), sorted, and unpacked.
-    widths = np.array([2 if step.kind == "bell" else 1 for step in steps if step.kind != "ancilla"])
-    shifts = widths[::-1].cumsum()[::-1] - widths
-    packed = np.sort((coded << shifts).sum(axis=-1))
-    unpacked = (packed[..., None] >> shifts) & ((1 << widths) - 1)
-    table = unpacked.reshape(*shape, *coded.shape[1:])
+    parities, coins = _coin_parities(phase, steps)
+    basis: list[int] = []
+
+    def reduced(vector: int) -> int:
+        for row in basis:
+            vector = min(vector, vector ^ row)  # clears row's pivot
+        return vector
+
+    for coin in range(coins):
+        vector = reduced(int("".join(str(mask >> coin & 1) for mask in parities), 2))
+        basis = sorted([min(row, row ^ vector) for row in basis] + [vector], reverse=True)
+    flips = []
+    for frame in _unit_frames(phase):
+        bits = (f.bits if isinstance(f, BellLabel) else str(f) for f in frame_flips(frame, steps))
+        flips.append(reduced(int("".join(bits), 2)))
+    rows = np.array(_span(flips), dtype=np.int64)[:, None] ^ np.array(_span(basis), dtype=np.int64)
+    widths = [2 if step.kind == "bell" else 1 for step in steps if step.kind != "ancilla"]
+    shifts = np.array([sum(widths[i + 1 :]) for i in range(len(widths))])
+    table = (rows[..., None] >> shifts) & np.array([(1 << width) - 1 for width in widths])
+    secret, pairs = _REFERENCES[phase]
+    table = table.reshape((2,) * secret + (4,) * len(pairs) + table.shape[1:])
     table.flags.writeable = False
     return table
 

@@ -3,19 +3,18 @@
 All claims that are stated as exact are backed by exhaustive enumeration.
 The branch sets come from :mod:`protocol`, which writes each phase's
 measurements once as a step list (:func:`protocol.token_steps`,
-:func:`protocol.splitting_steps`) and enumerates it exactly: every branch
-of a token round or of the splitting phase, under any attack, with a
-weight that is a multiple of 2^-n for an n-qubit register.  The 512
-equiprobable randomness/secret cases of an honest (2,2) run (two pair
-codes, the swap and teleport measurement outcomes, and the secret bit) are
-the honest splitting branches.
+:func:`protocol.splitting_steps`) and tabulates it exactly: every branch
+of a token round or of the splitting phase, under any attack, as one of
+2^d equally likely rows.  The 512 equiprobable randomness/secret cases of
+an honest (2,2) run (two pair codes, the swap and teleport measurement
+outcomes, and the secret bit) are the honest splitting branches.
 
 Everything is computed on integer codes: 2-bit values as ``2*z + x``.
 The branches are the tables the sampled runs draw from
 (:func:`protocol._stacked_branches`): per token or splitting step list,
 every input's 2^d equal shares, stacked by Pauli frame from one
-enumeration of the phase's reference register, so a sum over rows is a
-count.  The rest is group-bys over those codes:
+symbolic stabilizer pass on the phase's reference register, so a sum over
+rows is a count.  The rest is group-bys over those codes:
 
 - a view of the honest cases is a set of int columns (:data:`_VIEW_COLUMNS`,
   the masked tokens read off :data:`_MASK`, tabulated from
@@ -27,8 +26,8 @@ count.  The rest is group-bys over those codes:
   token rounds and the splitting phase: a numpy gather over the arrays and
   the sender's acceptance rule tabulated once (:data:`_ACCEPT`, from
   :func:`protocol.verify_authentication`).  Each token step list has one
-  table, so a cold pass over the README's 13 attacks enumerates three
-  token registers.
+  table, so a cold pass over the README's 13 attacks makes three
+  symbolic token passes.
 
 Floating point only appears at the reporting boundary, so "exactly zero"
 results do not depend on rounding.

@@ -242,7 +242,11 @@ def project_computational(state: StateVector, q: int, bit: int) -> tuple[float, 
 
     Returns the outcome probability and the renormalised post-measurement
     state, or ``(0.0, None)`` when the outcome has probability below the
-    sampling floor.
+    sampling floor.  Oracle API: no run or exact rate calls it, since their
+    branch tables come from a symbolic stabilizer pass.  The statevec
+    enumerator that checks those tables, :func:`bell_project` (and through
+    it the generated pair tables of ``verify-tables``) and the sampled
+    measurements build on it.
     """
     _check_qubit(state, q)
     if bit not in (0, 1):
@@ -281,6 +285,9 @@ def bell_project(state: StateVector, q1: int, q2: int, label: BellLabel) -> tupl
 
     Returns the outcome probability and the post-measurement state (pair
     collapsed to the label), or ``(0.0, None)`` for a negligible outcome.
+    Oracle API, like :func:`project_computational`: the statevec enumerator
+    and the generated pair tables of ``verify-tables`` call it, no run or
+    exact rate does.
     """
     _check_qubit(state, q1)
     _check_qubit(state, q2)
@@ -310,7 +317,8 @@ def joint_distribution(
     per pair (indexed like ``BELL_LABELS``) followed by one axis of length 2
     per single qubit.  The measurements act on disjoint qubits and commute,
     so each entry equals the product of conditional probabilities of any
-    sequential order.
+    sequential order.  Oracle API: only the tests read it, as an
+    order-free check of the projections.
     """
     named = [q for pair in pairs for q in pair] + list(singles)
     for q in named:

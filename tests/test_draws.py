@@ -3,7 +3,7 @@
 The (2,2) registers are Clifford circuits on stabilizer inputs, so every
 exact conditional probability of an outcome bit is 0, 1/2 or 1, and each
 phase has 2^d equally likely branches.  A sampled (2,2) run indexes branch
-tables built from the exact branches with d fair coins per phase: a fixed
+tables, each outcome bit a parity of d fair coins, with those d coins: a fixed
 number of coins per attack spec, whatever the seed.  A (5,5) run draws its
 two pair labels as integers and then indexes the honest splitting table of
 secret 0: four coins, whatever the qubit secret.  A golden hash pins the
@@ -132,7 +132,9 @@ def test_a_branch_table_needs_equally_likely_branches():
         branch_table(state, steps)
 
 
-def test_golden_transcripts():
+def golden_digests():
+    """The sha256 of the golden grid's qss22 transcripts and of its qss55
+    ones, in grid order."""
     qss22 = hashlib.sha256()
     for spec, seed, secret in product(SPECS, GOLDEN_SEEDS, (0, 1)):
         transcript = protocol.run_qss22(secret, seed, AttackModel.from_spec(spec))
@@ -141,4 +143,8 @@ def test_golden_transcripts():
     for qubit, seed in product(GOLDEN_QUBITS, range(10)):
         transcript, _ = protocol.run_qss55(qubit, seed)
         qss55.update(transcript.to_jsonl().encode())
-    assert (qss22.hexdigest(), qss55.hexdigest()) == (GOLDEN_QSS22, GOLDEN_QSS55)
+    return qss22.hexdigest(), qss55.hexdigest()
+
+
+def test_golden_transcripts():
+    assert golden_digests() == (GOLDEN_QSS22, GOLDEN_QSS55)

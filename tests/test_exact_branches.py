@@ -1,28 +1,29 @@
 """The exact branch sets behind the secrecy and detection-rate claims.
 
-``protocol`` writes each phase once as a step list, and the exact
-enumerator is its one sampling reader: every seeded run indexes a branch
-table built from the enumerated branches.  The splitting phase has one
-such table per step list, stacked over its 32 (secret, pair1, pair2)
-inputs by Pauli frame from one enumeration, and the exact analysis reads
-the same table; so has the token phase, stacked over its 16 (pair_a,
-pair_b) inputs.  These tests pin the enumerator's splitting and
-token-phase branches, per attack spec, to a walk written here that
-projects one outcome label at a time, check the table draws against a
-plain-register Born sampler written here and against the enumerator on
-every step list, check each input's rows of the stacked tables against the
-branch table of that input's own register, check the (5,5) run's draw and
-its Pauli-frame cipher qubit against that sampler on qubit secrets, check
-every coin sequence of a full run against the exact detection rate, check
-the integer-coded detection rate against a per-branch loop written here and
-its acceptance table against the rule it tabulates, check the Pauli frame
-against the enumerator on every input of every step list, count the
-splitting and token registers a process enumerates, check the dyadic snap
-that turns Born probabilities into rationals, and check that a cold exact
-pass keeps no state beyond the package's lru caches.
+``protocol`` writes each phase once as a step list, and one symbolic
+stabilizer pass per step list builds its branch table, stacked over the
+phase's inputs by Pauli frame: the 32 (secret, pair1, pair2) inputs of the
+splitting phase and the 16 (pair_a, pair_b) inputs of a token round.
+Every seeded run indexes that table, and the exact analysis reads it.  The
+statevec enumerator is the independent reference.  These tests pin the
+enumerator's splitting and token-phase branches, per attack spec, to a walk
+written here that projects one outcome label at a time; check the table
+draws against a plain-register Born sampler written here and against the
+enumerator on every step list; check each input's rows of the stacked
+tables against the branch table of that input's own register, on the
+attack step lists and on random ones; check the (5,5) run's draw and its
+Pauli-frame cipher qubit against that sampler on qubit secrets; check
+every coin sequence of a full run against the exact detection rate; check
+the integer-coded detection rate against a per-branch loop written here
+and its acceptance table against the rule it tabulates; check the Pauli
+frame against the enumerator on every input of every step list; count
+the symbolic passes a process makes; check the dyadic snap that turns the
+enumerator's Born probabilities into rationals; and check that a cold
+exact pass keeps no state beyond the package's lru caches.
 """
 
 import inspect
+import operator
 import os
 import subprocess
 import sys
@@ -32,9 +33,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsshare import protocol, security, statevec
-from qsshare.bell import BELL_LABELS, BSM_OUTCOMES, PHI_PLUS, end_to_end_correction, infer_remote_bsm
+from qsshare.bell import (
+    BELL_LABELS,
+    BSM_OUTCOMES,
+    PHI_PLUS,
+    BellLabel,
+    end_to_end_correction,
+    infer_remote_bsm,
+)
 from qsshare.protocol import NO_ATTACK, AttackModel
 from conftest import branch_table
 
@@ -445,6 +454,23 @@ def splitting_register(secret, pair1, pair2):
     )
 
 
+def input_frames(phase):
+    """Each input's Pauli frame on the phase's reference register, in input
+    order: the XOR of the unit frames of its set bits, each padded with Φ+
+    to the widest."""
+    units = protocol._unit_frames(phase)
+    width = max(map(len, units))
+    padded = [unit + (PHI_PLUS,) * (width - len(unit)) for unit in units]
+    frames = []
+    for bits in product((0, 1), repeat=len(units)):
+        frame = (PHI_PLUS,) * width
+        for bit, unit in zip(bits, padded):
+            if bit:
+                frame = tuple(map(operator.xor, frame, unit))
+        frames.append(frame)
+    return frames
+
+
 def assert_frame_matches_the_enumerator(steps, register, frame, reference):
     # The reference branches, flipped by the frame, are the register's own.
     flips = protocol.frame_flips(frame, steps)
@@ -462,12 +488,16 @@ def test_pauli_frame_matches_the_enumerator_on_every_step_list():
     lists = {protocol.splitting_steps(attack, True) for attack in every_attack()}
     assert lists == {protocol.splitting_steps(AttackModel.from_spec(s), True) for s in SPECS}
     assert len(lists) == 5
-    reference_register, shape, frames = protocol._phase_frames("splitting")
-    assert shape == (2, 4, 4)
-    assert statevec.states_equal(reference_register, splitting_register(0, PHI_PLUS, PHI_PLUS))
+    # A computational secret s is (0, s) on qubit 0 and each pair's label
+    # sits on its first qubit: the unit frames add up to that.
+    inputs = list(product((0, 1), BELL_LABELS, BELL_LABELS))
+    frames = input_frames("splitting")
+    assert frames == [
+        (BellLabel(0, secret), pair1, PHI_PLUS, PHI_PLUS, pair2) for secret, pair1, pair2 in inputs
+    ]
+    reference_register = splitting_register(0, PHI_PLUS, PHI_PLUS)
     for steps in lists:
         reference = protocol._enumerate_steps(reference_register, steps)
-        inputs = product((0, 1), BELL_LABELS, BELL_LABELS)
         for (secret, pair1, pair2), frame in zip(inputs, frames, strict=True):
             register = splitting_register(secret, pair1, pair2)
             flips = assert_frame_matches_the_enumerator(steps, register, frame, reference)
@@ -485,14 +515,14 @@ def test_token_frame_flips_only_the_observed_outcome():
     targets = TOKEN_TARGETS.values()
     lists = {protocol.token_steps(target, attack) for attack in every_attack() for target in targets}
     assert lists == token_step_lists()
-    reference_register, shape, frames = protocol._phase_frames("token")
-    assert shape == (4, 4)
-    reference_pairs = protocol.prepare_token_register(PHI_PLUS, PHI_PLUS)
-    assert statevec.states_equal(reference_register, reference_pairs)
+    inputs = list(product(BELL_LABELS, repeat=2))
+    frames = input_frames("token")
+    assert frames == [(pair_a, PHI_PLUS, PHI_PLUS, pair_b) for pair_a, pair_b in inputs]
+    reference_register = protocol.prepare_token_register(PHI_PLUS, PHI_PLUS)
     for steps in lists:
         reference = protocol._enumerate_steps(reference_register, steps)
         observed = protocol._positions(steps, "observed")[0]
-        for (pair_a, pair_b), frame in zip(product(BELL_LABELS, repeat=2), frames, strict=True):
+        for (pair_a, pair_b), frame in zip(inputs, frames, strict=True):
             register = protocol.prepare_token_register(pair_a, pair_b)
             flips = assert_frame_matches_the_enumerator(steps, register, frame, reference)
             others = flips[:observed] + flips[observed + 1 :]
@@ -500,15 +530,65 @@ def test_token_frame_flips_only_the_observed_outcome():
             assert all(flip in (0, PHI_PLUS) for flip in others)
 
 
-def test_stacked_branches_enumerate_once_per_step_list(monkeypatch):
+# ---------------------------------------------------------------------------
+# The symbolic pass against the statevec enumerator.
+
+# Each phase's register at given inputs, and its inputs in table order.
+PHASE_INPUTS = {
+    "token": (protocol.prepare_token_register, (BELL_LABELS, BELL_LABELS)),
+    "splitting": (splitting_register, ((0, 1), BELL_LABELS, BELL_LABELS)),
+}
+
+
+@st.composite
+def step_lists(draw):
+    """A phase and a step list on its reference register: ``z`` and
+    ``bell`` steps on any qubits, pairs repeated and overlapping, and on the
+    splitting register (whose qubit 4 the ancilla's CNOT reads) with or
+    without a leading ancilla step."""
+    phase = draw(st.sampled_from(tuple(PHASE_INPUTS)))
+    ancilla = phase == "splitting" and draw(st.booleans())
+    qubit = st.integers(0, 5 if ancilla else 3 if phase == "token" else 4)
+    pair = st.lists(qubit, min_size=2, max_size=2, unique=True).map(tuple)
+    steps = [protocol.Step("ancilla")] if ancilla else []
+    kinds = draw(st.lists(st.sampled_from(("z", "bell")), min_size=1, max_size=6))
+    for i, kind in enumerate(kinds):
+        qubits = draw(pair) if kind == "bell" else (draw(qubit),)
+        steps.append(protocol.Step(kind, qubits, f"m{i}"))
+    return phase, tuple(steps)
+
+
+@settings(max_examples=60)
+@given(step_lists())
+def test_symbolic_tables_match_the_enumerator_on_random_step_lists(case):
+    # Every input's rows of the symbolic table are the statevec branch table
+    # of that input's own register, row for row and in order.
+    phase, steps = case
+    register, inputs = PHASE_INPUTS[phase]
+    for values in product(*inputs):
+        assert stacked_rows(phase, steps, values) == list(branch_table(register(*values), steps))
+
+
+def symbolic_passes(monkeypatch):
+    """The (phase, steps) of every symbolic pass from here on; the statevec
+    enumerator raises if anything calls it."""
     calls = []
-    real = protocol._enumerate_steps
+    real = protocol._coin_parities
 
-    def counted(state, steps):
-        calls.append(steps)
-        return real(state, steps)
+    def counted(phase, steps):
+        calls.append((phase, steps))
+        return real(phase, steps)
 
-    monkeypatch.setattr(protocol, "_enumerate_steps", counted)
+    def forbidden(*args):
+        raise AssertionError("a branch table enumerated a register")
+
+    monkeypatch.setattr(protocol, "_coin_parities", counted)
+    monkeypatch.setattr(protocol, "_enumerate_steps", forbidden)
+    return calls
+
+
+def test_stacked_branches_make_one_symbolic_pass_per_step_list(monkeypatch):
+    calls = symbolic_passes(monkeypatch)
     attacks = [AttackModel.from_spec(spec) for spec in SPECS]
     lists = {("splitting", protocol.splitting_steps(attack, True)) for attack in attacks}
     lists |= {("token", steps) for steps in token_step_lists()}
@@ -516,22 +596,15 @@ def test_stacked_branches_enumerate_once_per_step_list(monkeypatch):
     for phase, steps in lists:
         calls.clear()
         protocol._stacked_branches(phase, steps)
-        assert calls == [steps]
+        assert calls == [(phase, steps)]
 
 
-def test_runs_and_exact_rates_enumerate_six_splitting_registers(monkeypatch):
+def test_runs_and_exact_rates_pass_six_splitting_step_lists(monkeypatch):
     # In one process, qss22 runs under the 13 specs with either secret, a
     # qss55 run and the 13 exact rates read one splitting table per step
-    # list, so they enumerate one register each: the 5 step lists that
+    # list, so they make one symbolic pass each: the 5 step lists that
     # measure the cipher qubit and qss55's, which does not.
-    calls = []
-    real = protocol._enumerate_steps
-
-    def counted(state, steps):
-        calls.append(steps)
-        return real(state, steps)
-
-    monkeypatch.setattr(protocol, "_enumerate_steps", counted)
+    calls = symbolic_passes(monkeypatch)
     for module in (protocol, security):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
@@ -542,32 +615,31 @@ def test_runs_and_exact_rates_enumerate_six_splitting_registers(monkeypatch):
     protocol.run_qss55((0.6, 0.8j), 7)
     for attack in attacks:
         security.exact_detection_rate(attack)
-    splitting = [steps for steps in calls if any(step.name == "swap" for step in steps)]
+    splitting = [steps for phase, steps in calls if phase == "splitting"]
     assert len(splitting) == len(set(splitting)) == 6
     assert sum(not any(step.name == "cipher" for step in steps) for steps in splitting) == 1
     assert security._splitting_branches is protocol._stacked_branches
 
 
-def test_cold_rates_enumerate_three_token_registers_and_runs_none(monkeypatch):
+def test_cold_rates_pass_three_token_step_lists_and_runs_none(monkeypatch):
     # The 13 exact rates read one stacked token table per token step list,
-    # so a cold pass prepares one token register each; qss22 runs under the
-    # same specs then read those tables and prepare none.
-    calls = []
-    real = protocol.prepare_token_register
-
-    def counted(pair_a, pair_b):
-        calls.append((pair_a, pair_b))
-        return real(pair_a, pair_b)
-
-    monkeypatch.setattr(protocol, "prepare_token_register", counted)
+    # so a cold pass makes one symbolic token pass each and prepares no
+    # token register; qss22 runs under the same specs then read those
+    # tables and make no pass.
+    calls = symbolic_passes(monkeypatch)
+    prepared = []
+    monkeypatch.setattr(protocol, "prepare_token_register", lambda *pairs: prepared.append(pairs))
     protocol._stacked_branches.cache_clear()
     attacks = [AttackModel.from_spec(spec) for spec in SPECS]
     for attack in attacks:
         security.exact_detection_rate(attack)
-    assert calls == [(PHI_PLUS, PHI_PLUS)] * 3
+    token = [steps for phase, steps in calls if phase == "token"]
+    assert len(token) == len(set(token)) == 3
+    assert set(token) == token_step_lists()
     for attack, seed in product(attacks, range(20)):
         protocol.run_qss22(seed % 2, seed, attack)
-    assert len(calls) == 3
+    assert len([phase for phase, _ in calls if phase == "token"]) == 3
+    assert prepared == []
 
 
 def test_accept_table_is_the_sender_rule():

@@ -1,15 +1,15 @@
 """The memoised branch tables of the sampled runs.
 
-A sampled run indexes lru-cached branch tables built from the exact
-enumerator's branches, all in one cache: one table per token step list
-that stacks the 16 (pair_a, pair_b) inputs, and one per splitting step
-list that stacks all 32 splitting inputs.  These tests pin that reusing
-them changes nothing a run does: the transcripts and the number of random
-draws of a run are the same whether every table it reads is built afresh
-or read from the cache, a (5,5) run reads only the honest splitting table
-without the cipher measurement and, once it is built, no register, and the
-exact enumeration reads the same tables as the runs, through the cache the
-benchmark empties before a cold pass, and once they are built no register.
+A sampled run indexes lru-cached branch tables built by one symbolic
+stabilizer pass per step list, all in one cache: one table per token step
+list that stacks the 16 (pair_a, pair_b) inputs, and one per splitting
+step list that stacks all 32 splitting inputs.  These tests pin that
+reusing them changes nothing a run does: the transcripts and the number of
+random draws of a run are the same whether every table it reads is built
+afresh or read from the cache, a (5,5) run reads only the honest splitting
+table without the cipher measurement, and the exact enumeration reads the
+same tables as the runs, through the cache the benchmark empties before a
+cold pass.  Neither touches a state vector, cold or warm.
 """
 
 from fractions import Fraction
@@ -20,6 +20,7 @@ import pytest
 
 from qsshare import protocol, security, statevec
 from qsshare.protocol import AttackModel
+from test_draws import GOLDEN_QSS22, GOLDEN_QSS55, golden_digests
 from test_security import PINNED_EXACT_RATES
 
 # The 13 attack specs of the README table.
@@ -148,6 +149,28 @@ def test_warm_exact_rates_call_no_statevec_measurement(monkeypatch):
         assert type(rate) is Fraction and rate == expected, spec
 
 
+def test_cold_runs_and_rates_build_their_tables_with_no_state_vector(monkeypatch):
+    # The symbolic pass builds every table a run or a rate reads, so with
+    # statevec's projections, its joint distribution and the enumerator all
+    # raising, a cold pass of the 13 rates plus r1-lie:00 still returns the
+    # pinned Fractions, and the golden grid, qss22 runs under every spec
+    # with either secret and qss55 runs, started cold, still hashes to its
+    # pinned digests.
+    def forbidden(*args):
+        raise AssertionError("a cold run or rate enumerated a register")
+
+    for name in ("bell_project", "project_computational", "joint_distribution"):
+        monkeypatch.setattr(statevec, name, forbidden)
+    monkeypatch.setattr(protocol, "_enumerate_steps", forbidden)
+    clear_tables()
+    rates = dict(PINNED_EXACT_RATES, **{"r1-lie:00": Fraction(0)})
+    for spec, expected in rates.items():
+        rate = security.exact_detection_rate(AttackModel.from_spec(spec))
+        assert type(rate) is Fraction and rate == expected, spec
+    clear_tables()
+    assert golden_digests() == (GOLDEN_QSS22, GOLDEN_QSS55)
+
+
 def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
     # qss55 indexes the one no-cipher splitting table and takes R2's qubit
     # by Pauli frame, so a warm run touches no register; the exact
@@ -201,8 +224,8 @@ def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
     clear_tables()
     for spec in SPECS:
         security.exact_detection_rate(AttackModel.from_spec(spec))
-    assert {"bell_project", "project_computational", "joint_distribution"} <= set(seen)
-    assert not {"bell_measure", "measure_computational"} & set(seen)
+    # The tables come from the symbolic pass: no state vector, cold or warm.
+    assert seen == []
     # Each rate reads both token rounds' tables and one splitting table.
     # Five splitting and three token step lists, each built once and read
     # again by the specs that share it; security's name is the same lru

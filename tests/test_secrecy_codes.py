@@ -20,7 +20,8 @@ from qsshare import protocol, security, statevec
 from qsshare.bell import BELL_LABELS, end_to_end_correction
 from qsshare.protocol import RECEIVER_1, RECEIVER_2, AttackModel, sent_tokens
 from qsshare.security import PIECES, VIEW_NAMES, SecrecyReport
-from test_exact_branches import SPECS, TOKEN_TARGETS, every_attack
+from conftest import branch_table
+from test_exact_branches import SPECS, TOKEN_TARGETS, every_attack, symbolic_passes
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +123,16 @@ def test_honest_columns_check_the_honest_branches(corrupt, message, monkeypatch)
         assert str(raised.value) == message
 
 
-def test_honest_columns_need_equal_shares(monkeypatch):
-    # One honest branch at twice its share: the splitting table the honest
-    # columns read refuses it when it is built.
+def test_honest_columns_hold_equal_shares_by_construction(monkeypatch):
+    # The symbolic pass draws d fair coins, so each input's 2^d rows of the
+    # honest table are distinct, one equal share each.  The statevec
+    # reference keeps the run-time check: with one honest branch at twice
+    # its share it refuses the register, while the honest columns, which
+    # read the symbolic table, stay the 512 cases.
+    table = protocol._stacked_branches("splitting", HONEST)
+    assert table.shape[-2] == 16
+    assert all(len(set(map(tuple, rows))) == 16 for rows in table.reshape(32, 16, -1).tolist())
+    cases = security.enumerate_honest_cases()
     real = protocol._enumerate_steps
 
     def double_weight(state, steps):
@@ -138,9 +146,13 @@ def test_honest_columns_need_equal_shares(monkeypatch):
     protocol._stacked_branches.cache_clear()
     security.enumerate_honest_cases.cache_clear()
     message = r"^branch weights (1/16, ){5}1/8(, 1/16){10} are not 2\^d equal shares$"
-    for reader in (security._honest_columns, security.enumerate_honest_cases):
-        with pytest.raises(AssertionError, match=message):
-            reader()
+    register = protocol.prepare_splitting_register(
+        statevec.computational_state([0]), BELL_LABELS[0], BELL_LABELS[0]
+    )
+    with pytest.raises(AssertionError, match=message):
+        branch_table(register, HONEST)
+    assert security.enumerate_honest_cases() == cases
+    assert all(len(column) == 512 for column in security._honest_columns().values())
 
 
 def test_an_inexact_view_sums_in_first_seen_case_order(monkeypatch):
@@ -273,18 +285,12 @@ def test_sent_token_codes_are_sent_tokens():
     assert any(attack.spec_string == "r1-lie:00" for attack in every_attack())
 
 
-def test_a_cold_rate_pass_enumerates_one_token_round_per_step_list(monkeypatch):
-    calls = []
-    real = protocol._enumerate_steps
-
-    def counted(state, steps):
-        calls.append(steps)
-        return real(state, steps)
-
-    monkeypatch.setattr(protocol, "_enumerate_steps", counted)
+def test_a_cold_rate_pass_makes_one_symbolic_pass_per_step_list(monkeypatch):
+    calls = symbolic_passes(monkeypatch)
     security._splitting_branches.cache_clear()
     for spec in SPECS:
         security.exact_detection_rate(AttackModel.from_spec(spec))
-    token_rounds = [steps for steps in calls if any(step.name == "code" for step in steps)]
+    token_rounds = [steps for phase, steps in calls if phase == "token"]
     assert len(token_rounds) == len(set(token_rounds)) == 3
+    assert all(any(step.name == "code" for step in steps) for steps in token_rounds)
     assert len(calls) - len(token_rounds) == 5  # one per splitting step list
