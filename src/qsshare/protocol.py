@@ -553,53 +553,19 @@ def _draw(table, rng: np.random.Generator):
     return table[index]
 
 
-def frame_flips(frame: tuple[BellLabel, ...], steps: tuple[Step, ...]) -> tuple:
-    """How each measurement of ``steps`` differs on a phase's register from
-    the same measurement on its reference register, where the two differ by
-    the Pauli ``frame``, a (z, x) pair per qubit (:func:`_unit_frames`).
-
-    Every step is Clifford, so the frame moves through them: a Bell
-    measurement of (a, b) reads flipped by ``frame[a] ^ frame[b]``, a
-    computational one by its qubit's X bit, and the ancilla's CNOT from
-    qubit 4 (:func:`_attach_ancilla`) copies that qubit's X bit onto qubit
-    5.  The returned flips hold a label per Bell step and a bit per
-    computational one, in step order.  They are XOR-linear in the frame,
-    so :func:`_stacked_branches` calls this once per input bit, on the
-    bit's unit frame, and XORs the results into every input's flips.
-    """
-    frame = [*frame] + [PHI_PLUS] * (statevec.MAX_QUBITS - len(frame))
-    flips = []
-    for kind, qubits, _ in steps:
-        if kind == "ancilla":
-            frame[5] = BellLabel(0, frame[4].x)
-        elif kind == "bell":
-            flips.append(frame[qubits[0]] ^ frame[qubits[1]])
-        else:
-            flips.append(frame[qubits[0]].x)
-    return tuple(flips)
-
-
 # Each phase's reference register, which prepare_token_register or
 # prepare_splitting_register builds at all-zero inputs: whether the
-# splitting secret |0> sits on qubit 0, and each Φ+ pair's qubits, the
-# first carrying its label.
+# splitting secret |0> sits on qubit 0, and each Φ+ pair's qubits.  Every
+# input bit is a sign symbol of its stabilizer generators (_coin_parities):
+# a secret bit s is X^s on qubit 0, so it flips the sign of Z on it, and a
+# pair's code (z, x) is Z^z X^x on one of its qubits, so it flips the
+# pair's XX by z and its ZZ by x.
 _REFERENCES = {"token": (False, ((0, 1), (3, 2))), "splitting": (True, ((1, 2), (4, 3)))}
 
 # The symbolic pass writes a Pauli as one int: qubit q's X bit is bit q and
 # its Z bit is bit q + _Z.
 _Z = statevec.MAX_QUBITS
 _X_BITS = (1 << _Z) - 1
-
-
-def _unit_frames(phase: str) -> list[tuple[BellLabel, ...]]:
-    """The Pauli frame each input bit of the ``phase`` puts on its reference
-    register, most significant first: a computational secret's bit is X on
-    qubit 0, and a pair's code (z, x) is Z^z X^x on its first qubit.  An
-    input's frame is the XOR of its set bits' frames."""
-    secret, pairs = _REFERENCES[phase]
-    units = [(0, PSI_PLUS)] if secret else []  # PSI_PLUS is (z, x) = X, PHI_MINUS Z
-    units += [(first, label) for first, _ in pairs for label in (PHI_MINUS, PSI_PLUS)]
-    return [(PHI_PLUS,) * qubit + (label,) for qubit, label in units]
 
 
 def _product_sign(generators: list[list[int]], pauli: int) -> int:
@@ -616,27 +582,32 @@ def _product_sign(generators: list[list[int]], pauli: int) -> int:
     return sign
 
 
-def _coin_parities(phase: str, steps: tuple[Step, ...]) -> tuple[list[int], int]:
+def _coin_parities(phase: str, steps: tuple[Step, ...]) -> tuple[list[int], int, int]:
     """One symbolic stabilizer pass of ``steps`` on the phase's reference
     register (Aaronson & Gottesman, PRA 70, 052328, 2004): each outcome
     bit, in table order (a Bell step's z bit, then its x bit), as the mask
-    of the fair coins it is the XOR of, and the number of coins.
+    of the symbols it is the XOR of, then the numbers of input symbols and
+    of coins.  Symbol i below the input count is the phase's i-th input
+    bit, most significant first; the fair coins sit above them.
 
-    Each stabilizer generator is a Pauli and a mask of coins: its sign is
-    -1 when the XOR of those coins is 1.  The reference register's are XX
-    and ZZ on each Φ+ pair and Z on the secret, all of sign +.  A measured
-    Pauli that anticommutes with a generator draws a new coin; any other is
-    a product of generators and reads the XOR of their masks.  A Bell step
-    measures ZZ, its x bit, then XX, its z bit.  The ancilla step adds Z on
-    qubit 5 and conjugates by the CNOT from qubit 4.  Every generator and
-    measured Pauli is pure X or pure Z (CSS), so no product of generators
-    picks up a phase.
+    Each stabilizer generator is a Pauli and a mask of symbols: its sign is
+    -1 when the XOR of those symbols is 1.  The reference register's
+    generators are Z on the secret, then XX and ZZ on each Φ+ pair, and
+    generator i starts with input symbol i as its sign (see _REFERENCES).
+    A measured Pauli that anticommutes with a generator draws a new coin;
+    any other is a product of generators and reads the XOR of their masks.
+    A Bell step measures ZZ, its x bit, then XX, its z bit.  The ancilla
+    step adds Z on qubit 5 and conjugates by the CNOT from qubit 4.  Every
+    generator and measured Pauli is pure X or pure Z (CSS), so no product
+    of generators picks up a phase.
     """
     secret, pairs = _REFERENCES[phase]
-    generators = [[1 << _Z, 0]] if secret else []
+    paulis = [1 << _Z] if secret else []
     for a, b in pairs:
-        generators += [[1 << a | 1 << b, 0], [(1 << a | 1 << b) << _Z, 0]]
-    coins, bits = 0, []
+        paulis += [1 << a | 1 << b, (1 << a | 1 << b) << _Z]
+    generators = [[pauli, 1 << i] for i, pauli in enumerate(paulis)]
+    inputs = coins = len(generators)
+    bits = []
 
     def measure(pauli: int) -> int:
         nonlocal coins
@@ -665,7 +636,7 @@ def _coin_parities(phase: str, steps: tuple[Step, ...]) -> tuple[list[int], int]
         else:
             bits.append(measure(mask << _Z))
         assert not any(p & _X_BITS and p >> _Z for p, _ in generators), "a generator is not CSS"
-    return bits, coins
+    return bits, inputs, coins - inputs
 
 
 def _span(vectors: list[int]) -> list[int]:
@@ -679,39 +650,39 @@ def _span(vectors: list[int]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _stacked_branches(phase: str, steps: tuple[Step, ...]) -> np.ndarray:
-    """The branch table of ``steps`` for every input of the ``phase``
-    (:func:`_unit_frames`), int-coded: shaped (*inputs, B, M) by input
-    codes, branch and measurement step, each outcome ``2*z + x`` for a Bell
-    step and the bit for a computational one, the eavesdropper's included.
-    A token table is (4, 4, B, M), a splitting table (2, 4, 4, B, M).
+    """The branch table of ``steps`` for every input of the ``phase``,
+    int-coded: shaped (*inputs, B, M) by input codes, branch and measurement
+    step, each outcome ``2*z + x`` for a Bell step and the bit for a
+    computational one, the eavesdropper's included.  A token table is
+    (4, 4, B, M), a splitting table (2, 4, 4, B, M).
 
     One symbolic pass (:func:`_coin_parities`) gives each outcome bit as a
-    parity of d fair coins, so every input's B = 2^d rows are equally likely
-    by construction.  With a row's bits read as one binary number, the
-    reference register's rows are the span of G, each coin's outcome bits.
-    G is put in reduced echelon form with its pivots taken from the most
-    significant bit, so a row's coins are its pivot bits and the span,
-    indexed by them, is sorted by bits (a Bell outcome by its z bit, then
-    its x bit) for :func:`_draw`.  Another input differs from the reference
-    by a Pauli frame, which XORs its :func:`frame_flips` into every row:
-    linear in the input bits, and reduced to zero on the pivots so that the
-    rows stay sorted.
+    parity of input bits and d fair coins, so every input's B = 2^d rows
+    are equally likely by construction.  With a row's bits read as one
+    binary number, a symbol's column is the outcome bits that read it.  The
+    rows at all-zero inputs are the span of G, the coins' columns.  G is put
+    in reduced echelon form with its pivots taken from the most significant
+    bit, so a row's coins are its pivot bits and the span, indexed by them,
+    is sorted by bits (a Bell outcome by its z bit, then its x bit) for
+    :func:`_draw`.  Each input bit's column, reduced to zero on the pivots
+    so that the rows stay sorted, XORs into every row of the inputs that
+    set it.
     """
-    parities, coins = _coin_parities(phase, steps)
+    parities, inputs, coins = _coin_parities(phase, steps)
     basis: list[int] = []
+
+    def column(symbol: int) -> int:
+        return int("".join(str(mask >> symbol & 1) for mask in parities), 2)
 
     def reduced(vector: int) -> int:
         for row in basis:
             vector = min(vector, vector ^ row)  # clears row's pivot
         return vector
 
-    for coin in range(coins):
-        vector = reduced(int("".join(str(mask >> coin & 1) for mask in parities), 2))
+    for coin in range(inputs, inputs + coins):
+        vector = reduced(column(coin))
         basis = sorted([min(row, row ^ vector) for row in basis] + [vector], reverse=True)
-    flips = []
-    for frame in _unit_frames(phase):
-        bits = (f.bits if isinstance(f, BellLabel) else str(f) for f in frame_flips(frame, steps))
-        flips.append(reduced(int("".join(bits), 2)))
+    flips = [reduced(column(symbol)) for symbol in range(inputs)]
     rows = np.array(_span(flips), dtype=np.int64)[:, None] ^ np.array(_span(basis), dtype=np.int64)
     widths = [2 if step.kind == "bell" else 1 for step in steps if step.kind != "ancilla"]
     shifts = np.array([sum(widths[i + 1 :]) for i in range(len(widths))])
@@ -851,6 +822,7 @@ def run_splitting_22(
     attack: AttackModel,
 ) -> SplitResult:
     """Splitting phase of the (2,2) scheme on a computational-basis secret."""
+    secret_bit = operator.index(secret_bit)  # a bool or numpy int runs as its int; 1.0 raises
     if secret_bit not in (0, 1):
         raise ValueError(f"secret bit must be 0 or 1, got {secret_bit}")
     results = _draw_named("splitting", splitting_steps(attack, True), (secret_bit, pair1, pair2), rng)
@@ -1031,6 +1003,7 @@ def run_qss22(
     On rejection the run aborts: the teleport measurement is never published
     and no reconstruction is attempted.
     """
+    secret_bit = operator.index(secret_bit)  # a bool or numpy int runs as its int; 1.0 raises
     if secret_bit not in (0, 1):
         raise ValueError(f"secret bit must be 0 or 1, got {secret_bit}")
     rng = make_rng(seed)

@@ -12,9 +12,10 @@ outcomes, and the secret bit) are the honest splitting branches.
 Everything is computed on integer codes: 2-bit values as ``2*z + x``.
 The branches are the tables the sampled runs draw from
 (:func:`protocol._stacked_branches`): per token or splitting step list,
-every input's 2^d equal shares, stacked by Pauli frame from one
-symbolic stabilizer pass on the phase's reference register, so a sum over
-rows is a count.  The rest is group-bys over those codes:
+every input's 2^d equal shares, from one symbolic stabilizer pass on the
+phase's reference register whose generators carry each input bit as a
+sign symbol, so a sum over rows is a count.  The rest is group-bys over
+those codes:
 
 - a view of the honest cases is a set of int columns (:data:`_VIEW_COLUMNS`,
   the masked tokens read off :data:`_MASK`, tabulated from

@@ -1,9 +1,10 @@
 """The exact branch sets behind the secrecy and detection-rate claims.
 
 ``protocol`` writes each phase once as a step list, and one symbolic
-stabilizer pass per step list builds its branch table, stacked over the
-phase's inputs by Pauli frame: the 32 (secret, pair1, pair2) inputs of the
-splitting phase and the 16 (pair_a, pair_b) inputs of a token round.
+stabilizer pass per step list builds its branch table for all of the
+phase's inputs, each input bit a sign symbol of that pass: the 32
+(secret, pair1, pair2) inputs of the splitting phase and the 16
+(pair_a, pair_b) inputs of a token round.
 Every seeded run indexes that table, and the exact analysis reads it.  The
 statevec enumerator is the independent reference.  These tests pin the
 enumerator's splitting and token-phase branches, per attack spec, to a walk
@@ -15,15 +16,15 @@ attack step lists and on random ones; check the (5,5) run's draw and its
 Pauli-frame cipher qubit against that sampler on qubit secrets; check
 every coin sequence of a full run against the exact detection rate; check
 the integer-coded detection rate against a per-branch loop written here
-and its acceptance table against the rule it tabulates; check the Pauli
-frame against the enumerator on every input of every step list; count
-the symbolic passes a process makes; check the dyadic snap that turns the
-enumerator's Born probabilities into rationals; and check that a cold
-exact pass keeps no state beyond the package's lru caches.
+and its acceptance table against the rule it tabulates; check that every
+input moves the all-zero input's rows by the flips its pieces predict, on
+every step list; count the symbolic passes a process makes; check the
+dyadic snap that turns the enumerator's Born probabilities into
+rationals; and check that a cold exact pass keeps no state beyond the
+package's lru caches.
 """
 
 import inspect
-import operator
 import os
 import subprocess
 import sys
@@ -40,12 +41,11 @@ from qsshare.bell import (
     BELL_LABELS,
     BSM_OUTCOMES,
     PHI_PLUS,
-    BellLabel,
     end_to_end_correction,
     infer_remote_bsm,
 )
 from qsshare.protocol import NO_ATTACK, AttackModel
-from conftest import branch_table
+from conftest import branch_table, equal_shares
 
 # The 13 attack specs of the README table.
 SPECS = (
@@ -454,80 +454,50 @@ def splitting_register(secret, pair1, pair2):
     )
 
 
-def input_frames(phase):
-    """Each input's Pauli frame on the phase's reference register, in input
-    order: the XOR of the unit frames of its set bits, each padded with Φ+
-    to the widest."""
-    units = protocol._unit_frames(phase)
-    width = max(map(len, units))
-    padded = [unit + (PHI_PLUS,) * (width - len(unit)) for unit in units]
-    frames = []
-    for bits in product((0, 1), repeat=len(units)):
-        frame = (PHI_PLUS,) * width
-        for bit, unit in zip(bits, padded):
-            if bit:
-                frame = tuple(map(operator.xor, frame, unit))
-        frames.append(frame)
-    return frames
-
-
-def assert_frame_matches_the_enumerator(steps, register, frame, reference):
-    # The reference branches, flipped by the frame, are the register's own.
-    flips = protocol.frame_flips(frame, steps)
-    flipped = [
-        (p, tuple(outcome ^ flip for outcome, flip in zip(outcomes, flips)))
-        for p, outcomes in reference
-    ]
-    expected = protocol._enumerate_steps(register, steps)
-    assert all(type(p) is Fraction for p, _ in flipped)
-    assert sorted(flipped) == sorted(expected)
-    return flips
+def assert_rows_move_by(phase, steps, register, inputs, flips):
+    """The input's rows of the stacked table are the all-zero input's rows,
+    each measurement XORed with its flip in ``flips`` (by step name; any
+    other step reads as at zero), and the 2^d equally likely branches of
+    the statevec enumerator on the input's own register, as row sets."""
+    table = protocol._stacked_branches(phase, steps)
+    names = [step.name for step in steps if step.kind != "ancilla"]
+    moved = np.array([protocol._code(flips.get(name, 0)) for name in names])
+    rows = sorted(map(tuple, table[tuple(map(protocol._code, inputs))].tolist()))
+    assert rows == sorted(map(tuple, (table[(0,) * len(inputs)] ^ moved).tolist()))
+    enumerated = [tuple(map(protocol._code, outcomes)) for outcomes in equal_shares(register, steps)]
+    assert rows == sorted(enumerated)
 
 
 def test_pauli_frame_matches_the_enumerator_on_every_step_list():
+    # A computational secret s and each pair's label are sign symbols of the
+    # one pass; on every step list they move the outcomes of (0, Φ+, Φ+) as
+    # the pieces' Pauli frame predicts: swap by Φ+, teleport by s ^ pair1
+    # (s as X), and the cipher bit by pair2's x bit, as does an
+    # eavesdropper's reading of the cipher qubit or of its ancilla copy.
     lists = {protocol.splitting_steps(attack, True) for attack in every_attack()}
     assert lists == {protocol.splitting_steps(AttackModel.from_spec(s), True) for s in SPECS}
     assert len(lists) == 5
-    # A computational secret s is (0, s) on qubit 0 and each pair's label
-    # sits on its first qubit: the unit frames add up to that.
-    inputs = list(product((0, 1), BELL_LABELS, BELL_LABELS))
-    frames = input_frames("splitting")
-    assert frames == [
-        (BellLabel(0, secret), pair1, PHI_PLUS, PHI_PLUS, pair2) for secret, pair1, pair2 in inputs
-    ]
-    reference_register = splitting_register(0, PHI_PLUS, PHI_PLUS)
-    for steps in lists:
-        reference = protocol._enumerate_steps(reference_register, steps)
-        for (secret, pair1, pair2), frame in zip(inputs, frames, strict=True):
-            register = splitting_register(secret, pair1, pair2)
-            flips = assert_frame_matches_the_enumerator(steps, register, frame, reference)
-            # The rule read off the qubits, as the three outcomes see it.
-            swap, tele, cipher = (
-                flips[i] for i in protocol._positions(steps, "swap", "tele", "cipher")
-            )
-            assert (swap, tele, cipher) == (PHI_PLUS, BELL_LABELS[secret] ^ pair1, pair2.x)
+    for spec, secret, pair1, pair2 in product(
+        SPLITTING_SPECS.values(), (0, 1), BELL_LABELS, BELL_LABELS
+    ):
+        steps = protocol.splitting_steps(AttackModel.from_spec(spec), True)
+        flips = {"swap": PHI_PLUS, "tele": BELL_LABELS[secret] ^ pair1, "cipher": pair2.x}
+        flips["eve"] = pair2.x if spec.endswith("split-r2") else 0
+        register = splitting_register(secret, pair1, pair2)
+        assert_rows_move_by("splitting", steps, register, (secret, pair1, pair2), flips)
 
 
 def test_token_frame_flips_only_the_observed_outcome():
-    # On the token register the pairs sit on qubits 0 and 3, which only the
-    # sender's measurement reads: it flips by pair_a ^ pair_b, and the
-    # receiver's code and every intercept outcome read as on (Φ+, Φ+).
+    # On the token register the pairs' symbols sign only generators on
+    # qubits 0 and 3, which only the sender's measurement reads: it moves by
+    # pair_a ^ pair_b, and the receiver's code and every intercept outcome
+    # read as on (Φ+, Φ+).  exact_detection_rate relies on this.
     targets = TOKEN_TARGETS.values()
     lists = {protocol.token_steps(target, attack) for attack in every_attack() for target in targets}
     assert lists == token_step_lists()
-    inputs = list(product(BELL_LABELS, repeat=2))
-    frames = input_frames("token")
-    assert frames == [(pair_a, PHI_PLUS, PHI_PLUS, pair_b) for pair_a, pair_b in inputs]
-    reference_register = protocol.prepare_token_register(PHI_PLUS, PHI_PLUS)
-    for steps in lists:
-        reference = protocol._enumerate_steps(reference_register, steps)
-        observed = protocol._positions(steps, "observed")[0]
-        for (pair_a, pair_b), frame in zip(inputs, frames, strict=True):
-            register = protocol.prepare_token_register(pair_a, pair_b)
-            flips = assert_frame_matches_the_enumerator(steps, register, frame, reference)
-            others = flips[:observed] + flips[observed + 1 :]
-            assert flips[observed] == pair_a ^ pair_b
-            assert all(flip in (0, PHI_PLUS) for flip in others)
+    for steps, (pair_a, pair_b) in product(lists, product(BELL_LABELS, repeat=2)):
+        register = protocol.prepare_token_register(pair_a, pair_b)
+        assert_rows_move_by("token", steps, register, (pair_a, pair_b), {"observed": pair_a ^ pair_b})
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from qsshare.protocol import (
     run_auth_tokens,
     run_qss22,
     run_qss55,
+    run_splitting_22,
     splitting_branch,
     validate_transcript,
     verify_authentication,
@@ -209,6 +210,25 @@ def test_run_qss22_is_deterministic():
     assert a.to_jsonl() == b.to_jsonl()
     c = run_qss22(1, 123456790)
     assert a.to_jsonl() != c.to_jsonl()
+
+
+@pytest.mark.parametrize(
+    "secret, bit", [(True, 1), (False, 0), (np.int64(1), 1), (np.uint8(0), 0), (1.0, None)], ids=repr
+)
+def test_run_qss22_reads_an_integer_secret_as_its_bit(secret, bit):
+    # A bool or numpy integer runs exactly as the Python int it indexes as;
+    # a float is refused, not truncated, by the run and its splitting phase.
+    for spec in ("none", "token-flip", "r1-lie:11", "intercept-resend-bell:split-r1"):
+        attack = AttackModel.from_spec(spec)
+        if bit is None:
+            with pytest.raises(TypeError):
+                run_qss22(secret, 7, attack)
+            with pytest.raises(TypeError):
+                run_splitting_22(
+                    secret, PHI_PLUS, PHI_PLUS, make_rng(7), _TranscriptBuilder(7, "qss22"), attack
+                )
+        else:
+            assert run_qss22(secret, 7, attack).to_jsonl() == run_qss22(bit, 7, attack).to_jsonl()
 
 
 def test_rejected_run_never_publishes_sender_result():
