@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
@@ -162,12 +161,12 @@ class AttackModel:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
         if self.kind == "intercept-resend-computational":
-            target = self.target or "split-r2"
+            target = "split-r2" if self.target is None else self.target
             if target not in QUANTUM_SEND_TARGETS:
                 raise ValueError(f"unknown intercept target {target!r}")
             object.__setattr__(self, "target", target)
         elif self.kind == "intercept-resend-bell":
-            target = self.target or "split-r1"
+            target = "split-r1" if self.target is None else self.target
             if target not in QUANTUM_SEND_TARGETS:
                 raise ValueError(f"unknown intercept target {target!r}")
             if target == "split-r2":
@@ -423,13 +422,13 @@ def validate_transcript(transcript: Transcript) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Phase steps, their exact enumeration and its branch tables.
+# Phase steps and their branch tables.
 
 class Step(NamedTuple):
     """One step of a phase: ``kind`` ``"z"`` measures ``qubits[0]`` in the
     computational basis, ``"bell"`` the pair ``qubits`` in the Bell basis,
-    and ``"ancilla"`` attaches the eavesdropper's ancilla
-    (:func:`_attach_ancilla`).  ``name`` labels a measurement's result:
+    and ``"ancilla"`` attaches the eavesdropper's ancilla, a fresh qubit 5,
+    by a CNOT from qubit 4.  ``name`` labels a measurement's result:
     ``eve``, ``code``, ``observed``, ``swap``, ``tele`` or ``cipher``."""
 
     kind: str
@@ -477,12 +476,6 @@ def splitting_steps(attack: AttackModel, measure_cipher: bool) -> tuple[Step, ..
     return steps
 
 
-def _attach_ancilla(state: StateVector) -> StateVector:
-    # A fresh qubit 5 entangled with the cipher qubit 4.
-    state = statevec.tensor(state, statevec.zero_state(1))
-    return statevec.apply_cnot(state, 4, 5)
-
-
 def _named(steps: tuple[Step, ...], outcomes: tuple) -> dict:
     # The outcomes of the measurement steps, in step order, by name; the
     # eavesdropper's outcomes join into one bit string, in step order.
@@ -497,7 +490,7 @@ def _named(steps: tuple[Step, ...], outcomes: tuple) -> dict:
 
 
 def _positions(steps: tuple[Step, ...], *names: str) -> list[int]:
-    # Where the outcome of each named step sits in an enumerated branch.
+    # Where the outcome of each named step sits in a branch table's row.
     measured = [step.name for step in steps if step.kind != "ancilla"]
     return [measured.index(name) for name in names]
 
@@ -506,42 +499,6 @@ def _code(outcome) -> int:
     # A 2-bit value (a Bell label or a Pauli correction) as its code
     # 2*z + x; a bit is its own code.
     return outcome if isinstance(outcome, int) else 2 * outcome.z + outcome.x
-
-
-def _dyadic(probability: float, n_qubits: int) -> Fraction:
-    """The multiple of 2^-n nearest a Born probability of an n-qubit
-    stabilizer register; raises unless the float is within 1e-12 of it."""
-    scale = 1 << n_qubits
-    count = round(probability * scale)
-    if not abs(probability - count / scale) < 1e-12:
-        raise AssertionError(
-            f"branch probability {probability} is not a multiple of 1/{scale}"
-        )
-    return Fraction(count, scale)
-
-
-def _enumerate_steps(state: StateVector, steps: tuple[Step, ...]) -> list[tuple[Fraction, tuple]]:
-    """Every nonzero (probability, outcomes) branch of ``steps`` on a plain
-    stabilizer register, forked by projection one step at a time, with each
-    probability snapped by :func:`_dyadic`.  ``outcomes`` holds one label
-    or bit per measurement step, in step order.  Oracle API behind
-    :func:`token_branches` and :func:`splitting_branches`, and the tests'
-    reference for the symbolic tables (:func:`_stacked_branches`); no run
-    or exact rate calls it."""
-    if not steps:
-        return [(Fraction(1), ())]
-    (kind, qubits, _), rest = steps[0], steps[1:]
-    if kind == "ancilla":
-        return _enumerate_steps(_attach_ancilla(state), rest)
-    if kind == "bell":
-        forks = [(label, statevec.bell_project(state, *qubits, label)) for label in BELL_LABELS]
-    else:
-        forks = [(bit, statevec.project_computational(state, *qubits, bit)) for bit in (0, 1)]
-    branches = []
-    for outcome, (p, after) in forks:
-        if after is not None and (p := _dyadic(p, state.n_qubits)):
-            branches += [(p * q, (outcome,) + more) for q, more in _enumerate_steps(after, rest)]
-    return branches
 
 
 def _draw(table, rng: np.random.Generator):
@@ -755,21 +712,6 @@ def run_auth_tokens(
     return AuthResult(codes=codes, records=records, eavesdropped=eavesdropped)
 
 
-def token_branches(receiver: str, attack: AttackModel) -> list[tuple[Fraction, BellLabel, BellLabel]]:
-    """Every nonzero (probability, receiver's code, sender's record) branch
-    of the receiver's token round on the default pairs under the attack,
-    enumerated on that pair's own register: the statevec reference and
-    oracle API for the stacked token tables (:func:`_stacked_branches`),
-    which runs and the exact analysis read instead."""
-    pair_a, pair_b = DEFAULT_AUTH_PAIRS[receiver]
-    steps = token_steps(_TOKEN_TARGETS[receiver], attack)
-    code, observed = _positions(steps, "code", "observed")
-    return [
-        (p, outcomes[code], infer_remote_bsm(pair_a, pair_b, outcomes[observed]))
-        for p, outcomes in _enumerate_steps(prepare_token_register(pair_a, pair_b), steps)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Information-splitting phase.
 
@@ -832,22 +774,6 @@ def run_splitting_22(
         teleport_bsm=results["tele"],
         cipher_bit=results["cipher"],
         eavesdropped={attack.target: results["eve"]} if "eve" in results else {},
-    )
-
-
-def splitting_branches(
-    secret_bit: int, pair1: BellLabel, pair2: BellLabel, steps: tuple[Step, ...]
-) -> tuple[tuple[Fraction, BellLabel, BellLabel, int], ...]:
-    """Every nonzero (probability, swap, teleport, cipher) branch of the
-    splitting ``steps`` (from :func:`splitting_steps`, cipher measured) on a
-    computational-basis secret: the tests' reference for the stacked
-    splitting tables (:func:`_stacked_branches`), enumerated on the input's
-    own register."""
-    state = prepare_splitting_register(statevec.computational_state([secret_bit]), pair1, pair2)
-    swap, tele, cipher = _positions(steps, "swap", "tele", "cipher")
-    return tuple(
-        (p, outcomes[swap], outcomes[tele], outcomes[cipher])
-        for p, outcomes in _enumerate_steps(state, steps)
     )
 
 

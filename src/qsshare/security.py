@@ -40,6 +40,7 @@ outcome distributions) and the secret bit is uniform.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -419,8 +420,10 @@ def _leaf_table(attack: AttackModel) -> tuple[np.ndarray, list[tuple[bool, tuple
 
 
 def _trial_keys(seed: int, start: int, stop: int) -> np.ndarray:
-    # The seeds (seed + i) mod 2^64 of trials start <= i < stop, as uint64.
-    return np.arange(start, stop, dtype=np.uint64) + np.uint64(seed % (protocol.MAX_SEED + 1))
+    # The seeds (seed + i) mod 2^64 of trials start <= i < stop, as uint64;
+    # a seed that is not an integer, such as 1.5, raises instead of truncating.
+    key = operator.index(seed) % (protocol.MAX_SEED + 1)
+    return np.arange(start, stop, dtype=np.uint64) + np.uint64(key)
 
 
 def _trial_leaves(attack: AttackModel, trials: int, seed: int):

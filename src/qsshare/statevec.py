@@ -243,10 +243,10 @@ def project_computational(state: StateVector, q: int, bit: int) -> tuple[float, 
     Returns the outcome probability and the renormalised post-measurement
     state, or ``(0.0, None)`` when the outcome has probability below the
     sampling floor.  Oracle API: no run or exact rate calls it, since their
-    branch tables come from a symbolic stabilizer pass.  The statevec
-    enumerator that checks those tables, :func:`bell_project` (and through
-    it the generated pair tables of ``verify-tables``) and the sampled
-    measurements build on it.
+    branch tables come from a symbolic stabilizer pass.  :func:`bell_project`
+    (and through it the generated pair tables of ``verify-tables``), the
+    sampled measurements and the tests' statevec enumerator, which is the
+    check on those tables, build on it.
     """
     _check_qubit(state, q)
     if bit not in (0, 1):
@@ -285,9 +285,9 @@ def bell_project(state: StateVector, q1: int, q2: int, label: BellLabel) -> tupl
 
     Returns the outcome probability and the post-measurement state (pair
     collapsed to the label), or ``(0.0, None)`` for a negligible outcome.
-    Oracle API, like :func:`project_computational`: the statevec enumerator
-    and the generated pair tables of ``verify-tables`` call it, no run or
-    exact rate does.
+    Oracle API, like :func:`project_computational`: the generated pair
+    tables of ``verify-tables`` and the tests' statevec enumerator, the
+    check on the symbolic branch tables, call it; no run or exact rate does.
     """
     _check_qubit(state, q1)
     _check_qubit(state, q2)

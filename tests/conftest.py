@@ -2,7 +2,8 @@ from fractions import Fraction
 
 from hypothesis import settings
 
-from qsshare import protocol
+from qsshare import protocol, statevec
+from qsshare.bell import BELL_LABELS
 
 # Fixed example sequence and no example database, so property tests draw the
 # same cases on every run; no per-example deadline, since a loaded host can
@@ -10,12 +11,71 @@ from qsshare import protocol
 settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
 settings.load_profile("deterministic")
 
+# The 13 attack specs of the README table, in its order (the golden analyze
+# digest hashes their reports in this order).
+SPECS = (
+    "none",
+    "token-flip",
+    "r1-lie:01",
+    "r1-lie:11",
+    "r1-lie:10",
+    "intercept-resend-computational:auth-r1",
+    "intercept-resend-computational:auth-r2",
+    "intercept-resend-computational:split-r1",
+    "intercept-resend-computational:split-r2",
+    "intercept-resend-bell:auth-r1",
+    "intercept-resend-bell:auth-r2",
+    "intercept-resend-bell:split-r1",
+    "entangle-ancilla:split-r2",
+)
+
+
+def attach_ancilla(state):
+    """``state`` with the eavesdropper's ancilla: a fresh qubit 5 entangled
+    with the cipher qubit 4 by a CNOT from it."""
+    state = statevec.tensor(state, statevec.zero_state(1))
+    return statevec.apply_cnot(state, 4, 5)
+
+
+def dyadic(probability, n_qubits):
+    """The multiple of 2^-n nearest a Born probability of an n-qubit
+    stabilizer register; raises unless the float is within 1e-12 of it."""
+    scale = 1 << n_qubits
+    count = round(probability * scale)
+    if not abs(probability - count / scale) < 1e-12:
+        raise AssertionError(f"branch probability {probability} is not a multiple of 1/{scale}")
+    return Fraction(count, scale)
+
+
+def enumerate_steps(state, steps):
+    """Every nonzero (probability, outcomes) branch of the
+    ``protocol.Step`` list ``steps`` on the plain register ``state``,
+    forked by statevec projection one step at a time, each outcome label or
+    bit in the order it is listed, with each probability snapped by
+    :func:`dyadic`.  ``outcomes`` holds one label or bit per measurement
+    step, in step order.  The statevec reference for the symbolic tables
+    (``protocol._stacked_branches``)."""
+    if not steps:
+        return [(Fraction(1), ())]
+    (kind, qubits, _), rest = steps[0], steps[1:]
+    if kind == "ancilla":
+        return enumerate_steps(attach_ancilla(state), rest)
+    if kind == "bell":
+        forks = [(label, statevec.bell_project(state, *qubits, label)) for label in BELL_LABELS]
+    else:
+        forks = [(bit, statevec.project_computational(state, *qubits, bit)) for bit in (0, 1)]
+    branches = []
+    for outcome, (p, after) in forks:
+        if after is not None and (p := dyadic(p, state.n_qubits)):
+            branches += [(p * q, (outcome,) + more) for q, more in enumerate_steps(after, rest)]
+    return branches
+
 
 def equal_shares(state, steps):
     """The outcomes of every branch of ``steps`` on ``state`` by the
-    statevec enumerator (``protocol._enumerate_steps``), which must be 2^d
+    statevec enumerator (:func:`enumerate_steps`), which must be 2^d
     equally likely branches; any other distribution raises."""
-    enumerated = protocol._enumerate_steps(state, steps)
+    enumerated = enumerate_steps(state, steps)
     count = len(enumerated)
     share = Fraction(1, count)
     if count & (count - 1) or any(p != share for p, _ in enumerated):

@@ -28,8 +28,8 @@ from qsshare.security import (
     public_transcript_uniformity,
     report_to_jsonl,
 )
-from conftest import branch_table
-from test_draws import SPECS, TEN_COIN_SPECS
+from conftest import SPECS, branch_table
+from test_draws import TEN_COIN_SPECS
 from test_exact_branches import splitting_register
 
 # Keys at the edges of the 64-bit range, and a few drawn at random.
@@ -234,6 +234,17 @@ def test_out_of_range_library_seeds(seed):
     assert report_to_jsonl(public_transcript_uniformity(40, seed)) == report_to_jsonl(
         scalar_uniformity(40, seed)
     )
+
+
+@pytest.mark.parametrize("seed", [1.5, np.float64(2.0), "3"], ids=repr)
+def test_sweeps_refuse_seeds_that_are_not_integers(seed):
+    # Out-of-range integers wrap, but a float is refused, not truncated: 1.5
+    # would otherwise sweep exactly as seed 1 does.
+    attack = AttackModel.from_spec("intercept-resend-computational:auth-r2")
+    with pytest.raises(TypeError):
+        attack_sweep(attack, 20, seed)
+    with pytest.raises(TypeError):
+        public_transcript_uniformity(20, seed)
 
 
 def test_sweeps_spanning_several_chunks(monkeypatch):

@@ -19,24 +19,8 @@ import pytest
 
 from qsshare import protocol, statevec
 from qsshare.protocol import AttackModel
-from conftest import branch_table
+from conftest import SPECS, branch_table, enumerate_steps
 
-# The 13 attack specs of the README table.
-SPECS = (
-    "none",
-    "token-flip",
-    "r1-lie:01",
-    "r1-lie:11",
-    "r1-lie:10",
-    "intercept-resend-computational:auth-r1",
-    "intercept-resend-computational:auth-r2",
-    "intercept-resend-computational:split-r1",
-    "intercept-resend-computational:split-r2",
-    "intercept-resend-bell:auth-r1",
-    "intercept-resend-bell:auth-r2",
-    "intercept-resend-bell:split-r1",
-    "entangle-ancilla:split-r2",
-)
 # Two coins per token round (the receiver's Bell outcome; the sender's then
 # follows) and two for each splitting Bell measurement: 8.  A computational
 # intercept of a token round's halves draws two and leaves one coin in each
@@ -115,7 +99,7 @@ def test_memoised_states_hold_only_stabilizer_probabilities():
     # the enumerator accepts it, but its first bit is no fair coin.
     state = statevec.StateVector(2, [0.5, 0, math.sqrt(0.75), 0])
     steps = (protocol.Step("z", (0,), "eve"),)
-    assert [p for p, _ in protocol._enumerate_steps(state, steps)] == [Fraction(1, 4), Fraction(3, 4)]
+    assert [p for p, _ in enumerate_steps(state, steps)] == [Fraction(1, 4), Fraction(3, 4)]
     with pytest.raises(AssertionError, match="1/4, 3/4 are not 2\\^d equal shares"):
         branch_table(state, steps)
 
@@ -126,7 +110,7 @@ def test_a_branch_table_needs_equally_likely_branches():
     # and 1/4, so no fixed number of coins indexes them.
     state = statevec.StateVector(2, [math.sqrt(0.5), 0, 0.5, 0.5])
     steps = (protocol.Step("z", (0,), "eve"), protocol.Step("z", (1,), "eve"))
-    weights = [p for p, _ in protocol._enumerate_steps(state, steps)]
+    weights = [p for p, _ in enumerate_steps(state, steps)]
     assert weights == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
     with pytest.raises(AssertionError, match="1/2, 1/4, 1/4 are not 2\\^d equal shares"):
         branch_table(state, steps)

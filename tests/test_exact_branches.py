@@ -6,22 +6,21 @@ phase's inputs, each input bit a sign symbol of that pass: the 32
 (secret, pair1, pair2) inputs of the splitting phase and the 16
 (pair_a, pair_b) inputs of a token round.
 Every seeded run indexes that table, and the exact analysis reads it.  The
-statevec enumerator is the independent reference.  These tests pin the
-enumerator's splitting and token-phase branches, per attack spec, to a walk
-written here that projects one outcome label at a time; check the table
-draws against a plain-register Born sampler written here and against the
-enumerator on every step list; check each input's rows of the stacked
-tables against the branch table of that input's own register, on the
-attack step lists and on random ones; check the (5,5) run's draw and its
-Pauli-frame cipher qubit against that sampler on qubit secrets; check
+statevec enumerator of ``conftest`` is the independent reference.  These
+tests pin each input's rows of the splitting and token-phase tables, per
+intercept, to the enumerator run on step lists written here by hand; check
+the table draws against a plain-register Born sampler written here and
+against the enumerator on every step list; check each input's rows of the
+stacked tables against the branch table of that input's own register, on
+the attack step lists and on random ones; check the (5,5) run's draw and
+its Pauli-frame cipher qubit against that sampler on qubit secrets; check
 every coin sequence of a full run against the exact detection rate; check
 the integer-coded detection rate against a per-branch loop written here
 and its acceptance table against the rule it tabulates; check that every
 input moves the all-zero input's rows by the flips its pieces predict, on
-every step list; count the symbolic passes a process makes; check the
-dyadic snap that turns the enumerator's Born probabilities into
-rationals; and check that a cold exact pass keeps no state beyond the
-package's lru caches.
+every step list; count the symbolic passes a process makes; check that no
+module of the package snaps a float to a rational; and check that a cold
+exact pass keeps no state beyond the package's lru caches.
 """
 
 import inspect
@@ -36,6 +35,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qsshare
 from qsshare import protocol, security, statevec
 from qsshare.bell import (
     BELL_LABELS,
@@ -44,28 +44,11 @@ from qsshare.bell import (
     end_to_end_correction,
     infer_remote_bsm,
 )
-from qsshare.protocol import NO_ATTACK, AttackModel
-from conftest import branch_table, equal_shares
+from qsshare.protocol import NO_ATTACK, AttackModel, Step
+from conftest import SPECS, attach_ancilla, branch_table, enumerate_steps, equal_shares
 
-# The 13 attack specs of the README table.
-SPECS = (
-    "none",
-    "token-flip",
-    "r1-lie:01",
-    "r1-lie:11",
-    "r1-lie:10",
-    "intercept-resend-computational:auth-r1",
-    "intercept-resend-computational:auth-r2",
-    "intercept-resend-computational:split-r1",
-    "intercept-resend-computational:split-r2",
-    "intercept-resend-bell:auth-r1",
-    "intercept-resend-bell:auth-r2",
-    "intercept-resend-bell:split-r1",
-    "entangle-ancilla:split-r2",
-)
-
-# The attack spec behind each eavesdropper measurement the reference walks
-# below insert: None is the honest splitting phase.
+# The attack spec behind each eavesdropper intercept: None is the honest
+# splitting phase.
 SPLITTING_SPECS = {
     None: "none",
     "comp-r1": "intercept-resend-computational:split-r1",
@@ -77,86 +60,70 @@ TOKEN_SPECS = {"computational": "intercept-resend-computational", "bell": "inter
 TOKEN_TARGETS = {protocol.RECEIVER_1: "auth-r1", protocol.RECEIVER_2: "auth-r2"}
 
 
-def snap(probability):
-    # Every conditional probability of these circuits is a multiple of 1/64.
-    fraction = Fraction(round(probability * 64), 64)
-    assert abs(probability - float(fraction)) < 1e-12
-    return fraction
+# Each intercept's splitting steps and token-round intercept, written here
+# by hand on the phase's register, not read off protocol's step lists.
+SWAP, TELE, CIPHER = Step("bell", (2, 3), "swap"), Step("bell", (0, 1), "tele"), Step("z", (4,), "cipher")
+CODE, OBSERVED = Step("bell", (1, 2), "code"), Step("bell", (0, 3), "observed")
+HAND_SPLITTING_STEPS = {
+    None: (SWAP, TELE, CIPHER),
+    "comp-r1": (Step("z", (2,), "eve"), Step("z", (3,), "eve"), SWAP, TELE, CIPHER),
+    "comp-r2": (Step("z", (4,), "eve"), SWAP, TELE, CIPHER),
+    "bell-r1": (Step("bell", (2, 3), "eve"), SWAP, TELE, CIPHER),
+    "ancilla-r2": (Step("ancilla"), SWAP, TELE, CIPHER, Step("z", (5,), "eve")),
+}
+HAND_TOKEN_INTERCEPTS = {
+    "computational": (Step("z", (1,), "eve"), Step("z", (2,), "eve")),
+    "bell": (Step("bell", (1, 2), "eve"),),
+}
 
 
-def walk(state, steps):
-    """Every (probability, outcomes) of the measurements in ``steps``, one
-    projection per outcome label, in the order the labels are listed."""
-    if not steps:
-        yield Fraction(1), ()
-        return
-    step, rest = steps[0], steps[1:]
-    if step[0] == "bell":
-        projections = [
-            (label, statevec.bell_project(state, step[1], step[2], label)) for label in BELL_LABELS
-        ]
-    else:
-        projections = [
-            (bit, statevec.project_computational(state, step[1], bit)) for bit in (0, 1)
-        ]
-    for outcome, (p, after) in projections:
-        if after is None:
-            continue
-        for p_rest, outcomes in walk(after, rest):
-            yield snap(p) * p_rest, (outcome,) + outcomes
+def splitting_branches(secret, pair1, pair2, steps):
+    """Every (probability, swap, teleport, cipher) branch of the splitting
+    ``steps`` (cipher measured) on the input's own register, by the statevec
+    enumerator."""
+    swap, tele, cipher = protocol._positions(steps, "swap", "tele", "cipher")
+    return tuple(
+        (p, outcomes[swap], outcomes[tele], outcomes[cipher])
+        for p, outcomes in enumerate_steps(splitting_register(secret, pair1, pair2), steps)
+    )
 
 
-def reference_splitting(secret, pair1, pair2, intercept):
-    secret_state = statevec.computational_state([secret])
-    state = protocol.prepare_splitting_register(secret_state, pair1, pair2)
-    eve = {
-        None: [],
-        "comp-r1": [("z", 2), ("z", 3)],
-        "comp-r2": [("z", 4)],
-        "bell-r1": [("bell", 2, 3)],
-        "ancilla-r2": [],
-    }[intercept]
-    if intercept == "ancilla-r2":
-        state = statevec.apply_cnot(statevec.tensor(state, statevec.zero_state(1)), 4, 5)
-    branches = []
-    for p, outcomes in walk(state, eve + [("bell", 2, 3), ("bell", 0, 1), ("z", 4)]):
-        swap, tele, cipher = outcomes[-3:]
-        if p:
-            branches.append((p, swap, tele, cipher))
-    return tuple(branches)
-
-
-def reference_token_phase(pair_a, pair_b, intercept):
-    state = protocol.prepare_token_register(pair_a, pair_b)
-    eve = {"computational": [("z", 1), ("z", 2)], "bell": [("bell", 1, 2)]}[intercept]
-    branches = []
-    for p, outcomes in walk(state, eve + [("bell", 1, 2), ("bell", 0, 3)]):
-        code, observed = outcomes[-2:]
-        if p:
-            record = infer_remote_bsm(pair_a, pair_b, observed)
-            branches.append((p, code, record))
-    return tuple(branches)
+def token_branches(receiver, attack):
+    """Every (probability, receiver's code, sender's record) branch of the
+    receiver's token round on the default pairs under the attack, by the
+    statevec enumerator on that pair's own register."""
+    pair_a, pair_b = protocol.DEFAULT_AUTH_PAIRS[receiver]
+    steps = protocol.token_steps(TOKEN_TARGETS[receiver], attack)
+    code, observed = protocol._positions(steps, "code", "observed")
+    return [
+        (p, outcomes[code], infer_remote_bsm(pair_a, pair_b, outcomes[observed]))
+        for p, outcomes in enumerate_steps(protocol.prepare_token_register(pair_a, pair_b), steps)
+    ]
 
 
 @pytest.mark.parametrize("intercept", SPLITTING_SPECS)
 def test_splitting_branches_match_per_label_walk(intercept):
+    # Each input's rows of the intercept's stacked splitting table are the
+    # equally likely branches, sorted by bits, of the steps written above on
+    # that input's own register, each outcome projected one label at a time.
     steps = protocol.splitting_steps(AttackModel.from_spec(SPLITTING_SPECS[intercept]), True)
-    for secret, pair1, pair2 in product((0, 1), BELL_LABELS, BELL_LABELS):
-        branches = protocol.splitting_branches(secret, pair1, pair2, steps)
-        assert branches == reference_splitting(secret, pair1, pair2, intercept)
-        assert all(type(p) is Fraction for p, *_ in branches)
-        assert sum(p for p, *_ in branches) == Fraction(1)
+    for inputs in product((0, 1), BELL_LABELS, BELL_LABELS):
+        expected = branch_table(splitting_register(*inputs), HAND_SPLITTING_STEPS[intercept])
+        assert stacked_rows("splitting", steps, inputs) == list(expected)
 
 
 @pytest.mark.parametrize("receiver", [protocol.RECEIVER_1, protocol.RECEIVER_2])
 @pytest.mark.parametrize("intercept", TOKEN_SPECS)
 def test_token_phase_branches_match_per_label_walk(receiver, intercept):
-    attack = AttackModel.from_spec(f"{TOKEN_SPECS[intercept]}:{TOKEN_TARGETS[receiver]}")
-    pair_a, pair_b = protocol.DEFAULT_AUTH_PAIRS[receiver]
-    branches = tuple(protocol.token_branches(receiver, attack))
-    assert branches == reference_token_phase(pair_a, pair_b, intercept)
-    assert all(type(p) is Fraction for p, *_ in branches)
-    assert sum(p for p, *_ in branches) == Fraction(1)
+    # The same for each (pair_a, pair_b)'s rows of the intercepted round's
+    # stacked token table: the intercept written above, then the receiver's
+    # and the sender's Bell measurements.
+    target = TOKEN_TARGETS[receiver]
+    steps = protocol.token_steps(target, AttackModel.from_spec(f"{TOKEN_SPECS[intercept]}:{target}"))
+    hand = HAND_TOKEN_INTERCEPTS[intercept] + (CODE, OBSERVED)
+    for inputs in product(BELL_LABELS, repeat=2):
+        expected = branch_table(protocol.prepare_token_register(*inputs), hand)
+        assert stacked_rows("token", steps, inputs) == list(expected)
 
 
 def test_honest_cases_follow_the_splitting_branches():
@@ -165,7 +132,7 @@ def test_honest_cases_follow_the_splitting_branches():
     assert [(c.secret, c.pair1, c.pair2, c.swap_bsm, c.teleport_bsm) for c in cases] == expected
     honest = protocol.splitting_steps(NO_ATTACK, True)
     for case in cases:
-        branches = protocol.splitting_branches(case.secret, case.pair1, case.pair2, honest)
+        branches = splitting_branches(case.secret, case.pair1, case.pair2, honest)
         assert (Fraction(1, 16), case.swap_bsm, case.teleport_bsm, case.cipher_bit) in branches
 
 
@@ -223,14 +190,14 @@ def sample_steps(state, steps, rng):
         elif kind == "z":
             outcome, state = statevec.measure_computational(state, *qubits, rng)
         else:
-            state = protocol._attach_ancilla(state)
+            state = attach_ancilla(state)
             continue
         outcomes.append(outcome)
     return protocol._named(steps, tuple(outcomes)), state
 
 
 def enumerated(state, steps):
-    branches = protocol._enumerate_steps(state, steps)
+    branches = enumerate_steps(state, steps)
     leaves = {frozenset(protocol._named(steps, outcomes).items()): p for p, outcomes in branches}
     assert len(leaves) == len(branches)
     return leaves
@@ -364,14 +331,14 @@ def reference_detection_rate(attack):
     """The detection rate summed branch by branch: every (R1 token branch,
     R2 token branch, secret, splitting branch) decided by
     ``verify_authentication`` and weighted by its ``Fraction``."""
-    token_r1 = protocol.token_branches(protocol.RECEIVER_1, attack)
-    token_r2 = protocol.token_branches(protocol.RECEIVER_2, attack)
+    token_r1 = token_branches(protocol.RECEIVER_1, attack)
+    token_r2 = token_branches(protocol.RECEIVER_2, attack)
     steps = protocol.splitting_steps(attack, True)
     total = Fraction(0)
     for (p1, code1, record1), (p2, code2, record2) in product(token_r1, token_r2):
         for secret in (0, 1):
             rejected = 0
-            splitting = protocol.splitting_branches(secret, record1, record2, steps)
+            splitting = splitting_branches(secret, record1, record2, steps)
             for p, swap, tele, cipher in splitting:
                 sent_r1, sent_r2 = protocol.sent_tokens(code1, code2, swap, cipher, attack)
                 records = protocol.SenderRecords(record1, record2, tele, secret)
@@ -540,8 +507,9 @@ def test_symbolic_tables_match_the_enumerator_on_random_step_lists(case):
 
 
 def symbolic_passes(monkeypatch):
-    """The (phase, steps) of every symbolic pass from here on; the statevec
-    enumerator raises if anything calls it."""
+    """The (phase, steps) of every symbolic pass from here on; statevec's
+    projections, which the statevec enumerator forks by, raise if anything
+    calls them."""
     calls = []
     real = protocol._coin_parities
 
@@ -550,10 +518,11 @@ def symbolic_passes(monkeypatch):
         return real(phase, steps)
 
     def forbidden(*args):
-        raise AssertionError("a branch table enumerated a register")
+        raise AssertionError("a branch table projected a register")
 
     monkeypatch.setattr(protocol, "_coin_parities", counted)
-    monkeypatch.setattr(protocol, "_enumerate_steps", forbidden)
+    for name in ("bell_project", "project_computational"):
+        monkeypatch.setattr(statevec, name, forbidden)
     return calls
 
 
@@ -656,22 +625,16 @@ def test_security_leaves_the_circuits_to_protocol():
 
 
 # ---------------------------------------------------------------------------
-# Dyadic snap.
-
-@pytest.mark.parametrize("probability", [1 / 3, 0.25 + 1e-9])
-def test_dyadic_snap_rejects_off_grid_probabilities(probability):
-    with pytest.raises(AssertionError):
-        protocol._dyadic(probability, 5)
-
-
-@pytest.mark.parametrize("probability", [0.25 - 1e-15, 0.25, 0.25 + 1e-15])
-def test_dyadic_snap_accepts_float_residue(probability):
-    assert protocol._dyadic(probability, 5) == Fraction(1, 4)
-
+# No float snapped to a rational.
 
 def test_no_limit_denominator_in_security():
-    assert "limit_denominator" not in inspect.getsource(security)
-    assert "limit_denominator" not in inspect.getsource(protocol)
+    # No module of the package snaps a float to a rational, and protocol,
+    # whose branch tables are exact by construction, makes no Fraction.
+    modules = sorted(Path(qsshare.__file__).parent.glob("*.py"))
+    assert {path.stem for path in modules} >= {"protocol", "security", "statevec", "bell", "cli"}
+    for path in modules:
+        assert "limit_denominator" not in path.read_text(), path.name
+    assert "fractions" not in inspect.getsource(protocol)
 
 
 # ---------------------------------------------------------------------------

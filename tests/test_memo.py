@@ -20,25 +20,10 @@ import pytest
 
 from qsshare import protocol, security, statevec
 from qsshare.protocol import AttackModel
+from conftest import SPECS
 from test_draws import GOLDEN_QSS22, GOLDEN_QSS55, golden_digests
 from test_security import PINNED_EXACT_RATES
 
-# The 13 attack specs of the README table.
-SPECS = (
-    "none",
-    "token-flip",
-    "r1-lie:01",
-    "r1-lie:11",
-    "r1-lie:10",
-    "intercept-resend-computational:auth-r1",
-    "intercept-resend-computational:auth-r2",
-    "intercept-resend-computational:split-r1",
-    "intercept-resend-computational:split-r2",
-    "intercept-resend-bell:auth-r1",
-    "intercept-resend-bell:auth-r2",
-    "intercept-resend-bell:split-r1",
-    "entangle-ancilla:split-r2",
-)
 SEEDS = range(200)
 TABLES = (protocol._stacked_branches,)
 MEASUREMENTS = (
@@ -151,8 +136,8 @@ def test_warm_exact_rates_call_no_statevec_measurement(monkeypatch):
 
 def test_cold_runs_and_rates_build_their_tables_with_no_state_vector(monkeypatch):
     # The symbolic pass builds every table a run or a rate reads, so with
-    # statevec's projections, its joint distribution and the enumerator all
-    # raising, a cold pass of the 13 rates plus r1-lie:00 still returns the
+    # statevec's projections (which the statevec enumerator forks by) and
+    # its joint distribution raising, a cold pass of the 13 rates plus r1-lie:00 still returns the
     # pinned Fractions, and the golden grid, qss22 runs under every spec
     # with either secret and qss55 runs, started cold, still hashes to its
     # pinned digests.
@@ -161,7 +146,6 @@ def test_cold_runs_and_rates_build_their_tables_with_no_state_vector(monkeypatch
 
     for name in ("bell_project", "project_computational", "joint_distribution"):
         monkeypatch.setattr(statevec, name, forbidden)
-    monkeypatch.setattr(protocol, "_enumerate_steps", forbidden)
     clear_tables()
     rates = dict(PINNED_EXACT_RATES, **{"r1-lie:00": Fraction(0)})
     for spec, expected in rates.items():

@@ -18,6 +18,7 @@ from qsshare.bell import (
     infer_remote_bsm,
 )
 from qsshare.protocol import (
+    ATTACK_KINDS,
     DEFAULT_AUTH_PAIRS,
     NO_ATTACK,
     RECEIVER_1,
@@ -525,6 +526,14 @@ def test_attack_spec_with_nothing_after_its_colon_is_rejected(spec):
     # target.
     with pytest.raises(ValueError, match=re.escape(f"attack spec {spec!r} has nothing after its ':'")):
         AttackModel.from_spec(spec)
+
+
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
+def test_every_attack_kind_refuses_an_empty_target(kind):
+    # Only a missing target takes an intercept's default send; an empty one
+    # is refused, as from_spec refuses a spec with nothing after its ':'.
+    with pytest.raises(ValueError):
+        AttackModel(kind, "", (0, 1) if kind == "r1-lie" else None)
 
 
 def test_attack_validation():

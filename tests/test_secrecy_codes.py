@@ -20,8 +20,9 @@ from qsshare import protocol, security, statevec
 from qsshare.bell import BELL_LABELS, end_to_end_correction
 from qsshare.protocol import RECEIVER_1, RECEIVER_2, AttackModel, sent_tokens
 from qsshare.security import PIECES, VIEW_NAMES, SecrecyReport
-from conftest import branch_table
-from test_exact_branches import SPECS, TOKEN_TARGETS, every_attack, symbolic_passes
+import conftest
+from conftest import SPECS, branch_table
+from test_exact_branches import TOKEN_TARGETS, every_attack, symbolic_passes, token_branches
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +129,13 @@ def test_honest_columns_hold_equal_shares_by_construction(monkeypatch):
     # honest table are distinct, one equal share each.  The statevec
     # reference keeps the run-time check: with one honest branch at twice
     # its share it refuses the register, while the honest columns, which
-    # read the symbolic table, stay the 512 cases.
+    # read the symbolic table, stay the 512 cases.  The double weight is
+    # patched into the conftest enumerator, which branch_table reads.
     table = protocol._stacked_branches("splitting", HONEST)
     assert table.shape[-2] == 16
     assert all(len(set(map(tuple, rows))) == 16 for rows in table.reshape(32, 16, -1).tolist())
     cases = security.enumerate_honest_cases()
-    real = protocol._enumerate_steps
+    real = conftest.enumerate_steps
 
     def double_weight(state, steps):
         branches = real(state, steps)
@@ -142,7 +144,7 @@ def test_honest_columns_hold_equal_shares_by_construction(monkeypatch):
             branches[5] = 2 * p, outcomes
         return branches
 
-    monkeypatch.setattr(protocol, "_enumerate_steps", double_weight)
+    monkeypatch.setattr(conftest, "enumerate_steps", double_weight)
     protocol._stacked_branches.cache_clear()
     security.enumerate_honest_cases.cache_clear()
     message = r"^branch weights (1/16, ){5}1/8(, 1/16){10} are not 2\^d equal shares$"
@@ -257,8 +259,8 @@ def test_token_rounds_with_equal_steps_have_equal_branches():
     ]
     assert (len(attacks), len(shared)) == (17, 13)
     for attack in shared:
-        r1 = protocol.token_branches(RECEIVER_1, attack)
-        r2 = protocol.token_branches(RECEIVER_2, attack)
+        r1 = token_branches(RECEIVER_1, attack)
+        r2 = token_branches(RECEIVER_2, attack)
         assert sorted(r1) == sorted(r2), attack
 
 
@@ -271,7 +273,7 @@ def test_rates_read_each_round_off_the_reference_token_rows():
         code, record = security._columns("token", steps, ("code", "observed"), 0, 0)
         share = Fraction(1, len(code))
         rows = [(share, BELL_LABELS[c], BELL_LABELS[r]) for c, r in zip(code.tolist(), record.tolist())]
-        assert sorted(rows) == sorted(protocol.token_branches(receiver, attack)), attack
+        assert sorted(rows) == sorted(token_branches(receiver, attack)), attack
 
 
 def test_sent_token_codes_are_sent_tokens():

@@ -22,6 +22,7 @@ from qsshare.security import (
     report_to_jsonl,
     wilson_interval,
 )
+from conftest import SPECS
 
 # Exact rates derived by branch enumeration and pinned here as regression
 # constants.  The default intercept (the splitting qubit to R2,
@@ -140,6 +141,10 @@ def test_mixedness_holds_for_other_secrets():
 
 # ---------------------------------------------------------------------------
 # Exact detection rates.
+
+def test_pinned_rates_cover_the_readme_specs():
+    assert PINNED_EXACT_RATES.keys() == set(SPECS) and len(SPECS) == 13
+
 
 @pytest.mark.parametrize("spec,expected", sorted(PINNED_EXACT_RATES.items()))
 def test_exact_detection_rates_match_pinned_constants(spec, expected):
