@@ -16,10 +16,11 @@ encoding ``c ^ m``, and swapping pairs ``a`` and ``b`` with outcome ``m``
 leaves the pair ``a ^ b ^ m``.
 
 The oracle tables are the check: the 16-row teleport and 64-row swap tables
-are *generated* by sweeping the state-vector simulator and diffed against
-reference tables transcribed row by row, by the test suite (which also
-compares the XOR operations with both on every row) and by the
-``verify-tables`` command.  Protocol runs use the XOR operations alone.
+are *generated* on the state-vector simulator, each row read off one joint
+Born distribution of two Bell measurements, and diffed against reference
+tables transcribed row by row, by the test suite (which also compares the
+XOR operations with both on every row) and by the ``verify-tables`` command.
+Protocol runs use the XOR operations alone.
 
 Global phases are dropped throughout: they are unobservable, and the swapping
 identities only hold modulo a phase.
@@ -102,11 +103,6 @@ PAULI_CORRECTIONS = PauliCorrection._CANONICAL = (
     CORRECTION_I, CORRECTION_X, CORRECTION_Z, CORRECTION_ZX
 )
 
-# Probe state used by the oracle sweeps.  Its four Pauli images are pairwise
-# distinguishable (no two have unit fidelity), so the encoding is unique.
-_PROBE_AMPLITUDES = (0.6, 0.8j)
-
-
 # ---------------------------------------------------------------------------
 # Reference tables.  Transcribed row by row, independently of the XOR rule;
 # the generated tables are diffed against these and any mismatch is
@@ -157,46 +153,46 @@ SWAP_REFERENCE = {
 # ---------------------------------------------------------------------------
 # Oracle-generated tables.
 
-@lru_cache(maxsize=1)
-def generate_teleport_table() -> dict:
-    """Sweep all 16 (channel, outcome) teleportations on the simulator.
+def _surviving_pairs(pair_a: BellLabel, pair_b: BellLabel, case: str) -> tuple[int, ...]:
+    """Codes of the pair left on qubits (0, 3) when pair a on (0, 1) and pair
+    b on (2, 3) are swapped, indexed by the Bell outcome on (1, 2).
 
-    For each case a probe qubit is teleported, the Bell measurement is
-    postselected on the outcome, and the unique Pauli mapping the probe to
-    the receiver's qubit is identified by fidelity.
+    Both Bell measurements are read off one joint Born distribution: each
+    middle outcome must have probability 1/4, and given it exactly one end
+    pair must have conditional probability at least ``EQUALITY_FIDELITY``.
     """
     # Imported here to avoid an import cycle (statevec uses the label types).
     from . import statevec
 
-    probe = statevec.single_qubit(*_PROBE_AMPLITUDES)
-    candidates = {
-        (outcome, corr): statevec.tensor(
-            statevec.prepare_bell(outcome), statevec.apply_pauli(probe, 0, corr)
-        )
-        for outcome in BSM_OUTCOMES
-        for corr in PAULI_CORRECTIONS
-    }
+    state = statevec.zero_state(4)
+    state = statevec.prepare_bell_on(state, 0, 1, pair_a)
+    state = statevec.prepare_bell_on(state, 2, 3, pair_b)
+    joint = statevec.joint_distribution(state, [(1, 2), (0, 3)]).tolist()
+    codes = []
+    for outcome, row in zip(BSM_OUTCOMES, joint):
+        prob = sum(row)
+        if abs(prob - 0.25) > 1e-9:
+            raise AssertionError(f"{case}: outcome {outcome.bits} had probability {prob}, expected 1/4")
+        matches = [code for code, p in enumerate(row) if p / prob >= statevec.EQUALITY_FIDELITY]
+        if len(matches) != 1:
+            raise AssertionError(f"{case}: outcome {outcome.bits} matched {len(matches)} pair states")
+        codes.append(matches[0])
+    return tuple(codes)
+
+
+@lru_cache(maxsize=1)
+def generate_teleport_table() -> dict:
+    """Sweep all 16 (channel, outcome) teleportations on the simulator.
+
+    Teleporting one half of a Phi+ pair swaps entanglement (Zukowski et
+    al., PRL 71, 4287, 1993): the surviving pair is the channel's Choi
+    state, whose code is the Pauli every teleported state picks up.
+    """
     table = {}
     for channel in BELL_LABELS:
-        state = statevec.tensor(probe, statevec.prepare_bell(channel))
-        for outcome in BSM_OUTCOMES:
-            prob, post = statevec.bell_project(state, 0, 1, outcome)
-            if post is None or abs(prob - 0.25) > 1e-9:
-                raise AssertionError(
-                    f"teleportation outcome {outcome.bits} on channel "
-                    f"{channel.bits} had probability {prob}, expected 1/4"
-                )
-            matches = [
-                corr
-                for corr in PAULI_CORRECTIONS
-                if statevec.states_equal(post, candidates[(outcome, corr)])
-            ]
-            if len(matches) != 1:
-                raise AssertionError(
-                    f"teleportation case ({channel.bits}, {outcome.bits}) "
-                    f"matched {len(matches)} Pauli encodings"
-                )
-            table[(channel, outcome)] = matches[0]
+        codes = _surviving_pairs(PHI_PLUS, channel, f"teleport over channel {channel.bits}")
+        for outcome, code in zip(BSM_OUTCOMES, codes):
+            table[(channel, outcome)] = PAULI_CORRECTIONS[code]
     return table
 
 
@@ -204,47 +200,18 @@ def generate_teleport_table() -> dict:
 def generate_swap_table() -> dict:
     """Sweep all 64 swapping transformations on the simulator.
 
-    Two pairs are prepared on a four-qubit register, the middle qubits are
-    Bell-projected on the given outcome, and the surviving end-to-end pair is
-    identified by fidelity against the four candidate arrangements.
+    Two pairs are prepared on a four-qubit register and the surviving
+    end-to-end pair of each middle outcome is read off their joint Born
+    distribution; each pair combination must map the outcomes one to one.
     """
-    from . import statevec
-
-    candidates = {}
-    for outcome, result in product(BSM_OUTCOMES, BELL_LABELS):
-        candidate = statevec.zero_state(4)
-        candidate = statevec.prepare_bell_on(candidate, 1, 2, outcome)
-        candidates[(outcome, result)] = statevec.prepare_bell_on(candidate, 0, 3, result)
     table = {}
     for pair_a, pair_b in product(BELL_LABELS, repeat=2):
-        state = statevec.zero_state(4)
-        state = statevec.prepare_bell_on(state, 0, 1, pair_a)
-        state = statevec.prepare_bell_on(state, 2, 3, pair_b)
-        seen = set()
-        for outcome in BSM_OUTCOMES:
-            prob, post = statevec.bell_project(state, 1, 2, outcome)
-            if post is None or abs(prob - 0.25) > 1e-9:
-                raise AssertionError(
-                    f"swap outcome {outcome.bits} on pairs "
-                    f"({pair_a.bits}, {pair_b.bits}) had probability {prob}"
-                )
-            matches = [
-                result
-                for result in BELL_LABELS
-                if statevec.states_equal(post, candidates[(outcome, result)])
-            ]
-            if len(matches) != 1:
-                raise AssertionError(
-                    f"swap case ({pair_a.bits}, {pair_b.bits}, {outcome.bits}) "
-                    f"matched {len(matches)} pair states"
-                )
-            table[(pair_a, pair_b, outcome)] = matches[0]
-            seen.add(matches[0])
-        if len(seen) != 4:
-            raise AssertionError(
-                f"swap outcomes for pairs ({pair_a.bits}, {pair_b.bits}) "
-                "are not a bijection"
-            )
+        case = f"swap of pairs ({pair_a.bits}, {pair_b.bits})"
+        codes = _surviving_pairs(pair_a, pair_b, case)
+        if len(set(codes)) != 4:
+            raise AssertionError(f"{case}: the outcomes are not a bijection")
+        for outcome, code in zip(BSM_OUTCOMES, codes):
+            table[(pair_a, pair_b, outcome)] = BELL_LABELS[code]
     return table
 
 
@@ -305,32 +272,21 @@ def decode_classical(cipher_bit: int, corr: PauliCorrection) -> int:
 # ---------------------------------------------------------------------------
 # Table verification.
 
+def _diff_rows(generated: dict, reference: dict, row: str) -> list[str]:
+    # ``row`` formats a key.  Rows come in key order, the order the
+    # generators fill them; a row missing from ``generated`` raises KeyError.
+    return [
+        f"{row.format(*key)}: generated {generated[key].symbol}, reference {want.symbol}"
+        for key, want in sorted(reference.items())
+        if generated[key] != want
+    ]
+
+
 def diff_teleport_table(generated: dict) -> list[str]:
     """Rows of the generated teleport table that disagree with the reference."""
-    rows = []
-    for channel in BELL_LABELS:
-        for outcome in BSM_OUTCOMES:
-            got = generated[(channel, outcome)]
-            want = TELEPORT_REFERENCE[(channel, outcome)]
-            if got != want:
-                rows.append(
-                    f"teleport channel={channel.symbol} bsm={outcome.bits}: "
-                    f"generated {got.symbol}, reference {want.symbol}"
-                )
-    return rows
+    return _diff_rows(generated, TELEPORT_REFERENCE, "teleport channel={0.symbol} bsm={1.bits}")
 
 
 def diff_swap_table(generated: dict) -> list[str]:
     """Rows of the generated swap table that disagree with the reference."""
-    rows = []
-    for pair_a, pair_b in product(BELL_LABELS, repeat=2):
-        for outcome in BSM_OUTCOMES:
-            got = generated[(pair_a, pair_b, outcome)]
-            want = SWAP_REFERENCE[(pair_a, pair_b, outcome)]
-            if got != want:
-                rows.append(
-                    f"swap pairs=({pair_a.symbol}, {pair_b.symbol}) "
-                    f"bsm={outcome.bits}: generated {got.symbol}, "
-                    f"reference {want.symbol}"
-                )
-    return rows
+    return _diff_rows(generated, SWAP_REFERENCE, "swap pairs=({0.symbol}, {1.symbol}) bsm={2.bits}")

@@ -12,7 +12,6 @@ import math
 import sys
 
 from . import bell, security, statevec
-from .bell import BELL_LABELS, BSM_OUTCOMES
 from .protocol import MAX_SEED, NO_ATTACK, AttackModel, run_qss22, run_qss55
 
 EXIT_OK = 0
@@ -139,22 +138,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_verify_tables(args: argparse.Namespace) -> int:
     generated_teleport = bell.generate_teleport_table()
     generated_swap = bell.generate_swap_table()
-    lines = []
-    for channel in BELL_LABELS:
-        for outcome in BSM_OUTCOMES:
-            corr = generated_teleport[(channel, outcome)]
-            lines.append(f"teleport {channel.symbol} bsm={outcome.bits} -> {corr.symbol}")
-    for pair_a in BELL_LABELS:
-        for pair_b in BELL_LABELS:
-            for outcome in BSM_OUTCOMES:
-                result = generated_swap[(pair_a, pair_b, outcome)]
-                lines.append(
-                    f"swap {pair_a.symbol}(x){pair_b.symbol} bsm={outcome.bits} -> {result.symbol}"
-                )
+    lines = [
+        f"teleport {channel.symbol} bsm={outcome.bits} -> {corr.symbol}"
+        for (channel, outcome), corr in generated_teleport.items()
+    ]
+    lines.extend(
+        f"swap {pair_a.symbol}(x){pair_b.symbol} bsm={outcome.bits} -> {result.symbol}"
+        for (pair_a, pair_b, outcome), result in generated_swap.items()
+    )
     teleport_mismatches = bell.diff_teleport_table(generated_teleport)
     swap_mismatches = bell.diff_swap_table(generated_swap)
-    lines.extend(teleport_mismatches)
-    lines.extend(swap_mismatches)
+    lines += teleport_mismatches + swap_mismatches
     lines.append(
         f"{16 - len(teleport_mismatches)}/16 teleportation entries, "
         f"{64 - len(swap_mismatches)}/64 swapping entries verified"

@@ -420,10 +420,8 @@ def _leaf_table(attack: AttackModel) -> tuple[np.ndarray, list[tuple[bool, tuple
 
 
 def _trial_keys(seed: int, start: int, stop: int) -> np.ndarray:
-    # The seeds (seed + i) mod 2^64 of trials start <= i < stop, as uint64;
-    # a seed that is not an integer, such as 1.5, raises instead of truncating.
-    key = operator.index(seed) % (protocol.MAX_SEED + 1)
-    return np.arange(start, stop, dtype=np.uint64) + np.uint64(key)
+    # The seeds (seed + i) mod 2^64 of trials start <= i < stop, as uint64.
+    return np.arange(start, stop, dtype=np.uint64) + np.uint64(seed % (protocol.MAX_SEED + 1))
 
 
 def _trial_leaves(attack: AttackModel, trials: int, seed: int):
@@ -468,6 +466,8 @@ def attack_sweep(attack: AttackModel, trials: int, seed: int) -> AttackSweepRepo
     so every trial is reproducible in isolation.  Trials that draw the same
     coins with the same secret share one full run (:func:`_trial_leaves`).
     """
+    # Integers only: a float seed such as 1.5 raises instead of truncating.
+    trials, seed = operator.index(trials), operator.index(seed)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     detections = sum(count for (rejected, _), count in _trial_leaves(attack, trials, seed) if rejected)
@@ -538,6 +538,7 @@ def public_transcript_uniformity(trials: int, seed: int) -> UniformityReport:
     (:func:`_trial_leaves`).  No trials report p = 1; a negative count
     raises ``ValueError``.
     """
+    trials, seed = operator.index(trials), operator.index(seed)
     if trials < 0:
         raise ValueError(f"trials must not be negative, got {trials}")
     columns = _honest_columns()

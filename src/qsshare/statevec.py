@@ -242,11 +242,9 @@ def project_computational(state: StateVector, q: int, bit: int) -> tuple[float, 
 
     Returns the outcome probability and the renormalised post-measurement
     state, or ``(0.0, None)`` when the outcome has probability below the
-    sampling floor.  Oracle API: no run or exact rate calls it, since their
-    branch tables come from a symbolic stabilizer pass.  :func:`bell_project`
-    (and through it the generated pair tables of ``verify-tables``), the
-    sampled measurements and the tests' statevec enumerator, which is the
-    check on those tables, build on it.
+    sampling floor.  Oracle API: no run, exact rate or generated pair table
+    calls it.  :func:`bell_project`, the sampled measurements and the tests'
+    statevec enumerator, the check on the symbolic branch tables, build on it.
     """
     _check_qubit(state, q)
     if bit not in (0, 1):
@@ -285,9 +283,8 @@ def bell_project(state: StateVector, q1: int, q2: int, label: BellLabel) -> tupl
 
     Returns the outcome probability and the post-measurement state (pair
     collapsed to the label), or ``(0.0, None)`` for a negligible outcome.
-    Oracle API, like :func:`project_computational`: the generated pair
-    tables of ``verify-tables`` and the tests' statevec enumerator, the
-    check on the symbolic branch tables, call it; no run or exact rate does.
+    Oracle API, like :func:`project_computational`: the tests' statevec
+    enumerator and references call it; no run, exact rate or pair table does.
     """
     _check_qubit(state, q1)
     _check_qubit(state, q2)
@@ -317,8 +314,9 @@ def joint_distribution(
     per pair (indexed like ``BELL_LABELS``) followed by one axis of length 2
     per single qubit.  The measurements act on disjoint qubits and commute,
     so each entry equals the product of conditional probabilities of any
-    sequential order.  Oracle API: only the tests read it, as an
-    order-free check of the projections.
+    sequential order.  Oracle API: the generated pair tables of
+    ``verify-tables`` read it, and the tests use it as an order-free check
+    of the projections.
     """
     named = [q for pair in pairs for q in pair] + list(singles)
     for q in named:

@@ -239,12 +239,28 @@ def test_out_of_range_library_seeds(seed):
 @pytest.mark.parametrize("seed", [1.5, np.float64(2.0), "3"], ids=repr)
 def test_sweeps_refuse_seeds_that_are_not_integers(seed):
     # Out-of-range integers wrap, but a float is refused, not truncated: 1.5
-    # would otherwise sweep exactly as seed 1 does.
+    # would otherwise sweep exactly as seed 1 does.  A sweep of no trials,
+    # which draws no coin, refuses it too.
     attack = AttackModel.from_spec("intercept-resend-computational:auth-r2")
     with pytest.raises(TypeError):
         attack_sweep(attack, 20, seed)
     with pytest.raises(TypeError):
         public_transcript_uniformity(20, seed)
+    with pytest.raises(TypeError):
+        public_transcript_uniformity(0, seed)
+
+
+@pytest.mark.parametrize("trials, plain", [(np.int64(20), 20), (True, 1)], ids=repr)
+def test_sweep_reports_count_integer_like_trials_as_ints(trials, plain):
+    # A trial count reports as the int it stands for: neither as the JSON
+    # ``true`` nor as a numpy integer that json cannot write.
+    attack = AttackModel.from_spec("intercept-resend-computational:auth-r2")
+    assert report_to_jsonl(attack_sweep(attack, trials, 3)) == report_to_jsonl(
+        attack_sweep(attack, plain, 3)
+    )
+    assert report_to_jsonl(public_transcript_uniformity(trials, 3)) == report_to_jsonl(
+        public_transcript_uniformity(plain, 3)
+    )
 
 
 def test_sweeps_spanning_several_chunks(monkeypatch):

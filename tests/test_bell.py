@@ -162,6 +162,67 @@ def test_infer_identity_row():
 
 
 # ---------------------------------------------------------------------------
+# The oracle tables catch a broken simulator.
+
+def _pair_bits_swapped(monkeypatch):
+    real = statevec.prepare_bell_on
+
+    def faulty(state, q_first, q_second, label):
+        return real(state, q_first, q_second, BELL_LABELS[2 * label.x + label.z])
+
+    monkeypatch.setattr(statevec, "prepare_bell_on", faulty)
+
+
+def _rotation_cnot_reversed(monkeypatch):
+    # The pair rotation and its inverse, each with the CNOT's control and
+    # target exchanged.
+    def rotate_from(state, q1, q2):
+        return statevec.apply_hadamard(statevec.apply_cnot(state, q2, q1), q1)
+
+    def rotate_to(state, q1, q2):
+        return statevec.apply_cnot(statevec.apply_hadamard(state, q1), q2, q1)
+
+    monkeypatch.setattr(statevec, "_rotate_from_pair_basis", rotate_from)
+    monkeypatch.setattr(statevec, "_rotate_to_pair_basis", rotate_to)
+
+
+def _pauli_drops_z(monkeypatch):
+    real = statevec.apply_pauli
+
+    def faulty(state, q, corr):
+        return real(state, q, bell.PAULI_CORRECTIONS[corr.x])
+
+    monkeypatch.setattr(statevec, "apply_pauli", faulty)
+
+
+@pytest.fixture
+def cold_tables():
+    tables = (bell.generate_teleport_table, bell.generate_swap_table)
+    for table in tables:
+        table.cache_clear()
+    yield
+    for table in tables:
+        table.cache_clear()
+
+
+@pytest.mark.parametrize("fault", [_pair_bits_swapped, _rotation_cnot_reversed, _pauli_drops_z])
+def test_oracle_tables_expose_simulator_faults(fault, monkeypatch, cold_tables):
+    # Each fault either trips one of the generators' own checks or leaves
+    # rows that disagree with the reference: verify-tables cannot pass on it.
+    fault(monkeypatch)
+    generators = (
+        (bell.generate_teleport_table, bell.diff_teleport_table),
+        (bell.generate_swap_table, bell.diff_swap_table),
+    )
+    for generate, diff in generators:
+        try:
+            table = generate()
+        except AssertionError:
+            continue
+        assert diff(table), generate.__name__
+
+
+# ---------------------------------------------------------------------------
 # End-to-end correction.
 
 def test_end_to_end_is_the_composition():
