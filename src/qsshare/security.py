@@ -21,8 +21,10 @@ those codes:
   the masked tokens read off :data:`_MASK`, tabulated from
   :func:`protocol.mask_tokens`), counted by one integer key per case;
 - the encrypted qubit's correction XORs the four pieces, so unknown pieces
-  XOR-convolve a 4-bin histogram of corrections, and the average is at
-  most four Pauli conjugations;
+  XOR-convolve a 4-bin histogram of corrections, and the averaged qubit is
+  the secret's Bloch vector twirled by that histogram: each axis scaled by
+  an integer sum of signs over the histogram's total, so an unknown piece
+  gives exactly zero;
 - an attack detection rate is an exact count over every branch of both
   token rounds and the splitting phase: a numpy gather over the arrays and
   the sender's acceptance rule tabulated once (:data:`_ACCEPT`, from
@@ -50,13 +52,7 @@ from typing import Mapping
 import numpy as np
 
 from . import protocol, statevec
-from .bell import (
-    BELL_LABELS,
-    PAULI_CORRECTIONS,
-    PHI_PLUS,
-    BellLabel,
-    end_to_end_correction,
-)
+from .bell import BELL_LABELS, PHI_PLUS, BellLabel, end_to_end_correction
 from .protocol import (
     NO_ATTACK,
     AttackModel,
@@ -119,11 +115,9 @@ class HonestCase:
 def enumerate_honest_cases() -> tuple[HonestCase, ...]:
     """All 512 randomness/secret cases, built from :func:`_honest_columns`
     and ordered by secret, pair codes, swap outcome, then teleport outcome."""
-    columns = _honest_columns()
-    names = ("secret", "pair1", "pair2", "swap", "tele", "cipher")
+    labels = product((0, 1), BELL_LABELS, BELL_LABELS, BELL_LABELS, BELL_LABELS)
     return tuple(
-        HonestCase(secret, *(BELL_LABELS[code] for code in codes), cipher)
-        for secret, *codes, cipher in zip(*(columns[name].tolist() for name in names))
+        HonestCase(*case, cipher) for case, cipher in zip(labels, _honest_columns()["cipher"].tolist())
     )
 
 
@@ -189,9 +183,9 @@ def mutual_information_22(view: str) -> SecrecyReport:
 
     The view's columns (:data:`_VIEW_COLUMNS`) are read as one base-4 key
     per case, and the cases are counted by key and secret."""
-    columns = _honest_columns()
     if view not in _VIEW_COLUMNS:
         raise ValueError(f"unknown view {view!r}; known views: {', '.join(VIEW_NAMES)}")
+    columns = _honest_columns()
     key = 0
     for name in _VIEW_COLUMNS[view]:
         key = 4 * key + columns[name]
@@ -226,6 +220,11 @@ def mutual_information_22(view: str) -> SecrecyReport:
 # ---------------------------------------------------------------------------
 # Mixedness of the encrypted qubit in the (5,5) scheme.
 
+# _BLOCH_SIGNS[c] is how the correction of code c, Z^z X^x with c = 2*z + x,
+# signs the (X, Y, Z) Bloch axes of the qubit it conjugates.
+_BLOCH_SIGNS = np.array([[1, 1, 1], [1, -1, -1], [-1, -1, 1], [-1, 1, -1]])
+
+
 def encrypted_qubit_mixedness_55(
     known: Mapping[str, BellLabel] | None = None,
     secret_amplitudes: tuple[complex, complex] = _PROBE_QUBIT,
@@ -241,8 +240,13 @@ def encrypted_qubit_mixedness_55(
     The encrypted qubit is the secret under the Pauli
     :func:`end_to_end_correction`, the XOR of the pieces.  So the known
     pieces' correction (Φ+ standing in for each unknown piece), XOR-convolved
-    with a uniform 4-bin histogram per unknown piece, weighs at most four
-    Pauli conjugations of the secret.
+    with a uniform 4-bin histogram per unknown piece, gives integer weights
+    of the four corrections.  Each correction but I flips the signs of two
+    axes of the secret's Bloch vector (:data:`_BLOCH_SIGNS`), so the averaged
+    qubit's Bloch vector is the secret's with each axis scaled by its
+    weighted sign sum over the total weight, and the distance is half its
+    length.  An unknown piece makes every weighted sign sum the integer 0,
+    so the distance is exactly 0.0.
     """
     known = dict(known or {})
     unknown = [p for p in PIECES if p not in known]
@@ -255,13 +259,11 @@ def encrypted_qubit_mixedness_55(
     weights[_code(end_to_end_correction(*(known.get(p, PHI_PLUS) for p in PIECES)))] = 1
     for _ in unknown:
         weights = weights[_XOR_CODES].sum(axis=1)
-    secret = statevec.single_qubit(*secret_amplitudes)
-    accumulated = np.zeros((2, 2), dtype=complex)
-    for code in np.flatnonzero(weights).tolist():
-        encrypted = statevec.apply_pauli(secret, 0, PAULI_CORRECTIONS[code]).amplitudes
-        accumulated += weights[code] * np.outer(encrypted, encrypted.conj())
-    averaged = accumulated / weights.sum()
-    return statevec.trace_distance(averaged, np.eye(2, dtype=complex) / 2)
+    amp0, amp1 = statevec.single_qubit(*secret_amplitudes).amplitudes.tolist()
+    cross = amp0.conjugate() * amp1
+    bloch = (2 * cross.real, 2 * cross.imag, abs(amp0) ** 2 - abs(amp1) ** 2)
+    scales = (weights @ _BLOCH_SIGNS / weights.sum()).tolist()
+    return 0.5 * math.hypot(*(scale * r for scale, r in zip(scales, bloch)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,17 @@ same tables as the runs, through the cache the benchmark empties before a
 cold pass.  Neither touches a state vector, cold or warm.
 """
 
+import ast
+import importlib
+import inspect
+import pkgutil
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
+import qsshare
 from qsshare import protocol, security, statevec
 from qsshare.protocol import AttackModel
 from conftest import SPECS
@@ -26,6 +31,18 @@ from test_security import PINNED_EXACT_RATES
 
 SEEDS = range(200)
 TABLES = (protocol._stacked_branches,)
+# Every functools cache of the package.  A memo that a cold pass does not
+# empty would make it warm, so a new one has to be named here and cannot
+# slip in unseen.
+PACKAGE_CACHES = {
+    "qsshare.bell.generate_teleport_table",
+    "qsshare.bell.generate_swap_table",
+    "qsshare.protocol.token_steps",
+    "qsshare.protocol.splitting_steps",
+    "qsshare.protocol._stacked_branches",
+    "qsshare.security.enumerate_honest_cases",
+    "qsshare.security._leaf_table",
+}
 MEASUREMENTS = (
     "measure_computational",
     "bell_measure",
@@ -220,3 +237,49 @@ def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
     assert len({key for key in read if key[0] == "token"}) == 3
     assert security._splitting_branches is real_table
     assert real_table.cache_info()[:2] == (31, 8)
+
+
+def package_modules():
+    return [
+        importlib.import_module(f"{qsshare.__name__}.{info.name}")
+        for info in pkgutil.iter_modules(qsshare.__path__)
+    ]
+
+
+def functools_cache_uses(module):
+    # Every lru_cache or cache of functools the module's source names,
+    # whether as a decorator or a call, at any depth.
+    tree = ast.parse(inspect.getsource(module))
+    cache_names, functools_names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            cache_names |= {a.asname or a.name for a in node.names if a.name in ("lru_cache", "cache")}
+        elif isinstance(node, ast.Import):
+            functools_names |= {a.asname or a.name for a in node.names if a.name == "functools"}
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in cache_names
+        or isinstance(node, ast.Attribute)
+        and node.attr in ("lru_cache", "cache")
+        and isinstance(node.value, ast.Name)
+        and node.value.id in functools_names
+    ]
+
+
+def test_the_package_holds_exactly_the_known_caches():
+    found = set()
+    uses = 0
+    for module in package_modules():
+        uses += len(functools_cache_uses(module))
+        namespaces = [vars(module)] + [vars(c) for c in vars(module).values() if inspect.isclass(c)]
+        for namespace in namespaces:
+            for obj in namespace.values():
+                # Imports and aliases name a cache of another module: count
+                # each where it is defined.
+                if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__:
+                    found.add(f"{obj.__module__}.{obj.__qualname__}")
+    assert found == PACKAGE_CACHES
+    # No cache sits where a namespace scan cannot see it, such as a nested
+    # function or a call that wraps a function under another name.
+    assert uses == len(PACKAGE_CACHES)

@@ -2,10 +2,10 @@
 
 Adversary views, the encrypted qubit's mixedness and the token rounds are
 read off int codes: views group the honest cases' int columns by one
-integer key, mixedness XOR-convolves the unknown pieces into at most four
-Pauli corrections, and the two token rounds share one enumeration when
-their steps agree.  These tests hold each to the per-case loop it
-replaced, which is kept here as the reference.
+integer key, mixedness twirls the secret's Bloch vector by the Pauli
+corrections the unknown pieces XOR-convolve into, and the two token rounds
+share one enumeration when their steps agree.  These tests hold each to
+the per-case loop it replaced, which is kept here as the reference.
 """
 
 import math
@@ -92,6 +92,20 @@ def test_honest_columns_are_the_honest_cases():
         tuple(BELL_LABELS[value] if name in labels else value for name, value in zip(names, row))
         for row in coded
     ] == rows
+
+
+def test_honest_cases_hold_the_canonical_labels_in_product_order():
+    # Case i is (secret, pair1, pair2, swap, teleport) = i in mixed radix
+    # (2, 4, 4, 4, 4), each label the canonical instance of its code.
+    cases = security.enumerate_honest_cases()
+    assert len(cases) == 512
+    for index, case in enumerate(cases):
+        secret, *codes = (int(i) for i in np.unravel_index(index, (2, 4, 4, 4, 4)))
+        assert type(case) is security.HonestCase
+        assert type(case.secret) is int and case.secret == secret
+        assert type(case.cipher_bit) is int and case.cipher_bit in (0, 1)
+        labels = (case.pair1, case.pair2, case.swap_bsm, case.teleport_bsm)
+        assert all(label is BELL_LABELS[code] for label, code in zip(labels, codes))
 
 
 HONEST = protocol.splitting_steps(protocol.NO_ATTACK, True)
@@ -192,6 +206,17 @@ def test_unknown_view_message_is_unchanged():
     assert str(raised.value) == str(expected.value)
 
 
+def test_unknown_view_is_refused_before_any_branch_table_is_built():
+    # A cold ``analyze --view nope`` raises without a symbolic splitting pass.
+    protocol._stacked_branches.cache_clear()
+    with pytest.raises(ValueError) as raised:
+        security.mutual_information_22("nope")
+    assert protocol._stacked_branches.cache_info().misses == 0
+    with pytest.raises(ValueError) as expected:
+        reference_view_values("nope", security.enumerate_honest_cases()[0])
+    assert str(raised.value) == str(expected.value)
+
+
 # ---------------------------------------------------------------------------
 # Mixedness.
 
@@ -233,6 +258,22 @@ def test_mixedness_matches_the_4k_loop(size):
             for secret in secrets:
                 expected = reference_mixedness(known, secret)
                 assert abs(security.encrypted_qubit_mixedness_55(known, secret) - expected) <= 1e-15
+
+
+def test_mixedness_is_exactly_zero_with_any_piece_unknown():
+    # The twirl's weighted sign sums are integers that cancel, so no
+    # tolerance: the 4^k loop leaves float residues here.  With all four
+    # pieces known the qubit is pure and only rounding separates the two.
+    rng = random.Random(21)
+    secrets = [security._PROBE_QUBIT] + [random_qubit(rng) for _ in range(200)]
+    for secret in secrets:
+        for size in range(len(PIECES)):
+            for names in combinations(PIECES, size):
+                known = {name: rng.choice(BELL_LABELS) for name in names}
+                assert security.encrypted_qubit_mixedness_55(known, secret) == 0.0, (known, secret)
+        known = {name: rng.choice(BELL_LABELS) for name in PIECES}
+        expected = reference_mixedness(known, secret)
+        assert abs(security.encrypted_qubit_mixedness_55(known, secret) - expected) <= 1e-15
 
 
 @pytest.mark.parametrize(
