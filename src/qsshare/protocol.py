@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
@@ -870,25 +870,21 @@ def verify_authentication(
     return cipher_bit == records.secret_bit ^ correction.x
 
 
+def _require_every_share(shares: ShareSet22 | ShareSet55) -> None:
+    # Raises IncompleteSharesError naming the missing pieces in field order,
+    # each field name with dashes for underscores.
+    missing = [f.name.replace("_", "-") for f in fields(shares) if getattr(shares, f.name) is None]
+    if missing:
+        raise IncompleteSharesError(f"missing shares: {', '.join(missing)}")
+
+
 def reconstruct22(shares: ShareSet22) -> int:
     """Recover the secret bit from a complete (2,2) share set.
 
     Raises :class:`IncompleteSharesError` when any piece is missing; a
     partial answer is never returned.
     """
-    missing = [
-        name
-        for name, value in (
-            ("pair1-label", shares.pair1_label),
-            ("swap-bsm", shares.swap_bsm),
-            ("cipher-bit", shares.cipher_bit),
-            ("pair2-label", shares.pair2_label),
-            ("teleport-bsm", shares.teleport_bsm),
-        )
-        if value is None
-    ]
-    if missing:
-        raise IncompleteSharesError(f"missing shares: {', '.join(missing)}")
+    _require_every_share(shares)
     correction = end_to_end_correction(
         shares.pair1_label, shares.pair2_label, shares.swap_bsm, shares.teleport_bsm
     )
@@ -897,19 +893,7 @@ def reconstruct22(shares: ShareSet22) -> int:
 
 def reconstruct55(shares: ShareSet55) -> StateVector:
     """Recover the secret qubit from a complete (5,5) share set."""
-    missing = [
-        name
-        for name, value in (
-            ("swap-bsm", shares.swap_bsm),
-            ("encrypted-qubit", shares.encrypted_qubit),
-            ("pair1-label", shares.pair1_label),
-            ("pair2-label", shares.pair2_label),
-            ("teleport-bsm", shares.teleport_bsm),
-        )
-        if value is None
-    ]
-    if missing:
-        raise IncompleteSharesError(f"missing shares: {', '.join(missing)}")
+    _require_every_share(shares)
     correction = end_to_end_correction(
         shares.pair1_label, shares.pair2_label, shares.swap_bsm, shares.teleport_bsm
     )

@@ -5,32 +5,34 @@ The branch sets come from :mod:`protocol`, which writes each phase's
 measurements once as a step list (:func:`protocol.token_steps`,
 :func:`protocol.splitting_steps`) and tabulates it exactly: every branch
 of a token round or of the splitting phase, under any attack, as one of
-2^d equally likely rows.  The 512 equiprobable randomness/secret cases of
-an honest (2,2) run (two pair codes, the swap and teleport measurement
-outcomes, and the secret bit) are the honest splitting branches.
+2^d equally likely rows.
 
 Everything is computed on integer codes: 2-bit values as ``2*z + x``.
 The branches are the tables the sampled runs draw from
 (:func:`protocol._stacked_branches`): per token or splitting step list,
 every input's 2^d equal shares, from one symbolic stabilizer pass on the
 phase's reference register whose generators carry each input bit as a
-sign symbol, so a sum over rows is a count.  The rest is group-bys over
-those codes:
+sign symbol, so a sum over rows is a count.  Views and rates read one
+table of a (2,2) run's branches (:func:`_run_columns`): every branch of
+both token rounds and the splitting phase under an attack, as int
+columns.  The 512 equiprobable randomness/secret cases of an honest run
+(the secret bit, two pair codes, and the swap and teleport outcomes) are
+its :data:`NO_ATTACK` case.  The rest is group-bys over those codes:
 
-- a view of the honest cases is a set of int columns (:data:`_VIEW_COLUMNS`,
-  the masked tokens read off :data:`_MASK`, tabulated from
-  :func:`protocol.mask_tokens`), counted by one integer key per case;
+- a view of the honest cases is a set of their int columns
+  (:data:`_VIEW_COLUMNS`, the masked tokens read off :data:`_MASK`,
+  tabulated from :func:`protocol.mask_tokens`), counted by one integer
+  key per case;
 - the encrypted qubit's correction XORs the four pieces, so unknown pieces
   XOR-convolve a 4-bin histogram of corrections, and the averaged qubit is
   the secret's Bloch vector twirled by that histogram: each axis scaled by
   an integer sum of signs over the histogram's total, so an unknown piece
   gives exactly zero;
-- an attack detection rate is an exact count over every branch of both
-  token rounds and the splitting phase: a numpy gather over the arrays and
-  the sender's acceptance rule tabulated once (:data:`_ACCEPT`, from
-  :func:`protocol.verify_authentication`).  Each token step list has one
-  table, so a cold pass over the README's 13 attacks makes three
-  symbolic token passes.
+- an attack detection rate counts the run's rejected branches: the
+  sender's acceptance rule tabulated once (:data:`_ACCEPT`, from
+  :func:`protocol.verify_authentication`), gathered on the run's columns.
+  Each token step list has one table, so a cold pass over the README's 13
+  attacks makes three symbolic token passes.
 
 Floating point only appears at the reporting boundary, so "exactly zero"
 results do not depend on rounding.
@@ -41,6 +43,7 @@ outcome distributions) and the secret bit is uniform.
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 from dataclasses import dataclass
@@ -125,28 +128,23 @@ def _honest_columns() -> dict[str, np.ndarray]:
     """The 512 honest cases as int columns, one entry per case: ``secret``,
     the codes ``pair1``, ``pair2``, ``swap`` and ``tele``, the ``cipher``
     bit and the masked tokens (``token_r1``, a code, and ``token_r2``, a
-    bit), ordered by the first five.
-
-    They are read off the honest splitting branches, each an equal share of
-    its input.  Given the secret and the pair codes, each of the 16 (swap,
-    teleport) outcome pairs must occur in exactly one branch; a second
-    branch for the same pair would mean the cipher qubit has not collapsed.
+    bit), ordered by the first five: the branches of a :data:`NO_ATTACK`
+    run (:func:`_run_columns`), where token branch i of either round has
+    code i, which the sender records, and splitting branch j of each input
+    must be the (swap, teleport) pair with ``4*swap + tele == j``.  A
+    repeated pair would mean the cipher qubit has not collapsed.
     """
-    honest = protocol.splitting_steps(NO_ATTACK, True)
-    swap, tele, cipher = _columns("splitting", honest, ("swap", "tele", "cipher"))
-    if (np.diff(np.sort(4 * swap + tele), axis=-1) == 0).any():
-        raise AssertionError("cipher qubit not collapsed")
+    columns = _run_columns(NO_ATTACK)
+    swap = columns["swap"]
     if swap.shape[-1] != 16:
         raise AssertionError(f"{swap.shape[-1]} honest branches, expected 16")
-    ordered = np.empty((2, 4, 4, 4, 4), dtype=np.int64)
-    ordered[(*np.indices(swap.shape)[:3], swap, tele)] = cipher
-    names = ("secret", "pair1", "pair2", "swap", "tele")
-    columns = dict(zip(names, np.indices(ordered.shape).reshape(5, -1)))
-    columns["cipher"] = ordered.reshape(-1)
-    columns["token_r1"], columns["token_r2"] = _MASK[
-        :, columns["pair1"], columns["pair2"], columns["swap"], columns["cipher"]
-    ]
-    return columns
+    if (4 * swap + columns["tele"] != np.arange(16)).any():
+        raise AssertionError("cipher qubit not collapsed")
+    names = ("secret", "pair1", "pair2", "swap", "tele", "cipher", "token_r1", "token_r2")
+    flat = np.empty((len(names), *swap.shape), dtype=np.int64)
+    for row, name in zip(flat, names):
+        row[...] = columns[name]
+    return dict(zip(names, flat.reshape(len(names), -1)))
 
 
 def _secret_counts(key: np.ndarray, secret: np.ndarray) -> np.ndarray:
@@ -318,45 +316,48 @@ def _columns(
     return [branches[..., i] for i in protocol._positions(steps, *names)]
 
 
-def _sent_token_codes(attack: AttackModel) -> tuple[np.ndarray, np.ndarray]:
-    # sent_tokens on every (code1, code2, swap, cipher): R1's token codes and
-    # R2's token bits, each shaped (4, 4, 4, 2).  An attack XORs a fixed
-    # alteration into the masked tokens, read off the input they mask to
-    # (Φ+, 0).
-    token_r1, token_r2 = sent_tokens(PHI_PLUS, PHI_PLUS, PHI_PLUS, 0, attack)
-    return _MASK[0] ^ _code(token_r1), _MASK[1] ^ token_r2
+def _run_columns(attack: AttackModel) -> dict[str, np.ndarray]:
+    """Every branch of a (2,2) run under the attack, each one equal share,
+    as int columns that broadcast to (secret, R1's token branch, R2's token
+    branch, splitting branch): ``secret``, the receivers' codes ``pair1``
+    and ``pair2``, the sender's records ``record1`` and ``record2``,
+    ``swap``, ``tele``, ``cipher``, and the tokens the sender receives,
+    ``token_r1`` and ``token_r2`` (:data:`_MASK` XOR the attack's fixed
+    alteration, read off the input that masks to (Φ+, 0)).
 
-
-def exact_detection_rate(attack: AttackModel) -> Fraction:
-    """Exact probability that a (2,2) run under the attack is rejected,
-    summed over every measurement branch with uniform hidden randomness:
-    R1's token branches, R2's, the secret bit and the splitting branches.
-
-    Every branch is int-coded (2-bit values as ``2*z + x``) and is one of
-    the 2^d equal shares of its phase's stacked table, so the rate is a
-    count over one numpy gather: the splitting branches of each pair of
-    token branches are picked by the sender's records, the tokens the
-    sender receives are looked up in a table of :func:`protocol.sent_tokens`,
-    and acceptance in :data:`_ACCEPT`, the sender's rule tabulated once.
-
-    Each token register is the (Φ+, Φ+) one under a Pauli frame on qubits
-    0 and 3, which flips only the sender's observed outcome, by ``pair_a ^
-    pair_b``, and the sender's record undoes it (:func:`infer_remote_bsm`).
-    So every token round reads the (Φ+, Φ+) rows of its step list's table,
-    where the record is the observed outcome.
+    A token round's pairs are a Pauli frame on the (Φ+, Φ+) register that
+    flips only the sender's observed outcome, by ``pair_a ^ pair_b``, and
+    the record undoes it (:func:`infer_remote_bsm`), so each round reads
+    its table's (Φ+, Φ+) rows, where the record is the observed outcome.
+    The splitting branches are the rows of the records.
     """
     (code1, record1), (code2, record2) = (
         _columns("token", protocol.token_steps(target, attack), ("code", "observed"), 0, 0)
         for target in ("auth-r1", "auth-r2")
     )
-    sent_r1, sent_r2 = _sent_token_codes(attack)
-    # Axes: secret, R1's token branch, R2's token branch, splitting branch.
-    r1, r2 = record1[:, None], record2[None, :]
     splitting = protocol.splitting_steps(attack, True)
-    swap, tele, cipher = _columns("splitting", splitting, ("swap", "tele", "cipher"), slice(None), r1, r2)
-    tokens = code1[:, None, None], code2[None, :, None], swap, cipher
-    secret = np.arange(2)[:, None, None, None]
-    accepted = _ACCEPT[r1[..., None], r2[..., None], tele, secret, sent_r1[tokens], sent_r2[tokens]]
+    swap, tele, cipher = _columns(
+        "splitting", splitting, ("swap", "tele", "cipher"), slice(None), record1[:, None], record2
+    )
+    pair1, pair2 = code1[:, None, None], code2[:, None]
+    tokens = pair1, pair2, swap, cipher
+    token_r1, token_r2 = sent_tokens(PHI_PLUS, PHI_PLUS, PHI_PLUS, 0, attack)
+    return dict(
+        secret=np.arange(2)[:, None, None, None], pair1=pair1, pair2=pair2,
+        record1=record1[:, None, None], record2=record2[:, None], swap=swap, tele=tele, cipher=cipher,
+        token_r1=(_MASK[0] ^ _code(token_r1))[tokens], token_r2=(_MASK[1] ^ token_r2)[tokens],
+    )
+
+
+def exact_detection_rate(attack: AttackModel) -> Fraction:
+    """Exact probability that a (2,2) run under the attack is rejected,
+    summed over every branch of the run (:func:`_run_columns`) with uniform
+    hidden randomness: a count of the rejections in :data:`_ACCEPT`, the
+    sender's rule tabulated once, gathered on the run's int columns."""
+    run = _run_columns(attack)
+    accepted = _ACCEPT[
+        run["record1"], run["record2"], run["tele"], run["secret"], run["token_r1"], run["token_r2"]
+    ]
     return Fraction(accepted.size - int(np.count_nonzero(accepted)), accepted.size)
 
 
@@ -600,16 +601,16 @@ def _message_domain(name: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # Report serialisation (schema qss-report/1).
 
-def report_to_jsonl(report: SecrecyReport | AttackSweepReport | UniformityReport) -> str:
-    import json
+_REPORT_KINDS = {
+    SecrecyReport: "secrecy",
+    AttackSweepReport: "attack-sweep",
+    UniformityReport: "uniformity",
+}
 
-    kinds = {
-        SecrecyReport: "secrecy",
-        AttackSweepReport: "attack-sweep",
-        UniformityReport: "uniformity",
-    }
+
+def report_to_jsonl(report: SecrecyReport | AttackSweepReport | UniformityReport) -> str:
     header = json.dumps(
-        {"schema": REPORT_SCHEMA, "kind": kinds[type(report)]},
+        {"schema": REPORT_SCHEMA, "kind": _REPORT_KINDS[type(report)]},
         sort_keys=True,
         separators=(",", ":"),
     )

@@ -15,18 +15,20 @@ stacked tables against the branch table of that input's own register, on
 the attack step lists and on random ones; check the (5,5) run's draw and
 its Pauli-frame cipher qubit against that sampler on qubit secrets; check
 every coin sequence of a full run against the exact detection rate; check
-the integer-coded detection rate against a per-branch loop written here
-and its acceptance table against the rule it tabulates; check that every
-input moves the all-zero input's rows by the flips its pieces predict, on
-every step list; count the symbolic passes a process makes; check that no
-module of the package snaps a float to a rational; and check that a cold
-exact pass keeps no state beyond the package's lru caches.
+the run's int columns and the detection rate read off them against a
+per-branch loop written here, and the acceptance table against the rule
+it tabulates; check that every input moves the all-zero input's rows by
+the flips its pieces predict, on every step list; count the symbolic
+passes a process makes; check that no module of the package snaps a
+float to a rational; and check that a cold exact pass keeps no state
+beyond the package's lru caches.
 """
 
 import inspect
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -325,27 +327,58 @@ def test_every_coin_sequence_of_a_run_sums_to_the_exact_rate(spec, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The integer-coded detection rate against the per-branch loop.
+# The run's int columns and the detection rate against the per-branch loop.
 
-def reference_detection_rate(attack):
-    """The detection rate summed branch by branch: every (R1 token branch,
-    R2 token branch, secret, splitting branch) decided by
-    ``verify_authentication`` and weighted by its ``Fraction``."""
+def reference_run_branches(attack):
+    """Every (probability, row) branch of a run under the attack, one (R1
+    token branch, R2 token branch, secret, splitting branch) at a time: the
+    row is the secret, the receivers' codes, the sender's records, the
+    splitting outcomes and the tokens as the sender receives them
+    (``sent_tokens``), as labels and bits."""
     token_r1 = token_branches(protocol.RECEIVER_1, attack)
     token_r2 = token_branches(protocol.RECEIVER_2, attack)
     steps = protocol.splitting_steps(attack, True)
-    total = Fraction(0)
     for (p1, code1, record1), (p2, code2, record2) in product(token_r1, token_r2):
         for secret in (0, 1):
-            rejected = 0
-            splitting = splitting_branches(secret, record1, record2, steps)
-            for p, swap, tele, cipher in splitting:
+            for p, swap, tele, cipher in splitting_branches(secret, record1, record2, steps):
                 sent_r1, sent_r2 = protocol.sent_tokens(code1, code2, swap, cipher, attack)
-                records = protocol.SenderRecords(record1, record2, tele, secret)
-                if not protocol.verify_authentication(records, (sent_r1.z, sent_r1.x), sent_r2):
-                    rejected += p
-            total += p1 * p2 * rejected
-    return total / 2
+                row = (secret, code1, code2, record1, record2, swap, tele, cipher, sent_r1, sent_r2)
+                yield p1 * p2 * p / 2, row
+
+
+def reference_detection_rate(attack):
+    """The detection rate summed branch by branch: every branch of
+    :func:`reference_run_branches` decided by ``verify_authentication`` and
+    weighted by its ``Fraction``."""
+    total = Fraction(0)
+    for p, (secret, _, _, record1, record2, _, tele, _, sent_r1, sent_r2) in reference_run_branches(attack):
+        records = protocol.SenderRecords(record1, record2, tele, secret)
+        if not protocol.verify_authentication(records, (sent_r1.z, sent_r1.x), sent_r2):
+            total += p
+    return total
+
+
+# The columns of security._run_columns, in reference_run_branches' row
+# order, and those that hold 2-bit codes.
+RUN_COLUMNS = (
+    "secret", "pair1", "pair2", "record1", "record2", "swap", "tele", "cipher", "token_r1", "token_r2"
+)
+LABEL_COLUMNS = {"pair1", "pair2", "record1", "record2", "swap", "tele", "token_r1"}
+
+
+def test_run_columns_are_the_per_branch_rows():
+    # Every attack model's columns, broadcast to one row per branch, are the
+    # rows of the per-branch loop, each an equal share, as multisets.
+    for attack in set(every_attack()):
+        run = security._run_columns(attack)
+        columns = [column.reshape(-1).tolist() for column in np.broadcast_arrays(*map(run.get, RUN_COLUMNS))]
+        rows = Counter(
+            tuple(BELL_LABELS[v] if name in LABEL_COLUMNS else v for name, v in zip(RUN_COLUMNS, row))
+            for row in zip(*columns)
+        )
+        branches = list(reference_run_branches(attack))
+        assert {p for p, _ in branches} == {Fraction(1, len(branches))}, attack
+        assert rows == Counter(row for _, row in branches), attack
 
 
 @pytest.mark.parametrize("spec", SPECS + ("r1-lie:00",))

@@ -392,12 +392,21 @@ def test_reconstruct22_trivial_case():
     assert reconstruct22(shares) == 1
 
 
+def assert_missing_shares(reconstruct, shares, names):
+    # The error names the missing pieces in the share set's field order.
+    with pytest.raises(IncompleteSharesError) as raised:
+        reconstruct(shares)
+    assert str(raised.value) == f"missing shares: {', '.join(names)}"
+
+
 def test_reconstruct22_requires_every_share():
     complete = ShareSet22(PHI_PLUS, BellLabel(0, 0), 1, PHI_PLUS, BellLabel(0, 0))
-    for missing in ("pair1_label", "swap_bsm", "cipher_bit", "pair2_label", "teleport_bsm"):
+    names = ("pair1-label", "swap-bsm", "cipher-bit", "pair2-label", "teleport-bsm")
+    pieces = ("pair1_label", "swap_bsm", "cipher_bit", "pair2_label", "teleport_bsm")
+    for missing, name in zip(pieces, names):
         shares = ShareSet22(**{**complete.__dict__, missing: None})
-        with pytest.raises(IncompleteSharesError):
-            reconstruct22(shares)
+        assert_missing_shares(reconstruct22, shares, [name])
+    assert_missing_shares(reconstruct22, ShareSet22(), names)
 
 
 def test_reconstruct55_identity_case():
@@ -409,10 +418,12 @@ def test_reconstruct55_identity_case():
 def test_reconstruct55_requires_every_share():
     qubit = statevec.single_qubit(1, 0)
     complete = ShareSet55(BellLabel(0, 0), qubit, PHI_PLUS, PHI_PLUS, BellLabel(0, 0))
-    for missing in ("swap_bsm", "encrypted_qubit", "pair1_label", "pair2_label", "teleport_bsm"):
+    names = ("swap-bsm", "encrypted-qubit", "pair1-label", "pair2-label", "teleport-bsm")
+    pieces = ("swap_bsm", "encrypted_qubit", "pair1_label", "pair2_label", "teleport_bsm")
+    for missing, name in zip(pieces, names):
         shares = ShareSet55(**{**complete.__dict__, missing: None})
-        with pytest.raises(IncompleteSharesError):
-            reconstruct55(shares)
+        assert_missing_shares(reconstruct55, shares, [name])
+    assert_missing_shares(reconstruct55, ShareSet55(), names)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 
 from qsshare import protocol, security, statevec
 from qsshare.bell import BELL_LABELS, end_to_end_correction
-from qsshare.protocol import RECEIVER_1, RECEIVER_2, AttackModel, sent_tokens
+from qsshare.protocol import RECEIVER_1, RECEIVER_2, AttackModel, mask_tokens, sent_tokens
 from qsshare.security import PIECES, VIEW_NAMES, SecrecyReport
 import conftest
 from conftest import SPECS, branch_table
@@ -129,8 +129,15 @@ def drop_branch(table):
     ],
 )
 def test_honest_columns_check_the_honest_branches(corrupt, message, monkeypatch):
-    corrupted = corrupt(protocol._stacked_branches("splitting", HONEST).copy())
-    monkeypatch.setattr(security, "_stacked_branches", lambda phase, steps: corrupted)
+    # Only the splitting table is corrupted: the run's token rounds read
+    # their own tables.
+    real = protocol._stacked_branches
+    corrupted = corrupt(real("splitting", HONEST).copy())
+    monkeypatch.setattr(
+        security,
+        "_stacked_branches",
+        lambda phase, steps: corrupted if phase == "splitting" else real(phase, steps),
+    )
     security.enumerate_honest_cases.cache_clear()
     for reader in (security._honest_columns, security.enumerate_honest_cases):
         with pytest.raises(AssertionError) as raised:
@@ -318,13 +325,20 @@ def test_rates_read_each_round_off_the_reference_token_rows():
 
 
 def test_sent_token_codes_are_sent_tokens():
+    # The masked tokens are mask_tokens on all 128 inputs, and the run's
+    # token columns are sent_tokens on every branch of every attack model.
+    for index in product(range(4), range(4), range(4), (0, 1)):
+        code1, code2, swap, cipher = index
+        labels = BELL_LABELS[code1], BELL_LABELS[code2], BELL_LABELS[swap]
+        masked = BELL_LABELS[security._MASK[(0, *index)]], security._MASK[(1, *index)]
+        assert masked == mask_tokens(*labels, cipher)
+    names = ("pair1", "pair2", "swap", "cipher", "token_r1", "token_r2")
     for attack in every_attack():
-        sent_r1, sent_r2 = security._sent_token_codes(attack)
-        for index in product(range(4), range(4), range(4), (0, 1)):
-            code1, code2, swap, cipher = index
+        run = security._run_columns(attack)
+        columns = [column.reshape(-1).tolist() for column in np.broadcast_arrays(*map(run.get, names))]
+        for code1, code2, swap, cipher, token_r1, token_r2 in zip(*columns):
             labels = BELL_LABELS[code1], BELL_LABELS[code2], BELL_LABELS[swap]
-            token_r1, token_r2 = sent_tokens(*labels, cipher, attack)
-            assert (BELL_LABELS[sent_r1[index]], sent_r2[index]) == (token_r1, token_r2), attack
+            assert (BELL_LABELS[token_r1], token_r2) == sent_tokens(*labels, cipher, attack), attack
     assert any(attack.spec_string == "r1-lie:00" for attack in every_attack())
 
 
