@@ -28,6 +28,7 @@ identities only hold modulo a phase.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -46,8 +47,14 @@ class _TwoBits:
     x: int
 
     def __post_init__(self) -> None:
-        if self.z not in (0, 1) or self.x not in (0, 1):
+        try:  # a bool or numpy int is kept as its int
+            z, x = operator.index(self.z), operator.index(self.x)
+        except TypeError:  # a float such as 1.0 is refused, not truncated
+            z = x = None
+        if z not in (0, 1) or x not in (0, 1):
             raise ValueError(f"{type(self).__name__} bits must be 0 or 1, got ({self.z}, {self.x})")
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "x", x)
 
     @property
     def bits(self) -> str:

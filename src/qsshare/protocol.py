@@ -596,13 +596,15 @@ def _coin_parities(phase: str, steps: tuple[Step, ...]) -> tuple[list[int], int,
     return bits, inputs, coins - inputs
 
 
-def _span(vectors: list[int]) -> list[int]:
-    # The XOR of every subset of ``vectors``, indexed by the subset's bits,
-    # the first vector most significant.
+def _span(parities: list[int], symbols: range) -> np.ndarray:
+    # The XOR of every subset of the symbols' columns, indexed by the
+    # subset's bits, the first symbol most significant.  A column is the
+    # outcome bits that read the symbol, the first bit most significant.
     span = [0]
-    for vector in vectors:
-        span = [s ^ t for s in span for t in (0, vector)]
-    return span
+    for symbol in symbols:
+        column = int("".join(str(mask >> symbol & 1) for mask in parities), 2)
+        span = [s ^ t for s in span for t in (0, column)]
+    return np.array(span, dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -616,31 +618,14 @@ def _stacked_branches(phase: str, steps: tuple[Step, ...]) -> np.ndarray:
     One symbolic pass (:func:`_coin_parities`) gives each outcome bit as a
     parity of input bits and d fair coins, so every input's B = 2^d rows
     are equally likely by construction.  With a row's bits read as one
-    binary number, a symbol's column is the outcome bits that read it.  The
-    rows at all-zero inputs are the span of G, the coins' columns.  G is put
-    in reduced echelon form with its pivots taken from the most significant
-    bit, so a row's coins are its pivot bits and the span, indexed by them,
-    is sorted by bits (a Bell outcome by its z bit, then its x bit) for
-    :func:`_draw`.  Each input bit's column, reduced to zero on the pivots
-    so that the rows stay sorted, XORs into every row of the inputs that
-    set it.
+    binary number, a symbol's column is the outcome bits that read it: an
+    input's rows are the XOR of its set input columns with each element of
+    the span of the coins' columns, sorted by bits (a Bell outcome by its z
+    bit, then its x bit) for :func:`_draw`.
     """
     parities, inputs, coins = _coin_parities(phase, steps)
-    basis: list[int] = []
-
-    def column(symbol: int) -> int:
-        return int("".join(str(mask >> symbol & 1) for mask in parities), 2)
-
-    def reduced(vector: int) -> int:
-        for row in basis:
-            vector = min(vector, vector ^ row)  # clears row's pivot
-        return vector
-
-    for coin in range(inputs, inputs + coins):
-        vector = reduced(column(coin))
-        basis = sorted([min(row, row ^ vector) for row in basis] + [vector], reverse=True)
-    flips = [reduced(column(symbol)) for symbol in range(inputs)]
-    rows = np.array(_span(flips), dtype=np.int64)[:, None] ^ np.array(_span(basis), dtype=np.int64)
+    rows = _span(parities, range(inputs))[:, None] ^ _span(parities, range(inputs, inputs + coins))
+    rows.sort(axis=1)
     widths = [2 if step.kind == "bell" else 1 for step in steps if step.kind != "ancilla"]
     shifts = np.array([sum(widths[i + 1 :]) for i in range(len(widths))])
     table = (rows[..., None] >> shifts) & np.array([(1 << width) - 1 for width in widths])

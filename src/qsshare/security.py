@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -98,8 +98,7 @@ _PROBE_QUBIT = (0.6, 0.8j)
 # ---------------------------------------------------------------------------
 # Honest-case enumeration.
 
-@dataclass(frozen=True)
-class HonestCase:
+class HonestCase(NamedTuple):
     """One of the 512 equiprobable outcomes of an honest (2,2) run."""
 
     secret: int

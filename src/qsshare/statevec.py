@@ -32,6 +32,7 @@ Conventions, fixed once so that transcripts are reproducible:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -53,8 +54,13 @@ class StateVector:
     __slots__ = ("n_qubits", "amplitudes")
 
     def __init__(self, n_qubits: int, amplitudes) -> None:
-        if not 1 <= n_qubits <= MAX_QUBITS:
+        try:  # a bool or numpy int is kept as its int
+            count = operator.index(n_qubits)
+        except TypeError:  # a float such as 2.0 is refused, not truncated
+            count = 0
+        if not 1 <= count <= MAX_QUBITS:
             raise ValueError(f"register must hold 1..{MAX_QUBITS} qubits, got {n_qubits}")
+        n_qubits = count
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
         if amps.size != 2**n_qubits:
             raise ValueError(

@@ -45,6 +45,19 @@ def test_label_bit_validation():
         BellLabel.from_bits("012")
 
 
+@pytest.mark.parametrize("cls", [BellLabel, PauliCorrection])
+def test_label_bits_are_read_as_ints(cls):
+    # A bool or numpy int is stored as its int, so the label renders, hashes
+    # and orders like the canonical one; a float is refused, not kept.
+    for z, x in [(True, 1), (np.int64(1), np.uint8(0)), (False, np.int32(1))]:
+        label = cls(z, x)
+        assert type(label.z) is int and type(label.x) is int
+        assert label == cls(int(z), int(x)) and label.bits == f"{int(z)}{int(x)}"
+    for z, x in [(1.0, 0), (0, 1.0), (np.float64(0), 0), ("1", 0)]:
+        with pytest.raises(ValueError, match=rf"bits must be 0 or 1, got \({z}, {x}\)"):
+            cls(z, x)
+
+
 def test_label_round_trips():
     for label in BELL_LABELS:
         assert BellLabel.from_bits(label.bits) == label

@@ -307,6 +307,18 @@ def test_register_size_limits():
         statevec.StateVector(1, [np.nan, 0])
 
 
+def test_register_size_is_read_as_an_int():
+    # A bool or numpy int is stored as its int, so the register's gates run;
+    # a float is refused with the size message, not kept.
+    for n_qubits, size in [(np.int64(2), 4), (True, 2)]:
+        state = statevec.StateVector(n_qubits, [1] + [0] * (size - 1))
+        assert type(state.n_qubits) is int and state.n_qubits == int(n_qubits)
+        assert statevec.apply_hadamard(state, 0).n_qubits == state.n_qubits
+    for n_qubits in (2.0, np.float64(1), "2"):
+        with pytest.raises(ValueError, match=f"register must hold 1..6 qubits, got {n_qubits}"):
+            statevec.StateVector(n_qubits, [1, 0, 0, 0])
+
+
 @pytest.mark.parametrize("bits, n", [([], 0), ([0] * 7, 7)])
 def test_computational_state_respects_register_size(bits, n):
     # The same bound and message as zero_state.
