@@ -15,11 +15,12 @@ bookkeeping of a Clifford circuit (Aaronson & Gottesman, PRA 70, 052328,
 encoding ``c ^ m``, and swapping pairs ``a`` and ``b`` with outcome ``m``
 leaves the pair ``a ^ b ^ m``.
 
-The oracle tables are the check: the 16-row teleport and 64-row swap tables
-are *generated* on the state-vector simulator, each row read off one joint
-Born distribution of two Bell measurements, and diffed against reference
-tables transcribed row by row, by the test suite (which also compares the
-XOR operations with both on every row) and by the ``verify-tables`` command.
+The oracle tables are the check: the 64-row swap table is *generated* on the
+state-vector simulator, each row read off one joint Born distribution of two
+Bell measurements, and its Φ+ rows are the 16-row teleport table; both are
+diffed against reference tables transcribed row by row, by the test suite
+(which also compares the XOR operations with both on every row) and by the
+``verify-tables`` command.
 Protocol runs use the XOR operations alone.
 
 Global phases are dropped throughout: they are unobservable, and the swapping
@@ -31,7 +32,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 
 @dataclass(frozen=True, order=True)
@@ -160,9 +160,10 @@ SWAP_REFERENCE = {
 # ---------------------------------------------------------------------------
 # Oracle-generated tables.
 
-def _surviving_pairs(pair_a: BellLabel, pair_b: BellLabel, case: str) -> tuple[int, ...]:
-    """Codes of the pair left on qubits (0, 3) when pair a on (0, 1) and pair
-    b on (2, 3) are swapped, indexed by the Bell outcome on (1, 2).
+def _surviving_pairs(state, case: str) -> tuple[int, ...]:
+    """Codes of the pair left on qubits (0, 3) of a four-qubit ``state``
+    holding pair a on (0, 1) and pair b on (2, 3), indexed by the Bell
+    outcome on (1, 2) that swaps them.
 
     Both Bell measurements are read off one joint Born distribution: each
     middle outcome must have probability 1/4, and given it exactly one end
@@ -171,9 +172,6 @@ def _surviving_pairs(pair_a: BellLabel, pair_b: BellLabel, case: str) -> tuple[i
     # Imported here to avoid an import cycle (statevec uses the label types).
     from . import statevec
 
-    state = statevec.zero_state(4)
-    state = statevec.prepare_bell_on(state, 0, 1, pair_a)
-    state = statevec.prepare_bell_on(state, 2, 3, pair_b)
     joint = statevec.joint_distribution(state, [(1, 2), (0, 3)]).tolist()
     codes = []
     for outcome, row in zip(BSM_OUTCOMES, joint):
@@ -189,36 +187,41 @@ def _surviving_pairs(pair_a: BellLabel, pair_b: BellLabel, case: str) -> tuple[i
 
 @lru_cache(maxsize=1)
 def generate_teleport_table() -> dict:
-    """Sweep all 16 (channel, outcome) teleportations on the simulator.
+    """The 16 (channel, outcome) teleportations: the swap sweep's Φ+ rows.
 
-    Teleporting one half of a Phi+ pair swaps entanglement (Zukowski et
-    al., PRL 71, 4287, 1993): the surviving pair is the channel's Choi
-    state, whose code is the Pauli every teleported state picks up.
+    Teleporting one half of a Φ+ pair swaps entanglement (Zukowski et al.,
+    PRL 71, 4287, 1993): the surviving pair is the channel's Choi state,
+    whose code is the Pauli every teleported state picks up.  The swap
+    sweep's pair a = Φ+ cases are that experiment, so they are not rerun.
     """
-    table = {}
-    for channel in BELL_LABELS:
-        codes = _surviving_pairs(PHI_PLUS, channel, f"teleport over channel {channel.bits}")
-        for outcome, code in zip(BSM_OUTCOMES, codes):
-            table[(channel, outcome)] = PAULI_CORRECTIONS[code]
-    return table
+    return {
+        (channel, outcome): PAULI_CORRECTIONS[2 * pair.z + pair.x]
+        for (pair_a, channel, outcome), pair in generate_swap_table().items()
+        if pair_a == PHI_PLUS
+    }
 
 
 @lru_cache(maxsize=1)
 def generate_swap_table() -> dict:
     """Sweep all 64 swapping transformations on the simulator.
 
-    Two pairs are prepared on a four-qubit register and the surviving
-    end-to-end pair of each middle outcome is read off their joint Born
-    distribution; each pair combination must map the outcomes one to one.
+    Each pair a is prepared once on qubits (0, 1) of a four-qubit register,
+    and each pair b on (2, 3) of that register; the surviving end-to-end
+    pair of each middle outcome is read off their joint Born distribution,
+    and each pair combination must map the outcomes one to one.
     """
+    from . import statevec
+
     table = {}
-    for pair_a, pair_b in product(BELL_LABELS, repeat=2):
-        case = f"swap of pairs ({pair_a.bits}, {pair_b.bits})"
-        codes = _surviving_pairs(pair_a, pair_b, case)
-        if len(set(codes)) != 4:
-            raise AssertionError(f"{case}: the outcomes are not a bijection")
-        for outcome, code in zip(BSM_OUTCOMES, codes):
-            table[(pair_a, pair_b, outcome)] = BELL_LABELS[code]
+    for pair_a in BELL_LABELS:
+        state = statevec.prepare_bell_on(statevec.zero_state(4), 0, 1, pair_a)
+        for pair_b in BELL_LABELS:
+            case = f"swap of pairs ({pair_a.bits}, {pair_b.bits})"
+            codes = _surviving_pairs(statevec.prepare_bell_on(state, 2, 3, pair_b), case)
+            if len(set(codes)) != 4:
+                raise AssertionError(f"{case}: the outcomes are not a bijection")
+            for outcome, code in zip(BSM_OUTCOMES, codes):
+                table[(pair_a, pair_b, outcome)] = BELL_LABELS[code]
     return table
 
 

@@ -54,13 +54,7 @@ class StateVector:
     __slots__ = ("n_qubits", "amplitudes")
 
     def __init__(self, n_qubits: int, amplitudes) -> None:
-        try:  # a bool or numpy int is kept as its int
-            count = operator.index(n_qubits)
-        except TypeError:  # a float such as 2.0 is refused, not truncated
-            count = 0
-        if not 1 <= count <= MAX_QUBITS:
-            raise ValueError(f"register must hold 1..{MAX_QUBITS} qubits, got {n_qubits}")
-        n_qubits = count
+        n_qubits = _register_size(n_qubits)
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
         if amps.size != 2**n_qubits:
             raise ValueError(
@@ -117,8 +111,7 @@ class DensityMatrix:
 
 def zero_state(n_qubits: int) -> StateVector:
     """All-zeros computational basis state on ``n_qubits`` qubits."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"register must hold 1..{MAX_QUBITS} qubits, got {n_qubits}")
+    n_qubits = _register_size(n_qubits)
     amps = np.zeros(2**n_qubits, dtype=complex)
     amps[0] = 1.0
     return StateVector._wrap(n_qubits, amps)
@@ -132,14 +125,13 @@ def single_qubit(amp0: complex, amp1: complex) -> StateVector:
 def computational_state(bits: Iterable[int]) -> StateVector:
     """Product basis state |b0 b1 ...> for the given bit sequence."""
     bits = list(bits)
-    if not 1 <= len(bits) <= MAX_QUBITS:
-        raise ValueError(f"register must hold 1..{MAX_QUBITS} qubits, got {len(bits)}")
     index = 0
     for b in bits:
-        if b not in (0, 1):
+        bit = _as_int(b)
+        if bit not in (0, 1):
             raise ValueError(f"bits must be 0 or 1, got {b}")
-        index = (index << 1) | b
-    amps = np.zeros(2 ** len(bits), dtype=complex)
+        index = (index << 1) | bit
+    amps = np.zeros(2 ** _register_size(len(bits)), dtype=complex)
     amps[index] = 1.0
     return StateVector._wrap(len(bits), amps)
 
@@ -163,10 +155,7 @@ def prepare_bell_on(state: StateVector, q_first: int, q_second: int, label: Bell
     The phase/parity Pauli factors act on ``q_first``.  Raises if the two
     qubits are not both in |0> (they would carry prior correlations).
     """
-    _check_qubit(state, q_first)
-    _check_qubit(state, q_second)
-    if q_first == q_second:
-        raise ValueError("pair qubits must be distinct")
+    _check_pair(state, q_first, q_second, "pair qubits must be distinct")
     p_first = _probability_of_one(state.amplitudes, state.n_qubits, q_first)
     p_second = _probability_of_one(state.amplitudes, state.n_qubits, q_second)
     if p_first > ZERO_PROBABILITY or p_second > ZERO_PROBABILITY:
@@ -184,14 +173,9 @@ def apply_pauli(state: StateVector, q: int, corr: PauliCorrection | BellLabel) -
     _check_qubit(state, q)
     n = state.n_qubits
     view = _qubit_axis(state.amplitudes, n, q)
-    out = np.empty_like(view)
-    if corr.x:
-        out[:, 0, :] = view[:, 1, :]
-        out[:, 1, :] = view[:, 0, :]
-    else:
-        out[:] = view
-    if corr.z:
-        out[:, 1, :] *= -1.0
+    out = (view[:, ::-1] if corr.x else view).copy()
+    if corr.z:  # row 0 untouched: a ×(1+0j) would turn a -0.0 part into +0.0
+        out[:, 1:] *= -1.0
     return StateVector._wrap(n, out.reshape(-1))
 
 
@@ -199,30 +183,24 @@ def apply_hadamard(state: StateVector, q: int) -> StateVector:
     _check_qubit(state, q)
     n = state.n_qubits
     view = _qubit_axis(state.amplitudes, n, q)
-    out = np.empty_like(view)
-    lo, hi = view[:, 0, :], view[:, 1, :]
-    out[:, 0, :] = (lo + hi) * _SQRT_HALF
-    out[:, 1, :] = (lo - hi) * _SQRT_HALF
+    lo, hi = view[:, :1], view[:, 1:]
+    out = np.concatenate((lo + hi, lo - hi), axis=1) * _SQRT_HALF
     return StateVector._wrap(n, out.reshape(-1))
 
 
 def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
-    _check_qubit(state, control)
-    _check_qubit(state, target)
-    if control == target:
-        raise ValueError("control and target must be distinct")
+    _check_pair(state, control, target, "control and target must be distinct")
     n = state.n_qubits
     q_lo, q_hi = min(control, target), max(control, target)
     view = state.amplitudes.reshape(
         (1 << q_lo, 2, 1 << (q_hi - q_lo - 1), 2, 1 << (n - q_hi - 1))
-    ).copy()
+    )
+    out = view.copy()
     if control == q_lo:
-        swapped = view[:, 1, :, ::-1, :]
-        view[:, 1, :, :, :] = swapped.copy()
+        out[:, 1] = view[:, 1, :, ::-1]
     else:
-        swapped = view[:, ::-1, :, 1, :]
-        view[:, :, :, 1, :] = swapped.copy()
-    return StateVector._wrap(n, view.reshape(-1))
+        out[:, :, :, 1] = view[:, ::-1, :, 1]
+    return StateVector._wrap(n, out.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +253,7 @@ def bell_measure(
     measurement returns the same label with certainty.  Oracle API, like
     :func:`measure_computational`: the tests' reference sampler uses it.
     """
-    _check_qubit(state, q1)
-    _check_qubit(state, q2)
-    if q1 == q2:
-        raise ValueError("Bell measurement needs two distinct qubits")
+    _check_pair(state, q1, q2, "Bell measurement needs two distinct qubits")
     b1, rotated = measure_computational(_rotate_from_pair_basis(state, q1, q2), q1, rng)
     b2, rotated = measure_computational(rotated, q2, rng)
     return BELL_LABELS[2 * b1 + b2], _rotate_to_pair_basis(rotated, q1, q2)
@@ -292,10 +267,7 @@ def bell_project(state: StateVector, q1: int, q2: int, label: BellLabel) -> tupl
     Oracle API, like :func:`project_computational`: the tests' statevec
     enumerator and references call it; no run, exact rate or pair table does.
     """
-    _check_qubit(state, q1)
-    _check_qubit(state, q2)
-    if q1 == q2:
-        raise ValueError("Bell measurement needs two distinct qubits")
+    _check_pair(state, q1, q2, "Bell measurement needs two distinct qubits")
     rotated = _rotate_from_pair_basis(state, q1, q2)
     p1, rotated = project_computational(rotated, q1, label.z)
     if rotated is None:
@@ -416,9 +388,32 @@ def trace_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray)
     return float(0.5 * np.sum(np.abs(eigenvalues)))
 
 
+def _as_int(value) -> int:
+    # A bool or numpy int is read as its int; a float such as 2.0 is refused
+    # (read as -1, which every range check here rejects), not truncated.
+    try:
+        return operator.index(value)
+    except TypeError:
+        return -1
+
+
+def _register_size(n_qubits) -> int:
+    count = _as_int(n_qubits)
+    if not 1 <= count <= MAX_QUBITS:
+        raise ValueError(f"register must hold 1..{MAX_QUBITS} qubits, got {n_qubits}")
+    return count
+
+
 def _check_qubit(state: StateVector, q: int) -> None:
     if not isinstance(q, (int, np.integer)) or not 0 <= q < state.n_qubits:
         raise IndexError(f"qubit {q} out of range for a {state.n_qubits}-qubit register")
+
+
+def _check_pair(state: StateVector, q1: int, q2: int, message: str) -> None:
+    _check_qubit(state, q1)
+    _check_qubit(state, q2)
+    if q1 == q2:
+        raise ValueError(message)
 
 
 def _qubit_axis(amps: np.ndarray, n: int, q: int) -> np.ndarray:

@@ -235,6 +235,27 @@ def test_oracle_tables_expose_simulator_faults(fault, monkeypatch, cold_tables):
         assert diff(table), generate.__name__
 
 
+def test_one_simulator_sweep_fills_both_oracle_tables(monkeypatch, cold_tables):
+    # Pair a is prepared once per value and each (a, b) case is read off one
+    # joint distribution; the teleport table reads the sweep's Φ+ rows.
+    calls = {"joint_distribution": 0, "prepare_bell_on": 0}
+    for name in calls:
+        real = getattr(statevec, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(statevec, name, counted)
+    teleport = bell.generate_teleport_table()
+    swap = bell.generate_swap_table()
+    assert calls == {"joint_distribution": 16, "prepare_bell_on": 20}
+    assert len(teleport) == 16
+    for (channel, outcome), corr in teleport.items():
+        pair = swap[(PHI_PLUS, channel, outcome)]
+        assert corr is bell.PAULI_CORRECTIONS[BELL_LABELS.index(pair)]
+
+
 # ---------------------------------------------------------------------------
 # End-to-end correction.
 

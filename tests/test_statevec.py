@@ -319,6 +319,22 @@ def test_register_size_is_read_as_an_int():
             statevec.StateVector(n_qubits, [1, 0, 0, 0])
 
 
+def test_zero_state_reads_its_size_as_an_int():
+    # As in StateVector: a bool is kept as its int, a float is refused.
+    state = statevec.zero_state(True)
+    assert type(state.n_qubits) is int and state.n_qubits == 1
+    with pytest.raises(ValueError, match="register must hold 1..6 qubits, got 2.0"):
+        statevec.zero_state(2.0)
+
+
+def test_computational_state_reads_its_bits_as_ints():
+    state = statevec.computational_state([True, np.int64(0)])
+    assert state.amplitudes.tolist() == [0, 0, 1, 0]
+    for bits in ([1.0], [0, np.float64(0)], ["1"]):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            statevec.computational_state(bits)
+
+
 @pytest.mark.parametrize("bits, n", [([], 0), ([0] * 7, 7)])
 def test_computational_state_respects_register_size(bits, n):
     # The same bound and message as zero_state.
@@ -361,3 +377,83 @@ def test_bell_outcome_probabilities_sum_to_one(seed, n):
     q2 = (q1 + 1 + int(rng.integers(n - 1))) % n
     total = statevec.joint_distribution(state, [(q1, q2)]).sum()
     assert abs(total - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The gates against their slice-and-assign formulas.
+
+def reference_pauli(amps, n, q, corr):
+    view = amps.reshape((1 << q, 2, 1 << (n - q - 1)))
+    out = np.empty_like(view)
+    if corr.x:
+        out[:, 0, :] = view[:, 1, :]
+        out[:, 1, :] = view[:, 0, :]
+    else:
+        out[:] = view
+    if corr.z:
+        out[:, 1, :] *= -1.0
+    return out.reshape(-1)
+
+
+def reference_hadamard(amps, n, q):
+    view = amps.reshape((1 << q, 2, 1 << (n - q - 1)))
+    out = np.empty_like(view)
+    lo, hi = view[:, 0, :], view[:, 1, :]
+    out[:, 0, :] = (lo + hi) * SQRT_HALF
+    out[:, 1, :] = (lo - hi) * SQRT_HALF
+    return out.reshape(-1)
+
+
+def reference_cnot(amps, n, control, target):
+    q_lo, q_hi = min(control, target), max(control, target)
+    view = amps.reshape(
+        (1 << q_lo, 2, 1 << (q_hi - q_lo - 1), 2, 1 << (n - q_hi - 1))
+    ).copy()
+    if control == q_lo:
+        swapped = view[:, 1, :, ::-1, :]
+        view[:, 1, :, :, :] = swapped.copy()
+    else:
+        swapped = view[:, ::-1, :, 1, :]
+        view[:, :, :, 1, :] = swapped.copy()
+    return view.reshape(-1)
+
+
+def gate_inputs():
+    # Seeded states of 1..6 qubits with some amplitudes zero.  Signed zeros
+    # are where complex arithmetic can differ in the sign of a zero, so the
+    # last state of each size also has zero real or imaginary parts, and
+    # parts of either sign.
+    rng = np.random.default_rng(2024)
+    for n in range(1, statevec.MAX_QUBITS + 1):
+        for trial in range(4):
+            amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            amps[1:][rng.random(2**n - 1) < 0.3] = 0.0
+            parts = amps.view(np.float64)
+            if trial == 3:
+                parts[2:][rng.random(parts.size - 2) < 0.3] = 0.0
+            parts /= np.linalg.norm(parts)
+            if trial == 3:
+                parts[rng.random(parts.size) < 0.5] *= -1.0
+                assert np.signbit(parts[parts == 0.0]).any()
+            yield statevec.StateVector._wrap(n, amps)
+
+
+def assert_same_gate(state, before, got, want):
+    assert got.amplitudes.tobytes() == want.tobytes()
+    assert not np.shares_memory(got.amplitudes, state.amplitudes)
+    assert state.amplitudes.tobytes() == before
+
+
+def test_gates_equal_their_slice_and_assign_formulas_byte_for_byte():
+    for state in gate_inputs():
+        n, before = state.n_qubits, state.amplitudes.tobytes()
+        for q in range(n):
+            for corr in (*BELL_LABELS, *(PauliCorrection(z, x) for z in (0, 1) for x in (0, 1))):
+                want = reference_pauli(state.amplitudes, n, q, corr)
+                assert_same_gate(state, before, statevec.apply_pauli(state, q, corr), want)
+            want = reference_hadamard(state.amplitudes, n, q)
+            assert_same_gate(state, before, statevec.apply_hadamard(state, q), want)
+            for target in range(n):
+                if target != q:
+                    want = reference_cnot(state.amplitudes, n, q, target)
+                    assert_same_gate(state, before, statevec.apply_cnot(state, q, target), want)
