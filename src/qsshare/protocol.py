@@ -16,11 +16,11 @@ authentication round.
 Every run produces a :class:`Transcript`: an ordered record of quantum sends,
 classical messages, measurements and phase markers, serialisable as one JSON
 object per line (schema ``qss-transcript/1``, bit strings rendered most
-significant bit first).  Runs are driven by a counter-based generator
-(Philox) keyed by the 64-bit seed, so identical (secret, seed, attack)
-triples yield byte-identical transcripts.  Parties interact only through
-channel events inside a single-threaded loop; independent runs may execute
-concurrently.
+significant bit first).  A run reads its coins and pair codes off raw words
+of Philox4x64-10 keyed by the 64-bit seed, a stream numpy pins across
+versions, so identical (secret, seed, attack) triples yield byte-identical
+transcripts.  Parties interact only through channel events inside a
+single-threaded loop; independent runs may execute concurrently.
 """
 
 from __future__ import annotations
@@ -78,15 +78,16 @@ class IncompleteSharesError(ValueError):
     """Raised when reconstruction is attempted with any piece missing."""
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator (Philox) keyed by a 64-bit seed."""
+def make_rng(seed: int) -> np.random.Philox:
+    """numpy's Philox4x64-10 bit generator keyed by a 64-bit seed; runs
+    read only its raw words (``random_raw``)."""
     try:
         key = operator.index(seed)
     except TypeError:  # a float such as 1.5 is refused, not truncated
         key = -1
     if not 0 <= key <= MAX_SEED:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Philox(key=key)
 
 
 # Philox4x64-10 (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as
@@ -95,6 +96,7 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _LOW32 = np.uint64(0xFFFFFFFF)
+_COIN_BELOW = 1 << 63  # a coin is 1 when its raw word's top bit is 0
 
 
 def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,13 +131,9 @@ def philox_words(keys: np.ndarray, count: int) -> np.ndarray:
 
 
 def fair_coins(keys: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` coins ``make_rng(k)`` gives each key: whether
-    each ``random()`` draw is below 1/2, the bit :func:`_draw` reads.
-
-    ``random()`` is ``(w >> 11) * 2^-53`` for the next raw word ``w``, so
-    it is below 1/2 exactly when the word's top bit is 0.
-    """
-    return philox_words(keys, count) < np.uint64(1 << 63)
+    """The first ``count`` coins ``make_rng(k)`` gives each key, read as
+    :func:`_draw` reads them: 1 when the raw word is below 2^63."""
+    return philox_words(keys, count) < np.uint64(_COIN_BELOW)
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +499,12 @@ def _code(outcome) -> int:
     return outcome if isinstance(outcome, int) else 2 * outcome.z + outcome.x
 
 
-def _draw(table, rng: np.random.Generator):
+def _draw(table, rng: np.random.Philox):
     # The row of a branch table (one input's rows of a stacked table) that
-    # ``rng``'s fair coins, most significant first, index.
+    # the coins of ``rng``'s next raw words, most significant first, index.
     index = 0
-    for _ in range(len(table).bit_length() - 1):
-        index = 2 * index + (rng.random() < 0.5)
+    for word in rng.random_raw(len(table).bit_length() - 1).tolist():
+        index = 2 * index + (word < _COIN_BELOW)
     return table[index]
 
 
@@ -667,7 +665,7 @@ def prepare_token_register(pair_a: BellLabel, pair_b: BellLabel) -> StateVector:
 
 
 def run_auth_tokens(
-    rng: np.random.Generator,
+    rng: np.random.Philox,
     transcript: _TranscriptBuilder,
     attack: AttackModel,
 ) -> AuthResult:
@@ -744,7 +742,7 @@ def run_splitting_22(
     secret_bit: int,
     pair1: BellLabel,
     pair2: BellLabel,
-    rng: np.random.Generator,
+    rng: np.random.Philox,
     transcript: _TranscriptBuilder,
     attack: AttackModel,
 ) -> SplitResult:
@@ -983,8 +981,9 @@ def run_qss55(
     builder = _TranscriptBuilder(operator.index(seed), "qss55")  # make_rng's key
 
     builder.phase("information-splitting")
-    pair1 = BELL_LABELS[int(rng.integers(4))]
-    pair2 = BELL_LABELS[int(rng.integers(4))]
+    # Word 0's low and high 32-bit halves give the pair codes, by top 2 bits.
+    word = rng.random_raw()
+    pair1, pair2 = BELL_LABELS[word >> 30 & 3], BELL_LABELS[word >> 62]
     builder.classical(SENDER, RECEIVER_3, pair1.bits, private=True)
     builder.classical(SENDER, RECEIVER_4, pair2.bits, private=True)
     # The swap and teleport outcomes are uniform whatever the secret qubit

@@ -12,8 +12,8 @@ Conventions, fixed once so that transcripts are reproducible:
   plus two entangled pairs) needs 5; the sixth leaves room for one
   eavesdropper ancilla.
 - Operations never mutate their inputs; every function returns a fresh
-  ``StateVector``.  Values are safe to share between threads, and all
-  randomness comes from an explicitly passed ``numpy.random.Generator``.
+  ``StateVector``.  Values are safe to share between threads; sampled
+  measurements draw from an explicitly passed ``numpy.random.Generator``.
 - A Bell measurement is realised as a basis rotation (entangling gate from
   the first qubit onto the second, then the one-qubit mixing gate on the
   first) followed by two computational measurements: the first bit is the

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import settings
 
 from qsshare import protocol, statevec
@@ -28,6 +29,39 @@ SPECS = (
     "intercept-resend-bell:split-r1",
     "entangle-ancilla:split-r2",
 )
+
+
+class CountingWords:
+    """A ``protocol.make_rng`` generator that records the size of each
+    ``random_raw`` call a run makes, ``None`` for a single word."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.sizes = []
+
+    def random_raw(self, size=None):
+        self.sizes.append(size)
+        return self.rng.random_raw(size)
+
+    @property
+    def words(self):
+        """How many raw words the run has read."""
+        return sum(1 if size is None else size for size in self.sizes)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """The :class:`CountingWords` around each generator ``protocol.make_rng``
+    makes while the test runs, in order."""
+    made = []
+    real_make_rng = protocol.make_rng
+
+    def counting_make_rng(seed):
+        made.append(CountingWords(real_make_rng(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(protocol, "make_rng", counting_make_rng)
+    return made
 
 
 def attach_ancilla(state):

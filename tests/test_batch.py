@@ -157,8 +157,7 @@ def test_trial_keys_wrap_past_the_last_seed():
 def test_fair_coins_are_the_draws_a_run_compares():
     coins = protocol.fair_coins(np.array(KEY_GRID, dtype=np.uint64), 10)
     for key, row in zip(KEY_GRID, coins):
-        rng = protocol.make_rng(key)
-        assert row.tolist() == [rng.random() < 0.5 for _ in range(10)], key
+        assert row.tolist() == (protocol.make_rng(key).random_raw(10) < 2**63).tolist(), key
 
 
 # ---------------------------------------------------------------------------

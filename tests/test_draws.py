@@ -4,10 +4,12 @@ The (2,2) registers are Clifford circuits on stabilizer inputs, so every
 exact conditional probability of an outcome bit is 0, 1/2 or 1, and each
 phase has 2^d equally likely branches.  A sampled (2,2) run indexes branch
 tables, each outcome bit a parity of d fair coins, with those d coins: a fixed
-number of coins per attack spec, whatever the seed.  A (5,5) run draws its
-two pair labels as integers and then indexes the honest splitting table of
-secret 0: four coins, whatever the qubit secret.  A golden hash pins the
-seed -> transcript map of both schemes."""
+number of coins per attack spec, whatever the seed.  Each coin is one raw
+Philox word of the seed's key, 1 when the word is below 2^63.  A (5,5) run
+reads both pair codes off raw word 0 and then indexes the honest splitting
+table of secret 0 with four coins, whatever the qubit secret.  A golden hash
+pins the seed -> transcript map of both schemes, and the word layout is
+checked against the draws numpy's ``Generator`` made from the same words."""
 
 import hashlib
 import math
@@ -47,34 +49,10 @@ GOLDEN_QSS22 = "1c615816998849a5f45d35cec3339cc5546c155c5394122d03a9febb44ee733b
 GOLDEN_QSS55 = "510f2c3b6bbb81deebd965744307f54fb9d3fe9579830559fa3c4662a28203d8"
 
 
-class CountingRng:
-    """Generator stand-in that counts the uniforms and integers a run draws."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.draws = 0
-        self.integer_draws = 0
-
-    def random(self):
-        self.draws += 1
-        return self.rng.random()
-
-    def integers(self, *args):
-        self.integer_draws += 1
-        return self.rng.integers(*args)
-
-
-@pytest.fixture
-def counted(monkeypatch):
-    made = []
-    real_make_rng = protocol.make_rng
-
-    def counting_make_rng(seed):
-        made.append(CountingRng(real_make_rng(seed)))
-        return made[-1]
-
-    monkeypatch.setattr(protocol, "make_rng", counting_make_rng)
-    return made
+# Keys 0-19,999 and the top 2,500 below 2^64.
+LAYOUT_KEYS = np.concatenate(
+    [np.arange(20_000, dtype=np.uint64), np.arange(2**64 - 2_500, 2**64, dtype=np.uint64)]
+)
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -82,16 +60,33 @@ def test_each_spec_draws_a_fixed_number_of_coins(spec, counted):
     attack = AttackModel.from_spec(spec)
     for seed, secret in product(range(300), (0, 1)):
         protocol.run_qss22(secret, seed, attack)
-    assert {rng.draws for rng in counted} == {10 if spec in TEN_COIN_SPECS else 8}
+    assert {rng.words for rng in counted} == {10 if spec in TEN_COIN_SPECS else 8}
 
 
-def test_each_qss55_run_draws_two_integers_and_four_coins(counted):
-    # The two pair labels, then the swap and teleport outcomes.
+def test_each_qss55_run_reads_one_word_for_its_pair_codes_then_four_coins(counted):
+    # Five words: word 0 for both pair codes, then the swap and teleport
+    # outcomes' four coins.
     secrets = np.random.default_rng(55)
     for seed in range(300):
         amplitudes = secrets.normal(size=2) + 1j * secrets.normal(size=2)
         protocol.run_qss55(tuple(amplitudes / np.linalg.norm(amplitudes)), seed)
-    assert {(rng.integer_draws, rng.draws) for rng in counted} == {(2, 4)}
+    assert {tuple(rng.sizes) for rng in counted} == {(None, 4)}
+    assert {rng.words for rng in counted} == {5}
+
+
+def test_runs_read_the_words_a_generator_drew_from():
+    # The layout of a run's words, against the Generator draws the runs
+    # once made: a qss22 run's coins are random() < 1/2, and a qss55 run
+    # drew integers(4) twice, then four such coins.
+    coins = protocol.fair_coins(LAYOUT_KEYS, 10)
+    word0 = protocol.philox_words(LAYOUT_KEYS, 1)[:, 0]
+    pair_codes = np.stack([word0 >> 30 & 3, word0 >> 62], axis=1)
+    for key, row, codes in zip(LAYOUT_KEYS.tolist(), coins.tolist(), pair_codes.tolist()):
+        qss22 = np.random.Generator(np.random.Philox(key=key))
+        assert row == [qss22.random() < 0.5 for _ in range(10)], key
+        qss55 = np.random.Generator(np.random.Philox(key=key))
+        assert codes == [qss55.integers(4), qss55.integers(4)], key
+        assert row[1:5] == [qss55.random() < 0.5 for _ in range(4)], key
 
 
 def test_memoised_states_hold_only_stabilizer_probabilities():
@@ -131,4 +126,19 @@ def golden_digests():
 
 
 def test_golden_transcripts():
+    assert golden_digests() == (GOLDEN_QSS22, GOLDEN_QSS55)
+
+
+class NoDraws(np.random.Generator):
+    """A ``Generator`` whose draws raise."""
+
+    def random(self, *args, **kwargs):
+        raise AssertionError("a run drew Generator.random")
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("a run drew Generator.integers")
+
+
+def test_golden_transcripts_need_no_generator_draws(monkeypatch):
+    monkeypatch.setattr(np.random, "Generator", NoDraws)
     assert golden_digests() == (GOLDEN_QSS22, GOLDEN_QSS55)

@@ -145,22 +145,35 @@ class OutOfCoins(Exception):
     pass
 
 
+# The two raw words a script holds: a coin of a run's draw is 1 for a word
+# below 2^63, and the uniform numpy makes of a word, (w >> 11) * 2^-53, is
+# 0.25 for ONE and 0.75 for ZERO against a Born probability of one half.
+ONE, ZERO = 1 << 62, 3 << 62
+
+
 class ScriptedCoins:
-    """Generator stand-in that answers a script of fair coins: 0.25 reads
-    as 1 and 0.75 as 0 against a Born probability of one half."""
+    """``protocol.make_rng`` stand-in that answers a script of raw words:
+    ``random_raw(d)`` reads the next d words as a run's draw does, and
+    ``random()`` the next word as numpy's uniform, as statevec's Born
+    sampler does.  Reading past the script's end raises OutOfCoins."""
 
     def __init__(self, script):
-        self.script = iter(script)
+        self.script = list(script)
+        self.read = 0
+
+    def random_raw(self, size):
+        if self.read + size > len(self.script):
+            raise OutOfCoins
+        self.read += size
+        return np.array(self.script[self.read - size : self.read], dtype=np.uint64)
 
     def random(self):
-        for coin in self.script:
-            return coin
-        raise OutOfCoins
+        return (int(self.random_raw(1)[0]) >> 11) * 2.0**-53
 
 
 def coin_sequences(run):
-    """``run(rng)``'s result for every script of fair coins it can read,
-    keyed by the script."""
+    """``run(rng)``'s result for every script of words it can read, keyed
+    by the script."""
     results = {}
     pending = [()]
     while pending:
@@ -168,7 +181,7 @@ def coin_sequences(run):
         try:
             results[script] = run(ScriptedCoins(script))
         except OutOfCoins:
-            pending += [script + (0.25,), script + (0.75,)]
+            pending += [script + (ONE,), script + (ZERO,)]
     return results
 
 
@@ -261,7 +274,7 @@ def stacked_rows(phase, steps, inputs):
             phase,
             steps,
             inputs,
-            ScriptedCoins(0.25 if i >> k & 1 else 0.75 for k in reversed(range(coins))),
+            ScriptedCoins(ONE if i >> k & 1 else ZERO for k in reversed(range(coins))),
         )
         for i in range(count)
     ]

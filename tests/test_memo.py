@@ -5,7 +5,7 @@ stabilizer pass per step list, all in one cache: one table per token step
 list that stacks the 16 (pair_a, pair_b) inputs, and one per splitting
 step list that stacks all 32 splitting inputs.  These tests pin that
 reusing them changes nothing a run does: the transcripts and the number of
-random draws of a run are the same whether every table it reads is built
+raw words a run reads are the same whether every table it reads is built
 afresh or read from the cache, a (5,5) run reads only the honest splitting
 table without the cipher measurement, and the exact enumeration reads the
 same tables as the runs, through the cache the benchmark empties before a
@@ -52,18 +52,6 @@ MEASUREMENTS = (
 )
 
 
-class CountingRng:
-    """Generator stand-in that counts the uniforms a run draws."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.draws = 0
-
-    def random(self):
-        self.draws += 1
-        return self.rng.random()
-
-
 def clear_tables():
     for table in TABLES:
         table.cache_clear()
@@ -74,19 +62,10 @@ def cached_tables():
 
 
 @pytest.fixture
-def counted_runs(monkeypatch):
-    made = []
-    real_make_rng = protocol.make_rng
-
-    def counting_make_rng(seed):
-        made.append(CountingRng(real_make_rng(seed)))
-        return made[-1]
-
-    monkeypatch.setattr(protocol, "make_rng", counting_make_rng)
-
+def counted_runs(counted):
     def run(attack, seed):
         transcript = protocol.run_qss22(seed % 2, seed, attack)
-        return transcript.to_jsonl(), made[-1].draws
+        return transcript.to_jsonl(), counted[-1].words
 
     return run
 
@@ -100,7 +79,7 @@ def test_cold_and_warm_runs_agree(counted_runs):
         clear_tables()
         cold = counted_runs(attack, seed)
         assert cold == warm[attack, seed], (attack.spec_string, seed)
-    assert all(draws > 0 for _, draws in warm.values())
+    assert all(words > 0 for _, words in warm.values())
 
 
 def test_second_rotation_adds_no_entries():
