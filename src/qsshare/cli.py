@@ -56,7 +56,10 @@ def parse_secret_qubit(text: str) -> tuple[complex, complex]:
     amp0, amp1 = (parse_amplitude(p) for p in parts)
     if not all(math.isfinite(v) for a in (amp0, amp1) for v in (a.real, a.imag)):
         raise UsageError("qubit amplitudes must be finite")
-    norm_sq = abs(amp0) ** 2 + abs(amp1) ** 2
+    try:
+        norm_sq = abs(amp0) ** 2 + abs(amp1) ** 2
+    except OverflowError:  # finite amplitudes whose squares leave the float range
+        norm_sq = math.inf
     norm = norm_sq ** 0.5
     if abs(norm - 1.0) > QUBIT_NORM_ERROR:
         raise UsageError(f"qubit amplitudes are not normalised (norm {norm})")

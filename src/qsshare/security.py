@@ -22,7 +22,9 @@ its :data:`NO_ATTACK` case.  The rest is group-bys over those codes:
 - a view of the honest cases is a set of their int columns
   (:data:`_VIEW_COLUMNS`, the masked tokens read off :data:`_MASK`,
   tabulated from :func:`protocol.mask_tokens`), counted by one integer
-  key per case;
+  key per case.  The circuit is affine over GF(2), so every view gives
+  exactly 0 or 1 bit, with guess advantage 0 or 1/2, and a view that is
+  not affine raises;
 - the encrypted qubit's correction XORs the four pieces, so unknown pieces
   XOR-convolve a 4-bin histogram of corrections, and the averaged qubit is
   the secret's Bloch vector twirled by that histogram: each axis scaled by
@@ -179,7 +181,10 @@ def mutual_information_22(view: str) -> SecrecyReport:
     brute-force enumeration of all 512 cases under uniform priors.
 
     The view's columns (:data:`_VIEW_COLUMNS`) are read as one base-4 key
-    per case, and the cases are counted by key and secret."""
+    per case, and the cases are counted by key and secret.  Every column is
+    affine over GF(2) in the case bits, so every view value is independent
+    of the secret (0 bits) or every value pins it down (1 bit); a view that
+    is neither raises ``AssertionError``."""
     if view not in _VIEW_COLUMNS:
         raise ValueError(f"unknown view {view!r}; known views: {', '.join(VIEW_NAMES)}")
     columns = _honest_columns()
@@ -187,30 +192,20 @@ def mutual_information_22(view: str) -> SecrecyReport:
     for name in _VIEW_COLUMNS[view]:
         key = 4 * key + columns[name]
     counts = _secret_counts(key, columns["secret"])
-    total = len(key)
-    # With a uniform secret, I = 1 - H(secret | view); the conditional
-    # entropy is 0 or 1 exactly when every view value pins down or is
-    # independent of the secret.
+    # With a uniform secret, I = 1 - H(secret | view): 0 bits and a
+    # coin-flip guess, or 1 bit and a sure one.
     if (counts[:, 0] == counts[:, 1]).all():
-        information, exact = 0.0, True
+        information = 0.0
     elif (counts.min(axis=1) == 0).all():
-        information, exact = 1.0, True
+        information = 1.0
     else:
-        information, exact = 0.0, False
-        # Summed in the order of each view value's first case.
-        _, first = np.unique(key, return_index=True)
-        for c0, c1 in counts[np.argsort(first)].tolist():
-            seen = c0 + c1
-            for c in (c0, c1):
-                if c:
-                    information += (c / total) * math.log2(2 * c / seen)
-    advantage = Fraction(int(counts.max(axis=1).sum()), total) - Fraction(1, 2)
+        raise AssertionError(f"view {view!r} is not affine: it neither pins down nor ignores the secret")
     return SecrecyReport(
         view=view,
         mutual_information=information,
-        guess_advantage=float(advantage),
-        cases_enumerated=total,
-        exact=exact,
+        guess_advantage=information / 2,
+        cases_enumerated=len(key),
+        exact=True,
     )
 
 

@@ -86,6 +86,15 @@ def test_run_qss55_keeps_secrets_normalised_to_float_precision(capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize("secret", ["1e200,0", "1e308,1e308", "1e308+1e308i,0"])
+def test_run_qss55_rejects_amplitudes_whose_squares_overflow(secret, capsys):
+    # Finite amplitudes, but abs(a) or abs(a) ** 2 leaves the float range.
+    code, out, err = run_main(["run", "--scheme", "qss55", "--secret", secret], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "qsshare: error: qubit amplitudes are not normalised (norm inf)\n"
+
+
 def test_run_multi_trial_ordering(capsys):
     code, out, _ = run_main(
         ["run", "--secret", "1", "--seed", "4", "--trials", "3", "--format", "text"], capsys

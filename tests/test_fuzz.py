@@ -68,6 +68,9 @@ _EPSILONS = st.one_of(
 )
 @example(theta=math.atan2(0.8, 0.6), phi=math.pi / 2, epsilon=9.0e-13, seed=0)
 @example(theta=0.0, phi=0.0, epsilon=-1e-13, seed=609)
+# Squares beyond the float range: a usage error, not an OverflowError.
+@example(theta=0.0, phi=0.0, epsilon=1e200, seed=0)
+@example(theta=math.pi / 4, phi=0.0, epsilon=1e308, seed=0)
 def test_near_normalised_secrets_parse_to_runnable_qubits_or_usage_errors(
     theta, phi, epsilon, seed
 ):

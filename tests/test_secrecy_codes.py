@@ -46,25 +46,20 @@ def reference_view_values(view, case):
 
 
 def reference_report(view, values, secrets):
-    # The per-case dict count: cases grouped by their view value, in the
-    # order of each value's first case.
+    # The per-case dict count and the Shannon sum over it, which any view
+    # has: the sum over view values v and secrets s of
+    # p(v, s) log2(p(v, s) / (p(v) p(s))), with p(s) = 1/2.
     counts = {}
     for value, secret in zip(values, secrets):
         counts.setdefault(value, [0, 0])[secret] += 1
     total = len(values)
-    if all(c0 == c1 for c0, c1 in counts.values()):
-        information, exact = 0.0, True
-    elif all(c0 == 0 or c1 == 0 for c0, c1 in counts.values()):
-        information, exact = 1.0, True
-    else:
-        information, exact = 0.0, False
-        for c0, c1 in counts.values():
-            seen = c0 + c1
-            for c in (c0, c1):
-                if c:
-                    information += (c / total) * math.log2(2 * c / seen)
+    information = 0.0
+    for c0, c1 in counts.values():
+        for c in (c0, c1):
+            if c:
+                information += (c / total) * math.log2(2 * c / (c0 + c1))
     advantage = Fraction(sum(max(c0, c1) for c0, c1 in counts.values()), total) - Fraction(1, 2)
-    return SecrecyReport(view, information, float(advantage), total, exact)
+    return SecrecyReport(view, information, float(advantage), total, True)
 
 
 @pytest.mark.parametrize("view", VIEW_NAMES)
@@ -178,9 +173,10 @@ def test_honest_columns_hold_equal_shares_by_construction(monkeypatch):
     assert all(len(column) == 512 for column in security._honest_columns().values())
 
 
-def test_an_inexact_view_sums_in_first_seen_case_order(monkeypatch):
+def test_a_view_that_is_not_affine_raises(monkeypatch):
     # No view of the protocol leaks part of the secret, so a noisy copy of
-    # the secret stands in for one.
+    # the secret stands in for one: its information lies strictly between
+    # 0 and 1 bit, which no affine view can give.
     real = security._honest_columns
     noise = (np.random.default_rng(0).random(512) < 0.25).astype(np.int64)
 
@@ -193,16 +189,9 @@ def test_an_inexact_view_sums_in_first_seen_case_order(monkeypatch):
     monkeypatch.setitem(security._VIEW_COLUMNS, "hint", ("hint", "pair1", "tele"))
     columns = with_hint()
     values = list(zip(*(columns[name].tolist() for name in ("hint", "pair1", "tele"))))
-    secrets = columns["secret"].tolist()
-    expected = reference_report("hint", values, secrets)
-    report = security.mutual_information_22("hint")
-    assert not report.exact and 0 < report.mutual_information < 1
-    assert report == expected
-    # The float sum depends on the order: grouped by ascending view value it
-    # comes out different.
-    by_value = sorted(zip(values, secrets))
-    ascending = reference_report("hint", *(list(column) for column in zip(*by_value)))
-    assert ascending.mutual_information != expected.mutual_information
+    assert 0 < reference_report("hint", values, columns["secret"].tolist()).mutual_information < 1
+    with pytest.raises(AssertionError, match=r"^view 'hint' is not affine"):
+        security.mutual_information_22("hint")
 
 
 def test_unknown_view_message_is_unchanged():
