@@ -285,10 +285,11 @@ def decode_classical(cipher_bit: int, corr: PauliCorrection) -> int:
 def _diff_rows(generated: dict, reference: dict, row: str) -> list[str]:
     # ``row`` formats a key.  Rows come in key order, the order the
     # generators fill them; a row missing from ``generated`` raises KeyError.
+    # Only the keys that differ are sorted: BellLabel compares in Python.
+    differ = sorted(key for key, want in reference.items() if generated[key] != want)
     return [
-        f"{row.format(*key)}: generated {generated[key].symbol}, reference {want.symbol}"
-        for key, want in sorted(reference.items())
-        if generated[key] != want
+        f"{row.format(*key)}: generated {generated[key].symbol}, reference {reference[key].symbol}"
+        for key in differ
     ]
 
 

@@ -91,23 +91,43 @@ def make_rng(seed: int) -> np.random.Philox:
 
 
 # Philox4x64-10 (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as
-# easy as 1, 2, 3", SC'11): the multipliers and the key increments.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+# easy as 1, 2, 3", SC'11): the multipliers as (high half, low half, whole)
+# and each round's key increment (r * W0, r * W1) mod 2^64.
+_PHILOX_M = tuple(
+    (np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF), np.uint64(m))
+    for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
+_PHILOX_KEYS = tuple(
+    (np.uint64(r * _PHILOX_W[0] % (MAX_SEED + 1)), np.uint64(r * _PHILOX_W[1] % (MAX_SEED + 1)))
+    for r in range(_PHILOX_ROUNDS)
+)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _COIN_BELOW = 1 << 63  # a coin is 1 when its raw word's top bit is 0
 
 
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The high and low words of the 128-bit products a * b, built from
-    # 32-bit halves so that no partial sum overflows 64 bits.
-    a_hi, a_lo = np.uint64(a >> 32), np.uint64(a & 0xFFFFFFFF)
-    b_hi, b_lo = b >> 32, b & _LOW32
-    low = a_lo * b_lo
-    middle = a_hi * b_lo + (low >> 32)
-    other = a_lo * b_hi + (middle & _LOW32)
-    return a_hi * b_hi + (middle >> 32) + (other >> 32), np.uint64(a) * b
+def _mulhilo(a: tuple[np.uint64, ...], b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The high and low words of the 128-bit products a * b for a multiplier
+    # a of _PHILOX_M, built from 32-bit halves so that no partial sum
+    # overflows 64 bits; the partial sums are updated in place.
+    a_hi, a_lo, a_full = a
+    b_hi = b >> 32
+    middle = b & _LOW32
+    low = middle * a_lo
+    middle *= a_hi
+    low >>= 32
+    middle += low  # a_hi * b_lo + the carry of a_lo * b_lo
+    high = b_hi * a_hi
+    b_hi *= a_lo
+    np.bitwise_and(middle, _LOW32, out=low)
+    other = b_hi
+    other += low  # a_lo * b_hi + the low half of middle
+    middle >>= 32
+    other >>= 32
+    high += middle
+    high += other
+    return high, b * a_full
 
 
 def philox_words(keys: np.ndarray, count: int) -> np.ndarray:
@@ -115,18 +135,36 @@ def philox_words(keys: np.ndarray, count: int) -> np.ndarray:
     uint64 key ``k`` of ``keys``, as an array of shape (len(keys), count).
 
     numpy's Philox increments its counter before it fills each block of
-    four words, so the first block is the cipher of counter 1.
+    four words, so block j is the cipher of counter (j + 1, 0, 0, 0) under
+    key (k, 0).  Round r maps (x0, x1, x2, x3) under key (k0, k1) + r·W to
+    (hi(M1·x2) ^ x1 ^ k0, lo(M1·x2), hi(M0·x0) ^ x3 ^ k1, lo(M0·x0)), so
+    the first two rounds fold:
+
+    * round 0 gives (k, 0, h, l) with (h, l) = mulhilo(M0, j + 1), a
+      vector over the blocks alone;
+    * round 1 gives (hi(M1·h) ^ (k + W0), lo(M1·h), hi(M0·k) ^ l ^ W1,
+      lo(M0·k)): one product over the blocks alone, one over the keys
+      alone, and XORs that broadcast them to (keys × blocks) arrays.
+
+    The other eight rounds multiply the full arrays, updating them in place.
     """
     keys = np.asarray(keys, dtype=np.uint64)[:, None]
     blocks = -(-count // 4)
-    x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (len(keys), blocks))
-    x1 = x2 = x3 = np.zeros_like(x0)
-    for r in range(_PHILOX_ROUNDS):
-        k0 = keys + np.uint64(r * _PHILOX_W[0] % (MAX_SEED + 1))
-        k1 = np.uint64(r * _PHILOX_W[1] % (MAX_SEED + 1))
+    ctr_hi, ctr_lo = _mulhilo(_PHILOX_M[0], np.arange(1, blocks + 1, dtype=np.uint64))
+    key_hi, x3 = _mulhilo(_PHILOX_M[0], keys)
+    ctr_hi, x1 = _mulhilo(_PHILOX_M[1], ctr_hi)
+    k0, k1 = _PHILOX_KEYS[1]
+    x0 = ctr_hi ^ (keys + k0)
+    x2 = key_hi ^ ctr_lo
+    x2 ^= k1
+    for k0, k1 in _PHILOX_KEYS[2:]:
         hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+        hi1 ^= x1
+        hi1 ^= keys + k0
+        hi0 ^= x3
+        hi0 ^= k1
+        x0, x1, x2, x3 = hi1, lo1, hi0, lo0
     return np.stack((x0, x1, x2, x3), axis=-1).reshape(len(keys), 4 * blocks)[:, :count]
 
 

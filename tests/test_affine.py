@@ -17,9 +17,7 @@ import pytest
 from qsshare import security
 from test_exact_branches import every_attack
 
-# The 17 models every_attack() yields, of which 14 are distinct: a kind
-# whose target defaults yields its default target twice.
-ATTACKS = list(dict.fromkeys(every_attack()))
+ATTACKS = every_attack()
 
 
 def is_affine(values):

@@ -133,16 +133,31 @@ def counted_calls(monkeypatch):
 # The vectorised Philox.
 
 def test_philox_words_match_numpy():
-    words = protocol.philox_words(np.array(KEY_GRID, dtype=np.uint64), 12)
-    assert words.shape == (len(KEY_GRID), 12)
-    for key, row in zip(KEY_GRID, words):
+    # Round r adds r * W0 to the key, so the top ten keys wrap past 2^64 in
+    # the folded rounds as well as in the full ones.
+    keys = (
+        KEY_GRID
+        + tuple(random.Random(27).getrandbits(64) for _ in range(2000))
+        + tuple(range(2**64 - 10, 2**64))
+    )
+    words = protocol.philox_words(np.array(keys, dtype=np.uint64), 12)
+    assert words.shape == (len(keys), 12)
+    for key, row in zip(keys, words):
         assert row.tolist() == np.random.Philox(key=key).random_raw(12).tolist(), key
 
 
-@pytest.mark.parametrize("count", [1, 4, 5, 8, 10])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 12])
 def test_philox_words_cut_to_any_count(count):
     keys = np.array(KEY_GRID[:6], dtype=np.uint64)
-    assert (protocol.philox_words(keys, count) == protocol.philox_words(keys, 12)[:, :count]).all()
+    words = protocol.philox_words(keys, count)
+    assert words.shape == (6, count)
+    assert (words == protocol.philox_words(keys, 12)[:, :count]).all()
+
+
+@pytest.mark.parametrize("count", [0, 10])
+def test_philox_words_of_no_keys(count):
+    words = protocol.philox_words(np.array([], dtype=np.uint64), count)
+    assert words.shape == (0, count) and words.dtype == np.uint64
 
 
 def test_trial_keys_wrap_past_the_last_seed():
