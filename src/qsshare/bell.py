@@ -34,6 +34,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
+def _bit(value) -> int | None:
+    # ``value`` read as a bit: a bool or numpy int is its int; a float such
+    # as 1.0 is refused, not truncated, and it and any other value give None.
+    try:
+        bit = operator.index(value)
+    except TypeError:
+        return None
+    return bit if bit in (0, 1) else None
+
+
 @dataclass(frozen=True, order=True)
 class _TwoBits:
     """A Z bit and an X bit.  ``a ^ b`` XORs the bits and returns the
@@ -47,11 +57,8 @@ class _TwoBits:
     x: int
 
     def __post_init__(self) -> None:
-        try:  # a bool or numpy int is kept as its int
-            z, x = operator.index(self.z), operator.index(self.x)
-        except TypeError:  # a float such as 1.0 is refused, not truncated
-            z = x = None
-        if z not in (0, 1) or x not in (0, 1):
+        z, x = _bit(self.z), _bit(self.x)
+        if z is None or x is None:
             raise ValueError(f"{type(self).__name__} bits must be 0 or 1, got ({self.z}, {self.x})")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "x", x)
@@ -274,9 +281,10 @@ def decode_classical(cipher_bit: int, corr: PauliCorrection) -> int:
     Only the X exponent acts on the bit value; a phase flip leaves any
     computational-basis measurement unchanged.
     """
-    if cipher_bit not in (0, 1):
+    bit = _bit(cipher_bit)
+    if bit is None:
         raise ValueError(f"cipher bit must be 0 or 1, got {cipher_bit}")
-    return cipher_bit ^ corr.x
+    return bit ^ corr.x
 
 
 # ---------------------------------------------------------------------------

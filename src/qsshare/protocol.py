@@ -41,6 +41,8 @@ from .bell import (
     PHI_PLUS,
     PSI_MINUS,
     PSI_PLUS,
+    PauliCorrection,
+    _bit,
     decode_classical,
     end_to_end_correction,
     infer_remote_bsm,
@@ -246,7 +248,7 @@ class AttackModel:
     def spec_string(self) -> str:
         if self.kind == "r1-lie":
             return f"r1-lie:{self.delta[0]}{self.delta[1]}"
-        if self.kind in ("intercept-resend-computational", "intercept-resend-bell", "entangle-ancilla"):
+        if self.target is not None:
             return f"{self.kind}:{self.target}"
         return self.kind
 
@@ -531,10 +533,10 @@ def _positions(steps: tuple[Step, ...], *names: str) -> list[int]:
     return [measured.index(name) for name in names]
 
 
-def _code(outcome) -> int:
+def _code(outcome):
     # A 2-bit value (a Bell label or a Pauli correction) as its code
-    # 2*z + x; a bit is its own code.
-    return outcome if isinstance(outcome, int) else 2 * outcome.z + outcome.x
+    # 2*z + x; anything else (a bit, a code, an int array) is its own code.
+    return 2 * outcome.z + outcome.x if isinstance(outcome, (BellLabel, PauliCorrection)) else outcome
 
 
 def _draw(table, rng: np.random.Philox):
@@ -841,12 +843,14 @@ def mask_tokens(
     code1: BellLabel, code2: BellLabel, swap_bsm: BellLabel, cipher_bit: int
 ) -> tuple[BellLabel, int]:
     """R1's token, its swap outcome XOR its code, and R2's token, its cipher
-    bit XOR both bits of its code.
+    bit XOR both bits of its code: on Bell labels, or on codes ``2*z + x``
+    as ints or int arrays.
 
     XOR is its own inverse, so the sender unmasks received tokens with the
     same call and their stored codes.
     """
-    return swap_bsm ^ code1, cipher_bit ^ code2.z ^ code2.x
+    c = _code(code2)
+    return swap_bsm ^ code1, cipher_bit ^ (c >> 1 ^ c) & 1
 
 
 def sent_tokens(
@@ -864,6 +868,19 @@ def sent_tokens(
     return token_r1, token_r2
 
 
+def _accepts(record2, tele, secret, token_r1, token_r2):
+    # The sender's check on codes 2*z + x, as ints or int arrays: R2's
+    # record, the teleport outcome, the secret bit, R1's token code and
+    # R2's token bit.  Unmasking R1's token XORs R1's record in, and the
+    # end-to-end correction XORs it out, so the record cancels: the
+    # correction is record2 ^ token_r1 ^ tele.  R2's unmasked cipher bit
+    # carries both bits of record2 and its prediction the x bit, which
+    # cancels too.  What is left is one parity of five bits: R2's token,
+    # the z bit of R2's record, the x bits of R1's token and of the
+    # teleport outcome, and the secret.
+    return (token_r2 ^ token_r1 ^ tele ^ secret ^ record2 >> 1) & 1 == 0
+
+
 def verify_authentication(
     records: SenderRecords,
     token_r1: tuple[int, int],
@@ -878,17 +895,12 @@ def verify_authentication(
     ``ValueError``.
     """
     z, x = token_r1
-    if z not in (0, 1) or x not in (0, 1):
+    if _bit(z) is None or _bit(x) is None:
         raise ValueError(f"outcome bits must be 0 or 1, got ({z}, {x})")
-    if token_r2 not in (0, 1):
+    if _bit(token_r2) is None:
         raise ValueError(f"cipher token must be 0 or 1, got {token_r2!r}")
-    swap_bsm, cipher_bit = mask_tokens(
-        records.pair1_label, records.pair2_label, BELL_LABELS[2 * z + x], token_r2
-    )
-    correction = end_to_end_correction(
-        records.pair1_label, records.pair2_label, swap_bsm, records.teleport_bsm
-    )
-    return cipher_bit == records.secret_bit ^ correction.x
+    record2, tele = _code(records.pair2_label), _code(records.teleport_bsm)
+    return bool(_accepts(record2, tele, records.secret_bit, 2 * z + x, token_r2))
 
 
 def _require_every_share(shares: ShareSet22 | ShareSet55) -> None:

@@ -20,21 +20,22 @@ columns.  The 512 equiprobable randomness/secret cases of an honest run
 its :data:`NO_ATTACK` case.  The rest is group-bys over those codes:
 
 - a view of the honest cases is a set of their int columns
-  (:data:`_VIEW_COLUMNS`, the masked tokens read off :data:`_MASK`,
-  tabulated from :func:`protocol.mask_tokens`), counted by one integer
-  key per case.  The circuit is affine over GF(2), so every view gives
-  exactly 0 or 1 bit, with guess advantage 0 or 1/2, and a view that is
-  not affine raises;
+  (:data:`_VIEW_COLUMNS`, the masked tokens computed by
+  :func:`protocol.mask_tokens` on the code columns), counted by one
+  integer key per case.  The circuit is affine over GF(2), so every view
+  gives exactly 0 or 1 bit, with guess advantage 0 or 1/2, and a view
+  that is not affine raises;
 - the encrypted qubit's correction XORs the four pieces, so unknown pieces
   XOR-convolve a 4-bin histogram of corrections, and the averaged qubit is
   the secret's Bloch vector twirled by that histogram: each axis scaled by
   an integer sum of signs over the histogram's total, so an unknown piece
   gives exactly zero;
 - an attack detection rate counts the run's rejected branches: the
-  sender's acceptance rule tabulated once (:data:`_ACCEPT`, from
-  :func:`protocol.verify_authentication`), gathered on the run's columns.
-  Each token step list has one table, so a cold pass over the README's 13
-  attacks makes three symbolic token passes.
+  sender's check is one parity of five bits (:func:`protocol._accepts`,
+  which :func:`protocol.verify_authentication` also decides by),
+  evaluated on the run's columns.  Each token step list has one table, so
+  a cold pass over the README's 13 attacks makes three symbolic token
+  passes.
 
 Floating point only appears at the reporting boundary, so "exactly zero"
 results do not depend on rounding.
@@ -61,13 +62,11 @@ from .bell import BELL_LABELS, PHI_PLUS, BellLabel, end_to_end_correction
 from .protocol import (
     NO_ATTACK,
     AttackModel,
-    SenderRecords,
     _code,
     _stacked_branches,
     mask_tokens,
     run_qss22,
     sent_tokens,
-    verify_authentication,
 )
 
 REPORT_SCHEMA = "qss-report/1"
@@ -266,41 +265,6 @@ def encrypted_qubit_mixedness_55(
 _XOR_CODES = np.bitwise_xor.outer(np.arange(4), np.arange(4))
 
 
-def _accept_table() -> np.ndarray:
-    # verify_authentication on every input, indexed by the records' codes,
-    # the secret, R1's token code and R2's token bit.
-    accept = np.zeros((4, 4, 4, 2, 4, 2), dtype=bool)
-    for index in product(range(4), range(4), range(4), (0, 1), range(4), (0, 1)):
-        record1, record2, tele, secret, token_r1, token_r2 = index
-        labels = (BELL_LABELS[record1], BELL_LABELS[record2], BELL_LABELS[tele])
-        records = SenderRecords(*labels, secret)
-        accept[index] = verify_authentication(records, divmod(token_r1, 2), token_r2)
-    accept.flags.writeable = False
-    return accept
-
-
-# Whether the sender accepts: _ACCEPT[record1, record2, tele, secret,
-# token_r1, token_r2], with 2-bit values as codes 2*z + x.
-_ACCEPT = _accept_table()
-
-
-def _mask_table() -> np.ndarray:
-    # mask_tokens on every input, indexed by the two codes, the swap code and
-    # the cipher bit: R1's token codes, then R2's token bits.
-    masked = np.zeros((2, 4, 4, 4, 2), dtype=np.int64)
-    for index in product(range(4), range(4), range(4), (0, 1)):
-        code1, code2, swap, cipher = index
-        token_r1, token_r2 = mask_tokens(BELL_LABELS[code1], BELL_LABELS[code2], BELL_LABELS[swap], cipher)
-        masked[(slice(None), *index)] = _code(token_r1), token_r2
-    masked.flags.writeable = False
-    return masked
-
-
-# The masked tokens: _MASK[:, code1, code2, swap, cipher] is R1's token
-# code and R2's token bit.
-_MASK = _mask_table()
-
-
 def _columns(
     phase: str, steps: tuple[protocol.Step, ...], names: tuple[str, ...], *index
 ) -> list[np.ndarray]:
@@ -316,8 +280,9 @@ def _run_columns(attack: AttackModel) -> dict[str, np.ndarray]:
     branch, splitting branch): ``secret``, the receivers' codes ``pair1``
     and ``pair2``, the sender's records ``record1`` and ``record2``,
     ``swap``, ``tele``, ``cipher``, and the tokens the sender receives,
-    ``token_r1`` and ``token_r2`` (:data:`_MASK` XOR the attack's fixed
-    alteration, read off the input that masks to (Φ+, 0)).
+    ``token_r1`` and ``token_r2`` (:func:`mask_tokens` on the code columns,
+    XOR the attack's fixed alteration, read off the input that masks to
+    (Φ+, 0)).
 
     A token round's pairs are a Pauli frame on the (Φ+, Φ+) register that
     flips only the sender's observed outcome, by ``pair_a ^ pair_b``, and
@@ -334,25 +299,25 @@ def _run_columns(attack: AttackModel) -> dict[str, np.ndarray]:
         "splitting", splitting, ("swap", "tele", "cipher"), slice(None), record1[:, None], record2
     )
     pair1, pair2 = code1[:, None, None], code2[:, None]
-    tokens = pair1, pair2, swap, cipher
-    token_r1, token_r2 = sent_tokens(PHI_PLUS, PHI_PLUS, PHI_PLUS, 0, attack)
+    token_r1, token_r2 = mask_tokens(pair1, pair2, swap, cipher)
+    alter_r1, alter_r2 = sent_tokens(PHI_PLUS, PHI_PLUS, PHI_PLUS, 0, attack)
     return dict(
         secret=np.arange(2)[:, None, None, None], pair1=pair1, pair2=pair2,
         record1=record1[:, None, None], record2=record2[:, None], swap=swap, tele=tele, cipher=cipher,
-        token_r1=(_MASK[0] ^ _code(token_r1))[tokens], token_r2=(_MASK[1] ^ token_r2)[tokens],
+        token_r1=token_r1 ^ _code(alter_r1), token_r2=token_r2 ^ alter_r2,
     )
 
 
 def exact_detection_rate(attack: AttackModel) -> Fraction:
     """Exact probability that a (2,2) run under the attack is rejected,
     summed over every branch of the run (:func:`_run_columns`) with uniform
-    hidden randomness: a count of the rejections in :data:`_ACCEPT`, the
-    sender's rule tabulated once, gathered on the run's int columns."""
+    hidden randomness: a count of the branches whose columns fail the
+    sender's check, one parity of five bits (:func:`protocol._accepts`)."""
     run = _run_columns(attack)
-    accepted = _ACCEPT[
-        run["record1"], run["record2"], run["tele"], run["secret"], run["token_r1"], run["token_r2"]
-    ]
-    return Fraction(accepted.size - int(np.count_nonzero(accepted)), accepted.size)
+    rejected = ~protocol._accepts(
+        run["record2"], run["tele"], run["secret"], run["token_r1"], run["token_r2"]
+    )
+    return Fraction(int(np.count_nonzero(rejected)), rejected.size)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qsshare import security
+from qsshare import protocol, security
 from test_exact_branches import every_attack
 
 ATTACKS = every_attack()
@@ -55,13 +55,11 @@ def test_each_honest_column_bit_is_affine_in_the_case_bits(name):
 
 
 def accepted(attack):
-    # _ACCEPT gathered on the run's columns, shaped (secret, R1's token
+    # The sender's check on the run's columns, shaped (secret, R1's token
     # branch, R2's token branch, splitting branch), each branch count a
     # power of two.
     run = security._run_columns(attack)
-    return security._ACCEPT[
-        run["record1"], run["record2"], run["tele"], run["secret"], run["token_r1"], run["token_r2"]
-    ]
+    return protocol._accepts(run["record2"], run["tele"], run["secret"], run["token_r1"], run["token_r2"])
 
 
 @pytest.mark.parametrize("attack", ATTACKS, ids=lambda attack: attack.spec_string)

@@ -299,8 +299,13 @@ def test_decode_classical_examples():
     assert decode_classical(0, CORRECTION_I) == 0
     assert decode_classical(0, CORRECTION_X) == 1
     assert decode_classical(1, bell.CORRECTION_Z) == 1
-    with pytest.raises(ValueError):
-        decode_classical(2, CORRECTION_I)
+    # A float is refused, not truncated; a bool or numpy int is its int.
+    for bit in (2, 1.0, 0.0, 0.5, "1"):
+        with pytest.raises(ValueError, match="cipher bit must be 0 or 1"):
+            decode_classical(bit, CORRECTION_X)
+    for bit in (True, np.int64(1), np.uint8(1)):
+        decoded = decode_classical(bit, CORRECTION_X)
+        assert decoded == 0 and type(decoded) is int
 
 
 def test_phase_flip_does_not_move_a_measured_bit():

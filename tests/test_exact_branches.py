@@ -630,23 +630,46 @@ def test_cold_rates_pass_three_token_step_lists_and_runs_none(monkeypatch):
     assert prepared == []
 
 
+# The sender's inputs as codes: R1's and R2's records, the teleport
+# outcome, the secret, R1's token code and R2's token bit.
+SENDER_INPUTS = (4, 4, 4, 2, 4, 2)
+
+
+def reference_acceptance() -> np.ndarray:
+    """The sender's check on every input, indexed by SENDER_INPUTS, in the
+    label algebra: unmask both tokens with ``mask_tokens`` and compare R2's
+    cipher bit with its prediction from the end-to-end correction."""
+    accept = np.zeros(SENDER_INPUTS, dtype=bool)
+    for index in np.ndindex(*SENDER_INPUTS):
+        record1, record2, tele, secret, token_r1, token_r2 = index
+        labels = BELL_LABELS[record1], BELL_LABELS[record2]
+        swap, cipher = protocol.mask_tokens(*labels, BELL_LABELS[token_r1], token_r2)
+        accept[index] = cipher == secret ^ end_to_end_correction(*labels, swap, BELL_LABELS[tele]).x
+    return accept
+
+
 def test_accept_table_is_the_sender_rule():
-    accept = security._ACCEPT
-    assert accept.shape == (4, 4, 4, 2, 4, 2) and accept.dtype == bool
-    for index in product(range(4), range(4), range(4), (0, 1), range(4), (0, 1)):
+    # The parity on all 1024 inputs at once, each axis an int array of
+    # codes, and verify_authentication on each input, are the label algebra.
+    expected = reference_acceptance()
+    accept = protocol._accepts(*np.indices(SENDER_INPUTS)[1:])
+    assert accept.shape == SENDER_INPUTS and accept.dtype == bool
+    assert (accept == expected).all()
+    assert np.count_nonzero(accept) == 512
+    for index in np.ndindex(*SENDER_INPUTS):
         record1, record2, tele, secret, token_r1, token_r2 = index
         records = protocol.SenderRecords(
             BELL_LABELS[record1], BELL_LABELS[record2], BELL_LABELS[tele], secret
         )
         token = (BELL_LABELS[token_r1].z, BELL_LABELS[token_r1].x)
-        assert accept[index] == protocol.verify_authentication(records, token, token_r2)
+        assert protocol.verify_authentication(records, token, token_r2) is bool(expected[index])
 
 
 def test_acceptance_does_not_depend_on_the_r1_record():
     # Unmasking R1's token and the end-to-end correction each XOR R1's
     # stored code in once, so it cancels: R1's code reaches the check only
     # through R1's own token.  R2's stored code does not cancel.
-    accept = security._ACCEPT
+    accept = reference_acceptance()
     assert (accept == accept[:1]).all()
     assert not (accept == accept[:, :1]).all()
 
@@ -660,7 +683,6 @@ def test_exact_rates_make_no_verify_authentication_call(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(protocol, "verify_authentication", counted)
-    monkeypatch.setattr(security, "verify_authentication", counted)
     security._splitting_branches.cache_clear()
     for spec in SPECS:
         security.exact_detection_rate(AttackModel.from_spec(spec))
@@ -726,17 +748,41 @@ print(*counts)
 """
 
 
-def test_cold_exact_passes_keep_no_state_beyond_the_lru_caches():
-    # A fresh interpreter, so that nothing an earlier test ran is warm.
+def run_fresh(code: str) -> str:
+    # The output of ``code`` run in a fresh interpreter, so that nothing an
+    # earlier test ran is warm or imported.
     src = str(Path(__file__).resolve().parent.parent / "src")
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    result = subprocess.run(
-        [sys.executable, "-c", COLD_PASSES.format(specs=SPECS)],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    first, second = map(int, result.stdout.split())
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return result.stdout
+
+
+def test_cold_exact_passes_keep_no_state_beyond_the_lru_caches():
+    first, second = map(int, run_fresh(COLD_PASSES.format(specs=SPECS)).split())
     assert first == second > 0
+
+
+IMPORT_CALLS = """
+from qsshare import protocol
+
+calls = 0
+
+def counted(rule):
+    def wrapper(*args):
+        global calls
+        calls += 1
+        return rule(*args)
+    return wrapper
+
+protocol.verify_authentication = counted(protocol.verify_authentication)
+protocol.mask_tokens = counted(protocol.mask_tokens)
+import qsshare.security
+print(calls)
+"""
+
+
+def test_importing_security_calls_no_sender_rule():
+    # The sender's check and the token masks are computed where they are
+    # used, not tabulated when security is imported.
+    assert int(run_fresh(IMPORT_CALLS)) == 0

@@ -47,7 +47,7 @@ from qsshare.protocol import (
     validate_transcript,
     verify_authentication,
 )
-from test_exact_branches import random_qubits
+from test_exact_branches import every_attack, random_qubits
 
 
 def enumerate_honest():
@@ -178,18 +178,25 @@ def test_swap_token_lies():
         assert verify_authentication(records, (honest[0] ^ 1, honest[1]), token_r2)
 
 
-@pytest.mark.parametrize("token_r1", [(0, 2), (2, 0), (-1, 0)])
+@pytest.mark.parametrize("token_r1", [(0, 2), (2, 0), (-1, 0), (1.0, 0), (0, 0.0)])
 def test_swap_token_must_be_two_bits(token_r1):
     records = SenderRecords(PHI_PLUS, PHI_PLUS, BellLabel(0, 0), 0)
     with pytest.raises(ValueError, match="outcome bits must be 0 or 1"):
         verify_authentication(records, token_r1, 0)
 
 
-@pytest.mark.parametrize("token_r2", [2, -1])
+@pytest.mark.parametrize("token_r2", [2, -1, 1.0])
 def test_cipher_token_must_be_a_bit(token_r2):
     records = SenderRecords(PHI_PLUS, PHI_PLUS, BellLabel(0, 0), 0)
     with pytest.raises(ValueError, match="cipher token must be 0 or 1"):
         verify_authentication(records, (0, 0), token_r2)
+
+
+def test_bool_and_numpy_token_bits_read_as_ints():
+    records = SenderRecords(PSI_PLUS, PHI_MINUS, PSI_MINUS, 1)
+    for z, x, token_r2 in product((0, 1), repeat=3):
+        expected = verify_authentication(records, (z, x), token_r2)
+        assert verify_authentication(records, (bool(z), np.int64(x)), np.uint8(token_r2)) is expected
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +534,13 @@ def test_attack_spec_round_trips():
         assert typed.spec_string == "r1-lie:10"
         assert typed == AttackModel.from_spec("r1-lie:10")
         assert all(type(bit) is int for bit in typed.delta)
+
+
+def test_every_attack_model_round_trips_through_its_spec():
+    models = every_attack()
+    assert len(models) == 14
+    for model in models:
+        assert AttackModel.from_spec(model.spec_string) == model
 
 
 @pytest.mark.parametrize(

@@ -314,13 +314,15 @@ def test_rates_read_each_round_off_the_reference_token_rows():
 
 
 def test_sent_token_codes_are_sent_tokens():
-    # The masked tokens are mask_tokens on all 128 inputs, and the run's
-    # token columns are sent_tokens on every branch of every attack model.
-    for index in product(range(4), range(4), range(4), (0, 1)):
-        code1, code2, swap, cipher = index
+    # mask_tokens on int arrays of codes is the label call on all 128
+    # inputs, and the run's token columns are sent_tokens on every branch of
+    # every attack model.
+    inputs = np.indices((4, 4, 4, 2)).reshape(4, -1)
+    masked = np.stack(mask_tokens(*inputs))
+    assert masked.shape == (2, 128)
+    for (code1, code2, swap, cipher), (token_r1, token_r2) in zip(inputs.T.tolist(), masked.T.tolist()):
         labels = BELL_LABELS[code1], BELL_LABELS[code2], BELL_LABELS[swap]
-        masked = BELL_LABELS[security._MASK[(0, *index)]], security._MASK[(1, *index)]
-        assert masked == mask_tokens(*labels, cipher)
+        assert (BELL_LABELS[token_r1], token_r2) == mask_tokens(*labels, cipher)
     names = ("pair1", "pair2", "swap", "cipher", "token_r1", "token_r2")
     for attack in every_attack():
         run = security._run_columns(attack)
