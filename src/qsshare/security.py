@@ -58,7 +58,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import protocol, statevec
-from .bell import BELL_LABELS, PHI_PLUS, BellLabel, end_to_end_correction
+from .bell import BELL_LABELS, PHI_PLUS, BellLabel, end_to_end_correction, infer_remote_bsm
 from .protocol import (
     NO_ATTACK,
     AttackModel,
@@ -284,16 +284,18 @@ def _run_columns(attack: AttackModel) -> dict[str, np.ndarray]:
     XOR the attack's fixed alteration, read off the input that masks to
     (Φ+, 0)).
 
-    A token round's pairs are a Pauli frame on the (Φ+, Φ+) register that
-    flips only the sender's observed outcome, by ``pair_a ^ pair_b``, and
-    the record undoes it (:func:`infer_remote_bsm`), so each round reads
-    its table's (Φ+, Φ+) rows, where the record is the observed outcome.
-    The splitting branches are the rows of the records.
+    These are the rows a run draws: each token round reads its table at the
+    run's pairs (:data:`protocol.DEFAULT_AUTH_PAIRS`), with the record
+    inferred from the observed outcome (:func:`infer_remote_bsm`), so a
+    flattened branch's index is the run's secret, then its coins in draw
+    order, the first most significant (:func:`protocol._draw`).
     """
-    (code1, record1), (code2, record2) = (
-        _columns("token", protocol.token_steps(target, attack), ("code", "observed"), 0, 0)
-        for target in ("auth-r1", "auth-r2")
-    )
+    rounds = []
+    for receiver, target in protocol._TOKEN_TARGETS.items():
+        pairs = tuple(map(_code, protocol.DEFAULT_AUTH_PAIRS[receiver]))
+        code, observed = _columns("token", protocol.token_steps(target, attack), ("code", "observed"), *pairs)
+        rounds.append((code, infer_remote_bsm(*pairs, observed)))
+    (code1, record1), (code2, record2) = rounds
     splitting = protocol.splitting_steps(attack, True)
     swap, tele, cipher = _columns(
         "splitting", splitting, ("swap", "tele", "cipher"), slice(None), record1[:, None], record2
@@ -313,11 +315,13 @@ def exact_detection_rate(attack: AttackModel) -> Fraction:
     summed over every branch of the run (:func:`_run_columns`) with uniform
     hidden randomness: a count of the branches whose columns fail the
     sender's check, one parity of five bits (:func:`protocol._accepts`)."""
-    run = _run_columns(attack)
-    rejected = ~protocol._accepts(
-        run["record2"], run["tele"], run["secret"], run["token_r1"], run["token_r2"]
-    )
+    rejected = _rejected(_run_columns(attack))
     return Fraction(int(np.count_nonzero(rejected)), rejected.size)
+
+
+def _rejected(run: dict[str, np.ndarray]) -> np.ndarray:
+    # The branches of a run's columns (_run_columns) the sender rejects.
+    return ~protocol._accepts(run["record2"], run["tele"], run["secret"], run["token_r1"], run["token_r2"])
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +376,13 @@ _CHUNK_TRIALS = 4096
 
 
 @lru_cache(maxsize=None)
-def _leaf_table(attack: AttackModel) -> tuple[np.ndarray, list[tuple[bool, tuple[str, ...]]]]:
-    # ``leaves`` holds the distinct outcomes of runs under the attack:
-    # whether the run was rejected, and its first three public payloads.
-    # ``positions`` gives, for each (coins, secret) pattern of a run
-    # (_trial_leaves), where its leaf sits in ``leaves``, or -1 until a
-    # trial first draws the pattern.
-    return np.full(2 << protocol.coin_count(attack), -1, dtype=np.int16), []
+def _leaf_table(attack: AttackModel) -> tuple[np.ndarray, list[tuple[bool, tuple[str, ...]] | None]]:
+    # The leaf key of each flattened branch of the run (_run_columns): the
+    # tokens' payload bits 2*token_r1 + token_r2, plus 8*tele with tele 4 on
+    # rejection; and a slot per key for a run's rejection and first three payloads.
+    run = _run_columns(attack)
+    keys = 2 * run["token_r1"] + run["token_r2"] + 8 * np.where(_rejected(run), 4, run["tele"])
+    return keys.reshape(-1), [None] * 40
 
 
 def _trial_keys(seed: int, start: int, stop: int) -> np.ndarray:
@@ -394,30 +398,27 @@ def _trial_leaves(attack: AttackModel, trials: int, seed: int):
     A run's transcript is a function of the attack, its secret and its
     :func:`protocol.coin_count` coins, apart from the seed in its header, so
     the trials' coins are computed in one numpy pass per chunk
-    (:func:`protocol.fair_coins`), and each (coins, secret) pattern not yet
-    in :func:`_leaf_table` costs one full :func:`run_qss22`, which builds
-    and validates its transcript.
+    (:func:`protocol.fair_coins`) and index the leaf keys of the run's
+    branches (:func:`_leaf_table`).  A key's first trial runs in full
+    (:func:`run_qss22`), and its payloads must encode to the key.
     """
     coins = protocol.coin_count(attack)
-    positions, leaves = _leaf_table(attack)
-    weights = 1 << np.arange(coins)
+    keys, leaves = _leaf_table(attack)
+    weights = 1 << np.arange(coins)[::-1]
     for start in range(0, trials, _CHUNK_TRIALS):
         stop = min(start + _CHUNK_TRIALS, trials)
-        keys = _trial_keys(seed, start, stop)
-        secrets = np.arange(start, stop) & 1
-        patterns = protocol.fair_coins(keys, coins) @ weights | secrets << coins
-        for i in np.flatnonzero(positions[patterns] < 0).tolist():
-            pattern = int(patterns[i])
-            if positions[pattern] >= 0:  # an earlier trial of the chunk drew it
-                continue
-            transcript = run_qss22(pattern >> coins, int(keys[i]), attack)
+        seeds = _trial_keys(seed, start, stop)
+        drawn = keys[(np.arange(start, stop) & 1) << coins | protocol.fair_coins(seeds, coins) @ weights]
+        counts = np.bincount(drawn, minlength=len(leaves)).tolist()
+        for key in (key for key, count in enumerate(counts) if count and leaves[key] is None):
+            i = int(np.argmax(drawn == key))
+            transcript = run_qss22((start + i) & 1, int(seeds[i]), attack)
             payloads = tuple(event.payload for event in transcript.public_messages()[:3])
-            leaf = (transcript.outcome == "rejected", payloads)
-            if leaf not in leaves:
-                leaves.append(leaf)
-            positions[pattern] = leaves.index(leaf)
-        counts = np.bincount(positions[patterns], minlength=len(leaves))
-        yield from ((leaf, count) for leaf, count in zip(leaves, counts.tolist()) if count)
+            rejected = transcript.outcome == "rejected"
+            if int(payloads[0] + payloads[1], 2) + 8 * (4 if rejected else int(payloads[2], 2)) != key:
+                raise AssertionError(f"a run with payloads {payloads} drew leaf key {key}")
+            leaves[key] = rejected, payloads
+        yield from ((leaves[key], count) for key, count in enumerate(counts) if count)
 
 
 def attack_sweep(attack: AttackModel, trials: int, seed: int) -> AttackSweepReport:
@@ -425,8 +426,8 @@ def attack_sweep(attack: AttackModel, trials: int, seed: int) -> AttackSweepRepo
     rejection fraction with the exact branch-enumeration rate.
 
     Trial ``i`` runs with seed ``(seed + i) mod 2^64`` and secret ``i mod 2``,
-    so every trial is reproducible in isolation.  Trials that draw the same
-    coins with the same secret share one full run (:func:`_trial_leaves`).
+    so every trial is reproducible in isolation.  The sweep makes one full
+    run per distinct leaf, the first trial to reach it (:func:`_trial_leaves`).
     """
     # Integers only: a float seed such as 1.5 raises instead of truncating.
     trials, seed = operator.index(trials), operator.index(seed)
@@ -495,10 +496,9 @@ def public_transcript_uniformity(trials: int, seed: int) -> UniformityReport:
     honest cases, and empirically with a chi-square test over seeded runs.
 
     Trial ``i`` is the honest run with seed ``(seed + i) mod 2^64`` and
-    secret ``i mod 2``; its three public messages are counted.  Trials that
-    draw the same coins with the same secret share one full run
-    (:func:`_trial_leaves`).  No trials report p = 1; a negative count
-    raises ``ValueError``.
+    secret ``i mod 2``; its three public messages are counted, with one full
+    run per distinct leaf (:func:`_trial_leaves`).  No trials report p = 1;
+    a negative count raises ``ValueError``.
     """
     trials, seed = operator.index(trials), operator.index(seed)
     if trials < 0:

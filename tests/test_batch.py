@@ -1,13 +1,15 @@
 """Batched sweeps: every trial's coins in one numpy pass, one full run per
-distinct (coins, secret) pattern.
+distinct leaf.
 
 A seeded (2,2) run draws a fixed number of fair coins, and coin j of the
 run with seed k is the top bit of raw word j of ``Philox(key=k)``.  The
 sweeps compute those words for all trials at once with a vectorised
-Philox4x64-10 and run one full :func:`run_qss22` per pattern they have not
-seen.  These tests pin the words against numpy, the coin counts against
-the tables, and the reports byte for byte against the scalar loop the
-sweeps used to run, which is kept here as the reference.
+Philox4x64-10, read each trial's leaf key off the run's branch table, and
+run one full :func:`run_qss22` per key they have not seen.  These tests pin
+the words against numpy, the coin counts against the tables, the leaf keys
+against a run of every coin pattern, and the reports byte for byte against
+the scalar loop the sweeps used to run, which is kept here as the
+reference.
 """
 
 import hashlib
@@ -18,8 +20,8 @@ import numpy as np
 import pytest
 
 from qsshare import cli, protocol, security
-from qsshare.bell import BELL_LABELS
-from qsshare.protocol import MAX_SEED, AttackModel, run_qss22
+from qsshare.bell import BELL_LABELS, BellLabel
+from qsshare.protocol import MAX_SEED, NO_ATTACK, AttackModel, run_qss22
 from qsshare.security import (
     AttackSweepReport,
     MessageUniformity,
@@ -30,7 +32,7 @@ from qsshare.security import (
 )
 from conftest import SPECS, branch_table
 from test_draws import TEN_COIN_SPECS
-from test_exact_branches import splitting_register
+from test_exact_branches import every_attack, splitting_register
 
 # Keys at the edges of the 64-bit range, and a few drawn at random.
 KEY_GRID = (0, 1, 2, 7, 2**32, 2**63, 2**64 - 1, 12345678901234567890) + tuple(
@@ -44,6 +46,14 @@ GOLDEN_ANALYZE = "1c1bd2500014128b71e7aea9367ce4bec4d5e2dae2de7ac9d044e6dbf0e224
 # structured for each, stdout concatenated in VIEW_NAMES order; computed
 # with the per-case dict count before the int-coded group-by replaced it.
 GOLDEN_VIEWS = "45c3311ee506e34c9d63898ffc8d2da680ce668864cb243403a80038fe7b4d05"
+
+
+def leaf_key(rejected, payloads):
+    # The key of a run's leaf: 2*token_r1 + token_r2 + 8*tele from its
+    # first three public payloads, with tele 4 when the run is rejected.
+    token_r1 = protocol._code(BellLabel.from_bits(payloads[0]))
+    tele = 4 if rejected else protocol._code(BellLabel.from_bits(payloads[2]))
+    return 2 * token_r1 + int(payloads[1]) + 8 * tele
 
 
 def scalar_attack_sweep(attack, trials, seed):
@@ -289,12 +299,15 @@ def test_sweeps_spanning_several_chunks(monkeypatch):
 
 
 def test_a_warm_sweep_makes_no_run(counted_calls):
+    # Cold, each sweep makes one run per leaf key it draws: at most 40 under
+    # the attack and 32 honest ones.
     attack = AttackModel.from_spec("intercept-resend-computational:auth-r2")
     security._leaf_table.cache_clear()
     first = report_to_jsonl(attack_sweep(attack, 500, 3)), report_to_jsonl(
         public_transcript_uniformity(500, 3)
     )
-    assert 0 < counted_calls["run_qss22"] == counted_calls["make_rng"] <= 500 + 500
+    filled = sum(leaf is not None for a in (attack, NO_ATTACK) for leaf in security._leaf_table(a)[1])
+    assert 0 < counted_calls["run_qss22"] == counted_calls["make_rng"] == filled <= 40 + 32
     counted_calls.update(run_qss22=0, make_rng=0)
     second = report_to_jsonl(attack_sweep(attack, 500, 3)), report_to_jsonl(
         public_transcript_uniformity(500, 3)
@@ -303,17 +316,69 @@ def test_a_warm_sweep_makes_no_run(counted_calls):
     assert counted_calls == {"run_qss22": 0, "make_rng": 0}
 
 
-def test_leaf_tables_hold_one_slot_per_pattern_and_distinct_leaves():
+def test_leaf_tables_hold_a_key_per_branch_and_a_slot_per_key():
+    # 32 keys when no branch is rejected, 8 when every branch is, and both
+    # sets when half are.
     for spec in SPECS:
         attack = AttackModel.from_spec(spec)
         attack_sweep(attack, 3000, 1)
-        positions, leaves = security._leaf_table(attack)
-        assert len(positions) == 2 * 2 ** protocol.coin_count(attack)
-        assert len(set(leaves)) == len(leaves)
-        assert set(positions[positions >= 0].tolist()) == set(range(len(leaves)))
-        rejected = {leaf[0] for leaf in leaves}
+        keys, leaves = security._leaf_table(attack)
         rate = security.exact_detection_rate(attack)
+        assert len(keys) == 2 * 2 ** protocol.coin_count(attack) and len(leaves) == 40
+        assert len(set(keys.tolist())) == {0: 32, 1: 8}.get(rate, 40), spec
+        filled = {key: leaf for key, leaf in enumerate(leaves) if leaf is not None}
+        assert set(filled) == set(keys.tolist()), spec
+        assert all(leaf_key(*leaf) == key for key, leaf in filled.items()), spec
+        rejected = {leaf[0] for leaf in filled.values()}
         assert rejected == ({False} if rate == 0 else {True} if rate == 1 else {False, True}), spec
+
+
+class FixedCoins:
+    """A ``protocol.make_rng`` stand-in whose raw words are 0 or 2^63, so
+    that a run's coins, in draw order, are the given bits."""
+
+    def __init__(self, coins):
+        self.words = [0 if coin else 1 << 63 for coin in coins]
+
+    def random_raw(self, size):
+        drawn, self.words = self.words[:size], self.words[size:]
+        return np.array(drawn, dtype=np.uint64)
+
+
+def test_every_coin_pattern_of_a_run_reaches_the_leaf_key_of_its_branch(monkeypatch):
+    # Branch i of the flattened run table is the run with secret i >> coins
+    # and coins the bits below it, the first most significant: the order
+    # in which the run draws them and the sweeps index the table.
+    for attack in every_attack():
+        coins = protocol.coin_count(attack)
+        keys, _ = security._leaf_table(attack)
+        for branch, key in enumerate(keys.tolist()):
+            rng = FixedCoins(branch >> j & 1 for j in reversed(range(coins)))
+            monkeypatch.setattr(protocol, "make_rng", lambda seed: rng)
+            transcript = run_qss22(branch >> coins, 0, attack)
+            assert rng.words == []
+            payloads = [event.payload for event in transcript.public_messages()[:3]]
+            assert leaf_key(transcript.outcome == "rejected", payloads) == key, (attack, branch)
+
+
+def test_a_run_that_misses_its_leaf_key_raises(monkeypatch):
+    # A run whose payloads do not encode to the key its trial drew is an
+    # error, not a leaf: here R2's token is flipped after the run.
+    real_run = security.run_qss22
+
+    def altered_run(*args):
+        transcript = real_run(*args)
+        token = transcript.public_messages()[1]
+        token.payload = str(1 - int(token.payload))
+        return transcript
+
+    monkeypatch.setattr(security, "run_qss22", altered_run)
+    security._leaf_table.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="leaf key"):
+            attack_sweep(AttackModel.from_spec("none"), 100, 0)
+    finally:
+        security._leaf_table.cache_clear()
 
 
 def test_exact_rates_read_no_leaf_table():

@@ -507,7 +507,7 @@ def test_token_frame_flips_only_the_observed_outcome():
     # On the token register the pairs' symbols sign only generators on
     # qubits 0 and 3, which only the sender's measurement reads: it moves by
     # pair_a ^ pair_b, and the receiver's code and every intercept outcome
-    # read as on (Φ+, Φ+).  exact_detection_rate relies on this.
+    # read as on (Φ+, Φ+).
     targets = TOKEN_TARGETS.values()
     lists = {protocol.token_steps(target, attack) for attack in every_attack() for target in targets}
     assert lists == token_step_lists()

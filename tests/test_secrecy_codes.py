@@ -301,16 +301,17 @@ def test_token_rounds_with_equal_steps_have_equal_branches():
         assert sorted(r1) == sorted(r2), attack
 
 
-def test_rates_read_each_round_off_the_reference_token_rows():
-    # The rate reads every token round's (code, record) branches as the
-    # (Φ+, Φ+) rows of its step list's stacked table, code and observed
-    # outcome: they are the round's statevec branches on its own pairs.
-    for attack, (receiver, target) in product(every_attack(), TOKEN_TARGETS.items()):
-        steps = protocol.token_steps(target, attack)
-        code, record = security._columns("token", steps, ("code", "observed"), 0, 0)
-        share = Fraction(1, len(code))
-        rows = [(share, BELL_LABELS[c], BELL_LABELS[r]) for c, r in zip(code.tolist(), record.tolist())]
-        assert sorted(rows) == sorted(token_branches(receiver, attack)), attack
+def test_rates_read_each_round_off_the_token_rows_a_run_draws():
+    # The run's columns hold every token round's (code, record) branches,
+    # read off its step list's stacked table at the run's pairs: they are
+    # the round's statevec branches on its own pairs.
+    for attack in every_attack():
+        run = security._run_columns(attack)
+        for receiver, names in ((RECEIVER_1, ("pair1", "record1")), (RECEIVER_2, ("pair2", "record2"))):
+            code, record = (run[name].reshape(-1).tolist() for name in names)
+            share = Fraction(1, len(code))
+            rows = [(share, BELL_LABELS[c], BELL_LABELS[r]) for c, r in zip(code, record)]
+            assert sorted(rows) == sorted(token_branches(receiver, attack)), attack
 
 
 def test_sent_token_codes_are_sent_tokens():
