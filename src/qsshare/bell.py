@@ -16,11 +16,12 @@ encoding ``c ^ m``, and swapping pairs ``a`` and ``b`` with outcome ``m``
 leaves the pair ``a ^ b ^ m``.
 
 The oracle tables are the check: the 64-row swap table is *generated* on the
-state-vector simulator, each row read off one joint Born distribution of two
-Bell measurements, and its Φ+ rows are the 16-row teleport table; both are
-diffed against reference tables transcribed row by row, by the test suite
-(which also compares the XOR operations with both on every row) and by the
-``verify-tables`` command.
+state-vector simulator, its 16 pair combinations going through each gate
+together as one stack of registers and every row read off one joint Born
+distribution of two Bell measurements over that stack, and its Φ+ rows are
+the 16-row teleport table; both are diffed against reference tables
+transcribed row by row, by the test suite (which also compares the XOR
+operations with both on every row) and by the ``verify-tables`` command.
 Protocol runs use the XOR operations alone.
 
 Global phases are dropped throughout: they are unobservable, and the swapping
@@ -167,29 +168,46 @@ SWAP_REFERENCE = {
 # ---------------------------------------------------------------------------
 # Oracle-generated tables.
 
-def _surviving_pairs(state, case: str) -> tuple[int, ...]:
-    """Codes of the pair left on qubits (0, 3) of a four-qubit ``state``
-    holding pair a on (0, 1) and pair b on (2, 3), indexed by the Bell
-    outcome on (1, 2) that swaps them.
+def _surviving_pairs(joint) -> list:
+    """Codes of the pair left on qubits (0, 3), nested as
+    ``[pair a][pair b][middle outcome]``, from ``joint``: the joint Born
+    distribution of the swap sweep's stack, with axes (pair a, pair b, Bell
+    outcome on (1, 2), Bell outcome on (0, 3)).
 
-    Both Bell measurements are read off one joint Born distribution: each
-    middle outcome must have probability 1/4, and given it exactly one end
-    pair must have conditional probability at least ``EQUALITY_FIDELITY``.
+    Each middle outcome must have probability 1/4; given it, exactly one end
+    pair must have conditional probability at least ``EQUALITY_FIDELITY``;
+    and each pair combination must map the outcomes one to one.  A failed
+    check raises ``AssertionError`` naming its first failing case.
     """
+    import numpy as np
+
     # Imported here to avoid an import cycle (statevec uses the label types).
     from . import statevec
 
-    joint = statevec.joint_distribution(state, [(1, 2), (0, 3)]).tolist()
-    codes = []
-    for outcome, row in zip(BSM_OUTCOMES, joint):
-        prob = sum(row)
-        if abs(prob - 0.25) > 1e-9:
-            raise AssertionError(f"{case}: outcome {outcome.bits} had probability {prob}, expected 1/4")
-        matches = [code for code, p in enumerate(row) if p / prob >= statevec.EQUALITY_FIDELITY]
-        if len(matches) != 1:
-            raise AssertionError(f"{case}: outcome {outcome.bits} matched {len(matches)} pair states")
-        codes.append(matches[0])
-    return tuple(codes)
+    def case(a, b):
+        return f"swap of pairs ({BELL_LABELS[a].bits}, {BELL_LABELS[b].bits})"
+
+    middle = joint.sum(axis=-1)
+    off = np.abs(middle - 0.25) > 1e-9
+    if off.any():
+        a, b, m = np.argwhere(off)[0]
+        prob = float(middle[a, b, m])
+        raise AssertionError(
+            f"{case(a, b)}: outcome {BSM_OUTCOMES[m].bits} had probability {prob}, expected 1/4"
+        )
+    matches = joint / middle[..., None] >= statevec.EQUALITY_FIDELITY
+    counts = matches.sum(axis=-1)
+    if (counts != 1).any():
+        a, b, m = np.argwhere(counts != 1)[0]
+        raise AssertionError(
+            f"{case(a, b)}: outcome {BSM_OUTCOMES[m].bits} matched {counts[a, b, m]} pair states"
+        )
+    # One pair per outcome: the outcomes map one to one when every pair is hit.
+    missed = ~matches.any(axis=-2)
+    if missed.any():
+        a, b, _ = np.argwhere(missed)[0]
+        raise AssertionError(f"{case(a, b)}: the outcomes are not a bijection")
+    return matches.argmax(axis=-1).tolist()
 
 
 @lru_cache(maxsize=1)
@@ -213,23 +231,25 @@ def generate_swap_table() -> dict:
     """Sweep all 64 swapping transformations on the simulator.
 
     Each pair a is prepared once on qubits (0, 1) of a four-qubit register,
-    and each pair b on (2, 3) of that register; the surviving end-to-end
-    pair of each middle outcome is read off their joint Born distribution,
-    and each pair combination must map the outcomes one to one.
+    and the four registers are stacked; each pair b is prepared on (2, 3)
+    over that stack, and the four results are stacked again.  All 16 pair
+    combinations go through each gate together, and one joint Born
+    distribution of the two Bell measurements gives, for each combination
+    and middle outcome, the surviving end-to-end pair.  Each combination
+    must map the outcomes one to one.
     """
     from . import statevec
 
-    table = {}
-    for pair_a in BELL_LABELS:
-        state = statevec.prepare_bell_on(statevec.zero_state(4), 0, 1, pair_a)
-        for pair_b in BELL_LABELS:
-            case = f"swap of pairs ({pair_a.bits}, {pair_b.bits})"
-            codes = _surviving_pairs(statevec.prepare_bell_on(state, 2, 3, pair_b), case)
-            if len(set(codes)) != 4:
-                raise AssertionError(f"{case}: the outcomes are not a bijection")
-            for outcome, code in zip(BSM_OUTCOMES, codes):
-                table[(pair_a, pair_b, outcome)] = BELL_LABELS[code]
-    return table
+    zero = statevec.zero_state(4)
+    pairs_a = statevec.stack([statevec.prepare_bell_on(zero, 0, 1, a) for a in BELL_LABELS])
+    cases = statevec.stack([statevec.prepare_bell_on(pairs_a, 2, 3, b) for b in BELL_LABELS])
+    codes = _surviving_pairs(statevec.joint_distribution(cases, [(1, 2), (0, 3)]))
+    return {
+        (pair_a, pair_b, outcome): BELL_LABELS[code]
+        for pair_a, row_a in zip(BELL_LABELS, codes)
+        for pair_b, row in zip(BELL_LABELS, row_a)
+        for outcome, code in zip(BSM_OUTCOMES, row)
+    }
 
 
 # ---------------------------------------------------------------------------

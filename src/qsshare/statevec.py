@@ -27,6 +27,13 @@ Conventions, fixed once so that transcripts are reproducible:
   and never sampled.
 - State comparisons ignore global phase: states are equal when their
   fidelity is at least 1 - 1e-12.
+- A ``StateVector`` may carry a stack of registers of one size: amplitudes
+  shaped ``(..., 2^n)``, one register per leading index, built by
+  :func:`stack`.  The gates (:func:`apply_pauli`, :func:`apply_hadamard`,
+  :func:`apply_cnot`), :func:`prepare_bell_on` and
+  :func:`joint_distribution` act on every register of a stack, and on each
+  exactly as on that register alone.  Every other function takes one
+  register.
 """
 
 from __future__ import annotations
@@ -49,7 +56,8 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 class StateVector:
-    """Normalised complex amplitudes over a register of 1 to 6 qubits."""
+    """Normalised complex amplitudes over a register of 1 to 6 qubits, or
+    over each register of a stack (see the module notes)."""
 
     __slots__ = ("n_qubits", "amplitudes")
 
@@ -144,6 +152,16 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector._wrap(n, np.kron(a.amplitudes, b.amplitudes))
 
 
+def stack(states: Sequence[StateVector]) -> StateVector:
+    """The registers of ``states``, all of one size and stack shape, as one
+    stack with a new stack axis after their own: register ``i`` of the new
+    axis is ``states[i]``'s."""
+    sizes = {state.n_qubits for state in states}
+    if len(sizes) != 1:
+        raise ValueError(f"a stack needs registers of one size, got {sorted(sizes)} qubits")
+    return StateVector._wrap(sizes.pop(), np.stack([state.amplitudes for state in states], axis=-2))
+
+
 def prepare_bell(label: BellLabel) -> StateVector:
     """Two-qubit maximally entangled state for the given 2-bit code."""
     return prepare_bell_on(zero_state(2), 0, 1, label)
@@ -153,13 +171,13 @@ def prepare_bell_on(state: StateVector, q_first: int, q_second: int, label: Bell
     """Entangle two |0> qubits of a register into the labelled pair state.
 
     The phase/parity Pauli factors act on ``q_first``.  Raises if the two
-    qubits are not both in |0> (they would carry prior correlations).
+    qubits are not both in |0> (they would carry prior correlations) in
+    every register of a stack.
     """
     _check_pair(state, q_first, q_second, "pair qubits must be distinct")
-    p_first = _probability_of_one(state.amplitudes, state.n_qubits, q_first)
-    p_second = _probability_of_one(state.amplitudes, state.n_qubits, q_second)
-    if p_first > ZERO_PROBABILITY or p_second > ZERO_PROBABILITY:
-        raise ValueError("pair qubits must start in |0>")
+    for q in (q_first, q_second):
+        if _probability_of_one(state.amplitudes, state.n_qubits, q).max() > ZERO_PROBABILITY:
+            raise ValueError("pair qubits must start in |0>")
     out = apply_hadamard(state, q_first)
     out = apply_cnot(out, q_first, q_second)
     return apply_pauli(out, q_first, label)
@@ -176,7 +194,7 @@ def apply_pauli(state: StateVector, q: int, corr: PauliCorrection | BellLabel) -
     out = (view[:, ::-1] if corr.x else view).copy()
     if corr.z:  # row 0 untouched: a ×(1+0j) would turn a -0.0 part into +0.0
         out[:, 1:] *= -1.0
-    return StateVector._wrap(n, out.reshape(-1))
+    return StateVector._wrap(n, out.reshape(state.amplitudes.shape))
 
 
 def apply_hadamard(state: StateVector, q: int) -> StateVector:
@@ -185,22 +203,20 @@ def apply_hadamard(state: StateVector, q: int) -> StateVector:
     view = _qubit_axis(state.amplitudes, n, q)
     lo, hi = view[:, :1], view[:, 1:]
     out = np.concatenate((lo + hi, lo - hi), axis=1) * _SQRT_HALF
-    return StateVector._wrap(n, out.reshape(-1))
+    return StateVector._wrap(n, out.reshape(state.amplitudes.shape))
 
 
 def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     _check_pair(state, control, target, "control and target must be distinct")
     n = state.n_qubits
     q_lo, q_hi = min(control, target), max(control, target)
-    view = state.amplitudes.reshape(
-        (1 << q_lo, 2, 1 << (q_hi - q_lo - 1), 2, 1 << (n - q_hi - 1))
-    )
+    view = state.amplitudes.reshape((-1, 2, 1 << (q_hi - q_lo - 1), 2, 1 << (n - q_hi - 1)))
     out = view.copy()
     if control == q_lo:
         out[:, 1] = view[:, 1, :, ::-1]
     else:
         out[:, :, :, 1] = view[:, ::-1, :, 1]
-    return StateVector._wrap(n, out.reshape(-1))
+    return StateVector._wrap(n, out.reshape(state.amplitudes.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +232,7 @@ def measure_computational(
     tests' plain-register Born sampler uses it as the reference.
     """
     _check_qubit(state, q)
-    bit = _sample_bit(_probability_of_one(state.amplitudes, state.n_qubits, q), rng)
+    bit = _sample_bit(float(_probability_of_one(state.amplitudes, state.n_qubits, q)[0]), rng)
     _, collapsed = project_computational(state, q, bit)
     return bit, collapsed
 
@@ -288,13 +304,13 @@ def joint_distribution(
 
     Every pair is rotated into the computational frame once, with the
     rotation :func:`bell_measure` uses, and the squared amplitudes are
-    summed over the qubits not named.  The result has one axis of length 4
-    per pair (indexed like ``BELL_LABELS``) followed by one axis of length 2
-    per single qubit.  The measurements act on disjoint qubits and commute,
-    so each entry equals the product of conditional probabilities of any
-    sequential order.  Oracle API: the generated pair tables of
-    ``verify-tables`` read it, and the tests use it as an order-free check
-    of the projections.
+    summed over the qubits not named.  The result has the stack axes of a
+    stack first, then one axis of length 4 per pair (indexed like
+    ``BELL_LABELS``), then one axis of length 2 per single qubit.  The
+    measurements act on disjoint qubits and commute, so each entry equals
+    the product of conditional probabilities of any sequential order.
+    Oracle API: the generated pair tables of ``verify-tables`` read it, and
+    the tests use it as an order-free check of the projections.
     """
     named = [q for pair in pairs for q in pair] + list(singles)
     for q in named:
@@ -306,10 +322,13 @@ def joint_distribution(
         rotated = _rotate_from_pair_basis(rotated, q1, q2)
     n = state.n_qubits
     amps = rotated.amplitudes
-    probs = (amps.real**2 + amps.imag**2).reshape((2,) * n)
+    stack_shape = amps.shape[:-1]
+    n_stack = len(stack_shape)
+    probs = (amps.real**2 + amps.imag**2).reshape(stack_shape + (2,) * n)
     rest = [q for q in range(n) if q not in named]
-    shape = (4,) * len(pairs) + (2,) * len(singles) + (-1,)
-    return probs.transpose(named + rest).reshape(shape).sum(axis=-1)
+    shape = stack_shape + (4,) * len(pairs) + (2,) * len(singles) + (-1,)
+    axes = [*range(n_stack), *(n_stack + q for q in named + rest)]
+    return probs.transpose(axes).reshape(shape).sum(axis=-1)
 
 
 def _rotate_from_pair_basis(state: StateVector, q1: int, q2: int) -> StateVector:
@@ -417,10 +436,12 @@ def _check_pair(state: StateVector, q1: int, q2: int, message: str) -> None:
 
 
 def _qubit_axis(amps: np.ndarray, n: int, q: int) -> np.ndarray:
-    # View with qubit q factored onto the middle axis (big-endian layout).
-    return amps.reshape((1 << q, 2, 1 << (n - q - 1)))
+    # View with qubit q factored onto the middle axis (big-endian layout);
+    # the leading axis also takes the registers of a stack.
+    return amps.reshape((-1, 2, 1 << (n - q - 1)))
 
 
-def _probability_of_one(amps: np.ndarray, n: int, q: int) -> float:
-    slice_one = _qubit_axis(amps, n, q)[:, 1, :]
-    return float(np.real(np.vdot(slice_one, slice_one)))
+def _probability_of_one(amps: np.ndarray, n: int, q: int) -> np.ndarray:
+    # P(qubit q = 1) in each register of a stack, in flattened stack order.
+    ones = amps.reshape((-1, 1 << q, 2, 1 << (n - q - 1)))[:, :, 1]
+    return (ones.real**2 + ones.imag**2).sum(axis=(1, 2))

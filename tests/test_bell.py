@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import numpy as np
@@ -208,6 +209,33 @@ def _pauli_drops_z(monkeypatch):
     monkeypatch.setattr(statevec, "apply_pauli", faulty)
 
 
+def _hadamard_drops_its_half(monkeypatch):
+    real = statevec.apply_hadamard
+
+    def faulty(state, q):
+        return statevec.StateVector._wrap(state.n_qubits, real(state, q).amplitudes * math.sqrt(2.0))
+
+    monkeypatch.setattr(statevec, "apply_hadamard", faulty)
+
+
+def _pair_left_as_product(monkeypatch):
+    def faulty(state, q_first, q_second, label):
+        return statevec.apply_pauli(statevec.apply_hadamard(state, q_first), q_first, label)
+
+    monkeypatch.setattr(statevec, "prepare_bell_on", faulty)
+
+
+def _outcome_rows_copy_the_first(monkeypatch):
+    real = statevec.joint_distribution
+
+    def faulty(state, pairs, singles=()):
+        joint = real(state, pairs, singles)
+        joint[..., 1:, :] = joint[..., :1, :]
+        return joint
+
+    monkeypatch.setattr(statevec, "joint_distribution", faulty)
+
+
 @pytest.fixture
 def cold_tables():
     tables = (bell.generate_teleport_table, bell.generate_swap_table)
@@ -235,9 +263,28 @@ def test_oracle_tables_expose_simulator_faults(fault, monkeypatch, cold_tables):
         assert diff(table), generate.__name__
 
 
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (_hadamard_drops_its_half, r"^swap of pairs \(00, 00\): outcome 00 had probability 4\.0, expected 1/4$"),
+        (_pair_left_as_product, r"^swap of pairs \(00, 00\): outcome 00 matched 0 pair states$"),
+        (_outcome_rows_copy_the_first, r"^swap of pairs \(00, 00\): the outcomes are not a bijection$"),
+    ],
+)
+def test_each_sweep_check_trips_on_its_fault(fault, message, monkeypatch, cold_tables):
+    # The sweep's own checks, each tripped by one fault of the simulator:
+    # outcome probabilities of 1/4, one surviving pair per outcome, and a
+    # bijection from outcomes to surviving pairs.
+    fault(monkeypatch)
+    for generate in (bell.generate_swap_table, bell.generate_teleport_table):
+        with pytest.raises(AssertionError, match=message):
+            generate()
+
+
 def test_one_simulator_sweep_fills_both_oracle_tables(monkeypatch, cold_tables):
-    # Pair a is prepared once per value and each (a, b) case is read off one
-    # joint distribution; the teleport table reads the sweep's Φ+ rows.
+    # Pair a is prepared once per value and pair b once per value over the
+    # stack of the four, and all 16 (a, b) cases are read off one joint
+    # distribution; the teleport table reads the sweep's Φ+ rows.
     calls = {"joint_distribution": 0, "prepare_bell_on": 0}
     for name in calls:
         real = getattr(statevec, name)
@@ -249,7 +296,7 @@ def test_one_simulator_sweep_fills_both_oracle_tables(monkeypatch, cold_tables):
         monkeypatch.setattr(statevec, name, counted)
     teleport = bell.generate_teleport_table()
     swap = bell.generate_swap_table()
-    assert calls == {"joint_distribution": 16, "prepare_bell_on": 20}
+    assert calls == {"joint_distribution": 1, "prepare_bell_on": 8}
     assert len(teleport) == 16
     for (channel, outcome), corr in teleport.items():
         pair = swap[(PHI_PLUS, channel, outcome)]

@@ -457,3 +457,100 @@ def test_gates_equal_their_slice_and_assign_formulas_byte_for_byte():
                 if target != q:
                     want = reference_cnot(state.amplitudes, n, q, target)
                     assert_same_gate(state, before, statevec.apply_cnot(state, q, target), want)
+
+
+# ---------------------------------------------------------------------------
+# Stacks of registers.
+
+def stacked_gate_inputs():
+    # Each size's gate inputs as one stack of four registers, and as a 2 x 2
+    # stack of stacks whose flattened order is theirs again.
+    by_size = {}
+    for state in gate_inputs():
+        by_size.setdefault(state.n_qubits, []).append(state)
+    for states in by_size.values():
+        yield states, statevec.stack(states)
+        yield states, statevec.stack([statevec.stack(states[0::2]), statevec.stack(states[1::2])])
+
+
+def assert_acts_per_register(states, stacked, func, *args):
+    # ``func`` on the stack gives, register by register and byte for byte,
+    # what it gives on each register alone, and leaves the stack as it was.
+    before = stacked.amplitudes.tobytes()
+    got, wants = func(stacked, *args), [func(state, *args) for state in states]
+    if isinstance(got, statevec.StateVector):
+        assert got.n_qubits == stacked.n_qubits
+        got, wants = got.amplitudes, [want.amplitudes for want in wants]
+    assert got.shape == stacked.amplitudes.shape[:-1] + wants[0].shape
+    for row, want in zip(got.reshape((len(states),) + wants[0].shape), wants, strict=True):
+        assert row.tobytes() == want.tobytes()
+    assert stacked.amplitudes.tobytes() == before
+
+
+def with_pair_zeroed(state, q1, q2):
+    # ``state`` projected onto |0> on qubits q1 and q2, renormalised.
+    n = state.n_qubits
+    index = np.arange(2**n)
+    amps = state.amplitudes.copy()
+    amps[((index >> (n - 1 - q1)) | (index >> (n - 1 - q2))) & 1 == 1] = 0.0
+    return statevec.StateVector._wrap(n, amps / np.linalg.norm(amps))
+
+
+def test_stack_places_each_register_on_its_new_axis():
+    states = [random_state(3, np.random.default_rng(seed)) for seed in range(4)]
+    flat = statevec.stack(states)
+    nested = statevec.stack([statevec.stack(states[:2]), statevec.stack(states[2:])])
+    assert flat.n_qubits == nested.n_qubits == 3
+    assert flat.amplitudes.shape == (4, 8) and nested.amplitudes.shape == (2, 2, 8)
+    for i, state in enumerate(states):
+        assert flat.amplitudes[i].tobytes() == state.amplitudes.tobytes()
+        assert nested.amplitudes[i % 2, i // 2].tobytes() == state.amplitudes.tobytes()
+    with pytest.raises(ValueError, match="one size"):
+        statevec.stack([states[0], random_state(2, np.random.default_rng(4))])
+
+
+def test_gates_act_on_each_register_of_a_stack_byte_for_byte():
+    corrections = (*BELL_LABELS, *(PauliCorrection(z, x) for z in (0, 1) for x in (0, 1)))
+    for states, stacked in stacked_gate_inputs():
+        n = stacked.n_qubits
+        for q in range(n):
+            for corr in corrections:
+                assert_acts_per_register(states, stacked, statevec.apply_pauli, q, corr)
+            assert_acts_per_register(states, stacked, statevec.apply_hadamard, q)
+            for target in range(n):
+                if target != q:
+                    assert_acts_per_register(states, stacked, statevec.apply_cnot, q, target)
+
+
+def test_joint_distribution_puts_the_stack_axes_first_byte_for_byte():
+    for states, stacked in stacked_gate_inputs():
+        n = stacked.n_qubits
+        measurements = [((), (q,)) for q in range(n)]
+        for q1 in range(n):
+            for q2 in range(n):
+                if q1 != q2:
+                    others = tuple(q for q in range(n) if q not in (q1, q2))
+                    measurements += [([(q1, q2)], ()), ([(q1, q2)], others)]
+        if n >= 4:
+            measurements += [([(1, 2), (0, 3)], ()), ([(0, 3), (1, 2)], tuple(range(4, n)))]
+        for pairs, singles in measurements:
+            assert_acts_per_register(states, stacked, statevec.joint_distribution, pairs, singles)
+
+
+def test_prepare_bell_on_acts_on_each_register_of_a_stack_byte_for_byte():
+    for states, _ in stacked_gate_inputs():
+        n = states[0].n_qubits
+        for q1 in range(n):
+            for q2 in range(n):
+                if q1 == q2:
+                    continue
+                zeroed = [with_pair_zeroed(state, q1, q2) for state in states]
+                stacked = statevec.stack(zeroed)
+                for label in BELL_LABELS:
+                    assert_acts_per_register(zeroed, stacked, statevec.prepare_bell_on, q1, q2, label)
+                for i in range(len(zeroed)):
+                    # One register with a pair qubit in |1> fails the stack.
+                    flipped = statevec.apply_pauli(zeroed[i], q2, PauliCorrection(0, 1))
+                    mixed = statevec.stack(zeroed[:i] + [flipped] + zeroed[i + 1:])
+                    with pytest.raises(ValueError, match="must start in"):
+                        statevec.prepare_bell_on(mixed, q1, q2, PHI_PLUS)
