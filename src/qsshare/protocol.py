@@ -755,15 +755,20 @@ def prepare_splitting_register(secret: StateVector, pair1: BellLabel, pair2: Bel
     return state
 
 
-def coin_count(attack: AttackModel) -> int:
-    """How many coins a seeded (2,2) run under the attack draws: the index
-    widths of R1's and R2's stacked token tables and of the splitting one,
-    whose inputs each have the same number of branches."""
+def _coin_widths(attack: AttackModel) -> list[int]:
+    # The coins a seeded (2,2) run under the attack draws in each phase, in
+    # draw order: the index widths of R1's and R2's stacked token tables and
+    # of the splitting one, whose inputs each have the same number of branches.
     tables = [
         _stacked_branches("token", token_steps(target, attack)) for target in _TOKEN_TARGETS.values()
     ]
     tables.append(_stacked_branches("splitting", splitting_steps(attack, True)))
-    return sum(table.shape[-2].bit_length() - 1 for table in tables)
+    return [table.shape[-2].bit_length() - 1 for table in tables]
+
+
+def coin_count(attack: AttackModel) -> int:
+    """How many coins a seeded (2,2) run under the attack draws in all."""
+    return sum(_coin_widths(attack))
 
 
 def _record_splitting(transcript: _TranscriptBuilder, results: Mapping) -> None:

@@ -1,6 +1,5 @@
 """Exact secrecy and authentication analysis of the (2,2) and (5,5) schemes.
 
-All claims that are stated as exact are backed by exhaustive enumeration.
 The branch sets come from :mod:`protocol`, which writes each phase's
 measurements once as a step list (:func:`protocol.token_steps`,
 :func:`protocol.splitting_steps`) and tabulates it exactly: every branch
@@ -12,30 +11,29 @@ The branches are the tables the sampled runs draw from
 (:func:`protocol._stacked_branches`): per token or splitting step list,
 every input's 2^d equal shares, from one symbolic stabilizer pass on the
 phase's reference register whose generators carry each input bit as a
-sign symbol, so a sum over rows is a count.  Views and rates read one
-table of a (2,2) run's branches (:func:`_run_columns`): every branch of
-both token rounds and the splitting phase under an attack, as int
-columns.  The 512 equiprobable randomness/secret cases of an honest run
-(the secret bit, two pair codes, and the swap and teleport outcomes) are
-its :data:`NO_ATTACK` case.  The rest is group-bys over those codes:
+sign symbol.  :func:`_run_columns` reads a (2,2) run under an attack at
+any of its equally likely branches, indexed by the secret, then the coins
+in draw order, as int columns; the 512 randomness/secret cases of an
+honest run are its :data:`NO_ATTACK` branches.  The circuit is a
+stabilizer circuit, so every column is affine over GF(2) in the branch
+bits, fixed by its values at the 2 + coins basis branches (:func:`_basis`),
+and each exact result is a rank question on those values:
 
-- a view of the honest cases is a set of their int columns
-  (:data:`_VIEW_COLUMNS`, the masked tokens computed by
-  :func:`protocol.mask_tokens` on the code columns), counted by one
-  integer key per case.  The circuit is affine over GF(2), so every view
-  gives exactly 0 or 1 bit, with guess advantage 0 or 1/2, and a view
-  that is not affine raises;
+- a view (:data:`_VIEW_COLUMNS`) of an honest run gives 1 bit, with guess
+  advantage 1/2, when the secret's flip of its columns lies outside the
+  GF(2) span of the coins' flips, and 0 bits otherwise;
+- a k-bit public message is uniform when its bits have rank k;
+- an attack detection rate is 1/2 when the secret or any coin flips the
+  sender's check, one parity of five bits (:func:`protocol._accepts`,
+  which :func:`protocol.verify_authentication` also decides by), and
+  otherwise that parity's value at zero.  Each token step list has one
+  table, so a cold pass over the README's 13 attacks makes three symbolic
+  token passes;
 - the encrypted qubit's correction XORs the four pieces, so unknown pieces
   XOR-convolve a 4-bin histogram of corrections, and the averaged qubit is
   the secret's Bloch vector twirled by that histogram: each axis scaled by
   an integer sum of signs over the histogram's total, so an unknown piece
-  gives exactly zero;
-- an attack detection rate counts the run's rejected branches: the
-  sender's check is one parity of five bits (:func:`protocol._accepts`,
-  which :func:`protocol.verify_authentication` also decides by),
-  evaluated on the run's columns.  Each token step list has one table, so
-  a cold pass over the README's 13 attacks makes three symbolic token
-  passes.
+  gives exactly zero.
 
 Floating point only appears at the reporting boundary, so "exactly zero"
 results do not depend on rounding.
@@ -79,7 +77,7 @@ Z_99 = 2.5758293035489004
 
 PIECES = ("pair1", "pair2", "swap-bsm", "teleport-bsm")
 
-# The honest columns (_honest_columns) each adversary view sees in one run.
+# The columns of an honest run (_run_columns) each adversary view sees.
 # ``r1-alone`` and ``public-only`` include a full tap of the public channel.
 # ``r2-alone`` includes R2's own traffic and the broadcast teleport result
 # but not R1's point-to-point token; the deliberately stronger
@@ -116,42 +114,21 @@ class HonestCase(NamedTuple):
 
 @lru_cache(maxsize=1)
 def enumerate_honest_cases() -> tuple[HonestCase, ...]:
-    """All 512 randomness/secret cases, built from :func:`_honest_columns`
-    and ordered by secret, pair codes, swap outcome, then teleport outcome."""
-    labels = product((0, 1), BELL_LABELS, BELL_LABELS, BELL_LABELS, BELL_LABELS)
-    return tuple(
-        HonestCase(*case, cipher) for case, cipher in zip(labels, _honest_columns()["cipher"].tolist())
-    )
-
-
-def _honest_columns() -> dict[str, np.ndarray]:
-    """The 512 honest cases as int columns, one entry per case: ``secret``,
-    the codes ``pair1``, ``pair2``, ``swap`` and ``tele``, the ``cipher``
-    bit and the masked tokens (``token_r1``, a code, and ``token_r2``, a
-    bit), ordered by the first five: the branches of a :data:`NO_ATTACK`
-    run (:func:`_run_columns`), where token branch i of either round has
-    code i, which the sender records, and splitting branch j of each input
-    must be the (swap, teleport) pair with ``4*swap + tele == j``.  A
-    repeated pair would mean the cipher qubit has not collapsed.
+    """All 512 randomness/secret cases, ordered by secret, pair codes, swap
+    outcome, then teleport outcome: the branches of a :data:`NO_ATTACK` run
+    (:func:`_run_columns`), where token branch i of either round has code
+    i, which the sender records, and splitting branch j of each input must
+    be the (swap, teleport) pair with ``4*swap + tele == j``.  A repeated
+    pair would mean the cipher qubit has not collapsed.
     """
-    columns = _run_columns(NO_ATTACK)
-    swap = columns["swap"]
-    if swap.shape[-1] != 16:
-        raise AssertionError(f"{swap.shape[-1]} honest branches, expected 16")
-    if (4 * swap + columns["tele"] != np.arange(16)).any():
+    branches = np.arange(2 << protocol.coin_count(NO_ATTACK))
+    if len(branches) != 512:
+        raise AssertionError(f"{len(branches)} honest branches, expected 512")
+    run = _run_columns(NO_ATTACK, branches)
+    if (4 * run["swap"] + run["tele"] != branches & 15).any():
         raise AssertionError("cipher qubit not collapsed")
-    names = ("secret", "pair1", "pair2", "swap", "tele", "cipher", "token_r1", "token_r2")
-    flat = np.empty((len(names), *swap.shape), dtype=np.int64)
-    for row, name in zip(flat, names):
-        row[...] = columns[name]
-    return dict(zip(names, flat.reshape(len(names), -1)))
-
-
-def _secret_counts(key: np.ndarray, secret: np.ndarray) -> np.ndarray:
-    # The (secret 0, secret 1) case counts of each key that occurs, in
-    # ascending key order.
-    counts = np.bincount(2 * key + secret, minlength=2 * int(key.max()) + 2).reshape(-1, 2)
-    return counts[counts.any(axis=1)]
+    labels = product((0, 1), BELL_LABELS, BELL_LABELS, BELL_LABELS, BELL_LABELS)
+    return tuple(HonestCase(*case, cipher) for case, cipher in zip(labels, run["cipher"].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -176,36 +153,52 @@ class SecrecyReport:
 
 
 def mutual_information_22(view: str) -> SecrecyReport:
-    """Exact mutual information between the secret bit and a view, by
-    brute-force enumeration of all 512 cases under uniform priors.
+    """Exact mutual information between the secret bit and a view over the
+    512 branches of an honest run, under uniform priors.
 
-    The view's columns (:data:`_VIEW_COLUMNS`) are read as one base-4 key
-    per case, and the cases are counted by key and secret.  Every column is
-    affine over GF(2) in the case bits, so every view value is independent
-    of the secret (0 bits) or every value pins it down (1 bit); a view that
-    is neither raises ``AssertionError``."""
+    The view's columns (:data:`_VIEW_COLUMNS`) are affine over GF(2) in the
+    branch bits, so under either secret the view's values are a coset of
+    the span of the coins' flips.  The two cosets are equal, 0 bits and a
+    coin-flip guess, or disjoint, 1 bit and a sure one (:func:`_pins_secret`)."""
     if view not in _VIEW_COLUMNS:
         raise ValueError(f"unknown view {view!r}; known views: {', '.join(VIEW_NAMES)}")
-    columns = _honest_columns()
-    key = 0
-    for name in _VIEW_COLUMNS[view]:
-        key = 4 * key + columns[name]
-    counts = _secret_counts(key, columns["secret"])
-    # With a uniform secret, I = 1 - H(secret | view): 0 bits and a
-    # coin-flip guess, or 1 bit and a sure one.
-    if (counts[:, 0] == counts[:, 1]).all():
-        information = 0.0
-    elif (counts.min(axis=1) == 0).all():
-        information = 1.0
-    else:
-        raise AssertionError(f"view {view!r} is not affine: it neither pins down nor ignores the secret")
+    run = _basis(NO_ATTACK)
+    information = float(_pins_secret(run, _VIEW_COLUMNS[view]))
     return SecrecyReport(
         view=view,
         mutual_information=information,
         guess_advantage=information / 2,
-        cases_enumerated=len(key),
+        cases_enumerated=1 << (len(run["secret"]) - 1),  # the branches it covers
         exact=True,
     )
+
+
+def _flips(run: dict[str, np.ndarray], names: tuple[str, ...]) -> list[int]:
+    # The named columns of a run's basis (_basis), packed two bits each, at
+    # each single-bit branch XOR at the all-zero one: what the secret
+    # flips, then what each coin flips.
+    packed = 0
+    for name in names:
+        packed = 4 * packed + run[name]
+    return (packed[1:] ^ packed[0]).tolist()
+
+
+def _rank(vectors: list[int]) -> int:
+    # The GF(2) rank of ints read as bit vectors: the largest is a pivot,
+    # and every vector that holds its top bit is reduced by it.
+    rank = 0
+    while vectors := [v for v in vectors if v]:
+        pivot = max(vectors)
+        vectors = [min(v, v ^ pivot) for v in vectors]
+        rank += 1
+    return rank
+
+
+def _pins_secret(run: dict[str, np.ndarray], names: tuple[str, ...]) -> bool:
+    # Whether the named columns of a run's basis pin down the secret: the
+    # secret's flip of their bits lies outside the span of the coins' flips.
+    flips = _flips(run, names)
+    return _rank(flips) > _rank(flips[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -265,58 +258,64 @@ def encrypted_qubit_mixedness_55(
 _XOR_CODES = np.bitwise_xor.outer(np.arange(4), np.arange(4))
 
 
-def _columns(
-    phase: str, steps: tuple[protocol.Step, ...], names: tuple[str, ...], *index
-) -> list[np.ndarray]:
-    # The named outcome codes of the phase's stacked branches, each shaped
-    # (*inputs, B) by input codes and branch, or as ``index`` picks.
-    branches = _stacked_branches(phase, steps)[index]
-    return [branches[..., i] for i in protocol._positions(steps, *names)]
+def _run_columns(attack: AttackModel, branches: np.ndarray) -> dict[str, np.ndarray]:
+    """A (2,2) run under the attack at each of ``branches``, flat int
+    indices of its equally likely branches, as int columns shaped like
+    ``branches``: ``secret``, the receivers' codes ``pair1`` and ``pair2``,
+    the sender's records ``record1`` and ``record2``, ``swap``, ``tele``,
+    ``cipher``, and the tokens the sender receives, ``token_r1`` and
+    ``token_r2`` (:func:`mask_tokens` on the code columns, XOR the attack's
+    fixed alteration, read off the input that masks to (Φ+, 0)).
 
-
-def _run_columns(attack: AttackModel) -> dict[str, np.ndarray]:
-    """Every branch of a (2,2) run under the attack, each one equal share,
-    as int columns that broadcast to (secret, R1's token branch, R2's token
-    branch, splitting branch): ``secret``, the receivers' codes ``pair1``
-    and ``pair2``, the sender's records ``record1`` and ``record2``,
-    ``swap``, ``tele``, ``cipher``, and the tokens the sender receives,
-    ``token_r1`` and ``token_r2`` (:func:`mask_tokens` on the code columns,
-    XOR the attack's fixed alteration, read off the input that masks to
-    (Φ+, 0)).
-
-    These are the rows a run draws: each token round reads its table at the
-    run's pairs (:data:`protocol.DEFAULT_AUTH_PAIRS`), with the record
-    inferred from the observed outcome (:func:`infer_remote_bsm`), so a
-    flattened branch's index is the run's secret, then its coins in draw
-    order, the first most significant (:func:`protocol._draw`).
+    A branch's index is the run's secret, then its coins in draw order,
+    the first most significant (:func:`protocol._draw`), so these are the
+    rows a run draws: each token round reads its table at the run's pairs
+    (:data:`protocol.DEFAULT_AUTH_PAIRS`), with the record inferred from
+    the observed outcome (:func:`infer_remote_bsm`).
     """
+    widths = protocol._coin_widths(attack)
+    shift = sum(widths)
+    secret, coins = branches >> shift, []
+    for width in widths:
+        shift -= width
+        coins.append(branches >> shift & (1 << width) - 1)
     rounds = []
-    for receiver, target in protocol._TOKEN_TARGETS.items():
+    for (receiver, target), coin in zip(protocol._TOKEN_TARGETS.items(), coins):
         pairs = tuple(map(_code, protocol.DEFAULT_AUTH_PAIRS[receiver]))
-        code, observed = _columns("token", protocol.token_steps(target, attack), ("code", "observed"), *pairs)
+        steps = protocol.token_steps(target, attack)
+        rows = _stacked_branches("token", steps)[(*pairs, coin)]
+        code, observed = (rows[..., i] for i in protocol._positions(steps, "code", "observed"))
         rounds.append((code, infer_remote_bsm(*pairs, observed)))
-    (code1, record1), (code2, record2) = rounds
-    splitting = protocol.splitting_steps(attack, True)
-    swap, tele, cipher = _columns(
-        "splitting", splitting, ("swap", "tele", "cipher"), slice(None), record1[:, None], record2
-    )
-    pair1, pair2 = code1[:, None, None], code2[:, None]
+    (pair1, record1), (pair2, record2) = rounds
+    steps = protocol.splitting_steps(attack, True)
+    rows = _stacked_branches("splitting", steps)[secret, record1, record2, coins[2]]
+    swap, tele, cipher = (rows[..., i] for i in protocol._positions(steps, "swap", "tele", "cipher"))
     token_r1, token_r2 = mask_tokens(pair1, pair2, swap, cipher)
     alter_r1, alter_r2 = sent_tokens(PHI_PLUS, PHI_PLUS, PHI_PLUS, 0, attack)
     return dict(
-        secret=np.arange(2)[:, None, None, None], pair1=pair1, pair2=pair2,
-        record1=record1[:, None, None], record2=record2[:, None], swap=swap, tele=tele, cipher=cipher,
+        secret=secret, pair1=pair1, pair2=pair2, record1=record1, record2=record2,
+        swap=swap, tele=tele, cipher=cipher,
         token_r1=token_r1 ^ _code(alter_r1), token_r2=token_r2 ^ alter_r2,
     )
 
 
+def _basis(attack: AttackModel) -> dict[str, np.ndarray]:
+    """The run's columns (:func:`_run_columns`) at its all-zero branch, then
+    at each single-bit branch, the secret's and each coin's in draw order:
+    an affine column's value at any branch is its value at zero XOR the
+    flips of the branch's set bits."""
+    bits = 1 + protocol.coin_count(attack)
+    return _run_columns(attack, np.array([0] + [1 << i for i in reversed(range(bits))]))
+
+
 def exact_detection_rate(attack: AttackModel) -> Fraction:
-    """Exact probability that a (2,2) run under the attack is rejected,
-    summed over every branch of the run (:func:`_run_columns`) with uniform
-    hidden randomness: a count of the branches whose columns fail the
-    sender's check, one parity of five bits (:func:`protocol._accepts`)."""
-    rejected = _rejected(_run_columns(attack))
-    return Fraction(int(np.count_nonzero(rejected)), rejected.size)
+    """Exact probability that a (2,2) run under the attack is rejected, with
+    uniform hidden randomness and secret.  The sender's check is one parity
+    of five bits (:func:`protocol._accepts`) on the run's affine columns,
+    so it is balanced, 1/2, when the secret or any coin flips it
+    (:func:`_basis`), and otherwise constant at its value at zero."""
+    rejected = _rejected(_basis(attack))
+    return Fraction(1, 2) if (rejected != rejected[0]).any() else Fraction(int(rejected[0]))
 
 
 def _rejected(run: dict[str, np.ndarray]) -> np.ndarray:
@@ -377,12 +376,11 @@ _CHUNK_TRIALS = 4096
 
 @lru_cache(maxsize=None)
 def _leaf_table(attack: AttackModel) -> tuple[np.ndarray, list[tuple[bool, tuple[str, ...]] | None]]:
-    # The leaf key of each flattened branch of the run (_run_columns): the
-    # tokens' payload bits 2*token_r1 + token_r2, plus 8*tele with tele 4 on
+    # The leaf key of every branch of the run (_run_columns): the tokens'
+    # payload bits 2*token_r1 + token_r2, plus 8*tele with tele 4 on
     # rejection; and a slot per key for a run's rejection and first three payloads.
-    run = _run_columns(attack)
-    keys = 2 * run["token_r1"] + run["token_r2"] + 8 * np.where(_rejected(run), 4, run["tele"])
-    return keys.reshape(-1), [None] * 40
+    run = _run_columns(attack, np.arange(2 << protocol.coin_count(attack)))
+    return 2 * run["token_r1"] + run["token_r2"] + 8 * np.where(_rejected(run), 4, run["tele"]), [None] * 40
 
 
 def _trial_keys(seed: int, start: int, stop: int) -> np.ndarray:
@@ -423,7 +421,7 @@ def _trial_leaves(attack: AttackModel, trials: int, seed: int):
 
 def attack_sweep(attack: AttackModel, trials: int, seed: int) -> AttackSweepReport:
     """Run the (2,2) scheme ``trials`` times under the attack and compare the
-    rejection fraction with the exact branch-enumeration rate.
+    rejection fraction with the exact rate (:func:`exact_detection_rate`).
 
     Trial ``i`` runs with seed ``(seed + i) mod 2^64`` and secret ``i mod 2``,
     so every trial is reproducible in isolation.  The sweep makes one full
@@ -482,18 +480,11 @@ class UniformityReport:
         }
 
 
-def _exact_message_stats(values: np.ndarray, secrets: np.ndarray) -> tuple[bool, bool]:
-    # Whether every value a message takes is equally likely, and whether each
-    # is as likely under either secret.
-    counts = _secret_counts(values, secrets)
-    totals = counts.sum(axis=1)
-    return bool((totals == totals[0]).all()), bool((counts[:, 0] == counts[:, 1]).all())
-
-
 def public_transcript_uniformity(trials: int, seed: int) -> UniformityReport:
     """Check that every public classical message is uniform over its range
-    and independent of the secret: exactly, by enumeration over the 512
-    honest cases, and empirically with a chi-square test over seeded runs.
+    and independent of the secret: exactly, a k-bit message when its bits
+    have rank k and it does not pin down the secret (:func:`_pins_secret`),
+    and empirically with a chi-square test over seeded runs.
 
     Trial ``i`` is the honest run with seed ``(seed + i) mod 2^64`` and
     secret ``i mod 2``; its three public messages are counted, with one full
@@ -503,26 +494,22 @@ def public_transcript_uniformity(trials: int, seed: int) -> UniformityReport:
     trials, seed = operator.index(trials), operator.index(seed)
     if trials < 0:
         raise ValueError(f"trials must not be negative, got {trials}")
-    columns = _honest_columns()
+    run = _basis(NO_ATTACK)
     # In the order the run publishes them: the public-only view's columns.
     names = ("masked-swap-token", "masked-cipher-token", "published-teleport-bsm")
-    exact = {
-        name: _exact_message_stats(columns[column], columns["secret"])
-        for name, column in zip(names, _VIEW_COLUMNS["public-only"])
-    }
-    empirical: dict[str, dict[str, int]] = {name: {} for name in exact}
+    empirical: dict[str, dict[str, int]] = {name: {} for name in names}
     for (_, payloads), count in _trial_leaves(NO_ATTACK, trials, seed):
-        for name, value in zip(exact, payloads):
+        for name, value in zip(names, payloads):
             empirical[name][value] = empirical[name].get(value, 0) + count
     messages = {}
-    for name, (uniform, independent) in exact.items():
+    for name, column in zip(names, _VIEW_COLUMNS["public-only"]):
         counts = empirical[name]
         domain = _message_domain(name)
         chi_p = _uniform_chi_square_p([counts.get(v, 0) for v in domain]) if trials else 1.0
         messages[name] = MessageUniformity(
             values=len(domain),
-            exact_uniform=uniform,
-            exact_secret_independent=independent,
+            exact_uniform=_rank(_flips(run, (column,))) == len(domain).bit_length() - 1,
+            exact_secret_independent=not _pins_secret(run, (column,)),
             empirical_counts=dict(sorted(counts.items())),
             chi_square_p=chi_p,
         )

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from qsshare import protocol, security
-from test_exact_branches import every_attack
+from qsshare.protocol import NO_ATTACK
+from test_exact_branches import every_attack, every_branch
 
 ATTACKS = every_attack()
 
@@ -46,26 +47,26 @@ def test_is_affine_rejects_a_product_of_bits():
     "name", ["secret", "pair1", "pair2", "swap", "tele", "cipher", "token_r1", "token_r2"]
 )
 def test_each_honest_column_bit_is_affine_in_the_case_bits(name):
-    # The 512 cases are ordered by secret, pair1, pair2, swap and tele: the
-    # case index's 9 bits are those five values' bits.
-    column = security._honest_columns()[name]
+    # The 512 branches of an honest run are the cases, ordered by secret,
+    # pair1, pair2, swap and tele: the branch index's 9 bits are those five
+    # values' bits.
+    column = every_branch(NO_ATTACK)[name]
     assert len(column) == 512
     for bit in range(2):
         assert is_affine(column >> bit & 1)
 
 
 def accepted(attack):
-    # The sender's check on the run's columns, shaped (secret, R1's token
-    # branch, R2's token branch, splitting branch), each branch count a
-    # power of two.
-    run = security._run_columns(attack)
+    # The sender's check on the run's columns at every branch, indexed by
+    # the secret, then the coins in draw order.
+    run = every_branch(attack)
     return protocol._accepts(run["record2"], run["tele"], run["secret"], run["token_r1"], run["token_r2"])
 
 
 @pytest.mark.parametrize("attack", ATTACKS, ids=lambda attack: attack.spec_string)
 def test_acceptance_is_affine_in_the_branch_bits(attack):
     for secret in (0, 1):
-        assert is_affine(accepted(attack)[secret].astype(np.int64))
+        assert is_affine(accepted(attack).reshape(2, -1)[secret].astype(np.int64))
 
 
 @pytest.mark.parametrize("attack", ATTACKS, ids=lambda attack: attack.spec_string)

@@ -380,11 +380,11 @@ LABEL_COLUMNS = {"pair1", "pair2", "record1", "record2", "swap", "tele", "token_
 
 
 def test_run_columns_are_the_per_branch_rows():
-    # Every attack model's columns, broadcast to one row per branch, are the
-    # rows of the per-branch loop, each an equal share, as multisets.
+    # Every attack model's flat columns at every branch are the rows of the
+    # per-branch loop, each an equal share, as multisets.
     for attack in every_attack():
-        run = security._run_columns(attack)
-        columns = [column.reshape(-1).tolist() for column in np.broadcast_arrays(*map(run.get, RUN_COLUMNS))]
+        run = every_branch(attack)
+        columns = [run[name].tolist() for name in RUN_COLUMNS]
         rows = Counter(
             tuple(BELL_LABELS[v] if name in LABEL_COLUMNS else v for name, v in zip(RUN_COLUMNS, row))
             for row in zip(*columns)
@@ -462,6 +462,13 @@ def every_attack():
         except ValueError:
             pass
     return list(models)
+
+
+def every_branch(attack):
+    """The run's int columns (``security._run_columns``) at every one of
+    its 2^(1 + coins) branches, in index order: the secret, then the coins
+    in draw order."""
+    return security._run_columns(attack, np.arange(2 << protocol.coin_count(attack)))
 
 
 def splitting_register(secret, pair1, pair2):

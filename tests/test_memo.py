@@ -206,16 +206,18 @@ def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
         security.exact_detection_rate(AttackModel.from_spec(spec))
     # The tables come from the symbolic pass: no state vector, cold or warm.
     assert seen == []
-    # Each rate reads both token rounds' tables and one splitting table.
-    # Five splitting and three token step lists, each built once and read
-    # again by the specs that share it; security's name is the same lru
-    # object, so the benchmark's cold pass empties every one.
+    # Each rate reads both token rounds' tables and one splitting table
+    # three times: for the coin count of its basis, for the coin widths the
+    # run's columns split a branch index by, and for the columns.  Five
+    # splitting and three token step lists, each built once and read again
+    # by the specs that share it; security's name is the same lru object,
+    # so the benchmark's cold pass empties every one.
     phases = [phase for phase, _ in read]
-    assert (phases.count("token"), phases.count("splitting")) == (26, 13)
+    assert (phases.count("token"), phases.count("splitting")) == (78, 39)
     assert len({key for key in read if key[0] == "splitting"}) == 5
     assert len({key for key in read if key[0] == "token"}) == 3
     assert security._splitting_branches is real_table
-    assert real_table.cache_info()[:2] == (31, 8)
+    assert real_table.cache_info()[:2] == (109, 8)
 
 
 def package_modules():

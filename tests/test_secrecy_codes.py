@@ -1,8 +1,8 @@
 """The secrecy side of the exact pass on 2-bit codes.
 
 Adversary views, the encrypted qubit's mixedness and the token rounds are
-read off int codes: views group the honest cases' int columns by one
-integer key, mixedness twirls the secret's Bloch vector by the Pauli
+read off int codes: views are rank tests on an honest run's int columns
+at its basis branches, mixedness twirls the secret's Bloch vector by the Pauli
 corrections the unknown pieces XOR-convolve into, and the two token rounds
 share one enumeration when their steps agree.  These tests hold each to
 the per-case loop it replaced, which is kept here as the reference.
@@ -22,7 +22,7 @@ from qsshare.protocol import RECEIVER_1, RECEIVER_2, AttackModel, mask_tokens, s
 from qsshare.security import PIECES, VIEW_NAMES, SecrecyReport
 import conftest
 from conftest import SPECS, branch_table
-from test_exact_branches import TOKEN_TARGETS, every_attack, symbolic_passes, token_branches
+from test_exact_branches import TOKEN_TARGETS, every_attack, every_branch, symbolic_passes, token_branches
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +71,8 @@ def test_views_match_the_per_case_dict_count(view):
 
 
 def test_honest_columns_are_the_honest_cases():
-    columns = security._honest_columns()
+    # An honest run's columns at its 512 branches, in index order.
+    columns = every_branch(protocol.NO_ATTACK)
     assert all(len(column) == 512 for column in columns.values())
     rows = [
         (
@@ -120,24 +121,24 @@ def drop_branch(table):
     "corrupt, message",
     [
         (duplicate_outcomes, "cipher qubit not collapsed"),
-        (drop_branch, "15 honest branches, expected 16"),
+        (drop_branch, "256 honest branches, expected 512"),
     ],
 )
 def test_honest_columns_check_the_honest_branches(corrupt, message, monkeypatch):
     # Only the splitting table is corrupted: the run's token rounds read
-    # their own tables.
+    # their own tables.  The coin widths read it through protocol's name.
     real = protocol._stacked_branches
     corrupted = corrupt(real("splitting", HONEST).copy())
-    monkeypatch.setattr(
-        security,
-        "_stacked_branches",
-        lambda phase, steps: corrupted if phase == "splitting" else real(phase, steps),
-    )
+    for module in (protocol, security):
+        monkeypatch.setattr(
+            module,
+            "_stacked_branches",
+            lambda phase, steps: corrupted if phase == "splitting" else real(phase, steps),
+        )
     security.enumerate_honest_cases.cache_clear()
-    for reader in (security._honest_columns, security.enumerate_honest_cases):
-        with pytest.raises(AssertionError) as raised:
-            reader()
-        assert str(raised.value) == message
+    with pytest.raises(AssertionError) as raised:
+        security.enumerate_honest_cases()
+    assert str(raised.value) == message
 
 
 def test_honest_columns_hold_equal_shares_by_construction(monkeypatch):
@@ -170,28 +171,7 @@ def test_honest_columns_hold_equal_shares_by_construction(monkeypatch):
     with pytest.raises(AssertionError, match=message):
         branch_table(register, HONEST)
     assert security.enumerate_honest_cases() == cases
-    assert all(len(column) == 512 for column in security._honest_columns().values())
-
-
-def test_a_view_that_is_not_affine_raises(monkeypatch):
-    # No view of the protocol leaks part of the secret, so a noisy copy of
-    # the secret stands in for one: its information lies strictly between
-    # 0 and 1 bit, which no affine view can give.
-    real = security._honest_columns
-    noise = (np.random.default_rng(0).random(512) < 0.25).astype(np.int64)
-
-    def with_hint():
-        columns = real()
-        columns["hint"] = columns["secret"] ^ noise
-        return columns
-
-    monkeypatch.setattr(security, "_honest_columns", with_hint)
-    monkeypatch.setitem(security._VIEW_COLUMNS, "hint", ("hint", "pair1", "tele"))
-    columns = with_hint()
-    values = list(zip(*(columns[name].tolist() for name in ("hint", "pair1", "tele"))))
-    assert 0 < reference_report("hint", values, columns["secret"].tolist()).mutual_information < 1
-    with pytest.raises(AssertionError, match=r"^view 'hint' is not affine"):
-        security.mutual_information_22("hint")
+    assert all(len(column) == 512 for column in every_branch(protocol.NO_ATTACK).values())
 
 
 def test_unknown_view_message_is_unchanged():
@@ -304,11 +284,16 @@ def test_token_rounds_with_equal_steps_have_equal_branches():
 def test_rates_read_each_round_off_the_token_rows_a_run_draws():
     # The run's columns hold every token round's (code, record) branches,
     # read off its step list's stacked table at the run's pairs: they are
-    # the round's statevec branches on its own pairs.
+    # the round's statevec branches on its own pairs.  A round's branches
+    # are the run's branches where only its own coins vary.
     for attack in every_attack():
-        run = security._run_columns(attack)
-        for receiver, names in ((RECEIVER_1, ("pair1", "record1")), (RECEIVER_2, ("pair2", "record2"))):
-            code, record = (run[name].reshape(-1).tolist() for name in names)
+        width1, width2, splitting = protocol._coin_widths(attack)
+        for receiver, names, width, shift in (
+            (RECEIVER_1, ("pair1", "record1"), width1, width2 + splitting),
+            (RECEIVER_2, ("pair2", "record2"), width2, splitting),
+        ):
+            run = security._run_columns(attack, np.arange(1 << width) << shift)
+            code, record = (run[name].tolist() for name in names)
             share = Fraction(1, len(code))
             rows = [(share, BELL_LABELS[c], BELL_LABELS[r]) for c, r in zip(code, record)]
             assert sorted(rows) == sorted(token_branches(receiver, attack)), attack
@@ -326,8 +311,8 @@ def test_sent_token_codes_are_sent_tokens():
         assert (BELL_LABELS[token_r1], token_r2) == mask_tokens(*labels, cipher)
     names = ("pair1", "pair2", "swap", "cipher", "token_r1", "token_r2")
     for attack in every_attack():
-        run = security._run_columns(attack)
-        columns = [column.reshape(-1).tolist() for column in np.broadcast_arrays(*map(run.get, names))]
+        run = every_branch(attack)
+        columns = [run[name].tolist() for name in names]
         for code1, code2, swap, cipher, token_r1, token_r2 in zip(*columns):
             labels = BELL_LABELS[code1], BELL_LABELS[code2], BELL_LABELS[swap]
             assert (BELL_LABELS[token_r1], token_r2) == sent_tokens(*labels, cipher, attack), attack
