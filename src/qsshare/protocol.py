@@ -170,10 +170,17 @@ def philox_words(keys: np.ndarray, count: int) -> np.ndarray:
     return np.stack((x0, x1, x2, x3), axis=-1).reshape(len(keys), 4 * blocks)[:, :count]
 
 
-def fair_coins(keys: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` coins ``make_rng(k)`` gives each key, read as
-    :func:`_draw` reads them: 1 when the raw word is below 2^63."""
-    return philox_words(keys, count) < np.uint64(_COIN_BELOW)
+def coin_index(keys: np.ndarray, count: int) -> np.ndarray:
+    """The branch index the first ``count`` coins of ``make_rng(k)`` give
+    each uint64 key ``k``, read as :func:`_draw` reads them: coin j is 1
+    when raw word j is below 2^63, and the first coin is the most
+    significant bit.  ``count`` is below 64, so an index fits an int64.
+
+    Each key's coins fill the low bits of a 64-bit row, so packing the rows
+    one after another gives each index as one big-endian word."""
+    bits = np.zeros((len(keys), 64), dtype=bool)
+    np.less(philox_words(keys, count), np.uint64(_COIN_BELOW), out=bits[:, 64 - count :])
+    return np.packbits(bits).view(">i8").astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -755,20 +762,25 @@ def prepare_splitting_register(secret: StateVector, pair1: BellLabel, pair2: Bel
     return state
 
 
-def _coin_widths(attack: AttackModel) -> list[int]:
-    # The coins a seeded (2,2) run under the attack draws in each phase, in
-    # draw order: the index widths of R1's and R2's stacked token tables and
-    # of the splitting one, whose inputs each have the same number of branches.
+def _run_tables(attack: AttackModel) -> list[np.ndarray]:
+    # The stacked tables a seeded (2,2) run under the attack draws from, in
+    # draw order: R1's and R2's token rounds, then the splitting phase.
     tables = [
         _stacked_branches("token", token_steps(target, attack)) for target in _TOKEN_TARGETS.values()
     ]
     tables.append(_stacked_branches("splitting", splitting_steps(attack, True)))
+    return tables
+
+
+def _coin_widths(tables: list[np.ndarray]) -> list[int]:
+    # The coins a run draws from each of its tables (_run_tables): the width
+    # of a table's branch index, the same for every input.
     return [table.shape[-2].bit_length() - 1 for table in tables]
 
 
 def coin_count(attack: AttackModel) -> int:
     """How many coins a seeded (2,2) run under the attack draws in all."""
-    return sum(_coin_widths(attack))
+    return sum(_coin_widths(_run_tables(attack)))
 
 
 def _record_splitting(transcript: _TranscriptBuilder, results: Mapping) -> None:

@@ -12,8 +12,8 @@ The branches are the tables the sampled runs draw from
 every input's 2^d equal shares, from one symbolic stabilizer pass on the
 phase's reference register whose generators carry each input bit as a
 sign symbol.  :func:`_run_columns` reads a (2,2) run under an attack at
-any of its equally likely branches, indexed by the secret, then the coins
-in draw order, as int columns; the 512 randomness/secret cases of an
+every one of its equally likely branches, indexed by the secret, then the
+coins in draw order, as int columns; the 512 randomness/secret cases of an
 honest run are its :data:`NO_ATTACK` branches.  The circuit is a
 stabilizer circuit, so every column is affine over GF(2) in the branch
 bits, fixed by its values at the 2 + coins basis branches (:func:`_basis`),
@@ -121,10 +121,10 @@ def enumerate_honest_cases() -> tuple[HonestCase, ...]:
     be the (swap, teleport) pair with ``4*swap + tele == j``.  A repeated
     pair would mean the cipher qubit has not collapsed.
     """
-    branches = np.arange(2 << protocol.coin_count(NO_ATTACK))
+    run = _run_columns(NO_ATTACK, every=True)
+    branches = np.arange(len(run["secret"]))
     if len(branches) != 512:
         raise AssertionError(f"{len(branches)} honest branches, expected 512")
-    run = _run_columns(NO_ATTACK, branches)
     if (4 * run["swap"] + run["tele"] != branches & 15).any():
         raise AssertionError("cipher qubit not collapsed")
     labels = product((0, 1), BELL_LABELS, BELL_LABELS, BELL_LABELS, BELL_LABELS)
@@ -258,37 +258,41 @@ def encrypted_qubit_mixedness_55(
 _XOR_CODES = np.bitwise_xor.outer(np.arange(4), np.arange(4))
 
 
-def _run_columns(attack: AttackModel, branches: np.ndarray) -> dict[str, np.ndarray]:
-    """A (2,2) run under the attack at each of ``branches``, flat int
-    indices of its equally likely branches, as int columns shaped like
-    ``branches``: ``secret``, the receivers' codes ``pair1`` and ``pair2``,
-    the sender's records ``record1`` and ``record2``, ``swap``, ``tele``,
-    ``cipher``, and the tokens the sender receives, ``token_r1`` and
-    ``token_r2`` (:func:`mask_tokens` on the code columns, XOR the attack's
-    fixed alteration, read off the input that masks to (Φ+, 0)).
+def _run_columns(attack: AttackModel, *, every: bool) -> dict[str, np.ndarray]:
+    """A (2,2) run under the attack at every one of its equally likely
+    branches, in index order, or else at its basis branches (:func:`_basis`),
+    as int columns: ``secret``, the receivers' codes ``pair1`` and
+    ``pair2``, the sender's records ``record1`` and ``record2``, ``swap``,
+    ``tele``, ``cipher``, and the tokens the sender receives, ``token_r1``
+    and ``token_r2`` (:func:`mask_tokens` on the code columns, XOR the
+    attack's fixed alteration, read off the input that masks to (Φ+, 0)).
 
     A branch's index is the run's secret, then its coins in draw order,
     the first most significant (:func:`protocol._draw`), so these are the
     rows a run draws: each token round reads its table at the run's pairs
     (:data:`protocol.DEFAULT_AUTH_PAIRS`), with the record inferred from
-    the observed outcome (:func:`infer_remote_bsm`).
+    the observed outcome (:func:`infer_remote_bsm`).  The run's three
+    stacked tables are read once, and their widths give the branch bits.
     """
-    widths = protocol._coin_widths(attack)
+    tables = protocol._run_tables(attack)
+    widths = protocol._coin_widths(tables)
     shift = sum(widths)
+    bits = 1 + shift
+    branches = np.arange(1 << bits) if every else np.array([0] + [1 << i for i in reversed(range(bits))])
     secret, coins = branches >> shift, []
     for width in widths:
         shift -= width
         coins.append(branches >> shift & (1 << width) - 1)
     rounds = []
-    for (receiver, target), coin in zip(protocol._TOKEN_TARGETS.items(), coins):
+    for (receiver, target), table, coin in zip(protocol._TOKEN_TARGETS.items(), tables, coins):
         pairs = tuple(map(_code, protocol.DEFAULT_AUTH_PAIRS[receiver]))
         steps = protocol.token_steps(target, attack)
-        rows = _stacked_branches("token", steps)[(*pairs, coin)]
+        rows = table[(*pairs, coin)]
         code, observed = (rows[..., i] for i in protocol._positions(steps, "code", "observed"))
         rounds.append((code, infer_remote_bsm(*pairs, observed)))
     (pair1, record1), (pair2, record2) = rounds
     steps = protocol.splitting_steps(attack, True)
-    rows = _stacked_branches("splitting", steps)[secret, record1, record2, coins[2]]
+    rows = tables[2][secret, record1, record2, coins[2]]
     swap, tele, cipher = (rows[..., i] for i in protocol._positions(steps, "swap", "tele", "cipher"))
     token_r1, token_r2 = mask_tokens(pair1, pair2, swap, cipher)
     alter_r1, alter_r2 = sent_tokens(PHI_PLUS, PHI_PLUS, PHI_PLUS, 0, attack)
@@ -304,8 +308,7 @@ def _basis(attack: AttackModel) -> dict[str, np.ndarray]:
     at each single-bit branch, the secret's and each coin's in draw order:
     an affine column's value at any branch is its value at zero XOR the
     flips of the branch's set bits."""
-    bits = 1 + protocol.coin_count(attack)
-    return _run_columns(attack, np.array([0] + [1 << i for i in reversed(range(bits))]))
+    return _run_columns(attack, every=False)
 
 
 def exact_detection_rate(attack: AttackModel) -> Fraction:
@@ -314,7 +317,13 @@ def exact_detection_rate(attack: AttackModel) -> Fraction:
     of five bits (:func:`protocol._accepts`) on the run's affine columns,
     so it is balanced, 1/2, when the secret or any coin flips it
     (:func:`_basis`), and otherwise constant at its value at zero."""
-    rejected = _rejected(_basis(attack))
+    return _detection_rate(_basis(attack))
+
+
+def _detection_rate(basis: dict[str, np.ndarray]) -> Fraction:
+    # The rejection rate a run's basis (_basis) gives: 1/2 when a basis
+    # branch flips the rejection parity, and otherwise its value at zero.
+    rejected = _rejected(basis)
     return Fraction(1, 2) if (rejected != rejected[0]).any() else Fraction(int(rejected[0]))
 
 
@@ -374,13 +383,36 @@ def interval_around_rate(rate: float, trials: int, z: float = Z_99) -> tuple[flo
 _CHUNK_TRIALS = 4096
 
 
+class _SweepRecord(NamedTuple):
+    """What the sweeps know of the run under one attack (:func:`_leaf_table`)."""
+
+    keys: np.ndarray  # the leaf key of each branch, by branch index
+    leaves: list[tuple[bool, tuple[str, ...]] | None]  # a slot per key
+    basis: dict[str, np.ndarray]  # the run at its basis branches (_basis)
+
+    @property
+    def coins(self) -> int:
+        # A run draws this many coins: the keys cover 2 << coins branches.
+        return len(self.keys).bit_length() - 2
+
+
 @lru_cache(maxsize=None)
-def _leaf_table(attack: AttackModel) -> tuple[np.ndarray, list[tuple[bool, tuple[str, ...]] | None]]:
-    # The leaf key of every branch of the run (_run_columns): the tokens'
-    # payload bits 2*token_r1 + token_r2, plus 8*tele with tele 4 on
-    # rejection; and a slot per key for a run's rejection and first three payloads.
-    run = _run_columns(attack, np.arange(2 << protocol.coin_count(attack)))
-    return 2 * run["token_r1"] + run["token_r2"] + 8 * np.where(_rejected(run), 4, run["tele"]), [None] * 40
+def _leaf_table(attack: AttackModel) -> _SweepRecord:
+    # The sweeps' record of the run under the attack: the leaf key of every
+    # branch (_run_columns), the tokens' payload bits 2*token_r1 + token_r2
+    # plus 8*tele, with tele 4 on rejection; a slot per key for a run's
+    # rejection and first three payloads, filled as trials reach it; and
+    # the run's basis, read-only, which gives the exact rate.  The share of
+    # rejecting keys (key >= 32) must be that rate.
+    basis = _basis(attack)
+    run = _run_columns(attack, every=True)
+    keys = 2 * run["token_r1"] + run["token_r2"] + 8 * np.where(_rejected(run), 4, run["tele"])
+    rate = _detection_rate(basis)
+    if Fraction(int(np.count_nonzero(keys >= 32)), len(keys)) != rate:
+        raise AssertionError(f"{attack.spec_string}: the leaf keys disagree with the basis rate {rate}")
+    for column in (keys, *basis.values()):
+        column.flags.writeable = False
+    return _SweepRecord(keys, [None] * 40, basis)
 
 
 def _trial_keys(seed: int, start: int, stop: int) -> np.ndarray:
@@ -394,19 +426,19 @@ def _trial_leaves(attack: AttackModel, trials: int, seed: int):
 
     Trial ``i`` runs with seed ``(seed + i) mod 2^64`` and secret ``i mod 2``.
     A run's transcript is a function of the attack, its secret and its
-    :func:`protocol.coin_count` coins, apart from the seed in its header, so
-    the trials' coins are computed in one numpy pass per chunk
-    (:func:`protocol.fair_coins`) and index the leaf keys of the run's
-    branches (:func:`_leaf_table`).  A key's first trial runs in full
+    coins, apart from the seed in its header, so the trials' coins are
+    computed in one numpy pass per chunk, packed straight into branch
+    indices (:func:`protocol.coin_index`), and index the leaf keys of the
+    run's branches in the attack's record (:func:`_leaf_table`), which also
+    gives the coin count.  A key's first trial runs in full
     (:func:`run_qss22`), and its payloads must encode to the key.
     """
-    coins = protocol.coin_count(attack)
-    keys, leaves = _leaf_table(attack)
-    weights = 1 << np.arange(coins)[::-1]
+    record = _leaf_table(attack)
+    keys, leaves, coins = record.keys, record.leaves, record.coins
     for start in range(0, trials, _CHUNK_TRIALS):
         stop = min(start + _CHUNK_TRIALS, trials)
         seeds = _trial_keys(seed, start, stop)
-        drawn = keys[(np.arange(start, stop) & 1) << coins | protocol.fair_coins(seeds, coins) @ weights]
+        drawn = keys[(np.arange(start, stop) & 1) << coins | protocol.coin_index(seeds, coins)]
         counts = np.bincount(drawn, minlength=len(leaves)).tolist()
         for key in (key for key, count in enumerate(counts) if count and leaves[key] is None):
             i = int(np.argmax(drawn == key))
@@ -421,7 +453,9 @@ def _trial_leaves(attack: AttackModel, trials: int, seed: int):
 
 def attack_sweep(attack: AttackModel, trials: int, seed: int) -> AttackSweepReport:
     """Run the (2,2) scheme ``trials`` times under the attack and compare the
-    rejection fraction with the exact rate (:func:`exact_detection_rate`).
+    rejection fraction with the exact rate (:func:`exact_detection_rate`),
+    read off the basis in the attack's record (:func:`_leaf_table`), so a
+    warm sweep evaluates no branch of the run.
 
     Trial ``i`` runs with seed ``(seed + i) mod 2^64`` and secret ``i mod 2``,
     so every trial is reproducible in isolation.  The sweep makes one full
@@ -433,7 +467,7 @@ def attack_sweep(attack: AttackModel, trials: int, seed: int) -> AttackSweepRepo
         raise ValueError("trials must be at least 1")
     detections = sum(count for (rejected, _), count in _trial_leaves(attack, trials, seed) if rejected)
     rate = detections / trials
-    exact = exact_detection_rate(attack)
+    exact = _detection_rate(_leaf_table(attack).basis)
     low, high = interval_around_rate(float(exact), trials)
     return AttackSweepReport(
         attack=attack.spec_string,
@@ -489,12 +523,14 @@ def public_transcript_uniformity(trials: int, seed: int) -> UniformityReport:
     Trial ``i`` is the honest run with seed ``(seed + i) mod 2^64`` and
     secret ``i mod 2``; its three public messages are counted, with one full
     run per distinct leaf (:func:`_trial_leaves`).  No trials report p = 1;
-    a negative count raises ``ValueError``.
+    a negative count raises ``ValueError``.  The exact checks read the
+    basis in the honest run's sweep record (:func:`_leaf_table`), so a warm
+    call evaluates no branch of the run.
     """
     trials, seed = operator.index(trials), operator.index(seed)
     if trials < 0:
         raise ValueError(f"trials must not be negative, got {trials}")
-    run = _basis(NO_ATTACK)
+    run = _leaf_table(NO_ATTACK).basis
     # In the order the run publishes them: the public-only view's columns.
     names = ("masked-swap-token", "masked-cipher-token", "published-teleport-bsm")
     empirical: dict[str, dict[str, int]] = {name: {} for name in names}

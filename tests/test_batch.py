@@ -179,10 +179,23 @@ def test_trial_keys_wrap_past_the_last_seed():
         assert row.tolist() == expected.tolist()
 
 
-def test_fair_coins_are_the_draws_a_run_compares():
-    coins = protocol.fair_coins(np.array(KEY_GRID, dtype=np.uint64), 10)
-    for key, row in zip(KEY_GRID, coins):
-        assert row.tolist() == (protocol.make_rng(key).random_raw(10) < 2**63).tolist(), key
+def test_coin_indices_are_the_draws_a_run_compares():
+    # Each key's index is the row _draw reads off a table of 2^n branches,
+    # and its bits, first coin most significant, are the raw words a run
+    # compares with 2^63; n crosses the byte boundaries at 8 and 16.
+    for count in range(18):
+        indices = protocol.coin_index(np.array(KEY_GRID, dtype=np.uint64), count)
+        assert indices.shape == (len(KEY_GRID),) and indices.dtype == np.int64
+        for key, index in zip(KEY_GRID, indices.tolist()):
+            assert index == protocol._draw(np.arange(1 << count), protocol.make_rng(key)), (key, count)
+            coins = [index >> j & 1 == 1 for j in reversed(range(count))]
+            assert coins == (protocol.make_rng(key).random_raw(count) < 2**63).tolist(), (key, count)
+
+
+@pytest.mark.parametrize("count", [0, 10])
+def test_coin_indices_of_no_keys(count):
+    indices = protocol.coin_index(np.array([], dtype=np.uint64), count)
+    assert indices.shape == (0,) and indices.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +319,7 @@ def test_a_warm_sweep_makes_no_run(counted_calls):
     first = report_to_jsonl(attack_sweep(attack, 500, 3)), report_to_jsonl(
         public_transcript_uniformity(500, 3)
     )
-    filled = sum(leaf is not None for a in (attack, NO_ATTACK) for leaf in security._leaf_table(a)[1])
+    filled = sum(leaf is not None for a in (attack, NO_ATTACK) for leaf in security._leaf_table(a).leaves)
     assert 0 < counted_calls["run_qss22"] == counted_calls["make_rng"] == filled <= 40 + 32
     counted_calls.update(run_qss22=0, make_rng=0)
     second = report_to_jsonl(attack_sweep(attack, 500, 3)), report_to_jsonl(
@@ -322,7 +335,7 @@ def test_leaf_tables_hold_a_key_per_branch_and_a_slot_per_key():
     for spec in SPECS:
         attack = AttackModel.from_spec(spec)
         attack_sweep(attack, 3000, 1)
-        keys, leaves = security._leaf_table(attack)
+        keys, leaves, _ = security._leaf_table(attack)
         rate = security.exact_detection_rate(attack)
         assert len(keys) == 2 * 2 ** protocol.coin_count(attack) and len(leaves) == 40
         assert len(set(keys.tolist())) == {0: 32, 1: 8}.get(rate, 40), spec
@@ -351,7 +364,7 @@ def test_every_coin_pattern_of_a_run_reaches_the_leaf_key_of_its_branch(monkeypa
     # in which the run draws them and the sweeps index the table.
     for attack in every_attack():
         coins = protocol.coin_count(attack)
-        keys, _ = security._leaf_table(attack)
+        keys = security._leaf_table(attack).keys
         for branch, key in enumerate(keys.tolist()):
             rng = FixedCoins(branch >> j & 1 for j in reversed(range(coins)))
             monkeypatch.setattr(protocol, "make_rng", lambda seed: rng)
@@ -387,3 +400,69 @@ def test_exact_rates_read_no_leaf_table():
     for spec in SPECS:
         security.exact_detection_rate(AttackModel.from_spec(spec))
     assert security._leaf_table.cache_info()[:2] == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# The sweep record: leaf keys, leaf slots and the run's basis.
+
+def test_sweep_rates_are_the_exact_rates_cold_and_warm():
+    # A sweep reads its exact rate off the basis its record holds, through
+    # the helper exact_detection_rate uses: the first sweep of each model
+    # builds the record, the second reads it.
+    security._leaf_table.cache_clear()
+    for attack in every_attack():
+        exact = security.exact_detection_rate(attack)
+        for misses in (1, 0):
+            before = security._leaf_table.cache_info().misses
+            report = attack_sweep(attack, 20, 0)
+            assert security._leaf_table.cache_info().misses - before == misses, attack
+            assert report.exact_rate_rational == f"{exact.numerator}/{exact.denominator}", attack
+
+
+def test_records_hold_a_read_only_basis_and_the_coin_count():
+    for attack in every_attack():
+        record = security._leaf_table(attack)
+        assert record.coins == protocol.coin_count(attack), attack
+        assert not record.keys.flags.writeable, attack
+        basis = security._basis(attack)
+        assert record.basis.keys() == basis.keys(), attack
+        for name, column in record.basis.items():
+            assert not column.flags.writeable and (column == basis[name]).all(), (attack, name)
+
+
+def test_a_warm_sweep_evaluates_no_branch_of_the_run(monkeypatch):
+    attack = AttackModel.from_spec("intercept-resend-computational:auth-r2")
+    first = report_to_jsonl(attack_sweep(attack, 300, 4)), report_to_jsonl(
+        public_transcript_uniformity(300, 4)
+    )
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a warm sweep evaluated the run's branches")
+
+    monkeypatch.setattr(security, "_run_columns", forbidden)
+    second = report_to_jsonl(attack_sweep(attack, 300, 4)), report_to_jsonl(
+        public_transcript_uniformity(300, 4)
+    )
+    assert second == first
+
+
+def test_a_record_whose_basis_disagrees_with_its_keys_raises(monkeypatch):
+    # R2's token is one bit of the sender's parity, so flipping it on every
+    # basis branch turns the honest run's rate of 0 into 1, while the keys,
+    # read off every branch, still reject none.
+    real_basis = security._basis
+
+    def flipped(attack):
+        basis = real_basis(attack)
+        basis["token_r2"] ^= 1
+        return basis
+
+    monkeypatch.setattr(security, "_basis", flipped)
+    security._leaf_table.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="basis rate 1"):
+            attack_sweep(NO_ATTACK, 10, 0)
+        with pytest.raises(AssertionError, match="basis rate 1"):
+            public_transcript_uniformity(10, 0)
+    finally:
+        security._leaf_table.cache_clear()

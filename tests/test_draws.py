@@ -78,10 +78,11 @@ def test_runs_read_the_words_a_generator_drew_from():
     # The layout of a run's words, against the Generator draws the runs
     # once made: a qss22 run's coins are random() < 1/2, and a qss55 run
     # drew integers(4) twice, then four such coins.
-    coins = protocol.fair_coins(LAYOUT_KEYS, 10)
+    indices = protocol.coin_index(LAYOUT_KEYS, 10)
+    coins = [[index >> j & 1 == 1 for j in reversed(range(10))] for index in indices.tolist()]
     word0 = protocol.philox_words(LAYOUT_KEYS, 1)[:, 0]
     pair_codes = np.stack([word0 >> 30 & 3, word0 >> 62], axis=1)
-    for key, row, codes in zip(LAYOUT_KEYS.tolist(), coins.tolist(), pair_codes.tolist()):
+    for key, row, codes in zip(LAYOUT_KEYS.tolist(), coins, pair_codes.tolist()):
         qss22 = np.random.Generator(np.random.Philox(key=key))
         assert row == [qss22.random() < 0.5 for _ in range(10)], key
         qss55 = np.random.Generator(np.random.Philox(key=key))

@@ -468,7 +468,7 @@ def every_branch(attack):
     """The run's int columns (``security._run_columns``) at every one of
     its 2^(1 + coins) branches, in index order: the secret, then the coins
     in draw order."""
-    return security._run_columns(attack, np.arange(2 << protocol.coin_count(attack)))
+    return security._run_columns(attack, every=True)
 
 
 def splitting_register(secret, pair1, pair2):

@@ -207,17 +207,17 @@ def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
     # The tables come from the symbolic pass: no state vector, cold or warm.
     assert seen == []
     # Each rate reads both token rounds' tables and one splitting table
-    # three times: for the coin count of its basis, for the coin widths the
-    # run's columns split a branch index by, and for the columns.  Five
-    # splitting and three token step lists, each built once and read again
-    # by the specs that share it; security's name is the same lru object,
-    # so the benchmark's cold pass empties every one.
+    # once: their widths split a branch index into the basis branches, and
+    # the same tables give the columns there.  Five splitting and three
+    # token step lists, each built once and read again by the specs that
+    # share it; security's name is the same lru object, so the benchmark's
+    # cold pass empties every one.
     phases = [phase for phase, _ in read]
-    assert (phases.count("token"), phases.count("splitting")) == (78, 39)
+    assert (phases.count("token"), phases.count("splitting")) == (26, 13)
     assert len({key for key in read if key[0] == "splitting"}) == 5
     assert len({key for key in read if key[0] == "token"}) == 3
     assert security._splitting_branches is real_table
-    assert real_table.cache_info()[:2] == (109, 8)
+    assert real_table.cache_info()[:2] == (31, 8)
 
 
 def package_modules():

@@ -131,16 +131,17 @@ def evaluated(monkeypatch):
     counts = []
     real = security._run_columns
 
-    def counted(attack, branches):
-        counts.append(len(branches))
-        return real(attack, branches)
+    def counted(attack, *, every):
+        run = real(attack, every=every)
+        counts.append(len(run["secret"]))
+        return run
 
     monkeypatch.setattr(security, "_run_columns", counted)
     return counts
 
 
 def test_each_exact_result_evaluates_the_run_at_its_basis_branches(evaluated):
-    security._leaf_table(NO_ATTACK)  # the sweep's leaf keys read every branch
+    security._leaf_table(NO_ATTACK)  # the honest run's sweep record: its keys and basis
     evaluated.clear()
     security.exact_detection_rate(NO_ATTACK)
     security.exact_detection_rate(AttackModel.from_spec("intercept-resend-computational:auth-r2"))
@@ -153,6 +154,8 @@ def test_each_exact_result_evaluates_the_run_at_its_basis_branches(evaluated):
         evaluated.clear()
         security.mutual_information_22(view)
         assert evaluated == [10], view
+    # The uniformity check reads the basis the honest run's sweep record
+    # holds, so it evaluates no branch.
     evaluated.clear()
     security.public_transcript_uniformity(100, 0)
-    assert evaluated == [10]
+    assert evaluated == []

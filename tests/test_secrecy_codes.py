@@ -287,13 +287,14 @@ def test_rates_read_each_round_off_the_token_rows_a_run_draws():
     # the round's statevec branches on its own pairs.  A round's branches
     # are the run's branches where only its own coins vary.
     for attack in every_attack():
-        width1, width2, splitting = protocol._coin_widths(attack)
+        width1, width2, splitting = protocol._coin_widths(protocol._run_tables(attack))
+        run = every_branch(attack)
         for receiver, names, width, shift in (
             (RECEIVER_1, ("pair1", "record1"), width1, width2 + splitting),
             (RECEIVER_2, ("pair2", "record2"), width2, splitting),
         ):
-            run = security._run_columns(attack, np.arange(1 << width) << shift)
-            code, record = (run[name].tolist() for name in names)
+            branches = np.arange(1 << width) << shift
+            code, record = (run[name][branches].tolist() for name in names)
             share = Fraction(1, len(code))
             rows = [(share, BELL_LABELS[c], BELL_LABELS[r]) for c, r in zip(code, record)]
             assert sorted(rows) == sorted(token_branches(receiver, attack)), attack
