@@ -11,7 +11,7 @@ import argparse
 import math
 import sys
 
-from . import bell, security, statevec
+from . import bell, statevec
 from .protocol import MAX_SEED, NO_ATTACK, AttackModel, run_qss22, run_qss55
 
 EXIT_OK = 0
@@ -161,6 +161,8 @@ def cmd_verify_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import security
+
     if (args.view is None) == (args.attack is None):
         raise UsageError("analyze needs exactly one of --view or --attack")
     _check_seed(args.seed)
@@ -211,7 +213,7 @@ def build_parser() -> _Parser:
     verify_parser.set_defaults(func=cmd_verify_tables)
 
     analyze_parser = sub.add_parser("analyze", help="secrecy / attack analysis")
-    analyze_parser.add_argument("--view", default=None, help=f"one of: {', '.join(security.VIEW_NAMES)}")
+    analyze_parser.add_argument("--view", default=None, help="adversary view to analyze")
     analyze_parser.add_argument("--attack", default=None, help="attack spec to sweep")
     analyze_parser.add_argument("--trials", type=int, default=10000)
     analyze_parser.add_argument("--seed", type=int, default=0)

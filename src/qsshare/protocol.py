@@ -29,6 +29,7 @@ import json
 import operator
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -467,7 +468,7 @@ def validate_transcript(transcript: Transcript) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Phase steps and their branch tables.
+# Phase steps and their linear maps.
 
 class Step(NamedTuple):
     """One step of a phase: ``kind`` ``"z"`` measures ``qubits[0]`` in the
@@ -521,47 +522,30 @@ def splitting_steps(attack: AttackModel, measure_cipher: bool) -> tuple[Step, ..
     return steps
 
 
-def _named(steps: tuple[Step, ...], outcomes: tuple) -> dict:
-    # The outcomes of the measurement steps, in step order, by name; the
-    # eavesdropper's outcomes join into one bit string, in step order.
-    results: dict = {}
-    for step, outcome in zip((step for step in steps if step.kind != "ancilla"), outcomes):
-        if step.name == "eve":
-            bits = outcome.bits if isinstance(outcome, BellLabel) else str(outcome)
-            results["eve"] = results.get("eve", "") + bits
-        else:
-            results[step.name] = outcome
-    return results
-
-
-def _positions(steps: tuple[Step, ...], *names: str) -> list[int]:
-    # Where the outcome of each named step sits in a branch table's row.
-    measured = [step.name for step in steps if step.kind != "ancilla"]
-    return [measured.index(name) for name in names]
-
-
 def _code(outcome):
     # A 2-bit value (a Bell label or a Pauli correction) as its code
     # 2*z + x; anything else (a bit, a code, an int array) is its own code.
     return 2 * outcome.z + outcome.x if isinstance(outcome, (BellLabel, PauliCorrection)) else outcome
 
 
-def _draw(table, rng: np.random.Philox):
-    # The row of a branch table (one input's rows of a stacked table) that
-    # the coins of ``rng``'s next raw words, most significant first, index.
-    index = 0
-    for word in rng.random_raw(len(table).bit_length() - 1).tolist():
-        index = 2 * index + (word < _COIN_BELOW)
-    return table[index]
+def _draw(word: int, coins: tuple[int, ...], rng: np.random.Philox) -> int:
+    # ``word`` XOR the columns of the coins that ``rng``'s next raw words
+    # draw, one word per coin, in order: coin j is 1 when word j is below
+    # 2^63.
+    for column, raw in zip(coins, rng.random_raw(len(coins)).tolist()):
+        if raw < _COIN_BELOW:
+            word ^= column
+    return word
 
 
 # Each phase's reference register, which prepare_token_register or
 # prepare_splitting_register builds at all-zero inputs: whether the
 # splitting secret |0> sits on qubit 0, and each Φ+ pair's qubits.  Every
-# input bit is a sign symbol of its stabilizer generators (_coin_parities):
-# a secret bit s is X^s on qubit 0, so it flips the sign of Z on it, and a
-# pair's code (z, x) is Z^z X^x on one of its qubits, so it flips the
-# pair's XX by z and its ZZ by x.
+# input bit is a sign symbol of its stabilizer generators (_coin_parities),
+# in input order, so it has one input column of the phase's map
+# (_linear_map): a secret bit s is X^s on qubit 0, so it flips the sign of
+# Z on it, and a pair's code (z, x) is Z^z X^x on one of its qubits, so it
+# flips the pair's XX by z and its ZZ by x.
 _REFERENCES = {"token": (False, ((0, 1), (3, 2))), "splitting": (True, ((1, 2), (4, 3)))}
 
 # The symbolic pass writes a Pauli as one int: qubit q's X bit is bit q and
@@ -587,7 +571,7 @@ def _product_sign(generators: list[list[int]], pauli: int) -> int:
 def _coin_parities(phase: str, steps: tuple[Step, ...]) -> tuple[list[int], int, int]:
     """One symbolic stabilizer pass of ``steps`` on the phase's reference
     register (Aaronson & Gottesman, PRA 70, 052328, 2004): each outcome
-    bit, in table order (a Bell step's z bit, then its x bit), as the mask
+    bit, in word order (a Bell step's z bit, then its x bit), as the mask
     of the symbols it is the XOR of, then the numbers of input symbols and
     of coins.  Symbol i below the input count is the phase's i-th input
     bit, most significant first; the fair coins sit above them.
@@ -641,51 +625,94 @@ def _coin_parities(phase: str, steps: tuple[Step, ...]) -> tuple[list[int], int,
     return bits, inputs, coins - inputs
 
 
-def _span(parities: list[int], symbols: range) -> np.ndarray:
-    # The XOR of every subset of the symbols' columns, indexed by the
-    # subset's bits, the first symbol most significant.  A column is the
-    # outcome bits that read the symbol, the first bit most significant.
-    span = [0]
-    for symbol in symbols:
-        column = int("".join(str(mask >> symbol & 1) for mask in parities), 2)
-        span = [s ^ t for s in span for t in (0, column)]
-    return np.array(span, dtype=np.int64)
+class _LinearMap(NamedTuple):
+    """A step list's outcomes on one phase (:func:`_linear_map`) as a GF(2)
+    map of packed ints.  A word packs every outcome bit, in step order and a
+    Bell step's z bit before its x bit, the first bit most significant; a
+    column is the outcome bits one symbol flips."""
+
+    inputs: tuple[int, ...]  # each input bit's column, the first input bit first
+    coins: tuple[int, ...]  # each coin's column, in draw order
+    # Each step name's (shift, width) in a word: the eavesdropper's steps,
+    # always adjacent, share one field.
+    fields: Mapping[str, tuple[int, int]]
 
 
 @lru_cache(maxsize=None)
-def _stacked_branches(phase: str, steps: tuple[Step, ...]) -> np.ndarray:
-    """The branch table of ``steps`` for every input of the ``phase``,
-    int-coded: shaped (*inputs, B, M) by input codes, branch and measurement
-    step, each outcome ``2*z + x`` for a Bell step and the bit for a
-    computational one, the eavesdropper's included.  A token table is
-    (4, 4, B, M), a splitting table (2, 4, 4, B, M).
+def _linear_map(phase: str, steps: tuple[Step, ...]) -> _LinearMap:
+    """The outcomes of ``steps`` for every input of the ``phase``: one
+    symbolic pass (:func:`_coin_parities`) gives each outcome bit as a
+    parity of input bits and d fair coins, so an input's 2^d branches are
+    equally likely by construction.  Branch i of an input is the XOR of the
+    columns of the input's set bits and of i's set bits, read against the
+    coins most significant first (:func:`_draw`), and the branches come out
+    in ascending order of their words.
 
-    One symbolic pass (:func:`_coin_parities`) gives each outcome bit as a
-    parity of input bits and d fair coins, so every input's B = 2^d rows
-    are equally likely by construction.  With a row's bits read as one
-    binary number, a symbol's column is the outcome bits that read it: an
-    input's rows are the XOR of its set input columns with each element of
-    the span of the coins' columns, sorted by bits (a Bell outcome by its z
-    bit, then its x bit) for :func:`_draw`.
+    The coins' columns are in reduced echelon form, each with its pivot at
+    the outcome bit that drew it: that bit reads the new coin alone, and no
+    earlier bit reads it.  So no other column sets a coin's pivot, every
+    input column is already reduced against the coins, and ordering the
+    coins by pivot, highest first, orders each input's branches by word.
+    That is the order a run draws them in, not always the pass's: a Bell
+    step's x bit draws its coin before its z bit does.
     """
     parities, inputs, coins = _coin_parities(phase, steps)
-    rows = _span(parities, range(inputs))[:, None] ^ _span(parities, range(inputs, inputs + coins))
-    rows.sort(axis=1)
-    widths = [2 if step.kind == "bell" else 1 for step in steps if step.kind != "ancilla"]
-    shifts = np.array([sum(widths[i + 1 :]) for i in range(len(widths))])
-    table = (rows[..., None] >> shifts) & np.array([(1 << width) - 1 for width in widths])
-    secret, pairs = _REFERENCES[phase]
-    table = table.reshape((2,) * secret + (4,) * len(pairs) + table.shape[1:])
-    table.flags.writeable = False
-    return table
+    columns = [0] * (inputs + coins)
+    for mask in parities:
+        columns = [column << 1 | mask >> symbol & 1 for symbol, column in enumerate(columns)]
+    fields, shift = {}, len(parities)
+    for step in steps:
+        if step.kind != "ancilla":
+            width = 2 if step.kind == "bell" else 1
+            shift -= width
+            if step.name in fields:
+                end, joined = fields[step.name]
+                assert step.name == "eve" and end == shift + width, f"{step.name} steps repeat apart"
+                width += joined
+            fields[step.name] = shift, width
+    coin_columns = sorted(columns[inputs:], reverse=True)
+    return _LinearMap(tuple(columns[:inputs]), tuple(coin_columns), MappingProxyType(fields))
+
+
+def _xor_columns(columns: tuple[int, ...], index):
+    # The XOR of the columns of index's set bits, the first column the most
+    # significant bit: ints, or int arrays element by element.
+    word = 0
+    for bit, column in enumerate(reversed(columns)):
+        word ^= (index >> bit & 1) * column
+    return word
+
+
+def _field(word, field: tuple[int, int]):
+    # One field's outcome (_LinearMap.fields) in a word or word array.
+    shift, width = field
+    return word >> shift & (1 << width) - 1
+
+
+def _input_index(inputs: tuple) -> int:
+    # A phase's input codes as one index, the first most significant: only
+    # the first, a splitting phase's secret, may be a bit.
+    index = 0
+    for value in inputs:
+        index = 4 * index + _code(value)
+    return index
 
 
 def _draw_named(phase: str, steps: tuple[Step, ...], inputs: tuple, rng) -> dict:
-    # The outcomes by name (_named) of the row of the input's stacked
-    # branches that ``rng``'s fair coins index; ``inputs`` are labels or bits.
-    row = _draw(_stacked_branches(phase, steps)[tuple(map(_code, inputs))], rng).tolist()
-    kinds = (step.kind for step in steps if step.kind != "ancilla")
-    return _named(steps, [BELL_LABELS[c] if kind == "bell" else c for kind, c in zip(kinds, row)])
+    # The outcomes by step name of the branch of the input that ``rng``'s
+    # fair coins draw; ``inputs`` are labels or bits.  The eavesdropper's
+    # outcomes read as one bit string, in step order, a Bell outcome as
+    # its label and a computational one as its bit.
+    linear_map = _linear_map(phase, steps)
+    word = _draw(_xor_columns(linear_map.inputs, _input_index(inputs)), linear_map.coins, rng)
+    results = {}
+    for name, field in linear_map.fields.items():
+        value, width = _field(word, field), field[1]
+        if name == "eve":
+            results[name] = format(value, f"0{width}b")
+        else:
+            results[name] = BELL_LABELS[value] if width == 2 else value
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -762,25 +789,17 @@ def prepare_splitting_register(secret: StateVector, pair1: BellLabel, pair2: Bel
     return state
 
 
-def _run_tables(attack: AttackModel) -> list[np.ndarray]:
-    # The stacked tables a seeded (2,2) run under the attack draws from, in
-    # draw order: R1's and R2's token rounds, then the splitting phase.
-    tables = [
-        _stacked_branches("token", token_steps(target, attack)) for target in _TOKEN_TARGETS.values()
-    ]
-    tables.append(_stacked_branches("splitting", splitting_steps(attack, True)))
-    return tables
-
-
-def _coin_widths(tables: list[np.ndarray]) -> list[int]:
-    # The coins a run draws from each of its tables (_run_tables): the width
-    # of a table's branch index, the same for every input.
-    return [table.shape[-2].bit_length() - 1 for table in tables]
+def _run_maps(attack: AttackModel) -> list[_LinearMap]:
+    # The maps a seeded (2,2) run under the attack draws from, in draw
+    # order: R1's and R2's token rounds, then the splitting phase.
+    maps = [_linear_map("token", token_steps(target, attack)) for target in _TOKEN_TARGETS.values()]
+    maps.append(_linear_map("splitting", splitting_steps(attack, True)))
+    return maps
 
 
 def coin_count(attack: AttackModel) -> int:
     """How many coins a seeded (2,2) run under the attack draws in all."""
-    return sum(_coin_widths(_run_tables(attack)))
+    return sum(len(linear_map.coins) for linear_map in _run_maps(attack))
 
 
 def _record_splitting(transcript: _TranscriptBuilder, results: Mapping) -> None:
@@ -1035,7 +1054,7 @@ def run_qss55(
     The sender draws both pair labels uniformly, runs the splitting circuit,
     and distributes the four classical pieces over private channels; R2
     keeps the unmeasured encrypted qubit.  The swap and teleport outcomes
-    come from the no-cipher splitting table at the pair codes drawn.  The
+    come from the no-cipher splitting map at the pair codes drawn.  The
     circuit is Clifford, so R2's qubit is the secret under the Pauli
     :func:`end_to_end_correction` of the pieces (Pauli-frame bookkeeping):
     no register is simulated, and the printed amplitudes are the secret's
@@ -1054,7 +1073,7 @@ def run_qss55(
     builder.classical(SENDER, RECEIVER_3, pair1.bits, private=True)
     builder.classical(SENDER, RECEIVER_4, pair2.bits, private=True)
     # The swap and teleport outcomes are uniform whatever the secret qubit
-    # (the teleportation property), so the table's secret-bit-0 rows serve.
+    # (the teleportation property), so the map's secret-bit-0 branches serve.
     results = _draw_named("splitting", splitting_steps(NO_ATTACK, False), (0, pair1, pair2), rng)
     swap, tele = results["swap"], results["tele"]
     _record_splitting(builder, results)

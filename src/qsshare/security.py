@@ -2,22 +2,24 @@
 
 The branch sets come from :mod:`protocol`, which writes each phase's
 measurements once as a step list (:func:`protocol.token_steps`,
-:func:`protocol.splitting_steps`) and tabulates it exactly: every branch
-of a token round or of the splitting phase, under any attack, as one of
-2^d equally likely rows.
+:func:`protocol.splitting_steps`) and reads it exactly: every branch of a
+token round or of the splitting phase, under any attack, is one of 2^d
+equally likely outcomes of a linear map over GF(2).
 
 Everything is computed on integer codes: 2-bit values as ``2*z + x``.
-The branches are the tables the sampled runs draw from
-(:func:`protocol._stacked_branches`): per token or splitting step list,
-every input's 2^d equal shares, from one symbolic stabilizer pass on the
-phase's reference register whose generators carry each input bit as a
-sign symbol.  :func:`_run_columns` reads a (2,2) run under an attack at
-every one of its equally likely branches, indexed by the secret, then the
-coins in draw order, as int columns; the 512 randomness/secret cases of an
-honest run are its :data:`NO_ATTACK` branches.  The circuit is a
-stabilizer circuit, so every column is affine over GF(2) in the branch
-bits, fixed by its values at the 2 + coins basis branches (:func:`_basis`),
-and each exact result is a rank question on those values:
+The maps are the ones the sampled runs draw from
+(:func:`protocol._linear_map`): per token or splitting step list, one
+symbolic stabilizer pass on the phase's reference register, whose
+generators carry each input bit as a sign symbol, gives each outcome bit
+as a parity of input bits and fair coins, packed into int columns.
+:func:`_run_columns` evaluates a (2,2) run under an attack at every one of
+its equally likely branches, indexed by the secret, then the coins in draw
+order, as int columns; the 512 randomness/secret cases of an honest run
+are its :data:`NO_ATTACK` branches.  Every column is affine over GF(2) in
+the branch bits, fixed by its values at the 2 + coins basis branches,
+which :func:`_basis` composes from the three maps on ints without
+evaluating the other branches, and each exact result is a rank question on
+those values:
 
 - a view (:data:`_VIEW_COLUMNS`) of an honest run gives 1 bit, with guess
   advantage 1/2, when the secret's flip of its columns lies outside the
@@ -27,7 +29,7 @@ and each exact result is a rank question on those values:
   sender's check, one parity of five bits (:func:`protocol._accepts`,
   which :func:`protocol.verify_authentication` also decides by), and
   otherwise that parity's value at zero.  Each token step list has one
-  table, so a cold pass over the README's 13 attacks makes three symbolic
+  map, so a cold pass over the README's 13 attacks makes three symbolic
   token passes;
 - the encrypted qubit's correction XORs the four pieces, so unknown pieces
   XOR-convolve a 4-bin histogram of corrections, and the averaged qubit is
@@ -61,7 +63,6 @@ from .protocol import (
     NO_ATTACK,
     AttackModel,
     _code,
-    _stacked_branches,
     mask_tokens,
     run_qss22,
     sent_tokens,
@@ -69,13 +70,18 @@ from .protocol import (
 
 REPORT_SCHEMA = "qss-report/1"
 
-# The stacked tables' lru cache, by the name the benchmark empties it through.
-_splitting_branches = _stacked_branches
+# The phase maps' lru cache, by the name the benchmark empties it through.
+_splitting_branches = protocol._linear_map
 
 # Normal quantile for a two-sided 99% interval.
 Z_99 = 2.5758293035489004
 
 PIECES = ("pair1", "pair2", "swap-bsm", "teleport-bsm")
+
+# Each token round's pair codes (protocol.DEFAULT_AUTH_PAIRS), in draw order.
+_TOKEN_PAIRS = [
+    tuple(map(_code, protocol.DEFAULT_AUTH_PAIRS[receiver])) for receiver in protocol._TOKEN_TARGETS
+]
 
 # The columns of an honest run (_run_columns) each adversary view sees.
 # ``r1-alone`` and ``public-only`` include a full tap of the public channel.
@@ -121,14 +127,15 @@ def enumerate_honest_cases() -> tuple[HonestCase, ...]:
     be the (swap, teleport) pair with ``4*swap + tele == j``.  A repeated
     pair would mean the cipher qubit has not collapsed.
     """
-    run = _run_columns(NO_ATTACK, every=True)
+    run = _run_columns(NO_ATTACK)
     branches = np.arange(len(run["secret"]))
     if len(branches) != 512:
         raise AssertionError(f"{len(branches)} honest branches, expected 512")
     if (4 * run["swap"] + run["tele"] != branches & 15).any():
         raise AssertionError("cipher qubit not collapsed")
     labels = product((0, 1), BELL_LABELS, BELL_LABELS, BELL_LABELS, BELL_LABELS)
-    return tuple(HonestCase(*case, cipher) for case, cipher in zip(labels, run["cipher"].tolist()))
+    # Each case is its labels and its cipher bit, joined as tuples.
+    return tuple(map(HonestCase._make, map(operator.add, labels, zip(run["cipher"].tolist()))))
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +191,15 @@ def _flips(run: dict[str, np.ndarray], names: tuple[str, ...]) -> list[int]:
 
 
 def _rank(vectors: list[int]) -> int:
-    # The GF(2) rank of ints read as bit vectors: the largest is a pivot,
-    # and every vector that holds its top bit is reduced by it.
-    rank = 0
-    while vectors := [v for v in vectors if v]:
-        pivot = max(vectors)
-        vectors = [min(v, v ^ pivot) for v in vectors]
-        rank += 1
-    return rank
+    # The GF(2) rank of ints read as bit vectors: each vector, reduced by
+    # the pivots kept so far, one per top bit, is kept when nonzero.
+    pivots: dict[int, int] = {}
+    for v in vectors:
+        while v and v.bit_length() in pivots:
+            v ^= pivots[v.bit_length()]
+        if v:
+            pivots[v.bit_length()] = v
+    return len(pivots)
 
 
 def _pins_secret(run: dict[str, np.ndarray], names: tuple[str, ...]) -> bool:
@@ -258,42 +266,89 @@ def encrypted_qubit_mixedness_55(
 _XOR_CODES = np.bitwise_xor.outer(np.arange(4), np.arange(4))
 
 
-def _run_columns(attack: AttackModel, *, every: bool) -> dict[str, np.ndarray]:
+def _run_columns(attack: AttackModel) -> dict[str, np.ndarray]:
     """A (2,2) run under the attack at every one of its equally likely
-    branches, in index order, or else at its basis branches (:func:`_basis`),
-    as int columns: ``secret``, the receivers' codes ``pair1`` and
-    ``pair2``, the sender's records ``record1`` and ``record2``, ``swap``,
-    ``tele``, ``cipher``, and the tokens the sender receives, ``token_r1``
-    and ``token_r2`` (:func:`mask_tokens` on the code columns, XOR the
-    attack's fixed alteration, read off the input that masks to (Φ+, 0)).
+    branches, in index order, as int columns (:func:`_columns`).
 
     A branch's index is the run's secret, then its coins in draw order,
     the first most significant (:func:`protocol._draw`), so these are the
-    rows a run draws: each token round reads its table at the run's pairs
+    branches a run draws: each phase's map (:func:`protocol._linear_map`)
+    is evaluated at its inputs and coins over every index at once.  Each
+    token round reads its map at the run's pairs
     (:data:`protocol.DEFAULT_AUTH_PAIRS`), with the record inferred from
-    the observed outcome (:func:`infer_remote_bsm`).  The run's three
-    stacked tables are read once, and their widths give the branch bits.
+    the observed outcome (:func:`infer_remote_bsm`), and the splitting
+    phase reads its map at the secret and both records.
     """
-    tables = protocol._run_tables(attack)
-    widths = protocol._coin_widths(tables)
+    maps = protocol._run_maps(attack)
+    widths = [len(linear_map.coins) for linear_map in maps]
     shift = sum(widths)
-    bits = 1 + shift
-    branches = np.arange(1 << bits) if every else np.array([0] + [1 << i for i in reversed(range(bits))])
+    branches = np.arange(2 << shift)
     secret, coins = branches >> shift, []
     for width in widths:
         shift -= width
         coins.append(branches >> shift & (1 << width) - 1)
     rounds = []
-    for (receiver, target), table, coin in zip(protocol._TOKEN_TARGETS.items(), tables, coins):
-        pairs = tuple(map(_code, protocol.DEFAULT_AUTH_PAIRS[receiver]))
-        steps = protocol.token_steps(target, attack)
-        rows = table[(*pairs, coin)]
-        code, observed = (rows[..., i] for i in protocol._positions(steps, "code", "observed"))
+    for pairs, token_map, coin in zip(_TOKEN_PAIRS, maps, coins):
+        word = protocol._xor_columns(token_map.inputs, protocol._input_index(pairs))
+        word ^= protocol._xor_columns(token_map.coins, coin)
+        code, observed = (protocol._field(word, token_map.fields[name]) for name in ("code", "observed"))
         rounds.append((code, infer_remote_bsm(*pairs, observed)))
     (pair1, record1), (pair2, record2) = rounds
-    steps = protocol.splitting_steps(attack, True)
-    rows = tables[2][secret, record1, record2, coins[2]]
-    swap, tele, cipher = (rows[..., i] for i in protocol._positions(steps, "swap", "tele", "cipher"))
+    splitting = maps[2]
+    word = protocol._xor_columns(splitting.inputs, 16 * secret + 4 * record1 + record2)
+    word ^= protocol._xor_columns(splitting.coins, coins[2])
+    outcomes = (protocol._field(word, splitting.fields[name]) for name in ("swap", "tele", "cipher"))
+    return _columns(attack, secret, pair1, record1, pair2, record2, *outcomes)
+
+
+def _basis(attack: AttackModel) -> dict[str, np.ndarray]:
+    """The run's columns (:func:`_columns`) at its all-zero branch, then at
+    each single-bit branch, the secret's and each coin's in draw order: an
+    affine column's value at any branch is its value at zero XOR the flips
+    of the branch's set bits.
+
+    The phases' maps (:func:`protocol._linear_map`) are composed on ints,
+    apart from :func:`_run_columns`: the value at zero reads each map at
+    its inputs, and each branch bit's flip is carried through the phases.
+    The secret flips the splitting outcomes by its input column.  A token
+    coin flips its round's code and observed outcome by its column, so the
+    sender's record (:func:`infer_remote_bsm` XORs constants into the
+    observed outcome), so the splitting outcomes by that record's input
+    columns.  A splitting coin flips them by its column.  At these few
+    branches, composing the maps costs less than reading them through
+    numpy as :func:`_run_columns` does.
+    """
+    maps = protocol._run_maps(attack)
+    # (pair1, record1, pair2, record2) at zero, and each token round's
+    # coins' flips of its (code, observed outcome): Bell outcomes, 2 bits.
+    zero, coin_flips = [], []
+    for pairs, token_map in zip(_TOKEN_PAIRS, maps):
+        code, observed = (token_map.fields[name] for name in ("code", "observed"))
+        word = protocol._xor_columns(token_map.inputs, protocol._input_index(pairs))
+        zero += protocol._field(word, code), infer_remote_bsm(*pairs, protocol._field(word, observed))
+        coin_flips.append([(protocol._field(c, code), protocol._field(c, observed)) for c in token_map.coins])
+    p1, r1, p2, r2 = zero
+    splitting = maps[2]
+    inputs = splitting.inputs  # the secret's column, then each record's two
+    w = protocol._xor_columns(inputs, 4 * r1 + r2)
+    # (secret, pair1, record1, pair2, record2, splitting word) at each
+    # basis branch.
+    rows = [(0, p1, r1, p2, r2, w), (1, p1, r1, p2, r2, w ^ inputs[0])]
+    rows += [(0, p1 ^ c, r1 ^ o, p2, r2, w ^ protocol._xor_columns(inputs[1:3], o)) for c, o in coin_flips[0]]
+    rows += [(0, p1, r1, p2 ^ c, r2 ^ o, w ^ protocol._xor_columns(inputs[3:], o)) for c, o in coin_flips[1]]
+    rows += [(0, p1, r1, p2, r2, w ^ column) for column in splitting.coins]
+    *columns, word = np.array(rows, dtype=np.int64).T
+    outcomes = (protocol._field(word, splitting.fields[name]) for name in ("swap", "tele", "cipher"))
+    return _columns(attack, *columns, *outcomes)
+
+
+def _columns(attack, secret, pair1, record1, pair2, record2, swap, tele, cipher) -> dict[str, np.ndarray]:
+    # A run's int columns by name, from its branches' inputs and splitting
+    # outcomes: ``secret``, the receivers' codes ``pair1`` and ``pair2``,
+    # the sender's records ``record1`` and ``record2``, ``swap``, ``tele``,
+    # ``cipher``, and the tokens the sender receives, ``token_r1`` and
+    # ``token_r2`` (mask_tokens on the code columns, XOR the attack's fixed
+    # alteration, read off the input that masks to (Φ+, 0)).
     token_r1, token_r2 = mask_tokens(pair1, pair2, swap, cipher)
     alter_r1, alter_r2 = sent_tokens(PHI_PLUS, PHI_PLUS, PHI_PLUS, 0, attack)
     return dict(
@@ -301,14 +356,6 @@ def _run_columns(attack: AttackModel, *, every: bool) -> dict[str, np.ndarray]:
         swap=swap, tele=tele, cipher=cipher,
         token_r1=token_r1 ^ _code(alter_r1), token_r2=token_r2 ^ alter_r2,
     )
-
-
-def _basis(attack: AttackModel) -> dict[str, np.ndarray]:
-    """The run's columns (:func:`_run_columns`) at its all-zero branch, then
-    at each single-bit branch, the secret's and each coin's in draw order:
-    an affine column's value at any branch is its value at zero XOR the
-    flips of the branch's set bits."""
-    return _run_columns(attack, every=False)
 
 
 def exact_detection_rate(attack: AttackModel) -> Fraction:
@@ -405,7 +452,7 @@ def _leaf_table(attack: AttackModel) -> _SweepRecord:
     # the run's basis, read-only, which gives the exact rate.  The share of
     # rejecting keys (key >= 32) must be that rate.
     basis = _basis(attack)
-    run = _run_columns(attack, every=True)
+    run = _run_columns(attack)
     keys = 2 * run["token_r1"] + run["token_r2"] + 8 * np.where(_rejected(run), 4, run["tele"])
     rate = _detection_rate(basis)
     if Fraction(int(np.count_nonzero(keys >= 32)), len(keys)) != rate:

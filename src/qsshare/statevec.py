@@ -228,7 +228,7 @@ def measure_computational(
     """Sample qubit ``q`` in the computational basis.
 
     Returns the bit and the collapsed, renormalised state.  Oracle API: no
-    run samples with it (runs index branch tables with fair coins); the
+    run samples with it (runs draw from linear maps with fair coins); the
     tests' plain-register Born sampler uses it as the reference.
     """
     _check_qubit(state, q)
@@ -244,7 +244,7 @@ def project_computational(state: StateVector, q: int, bit: int) -> tuple[float, 
     state, or ``(0.0, None)`` when the outcome has probability below the
     sampling floor.  Oracle API: no run, exact rate or generated pair table
     calls it.  :func:`bell_project`, the sampled measurements and the tests'
-    statevec enumerator, the check on the symbolic branch tables, build on it.
+    statevec enumerator, the check on the symbolic linear maps, build on it.
     """
     _check_qubit(state, q)
     if bit not in (0, 1):

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from qsshare import protocol, statevec
-from qsshare.bell import BELL_LABELS
+from qsshare.bell import BELL_LABELS, BellLabel
 
 # Fixed example sequence and no example database, so property tests draw the
 # same cases on every run; no per-example deadline, since a loaded host can
@@ -87,8 +88,8 @@ def enumerate_steps(state, steps):
     forked by statevec projection one step at a time, each outcome label or
     bit in the order it is listed, with each probability snapped by
     :func:`dyadic`.  ``outcomes`` holds one label or bit per measurement
-    step, in step order.  The statevec reference for the symbolic tables
-    (``protocol._stacked_branches``)."""
+    step, in step order.  The statevec reference for the phase maps
+    (``protocol._linear_map``)."""
     if not steps:
         return [(Fraction(1), ())]
     (kind, qubits, _), rest = steps[0], steps[1:]
@@ -118,12 +119,55 @@ def equal_shares(state, steps):
     return [outcomes for _, outcomes in enumerated]
 
 
+def named(steps, outcomes):
+    """The outcomes of the measurement steps, in step order, by name; the
+    eavesdropper's outcomes join into one bit string, in step order."""
+    results = {}
+    for step, outcome in zip((step for step in steps if step.kind != "ancilla"), outcomes):
+        if step.name == "eve":
+            bits = outcome.bits if isinstance(outcome, BellLabel) else str(outcome)
+            results["eve"] = results.get("eve", "") + bits
+        else:
+            results[step.name] = outcome
+    return results
+
+
 def branch_table(state, steps):
-    """The outcomes by name of each of the 2^d equally likely branches of
-    ``steps`` on ``state`` (:func:`equal_shares`, which raises on any other
-    distribution), sorted by their bits: a Bell outcome orders by its z bit,
-    then its x bit.  These are the rows a stacked table holds for that
-    register, in the order ``protocol._draw`` indexes them; the tests'
-    statevec reference, enumerated on the register itself."""
+    """The outcomes by name (:func:`named`) of each of the 2^d equally
+    likely branches of ``steps`` on ``state`` (:func:`equal_shares`, which
+    raises on any other distribution), sorted by their bits: a Bell outcome
+    orders by its z bit, then its x bit.  These are the branches a phase's
+    map (``protocol._linear_map``) gives that register's input, in the
+    order ``protocol._draw`` draws them; the tests' statevec reference,
+    enumerated on the register itself."""
     by_bits = sorted(equal_shares(state, steps))
-    return tuple(protocol._named(steps, outcomes) for outcomes in by_bits)
+    return tuple(named(steps, outcomes) for outcomes in by_bits)
+
+
+def span(parities, symbols):
+    """The XOR of every subset of the symbols' columns, indexed by the
+    subset's bits, the first symbol most significant.  A column is the
+    outcome bits that read the symbol, the first bit most significant."""
+    result = [0]
+    for symbol in symbols:
+        column = int("".join(str(mask >> symbol & 1) for mask in parities), 2)
+        result = [s ^ t for s in result for t in (0, column)]
+    return np.array(result, dtype=np.int64)
+
+
+def stacked_table(phase, steps):
+    """The branch table of ``steps`` for every input of the ``phase``,
+    expanded from the symbolic pass (``protocol._coin_parities``): shaped
+    (*inputs, 2^d, M) by input codes, branch and measurement step, each
+    outcome ``2*z + x`` for a Bell step and the bit for a computational one.
+    An input's rows are the XOR of its set input columns with each element
+    of the span of the coins' columns, sorted by bits.  The tables the
+    phase maps replaced, kept here to check the maps row for row."""
+    parities, inputs, coins = protocol._coin_parities(phase, steps)
+    rows = span(parities, range(inputs))[:, None] ^ span(parities, range(inputs, inputs + coins))
+    rows.sort(axis=1)
+    widths = [2 if step.kind == "bell" else 1 for step in steps if step.kind != "ancilla"]
+    shifts = np.array([sum(widths[i + 1 :]) for i in range(len(widths))])
+    table = (rows[..., None] >> shifts) & np.array([(1 << width) - 1 for width in widths])
+    secret, pairs = protocol._REFERENCES[phase]
+    return table.reshape((2,) * secret + (4,) * len(pairs) + table.shape[1:])

@@ -180,14 +180,16 @@ def test_trial_keys_wrap_past_the_last_seed():
 
 
 def test_coin_indices_are_the_draws_a_run_compares():
-    # Each key's index is the row _draw reads off a table of 2^n branches,
-    # and its bits, first coin most significant, are the raw words a run
-    # compares with 2^63; n crosses the byte boundaries at 8 and 16.
+    # Each key's index is the word _draw makes of n coins whose columns are
+    # the bits of an n-bit index, the first most significant, and its bits
+    # are the raw words a run compares with 2^63; n crosses the byte
+    # boundaries at 8 and 16.
     for count in range(18):
         indices = protocol.coin_index(np.array(KEY_GRID, dtype=np.uint64), count)
         assert indices.shape == (len(KEY_GRID),) and indices.dtype == np.int64
+        columns = tuple(1 << j for j in reversed(range(count)))
         for key, index in zip(KEY_GRID, indices.tolist()):
-            assert index == protocol._draw(np.arange(1 << count), protocol.make_rng(key)), (key, count)
+            assert index == protocol._draw(0, columns, protocol.make_rng(key)), (key, count)
             coins = [index >> j & 1 == 1 for j in reversed(range(count))]
             assert coins == (protocol.make_rng(key).random_raw(count) < 2**63).tolist(), (key, count)
 
@@ -202,16 +204,15 @@ def test_coin_indices_of_no_keys(count):
 # Coin counts.
 
 def test_all_32_splitting_tables_of_a_step_list_have_one_length():
-    # coin_count reads the index width of the one stacked splitting table
-    # per step list, so every input's own register must have that many
-    # branches.
+    # coin_count reads the coins of the one splitting map per step list,
+    # so every input's own register must have that many branches.
     attacks = [AttackModel.from_spec(spec) for spec in SPECS]
     for steps in {protocol.splitting_steps(attack, True) for attack in attacks}:
         lengths = {
             len(branch_table(splitting_register(secret, pair1, pair2), steps))
             for secret, pair1, pair2 in product((0, 1), BELL_LABELS, BELL_LABELS)
         }
-        assert lengths == {protocol._stacked_branches("splitting", steps).shape[3]}, steps
+        assert lengths == {1 << len(protocol._linear_map("splitting", steps).coins)}, steps
 
 
 @pytest.mark.parametrize("spec", SPECS)

@@ -302,3 +302,27 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def loaded_modules(argv):
+    # The package's modules a fresh process has loaded after one command.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    code = (
+        "import contextlib, io, sys, qsshare.cli\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): qsshare.cli.main({argv!r})\n"
+        "print(sorted(m for m in sys.modules if m.startswith('qsshare.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout.strip()
+
+
+def test_only_analyze_imports_security():
+    # run and verify-tables need no security analysis, so they do not load
+    # it.
+    assert "qsshare.security" not in loaded_modules(["run", "--secret", "1"])
+    assert "qsshare.security" not in loaded_modules(["verify-tables"])
+    assert "qsshare.security" in loaded_modules(["analyze", "--view", "public-only"])

@@ -1,27 +1,28 @@
 """The exact branch sets behind the secrecy and detection-rate claims.
 
 ``protocol`` writes each phase once as a step list, and one symbolic
-stabilizer pass per step list builds its branch table for all of the
-phase's inputs, each input bit a sign symbol of that pass: the 32
+stabilizer pass per step list gives its linear map over GF(2) for all of
+the phase's inputs, each input bit a sign symbol of that pass: the 32
 (secret, pair1, pair2) inputs of the splitting phase and the 16
-(pair_a, pair_b) inputs of a token round.
-Every seeded run indexes that table, and the exact analysis reads it.  The
-statevec enumerator of ``conftest`` is the independent reference.  These
-tests pin each input's rows of the splitting and token-phase tables, per
+(pair_a, pair_b) inputs of a token round.  Every seeded run draws from
+that map, and the exact analysis reads it.  The statevec enumerator of
+``conftest`` is the independent reference, and the sorted table expansion
+the maps replaced (``conftest.stacked_table``) a second one.  These tests
+pin each input's branches of the splitting and token-phase maps, per
 intercept, to the enumerator run on step lists written here by hand; check
-the table draws against a plain-register Born sampler written here and
-against the enumerator on every step list; check each input's rows of the
-stacked tables against the branch table of that input's own register, on
-the attack step lists and on random ones; check the (5,5) run's draw and
-its Pauli-frame cipher qubit against that sampler on qubit secrets; check
-every coin sequence of a full run against the exact detection rate; check
-the run's int columns and the detection rate read off them against a
-per-branch loop written here, and the acceptance table against the rule
-it tabulates; check that every input moves the all-zero input's rows by
-the flips its pieces predict, on every step list; count the symbolic
-passes a process makes; check that no module of the package snaps a
-float to a rational; and check that a cold exact pass keeps no state
-beyond the package's lru caches.
+the map draws against a plain-register Born sampler written here and
+against the enumerator on every step list; check each input's branches,
+read through the run's draw, against the branch table of that input's own
+register and against the table expansion, on the attack step lists and on
+random ones; check the (5,5) run's draw and its Pauli-frame cipher qubit
+against that sampler on qubit secrets; check every coin sequence of a full
+run against the exact detection rate; check the run's int columns and the
+detection rate read off them against a per-branch loop written here, and
+the acceptance table against the rule it tabulates; check that every input
+moves the all-zero input's branches by the flips its pieces predict, on
+every step list; count the symbolic passes a process makes; check that no
+module of the package snaps a float to a rational; and check that a cold
+exact pass keeps no state beyond the package's lru caches.
 """
 
 import inspect
@@ -47,7 +48,7 @@ from qsshare.bell import (
     infer_remote_bsm,
 )
 from qsshare.protocol import NO_ATTACK, AttackModel, Step
-from conftest import SPECS, attach_ancilla, branch_table, enumerate_steps, equal_shares
+from conftest import SPECS, attach_ancilla, branch_table, enumerate_steps, equal_shares, named, stacked_table
 
 # The attack spec behind each eavesdropper intercept: None is the honest
 # splitting phase.
@@ -79,11 +80,17 @@ HAND_TOKEN_INTERCEPTS = {
 }
 
 
+def positions(steps, *names):
+    # Where the outcome of each named step sits among the measurements.
+    measured = [step.name for step in steps if step.kind != "ancilla"]
+    return [measured.index(name) for name in names]
+
+
 def splitting_branches(secret, pair1, pair2, steps):
     """Every (probability, swap, teleport, cipher) branch of the splitting
     ``steps`` (cipher measured) on the input's own register, by the statevec
     enumerator."""
-    swap, tele, cipher = protocol._positions(steps, "swap", "tele", "cipher")
+    swap, tele, cipher = positions(steps, "swap", "tele", "cipher")
     return tuple(
         (p, outcomes[swap], outcomes[tele], outcomes[cipher])
         for p, outcomes in enumerate_steps(splitting_register(secret, pair1, pair2), steps)
@@ -96,7 +103,7 @@ def token_branches(receiver, attack):
     statevec enumerator on that pair's own register."""
     pair_a, pair_b = protocol.DEFAULT_AUTH_PAIRS[receiver]
     steps = protocol.token_steps(TOKEN_TARGETS[receiver], attack)
-    code, observed = protocol._positions(steps, "code", "observed")
+    code, observed = positions(steps, "code", "observed")
     return [
         (p, outcomes[code], infer_remote_bsm(pair_a, pair_b, outcomes[observed]))
         for p, outcomes in enumerate_steps(protocol.prepare_token_register(pair_a, pair_b), steps)
@@ -105,27 +112,28 @@ def token_branches(receiver, attack):
 
 @pytest.mark.parametrize("intercept", SPLITTING_SPECS)
 def test_splitting_branches_match_per_label_walk(intercept):
-    # Each input's rows of the intercept's stacked splitting table are the
-    # equally likely branches, sorted by bits, of the steps written above on
-    # that input's own register, each outcome projected one label at a time.
+    # Each input's branches of the intercept's splitting map, in draw order,
+    # are the equally likely branches, sorted by bits, of the steps written
+    # above on that input's own register, each outcome projected one label
+    # at a time.
     steps = protocol.splitting_steps(AttackModel.from_spec(SPLITTING_SPECS[intercept]), True)
     for inputs in product((0, 1), BELL_LABELS, BELL_LABELS):
         expected = branch_table(splitting_register(*inputs), HAND_SPLITTING_STEPS[intercept])
-        assert stacked_rows("splitting", steps, inputs) == list(expected)
+        assert drawn_rows("splitting", steps, inputs) == list(expected)
 
 
 @pytest.mark.parametrize("receiver", [protocol.RECEIVER_1, protocol.RECEIVER_2])
 @pytest.mark.parametrize("intercept", TOKEN_SPECS)
 def test_token_phase_branches_match_per_label_walk(receiver, intercept):
-    # The same for each (pair_a, pair_b)'s rows of the intercepted round's
-    # stacked token table: the intercept written above, then the receiver's
+    # The same for each (pair_a, pair_b)'s branches of the intercepted
+    # round's token map: the intercept written above, then the receiver's
     # and the sender's Bell measurements.
     target = TOKEN_TARGETS[receiver]
     steps = protocol.token_steps(target, AttackModel.from_spec(f"{TOKEN_SPECS[intercept]}:{target}"))
     hand = HAND_TOKEN_INTERCEPTS[intercept] + (CODE, OBSERVED)
     for inputs in product(BELL_LABELS, repeat=2):
         expected = branch_table(protocol.prepare_token_register(*inputs), hand)
-        assert stacked_rows("token", steps, inputs) == list(expected)
+        assert drawn_rows("token", steps, inputs) == list(expected)
 
 
 def test_honest_cases_follow_the_splitting_branches():
@@ -208,12 +216,12 @@ def sample_steps(state, steps, rng):
             state = attach_ancilla(state)
             continue
         outcomes.append(outcome)
-    return protocol._named(steps, tuple(outcomes)), state
+    return named(steps, tuple(outcomes)), state
 
 
 def enumerated(state, steps):
     branches = enumerate_steps(state, steps)
-    leaves = {frozenset(protocol._named(steps, outcomes).items()): p for p, outcomes in branches}
+    leaves = {frozenset(named(steps, outcomes).items()): p for p, outcomes in branches}
     assert len(leaves) == len(branches)
     return leaves
 
@@ -253,7 +261,7 @@ def random_qubits(count, seed):
 
 
 def test_swap_and_teleport_outcomes_are_uniform_for_any_qubit_secret():
-    # Why the (5,5) run may draw from the table of secret 0: the joint outcome
+    # Why the (5,5) run may draw from the map at secret 0: the joint outcome
     # distribution does not depend on the secret.
     rng = np.random.default_rng(16)
     for secret in random_qubits(240, 1995):
@@ -263,39 +271,36 @@ def test_swap_and_teleport_outcomes_are_uniform_for_any_qubit_secret():
         assert np.abs(joint - 1 / 16).max() < 1e-12
 
 
-def stacked_rows(phase, steps, inputs):
-    """The input's rows of the phase's stacked table, by name, read through
-    the run's draw: row i is what the coins of i's bits, most significant
+def scripts(coins):
+    """The raw-word script of each of the 2^coins branch indices: branch i's
+    coins are i's bits, most significant first."""
+    return [[ONE if i >> k & 1 else ZERO for k in reversed(range(coins))] for i in range(1 << coins)]
+
+
+def drawn_rows(phase, steps, inputs):
+    """The input's branches of the phase's map, by name, read through the
+    run's draw: branch i is what the coins of i's bits, most significant
     first, draw."""
-    count = protocol._stacked_branches(phase, steps).shape[-2]
-    coins = count.bit_length() - 1
-    return [
-        protocol._draw_named(
-            phase,
-            steps,
-            inputs,
-            ScriptedCoins(ONE if i >> k & 1 else ZERO for k in reversed(range(coins))),
-        )
-        for i in range(count)
-    ]
+    coins = len(protocol._linear_map(phase, steps).coins)
+    return [protocol._draw_named(phase, steps, inputs, ScriptedCoins(script)) for script in scripts(coins)]
 
 
 def test_every_pair_has_the_reference_no_cipher_table():
-    # Why the (5,5) run may index the table at secret bit 0 whatever its
-    # qubit: without the cipher step, every input's rows are the same 16
-    # (swap, teleport) rows in the same order, each input's own register's
-    # branch table.
+    # Why the (5,5) run may draw from the map at secret bit 0 whatever its
+    # qubit: without the cipher step, no input moves an outcome, so every
+    # input's branches are the same 16 (swap, teleport) pairs in the same
+    # order, each input's own register's branch table.
     steps = protocol.splitting_steps(NO_ATTACK, False)
-    table = protocol._stacked_branches("splitting", steps)
-    assert table.shape == (2, 4, 4, 16, 2)
-    assert (table == table[0, 0, 0]).all()
+    linear_map = protocol._linear_map("splitting", steps)
+    assert (len(linear_map.coins), dict(linear_map.fields)) == (4, {"swap": (2, 2), "tele": (0, 2)})
+    assert linear_map.inputs == (0,) * 5
     for inputs in product((0, 1), BELL_LABELS, BELL_LABELS):
         expected = branch_table(splitting_register(*inputs), steps)
-        assert stacked_rows("splitting", steps, inputs) == list(expected)
+        assert drawn_rows("splitting", steps, inputs) == list(expected)
 
 
 def test_qss55_draw_and_postselection_match_the_sampler():
-    # Every coin sequence leads the run's draw from the splitting table at
+    # Every coin sequence leads the run's draw from the splitting map at
     # its pair codes and the Born sampler on the run's own register to the
     # same outcomes, and the run's Pauli-frame qubit is the sampler's R2
     # qubit up to global phase.
@@ -405,21 +410,38 @@ def test_exact_rate_equals_the_per_branch_loop_cold_and_warm(spec):
     assert cold == warm == expected
 
 
+def assert_map_shape(phase, steps, inputs):
+    """The map has a column per input bit and per coin, one int each, and
+    a (shift, width) per step name that tiles the word from its top bit
+    down, in step order."""
+    linear_map = protocol._linear_map(phase, steps)
+    assert type(linear_map.inputs) is type(linear_map.coins) is tuple
+    assert len(linear_map.inputs) == inputs
+    assert all(type(column) is int for column in linear_map.inputs + linear_map.coins)
+    names = list(dict.fromkeys(step.name for step in steps if step.kind != "ancilla"))
+    assert list(linear_map.fields) == names
+    bits = sum(2 if step.kind == "bell" else 1 for step in steps if step.kind != "ancilla")
+    for shift, width in linear_map.fields.values():
+        bits -= width
+        assert shift == bits
+    assert bits == 0
+    with pytest.raises(TypeError):
+        linear_map.fields["swap"] = (0, 2)
+
+
 def test_stacked_splitting_branches_match_the_enumerator():
-    # Each input's rows of the stacked table, the eavesdropper's outcomes
-    # included, are the branch table of the input's own register, row for
-    # row and in order: 320 tables, 10 step lists by 32 inputs.
+    # Each input's branches of the splitting map, read through the run's
+    # draw, the eavesdropper's outcomes included, are the branch table of
+    # the input's own register, row for row and in order: 320 tables, 10
+    # step lists by 32 inputs.
     attacks = [AttackModel.from_spec(spec) for spec in SPECS + ("r1-lie:00",)]
     lists = {protocol.splitting_steps(a, cipher) for a in attacks for cipher in (True, False)}
     assert len(lists) == 10
     for steps in lists:
-        table = protocol._stacked_branches("splitting", steps)
-        measured = sum(step.kind != "ancilla" for step in steps)
-        assert table.shape == (2, 4, 4, table.shape[3], measured)
-        assert table.dtype == np.int64 and not table.flags.writeable
+        assert_map_shape("splitting", steps, 5)
         for inputs in product((0, 1), BELL_LABELS, BELL_LABELS):
             expected = branch_table(splitting_register(*inputs), steps)
-            assert stacked_rows("splitting", steps, inputs) == list(expected)
+            assert drawn_rows("splitting", steps, inputs) == list(expected)
 
 
 def token_step_lists():
@@ -433,18 +455,68 @@ def token_step_lists():
 
 
 def test_stacked_token_branches_match_the_enumerator():
-    # Each (pair_a, pair_b)'s rows of the stacked token table, the
-    # eavesdropper's outcomes included, are the branch table of that pair's
-    # own register, row for row and in order: 48 tables, 3 step lists by 16
-    # pairs.
+    # Each (pair_a, pair_b)'s branches of the token map, read through the
+    # run's draw, the eavesdropper's outcomes included, are the branch table
+    # of that pair's own register, row for row and in order: 48 tables, 3
+    # step lists by 16 pairs.
     for steps in token_step_lists():
-        table = protocol._stacked_branches("token", steps)
-        measured = sum(step.kind != "ancilla" for step in steps)
-        assert table.shape == (4, 4, table.shape[2], measured)
-        assert table.dtype == np.int64 and not table.flags.writeable
+        assert_map_shape("token", steps, 4)
         for inputs in product(BELL_LABELS, repeat=2):
             expected = branch_table(protocol.prepare_token_register(*inputs), steps)
-            assert stacked_rows("token", steps, inputs) == list(expected)
+            assert drawn_rows("token", steps, inputs) == list(expected)
+
+
+def every_step_list():
+    """Every (phase, steps) a run under a model of :func:`every_attack`
+    draws from: both token rounds, and the splitting phase with and without
+    the cipher measurement."""
+    lists = set()
+    for attack in every_attack():
+        lists |= {("token", protocol.token_steps(target, attack)) for target in TOKEN_TARGETS.values()}
+        lists |= {("splitting", protocol.splitting_steps(attack, cipher)) for cipher in (True, False)}
+    return lists
+
+
+def drawn_words(phase, steps, inputs):
+    """The input's branches of the phase's map as the sorted table holds
+    them, read through the run's draw: each outcome a code or a bit, in step
+    order, at branch i the coins of i's bits, most significant first."""
+    linear_map = protocol._linear_map(phase, steps)
+    word = protocol._xor_columns(linear_map.inputs, protocol._input_index(inputs))
+    widths = [2 if step.kind == "bell" else 1 for step in steps if step.kind != "ancilla"]
+    shifts = [sum(widths[i + 1 :]) for i in range(len(widths))]
+    rows = []
+    for script in scripts(len(linear_map.coins)):
+        drawn = protocol._draw(word, linear_map.coins, ScriptedCoins(script))
+        rows.append([drawn >> shift & (1 << width) - 1 for shift, width in zip(shifts, widths)])
+    return rows
+
+
+def test_maps_draw_the_rows_of_the_sorted_table_expansion():
+    # The sorted table expansion of the symbolic pass that the maps replaced
+    # is their reference: every input's branches, drawn through the run's
+    # draw from the map, are its rows, row for row, on every step list of
+    # every attack model, both splitting variants.
+    lists = every_step_list()
+    assert len(lists) == 13
+    for phase, steps in lists:
+        table = stacked_table(phase, steps)
+        for index in np.ndindex(*table.shape[:-2]):
+            assert drawn_words(phase, steps, index) == table[index].tolist(), (phase, steps, index)
+
+
+def test_each_coin_pivot_is_read_by_its_coin_alone():
+    # Why the maps need no elimination: the outcome bit that draws a coin
+    # reads that coin alone, so each coin column's top bit is set in no
+    # other column, input or coin, and the coins sorted by it are already
+    # in reduced echelon form, in draw order.
+    for phase, steps in every_step_list():
+        linear_map = protocol._linear_map(phase, steps)
+        columns = linear_map.inputs + linear_map.coins
+        assert list(linear_map.coins) == sorted(linear_map.coins, reverse=True)
+        for coin in linear_map.coins:
+            pivot = 1 << coin.bit_length() - 1
+            assert [column for column in columns if column & pivot] == [coin], (phase, steps)
 
 
 def every_attack():
@@ -468,7 +540,7 @@ def every_branch(attack):
     """The run's int columns (``security._run_columns``) at every one of
     its 2^(1 + coins) branches, in index order: the secret, then the coins
     in draw order."""
-    return security._run_columns(attack, every=True)
+    return security._run_columns(attack)
 
 
 def splitting_register(secret, pair1, pair2):
@@ -478,15 +550,16 @@ def splitting_register(secret, pair1, pair2):
 
 
 def assert_rows_move_by(phase, steps, register, inputs, flips):
-    """The input's rows of the stacked table are the all-zero input's rows,
+    """The input's branches of the map are the all-zero input's branches,
     each measurement XORed with its flip in ``flips`` (by step name; any
     other step reads as at zero), and the 2^d equally likely branches of
     the statevec enumerator on the input's own register, as row sets."""
-    table = protocol._stacked_branches(phase, steps)
     names = [step.name for step in steps if step.kind != "ancilla"]
-    moved = np.array([protocol._code(flips.get(name, 0)) for name in names])
-    rows = sorted(map(tuple, table[tuple(map(protocol._code, inputs))].tolist()))
-    assert rows == sorted(map(tuple, (table[(0,) * len(inputs)] ^ moved).tolist()))
+    moved = [protocol._code(flips.get(name, 0)) for name in names]
+    codes = tuple(map(protocol._code, inputs))
+    rows = sorted(map(tuple, drawn_words(phase, steps, codes)))
+    at_zero = drawn_words(phase, steps, (0,) * len(inputs))
+    assert rows == sorted(tuple(a ^ b for a, b in zip(row, moved)) for row in at_zero)
     enumerated = [tuple(map(protocol._code, outcomes)) for outcomes in equal_shares(register, steps)]
     assert rows == sorted(enumerated)
 
@@ -526,7 +599,7 @@ def test_token_frame_flips_only_the_observed_outcome():
 # ---------------------------------------------------------------------------
 # The symbolic pass against the statevec enumerator.
 
-# Each phase's register at given inputs, and its inputs in table order.
+# Each phase's register at given inputs, and its inputs in index order.
 PHASE_INPUTS = {
     "token": (protocol.prepare_token_register, (BELL_LABELS, BELL_LABELS)),
     "splitting": (splitting_register, ((0, 1), BELL_LABELS, BELL_LABELS)),
@@ -554,12 +627,16 @@ def step_lists(draw):
 @settings(max_examples=60)
 @given(step_lists())
 def test_symbolic_tables_match_the_enumerator_on_random_step_lists(case):
-    # Every input's rows of the symbolic table are the statevec branch table
-    # of that input's own register, row for row and in order.
+    # Every input's branches of the map, read through the run's draw, are
+    # the statevec branch table of that input's own register and the rows
+    # of the sorted table expansion, row for row and in order.
     phase, steps = case
     register, inputs = PHASE_INPUTS[phase]
+    table = stacked_table(phase, steps)
     for values in product(*inputs):
-        assert stacked_rows(phase, steps, values) == list(branch_table(register(*values), steps))
+        assert drawn_rows(phase, steps, values) == list(branch_table(register(*values), steps))
+        codes = tuple(map(protocol._code, values))
+        assert drawn_words(phase, steps, codes) == table[codes].tolist()
 
 
 def symbolic_passes(monkeypatch):
@@ -574,7 +651,7 @@ def symbolic_passes(monkeypatch):
         return real(phase, steps)
 
     def forbidden(*args):
-        raise AssertionError("a branch table projected a register")
+        raise AssertionError("a linear map projected a register")
 
     monkeypatch.setattr(protocol, "_coin_parities", counted)
     for name in ("bell_project", "project_computational"):
@@ -582,21 +659,21 @@ def symbolic_passes(monkeypatch):
     return calls
 
 
-def test_stacked_branches_make_one_symbolic_pass_per_step_list(monkeypatch):
+def test_linear_maps_make_one_symbolic_pass_per_step_list(monkeypatch):
     calls = symbolic_passes(monkeypatch)
     attacks = [AttackModel.from_spec(spec) for spec in SPECS]
     lists = {("splitting", protocol.splitting_steps(attack, True)) for attack in attacks}
     lists |= {("token", steps) for steps in token_step_lists()}
-    protocol._stacked_branches.cache_clear()
+    protocol._linear_map.cache_clear()
     for phase, steps in lists:
         calls.clear()
-        protocol._stacked_branches(phase, steps)
+        protocol._linear_map(phase, steps)
         assert calls == [(phase, steps)]
 
 
 def test_runs_and_exact_rates_pass_six_splitting_step_lists(monkeypatch):
     # In one process, qss22 runs under the 13 specs with either secret, a
-    # qss55 run and the 13 exact rates read one splitting table per step
+    # qss55 run and the 13 exact rates read one splitting map per step
     # list, so they make one symbolic pass each: the 5 step lists that
     # measure the cipher qubit and qss55's, which does not.
     calls = symbolic_passes(monkeypatch)
@@ -613,18 +690,18 @@ def test_runs_and_exact_rates_pass_six_splitting_step_lists(monkeypatch):
     splitting = [steps for phase, steps in calls if phase == "splitting"]
     assert len(splitting) == len(set(splitting)) == 6
     assert sum(not any(step.name == "cipher" for step in steps) for steps in splitting) == 1
-    assert security._splitting_branches is protocol._stacked_branches
+    assert security._splitting_branches is protocol._linear_map
 
 
 def test_cold_rates_pass_three_token_step_lists_and_runs_none(monkeypatch):
-    # The 13 exact rates read one stacked token table per token step list,
+    # The 13 exact rates read one token map per token step list,
     # so a cold pass makes one symbolic token pass each and prepares no
     # token register; qss22 runs under the same specs then read those
-    # tables and make no pass.
+    # maps and make no pass.
     calls = symbolic_passes(monkeypatch)
     prepared = []
     monkeypatch.setattr(protocol, "prepare_token_register", lambda *pairs: prepared.append(pairs))
-    protocol._stacked_branches.cache_clear()
+    protocol._linear_map.cache_clear()
     attacks = [AttackModel.from_spec(spec) for spec in SPECS]
     for attack in attacks:
         security.exact_detection_rate(attack)
@@ -707,7 +784,7 @@ def test_security_leaves_the_circuits_to_protocol():
 
 def test_no_limit_denominator_in_security():
     # No module of the package snaps a float to a rational, and protocol,
-    # whose branch tables are exact by construction, makes no Fraction.
+    # whose linear maps are exact by construction, makes no Fraction.
     modules = sorted(Path(qsshare.__file__).parent.glob("*.py"))
     assert {path.stem for path in modules} >= {"protocol", "security", "statevec", "bell", "cli"}
     for path in modules:

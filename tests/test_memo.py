@@ -1,15 +1,15 @@
-"""The memoised branch tables of the sampled runs.
+"""The memoised linear maps of the sampled runs.
 
-A sampled run indexes lru-cached branch tables built by one symbolic
-stabilizer pass per step list, all in one cache: one table per token step
-list that stacks the 16 (pair_a, pair_b) inputs, and one per splitting
-step list that stacks all 32 splitting inputs.  These tests pin that
-reusing them changes nothing a run does: the transcripts and the number of
-raw words a run reads are the same whether every table it reads is built
-afresh or read from the cache, a (5,5) run reads only the honest splitting
-table without the cipher measurement, and the exact enumeration reads the
-same tables as the runs, through the cache the benchmark empties before a
-cold pass.  Neither touches a state vector, cold or warm.
+A sampled run draws from lru-cached linear maps over GF(2), each built by
+one symbolic stabilizer pass per step list, all in one cache: one map per
+token step list for the 16 (pair_a, pair_b) inputs, and one per splitting
+step list for all 32 splitting inputs.  These tests pin that reusing them
+changes nothing a run does: the transcripts and the number of raw words a
+run reads are the same whether every map it reads is built afresh or read
+from the cache, a (5,5) run reads only the honest splitting map without
+the cipher measurement, and the exact enumeration reads the same maps as
+the runs, through the cache the benchmark empties before a cold pass.
+Neither touches a state vector, cold or warm.
 """
 
 import ast
@@ -30,7 +30,7 @@ from test_draws import GOLDEN_QSS22, GOLDEN_QSS55, golden_digests
 from test_security import PINNED_EXACT_RATES
 
 SEEDS = range(200)
-TABLES = (protocol._stacked_branches,)
+MAPS = (protocol._linear_map,)
 # Every functools cache of the package.  A memo that a cold pass does not
 # empty would make it warm, so a new one has to be named here and cannot
 # slip in unseen.
@@ -39,7 +39,7 @@ PACKAGE_CACHES = {
     "qsshare.bell.generate_swap_table",
     "qsshare.protocol.token_steps",
     "qsshare.protocol.splitting_steps",
-    "qsshare.protocol._stacked_branches",
+    "qsshare.protocol._linear_map",
     "qsshare.security.enumerate_honest_cases",
     "qsshare.security._leaf_table",
 }
@@ -52,13 +52,13 @@ MEASUREMENTS = (
 )
 
 
-def clear_tables():
-    for table in TABLES:
-        table.cache_clear()
+def clear_maps():
+    for linear_map in MAPS:
+        linear_map.cache_clear()
 
 
-def cached_tables():
-    return sum(table.cache_info().currsize for table in TABLES)
+def cached_maps():
+    return sum(linear_map.cache_info().currsize for linear_map in MAPS)
 
 
 @pytest.fixture
@@ -76,26 +76,26 @@ def test_cold_and_warm_runs_agree(counted_runs):
         counted_runs(attack, seed)
     warm = {(attack, seed): counted_runs(attack, seed) for attack, seed in product(attacks, SEEDS)}
     for attack, seed in product(attacks, SEEDS):
-        clear_tables()
+        clear_maps()
         cold = counted_runs(attack, seed)
         assert cold == warm[attack, seed], (attack.spec_string, seed)
     assert all(words > 0 for _, words in warm.values())
 
 
 def test_second_rotation_adds_no_entries():
-    # A rerun of the same trials reads only tables the first rotation built,
+    # A rerun of the same trials reads only maps the first rotation built,
     # so it must find every one rather than build a new one.
-    clear_tables()
+    clear_maps()
     attacks = [AttackModel.from_spec(spec) for spec in SPECS]
     for attack in attacks:
         security.attack_sweep(attack, 300, 0)
-    entries = cached_tables()
-    misses = [table.cache_info().misses for table in TABLES]
+    entries = cached_maps()
+    misses = [linear_map.cache_info().misses for linear_map in MAPS]
     assert entries > 0
     for attack in attacks:
         security.attack_sweep(attack, 300, 0)
-    assert cached_tables() == entries
-    assert [table.cache_info().misses for table in TABLES] == misses
+    assert cached_maps() == entries
+    assert [linear_map.cache_info().misses for linear_map in MAPS] == misses
 
 
 def test_warm_runs_call_no_statevec_measurement(monkeypatch):
@@ -113,8 +113,8 @@ def test_warm_runs_call_no_statevec_measurement(monkeypatch):
 
 
 def test_warm_exact_rates_call_no_statevec_measurement(monkeypatch):
-    # The rates read the stacked tables the runs read, so once one pass has
-    # built them a rate is a count over int codes: no register is projected,
+    # The rates read the maps the runs read, so once one pass has built
+    # them a rate is a rank over int codes: no register is projected,
     # measured or read off a joint distribution.
     rates = dict(PINNED_EXACT_RATES, **{"r1-lie:00": Fraction(0)})
     for spec in rates:
@@ -130,8 +130,8 @@ def test_warm_exact_rates_call_no_statevec_measurement(monkeypatch):
         assert type(rate) is Fraction and rate == expected, spec
 
 
-def test_cold_runs_and_rates_build_their_tables_with_no_state_vector(monkeypatch):
-    # The symbolic pass builds every table a run or a rate reads, so with
+def test_cold_runs_and_rates_build_their_maps_with_no_state_vector(monkeypatch):
+    # The symbolic pass builds every map a run or a rate reads, so with
     # statevec's projections (which the statevec enumerator forks by) and
     # its joint distribution raising, a cold pass of the 13 rates plus r1-lie:00 still returns the
     # pinned Fractions, and the golden grid, qss22 runs under every spec
@@ -142,19 +142,19 @@ def test_cold_runs_and_rates_build_their_tables_with_no_state_vector(monkeypatch
 
     for name in ("bell_project", "project_computational", "joint_distribution"):
         monkeypatch.setattr(statevec, name, forbidden)
-    clear_tables()
+    clear_maps()
     rates = dict(PINNED_EXACT_RATES, **{"r1-lie:00": Fraction(0)})
     for spec, expected in rates.items():
         rate = security.exact_detection_rate(AttackModel.from_spec(spec))
         assert type(rate) is Fraction and rate == expected, spec
-    clear_tables()
+    clear_maps()
     assert golden_digests() == (GOLDEN_QSS22, GOLDEN_QSS55)
 
 
 def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
-    # qss55 indexes the one no-cipher splitting table and takes R2's qubit
+    # qss55 draws from the one no-cipher splitting map and takes R2's qubit
     # by Pauli frame, so a warm run touches no register; the exact
-    # enumeration reads the token and splitting tables the runs read, from
+    # enumeration reads the token and splitting maps the runs read, from
     # the one lru cache the benchmark empties through security's name.
     # Neither samples a register.
     seen = []
@@ -171,16 +171,15 @@ def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
     for name in MEASUREMENTS + ("reduced_density", "extract_pure_qubit"):
         spy(name)
     read = []
-    real_table = protocol._stacked_branches
+    real_map = protocol._linear_map
 
-    def recorded_table(*key):
+    def recorded_map(*key):
         read.append(key)
-        return real_table(*key)
+        return real_map(*key)
 
-    monkeypatch.setattr(protocol, "_stacked_branches", recorded_table)
-    monkeypatch.setattr(security, "_stacked_branches", recorded_table)
-    clear_tables()
-    protocol.run_qss55((0.6, 0.8j), 0)  # builds the one table the runs read
+    monkeypatch.setattr(protocol, "_linear_map", recorded_map)
+    clear_maps()
+    protocol.run_qss55((0.6, 0.8j), 0)  # builds the one map the runs read
     seen.clear()
 
     def no_eigendecomposition(*args):
@@ -194,21 +193,20 @@ def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
     no_cipher = protocol.splitting_steps(protocol.NO_ATTACK, False)
     assert len(read) == 21
     assert set(read) == {("splitting", no_cipher)}
-    # The one table qss55 reads is the only one in the cache: no token table.
-    assert real_table.cache_info()[:2] == (20, 1)
-    assert real_table.cache_info().currsize == 1
+    # The one map qss55 reads is the only one in the cache: no token map.
+    assert real_map.cache_info()[:2] == (20, 1)
+    assert real_map.cache_info().currsize == 1
     assert seen == []
 
     seen.clear()
     read.clear()
-    clear_tables()
+    clear_maps()
     for spec in SPECS:
         security.exact_detection_rate(AttackModel.from_spec(spec))
-    # The tables come from the symbolic pass: no state vector, cold or warm.
+    # The maps come from the symbolic pass: no state vector, cold or warm.
     assert seen == []
-    # Each rate reads both token rounds' tables and one splitting table
-    # once: their widths split a branch index into the basis branches, and
-    # the same tables give the columns there.  Five splitting and three
+    # Each rate reads both token rounds' maps and one splitting map once,
+    # and composes the run's basis from them.  Five splitting and three
     # token step lists, each built once and read again by the specs that
     # share it; security's name is the same lru object, so the benchmark's
     # cold pass empties every one.
@@ -216,8 +214,8 @@ def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
     assert (phases.count("token"), phases.count("splitting")) == (26, 13)
     assert len({key for key in read if key[0] == "splitting"}) == 5
     assert len({key for key in read if key[0] == "token"}) == 3
-    assert security._splitting_branches is real_table
-    assert real_table.cache_info()[:2] == (31, 8)
+    assert security._splitting_branches is real_map
+    assert real_map.cache_info()[:2] == (31, 8)
 
 
 def package_modules():

@@ -127,33 +127,38 @@ def test_the_basis_rebuilds_every_column_on_every_branch(attack):
 
 @pytest.fixture
 def evaluated(monkeypatch):
-    # The number of branches of each _run_columns call.
-    counts = []
-    real = security._run_columns
+    # Each evaluation of the run, by the function that made it and the
+    # number of branches it covers: every branch (_run_columns) or the
+    # basis branches (_basis).
+    calls = []
+    for name in ("_run_columns", "_basis"):
+        real = getattr(security, name)
 
-    def counted(attack, *, every):
-        run = real(attack, every=every)
-        counts.append(len(run["secret"]))
-        return run
+        def counted(attack, real=real, name=name):
+            run = real(attack)
+            calls.append((name, len(run["secret"])))
+            return run
 
-    monkeypatch.setattr(security, "_run_columns", counted)
-    return counts
+        monkeypatch.setattr(security, name, counted)
+    return calls
 
 
 def test_each_exact_result_evaluates_the_run_at_its_basis_branches(evaluated):
+    # The basis is composed from the phases' maps: no exact result
+    # evaluates every branch of the run.
     security._leaf_table(NO_ATTACK)  # the honest run's sweep record: its keys and basis
     evaluated.clear()
     security.exact_detection_rate(NO_ATTACK)
     security.exact_detection_rate(AttackModel.from_spec("intercept-resend-computational:auth-r2"))
-    assert evaluated == [10, 12]
+    assert evaluated == [("_basis", 10), ("_basis", 12)]
     for attack in ATTACKS:
         evaluated.clear()
         security.exact_detection_rate(attack)
-        assert evaluated == [2 + protocol.coin_count(attack)], attack
+        assert evaluated == [("_basis", 2 + protocol.coin_count(attack))], attack
     for view in VIEW_NAMES:
         evaluated.clear()
         security.mutual_information_22(view)
-        assert evaluated == [10], view
+        assert evaluated == [("_basis", 10)], view
     # The uniformity check reads the basis the honest run's sweep record
     # holds, so it evaluates no branch.
     evaluated.clear()

@@ -107,14 +107,16 @@ def test_honest_cases_hold_the_canonical_labels_in_product_order():
 HONEST = protocol.splitting_steps(protocol.NO_ATTACK, True)
 
 
-def duplicate_outcomes(table):
-    # Input (1, 2, 3)'s second branch repeats its first (swap, teleport) pair.
-    table[1, 2, 3, 1, :2] = table[1, 2, 3, 0, :2]
-    return table
+def duplicate_outcomes(linear_map):
+    # The second coin flips nothing, so every input's branches come in
+    # pairs that repeat their (swap, teleport) outcomes.
+    first, _, *rest = linear_map.coins
+    return linear_map._replace(coins=(first, 0, *rest))
 
 
-def drop_branch(table):
-    return table[..., :15, :]
+def drop_branch(linear_map):
+    # The last coin is never drawn: half the branches.
+    return linear_map._replace(coins=linear_map.coins[:-1])
 
 
 @pytest.mark.parametrize(
@@ -125,16 +127,13 @@ def drop_branch(table):
     ],
 )
 def test_honest_columns_check_the_honest_branches(corrupt, message, monkeypatch):
-    # Only the splitting table is corrupted: the run's token rounds read
-    # their own tables.  The coin widths read it through protocol's name.
-    real = protocol._stacked_branches
-    corrupted = corrupt(real("splitting", HONEST).copy())
-    for module in (protocol, security):
-        monkeypatch.setattr(
-            module,
-            "_stacked_branches",
-            lambda phase, steps: corrupted if phase == "splitting" else real(phase, steps),
-        )
+    # Only the splitting map is corrupted: the run's token rounds read
+    # their own maps.  The run reads them through protocol's name.
+    real = protocol._linear_map
+    corrupted = corrupt(real("splitting", HONEST))
+    monkeypatch.setattr(
+        protocol, "_linear_map", lambda phase, steps: corrupted if phase == "splitting" else real(phase, steps)
+    )
     security.enumerate_honest_cases.cache_clear()
     with pytest.raises(AssertionError) as raised:
         security.enumerate_honest_cases()
@@ -142,15 +141,17 @@ def test_honest_columns_check_the_honest_branches(corrupt, message, monkeypatch)
 
 
 def test_honest_columns_hold_equal_shares_by_construction(monkeypatch):
-    # The symbolic pass draws d fair coins, so each input's 2^d rows of the
-    # honest table are distinct, one equal share each.  The statevec
+    # The symbolic pass draws d fair coins, so each input's 2^d branches of
+    # the honest map are distinct, one equal share each.  The statevec
     # reference keeps the run-time check: with one honest branch at twice
     # its share it refuses the register, while the honest columns, which
-    # read the symbolic table, stay the 512 cases.  The double weight is
+    # read the symbolic map, stay the 512 cases.  The double weight is
     # patched into the conftest enumerator, which branch_table reads.
-    table = protocol._stacked_branches("splitting", HONEST)
-    assert table.shape[-2] == 16
-    assert all(len(set(map(tuple, rows))) == 16 for rows in table.reshape(32, 16, -1).tolist())
+    linear_map = protocol._linear_map("splitting", HONEST)
+    assert len(linear_map.coins) == 4
+    for index in range(32):
+        word = protocol._xor_columns(linear_map.inputs, index)
+        assert len({word ^ protocol._xor_columns(linear_map.coins, i) for i in range(16)}) == 16
     cases = security.enumerate_honest_cases()
     real = conftest.enumerate_steps
 
@@ -162,7 +163,7 @@ def test_honest_columns_hold_equal_shares_by_construction(monkeypatch):
         return branches
 
     monkeypatch.setattr(conftest, "enumerate_steps", double_weight)
-    protocol._stacked_branches.cache_clear()
+    protocol._linear_map.cache_clear()
     security.enumerate_honest_cases.cache_clear()
     message = r"^branch weights (1/16, ){5}1/8(, 1/16){10} are not 2\^d equal shares$"
     register = protocol.prepare_splitting_register(
@@ -182,12 +183,12 @@ def test_unknown_view_message_is_unchanged():
     assert str(raised.value) == str(expected.value)
 
 
-def test_unknown_view_is_refused_before_any_branch_table_is_built():
+def test_unknown_view_is_refused_before_any_map_is_built():
     # A cold ``analyze --view nope`` raises without a symbolic splitting pass.
-    protocol._stacked_branches.cache_clear()
+    protocol._linear_map.cache_clear()
     with pytest.raises(ValueError) as raised:
         security.mutual_information_22("nope")
-    assert protocol._stacked_branches.cache_info().misses == 0
+    assert protocol._linear_map.cache_info().misses == 0
     with pytest.raises(ValueError) as expected:
         reference_view_values("nope", security.enumerate_honest_cases()[0])
     assert str(raised.value) == str(expected.value)
@@ -283,11 +284,11 @@ def test_token_rounds_with_equal_steps_have_equal_branches():
 
 def test_rates_read_each_round_off_the_token_rows_a_run_draws():
     # The run's columns hold every token round's (code, record) branches,
-    # read off its step list's stacked table at the run's pairs: they are
-    # the round's statevec branches on its own pairs.  A round's branches
-    # are the run's branches where only its own coins vary.
+    # read off its step list's map at the run's pairs: they are the round's
+    # statevec branches on its own pairs.  A round's branches are the run's
+    # branches where only its own coins vary.
     for attack in every_attack():
-        width1, width2, splitting = protocol._coin_widths(protocol._run_tables(attack))
+        width1, width2, splitting = (len(linear_map.coins) for linear_map in protocol._run_maps(attack))
         run = every_branch(attack)
         for receiver, names, width, shift in (
             (RECEIVER_1, ("pair1", "record1"), width1, width2 + splitting),
