@@ -12,14 +12,15 @@ The maps are the ones the sampled runs draw from
 symbolic stabilizer pass on the phase's reference register, whose
 generators carry each input bit as a sign symbol, gives each outcome bit
 as a parity of input bits and fair coins, packed into int columns.
-:func:`_run_columns` evaluates a (2,2) run under an attack at every one of
-its equally likely branches, indexed by the secret, then the coins in draw
-order, as int columns; the 512 randomness/secret cases of an honest run
-are its :data:`NO_ATTACK` branches.  Every column is affine over GF(2) in
-the branch bits, fixed by its values at the 2 + coins basis branches,
-which :func:`_basis` composes from the three maps on ints without
-evaluating the other branches, and each exact result is a rank question on
-those values:
+A (2,2) run's branches are indexed by the secret, then the coins in draw
+order, and every column of the run is affine over GF(2) in those bits, so
+it is fixed by its values at the 2 + coins basis branches: the all-zero
+one and each single-bit one.  :func:`_basis` is the one place that
+composes the three maps into a run under an attack, on ints, at those
+branches.  Each exact result is a rank question on those values, and
+:func:`_run_columns` expands them over every branch for the two readers
+that need every branch: the 512 randomness/secret cases of an honest run,
+its :data:`NO_ATTACK` branches, and a sweep's leaf keys.
 
 - a view (:data:`_VIEW_COLUMNS`) of an honest run gives 1 bit, with guess
   advantage 1/2, when the secret's flip of its columns lies outside the
@@ -83,7 +84,7 @@ _TOKEN_PAIRS = [
     tuple(map(_code, protocol.DEFAULT_AUTH_PAIRS[receiver])) for receiver in protocol._TOKEN_TARGETS
 ]
 
-# The columns of an honest run (_run_columns) each adversary view sees.
+# The columns of an honest run (_basis) each adversary view sees.
 # ``r1-alone`` and ``public-only`` include a full tap of the public channel.
 # ``r2-alone`` includes R2's own traffic and the broadcast teleport result
 # but not R1's point-to-point token; the deliberately stronger
@@ -121,13 +122,14 @@ class HonestCase(NamedTuple):
 @lru_cache(maxsize=1)
 def enumerate_honest_cases() -> tuple[HonestCase, ...]:
     """All 512 randomness/secret cases, ordered by secret, pair codes, swap
-    outcome, then teleport outcome: the branches of a :data:`NO_ATTACK` run
+    outcome, then teleport outcome: the branches of a :data:`NO_ATTACK` run,
+    its basis (:func:`_basis`) expanded over every branch
     (:func:`_run_columns`), where token branch i of either round has code
     i, which the sender records, and splitting branch j of each input must
     be the (swap, teleport) pair with ``4*swap + tele == j``.  A repeated
     pair would mean the cipher qubit has not collapsed.
     """
-    run = _run_columns(NO_ATTACK)
+    run = _run_columns(_basis(NO_ATTACK))
     branches = np.arange(len(run["secret"]))
     if len(branches) != 512:
         raise AssertionError(f"{len(branches)} honest branches, expected 512")
@@ -266,57 +268,27 @@ def encrypted_qubit_mixedness_55(
 _XOR_CODES = np.bitwise_xor.outer(np.arange(4), np.arange(4))
 
 
-def _run_columns(attack: AttackModel) -> dict[str, np.ndarray]:
-    """A (2,2) run under the attack at every one of its equally likely
-    branches, in index order, as int columns (:func:`_columns`).
-
-    A branch's index is the run's secret, then its coins in draw order,
-    the first most significant (:func:`protocol._draw`), so these are the
-    branches a run draws: each phase's map (:func:`protocol._linear_map`)
-    is evaluated at its inputs and coins over every index at once.  Each
-    token round reads its map at the run's pairs
-    (:data:`protocol.DEFAULT_AUTH_PAIRS`), with the record inferred from
-    the observed outcome (:func:`infer_remote_bsm`), and the splitting
-    phase reads its map at the secret and both records.
-    """
-    maps = protocol._run_maps(attack)
-    widths = [len(linear_map.coins) for linear_map in maps]
-    shift = sum(widths)
-    branches = np.arange(2 << shift)
-    secret, coins = branches >> shift, []
-    for width in widths:
-        shift -= width
-        coins.append(branches >> shift & (1 << width) - 1)
-    rounds = []
-    for pairs, token_map, coin in zip(_TOKEN_PAIRS, maps, coins):
-        word = protocol._xor_columns(token_map.inputs, protocol._input_index(pairs))
-        word ^= protocol._xor_columns(token_map.coins, coin)
-        code, observed = (protocol._field(word, token_map.fields[name]) for name in ("code", "observed"))
-        rounds.append((code, infer_remote_bsm(*pairs, observed)))
-    (pair1, record1), (pair2, record2) = rounds
-    splitting = maps[2]
-    word = protocol._xor_columns(splitting.inputs, 16 * secret + 4 * record1 + record2)
-    word ^= protocol._xor_columns(splitting.coins, coins[2])
-    outcomes = (protocol._field(word, splitting.fields[name]) for name in ("swap", "tele", "cipher"))
-    return _columns(attack, secret, pair1, record1, pair2, record2, *outcomes)
-
-
 def _basis(attack: AttackModel) -> dict[str, np.ndarray]:
-    """The run's columns (:func:`_columns`) at its all-zero branch, then at
-    each single-bit branch, the secret's and each coin's in draw order: an
-    affine column's value at any branch is its value at zero XOR the flips
-    of the branch's set bits.
+    """A (2,2) run under the attack at its all-zero branch, then at each
+    single-bit branch, the secret's and each coin's in draw order, as int
+    columns: ``secret``, the receivers' codes ``pair1`` and ``pair2``, the
+    sender's records ``record1`` and ``record2``, ``swap``, ``tele``,
+    ``cipher``, and the tokens the sender receives, ``token_r1`` and
+    ``token_r2`` (mask_tokens on the code columns, XOR the attack's fixed
+    alteration, read off the input that masks to (Φ+, 0)).  Every column
+    is affine over GF(2) in the branch bits, so these values fix it on
+    every branch (:func:`_run_columns`).
 
-    The phases' maps (:func:`protocol._linear_map`) are composed on ints,
-    apart from :func:`_run_columns`: the value at zero reads each map at
-    its inputs, and each branch bit's flip is carried through the phases.
-    The secret flips the splitting outcomes by its input column.  A token
-    coin flips its round's code and observed outcome by its column, so the
-    sender's record (:func:`infer_remote_bsm` XORs constants into the
-    observed outcome), so the splitting outcomes by that record's input
-    columns.  A splitting coin flips them by its column.  At these few
-    branches, composing the maps costs less than reading them through
-    numpy as :func:`_run_columns` does.
+    This is where the phases' maps (:func:`protocol._linear_map`) are
+    composed into a run, on ints: the value at zero reads each token round
+    at the run's pairs (:data:`protocol.DEFAULT_AUTH_PAIRS`) and the
+    splitting phase at the secret and both records, and each branch bit's
+    flip is carried through the phases.  The secret flips the splitting
+    outcomes by its input column.  A token coin flips its round's code and
+    observed outcome by its column, so the sender's record
+    (:func:`infer_remote_bsm` XORs constants into the observed outcome), so
+    the splitting outcomes by that record's input columns.  A splitting
+    coin flips them by its column.
     """
     maps = protocol._run_maps(attack)
     # (pair1, record1, pair2, record2) at zero, and each token round's
@@ -337,18 +309,9 @@ def _basis(attack: AttackModel) -> dict[str, np.ndarray]:
     rows += [(0, p1 ^ c, r1 ^ o, p2, r2, w ^ protocol._xor_columns(inputs[1:3], o)) for c, o in coin_flips[0]]
     rows += [(0, p1, r1, p2 ^ c, r2 ^ o, w ^ protocol._xor_columns(inputs[3:], o)) for c, o in coin_flips[1]]
     rows += [(0, p1, r1, p2, r2, w ^ column) for column in splitting.coins]
-    *columns, word = np.array(rows, dtype=np.int64).T
-    outcomes = (protocol._field(word, splitting.fields[name]) for name in ("swap", "tele", "cipher"))
-    return _columns(attack, *columns, *outcomes)
-
-
-def _columns(attack, secret, pair1, record1, pair2, record2, swap, tele, cipher) -> dict[str, np.ndarray]:
-    # A run's int columns by name, from its branches' inputs and splitting
-    # outcomes: ``secret``, the receivers' codes ``pair1`` and ``pair2``,
-    # the sender's records ``record1`` and ``record2``, ``swap``, ``tele``,
-    # ``cipher``, and the tokens the sender receives, ``token_r1`` and
-    # ``token_r2`` (mask_tokens on the code columns, XOR the attack's fixed
-    # alteration, read off the input that masks to (Φ+, 0)).
+    secret, pair1, record1, pair2, record2, word = np.array(rows, dtype=np.int64).T
+    fields = splitting.fields
+    swap, tele, cipher = (protocol._field(word, fields[name]) for name in ("swap", "tele", "cipher"))
     token_r1, token_r2 = mask_tokens(pair1, pair2, swap, cipher)
     alter_r1, alter_r2 = sent_tokens(PHI_PLUS, PHI_PLUS, PHI_PLUS, 0, attack)
     return dict(
@@ -356,6 +319,20 @@ def _columns(attack, secret, pair1, record1, pair2, record2, swap, tele, cipher)
         swap=swap, tele=tele, cipher=cipher,
         token_r1=token_r1 ^ _code(alter_r1), token_r2=token_r2 ^ alter_r2,
     )
+
+
+def _run_columns(basis: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A run's columns at every one of its equally likely branches, in index
+    order, from its basis (:func:`_basis`): an affine column's value at
+    branch b is its value at zero XOR the flip of each bit set in b.  The
+    secret's bit is the most significant, then the coins' in draw order
+    (:func:`protocol._draw`), so these are the branches a run draws.
+    """
+    zero, *rows = np.stack(list(basis.values()), axis=1)  # a row per basis branch
+    run = zero[np.newaxis]
+    for row in reversed(rows):  # the last coin's bit is the least significant
+        run = np.concatenate((run, run ^ (row ^ zero)))
+    return dict(zip(basis, run.T))
 
 
 def exact_detection_rate(attack: AttackModel) -> Fraction:
@@ -375,7 +352,8 @@ def _detection_rate(basis: dict[str, np.ndarray]) -> Fraction:
 
 
 def _rejected(run: dict[str, np.ndarray]) -> np.ndarray:
-    # The branches of a run's columns (_run_columns) the sender rejects.
+    # The branches of a run's columns (_basis, _run_columns) the sender
+    # rejects.
     return ~protocol._accepts(run["record2"], run["tele"], run["secret"], run["token_r1"], run["token_r2"])
 
 
@@ -433,7 +411,7 @@ _CHUNK_TRIALS = 4096
 class _SweepRecord(NamedTuple):
     """What the sweeps know of the run under one attack (:func:`_leaf_table`)."""
 
-    keys: np.ndarray  # the leaf key of each branch, by branch index
+    keys: np.ndarray  # each branch's leaf key, by branch index: the basis expanded
     leaves: list[tuple[bool, tuple[str, ...]] | None]  # a slot per key
     basis: dict[str, np.ndarray]  # the run at its basis branches (_basis)
 
@@ -445,14 +423,16 @@ class _SweepRecord(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _leaf_table(attack: AttackModel) -> _SweepRecord:
-    # The sweeps' record of the run under the attack: the leaf key of every
-    # branch (_run_columns), the tokens' payload bits 2*token_r1 + token_r2
-    # plus 8*tele, with tele 4 on rejection; a slot per key for a run's
-    # rejection and first three payloads, filled as trials reach it; and
-    # the run's basis, read-only, which gives the exact rate.  The share of
-    # rejecting keys (key >= 32) must be that rate.
+    # The sweeps' record of the run under the attack: the run's basis,
+    # read-only, which gives the exact rate; the leaf key of every branch,
+    # that basis expanded (_run_columns), the tokens' payload bits
+    # 2*token_r1 + token_r2 plus 8*tele, with tele 4 on rejection; and a
+    # slot per key for a run's rejection and first three payloads, filled
+    # as trials reach it.  The share of rejecting keys (key >= 32), counted
+    # over every branch, must be the basis' rank rate, and the first run to
+    # draw a key must encode to it (_trial_leaves).
     basis = _basis(attack)
-    run = _run_columns(attack)
+    run = _run_columns(basis)
     keys = 2 * run["token_r1"] + run["token_r2"] + 8 * np.where(_rejected(run), 4, run["tele"])
     rate = _detection_rate(basis)
     if Fraction(int(np.count_nonzero(keys >= 32)), len(keys)) != rate:

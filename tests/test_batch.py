@@ -14,6 +14,7 @@ reference.
 
 import hashlib
 import random
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -447,18 +448,33 @@ def test_a_warm_sweep_evaluates_no_branch_of_the_run(monkeypatch):
     assert second == first
 
 
-def test_a_record_whose_basis_disagrees_with_its_keys_raises(monkeypatch):
+def test_a_record_whose_basis_disagrees_with_its_runs_raises(monkeypatch):
     # R2's token is one bit of the sender's parity, so flipping it on every
-    # basis branch turns the honest run's rate of 0 into 1, while the keys,
-    # read off every branch, still reject none.
+    # basis branch turns the honest run's rate of 0 into 1.  The leaf keys
+    # expand that basis, so every key rejects too, and it is the first run
+    # drawn whose payloads do not encode to its key that catches it.
     real_basis = security._basis
 
     def flipped(attack):
         basis = real_basis(attack)
-        basis["token_r2"] ^= 1
-        return basis
+        return {**basis, "token_r2": basis["token_r2"] ^ 1}
 
     monkeypatch.setattr(security, "_basis", flipped)
+    security._leaf_table.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="leaf key"):
+            attack_sweep(NO_ATTACK, 10, 0)
+        with pytest.raises(AssertionError, match="leaf key"):
+            public_transcript_uniformity(10, 0)
+    finally:
+        security._leaf_table.cache_clear()
+
+
+def test_a_record_whose_rate_disagrees_with_its_keys_raises(monkeypatch):
+    # The share of rejecting leaf keys, counted over every branch, must be
+    # the rank rate of the basis: a rate helper that reads 1 for the honest
+    # run, whose keys reject none, trips the record's check.
+    monkeypatch.setattr(security, "_detection_rate", lambda basis: Fraction(1))
     security._leaf_table.cache_clear()
     try:
         with pytest.raises(AssertionError, match="basis rate 1"):

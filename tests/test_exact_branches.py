@@ -376,8 +376,8 @@ def reference_detection_rate(attack):
     return total
 
 
-# The columns of security._run_columns, in reference_run_branches' row
-# order, and those that hold 2-bit codes.
+# The columns of a run (security._basis, every_branch), in
+# reference_run_branches' row order, and those that hold 2-bit codes.
 RUN_COLUMNS = (
     "secret", "pair1", "pair2", "record1", "record2", "swap", "tele", "cipher", "token_r1", "token_r2"
 )
@@ -537,10 +537,44 @@ def every_attack():
 
 
 def every_branch(attack):
-    """The run's int columns (``security._run_columns``) at every one of
+    """The run's int columns (``security._basis``'s names) at every one of
     its 2^(1 + coins) branches, in index order: the secret, then the coins
-    in draw order."""
-    return security._run_columns(attack)
+    in draw order, the first most significant (``protocol._draw``).
+
+    An evaluation apart from the package's, which composes the run once at
+    its basis branches and expands that over every branch: each phase's
+    map is evaluated at its inputs and coins over every index at once.
+    Each token round reads its map at the run's pairs, with the record
+    inferred from the observed outcome, and the splitting phase reads its
+    map at the secret and both records."""
+    maps = protocol._run_maps(attack)
+    widths = [len(linear_map.coins) for linear_map in maps]
+    shift = sum(widths)
+    branches = np.arange(2 << shift)
+    secret, coins = branches >> shift, []
+    for width in widths:
+        shift -= width
+        coins.append(branches >> shift & (1 << width) - 1)
+    rounds = []
+    for pairs, token_map, coin in zip(security._TOKEN_PAIRS, maps, coins):
+        word = protocol._xor_columns(token_map.inputs, protocol._input_index(pairs))
+        word ^= protocol._xor_columns(token_map.coins, coin)
+        code, observed = (protocol._field(word, token_map.fields[name]) for name in ("code", "observed"))
+        rounds.append((code, infer_remote_bsm(*pairs, observed)))
+    (pair1, record1), (pair2, record2) = rounds
+    splitting = maps[2]
+    word = protocol._xor_columns(splitting.inputs, 16 * secret + 4 * record1 + record2)
+    word ^= protocol._xor_columns(splitting.coins, coins[2])
+    swap, tele, cipher = (protocol._field(word, splitting.fields[name]) for name in ("swap", "tele", "cipher"))
+    # The tokens the sender receives: mask_tokens on the code columns, XOR
+    # the attack's fixed alteration.
+    token_r1, token_r2 = protocol.mask_tokens(pair1, pair2, swap, cipher)
+    alter_r1, alter_r2 = protocol.sent_tokens(PHI_PLUS, PHI_PLUS, PHI_PLUS, 0, attack)
+    return dict(
+        secret=secret, pair1=pair1, pair2=pair2, record1=record1, record2=record2,
+        swap=swap, tele=tele, cipher=cipher,
+        token_r1=token_r1 ^ protocol._code(alter_r1), token_r2=token_r2 ^ alter_r2,
+    )
 
 
 def splitting_register(secret, pair1, pair2):

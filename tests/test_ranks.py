@@ -7,8 +7,11 @@ rate is 1/2 when any of them flips the rejection parity, a view pins down
 the secret when the secret's flip lies outside the span of the coins'
 flips, and a k-bit message is uniform when its bits have rank k.  These
 tests hold each rank result to the branch counts it replaced, kept here
-as the reference and computed over every branch of the run, and check
-that the basis rebuilds every column on every branch.
+as the reference and computed over every branch of the run by an
+evaluation of its own (``every_branch``); check that the package's
+every-branch columns, its basis expanded (``security._run_columns``), are
+that evaluation; and check that a cold sweep record or the honest cases
+compose the run's maps once.
 """
 
 from fractions import Fraction
@@ -110,32 +113,31 @@ def test_span_tests_are_the_counts_on_every_column_and_view(attack):
 
 
 @pytest.mark.parametrize("attack", ATTACKS, ids=lambda attack: attack.spec_string)
-def test_the_basis_rebuilds_every_column_on_every_branch(attack):
-    # Each column at branch b is its value at zero XOR the flip of each bit
-    # set in b: basis branch 1 is the secret's, the most significant bit,
-    # and basis branch 1 + j the j-th coin's.
-    basis, run = security._basis(attack), every_branch(attack)
-    bits = 1 + protocol.coin_count(attack)
-    assert all(len(column) == 1 + bits for column in basis.values())
-    branches = np.arange(1 << bits)
+def test_the_basis_expands_to_every_column_on_every_branch(attack):
+    # The package's every-branch columns are its basis expanded: at branch
+    # b, each column's value at zero XOR the flip of each bit set in b,
+    # the secret's the most significant.  They are the columns evaluated
+    # here over every branch, element by element and in index order.
+    basis = security._basis(attack)
+    assert all(len(column) == 2 + protocol.coin_count(attack) for column in basis.values())
+    run, expected = security._run_columns(basis), every_branch(attack)
+    assert list(run) == list(expected) == list(RUN_COLUMNS)
     for name in RUN_COLUMNS:
-        rebuilt = np.full(len(branches), basis[name][0])
-        for j in range(bits):
-            rebuilt ^= np.where(branches >> (bits - 1 - j) & 1, basis[name][1 + j] ^ basis[name][0], 0)
-        assert (rebuilt == run[name]).all(), name
+        assert run[name].shape == expected[name].shape, name
+        assert (run[name] == expected[name]).all(), name
 
 
 @pytest.fixture
 def evaluated(monkeypatch):
     # Each evaluation of the run, by the function that made it and the
-    # number of branches it covers: every branch (_run_columns) or the
-    # basis branches (_basis).
+    # number of branches it covers: the basis branches (_basis), or every
+    # branch (_run_columns, the basis expanded).
     calls = []
     for name in ("_run_columns", "_basis"):
         real = getattr(security, name)
 
-        def counted(attack, real=real, name=name):
-            run = real(attack)
+        def counted(arg, real=real, name=name):
+            run = real(arg)
             calls.append((name, len(run["secret"])))
             return run
 
@@ -164,3 +166,31 @@ def test_each_exact_result_evaluates_the_run_at_its_basis_branches(evaluated):
     evaluated.clear()
     security.public_transcript_uniformity(100, 0)
     assert evaluated == []
+
+
+@pytest.fixture
+def run_maps(monkeypatch):
+    # Each read of a run's phase maps, by the attack it was read for.
+    attacks = []
+    real = protocol._run_maps
+
+    def counted(attack):
+        attacks.append(attack)
+        return real(attack)
+
+    monkeypatch.setattr(protocol, "_run_maps", counted)
+    return attacks
+
+
+def test_a_cold_record_and_the_honest_cases_compose_the_run_once(run_maps):
+    # The sweep record's leaf keys expand the basis it holds, and the
+    # honest cases expand the honest run's basis: each composes the run's
+    # maps once, not once for the basis and again for every branch.
+    attack = AttackModel.from_spec("intercept-resend-computational:auth-r1")
+    security._leaf_table.cache_clear()
+    security._leaf_table(attack)
+    assert run_maps == [attack]
+    run_maps.clear()
+    security.enumerate_honest_cases.cache_clear()
+    security.enumerate_honest_cases()
+    assert run_maps == [NO_ATTACK]
