@@ -505,18 +505,16 @@ def token_steps(target: str, attack: AttackModel) -> tuple[Step, ...]:
 
 
 @lru_cache(maxsize=None)
-def splitting_steps(attack: AttackModel, measure_cipher: bool) -> tuple[Step, ...]:
+def splitting_steps(attack: AttackModel) -> tuple[Step, ...]:
     """Steps of the splitting phase on :func:`prepare_splitting_register`:
     any intercept, R1's swap measurement, the sender's teleport measurement,
-    R2's measurement of the cipher qubit when ``measure_cipher``, and the
-    eavesdropper's reading of an attached ancilla."""
+    R2's measurement of the cipher qubit, and the eavesdropper's reading of
+    an attached ancilla."""
     steps = (
         _intercept_steps(attack, "split-r1", (2, 3))
         + _intercept_steps(attack, "split-r2", (4,))
-        + (Step("bell", (2, 3), "swap"), Step("bell", (0, 1), "tele"))
+        + (Step("bell", (2, 3), "swap"), Step("bell", (0, 1), "tele"), Step("z", (4,), "cipher"))
     )
-    if measure_cipher:
-        steps += (Step("z", (4,), "cipher"),)
     if attack.kind == "entangle-ancilla":
         steps += (Step("z", (5,), "eve"),)
     return steps
@@ -793,7 +791,7 @@ def _run_maps(attack: AttackModel) -> list[_LinearMap]:
     # The maps a seeded (2,2) run under the attack draws from, in draw
     # order: R1's and R2's token rounds, then the splitting phase.
     maps = [_linear_map("token", token_steps(target, attack)) for target in _TOKEN_TARGETS.values()]
-    maps.append(_linear_map("splitting", splitting_steps(attack, True)))
+    maps.append(_linear_map("splitting", splitting_steps(attack)))
     return maps
 
 
@@ -826,7 +824,7 @@ def run_splitting_22(
     secret_bit = operator.index(secret_bit)  # a bool or numpy int runs as its int; 1.0 raises
     if secret_bit not in (0, 1):
         raise ValueError(f"secret bit must be 0 or 1, got {secret_bit}")
-    results = _draw_named("splitting", splitting_steps(attack, True), (secret_bit, pair1, pair2), rng)
+    results = _draw_named("splitting", splitting_steps(attack), (secret_bit, pair1, pair2), rng)
     _record_splitting(transcript, results)
     return SplitResult(
         swap_bsm=results["swap"],
@@ -854,7 +852,7 @@ def splitting_branch(
     """
     state = prepare_splitting_register(secret, pair1, pair2)
     outcomes = {"swap": swap_bsm, "tele": teleport_bsm}
-    *bell_steps, cipher_step = splitting_steps(NO_ATTACK, True)
+    *bell_steps, cipher_step = splitting_steps(NO_ATTACK)
     probability = 1.0
     for _, qubits, name in bell_steps:
         p, state = statevec.bell_project(state, *qubits, outcomes[name])
@@ -1054,7 +1052,7 @@ def run_qss55(
     The sender draws both pair labels uniformly, runs the splitting circuit,
     and distributes the four classical pieces over private channels; R2
     keeps the unmeasured encrypted qubit.  The swap and teleport outcomes
-    come from the no-cipher splitting map at the pair codes drawn.  The
+    come from the honest splitting map at the pair codes drawn.  The
     circuit is Clifford, so R2's qubit is the secret under the Pauli
     :func:`end_to_end_correction` of the pieces (Pauli-frame bookkeeping):
     no register is simulated, and the printed amplitudes are the secret's
@@ -1072,9 +1070,10 @@ def run_qss55(
     pair1, pair2 = BELL_LABELS[word >> 30 & 3], BELL_LABELS[word >> 62]
     builder.classical(SENDER, RECEIVER_3, pair1.bits, private=True)
     builder.classical(SENDER, RECEIVER_4, pair2.bits, private=True)
-    # The swap and teleport outcomes are uniform whatever the secret qubit
-    # (the teleportation property), so the map's secret-bit-0 branches serve.
-    results = _draw_named("splitting", splitting_steps(NO_ATTACK, False), (0, pair1, pair2), rng)
+    # The swap and teleport outcomes are uniform whatever the secret qubit, so
+    # secret bit 0 serves; the cipher bit draws no coin, and R2 keeps its qubit.
+    results = _draw_named("splitting", splitting_steps(NO_ATTACK), (0, pair1, pair2), rng)
+    del results["cipher"]
     swap, tele = results["swap"], results["tele"]
     _record_splitting(builder, results)
     builder.classical(SENDER, RECEIVER_5, tele.bits, private=True)

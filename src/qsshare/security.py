@@ -13,14 +13,13 @@ symbolic stabilizer pass on the phase's reference register, whose
 generators carry each input bit as a sign symbol, gives each outcome bit
 as a parity of input bits and fair coins, packed into int columns.
 A (2,2) run's branches are indexed by the secret, then the coins in draw
-order, and every column of the run is affine over GF(2) in those bits, so
-it is fixed by its values at the 2 + coins basis branches: the all-zero
-one and each single-bit one.  :func:`_basis` is the one place that
-composes the three maps into a run under an attack, on ints, at those
-branches.  Each exact result is a rank question on those values, and
-:func:`_run_columns` expands them over every branch for the two readers
-that need every branch: the 512 randomness/secret cases of an honest run,
-its :data:`NO_ATTACK` branches, and a sweep's leaf keys.
+order; a branch's columns pack into one int word (:data:`_RUN_FIELDS`),
+each affine over GF(2) in those bits, so the run is fixed by its words at
+the all-zero branch and each single-bit one.  :func:`_basis` is the one
+place that composes the three maps into a run, on ints, as those words;
+each exact result is a rank question on their fields, and
+:func:`_run_words` expands them into one int64 array for the two readers
+that need every branch: the 512 honest cases and a sweep's leaf keys.
 
 - a view (:data:`_VIEW_COLUMNS`) of an honest run gives 1 bit, with guess
   advantage 1/2, when the secret's flip of its columns lies outside the
@@ -84,7 +83,14 @@ _TOKEN_PAIRS = [
     tuple(map(_code, protocol.DEFAULT_AUTH_PAIRS[receiver])) for receiver in protocol._TOKEN_TARGETS
 ]
 
-# The columns of an honest run (_basis) each adversary view sees.
+# Each column's (shift, width) in a run word (_basis), as in _LinearMap.fields;
+# the low five bits are a sweep's leaf key, 8*tele + 2*token_r1 + token_r2.
+_RUN_FIELDS = {
+    "secret": (16, 1), "pair1": (14, 2), "pair2": (12, 2), "record1": (10, 2), "record2": (8, 2),
+    "cipher": (7, 1), "swap": (5, 2), "tele": (3, 2), "token_r1": (1, 2), "token_r2": (0, 1),
+}
+
+# The columns of an honest run (_RUN_FIELDS) each adversary view sees.
 # ``r1-alone`` and ``public-only`` include a full tap of the public channel.
 # ``r2-alone`` includes R2's own traffic and the broadcast teleport result
 # but not R1's point-to-point token; the deliberately stronger
@@ -124,20 +130,20 @@ def enumerate_honest_cases() -> tuple[HonestCase, ...]:
     """All 512 randomness/secret cases, ordered by secret, pair codes, swap
     outcome, then teleport outcome: the branches of a :data:`NO_ATTACK` run,
     its basis (:func:`_basis`) expanded over every branch
-    (:func:`_run_columns`), where token branch i of either round has code
+    (:func:`_run_words`), where token branch i of either round has code
     i, which the sender records, and splitting branch j of each input must
     be the (swap, teleport) pair with ``4*swap + tele == j``.  A repeated
     pair would mean the cipher qubit has not collapsed.
     """
-    run = _run_columns(_basis(NO_ATTACK))
-    branches = np.arange(len(run["secret"]))
-    if len(branches) != 512:
-        raise AssertionError(f"{len(branches)} honest branches, expected 512")
-    if (4 * run["swap"] + run["tele"] != branches & 15).any():
+    run = _run_words(_basis(NO_ATTACK))
+    if len(run) != 512:
+        raise AssertionError(f"{len(run)} honest branches, expected 512")
+    swap, tele, cipher = (protocol._field(run, _RUN_FIELDS[name]) for name in ("swap", "tele", "cipher"))
+    if (4 * swap + tele != np.arange(512) & 15).any():
         raise AssertionError("cipher qubit not collapsed")
     labels = product((0, 1), BELL_LABELS, BELL_LABELS, BELL_LABELS, BELL_LABELS)
     # Each case is its labels and its cipher bit, joined as tuples.
-    return tuple(map(HonestCase._make, map(operator.add, labels, zip(run["cipher"].tolist()))))
+    return tuple(map(HonestCase._make, map(operator.add, labels, zip(cipher.tolist()))))
 
 
 # ---------------------------------------------------------------------------
@@ -171,25 +177,22 @@ def mutual_information_22(view: str) -> SecrecyReport:
     coin-flip guess, or disjoint, 1 bit and a sure one (:func:`_pins_secret`)."""
     if view not in _VIEW_COLUMNS:
         raise ValueError(f"unknown view {view!r}; known views: {', '.join(VIEW_NAMES)}")
-    run = _basis(NO_ATTACK)
-    information = float(_pins_secret(run, _VIEW_COLUMNS[view]))
+    basis = _basis(NO_ATTACK)
+    information = float(_pins_secret(basis, _VIEW_COLUMNS[view]))
     return SecrecyReport(
         view=view,
         mutual_information=information,
         guess_advantage=information / 2,
-        cases_enumerated=1 << (len(run["secret"]) - 1),  # the branches it covers
+        cases_enumerated=1 << (len(basis) - 1),  # the branches it covers
         exact=True,
     )
 
 
-def _flips(run: dict[str, np.ndarray], names: tuple[str, ...]) -> list[int]:
-    # The named columns of a run's basis (_basis), packed two bits each, at
-    # each single-bit branch XOR at the all-zero one: what the secret
-    # flips, then what each coin flips.
-    packed = 0
-    for name in names:
-        packed = 4 * packed + run[name]
-    return (packed[1:] ^ packed[0]).tolist()
+def _flips(basis: tuple[int, ...], names: tuple[str, ...]) -> list[int]:
+    # The named fields of a run's basis (_basis) at each single-bit branch
+    # XOR at the all-zero one: what the secret flips, then each coin.
+    mask = sum((1 << width) - 1 << shift for shift, width in map(_RUN_FIELDS.__getitem__, names))
+    return [(w ^ basis[0]) & mask for w in basis[1:]]
 
 
 def _rank(vectors: list[int]) -> int:
@@ -204,10 +207,10 @@ def _rank(vectors: list[int]) -> int:
     return len(pivots)
 
 
-def _pins_secret(run: dict[str, np.ndarray], names: tuple[str, ...]) -> bool:
-    # Whether the named columns of a run's basis pin down the secret: the
+def _pins_secret(basis: tuple[int, ...], names: tuple[str, ...]) -> bool:
+    # Whether the named fields of a run's basis pin down the secret: the
     # secret's flip of their bits lies outside the span of the coins' flips.
-    flips = _flips(run, names)
+    flips = _flips(basis, names)
     return _rank(flips) > _rank(flips[1:])
 
 
@@ -268,16 +271,13 @@ def encrypted_qubit_mixedness_55(
 _XOR_CODES = np.bitwise_xor.outer(np.arange(4), np.arange(4))
 
 
-def _basis(attack: AttackModel) -> dict[str, np.ndarray]:
-    """A (2,2) run under the attack at its all-zero branch, then at each
-    single-bit branch, the secret's and each coin's in draw order, as int
-    columns: ``secret``, the receivers' codes ``pair1`` and ``pair2``, the
-    sender's records ``record1`` and ``record2``, ``swap``, ``tele``,
-    ``cipher``, and the tokens the sender receives, ``token_r1`` and
-    ``token_r2`` (mask_tokens on the code columns, XOR the attack's fixed
-    alteration, read off the input that masks to (Φ+, 0)).  Every column
-    is affine over GF(2) in the branch bits, so these values fix it on
-    every branch (:func:`_run_columns`).
+def _basis(attack: AttackModel) -> tuple[int, ...]:
+    """A (2,2) run under the attack as run words (:data:`_RUN_FIELDS`) at
+    its all-zero branch, then at each single-bit branch, the secret's and
+    each coin's in draw order: every column is affine over GF(2) in the
+    branch bits, so these words fix the run (:func:`_run_words`).  The
+    tokens are mask_tokens on the code columns XOR the attack's fixed
+    alteration, read off the input that masks to (Φ+, 0).
 
     This is where the phases' maps (:func:`protocol._linear_map`) are
     composed into a run, on ints: the value at zero reads each token round
@@ -300,39 +300,39 @@ def _basis(attack: AttackModel) -> dict[str, np.ndarray]:
         zero += protocol._field(word, code), infer_remote_bsm(*pairs, protocol._field(word, observed))
         coin_flips.append([(protocol._field(c, code), protocol._field(c, observed)) for c in token_map.coins])
     p1, r1, p2, r2 = zero
-    splitting = maps[2]
-    inputs = splitting.inputs  # the secret's column, then each record's two
+    inputs, coins, fields = maps[2]  # splitting: the secret's input column, then each record's two
     w = protocol._xor_columns(inputs, 4 * r1 + r2)
-    # (secret, pair1, record1, pair2, record2, splitting word) at each
-    # basis branch.
+    # (secret, pair1, record1, pair2, record2, splitting word) per basis branch.
     rows = [(0, p1, r1, p2, r2, w), (1, p1, r1, p2, r2, w ^ inputs[0])]
     rows += [(0, p1 ^ c, r1 ^ o, p2, r2, w ^ protocol._xor_columns(inputs[1:3], o)) for c, o in coin_flips[0]]
     rows += [(0, p1, r1, p2 ^ c, r2 ^ o, w ^ protocol._xor_columns(inputs[3:], o)) for c, o in coin_flips[1]]
-    rows += [(0, p1, r1, p2, r2, w ^ column) for column in splitting.coins]
-    secret, pair1, record1, pair2, record2, word = np.array(rows, dtype=np.int64).T
-    fields = splitting.fields
-    swap, tele, cipher = (protocol._field(word, fields[name]) for name in ("swap", "tele", "cipher"))
-    token_r1, token_r2 = mask_tokens(pair1, pair2, swap, cipher)
-    alter_r1, alter_r2 = sent_tokens(PHI_PLUS, PHI_PLUS, PHI_PLUS, 0, attack)
-    return dict(
-        secret=secret, pair1=pair1, pair2=pair2, record1=record1, record2=record2,
-        swap=swap, tele=tele, cipher=cipher,
-        token_r1=token_r1 ^ _code(alter_r1), token_r2=token_r2 ^ alter_r2,
-    )
+    rows += [(0, p1, r1, p2, r2, w ^ column) for column in coins]
+    alter_r1, alter_r2 = map(_code, sent_tokens(PHI_PLUS, PHI_PLUS, PHI_PLUS, 0, attack))
+    shifts = [shift for shift, _ in _RUN_FIELDS.values()]  # columns in _RUN_FIELDS order
+    words = []
+    for secret, pair1, record1, pair2, record2, word in rows:
+        cipher = protocol._field(word, fields["cipher"])
+        swap = protocol._field(word, fields["swap"])
+        tele = protocol._field(word, fields["tele"])
+        token_r1, token_r2 = mask_tokens(pair1, pair2, swap, cipher)
+        tokens = token_r1 ^ alter_r1, token_r2 ^ alter_r2
+        columns = secret, pair1, pair2, record1, record2, cipher, swap, tele, *tokens
+        words.append(sum(map(operator.lshift, columns, shifts)))
+    return tuple(words)
 
 
-def _run_columns(basis: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """A run's columns at every one of its equally likely branches, in index
-    order, from its basis (:func:`_basis`): an affine column's value at
-    branch b is its value at zero XOR the flip of each bit set in b.  The
-    secret's bit is the most significant, then the coins' in draw order
+def _run_words(basis: tuple[int, ...]) -> np.ndarray:
+    """A run's words at every one of its equally likely branches, in index
+    order, as one int64 array, from its basis (:func:`_basis`): an affine
+    word at branch b is its value at zero XOR the flip of each bit set in b.
+    The secret's bit is the most significant, then the coins' in draw order
     (:func:`protocol._draw`), so these are the branches a run draws.
     """
-    zero, *rows = np.stack(list(basis.values()), axis=1)  # a row per basis branch
-    run = zero[np.newaxis]
-    for row in reversed(rows):  # the last coin's bit is the least significant
-        run = np.concatenate((run, run ^ (row ^ zero)))
-    return dict(zip(basis, run.T))
+    zero, *rest = basis
+    run = np.array([zero], dtype=np.int64)
+    for word in reversed(rest):  # the last coin's bit is the least significant
+        run = np.concatenate((run, run ^ (word ^ zero)))
+    return run
 
 
 def exact_detection_rate(attack: AttackModel) -> Fraction:
@@ -344,17 +344,23 @@ def exact_detection_rate(attack: AttackModel) -> Fraction:
     return _detection_rate(_basis(attack))
 
 
-def _detection_rate(basis: dict[str, np.ndarray]) -> Fraction:
+def _detection_rate(basis: tuple[int, ...]) -> Fraction:
     # The rejection rate a run's basis (_basis) gives: 1/2 when a basis
     # branch flips the rejection parity, and otherwise its value at zero.
-    rejected = _rejected(basis)
-    return Fraction(1, 2) if (rejected != rejected[0]).any() else Fraction(int(rejected[0]))
+    zero, *rest = map(_rejected, basis)
+    return Fraction(1, 2) if any(rejected != zero for rejected in rest) else Fraction(int(zero))
 
 
-def _rejected(run: dict[str, np.ndarray]) -> np.ndarray:
-    # The branches of a run's columns (_basis, _run_columns) the sender
-    # rejects.
-    return ~protocol._accepts(run["record2"], run["tele"], run["secret"], run["token_r1"], run["token_r2"])
+def _rejected(words):
+    # Whether the sender rejects a run word, or each word of an int array:
+    # protocol._accepts on the five fields it checks, negated by `^ True`.
+    return protocol._accepts(
+        protocol._field(words, _RUN_FIELDS["record2"]),
+        protocol._field(words, _RUN_FIELDS["tele"]),
+        protocol._field(words, _RUN_FIELDS["secret"]),
+        protocol._field(words, _RUN_FIELDS["token_r1"]),
+        protocol._field(words, _RUN_FIELDS["token_r2"]),
+    ) ^ True
 
 
 # ---------------------------------------------------------------------------
@@ -413,32 +419,24 @@ class _SweepRecord(NamedTuple):
 
     keys: np.ndarray  # each branch's leaf key, by branch index: the basis expanded
     leaves: list[tuple[bool, tuple[str, ...]] | None]  # a slot per key
-    basis: dict[str, np.ndarray]  # the run at its basis branches (_basis)
-
-    @property
-    def coins(self) -> int:
-        # A run draws this many coins: the keys cover 2 << coins branches.
-        return len(self.keys).bit_length() - 2
+    basis: tuple[int, ...]  # the run's words at its basis branches (_basis)
 
 
 @lru_cache(maxsize=None)
 def _leaf_table(attack: AttackModel) -> _SweepRecord:
-    # The sweeps' record of the run under the attack: the run's basis,
-    # read-only, which gives the exact rate; the leaf key of every branch,
-    # that basis expanded (_run_columns), the tokens' payload bits
-    # 2*token_r1 + token_r2 plus 8*tele, with tele 4 on rejection; and a
-    # slot per key for a run's rejection and first three payloads, filled
-    # as trials reach it.  The share of rejecting keys (key >= 32), counted
-    # over every branch, must be the basis' rank rate, and the first run to
-    # draw a key must encode to it (_trial_leaves).
+    # The sweeps' record of the run under the attack: its basis, which gives
+    # the exact rate; each branch's leaf key, the low five bits of that basis
+    # expanded (_run_words), with tele 4 on rejection; and a slot per key
+    # for a run's rejection and first three payloads, filled as trials reach
+    # it.  The share of rejecting keys (key >= 32) must be the basis' rank
+    # rate, and the first run to draw a key must encode to it (_trial_leaves).
     basis = _basis(attack)
-    run = _run_columns(basis)
-    keys = 2 * run["token_r1"] + run["token_r2"] + 8 * np.where(_rejected(run), 4, run["tele"])
+    run = _run_words(basis)
+    keys = np.where(_rejected(run), run & 7 | 32, run & 31)
     rate = _detection_rate(basis)
     if Fraction(int(np.count_nonzero(keys >= 32)), len(keys)) != rate:
         raise AssertionError(f"{attack.spec_string}: the leaf keys disagree with the basis rate {rate}")
-    for column in (keys, *basis.values()):
-        column.flags.writeable = False
+    keys.flags.writeable = False
     return _SweepRecord(keys, [None] * 40, basis)
 
 
@@ -456,12 +454,13 @@ def _trial_leaves(attack: AttackModel, trials: int, seed: int):
     coins, apart from the seed in its header, so the trials' coins are
     computed in one numpy pass per chunk, packed straight into branch
     indices (:func:`protocol.coin_index`), and index the leaf keys of the
-    run's branches in the attack's record (:func:`_leaf_table`), which also
-    gives the coin count.  A key's first trial runs in full
-    (:func:`run_qss22`), and its payloads must encode to the key.
+    run's branches in the attack's record (:func:`_leaf_table`), whose basis
+    holds a word per coin besides the all-zero and the secret's words.  A
+    key's first trial runs in full (:func:`run_qss22`), and its payloads
+    must encode to the key.
     """
     record = _leaf_table(attack)
-    keys, leaves, coins = record.keys, record.leaves, record.coins
+    keys, leaves, coins = record.keys, record.leaves, len(record.basis) - 2
     for start in range(0, trials, _CHUNK_TRIALS):
         stop = min(start + _CHUNK_TRIALS, trials)
         seeds = _trial_keys(seed, start, stop)

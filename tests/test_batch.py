@@ -208,7 +208,7 @@ def test_all_32_splitting_tables_of_a_step_list_have_one_length():
     # coin_count reads the coins of the one splitting map per step list,
     # so every input's own register must have that many branches.
     attacks = [AttackModel.from_spec(spec) for spec in SPECS]
-    for steps in {protocol.splitting_steps(attack, True) for attack in attacks}:
+    for steps in {protocol.splitting_steps(attack) for attack in attacks}:
         lengths = {
             len(branch_table(splitting_register(secret, pair1, pair2), steps))
             for secret, pair1, pair2 in product((0, 1), BELL_LABELS, BELL_LABELS)
@@ -422,14 +422,34 @@ def test_sweep_rates_are_the_exact_rates_cold_and_warm():
 
 
 def test_records_hold_a_read_only_basis_and_the_coin_count():
+    # The basis is a tuple of ints, which cannot change in place, a word
+    # per coin besides the all-zero and the secret's; the keys are a
+    # read-only array.
     for attack in every_attack():
         record = security._leaf_table(attack)
-        assert record.coins == protocol.coin_count(attack), attack
+        assert len(record.basis) == 2 + protocol.coin_count(attack), attack
         assert not record.keys.flags.writeable, attack
         basis = security._basis(attack)
-        assert record.basis.keys() == basis.keys(), attack
-        for name, column in record.basis.items():
-            assert not column.flags.writeable and (column == basis[name]).all(), (attack, name)
+        assert type(record.basis) is type(basis) is tuple, attack
+        assert all(type(word) is int for word in record.basis + basis), attack
+        assert record.basis == basis, attack
+
+
+def test_run_fields_tile_17_bits_and_the_low_five_are_a_leaf_key():
+    # Each column of a run word has bits of its own, and together they
+    # are bits 0-16.  A word's low five bits are its leaf key as a sweep
+    # decodes a run's payloads (leaf_key, _trial_leaves' check): R1's
+    # token, R2's token and the teleport outcome, with 32 and the tokens
+    # alone on rejection.
+    fields = security._RUN_FIELDS
+    masks = [(1 << width) - 1 << shift for shift, width in fields.values()]
+    assert sum(masks) == np.bitwise_or.reduce(masks) == (1 << 17) - 1
+    for token_r1, token_r2, tele in product(BELL_LABELS, (0, 1), BELL_LABELS):
+        columns = {"token_r1": protocol._code(token_r1), "token_r2": token_r2, "tele": protocol._code(tele)}
+        word = sum(value << fields[name][0] for name, value in columns.items())
+        payloads = token_r1.bits, str(token_r2), tele.bits
+        assert word & 31 == leaf_key(False, payloads)
+        assert word & 7 | 32 == leaf_key(True, payloads)
 
 
 def test_a_warm_sweep_evaluates_no_branch_of_the_run(monkeypatch):
@@ -441,7 +461,7 @@ def test_a_warm_sweep_evaluates_no_branch_of_the_run(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a warm sweep evaluated the run's branches")
 
-    monkeypatch.setattr(security, "_run_columns", forbidden)
+    monkeypatch.setattr(security, "_run_words", forbidden)
     second = report_to_jsonl(attack_sweep(attack, 300, 4)), report_to_jsonl(
         public_transcript_uniformity(300, 4)
     )
@@ -449,15 +469,15 @@ def test_a_warm_sweep_evaluates_no_branch_of_the_run(monkeypatch):
 
 
 def test_a_record_whose_basis_disagrees_with_its_runs_raises(monkeypatch):
-    # R2's token is one bit of the sender's parity, so flipping it on every
-    # basis branch turns the honest run's rate of 0 into 1.  The leaf keys
+    # R2's token is one bit of the sender's parity, so flipping it in every
+    # basis word turns the honest run's rate of 0 into 1.  The leaf keys
     # expand that basis, so every key rejects too, and it is the first run
     # drawn whose payloads do not encode to its key that catches it.
     real_basis = security._basis
+    token_r2 = 1 << security._RUN_FIELDS["token_r2"][0]
 
     def flipped(attack):
-        basis = real_basis(attack)
-        return {**basis, "token_r2": basis["token_r2"] ^ 1}
+        return tuple(word ^ token_r2 for word in real_basis(attack))
 
     monkeypatch.setattr(security, "_basis", flipped)
     security._leaf_table.cache_clear()

@@ -116,7 +116,7 @@ def test_splitting_branches_match_per_label_walk(intercept):
     # are the equally likely branches, sorted by bits, of the steps written
     # above on that input's own register, each outcome projected one label
     # at a time.
-    steps = protocol.splitting_steps(AttackModel.from_spec(SPLITTING_SPECS[intercept]), True)
+    steps = protocol.splitting_steps(AttackModel.from_spec(SPLITTING_SPECS[intercept]))
     for inputs in product((0, 1), BELL_LABELS, BELL_LABELS):
         expected = branch_table(splitting_register(*inputs), HAND_SPLITTING_STEPS[intercept])
         assert drawn_rows("splitting", steps, inputs) == list(expected)
@@ -140,7 +140,7 @@ def test_honest_cases_follow_the_splitting_branches():
     cases = security.enumerate_honest_cases()
     expected = list(product((0, 1), BELL_LABELS, BELL_LABELS, BSM_OUTCOMES, BSM_OUTCOMES))
     assert [(c.secret, c.pair1, c.pair2, c.swap_bsm, c.teleport_bsm) for c in cases] == expected
-    honest = protocol.splitting_steps(NO_ATTACK, True)
+    honest = protocol.splitting_steps(NO_ATTACK)
     for case in cases:
         branches = splitting_branches(case.secret, case.pair1, case.pair2, honest)
         assert (Fraction(1, 16), case.swap_bsm, case.teleport_bsm, case.cipher_bit) in branches
@@ -237,7 +237,7 @@ def assert_readers_agree(state, steps, draw):
 def test_sampler_and_enumerator_agree_on_every_step_list():
     attacks = [AttackModel.from_spec(spec) for spec in SPECS]
     token_lists = {protocol.token_steps(t, a) for a in attacks for t in ("auth-r1", "auth-r2")}
-    splitting_lists = {protocol.splitting_steps(a, True) for a in attacks}
+    splitting_lists = {protocol.splitting_steps(a) for a in attacks}
     assert (len(token_lists), len(splitting_lists)) == (3, 5)
     for steps, (pair_a, pair_b) in product(token_lists, product(BELL_LABELS, repeat=2)):
         assert_readers_agree(
@@ -285,37 +285,53 @@ def drawn_rows(phase, steps, inputs):
     return [protocol._draw_named(phase, steps, inputs, ScriptedCoins(script)) for script in scripts(coins)]
 
 
-def test_every_pair_has_the_reference_no_cipher_table():
-    # Why the (5,5) run may draw from the map at secret bit 0 whatever its
-    # qubit: without the cipher step, no input moves an outcome, so every
-    # input's branches are the same 16 (swap, teleport) pairs in the same
-    # order, each input's own register's branch table.
-    steps = protocol.splitting_steps(NO_ATTACK, False)
-    linear_map = protocol._linear_map("splitting", steps)
-    assert (len(linear_map.coins), dict(linear_map.fields)) == (4, {"swap": (2, 2), "tele": (0, 2)})
-    assert linear_map.inputs == (0,) * 5
+# The honest splitting steps, and the same without R2's measurement of the
+# cipher qubit, which a (5,5) run leaves unmeasured: the reference for
+# that run's draw.
+HONEST_SPLITTING = protocol.splitting_steps(NO_ATTACK)
+NO_CIPHER = HONEST_SPLITTING[:-1]
+
+
+def without_cipher(results):
+    return {name: value for name, value in results.items() if name != "cipher"}
+
+
+def test_qss55_swap_and_teleport_are_the_cipher_maps():
+    # Why the (5,5) run may draw from the honest map at secret bit 0 and
+    # drop the cipher bit, whatever its qubit: the cipher bit draws no
+    # coin, so every column of the honest map is the no-cipher map's
+    # shifted left past the cipher bit, and no input moves the swap or
+    # teleport outcome.  So every input's branches, cipher dropped, are the
+    # same 16 (swap, teleport) pairs in the same order, each input's own
+    # register's branch table without the cipher step.
+    assert HONEST_SPLITTING[-1].name == "cipher"
+    honest, no_cipher = (protocol._linear_map("splitting", steps) for steps in (HONEST_SPLITTING, NO_CIPHER))
+    assert (len(no_cipher.coins), dict(no_cipher.fields)) == (4, {"swap": (2, 2), "tele": (0, 2)})
+    assert no_cipher.inputs == (0,) * 5
+    assert [column >> 1 for column in honest.inputs + honest.coins] == list(no_cipher.inputs + no_cipher.coins)
     for inputs in product((0, 1), BELL_LABELS, BELL_LABELS):
-        expected = branch_table(splitting_register(*inputs), steps)
-        assert drawn_rows("splitting", steps, inputs) == list(expected)
+        expected = branch_table(splitting_register(*inputs), NO_CIPHER)
+        drawn = drawn_rows("splitting", HONEST_SPLITTING, (0, *inputs[1:]))
+        assert list(map(without_cipher, drawn)) == list(expected)
 
 
 def test_qss55_draw_and_postselection_match_the_sampler():
-    # Every coin sequence leads the run's draw from the splitting map at
-    # its pair codes and the Born sampler on the run's own register to the
-    # same outcomes, and the run's Pauli-frame qubit is the sampler's R2
-    # qubit up to global phase.
-    steps = protocol.splitting_steps(NO_ATTACK, False)
+    # Every coin sequence leads the run's draw from the honest splitting
+    # map at its pair codes, cipher bit dropped, and the Born sampler
+    # without the cipher step on the run's own register to the same
+    # outcomes, and the run's Pauli-frame qubit is the sampler's R2 qubit
+    # up to global phase.
     secrets = list(random_qubits(3, 1993))
     for (pair1, pair2), secret in product(product(BELL_LABELS, repeat=2), secrets):
         state = protocol.prepare_splitting_register(secret, pair1, pair2)
 
         def drawn(rng):
-            results = protocol._draw_named("splitting", steps, (0, pair1, pair2), rng)
+            results = protocol._draw_named("splitting", HONEST_SPLITTING, (0, pair1, pair2), rng)
             correction = end_to_end_correction(pair1, pair2, results["swap"], results["tele"])
-            return dict(results), statevec.apply_pauli(secret, 0, correction)
+            return without_cipher(results), statevec.apply_pauli(secret, 0, correction)
 
         def sampled(rng):
-            results, after = sample_steps(state, steps, rng)
+            results, after = sample_steps(state, NO_CIPHER, rng)
             return results, statevec.extract_pure_qubit(after, 4)
 
         draws, samples = coin_sequences(drawn), coin_sequences(sampled)
@@ -355,7 +371,7 @@ def reference_run_branches(attack):
     (``sent_tokens``), as labels and bits."""
     token_r1 = token_branches(protocol.RECEIVER_1, attack)
     token_r2 = token_branches(protocol.RECEIVER_2, attack)
-    steps = protocol.splitting_steps(attack, True)
+    steps = protocol.splitting_steps(attack)
     for (p1, code1, record1), (p2, code2, record2) in product(token_r1, token_r2):
         for secret in (0, 1):
             for p, swap, tele, cipher in splitting_branches(secret, record1, record2, steps):
@@ -432,11 +448,11 @@ def assert_map_shape(phase, steps, inputs):
 def test_stacked_splitting_branches_match_the_enumerator():
     # Each input's branches of the splitting map, read through the run's
     # draw, the eavesdropper's outcomes included, are the branch table of
-    # the input's own register, row for row and in order: 320 tables, 10
+    # the input's own register, row for row and in order: 160 tables, 5
     # step lists by 32 inputs.
     attacks = [AttackModel.from_spec(spec) for spec in SPECS + ("r1-lie:00",)]
-    lists = {protocol.splitting_steps(a, cipher) for a in attacks for cipher in (True, False)}
-    assert len(lists) == 10
+    lists = {protocol.splitting_steps(a) for a in attacks}
+    assert len(lists) == 5
     for steps in lists:
         assert_map_shape("splitting", steps, 5)
         for inputs in product((0, 1), BELL_LABELS, BELL_LABELS):
@@ -468,12 +484,11 @@ def test_stacked_token_branches_match_the_enumerator():
 
 def every_step_list():
     """Every (phase, steps) a run under a model of :func:`every_attack`
-    draws from: both token rounds, and the splitting phase with and without
-    the cipher measurement."""
+    draws from: both token rounds and the splitting phase."""
     lists = set()
     for attack in every_attack():
         lists |= {("token", protocol.token_steps(target, attack)) for target in TOKEN_TARGETS.values()}
-        lists |= {("splitting", protocol.splitting_steps(attack, cipher)) for cipher in (True, False)}
+        lists.add(("splitting", protocol.splitting_steps(attack)))
     return lists
 
 
@@ -496,9 +511,9 @@ def test_maps_draw_the_rows_of_the_sorted_table_expansion():
     # The sorted table expansion of the symbolic pass that the maps replaced
     # is their reference: every input's branches, drawn through the run's
     # draw from the map, are its rows, row for row, on every step list of
-    # every attack model, both splitting variants.
+    # every attack model.
     lists = every_step_list()
-    assert len(lists) == 13
+    assert len(lists) == 8
     for phase, steps in lists:
         table = stacked_table(phase, steps)
         for index in np.ndindex(*table.shape[:-2]):
@@ -604,13 +619,13 @@ def test_pauli_frame_matches_the_enumerator_on_every_step_list():
     # the pieces' Pauli frame predicts: swap by Φ+, teleport by s ^ pair1
     # (s as X), and the cipher bit by pair2's x bit, as does an
     # eavesdropper's reading of the cipher qubit or of its ancilla copy.
-    lists = {protocol.splitting_steps(attack, True) for attack in every_attack()}
-    assert lists == {protocol.splitting_steps(AttackModel.from_spec(s), True) for s in SPECS}
+    lists = {protocol.splitting_steps(attack) for attack in every_attack()}
+    assert lists == {protocol.splitting_steps(AttackModel.from_spec(s)) for s in SPECS}
     assert len(lists) == 5
     for spec, secret, pair1, pair2 in product(
         SPLITTING_SPECS.values(), (0, 1), BELL_LABELS, BELL_LABELS
     ):
-        steps = protocol.splitting_steps(AttackModel.from_spec(spec), True)
+        steps = protocol.splitting_steps(AttackModel.from_spec(spec))
         flips = {"swap": PHI_PLUS, "tele": BELL_LABELS[secret] ^ pair1, "cipher": pair2.x}
         flips["eve"] = pair2.x if spec.endswith("split-r2") else 0
         register = splitting_register(secret, pair1, pair2)
@@ -696,7 +711,7 @@ def symbolic_passes(monkeypatch):
 def test_linear_maps_make_one_symbolic_pass_per_step_list(monkeypatch):
     calls = symbolic_passes(monkeypatch)
     attacks = [AttackModel.from_spec(spec) for spec in SPECS]
-    lists = {("splitting", protocol.splitting_steps(attack, True)) for attack in attacks}
+    lists = {("splitting", protocol.splitting_steps(attack)) for attack in attacks}
     lists |= {("token", steps) for steps in token_step_lists()}
     protocol._linear_map.cache_clear()
     for phase, steps in lists:
@@ -705,11 +720,11 @@ def test_linear_maps_make_one_symbolic_pass_per_step_list(monkeypatch):
         assert calls == [(phase, steps)]
 
 
-def test_runs_and_exact_rates_pass_six_splitting_step_lists(monkeypatch):
+def test_runs_and_exact_rates_pass_five_splitting_step_lists(monkeypatch):
     # In one process, qss22 runs under the 13 specs with either secret, a
     # qss55 run and the 13 exact rates read one splitting map per step
-    # list, so they make one symbolic pass each: the 5 step lists that
-    # measure the cipher qubit and qss55's, which does not.
+    # list, so they make one symbolic pass each: the 5 step lists, each of
+    # which measures the cipher qubit.  qss55 reads the honest one.
     calls = symbolic_passes(monkeypatch)
     for module in (protocol, security):
         for value in vars(module).values():
@@ -722,8 +737,8 @@ def test_runs_and_exact_rates_pass_six_splitting_step_lists(monkeypatch):
     for attack in attacks:
         security.exact_detection_rate(attack)
     splitting = [steps for phase, steps in calls if phase == "splitting"]
-    assert len(splitting) == len(set(splitting)) == 6
-    assert sum(not any(step.name == "cipher" for step in steps) for steps in splitting) == 1
+    assert len(splitting) == len(set(splitting)) == 5
+    assert all(any(step.name == "cipher" for step in steps) for steps in splitting)
     assert security._splitting_branches is protocol._linear_map
 
 

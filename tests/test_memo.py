@@ -152,7 +152,7 @@ def test_cold_runs_and_rates_build_their_maps_with_no_state_vector(monkeypatch):
 
 
 def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
-    # qss55 draws from the one no-cipher splitting map and takes R2's qubit
+    # qss55 draws from the one honest splitting map and takes R2's qubit
     # by Pauli frame, so a warm run touches no register; the exact
     # enumeration reads the token and splitting maps the runs read, from
     # the one lru cache the benchmark empties through security's name.
@@ -190,9 +190,9 @@ def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
         patched.setattr(np.linalg, "eigvalsh", no_eigendecomposition)
         for seed in range(20):
             protocol.run_qss55((0.6, 0.8j), seed)
-    no_cipher = protocol.splitting_steps(protocol.NO_ATTACK, False)
+    honest = protocol.splitting_steps(protocol.NO_ATTACK)
     assert len(read) == 21
-    assert set(read) == {("splitting", no_cipher)}
+    assert set(read) == {("splitting", honest)}
     # The one map qss55 reads is the only one in the cache: no token map.
     assert real_map.cache_info()[:2] == (20, 1)
     assert real_map.cache_info().currsize == 1

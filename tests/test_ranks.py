@@ -1,16 +1,17 @@
 """Exact results as GF(2) ranks at a run's basis branches.
 
 Every column of a (2,2) run is affine over GF(2) in its branch bits, so
-``security`` reads each exact result off the run's columns at the
-all-zero branch and at each single-bit branch (``security._basis``): a
-rate is 1/2 when any of them flips the rejection parity, a view pins down
-the secret when the secret's flip lies outside the span of the coins'
-flips, and a k-bit message is uniform when its bits have rank k.  These
-tests hold each rank result to the branch counts it replaced, kept here
-as the reference and computed over every branch of the run by an
-evaluation of its own (``every_branch``); check that the package's
-every-branch columns, its basis expanded (``security._run_columns``), are
-that evaluation; and check that a cold sweep record or the honest cases
+``security`` reads each exact result off the run's words, its columns
+packed by field, at the all-zero branch and at each single-bit branch
+(``security._basis``): a rate is 1/2 when any of them flips the
+rejection parity, a view pins down the secret when the secret's flip
+lies outside the span of the coins' flips, and a k-bit message is
+uniform when its bits have rank k.  These tests hold each rank result
+to the branch counts it replaced, kept here as the reference and
+computed over every branch of the run by an evaluation of its own
+(``every_branch``); check that the package's every-branch words, its
+basis expanded (``security._run_words``), read by field, are that
+evaluation; and check that a cold sweep record or the honest cases
 compose the run's maps once.
 """
 
@@ -114,31 +115,31 @@ def test_span_tests_are_the_counts_on_every_column_and_view(attack):
 
 @pytest.mark.parametrize("attack", ATTACKS, ids=lambda attack: attack.spec_string)
 def test_the_basis_expands_to_every_column_on_every_branch(attack):
-    # The package's every-branch columns are its basis expanded: at branch
-    # b, each column's value at zero XOR the flip of each bit set in b,
-    # the secret's the most significant.  They are the columns evaluated
+    # The package's every-branch words are its basis expanded: at branch
+    # b, the word at zero XOR the flip of each bit set in b, the secret's
+    # the most significant.  Read by field, they are the columns evaluated
     # here over every branch, element by element and in index order.
     basis = security._basis(attack)
-    assert all(len(column) == 2 + protocol.coin_count(attack) for column in basis.values())
-    run, expected = security._run_columns(basis), every_branch(attack)
-    assert list(run) == list(expected) == list(RUN_COLUMNS)
-    for name in RUN_COLUMNS:
-        assert run[name].shape == expected[name].shape, name
-        assert (run[name] == expected[name]).all(), name
+    assert len(basis) == 2 + protocol.coin_count(attack)
+    run, expected = security._run_words(basis), every_branch(attack)
+    assert run.dtype == np.int64 and run.shape == (2 << protocol.coin_count(attack),)
+    assert set(security._RUN_FIELDS) == set(expected) == set(RUN_COLUMNS)
+    for name, field in security._RUN_FIELDS.items():
+        assert (protocol._field(run, field) == expected[name]).all(), name
 
 
 @pytest.fixture
 def evaluated(monkeypatch):
     # Each evaluation of the run, by the function that made it and the
     # number of branches it covers: the basis branches (_basis), or every
-    # branch (_run_columns, the basis expanded).
+    # branch (_run_words, the basis expanded).
     calls = []
-    for name in ("_run_columns", "_basis"):
+    for name in ("_run_words", "_basis"):
         real = getattr(security, name)
 
         def counted(arg, real=real, name=name):
             run = real(arg)
-            calls.append((name, len(run["secret"])))
+            calls.append((name, len(run)))
             return run
 
         monkeypatch.setattr(security, name, counted)

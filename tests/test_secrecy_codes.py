@@ -104,7 +104,7 @@ def test_honest_cases_hold_the_canonical_labels_in_product_order():
         assert all(label is BELL_LABELS[code] for label, code in zip(labels, codes))
 
 
-HONEST = protocol.splitting_steps(protocol.NO_ATTACK, True)
+HONEST = protocol.splitting_steps(protocol.NO_ATTACK)
 
 
 def duplicate_outcomes(linear_map):
