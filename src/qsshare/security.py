@@ -1,36 +1,27 @@
 """Exact secrecy and authentication analysis of the (2,2) and (5,5) schemes.
 
-The branch sets come from :mod:`protocol`, which writes each phase's
-measurements once as a step list (:func:`protocol.token_steps`,
-:func:`protocol.splitting_steps`) and reads it exactly: every branch of a
-token round or of the splitting phase, under any attack, is one of 2^d
-equally likely outcomes of a linear map over GF(2).
-
-Everything is computed on integer codes: 2-bit values as ``2*z + x``.
-The maps are the ones the sampled runs draw from
-(:func:`protocol._linear_map`): per token or splitting step list, one
-symbolic stabilizer pass on the phase's reference register, whose
-generators carry each input bit as a sign symbol, gives each outcome bit
-as a parity of input bits and fair coins, packed into int columns.
-A (2,2) run's branches are indexed by the secret, then the coins in draw
-order; a branch's columns pack into one int word (:data:`_RUN_FIELDS`),
-each affine over GF(2) in those bits, so the run is fixed by its words at
-the all-zero branch and each single-bit one.  :func:`_basis` is the one
-place that composes the three maps into a run, on ints, as those words;
-each exact result is a rank question on their fields, and
-:func:`_run_words` expands them into one int64 array for the two readers
-that need every branch: the 512 honest cases and a sweep's leaf keys.
+The branch sets come from :mod:`protocol`'s linear maps
+(:func:`protocol._linear_map`), which the sampled runs draw from: one
+symbolic stabilizer pass per phase step list gives each outcome bit as a
+parity of input bits and fair coins.  Everything is on integer codes,
+2-bit values as ``2*z + x``.  A (2,2) run's branches are indexed by the
+secret, then the coins in draw order; a branch's columns pack into one int
+word (:data:`_RUN_FIELDS`), affine over GF(2) in those bits.  So
+:func:`_basis`, the one place that composes the maps, fixes the run by its
+words at the all-zero branch and each single-bit one, the zero word XOR
+one map column's image each, and :func:`_run_words` expands them into
+one int64 array for the readers of every branch: the 512 honest cases
+and a sweep's leaf keys.
 
 - a view (:data:`_VIEW_COLUMNS`) of an honest run gives 1 bit, with guess
   advantage 1/2, when the secret's flip of its columns lies outside the
   GF(2) span of the coins' flips, and 0 bits otherwise;
 - a k-bit public message is uniform when its bits have rank k;
 - an attack detection rate is 1/2 when the secret or any coin flips the
-  sender's check, one parity of five bits (:func:`protocol._accepts`,
-  which :func:`protocol.verify_authentication` also decides by), and
-  otherwise that parity's value at zero.  Each token step list has one
-  map, so a cold pass over the README's 13 attacks makes three symbolic
-  token passes;
+  sender's check, and otherwise its value at zero.  The check is one
+  parity of a run word's bits (:data:`_REJECT_MASK`), read off
+  :func:`protocol._accepts`, which :func:`protocol.verify_authentication`
+  also decides by;
 - the encrypted qubit's correction XORs the four pieces, so unknown pieces
   XOR-convolve a 4-bin histogram of corrections, and the averaged qubit is
   the secret's Bloch vector twirled by that histogram: each axis scaled by
@@ -52,8 +43,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from typing import Mapping, NamedTuple
+from itertools import product, starmap
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,17 +69,28 @@ Z_99 = 2.5758293035489004
 
 PIECES = ("pair1", "pair2", "swap-bsm", "teleport-bsm")
 
-# Each token round's pair codes (protocol.DEFAULT_AUTH_PAIRS), in draw order.
-_TOKEN_PAIRS = [
-    tuple(map(_code, protocol.DEFAULT_AUTH_PAIRS[receiver])) for receiver in protocol._TOKEN_TARGETS
-]
-
 # Each column's (shift, width) in a run word (_basis), as in _LinearMap.fields;
 # the low five bits are a sweep's leaf key, 8*tele + 2*token_r1 + token_r2.
 _RUN_FIELDS = {
     "secret": (16, 1), "pair1": (14, 2), "pair2": (12, 2), "record1": (10, 2), "record2": (8, 2),
     "cipher": (7, 1), "swap": (5, 2), "tele": (3, 2), "token_r1": (1, 2), "token_r2": (0, 1),
 }
+# Each bit of each run column, least significant first, as the run word with
+# it alone set; the token columns' shifts.
+_UNITS = {name: tuple(1 << shift + bit for bit in range(width)) for name, (shift, width) in _RUN_FIELDS.items()}
+_T1, _T2 = _RUN_FIELDS["token_r1"][0], _RUN_FIELDS["token_r2"][0]
+# The run columns mask_tokens reads, in its argument order, and its
+# arguments with each bit of each alone set, least significant first.
+_MASKED = ("pair1", "pair2", "swap", "cipher")
+_MASK_ARGS = {m: [tuple((n == m) << bit for n in _MASKED) for bit in range(_RUN_FIELDS[m][1])] for m in _MASKED}
+# Each token round in draw order: its pair's and record's run columns, its
+# map's input at the run's pairs, and the code infer_remote_bsm XORs in.
+_TOKEN_ROUNDS = [
+    (pair, record, protocol._input_index(labels), _code(infer_remote_bsm(*labels, PHI_PLUS)))
+    for pair, record, labels in zip(
+        ("pair1", "pair2"), ("record1", "record2"), map(protocol.DEFAULT_AUTH_PAIRS.get, protocol._TOKEN_TARGETS)
+    )
+]
 
 # The columns of an honest run (_RUN_FIELDS) each adversary view sees.
 # ``r1-alone`` and ``public-only`` include a full tap of the public channel.
@@ -272,53 +274,50 @@ _XOR_CODES = np.bitwise_xor.outer(np.arange(4), np.arange(4))
 
 
 def _basis(attack: AttackModel) -> tuple[int, ...]:
-    """A (2,2) run under the attack as run words (:data:`_RUN_FIELDS`) at
-    its all-zero branch, then at each single-bit branch, the secret's and
-    each coin's in draw order: every column is affine over GF(2) in the
-    branch bits, so these words fix the run (:func:`_run_words`).  The
-    tokens are mask_tokens on the code columns XOR the attack's fixed
-    alteration, read off the input that masks to (Φ+, 0).
-
-    This is where the phases' maps (:func:`protocol._linear_map`) are
-    composed into a run, on ints: the value at zero reads each token round
-    at the run's pairs (:data:`protocol.DEFAULT_AUTH_PAIRS`) and the
-    splitting phase at the secret and both records, and each branch bit's
-    flip is carried through the phases.  The secret flips the splitting
-    outcomes by its input column.  A token coin flips its round's code and
-    observed outcome by its column, so the sender's record
-    (:func:`infer_remote_bsm` XORs constants into the observed outcome), so
-    the splitting outcomes by that record's input columns.  A splitting
-    coin flips them by its column.
+    """A (2,2) run under the attack as its run words (:data:`_RUN_FIELDS`)
+    at the all-zero branch and each single-bit one, the secret's, then each
+    coin's in draw order, which fix it (:func:`_run_words`).  Each step
+    from a phase's map (:func:`protocol._linear_map`) to a run word is
+    linear, so a phase word flips the run by its bits' images
+    (:func:`_images`): a splitting bit flips its column and the token it
+    masks (:func:`mask_tokens`), a code bit its pair and its token share,
+    an observed bit the sender's record (:func:`infer_remote_bsm` XORs a
+    constant) and the splitting input that record bit selects.  A basis
+    word is the zero word (the attack's token alteration XOR each token
+    round at the run's pairs) XOR one column's image: the secret's
+    splitting input, a token coin or a splitting coin.
     """
     maps = protocol._run_maps(attack)
-    # (pair1, record1, pair2, record2) at zero, and each token round's
-    # coins' flips of its (code, observed outcome): Bell outcomes, 2 bits.
-    zero, coin_flips = [], []
-    for pairs, token_map in zip(_TOKEN_PAIRS, maps):
-        code, observed = (token_map.fields[name] for name in ("code", "observed"))
-        word = protocol._xor_columns(token_map.inputs, protocol._input_index(pairs))
-        zero += protocol._field(word, code), infer_remote_bsm(*pairs, protocol._field(word, observed))
-        coin_flips.append([(protocol._field(c, code), protocol._field(c, observed)) for c in token_map.coins])
-    p1, r1, p2, r2 = zero
     inputs, coins, fields = maps[2]  # splitting: the secret's input column, then each record's two
-    w = protocol._xor_columns(inputs, 4 * r1 + r2)
-    # (secret, pair1, record1, pair2, record2, splitting word) per basis branch.
-    rows = [(0, p1, r1, p2, r2, w), (1, p1, r1, p2, r2, w ^ inputs[0])]
-    rows += [(0, p1 ^ c, r1 ^ o, p2, r2, w ^ protocol._xor_columns(inputs[1:3], o)) for c, o in coin_flips[0]]
-    rows += [(0, p1, r1, p2 ^ c, r2 ^ o, w ^ protocol._xor_columns(inputs[3:], o)) for c, o in coin_flips[1]]
-    rows += [(0, p1, r1, p2, r2, w ^ column) for column in coins]
-    alter_r1, alter_r2 = map(_code, sent_tokens(PHI_PLUS, PHI_PLUS, PHI_PLUS, 0, attack))
-    shifts = [shift for shift, _ in _RUN_FIELDS.values()]  # columns in _RUN_FIELDS order
-    words = []
-    for secret, pair1, record1, pair2, record2, word in rows:
-        cipher = protocol._field(word, fields["cipher"])
-        swap = protocol._field(word, fields["swap"])
-        tele = protocol._field(word, fields["tele"])
-        token_r1, token_r2 = mask_tokens(pair1, pair2, swap, cipher)
-        tokens = token_r1 ^ alter_r1, token_r2 ^ alter_r2
-        columns = secret, pair1, pair2, record1, record2, cipher, swap, tele, *tokens
-        words.append(sum(map(operator.lshift, columns, shifts)))
-    return tuple(words)
+    images = dict(_UNITS)
+    for name, arguments in _MASK_ARGS.items():  # mask_tokens is linear: its tokens at each bit alone
+        tokens = starmap(mask_tokens, arguments)
+        images[name] = [unit ^ t1 << _T1 ^ t2 << _T2 for unit, (t1, t2) in zip(_UNITS[name], tokens)]
+    split = {name: images[name] for name in ("swap", "tele", "cipher")}
+    secret, z1, x1, z2, x2, *split_flips = _images(fields, split, inputs + coins)
+    t1, t2 = map(_code, sent_tokens(PHI_PLUS, PHI_PLUS, PHI_PLUS, 0, attack))
+    zero = t1 << _T1 ^ t2 << _T2
+    flips = [images["secret"][0] ^ secret]
+    rounds = zip(_TOKEN_ROUNDS, maps, ((x1, z1), (x2, z2)))
+    for (pair, record, index, constant), (token_inputs, token_coins, token_fields), selected in rounds:
+        token = {"code": images[pair], "observed": [unit ^ image for unit, image in zip(images[record], selected)]}
+        word = protocol._xor_columns(token_inputs, index) ^ constant << token_fields["observed"][0]
+        at_pairs, *token_flips = _images(token_fields, token, (word, *token_coins))
+        zero ^= at_pairs
+        flips += token_flips
+    return (zero, *[zero ^ flip for flip in flips + split_flips])
+
+
+def _images(fields: Mapping[str, tuple[int, int]], images: Mapping[str, Sequence[int]], words) -> Iterator[int]:
+    # The run word each phase word flips: the XOR of the images of its set
+    # bits in the named fields, least significant first.  Others flip none.
+    bits = [(1 << fields[name][0] + i, flip) for name in images for i, flip in enumerate(images[name])]
+    for word in words:
+        run_word = 0
+        for bit, image in bits:
+            if word & bit:
+                run_word ^= image
+        yield run_word
 
 
 def _run_words(basis: tuple[int, ...]) -> np.ndarray:
@@ -337,30 +336,31 @@ def _run_words(basis: tuple[int, ...]) -> np.ndarray:
 
 def exact_detection_rate(attack: AttackModel) -> Fraction:
     """Exact probability that a (2,2) run under the attack is rejected, with
-    uniform hidden randomness and secret.  The sender's check is one parity
-    of five bits (:func:`protocol._accepts`) on the run's affine columns,
-    so it is balanced, 1/2, when the secret or any coin flips it
-    (:func:`_basis`), and otherwise constant at its value at zero."""
+    uniform hidden randomness and secret: 1/2 when the secret or any coin
+    flips the sender's check, one parity of a run word's bits
+    (:data:`_REJECT_MASK`), and otherwise its value at zero (:func:`_basis`)."""
     return _detection_rate(_basis(attack))
 
 
 def _detection_rate(basis: tuple[int, ...]) -> Fraction:
     # The rejection rate a run's basis (_basis) gives: 1/2 when a basis
-    # branch flips the rejection parity, and otherwise its value at zero.
-    zero, *rest = map(_rejected, basis)
-    return Fraction(1, 2) if any(rejected != zero for rejected in rest) else Fraction(int(zero))
+    # branch flips the rejection parity (_REJECT_MASK), else its value at zero.
+    zero, *rest = basis
+    flipped = any(((word ^ zero) & _REJECT_MASK).bit_count() & 1 for word in rest)
+    return Fraction(1, 2) if flipped else Fraction(_REJECTED_AT_ZERO ^ (zero & _REJECT_MASK).bit_count() & 1)
 
 
 def _rejected(words):
     # Whether the sender rejects a run word, or each word of an int array:
     # protocol._accepts on the five fields it checks, negated by `^ True`.
-    return protocol._accepts(
-        protocol._field(words, _RUN_FIELDS["record2"]),
-        protocol._field(words, _RUN_FIELDS["tele"]),
-        protocol._field(words, _RUN_FIELDS["secret"]),
-        protocol._field(words, _RUN_FIELDS["token_r1"]),
-        protocol._field(words, _RUN_FIELDS["token_r2"]),
-    ) ^ True
+    checked = ("record2", "tele", "secret", "token_r1", "token_r2")
+    return protocol._accepts(*(protocol._field(words, _RUN_FIELDS[name]) for name in checked)) ^ True
+
+
+# The sender's check is one parity of a run word's bits: its value at the
+# zero word XOR the parity of the bits whose unit word flips it.
+_REJECTED_AT_ZERO = bool(_rejected(0))
+_REJECT_MASK = sum(unit for units in _UNITS.values() for unit in units if _rejected(unit) != _REJECTED_AT_ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +428,8 @@ def _leaf_table(attack: AttackModel) -> _SweepRecord:
     # the exact rate; each branch's leaf key, the low five bits of that basis
     # expanded (_run_words), with tele 4 on rejection; and a slot per key
     # for a run's rejection and first three payloads, filled as trials reach
-    # it.  The share of rejecting keys (key >= 32) must be the basis' rank
-    # rate, and the first run to draw a key must encode to it (_trial_leaves).
+    # it.  The rejecting keys' share (key >= 32), read by field, must be the
+    # basis' rate, read by mask, and a key's first run must encode to it.
     basis = _basis(attack)
     run = _run_words(basis)
     keys = np.where(_rejected(run), run & 7 | 32, run & 31)

@@ -571,7 +571,8 @@ def every_branch(attack):
         shift -= width
         coins.append(branches >> shift & (1 << width) - 1)
     rounds = []
-    for pairs, token_map, coin in zip(security._TOKEN_PAIRS, maps, coins):
+    for receiver, token_map, coin in zip(protocol._TOKEN_TARGETS, maps, coins):
+        pairs = tuple(map(protocol._code, protocol.DEFAULT_AUTH_PAIRS[receiver]))
         word = protocol._xor_columns(token_map.inputs, protocol._input_index(pairs))
         word ^= protocol._xor_columns(token_map.coins, coin)
         code, observed = (protocol._field(word, token_map.fields[name]) for name in ("code", "observed"))

@@ -4,7 +4,8 @@ Every column of a (2,2) run is affine over GF(2) in its branch bits, so
 ``security`` reads each exact result off the run's words, its columns
 packed by field, at the all-zero branch and at each single-bit branch
 (``security._basis``): a rate is 1/2 when any of them flips the
-rejection parity, a view pins down the secret when the secret's flip
+rejection parity (``security._REJECT_MASK``, derived from the sender's
+check), a view pins down the secret when the secret's flip
 lies outside the span of the coins' flips, and a k-bit message is
 uniform when its bits have rank k.  These tests hold each rank result
 to the branch counts it replaced, kept here as the reference and
@@ -126,6 +127,35 @@ def test_the_basis_expands_to_every_column_on_every_branch(attack):
     assert set(security._RUN_FIELDS) == set(expected) == set(RUN_COLUMNS)
     for name, field in security._RUN_FIELDS.items():
         assert (protocol._field(run, field) == expected[name]).all(), name
+
+
+def run_words(run):
+    # The columns of every branch (every_branch) packed into run words.
+    return sum(run[name] << shift for name, (shift, _) in security._RUN_FIELDS.items())
+
+
+@pytest.mark.parametrize("attack", ATTACKS, ids=lambda attack: attack.spec_string)
+def test_the_reject_mask_is_the_sender_rule_on_every_branch(attack):
+    # The rate reads the sender's check as one parity of a run word's bits,
+    # derived from protocol._accepts at the zero word and each unit word.
+    # On every branch of every model, that parity is the check read by
+    # field, which also holds the affinity the derivation assumes.
+    run = every_branch(attack)
+    words = run_words(run)
+    by_field = security._rejected(words)
+    assert (by_field == rejected(run)).all()
+    by_mask = [security._REJECTED_AT_ZERO ^ (w & security._REJECT_MASK).bit_count() & 1 for w in words.tolist()]
+    assert by_mask == by_field.tolist()
+
+
+def test_the_reject_mask_is_the_checked_bits():
+    # The secret, token_r2, the x bit of token_r1, the x bit of tele and
+    # the z bit of record2; the all-zero word is accepted.
+    shifts = {name: shift for name, (shift, _) in security._RUN_FIELDS.items()}
+    bits = [shifts["secret"], shifts["token_r2"], shifts["token_r1"], shifts["tele"], shifts["record2"] + 1]
+    assert sorted(bits) == [0, 1, 3, 9, 16]
+    assert security._REJECT_MASK == sum(1 << bit for bit in bits)
+    assert security._REJECTED_AT_ZERO is False
 
 
 @pytest.fixture
