@@ -2,7 +2,7 @@
 
 The four states, and the four outcomes of a Bell-basis measurement, are
 2-bit codes: the first bit is the phase (Z) bit, the second the parity (X)
-bit (00/11 vs 01/10 support)::
+bit (00/11 vs 01/10 support), and a label is the ``int`` ``2*z + x``::
 
     00  (|00> + |11>)/sqrt(2)   Phi+
     01  (|01> + |10>)/sqrt(2)   Psi+
@@ -30,57 +30,93 @@ identities only hold modulo a phase.
 
 from __future__ import annotations
 
+import numbers
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
+
+
+def _index(value) -> int:
+    # operator.index, refusing a 2-bit value with TypeError as it refuses a
+    # float: a label is an int, its code, but never a bit or a count.
+    if isinstance(value, _TwoBits):
+        raise TypeError(f"a {type(value).__name__} is not a bit")
+    return operator.index(value)
 
 
 def _bit(value) -> int | None:
     # ``value`` read as a bit: a bool or numpy int is its int; a float such
-    # as 1.0 is refused, not truncated, and it and any other value give None.
+    # as 1.0 or a label is refused, not truncated, and gives None.
     try:
-        bit = operator.index(value)
+        bit = _index(value)
     except TypeError:
         return None
     return bit if bit in (0, 1) else None
 
 
-@dataclass(frozen=True, order=True)
-class _TwoBits:
-    """A Z bit and an X bit.  ``a ^ b`` XORs the bits and returns the
-    canonical instance of ``a``'s type.
+class _TwoBits(int):
+    """A Z bit and an X bit as the int code ``2*z + x``, equal only to the
+    value of its own type and code.  ``a ^ b`` XORs the codes and returns
+    the canonical instance of ``a``'s type.
 
     Each subclass lists its four symbols (``_SYMBOLS``) and canonical
-    instances (``_CANONICAL``, set once they exist), indexed by ``2*z + x``.
-    """
+    instances (``_CANONICAL``), indexed by code, which the constructor hands
+    out."""
 
-    z: int
-    x: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        z, x = _bit(self.z), _bit(self.x)
-        if z is None or x is None:
-            raise ValueError(f"{type(self).__name__} bits must be 0 or 1, got ({self.z}, {self.x})")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "x", x)
+    def __new__(cls, z, x):
+        bz, bx = _bit(z), _bit(x)
+        if bz is None or bx is None:
+            raise ValueError(f"{cls.__name__} bits must be 0 or 1, got ({z}, {x})")
+        return cls._CANONICAL[2 * bz + bx]
+
+    def __reduce__(self):
+        return type(self), (self.z, self.x)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(z={self.z}, x={self.x})"
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return int.__eq__(self, other)
+        # Unequal to any other number, the other type's label and its plain
+        # code included; an array or a wildcard gets its reflected turn.
+        return False if isinstance(other, numbers.Number) else NotImplemented
+
+    __ne__ = object.__ne__  # the negation of __eq__, not int's
+    __hash__ = int.__hash__
+
+    @property
+    def z(self) -> int:
+        """The Z bit, a plain int."""
+        return self >> 1
+
+    @property
+    def x(self) -> int:
+        """The X bit, a plain int."""
+        return self & 1
 
     @property
     def bits(self) -> str:
         """Most-significant-bit-first rendering: Z bit, then X bit."""
-        return f"{self.z}{self.x}"
+        return ("00", "01", "10", "11")[self]
 
     @property
     def symbol(self) -> str:
-        return self._SYMBOLS[2 * self.z + self.x]
+        return self._SYMBOLS[self]
 
-    def __xor__(self, other: _TwoBits):
-        return self._CANONICAL[2 * (self.z ^ other.z) + (self.x ^ other.x)]
+    def __xor__(self, other):
+        code = int.__xor__(self, other)  # NotImplemented unless ``other`` is an int
+        return code if code is NotImplemented else self._CANONICAL[code]
 
 
 class BellLabel(_TwoBits):
     """One of the four pair states, or the outcome of a Bell-basis
     measurement that projects onto it, as a (phase, parity) bit pair."""
 
+    __slots__ = ()
     _SYMBOLS = ("Φ+", "Ψ+", "Φ-", "Ψ-")
 
     @classmethod
@@ -98,25 +134,16 @@ class PauliCorrection(_TwoBits):
     the same exponent pair.  Corrections compose by ``^``.
     """
 
+    __slots__ = ()
     _SYMBOLS = ("I", "X", "Z", "ZX")
 
 
-PHI_PLUS = BellLabel(0, 0)
-PSI_PLUS = BellLabel(0, 1)
-PHI_MINUS = BellLabel(1, 0)
-PSI_MINUS = BellLabel(1, 1)
-# Canonical instances, indexed by code: ``^`` and ``from_bits`` hand these
-# out.  Bell-measurement outcomes are the same codes.
-BELL_LABELS = BellLabel._CANONICAL = (PHI_PLUS, PSI_PLUS, PHI_MINUS, PSI_MINUS)
-BSM_OUTCOMES = BELL_LABELS
+# Canonical instances, indexed by code; Bell-measurement outcomes are labels.
+BELL_LABELS = BellLabel._CANONICAL = tuple(int.__new__(BellLabel, code) for code in range(4))
+PHI_PLUS, PSI_PLUS, PHI_MINUS, PSI_MINUS = BSM_OUTCOMES = BELL_LABELS
 
-CORRECTION_I = PauliCorrection(0, 0)
-CORRECTION_X = PauliCorrection(0, 1)
-CORRECTION_Z = PauliCorrection(1, 0)
-CORRECTION_ZX = PauliCorrection(1, 1)
-PAULI_CORRECTIONS = PauliCorrection._CANONICAL = (
-    CORRECTION_I, CORRECTION_X, CORRECTION_Z, CORRECTION_ZX
-)
+PAULI_CORRECTIONS = PauliCorrection._CANONICAL = tuple(int.__new__(PauliCorrection, code) for code in range(4))
+CORRECTION_I, CORRECTION_X, CORRECTION_Z, CORRECTION_ZX = PAULI_CORRECTIONS
 
 # ---------------------------------------------------------------------------
 # Reference tables.  Transcribed row by row, independently of the XOR rule;
@@ -179,8 +206,6 @@ def _surviving_pairs(joint) -> list:
     and each pair combination must map the outcomes one to one.  A failed
     check raises ``AssertionError`` naming its first failing case.
     """
-    import numpy as np
-
     # Imported here to avoid an import cycle (statevec uses the label types).
     from . import statevec
 
@@ -220,9 +245,9 @@ def generate_teleport_table() -> dict:
     sweep's pair a = Φ+ cases are that experiment, so they are not rerun.
     """
     return {
-        (channel, outcome): PAULI_CORRECTIONS[2 * pair.z + pair.x]
+        (channel, outcome): PAULI_CORRECTIONS[pair]
         for (pair_a, channel, outcome), pair in generate_swap_table().items()
-        if pair_a == PHI_PLUS
+        if pair_a is PHI_PLUS
     }
 
 
@@ -230,19 +255,20 @@ def generate_teleport_table() -> dict:
 def generate_swap_table() -> dict:
     """Sweep all 64 swapping transformations on the simulator.
 
-    Each pair a is prepared once on qubits (0, 1) of a four-qubit register,
-    and the four registers are stacked; each pair b is prepared on (2, 3)
-    over that stack, and the four results are stacked again.  All 16 pair
-    combinations go through each gate together, and one joint Born
-    distribution of the two Bell measurements gives, for each combination
-    and middle outcome, the surviving end-to-end pair.  Each combination
-    must map the outcomes one to one.
+    A (4, 4) stack of four-qubit zero registers, indexed by (pair a, pair
+    b), gets pair a on qubits (0, 1) and pair b on (2, 3), each by one
+    preparation with a code array over the stack.  All 16 pair combinations
+    go through each gate together, and one joint Born distribution of the
+    two Bell measurements gives, for each combination and middle outcome,
+    the surviving end-to-end pair.  Each combination must map the outcomes
+    one to one.
     """
     from . import statevec
 
-    zero = statevec.zero_state(4)
-    pairs_a = statevec.stack([statevec.prepare_bell_on(zero, 0, 1, a) for a in BELL_LABELS])
-    cases = statevec.stack([statevec.prepare_bell_on(pairs_a, 2, 3, b) for b in BELL_LABELS])
+    pair_codes = np.arange(4)
+    zeros = statevec.stack([statevec.stack([statevec.zero_state(4)] * 4)] * 4)
+    pairs_a = statevec.prepare_bell_on(zeros, 0, 1, pair_codes[:, None])
+    cases = statevec.prepare_bell_on(pairs_a, 2, 3, pair_codes)
     codes = _surviving_pairs(statevec.joint_distribution(cases, [(1, 2), (0, 3)]))
     return {
         (pair_a, pair_b, outcome): BELL_LABELS[code]

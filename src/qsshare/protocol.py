@@ -42,8 +42,8 @@ from .bell import (
     PHI_PLUS,
     PSI_MINUS,
     PSI_PLUS,
-    PauliCorrection,
     _bit,
+    _index,
     decode_classical,
     end_to_end_correction,
     infer_remote_bsm,
@@ -313,14 +313,14 @@ class ShareSet22:
     def to_json_obj(self) -> dict:
         return {
             "r1-share": {
-                "pair-label": self.pair1_label.bits if self.pair1_label else None,
-                "swap-bsm": self.swap_bsm.bits if self.swap_bsm else None,
+                "pair-label": self.pair1_label.bits if self.pair1_label is not None else None,
+                "swap-bsm": self.swap_bsm.bits if self.swap_bsm is not None else None,
             },
             "r2-share": {
                 "cipher-bit": None if self.cipher_bit is None else str(self.cipher_bit),
-                "pair-label": self.pair2_label.bits if self.pair2_label else None,
+                "pair-label": self.pair2_label.bits if self.pair2_label is not None else None,
             },
-            "public-teleport-bsm": self.teleport_bsm.bits if self.teleport_bsm else None,
+            "public-teleport-bsm": self.teleport_bsm.bits if self.teleport_bsm is not None else None,
         }
 
 
@@ -344,11 +344,11 @@ class ShareSet55:
         if self.encrypted_qubit is not None:
             qubit = [[a.real, a.imag] for a in self.encrypted_qubit.amplitudes]
         return {
-            "r1-swap-bsm": self.swap_bsm.bits if self.swap_bsm else None,
+            "r1-swap-bsm": self.swap_bsm.bits if self.swap_bsm is not None else None,
             "r2-encrypted-qubit": qubit,
-            "r3-pair1-label": self.pair1_label.bits if self.pair1_label else None,
-            "r4-pair2-label": self.pair2_label.bits if self.pair2_label else None,
-            "r5-teleport-bsm": self.teleport_bsm.bits if self.teleport_bsm else None,
+            "r3-pair1-label": self.pair1_label.bits if self.pair1_label is not None else None,
+            "r4-pair2-label": self.pair2_label.bits if self.pair2_label is not None else None,
+            "r5-teleport-bsm": self.teleport_bsm.bits if self.teleport_bsm is not None else None,
         }
 
 
@@ -520,12 +520,6 @@ def splitting_steps(attack: AttackModel) -> tuple[Step, ...]:
     return steps
 
 
-def _code(outcome):
-    # A 2-bit value (a Bell label or a Pauli correction) as its code
-    # 2*z + x; anything else (a bit, a code, an int array) is its own code.
-    return 2 * outcome.z + outcome.x if isinstance(outcome, (BellLabel, PauliCorrection)) else outcome
-
-
 def _draw(word: int, coins: tuple[int, ...], rng: np.random.Philox) -> int:
     # ``word`` XOR the columns of the coins that ``rng``'s next raw words
     # draw, one word per coin, in order: coin j is 1 when word j is below
@@ -692,7 +686,7 @@ def _input_index(inputs: tuple) -> int:
     # the first, a splitting phase's secret, may be a bit.
     index = 0
     for value in inputs:
-        index = 4 * index + _code(value)
+        index = 4 * index + value
     return index
 
 
@@ -821,7 +815,7 @@ def run_splitting_22(
     attack: AttackModel,
 ) -> SplitResult:
     """Splitting phase of the (2,2) scheme on a computational-basis secret."""
-    secret_bit = operator.index(secret_bit)  # a bool or numpy int runs as its int; 1.0 raises
+    secret_bit = _index(secret_bit)  # a bool or numpy int runs as its int; 1.0 or a label raises
     if secret_bit not in (0, 1):
         raise ValueError(f"secret bit must be 0 or 1, got {secret_bit}")
     results = _draw_named("splitting", splitting_steps(attack), (secret_bit, pair1, pair2), rng)
@@ -883,8 +877,7 @@ def mask_tokens(
     XOR is its own inverse, so the sender unmasks received tokens with the
     same call and their stored codes.
     """
-    c = _code(code2)
-    return swap_bsm ^ code1, cipher_bit ^ (c >> 1 ^ c) & 1
+    return swap_bsm ^ code1, cipher_bit ^ (code2 >> 1 ^ code2) & 1
 
 
 def sent_tokens(
@@ -895,8 +888,7 @@ def sent_tokens(
     attack."""
     token_r1, token_r2 = mask_tokens(code1, code2, swap_bsm, cipher_bit)
     if attack.kind == "r1-lie":
-        z, x = attack.delta
-        token_r1 ^= BELL_LABELS[2 * z + x]
+        token_r1 ^= 2 * attack.delta[0] + attack.delta[1]
     if attack.kind == "token-flip":
         token_r2 ^= 1
     return token_r1, token_r2
@@ -933,8 +925,7 @@ def verify_authentication(
         raise ValueError(f"outcome bits must be 0 or 1, got ({z}, {x})")
     if _bit(token_r2) is None:
         raise ValueError(f"cipher token must be 0 or 1, got {token_r2!r}")
-    record2, tele = _code(records.pair2_label), _code(records.teleport_bsm)
-    return bool(_accepts(record2, tele, records.secret_bit, 2 * z + x, token_r2))
+    return bool(_accepts(records.pair2_label, records.teleport_bsm, records.secret_bit, 2 * z + x, token_r2))
 
 
 def _require_every_share(shares: ShareSet22 | ShareSet55) -> None:
@@ -980,7 +971,7 @@ def run_qss22(
     On rejection the run aborts: the teleport measurement is never published
     and no reconstruction is attempted.
     """
-    secret_bit = operator.index(secret_bit)  # a bool or numpy int runs as its int; 1.0 raises
+    secret_bit = _index(secret_bit)  # a bool or numpy int runs as its int; 1.0 or a label raises
     if secret_bit not in (0, 1):
         raise ValueError(f"secret bit must be 0 or 1, got {secret_bit}")
     rng = make_rng(seed)

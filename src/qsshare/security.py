@@ -53,7 +53,6 @@ from .bell import BELL_LABELS, PHI_PLUS, BellLabel, end_to_end_correction, infer
 from .protocol import (
     NO_ATTACK,
     AttackModel,
-    _code,
     mask_tokens,
     run_qss22,
     sent_tokens,
@@ -86,7 +85,7 @@ _MASK_ARGS = {m: [tuple((n == m) << bit for n in _MASKED) for bit in range(_RUN_
 # Each token round in draw order: its pair's and record's run columns, its
 # map's input at the run's pairs, and the code infer_remote_bsm XORs in.
 _TOKEN_ROUNDS = [
-    (pair, record, protocol._input_index(labels), _code(infer_remote_bsm(*labels, PHI_PLUS)))
+    (pair, record, protocol._input_index(labels), infer_remote_bsm(*labels, PHI_PLUS))
     for pair, record, labels in zip(
         ("pair1", "pair2"), ("record1", "record2"), map(protocol.DEFAULT_AUTH_PAIRS.get, protocol._TOKEN_TARGETS)
     )
@@ -255,7 +254,7 @@ def encrypted_qubit_mixedness_55(
         if value not in BELL_LABELS:
             raise ValueError(f"piece {name} must be one of the four 2-bit codes, got {value!r}")
     weights = np.zeros(4, dtype=np.int64)
-    weights[_code(end_to_end_correction(*(known.get(p, PHI_PLUS) for p in PIECES)))] = 1
+    weights[end_to_end_correction(*(known.get(p, PHI_PLUS) for p in PIECES))] = 1
     for _ in unknown:
         weights = weights[_XOR_CODES].sum(axis=1)
     amp0, amp1 = statevec.single_qubit(*secret_amplitudes).amplitudes.tolist()
@@ -295,7 +294,7 @@ def _basis(attack: AttackModel) -> tuple[int, ...]:
         images[name] = [unit ^ t1 << _T1 ^ t2 << _T2 for unit, (t1, t2) in zip(_UNITS[name], tokens)]
     split = {name: images[name] for name in ("swap", "tele", "cipher")}
     secret, z1, x1, z2, x2, *split_flips = _images(fields, split, inputs + coins)
-    t1, t2 = map(_code, sent_tokens(PHI_PLUS, PHI_PLUS, PHI_PLUS, 0, attack))
+    t1, t2 = sent_tokens(PHI_PLUS, PHI_PLUS, PHI_PLUS, 0, attack)
     zero = t1 << _T1 ^ t2 << _T2
     flips = [images["secret"][0] ^ secret]
     rounds = zip(_TOKEN_ROUNDS, maps, ((x1, z1), (x2, z2)))

@@ -32,20 +32,19 @@ Conventions, fixed once so that transcripts are reproducible:
   :func:`stack`.  The gates (:func:`apply_pauli`, :func:`apply_hadamard`,
   :func:`apply_cnot`), :func:`prepare_bell_on` and
   :func:`joint_distribution` act on every register of a stack, and on each
-  exactly as on that register alone.  Every other function takes one
-  register.
+  exactly as on that register alone (a Pauli or pair code may be an array,
+  one per register).  Every other function takes one register.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bell import BELL_LABELS, BellLabel, PauliCorrection
+from .bell import BELL_LABELS, BellLabel, _TwoBits, _bit, _index
 
 MAX_QUBITS = 6
 NORM_TOL = 1e-12
@@ -135,8 +134,8 @@ def computational_state(bits: Iterable[int]) -> StateVector:
     bits = list(bits)
     index = 0
     for b in bits:
-        bit = _as_int(b)
-        if bit not in (0, 1):
+        bit = _bit(b)
+        if bit is None:
             raise ValueError(f"bits must be 0 or 1, got {b}")
         index = (index << 1) | bit
     amps = np.zeros(2 ** _register_size(len(bits)), dtype=complex)
@@ -167,12 +166,12 @@ def prepare_bell(label: BellLabel) -> StateVector:
     return prepare_bell_on(zero_state(2), 0, 1, label)
 
 
-def prepare_bell_on(state: StateVector, q_first: int, q_second: int, label: BellLabel) -> StateVector:
+def prepare_bell_on(state: StateVector, q_first: int, q_second: int, label: int | np.ndarray) -> StateVector:
     """Entangle two |0> qubits of a register into the labelled pair state.
 
-    The phase/parity Pauli factors act on ``q_first``.  Raises if the two
-    qubits are not both in |0> (they would carry prior correlations) in
-    every register of a stack.
+    The phase/parity Pauli factors, or a code array (:func:`apply_pauli`),
+    act on ``q_first``.  Raises if the two qubits are not both in |0> (they
+    would carry prior correlations) in every register of a stack.
     """
     _check_pair(state, q_first, q_second, "pair qubits must be distinct")
     for q in (q_first, q_second):
@@ -186,14 +185,27 @@ def prepare_bell_on(state: StateVector, q_first: int, q_second: int, label: Bell
 # ---------------------------------------------------------------------------
 # Gates.
 
-def apply_pauli(state: StateVector, q: int, corr: PauliCorrection | BellLabel) -> StateVector:
-    """Apply Z^z X^x (X first) to qubit ``q``."""
+def apply_pauli(state: StateVector, q: int, corr: int | np.ndarray) -> StateVector:
+    """Apply Z^z X^x (X first) to qubit ``q``: ``corr`` is ``2*z + x``, or codes over the stack axes."""
     _check_qubit(state, q)
     n = state.n_qubits
-    view = _qubit_axis(state.amplitudes, n, q)
-    out = (view[:, ::-1] if corr.x else view).copy()
-    if corr.z:  # row 0 untouched: a ×(1+0j) would turn a -0.0 part into +0.0
-        out[:, 1:] *= -1.0
+    if not isinstance(corr, np.ndarray):
+        # One code, by slices: ≈4× faster a call than the array path below,
+        # and every (5,5) run applies two.
+        if type(corr) is bool or not (isinstance(corr, (int, np.integer)) and 0 <= corr <= 3):
+            raise ValueError(f"Pauli codes must be 0..3, got {corr!r}")
+        view = _qubit_axis(state.amplitudes, n, q)
+        out = (view[:, ::-1] if corr & 1 else view).copy()
+        if corr >> 1:  # row 0 untouched: a ×(1+0j) would turn a -0.0 part into +0.0
+            out[:, 1:] *= -1.0
+        return StateVector._wrap(n, out.reshape(state.amplitudes.shape))
+    if corr.dtype.kind not in "iu" or (corr >> 2).any():  # a bool or float array holds no codes
+        raise ValueError(f"Pauli codes must be 0..3, got {corr!r}")
+    codes = corr[..., None, None, None]  # a stack the codes widen cannot reshape back
+    view = state.amplitudes.reshape(state.amplitudes.shape[:-1] + (1 << q, 2, 1 << (n - q - 1)))
+    out = np.where(codes & 1, view[..., ::-1, :], view)
+    ones = out[..., 1:, :]  # row 0 untouched: a ×(1+0j) would turn a -0.0 part into +0.0
+    np.multiply(ones, -1.0, out=ones, where=codes > 1)
     return StateVector._wrap(n, out.reshape(state.amplitudes.shape))
 
 
@@ -407,24 +419,19 @@ def trace_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray)
     return float(0.5 * np.sum(np.abs(eigenvalues)))
 
 
-def _as_int(value) -> int:
-    # A bool or numpy int is read as its int; a float such as 2.0 is refused
-    # (read as -1, which every range check here rejects), not truncated.
-    try:
-        return operator.index(value)
-    except TypeError:
-        return -1
-
-
 def _register_size(n_qubits) -> int:
-    count = _as_int(n_qubits)
+    try:
+        count = _index(n_qubits)
+    except TypeError:  # a float such as 2.0 or a label is refused, not truncated
+        count = -1
     if not 1 <= count <= MAX_QUBITS:
         raise ValueError(f"register must hold 1..{MAX_QUBITS} qubits, got {n_qubits}")
     return count
 
 
 def _check_qubit(state: StateVector, q: int) -> None:
-    if not isinstance(q, (int, np.integer)) or not 0 <= q < state.n_qubits:
+    # A label is an int, its code, but never a qubit index.
+    if isinstance(q, _TwoBits) or not isinstance(q, (int, np.integer)) or not 0 <= q < state.n_qubits:
         raise IndexError(f"qubit {q} out of range for a {state.n_qubits}-qubit register")
 
 

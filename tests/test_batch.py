@@ -52,8 +52,8 @@ GOLDEN_VIEWS = "45c3311ee506e34c9d63898ffc8d2da680ce668864cb243403a80038fe7b4d05
 def leaf_key(rejected, payloads):
     # The key of a run's leaf: 2*token_r1 + token_r2 + 8*tele from its
     # first three public payloads, with tele 4 when the run is rejected.
-    token_r1 = protocol._code(BellLabel.from_bits(payloads[0]))
-    tele = 4 if rejected else protocol._code(BellLabel.from_bits(payloads[2]))
+    token_r1 = int(BellLabel.from_bits(payloads[0]))
+    tele = 4 if rejected else int(BellLabel.from_bits(payloads[2]))
     return 2 * token_r1 + int(payloads[1]) + 8 * tele
 
 
@@ -445,7 +445,7 @@ def test_run_fields_tile_17_bits_and_the_low_five_are_a_leaf_key():
     masks = [(1 << width) - 1 << shift for shift, width in fields.values()]
     assert sum(masks) == np.bitwise_or.reduce(masks) == (1 << 17) - 1
     for token_r1, token_r2, tele in product(BELL_LABELS, (0, 1), BELL_LABELS):
-        columns = {"token_r1": protocol._code(token_r1), "token_r2": token_r2, "tele": protocol._code(tele)}
+        columns = {"token_r1": int(token_r1), "token_r2": token_r2, "tele": int(tele)}
         word = sum(value << fields[name][0] for name, value in columns.items())
         payloads = token_r1.bits, str(token_r2), tele.bits
         assert word & 31 == leaf_key(False, payloads)

@@ -1,5 +1,10 @@
+import copy
+import json
 import math
+import pickle
+from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +29,14 @@ from qsshare.bell import (
     swap_result,
     teleport_correction,
 )
-from qsshare.protocol import splitting_branch
+from qsshare.protocol import (
+    NO_ATTACK,
+    _TranscriptBuilder,
+    make_rng,
+    run_qss22,
+    run_splitting_22,
+    splitting_branch,
+)
 
 
 def random_qubit(rng):
@@ -80,6 +92,86 @@ def test_conversions_hand_out_the_canonical_constants():
         assert CORRECTION_I ^ label is bell.PAULI_CORRECTIONS[i]
         assert bell.PAULI_CORRECTIONS[i] ^ PHI_PLUS is bell.PAULI_CORRECTIONS[i]
     assert BellLabel(0, 0) != CORRECTION_I
+
+
+EVERY_TWO_BITS = BELL_LABELS + bell.PAULI_CORRECTIONS
+
+
+@pytest.mark.parametrize("value", EVERY_TWO_BITS, ids=repr)
+def test_a_value_is_its_code(value):
+    # A label or correction is the int 2*z + x, so it indexes the canonical
+    # tuples and serialises as that int, and it renders as a bit pair.
+    code = 2 * value.z + value.x
+    assert int(value) == code and type(int(value)) is int
+    canonical = BELL_LABELS if type(value) is BellLabel else bell.PAULI_CORRECTIONS
+    assert canonical[value] is value and BELL_LABELS[value] is BELL_LABELS[code]
+    assert repr(value) == f"{type(value).__name__}(z={value.z}, x={value.x})"
+    assert json.dumps(value) == str(code) and bool(value) == (code != 0)
+    assert hash(value) == hash(code)
+
+
+@pytest.mark.parametrize("value", EVERY_TWO_BITS, ids=repr)
+def test_a_value_survives_pickle_and_copies_as_itself(value):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(value, protocol)) is value
+    assert copy.deepcopy(value) is value and copy.copy(value) is value
+    assert copy.deepcopy({value: [value]}) == {value: [value]}
+
+
+def test_values_equal_only_their_own_type_and_code():
+    # Equality is a pair of bits of one type, as it was: a Bell label is not
+    # the correction or the plain int of its code, though all three hash
+    # alike, so a dict keyed by one kind never answers for another.
+    for label, corr in zip(BELL_LABELS, bell.PAULI_CORRECTIONS):
+        code = int(label)
+        assert label != corr and label != code and code != label and not label == code
+        assert label == BellLabel(label.z, label.x) and corr == PauliCorrection(corr.z, corr.x)
+        assert code not in BELL_LABELS and corr not in BELL_LABELS and label not in bell.PAULI_CORRECTIONS
+        assert {label: "label"}.get(corr) is None and {code: "code"}.get(label) is None
+        assert label != float(code) and label != np.int64(code) and label != Fraction(code)
+
+
+def test_comparison_with_a_value_that_is_not_a_number_is_its_call():
+    # A label leaves ``==`` with an array or a wildcard to the other operand.
+    codes = np.arange(4)
+    for value in EVERY_TWO_BITS:
+        assert value == mock.ANY and not value != mock.ANY
+        assert (value == codes).tolist() == [c == int(value) for c in range(4)]
+        assert (value != codes).tolist() == [c != int(value) for c in range(4)]
+        assert value != "00" and value != None  # noqa: E711
+
+
+def test_xor_keeps_the_left_type_and_leaves_arrays_to_numpy():
+    # ``^`` with any int gives the canonical value of the left operand's
+    # type; with an int array it defers, so numpy XORs the code in.
+    for a, b in product(EVERY_TWO_BITS, repeat=2):
+        assert a ^ b is type(a)._CANONICAL[int(a) ^ int(b)]
+        assert a ^ int(b) is a ^ b and type(int(b) ^ a) is int
+    codes = np.arange(4)
+    for value in EVERY_TWO_BITS:
+        assert (value ^ codes).tolist() == (codes ^ value).tolist() == [int(value) ^ c for c in range(4)]
+    with pytest.raises(TypeError):
+        PSI_PLUS ^ 1.0
+
+
+@pytest.mark.parametrize("value", EVERY_TWO_BITS, ids=repr)
+def test_a_value_is_never_read_as_a_bit(value):
+    # A label passes operator.index, but where a bit is expected it is
+    # refused as a float is, even Φ+ and I, whose codes are 0.
+    assert bell._bit(value) is None
+    with pytest.raises(ValueError, match="cipher bit must be 0 or 1"):
+        decode_classical(value, CORRECTION_X)
+    for cls in (BellLabel, PauliCorrection):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            cls(value, 0)
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            cls(0, value)
+    with pytest.raises(TypeError):
+        run_qss22(value, 7)
+    with pytest.raises(TypeError):
+        run_splitting_22(value, PHI_PLUS, PHI_PLUS, make_rng(7), _TranscriptBuilder(7, "qss22"), NO_ATTACK)
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        statevec.computational_state([value])
 
 
 def test_correction_composition_is_xor():
@@ -182,7 +274,8 @@ def _pair_bits_swapped(monkeypatch):
     real = statevec.prepare_bell_on
 
     def faulty(state, q_first, q_second, label):
-        return real(state, q_first, q_second, BELL_LABELS[2 * label.x + label.z])
+        # A code or an array of codes, its two bits exchanged.
+        return real(state, q_first, q_second, (label & 1) << 1 | label >> 1)
 
     monkeypatch.setattr(statevec, "prepare_bell_on", faulty)
 
@@ -204,7 +297,7 @@ def _pauli_drops_z(monkeypatch):
     real = statevec.apply_pauli
 
     def faulty(state, q, corr):
-        return real(state, q, bell.PAULI_CORRECTIONS[corr.x])
+        return real(state, q, corr & 1)
 
     monkeypatch.setattr(statevec, "apply_pauli", faulty)
 
@@ -282,8 +375,8 @@ def test_each_sweep_check_trips_on_its_fault(fault, message, monkeypatch, cold_t
 
 
 def test_one_simulator_sweep_fills_both_oracle_tables(monkeypatch, cold_tables):
-    # Pair a is prepared once per value and pair b once per value over the
-    # stack of the four, and all 16 (a, b) cases are read off one joint
+    # Pair a and pair b are each prepared by one call over the (4, 4) stack
+    # of all 16 (a, b) cases, and the cases are read off one joint
     # distribution; the teleport table reads the sweep's Φ+ rows.
     calls = {"joint_distribution": 0, "prepare_bell_on": 0}
     for name in calls:
@@ -296,7 +389,7 @@ def test_one_simulator_sweep_fills_both_oracle_tables(monkeypatch, cold_tables):
         monkeypatch.setattr(statevec, name, counted)
     teleport = bell.generate_teleport_table()
     swap = bell.generate_swap_table()
-    assert calls == {"joint_distribution": 1, "prepare_bell_on": 8}
+    assert calls == {"joint_distribution": 1, "prepare_bell_on": 2}
     assert len(teleport) == 16
     for (channel, outcome), corr in teleport.items():
         pair = swap[(PHI_PLUS, channel, outcome)]

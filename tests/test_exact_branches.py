@@ -572,7 +572,7 @@ def every_branch(attack):
         coins.append(branches >> shift & (1 << width) - 1)
     rounds = []
     for receiver, token_map, coin in zip(protocol._TOKEN_TARGETS, maps, coins):
-        pairs = tuple(map(protocol._code, protocol.DEFAULT_AUTH_PAIRS[receiver]))
+        pairs = tuple(map(int, protocol.DEFAULT_AUTH_PAIRS[receiver]))
         word = protocol._xor_columns(token_map.inputs, protocol._input_index(pairs))
         word ^= protocol._xor_columns(token_map.coins, coin)
         code, observed = (protocol._field(word, token_map.fields[name]) for name in ("code", "observed"))
@@ -589,7 +589,7 @@ def every_branch(attack):
     return dict(
         secret=secret, pair1=pair1, pair2=pair2, record1=record1, record2=record2,
         swap=swap, tele=tele, cipher=cipher,
-        token_r1=token_r1 ^ protocol._code(alter_r1), token_r2=token_r2 ^ alter_r2,
+        token_r1=token_r1 ^ int(alter_r1), token_r2=token_r2 ^ alter_r2,
     )
 
 
@@ -605,12 +605,12 @@ def assert_rows_move_by(phase, steps, register, inputs, flips):
     other step reads as at zero), and the 2^d equally likely branches of
     the statevec enumerator on the input's own register, as row sets."""
     names = [step.name for step in steps if step.kind != "ancilla"]
-    moved = [protocol._code(flips.get(name, 0)) for name in names]
-    codes = tuple(map(protocol._code, inputs))
+    moved = [int(flips.get(name, 0)) for name in names]
+    codes = tuple(map(int, inputs))
     rows = sorted(map(tuple, drawn_words(phase, steps, codes)))
     at_zero = drawn_words(phase, steps, (0,) * len(inputs))
     assert rows == sorted(tuple(a ^ b for a, b in zip(row, moved)) for row in at_zero)
-    enumerated = [tuple(map(protocol._code, outcomes)) for outcomes in equal_shares(register, steps)]
+    enumerated = [tuple(map(int, outcomes)) for outcomes in equal_shares(register, steps)]
     assert rows == sorted(enumerated)
 
 
@@ -685,7 +685,7 @@ def test_symbolic_tables_match_the_enumerator_on_random_step_lists(case):
     table = stacked_table(phase, steps)
     for values in product(*inputs):
         assert drawn_rows(phase, steps, values) == list(branch_table(register(*values), steps))
-        codes = tuple(map(protocol._code, values))
+        codes = tuple(map(int, values))
         assert drawn_words(phase, steps, codes) == table[codes].tolist()
 
 

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -77,6 +78,21 @@ def test_pauli_phase_flip():
 def test_pauli_out_of_range_qubit():
     with pytest.raises(IndexError):
         statevec.apply_pauli(statevec.zero_state(2), 2, PauliCorrection(0, 1))
+
+
+def test_a_label_is_never_a_qubit_index():
+    # A label is an int, its code, but it names a pair or a Pauli, not a qubit.
+    state = statevec.zero_state(3)
+    for value in (*BELL_LABELS, *(PauliCorrection(z, x) for z in (0, 1) for x in (0, 1))):
+        for gate in (
+            lambda: statevec.apply_pauli(state, value, PSI_PLUS),
+            lambda: statevec.apply_hadamard(state, value),
+            lambda: statevec.apply_cnot(state, value, 2),
+            lambda: statevec.prepare_bell_on(state, 2, value, PHI_PLUS),
+            lambda: statevec.project_computational(state, value, 0),
+        ):
+            with pytest.raises(IndexError):
+                gate()
 
 
 def test_pauli_does_not_mutate_input():
@@ -554,3 +570,40 @@ def test_prepare_bell_on_acts_on_each_register_of_a_stack_byte_for_byte():
                     mixed = statevec.stack(zeroed[:i] + [flipped] + zeroed[i + 1:])
                     with pytest.raises(ValueError, match="must start in"):
                         statevec.prepare_bell_on(mixed, q1, q2, PHI_PLUS)
+
+
+def test_a_code_array_applies_one_pauli_per_register_byte_for_byte():
+    # A code array over the stack axes gives each register, byte for byte,
+    # what its own code gives it alone; so does a pair prepared by codes.
+    rng = np.random.default_rng(17)
+    for states, stacked in stacked_gate_inputs():
+        for _ in range(4):
+            codes = rng.integers(0, 4, size=stacked.amplitudes.shape[:-1])
+            for q in range(stacked.n_qubits):
+                got = statevec.apply_pauli(stacked, q, codes).amplitudes.reshape(len(states), -1)
+                for row, state, code in zip(got, states, codes.reshape(-1).tolist(), strict=True):
+                    assert row.tobytes() == statevec.apply_pauli(state, q, code).amplitudes.tobytes()
+    zeros = statevec.stack([statevec.stack([statevec.zero_state(4)] * 4)] * 4)
+    codes = np.arange(4)
+    cases = statevec.prepare_bell_on(statevec.prepare_bell_on(zeros, 0, 1, codes[:, None]), 2, 3, codes)
+    for a, b in product(BELL_LABELS, repeat=2):
+        want = statevec.prepare_bell_on(statevec.prepare_bell_on(statevec.zero_state(4), 0, 1, a), 2, 3, b)
+        assert cases.amplitudes[a, b].tobytes() == want.amplitudes.tobytes()
+
+
+def test_a_code_array_must_fit_the_stack_and_hold_codes():
+    # A single code is held to 0..3 as an array is: a bool or float is not
+    # a code, and no other int is read as a Pauli.
+    for code in (4, -1, 2**70, True, np.bool_(True), 1.0, np.int64(4), np.uint8(7)):
+        with pytest.raises(ValueError, match=r"Pauli codes must be 0\.\.3"):
+            statevec.apply_pauli(statevec.zero_state(2), 0, code)
+        with pytest.raises(ValueError, match=r"Pauli codes must be 0\.\.3"):
+            statevec.prepare_bell(code)
+    stacked = statevec.stack([statevec.zero_state(2)] * 4)
+    for codes in (np.array([0, 1, 2, 4]), np.array([0, -1, 2, 3]), np.array([0, 7, 2, 3], dtype=np.uint8),
+                  np.array([False, True, False, True]), np.arange(4.0)):
+        with pytest.raises(ValueError, match=r"Pauli codes must be 0\.\.3"):
+            statevec.apply_pauli(stacked, 0, codes)
+    for codes in (np.arange(3), np.zeros((2, 4), dtype=int)):
+        with pytest.raises(ValueError):
+            statevec.apply_pauli(stacked, 0, codes)
