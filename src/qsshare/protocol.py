@@ -30,7 +30,7 @@ import operator
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -206,16 +206,13 @@ class AttackModel:
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
-        if self.kind == "intercept-resend-computational":
-            target = "split-r2" if self.target is None else self.target
+        if self.kind in ("intercept-resend-computational", "intercept-resend-bell"):
+            bell = self.kind == "intercept-resend-bell"
+            default = "split-r1" if bell else "split-r2"
+            target = default if self.target is None else self.target
             if target not in QUANTUM_SEND_TARGETS:
                 raise ValueError(f"unknown intercept target {target!r}")
-            object.__setattr__(self, "target", target)
-        elif self.kind == "intercept-resend-bell":
-            target = "split-r1" if self.target is None else self.target
-            if target not in QUANTUM_SEND_TARGETS:
-                raise ValueError(f"unknown intercept target {target!r}")
-            if target == "split-r2":
+            if bell and target == "split-r2":
                 raise ValueError(
                     "a Bell-basis intercept needs two in-flight qubits; "
                     "the splitting send to R2 carries one"
@@ -546,18 +543,28 @@ _Z = statevec.MAX_QUBITS
 _X_BITS = (1 << _Z) - 1
 
 
-def _product_sign(generators: list[list[int]], pauli: int) -> int:
-    # The sign mask of the product of ``generators`` that is ``pauli``, by
-    # elimination over GF(2): each generator, reduced on the top bits of the
-    # ones before it, joins the basis, and the Pauli is reduced last.
-    basis = []
-    for p, sign in generators + [[pauli, 0]]:
-        for row, row_sign in basis:
-            if p ^ row < p:  # p holds row's top bit
-                p, sign = p ^ row, sign ^ row_sign
-        basis.append((p, sign))
-    assert p == 0, "a Pauli that commutes with every generator is not their product"
-    return sign
+def _reduce(pivots: Mapping[int, tuple[int, int]], vector: int, tag: int = 0) -> tuple[int, int]:
+    # ``vector`` reduced over GF(2) while its top bit is a pivot row's
+    # (_echelon), and ``tag`` XOR the tags of the rows it took: the vector
+    # lies in the rows' span when the first is 0, and is then the XOR of
+    # the rows its tag names.
+    while (top := vector.bit_length()) in pivots:
+        row, row_tag = pivots[top]
+        vector ^= row
+        tag ^= row_tag
+    return vector, tag
+
+
+def _echelon(rows: Iterable[Sequence[int]]) -> dict[int, tuple[int, int]]:
+    # Elimination over GF(2) of (vector, tag) rows: each row, reduced by
+    # the rows kept so far (_reduce), is kept by its top bit when nonzero,
+    # so the rank is the number kept.
+    pivots: dict[int, tuple[int, int]] = {}
+    for vector, tag in rows:
+        vector, tag = _reduce(pivots, vector, tag)
+        if vector:
+            pivots[vector.bit_length()] = vector, tag
+    return pivots
 
 
 def _coin_parities(phase: str, steps: tuple[Step, ...]) -> tuple[list[int], int, int]:
@@ -592,8 +599,10 @@ def _coin_parities(phase: str, steps: tuple[Step, ...]) -> tuple[list[int], int,
         anticommuting = [
             g for g in generators if ((g[0] >> _Z) & pauli ^ g[0] & (pauli >> _Z)).bit_count() & 1
         ]
-        if not anticommuting:
-            return _product_sign(generators, pauli)
+        if not anticommuting:  # a product of generators: read the sign mask of that product
+            residue, sign = _reduce(_echelon(generators), pauli)
+            assert residue == 0, "a Pauli that commutes with every generator is not their product"
+            return sign
         first, *rest = anticommuting
         for g in rest:
             g[0] ^= first[0]

@@ -197,22 +197,15 @@ def _flips(basis: tuple[int, ...], names: tuple[str, ...]) -> list[int]:
 
 
 def _rank(vectors: list[int]) -> int:
-    # The GF(2) rank of ints read as bit vectors: each vector, reduced by
-    # the pivots kept so far, one per top bit, is kept when nonzero.
-    pivots: dict[int, int] = {}
-    for v in vectors:
-        while v and v.bit_length() in pivots:
-            v ^= pivots[v.bit_length()]
-        if v:
-            pivots[v.bit_length()] = v
-    return len(pivots)
+    # The GF(2) rank of ints read as bit vectors.
+    return len(protocol._echelon([(v, 0) for v in vectors]))
 
 
 def _pins_secret(basis: tuple[int, ...], names: tuple[str, ...]) -> bool:
     # Whether the named fields of a run's basis pin down the secret: the
     # secret's flip of their bits lies outside the span of the coins' flips.
-    flips = _flips(basis, names)
-    return _rank(flips) > _rank(flips[1:])
+    secret, *coins = _flips(basis, names)
+    return protocol._reduce(protocol._echelon([(c, 0) for c in coins]), secret)[0] != 0
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +320,8 @@ def _run_words(basis: tuple[int, ...]) -> np.ndarray:
     (:func:`protocol._draw`), so these are the branches a run draws.
     """
     zero, *rest = basis
-    run = np.array([zero], dtype=np.int64)
-    for word in reversed(rest):  # the last coin's bit is the least significant
-        run = np.concatenate((run, run ^ (word ^ zero)))
-    return run
+    flips = [word ^ zero for word in rest]
+    return zero ^ protocol._xor_columns(flips, np.arange(1 << len(flips)))
 
 
 def exact_detection_rate(attack: AttackModel) -> Fraction:
@@ -390,21 +381,21 @@ class AttackSweepReport:
         }
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z_99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score 99% interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     p = successes / trials
-    denom = 1 + z**2 / trials
-    centre = (p + z**2 / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1 - p) / trials + z**2 / (4 * trials**2)) / denom
+    denom = 1 + Z_99**2 / trials
+    centre = (p + Z_99**2 / (2 * trials)) / denom
+    half = Z_99 * math.sqrt(p * (1 - p) / trials + Z_99**2 / (4 * trials**2)) / denom
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
-def interval_around_rate(rate: float, trials: int, z: float = Z_99) -> tuple[float, float]:
-    """Normal-approximation interval for the empirical mean of ``trials``
+def interval_around_rate(rate: float, trials: int) -> tuple[float, float]:
+    """Normal-approximation 99% interval for the empirical mean of ``trials``
     draws at success probability ``rate``.  Degenerate at rate 0 or 1."""
-    half = z * math.sqrt(rate * (1 - rate) / trials)
+    half = Z_99 * math.sqrt(rate * (1 - rate) / trials)
     return max(0.0, rate - half), min(1.0, rate + half)
 
 
@@ -565,11 +556,12 @@ def public_transcript_uniformity(trials: int, seed: int) -> UniformityReport:
     messages = {}
     for name, column in zip(names, _VIEW_COLUMNS["public-only"]):
         counts = empirical[name]
-        domain = _message_domain(name)
-        chi_p = _uniform_chi_square_p([counts.get(v, 0) for v in domain]) if trials else 1.0
+        width = _RUN_FIELDS[column][1]  # the message's bits, one value per bit string
+        observed = [counts.get(format(v, f"0{width}b"), 0) for v in range(1 << width)]
+        chi_p = _uniform_chi_square_p(observed) if trials else 1.0
         messages[name] = MessageUniformity(
-            values=len(domain),
-            exact_uniform=_rank(_flips(run, (column,))) == len(domain).bit_length() - 1,
+            values=1 << width,
+            exact_uniform=_rank(_flips(run, (column,))) == width,
             exact_secret_independent=not _pins_secret(run, (column,)),
             empirical_counts=dict(sorted(counts.items())),
             chi_square_p=chi_p,
@@ -597,12 +589,6 @@ def _uniform_chi_square_p(counts: list[int]) -> float:
     expected = sum(counts) / len(counts)
     statistic = sum((c - expected) ** 2 / expected for c in counts)
     return chi_square_sf(statistic, len(counts) - 1)
-
-
-def _message_domain(name: str) -> list[str]:
-    if name == "masked-cipher-token":
-        return ["0", "1"]
-    return ["00", "01", "10", "11"]
 
 
 # ---------------------------------------------------------------------------

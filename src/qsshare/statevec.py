@@ -20,7 +20,7 @@ Conventions, fixed once so that transcripts are reproducible:
   phase bit, the second the parity bit.  The measured pair is rotated back
   so it collapses to the reported pair state.  :func:`joint_distribution`
   rotates several disjoint pairs into that frame at once and reads all their
-  outcomes, with any computational ones, off one set of squared amplitudes.
+  outcomes off one set of squared amplitudes.
 - A projection zeroes the other outcome's amplitudes and divides the rest
   by their own norm, so a register's norm deviation does not grow over a
   run.  Outcomes with probability below 1e-15 are treated as exactly zero
@@ -306,25 +306,21 @@ def bell_project(state: StateVector, q1: int, q2: int, label: BellLabel) -> tupl
     return p1 * p2, _rotate_to_pair_basis(rotated, q1, q2)
 
 
-def joint_distribution(
-    state: StateVector,
-    pairs: Sequence[tuple[int, int]],
-    singles: Sequence[int] = (),
-) -> np.ndarray:
+def joint_distribution(state: StateVector, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
     """Joint Born distribution of Bell measurements on disjoint qubit pairs
-    and computational measurements on single qubits of ``state``.
+    of ``state``.
 
     Every pair is rotated into the computational frame once, with the
     rotation :func:`bell_measure` uses, and the squared amplitudes are
     summed over the qubits not named.  The result has the stack axes of a
     stack first, then one axis of length 4 per pair (indexed like
-    ``BELL_LABELS``), then one axis of length 2 per single qubit.  The
-    measurements act on disjoint qubits and commute, so each entry equals
-    the product of conditional probabilities of any sequential order.
+    ``BELL_LABELS``).  The measurements act on disjoint qubits and commute,
+    so each entry equals the product of conditional probabilities of any
+    sequential order.
     Oracle API: the generated pair tables of ``verify-tables`` read it, and
     the tests use it as an order-free check of the projections.
     """
-    named = [q for pair in pairs for q in pair] + list(singles)
+    named = [q for pair in pairs for q in pair]
     for q in named:
         _check_qubit(state, q)
     if len(set(named)) != len(named):
@@ -338,7 +334,7 @@ def joint_distribution(
     n_stack = len(stack_shape)
     probs = (amps.real**2 + amps.imag**2).reshape(stack_shape + (2,) * n)
     rest = [q for q in range(n) if q not in named]
-    shape = stack_shape + (4,) * len(pairs) + (2,) * len(singles) + (-1,)
+    shape = stack_shape + (4,) * len(pairs) + (-1,)
     axes = [*range(n_stack), *(n_stack + q for q in named + rest)]
     return probs.transpose(axes).reshape(shape).sum(axis=-1)
 

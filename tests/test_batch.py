@@ -110,7 +110,8 @@ def scalar_uniformity(trials, seed):
     messages = {}
     for name, (uniform, independent) in exact.items():
         counts = empirical[name]
-        observed = [counts.get(v, 0) for v in security._message_domain(name)]
+        width = sizes[name].bit_length() - 1
+        observed = [counts.get(format(v, f"0{width}b"), 0) for v in range(sizes[name])]
         messages[name] = MessageUniformity(
             values=sizes[name],
             exact_uniform=uniform,

@@ -321,8 +321,8 @@ def _pair_left_as_product(monkeypatch):
 def _outcome_rows_copy_the_first(monkeypatch):
     real = statevec.joint_distribution
 
-    def faulty(state, pairs, singles=()):
-        joint = real(state, pairs, singles)
+    def faulty(state, pairs):
+        joint = real(state, pairs)
         joint[..., 1:, :] = joint[..., :1, :]
         return joint
 

@@ -12,14 +12,19 @@ to the branch counts it replaced, kept here as the reference and
 computed over every branch of the run by an evaluation of its own
 (``every_branch``); check that the package's every-branch words, its
 basis expanded (``security._run_words``), read by field, are that
-evaluation; and check that a cold sweep record or the honest cases
+evaluation; check the one elimination behind every span test
+(``protocol._echelon`` and ``protocol._reduce``) against brute force;
+and check that a cold sweep record or the honest cases
 compose the run's maps once.
 """
 
 from fractions import Fraction
+from functools import reduce
+from operator import xor
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qsshare import protocol, security
 from qsshare.protocol import NO_ATTACK, AttackModel
@@ -100,6 +105,24 @@ def test_rank_uniformity_is_the_per_value_counts():
         assert (message.exact_uniform, message.exact_secret_independent) == (uniform, independent), name
         # The values taken are the whole range, so uniform means over it.
         assert len(set(run[column].tolist())) == message.values, name
+
+
+@given(st.lists(st.integers(0, 63), max_size=7))
+def test_the_elimination_ranks_tests_spans_and_names_its_witness(rows):
+    # Row i of 6-bit rows carries the one-hot tag 1 << i.  The rank is log2
+    # of the span's size, found by XORing every subset of the rows; a vector
+    # reduces to 0 exactly when it lies in the span; and the rows its tag
+    # names XOR to the vector, less what is left of it.
+    def combination(tag):
+        return reduce(xor, (row for i, row in enumerate(rows) if tag >> i & 1), 0)
+
+    span = {combination(subset) for subset in range(1 << len(rows))}
+    pivots = protocol._echelon((row, 1 << i) for i, row in enumerate(rows))
+    assert 1 << len(pivots) == len(span)
+    for vector in range(64):
+        rest, tag = protocol._reduce(pivots, vector)
+        assert (rest == 0) == (vector in span), vector
+        assert combination(tag) ^ rest == vector, vector
 
 
 @pytest.mark.parametrize("attack", ATTACKS, ids=lambda attack: attack.spec_string)

@@ -541,16 +541,11 @@ def test_gates_act_on_each_register_of_a_stack_byte_for_byte():
 def test_joint_distribution_puts_the_stack_axes_first_byte_for_byte():
     for states, stacked in stacked_gate_inputs():
         n = stacked.n_qubits
-        measurements = [((), (q,)) for q in range(n)]
-        for q1 in range(n):
-            for q2 in range(n):
-                if q1 != q2:
-                    others = tuple(q for q in range(n) if q not in (q1, q2))
-                    measurements += [([(q1, q2)], ()), ([(q1, q2)], others)]
+        measurements = [[(q1, q2)] for q1 in range(n) for q2 in range(n) if q1 != q2]
         if n >= 4:
-            measurements += [([(1, 2), (0, 3)], ()), ([(0, 3), (1, 2)], tuple(range(4, n)))]
-        for pairs, singles in measurements:
-            assert_acts_per_register(states, stacked, statevec.joint_distribution, pairs, singles)
+            measurements += [[(1, 2), (0, 3)], [(0, 3), (1, 2)]]
+        for pairs in measurements:
+            assert_acts_per_register(states, stacked, statevec.joint_distribution, pairs)
 
 
 def test_prepare_bell_on_acts_on_each_register_of_a_stack_byte_for_byte():
