@@ -581,10 +581,15 @@ def _coin_parities(phase: str, steps: tuple[Step, ...]) -> tuple[list[int], int,
     generator i starts with input symbol i as its sign (see _REFERENCES).
     A measured Pauli that anticommutes with a generator draws a new coin;
     any other is a product of generators and reads the XOR of their masks.
+    A generator anticommutes with the Pauli when it shares an odd number of
+    bits with the Pauli's symplectic partner, its X and Z halves swapped.
     A Bell step measures ZZ, its x bit, then XX, its z bit.  The ancilla
     step adds Z on qubit 5 and conjugates by the CNOT from qubit 4.  Every
     generator and measured Pauli is pure X or pure Z (CSS), so no product
-    of generators picks up a phase.
+    of generators picks up a phase: the reference generators and the
+    measured Paulis are CSS as built, and a generator is asserted CSS
+    wherever it changes, when a measurement XORs another into it and after
+    the ancilla's CNOT.
     """
     secret, pairs = _REFERENCES[phase]
     paulis = [1 << _Z] if secret else []
@@ -596,9 +601,8 @@ def _coin_parities(phase: str, steps: tuple[Step, ...]) -> tuple[list[int], int,
 
     def measure(pauli: int) -> int:
         nonlocal coins
-        anticommuting = [
-            g for g in generators if ((g[0] >> _Z) & pauli ^ g[0] & (pauli >> _Z)).bit_count() & 1
-        ]
+        partner = pauli >> _Z | (pauli & _X_BITS) << _Z
+        anticommuting = [g for g in generators if (g[0] & partner).bit_count() & 1]
         if not anticommuting:  # a product of generators: read the sign mask of that product
             residue, sign = _reduce(_echelon(generators), pauli)
             assert residue == 0, "a Pauli that commutes with every generator is not their product"
@@ -607,6 +611,7 @@ def _coin_parities(phase: str, steps: tuple[Step, ...]) -> tuple[list[int], int,
         for g in rest:
             g[0] ^= first[0]
             g[1] ^= first[1]
+            assert not (g[0] & _X_BITS and g[0] >> _Z), "a generator is not CSS"
         first[:] = pauli, 1 << coins
         coins += 1
         return first[1]
@@ -617,12 +622,12 @@ def _coin_parities(phase: str, steps: tuple[Step, ...]) -> tuple[list[int], int,
             generators.append([1 << (5 + _Z), 0])
             for g in generators:  # X4 -> X4 X5 and Z5 -> Z4 Z5
                 g[0] ^= (g[0] >> 4 & 1) << 5 | (g[0] >> (5 + _Z) & 1) << (4 + _Z)
+                assert not (g[0] & _X_BITS and g[0] >> _Z), "a generator is not CSS"
         elif kind == "bell":
             x = measure(mask << _Z)
             bits += [measure(mask), x]
         else:
             bits.append(measure(mask << _Z))
-        assert not any(p & _X_BITS and p >> _Z for p, _ in generators), "a generator is not CSS"
     return bits, inputs, coins - inputs
 
 
@@ -647,7 +652,10 @@ def _linear_map(phase: str, steps: tuple[Step, ...]) -> _LinearMap:
     equally likely by construction.  Branch i of an input is the XOR of the
     columns of the input's set bits and of i's set bits, read against the
     coins most significant first (:func:`_draw`), and the branches come out
-    in ascending order of their words.
+    in ascending order of their words.  The columns are the parity masks
+    transposed: each outcome bit sets its word bit in the columns of the
+    symbols its mask holds, found by taking the mask's lowest set bit until
+    none is left, so a symbol an outcome does not read costs nothing.
 
     The coins' columns are in reduced echelon form, each with its pivot at
     the outcome bit that drew it: that bit reads the new coin alone, and no
@@ -659,8 +667,12 @@ def _linear_map(phase: str, steps: tuple[Step, ...]) -> _LinearMap:
     """
     parities, inputs, coins = _coin_parities(phase, steps)
     columns = [0] * (inputs + coins)
-    for mask in parities:
-        columns = [column << 1 | mask >> symbol & 1 for symbol, column in enumerate(columns)]
+    top = len(parities) - 1
+    for k, mask in enumerate(parities):  # outcome bit k sets bit top - k of its symbols' columns
+        while mask:
+            low = mask & -mask
+            columns[low.bit_length() - 1] |= 1 << top - k
+            mask ^= low
     fields, shift = {}, len(parities)
     for step in steps:
         if step.kind != "ancilla":

@@ -10,8 +10,8 @@ word (:data:`_RUN_FIELDS`), affine over GF(2) in those bits.  So
 :func:`_basis`, the one place that composes the maps, fixes the run by its
 words at the all-zero branch and each single-bit one, the zero word XOR
 one map column's image each, and :func:`_run_words` expands them into
-one int64 array for the readers of every branch: the 512 honest cases
-and a sweep's leaf keys.
+one int64 array for the readers of every branch, the 512 honest cases
+and a sweep's leaf keys, by doubling it once per basis bit.
 
 - a view (:data:`_VIEW_COLUMNS`) of an honest run gives 1 bit, with guess
   advantage 1/2, when the secret's flip of its columns lies outside the
@@ -43,7 +43,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product, starmap
+from itertools import product, repeat, starmap
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -143,8 +143,10 @@ def enumerate_honest_cases() -> tuple[HonestCase, ...]:
     if (4 * swap + tele != np.arange(512) & 15).any():
         raise AssertionError("cipher qubit not collapsed")
     labels = product((0, 1), BELL_LABELS, BELL_LABELS, BELL_LABELS, BELL_LABELS)
-    # Each case is its labels and its cipher bit, joined as tuples.
-    return tuple(map(HonestCase._make, map(operator.add, labels, zip(cipher.tolist()))))
+    # Each case is its labels and its cipher bit, joined as tuples and typed
+    # by tuple.__new__ in C: no _make frame and no length check, which the
+    # five labels and one bit always meet.
+    return tuple(map(tuple.__new__, repeat(HonestCase), map(operator.add, labels, zip(cipher.tolist()))))
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +319,16 @@ def _run_words(basis: tuple[int, ...]) -> np.ndarray:
     order, as one int64 array, from its basis (:func:`_basis`): an affine
     word at branch b is its value at zero XOR the flip of each bit set in b.
     The secret's bit is the most significant, then the coins' in draw order
-    (:func:`protocol._draw`), so these are the branches a run draws.
+    (:func:`protocol._draw`), so these are the branches a run draws.  The
+    array doubles once per bit, the last coin's first: the branches so far,
+    then the same branches XOR that bit's flip, so each bit taken later
+    sits above the ones before it and the secret's ends most significant.
     """
     zero, *rest = basis
-    flips = [word ^ zero for word in rest]
-    return zero ^ protocol._xor_columns(flips, np.arange(1 << len(flips)))
+    run = np.array([zero], dtype=np.int64)
+    for word in reversed(rest):  # the last coin's bit is the least significant
+        run = np.concatenate((run, run ^ (word ^ zero)))
+    return run
 
 
 def exact_detection_rate(attack: AttackModel) -> Fraction:

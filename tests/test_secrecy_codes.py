@@ -92,12 +92,14 @@ def test_honest_columns_are_the_honest_cases():
 
 def test_honest_cases_hold_the_canonical_labels_in_product_order():
     # Case i is (secret, pair1, pair2, swap, teleport) = i in mixed radix
-    # (2, 4, 4, 4, 4), each label the canonical instance of its code.
+    # (2, 4, 4, 4, 4), each label the canonical instance of its code, and
+    # every case holds exactly its fields: tuple.__new__ checks no length.
     cases = security.enumerate_honest_cases()
     assert len(cases) == 512
     for index, case in enumerate(cases):
         secret, *codes = (int(i) for i in np.unravel_index(index, (2, 4, 4, 4, 4)))
         assert type(case) is security.HonestCase
+        assert len(case) == len(security.HonestCase._fields)
         assert type(case.secret) is int and case.secret == secret
         assert type(case.cipher_bit) is int and case.cipher_bit in (0, 1)
         labels = (case.pair1, case.pair2, case.swap_bsm, case.teleport_bsm)
