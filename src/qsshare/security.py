@@ -25,8 +25,9 @@ and a sweep's leaf keys, by doubling it once per basis bit.
 - the encrypted qubit's correction XORs the four pieces, so unknown pieces
   XOR-convolve a 4-bin histogram of corrections, and the averaged qubit is
   the secret's Bloch vector twirled by that histogram: each axis scaled by
-  an integer sum of signs over the histogram's total, so an unknown piece
-  gives exactly zero.
+  an integer sum of signs over the histogram's total.  An unknown piece
+  makes the histogram uniform, so every sign sum, and the distance, is
+  exactly zero.
 
 Floating point only appears at the reporting boundary, so "exactly zero"
 results do not depend on rounding.
@@ -215,7 +216,7 @@ def _pins_secret(basis: tuple[int, ...], names: tuple[str, ...]) -> bool:
 
 # _BLOCH_SIGNS[c] is how the correction of code c, Z^z X^x with c = 2*z + x,
 # signs the (X, Y, Z) Bloch axes of the qubit it conjugates.
-_BLOCH_SIGNS = np.array([[1, 1, 1], [1, -1, -1], [-1, -1, 1], [-1, 1, -1]])
+_BLOCH_SIGNS = ((1, 1, 1), (1, -1, -1), (-1, -1, 1), (-1, 1, -1))
 
 
 def encrypted_qubit_mixedness_55(
@@ -232,14 +233,15 @@ def encrypted_qubit_mixedness_55(
 
     The encrypted qubit is the secret under the Pauli
     :func:`end_to_end_correction`, the XOR of the pieces.  So the known
-    pieces' correction (Φ+ standing in for each unknown piece), XOR-convolved
-    with a uniform 4-bin histogram per unknown piece, gives integer weights
-    of the four corrections.  Each correction but I flips the signs of two
-    axes of the secret's Bloch vector (:data:`_BLOCH_SIGNS`), so the averaged
+    pieces' correction (Φ+ standing in for each unknown piece) has weight 1,
+    and each unknown piece XOR-convolves the four integer weights with a
+    uniform 2-bit code, whose closed form puts their total in every bin: the
+    histogram is uniform.  Each correction but I flips the signs of two axes
+    of the secret's Bloch vector (:data:`_BLOCH_SIGNS`), so the averaged
     qubit's Bloch vector is the secret's with each axis scaled by its
     weighted sign sum over the total weight, and the distance is half its
-    length.  An unknown piece makes every weighted sign sum the integer 0,
-    so the distance is exactly 0.0.
+    length.  Every axis has two signs of each kind, so a uniform histogram
+    makes every sign sum the integer 0, and the distance is exactly 0.0.
     """
     known = dict(known or {})
     unknown = [p for p in PIECES if p not in known]
@@ -248,24 +250,20 @@ def encrypted_qubit_mixedness_55(
     for name, value in known.items():
         if value not in BELL_LABELS:
             raise ValueError(f"piece {name} must be one of the four 2-bit codes, got {value!r}")
-    weights = np.zeros(4, dtype=np.int64)
+    weights = [0] * 4
     weights[end_to_end_correction(*(known.get(p, PHI_PLUS) for p in PIECES))] = 1
     for _ in unknown:
-        weights = weights[_XOR_CODES].sum(axis=1)
+        weights = [sum(weights)] * 4
     amp0, amp1 = statevec.single_qubit(*secret_amplitudes).amplitudes.tolist()
     cross = amp0.conjugate() * amp1
     bloch = (2 * cross.real, 2 * cross.imag, abs(amp0) ** 2 - abs(amp1) ** 2)
-    scales = (weights @ _BLOCH_SIGNS / weights.sum()).tolist()
+    total = sum(weights)
+    scales = [sum(map(operator.mul, weights, signs)) / total for signs in zip(*_BLOCH_SIGNS)]
     return 0.5 * math.hypot(*(scale * r for scale, r in zip(scales, bloch)))
 
 
 # ---------------------------------------------------------------------------
 # Exact attack detection rates over integer-coded branches.
-
-# _XOR_CODES[c, v] == c ^ v: indexing 4 weights by it and summing each row
-# XOR-convolves them with a uniform 2-bit value.
-_XOR_CODES = np.bitwise_xor.outer(np.arange(4), np.arange(4))
-
 
 def _basis(attack: AttackModel) -> tuple[int, ...]:
     """A (2,2) run under the attack as its run words (:data:`_RUN_FIELDS`)

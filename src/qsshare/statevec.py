@@ -62,14 +62,14 @@ class StateVector:
 
     def __init__(self, n_qubits: int, amplitudes) -> None:
         n_qubits = _register_size(n_qubits)
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
+        amps = np.array(amplitudes, dtype=complex).reshape(-1)
         if amps.size != 2**n_qubits:
             raise ValueError(
                 f"expected {2**n_qubits} amplitudes for {n_qubits} qubits, got {amps.size}"
             )
-        if not np.all(np.isfinite(amps.view(np.float64))):
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        norm_sq = float((np.abs(amps) ** 2).sum())
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalised: |amplitudes|^2 = {norm_sq}")
         self.n_qubits = n_qubits

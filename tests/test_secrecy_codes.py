@@ -8,6 +8,7 @@ share one enumeration when their steps agree.  These tests hold each to
 the per-case loop it replaced, which is kept here as the reference.
 """
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -253,6 +254,26 @@ def test_mixedness_is_exactly_zero_with_any_piece_unknown():
         known = {name: rng.choice(BELL_LABELS) for name in PIECES}
         expected = reference_mixedness(known, secret)
         assert abs(security.encrypted_qubit_mixedness_55(known, secret) - expected) <= 1e-15
+
+
+# sha256 of the reprs of encrypted_qubit_mixedness_55 over the grid below,
+# one per line: the probe qubit and 200 random secrets, each under all 16
+# subsets of PIECES with random known codes.  The integer twirl claims the
+# same bytes, not only values within a tolerance.
+GOLDEN_MIXEDNESS = "4630b6d77069c8d2d6e216af96326aeffba2fd2f62c015fa94993d0685073efd"
+
+
+def test_mixedness_bytes_are_pinned():
+    rng = random.Random(40)
+    secrets = [security._PROBE_QUBIT] + [random_qubit(rng) for _ in range(200)]
+    digest = hashlib.sha256()
+    for secret in secrets:
+        for size in range(len(PIECES) + 1):
+            for names in combinations(PIECES, size):
+                known = {name: rng.choice(BELL_LABELS) for name in names}
+                value = security.encrypted_qubit_mixedness_55(known, secret)
+                digest.update(f"{value!r}\n".encode())
+    assert digest.hexdigest() == GOLDEN_MIXEDNESS
 
 
 @pytest.mark.parametrize(

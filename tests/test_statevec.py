@@ -323,6 +323,39 @@ def test_register_size_limits():
         statevec.StateVector(1, [np.nan, 0])
 
 
+def test_constructor_copies_the_callers_array():
+    amps = np.array([1, 0], dtype=complex)
+    state = statevec.StateVector(1, amps)
+    amps[:] = [0, 1]
+    assert state.amplitudes.tolist() == [1, 0]
+    state.amplitudes[0] = 0.6
+    assert amps.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("bad", [complex(0, np.nan), complex(0, np.inf), complex(0, -np.inf)])
+def test_constructor_refuses_a_non_finite_imaginary_part(bad):
+    # The real parts are finite and the norm check alone would not name the fault.
+    with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+        statevec.StateVector(1, [1, bad])
+
+
+def test_constructor_flattens_strided_and_2d_input():
+    grid = np.array([[SQRT_HALF, 7.0], [SQRT_HALF * 1j, 7.0]])
+    column = grid[:, 0]
+    assert not column.flags.c_contiguous
+    state = statevec.StateVector(1, column)
+    assert state.amplitudes.shape == (2,) and state.amplitudes.tolist() == [SQRT_HALF, SQRT_HALF * 1j]
+    # A 2-D input is read in row-major order, whatever its memory layout.
+    for square in ([[0.6, 0.8], [0, 0]], np.asfortranarray([[0.6, 0.8], [0, 0]])):
+        assert statevec.StateVector(2, square).amplitudes.tolist() == [0.6, 0.8, 0, 0]
+
+
+def test_unnormalised_message_is_unchanged():
+    with pytest.raises(ValueError) as raised:
+        statevec.StateVector(1, [1, 1])
+    assert str(raised.value) == "state is not normalised: |amplitudes|^2 = 2.0"
+
+
 def test_register_size_is_read_as_an_int():
     # A bool or numpy int is stored as its int, so the register's gates run;
     # a float is refused with the size message, not kept.
