@@ -29,12 +29,11 @@ import json
 import operator
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from . import statevec
+from . import stabilizer, statevec
 from .bell import (
     BELL_LABELS,
     BellLabel,
@@ -48,6 +47,7 @@ from .bell import (
     end_to_end_correction,
     infer_remote_bsm,
 )
+from .stabilizer import Step
 from .statevec import StateVector
 
 TRANSCRIPT_SCHEMA = "qss-transcript/1"
@@ -467,18 +467,6 @@ def validate_transcript(transcript: Transcript) -> None:
 # ---------------------------------------------------------------------------
 # Phase steps and their linear maps.
 
-class Step(NamedTuple):
-    """One step of a phase: ``kind`` ``"z"`` measures ``qubits[0]`` in the
-    computational basis, ``"bell"`` the pair ``qubits`` in the Bell basis,
-    and ``"ancilla"`` attaches the eavesdropper's ancilla, a fresh qubit 5,
-    by a CNOT from qubit 4.  ``name`` labels a measurement's result:
-    ``eve``, ``code``, ``observed``, ``swap``, ``tele`` or ``cipher``."""
-
-    kind: str
-    qubits: tuple[int, ...] = ()
-    name: str | None = None
-
-
 def _intercept_steps(attack: AttackModel, target: str, in_flight: tuple[int, ...]) -> tuple[Step, ...]:
     # The eavesdropper's steps on the qubits of one quantum send.
     if attack.target != target:
@@ -527,181 +515,6 @@ def _draw(word: int, coins: tuple[int, ...], rng: np.random.Philox) -> int:
     return word
 
 
-# Each phase's reference register, which prepare_token_register or
-# prepare_splitting_register builds at all-zero inputs: whether the
-# splitting secret |0> sits on qubit 0, and each Φ+ pair's qubits.  Every
-# input bit is a sign symbol of its stabilizer generators (_coin_parities),
-# in input order, so it has one input column of the phase's map
-# (_linear_map): a secret bit s is X^s on qubit 0, so it flips the sign of
-# Z on it, and a pair's code (z, x) is Z^z X^x on one of its qubits, so it
-# flips the pair's XX by z and its ZZ by x.
-_REFERENCES = {"token": (False, ((0, 1), (3, 2))), "splitting": (True, ((1, 2), (4, 3)))}
-
-# The symbolic pass writes a Pauli as one int: qubit q's X bit is bit q and
-# its Z bit is bit q + _Z.
-_Z = statevec.MAX_QUBITS
-_X_BITS = (1 << _Z) - 1
-
-
-def _reduce(pivots: Mapping[int, tuple[int, int]], vector: int, tag: int = 0) -> tuple[int, int]:
-    # ``vector`` reduced over GF(2) while its top bit is a pivot row's
-    # (_echelon), and ``tag`` XOR the tags of the rows it took: the vector
-    # lies in the rows' span when the first is 0, and is then the XOR of
-    # the rows its tag names.
-    while (top := vector.bit_length()) in pivots:
-        row, row_tag = pivots[top]
-        vector ^= row
-        tag ^= row_tag
-    return vector, tag
-
-
-def _echelon(rows: Iterable[Sequence[int]]) -> dict[int, tuple[int, int]]:
-    # Elimination over GF(2) of (vector, tag) rows: each row, reduced by
-    # the rows kept so far (_reduce), is kept by its top bit when nonzero,
-    # so the rank is the number kept.
-    pivots: dict[int, tuple[int, int]] = {}
-    for vector, tag in rows:
-        vector, tag = _reduce(pivots, vector, tag)
-        if vector:
-            pivots[vector.bit_length()] = vector, tag
-    return pivots
-
-
-def _coin_parities(phase: str, steps: tuple[Step, ...]) -> tuple[list[int], int, int]:
-    """One symbolic stabilizer pass of ``steps`` on the phase's reference
-    register (Aaronson & Gottesman, PRA 70, 052328, 2004): each outcome
-    bit, in word order (a Bell step's z bit, then its x bit), as the mask
-    of the symbols it is the XOR of, then the numbers of input symbols and
-    of coins.  Symbol i below the input count is the phase's i-th input
-    bit, most significant first; the fair coins sit above them.
-
-    Each stabilizer generator is a Pauli and a mask of symbols: its sign is
-    -1 when the XOR of those symbols is 1.  The reference register's
-    generators are Z on the secret, then XX and ZZ on each Φ+ pair, and
-    generator i starts with input symbol i as its sign (see _REFERENCES).
-    A measured Pauli that anticommutes with a generator draws a new coin;
-    any other is a product of generators and reads the XOR of their masks.
-    A generator anticommutes with the Pauli when it shares an odd number of
-    bits with the Pauli's symplectic partner, its X and Z halves swapped.
-    A Bell step measures ZZ, its x bit, then XX, its z bit.  The ancilla
-    step adds Z on qubit 5 and conjugates by the CNOT from qubit 4.  Every
-    generator and measured Pauli is pure X or pure Z (CSS), so no product
-    of generators picks up a phase: the reference generators and the
-    measured Paulis are CSS as built, and a generator is asserted CSS
-    wherever it changes, when a measurement XORs another into it and after
-    the ancilla's CNOT.
-    """
-    secret, pairs = _REFERENCES[phase]
-    paulis = [1 << _Z] if secret else []
-    for a, b in pairs:
-        paulis += [1 << a | 1 << b, (1 << a | 1 << b) << _Z]
-    generators = [[pauli, 1 << i] for i, pauli in enumerate(paulis)]
-    inputs = coins = len(generators)
-    bits = []
-
-    def measure(pauli: int) -> int:
-        nonlocal coins
-        partner = pauli >> _Z | (pauli & _X_BITS) << _Z
-        anticommuting = [g for g in generators if (g[0] & partner).bit_count() & 1]
-        if not anticommuting:  # a product of generators: read the sign mask of that product
-            residue, sign = _reduce(_echelon(generators), pauli)
-            assert residue == 0, "a Pauli that commutes with every generator is not their product"
-            return sign
-        first, *rest = anticommuting
-        for g in rest:
-            g[0] ^= first[0]
-            g[1] ^= first[1]
-            assert not (g[0] & _X_BITS and g[0] >> _Z), "a generator is not CSS"
-        first[:] = pauli, 1 << coins
-        coins += 1
-        return first[1]
-
-    for kind, qubits, _ in steps:
-        mask = sum(1 << q for q in qubits)
-        if kind == "ancilla":
-            generators.append([1 << (5 + _Z), 0])
-            for g in generators:  # X4 -> X4 X5 and Z5 -> Z4 Z5
-                g[0] ^= (g[0] >> 4 & 1) << 5 | (g[0] >> (5 + _Z) & 1) << (4 + _Z)
-                assert not (g[0] & _X_BITS and g[0] >> _Z), "a generator is not CSS"
-        elif kind == "bell":
-            x = measure(mask << _Z)
-            bits += [measure(mask), x]
-        else:
-            bits.append(measure(mask << _Z))
-    return bits, inputs, coins - inputs
-
-
-class _LinearMap(NamedTuple):
-    """A step list's outcomes on one phase (:func:`_linear_map`) as a GF(2)
-    map of packed ints.  A word packs every outcome bit, in step order and a
-    Bell step's z bit before its x bit, the first bit most significant; a
-    column is the outcome bits one symbol flips."""
-
-    inputs: tuple[int, ...]  # each input bit's column, the first input bit first
-    coins: tuple[int, ...]  # each coin's column, in draw order
-    # Each step name's (shift, width) in a word: the eavesdropper's steps,
-    # always adjacent, share one field.
-    fields: Mapping[str, tuple[int, int]]
-
-
-@lru_cache(maxsize=None)
-def _linear_map(phase: str, steps: tuple[Step, ...]) -> _LinearMap:
-    """The outcomes of ``steps`` for every input of the ``phase``: one
-    symbolic pass (:func:`_coin_parities`) gives each outcome bit as a
-    parity of input bits and d fair coins, so an input's 2^d branches are
-    equally likely by construction.  Branch i of an input is the XOR of the
-    columns of the input's set bits and of i's set bits, read against the
-    coins most significant first (:func:`_draw`), and the branches come out
-    in ascending order of their words.  The columns are the parity masks
-    transposed: each outcome bit sets its word bit in the columns of the
-    symbols its mask holds, found by taking the mask's lowest set bit until
-    none is left, so a symbol an outcome does not read costs nothing.
-
-    The coins' columns are in reduced echelon form, each with its pivot at
-    the outcome bit that drew it: that bit reads the new coin alone, and no
-    earlier bit reads it.  So no other column sets a coin's pivot, every
-    input column is already reduced against the coins, and ordering the
-    coins by pivot, highest first, orders each input's branches by word.
-    That is the order a run draws them in, not always the pass's: a Bell
-    step's x bit draws its coin before its z bit does.
-    """
-    parities, inputs, coins = _coin_parities(phase, steps)
-    columns = [0] * (inputs + coins)
-    top = len(parities) - 1
-    for k, mask in enumerate(parities):  # outcome bit k sets bit top - k of its symbols' columns
-        while mask:
-            low = mask & -mask
-            columns[low.bit_length() - 1] |= 1 << top - k
-            mask ^= low
-    fields, shift = {}, len(parities)
-    for step in steps:
-        if step.kind != "ancilla":
-            width = 2 if step.kind == "bell" else 1
-            shift -= width
-            if step.name in fields:
-                end, joined = fields[step.name]
-                assert step.name == "eve" and end == shift + width, f"{step.name} steps repeat apart"
-                width += joined
-            fields[step.name] = shift, width
-    coin_columns = sorted(columns[inputs:], reverse=True)
-    return _LinearMap(tuple(columns[:inputs]), tuple(coin_columns), MappingProxyType(fields))
-
-
-def _xor_columns(columns: tuple[int, ...], index):
-    # The XOR of the columns of index's set bits, the first column the most
-    # significant bit: ints, or int arrays element by element.
-    word = 0
-    for bit, column in enumerate(reversed(columns)):
-        word ^= (index >> bit & 1) * column
-    return word
-
-
-def _field(word, field: tuple[int, int]):
-    # One field's outcome (_LinearMap.fields) in a word or word array.
-    shift, width = field
-    return word >> shift & (1 << width) - 1
-
-
 def _input_index(inputs: tuple) -> int:
     # A phase's input codes as one index, the first most significant: only
     # the first, a splitting phase's secret, may be a bit.
@@ -716,11 +529,11 @@ def _draw_named(phase: str, steps: tuple[Step, ...], inputs: tuple, rng) -> dict
     # fair coins draw; ``inputs`` are labels or bits.  The eavesdropper's
     # outcomes read as one bit string, in step order, a Bell outcome as
     # its label and a computational one as its bit.
-    linear_map = _linear_map(phase, steps)
-    word = _draw(_xor_columns(linear_map.inputs, _input_index(inputs)), linear_map.coins, rng)
+    linear_map = stabilizer.linear_map(phase, steps)
+    word = _draw(stabilizer.xor_columns(linear_map.inputs, _input_index(inputs)), linear_map.coins, rng)
     results = {}
     for name, field in linear_map.fields.items():
-        value, width = _field(word, field), field[1]
+        value, width = stabilizer.field(word, field), field[1]
         if name == "eve":
             results[name] = format(value, f"0{width}b")
         else:
@@ -802,11 +615,11 @@ def prepare_splitting_register(secret: StateVector, pair1: BellLabel, pair2: Bel
     return state
 
 
-def _run_maps(attack: AttackModel) -> list[_LinearMap]:
+def _run_maps(attack: AttackModel) -> list[stabilizer.LinearMap]:
     # The maps a seeded (2,2) run under the attack draws from, in draw
     # order: R1's and R2's token rounds, then the splitting phase.
-    maps = [_linear_map("token", token_steps(target, attack)) for target in _TOKEN_TARGETS.values()]
-    maps.append(_linear_map("splitting", splitting_steps(attack)))
+    maps = [stabilizer.linear_map("token", token_steps(target, attack)) for target in _TOKEN_TARGETS.values()]
+    maps.append(stabilizer.linear_map("splitting", splitting_steps(attack)))
     return maps
 
 

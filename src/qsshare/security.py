@@ -1,9 +1,9 @@
 """Exact secrecy and authentication analysis of the (2,2) and (5,5) schemes.
 
-The branch sets come from :mod:`protocol`'s linear maps
-(:func:`protocol._linear_map`), which the sampled runs draw from: one
-symbolic stabilizer pass per phase step list gives each outcome bit as a
-parity of input bits and fair coins.  Everything is on integer codes,
+The branch sets come from the phase maps (:func:`stabilizer.linear_map`),
+which the sampled runs draw from: one symbolic stabilizer pass per phase
+step list gives each outcome bit as a parity of input bits and fair
+coins.  Everything is on integer codes,
 2-bit values as ``2*z + x``.  A (2,2) run's branches are indexed by the
 secret, then the coins in draw order; a branch's columns pack into one int
 word (:data:`_RUN_FIELDS`), affine over GF(2) in those bits.  So
@@ -49,7 +49,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import protocol, statevec
+from . import protocol, stabilizer, statevec
 from .bell import BELL_LABELS, PHI_PLUS, BellLabel, end_to_end_correction, infer_remote_bsm
 from .protocol import (
     NO_ATTACK,
@@ -62,14 +62,14 @@ from .protocol import (
 REPORT_SCHEMA = "qss-report/1"
 
 # The phase maps' lru cache, by the name the benchmark empties it through.
-_splitting_branches = protocol._linear_map
+_splitting_branches = stabilizer.linear_map
 
 # Normal quantile for a two-sided 99% interval.
 Z_99 = 2.5758293035489004
 
 PIECES = ("pair1", "pair2", "swap-bsm", "teleport-bsm")
 
-# Each column's (shift, width) in a run word (_basis), as in _LinearMap.fields;
+# Each column's (shift, width) in a run word (_basis), as in LinearMap.fields;
 # the low five bits are a sweep's leaf key, 8*tele + 2*token_r1 + token_r2.
 _RUN_FIELDS = {
     "secret": (16, 1), "pair1": (14, 2), "pair2": (12, 2), "record1": (10, 2), "record2": (8, 2),
@@ -140,7 +140,7 @@ def enumerate_honest_cases() -> tuple[HonestCase, ...]:
     run = _run_words(_basis(NO_ATTACK))
     if len(run) != 512:
         raise AssertionError(f"{len(run)} honest branches, expected 512")
-    swap, tele, cipher = (protocol._field(run, _RUN_FIELDS[name]) for name in ("swap", "tele", "cipher"))
+    swap, tele, cipher = (stabilizer.field(run, _RUN_FIELDS[name]) for name in ("swap", "tele", "cipher"))
     if (4 * swap + tele != np.arange(512) & 15).any():
         raise AssertionError("cipher qubit not collapsed")
     labels = product((0, 1), BELL_LABELS, BELL_LABELS, BELL_LABELS, BELL_LABELS)
@@ -201,14 +201,14 @@ def _flips(basis: tuple[int, ...], names: tuple[str, ...]) -> list[int]:
 
 def _rank(vectors: list[int]) -> int:
     # The GF(2) rank of ints read as bit vectors.
-    return len(protocol._echelon([(v, 0) for v in vectors]))
+    return len(stabilizer.echelon([(v, 0) for v in vectors]))
 
 
 def _pins_secret(basis: tuple[int, ...], names: tuple[str, ...]) -> bool:
     # Whether the named fields of a run's basis pin down the secret: the
     # secret's flip of their bits lies outside the span of the coins' flips.
     secret, *coins = _flips(basis, names)
-    return protocol._reduce(protocol._echelon([(c, 0) for c in coins]), secret)[0] != 0
+    return stabilizer.reduce(stabilizer.echelon([(c, 0) for c in coins]), secret)[0] != 0
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +269,7 @@ def _basis(attack: AttackModel) -> tuple[int, ...]:
     """A (2,2) run under the attack as its run words (:data:`_RUN_FIELDS`)
     at the all-zero branch and each single-bit one, the secret's, then each
     coin's in draw order, which fix it (:func:`_run_words`).  Each step
-    from a phase's map (:func:`protocol._linear_map`) to a run word is
+    from a phase's map (:func:`stabilizer.linear_map`) to a run word is
     linear, so a phase word flips the run by its bits' images
     (:func:`_images`): a splitting bit flips its column and the token it
     masks (:func:`mask_tokens`), a code bit its pair and its token share,
@@ -293,7 +293,7 @@ def _basis(attack: AttackModel) -> tuple[int, ...]:
     rounds = zip(_TOKEN_ROUNDS, maps, ((x1, z1), (x2, z2)))
     for (pair, record, index, constant), (token_inputs, token_coins, token_fields), selected in rounds:
         token = {"code": images[pair], "observed": [unit ^ image for unit, image in zip(images[record], selected)]}
-        word = protocol._xor_columns(token_inputs, index) ^ constant << token_fields["observed"][0]
+        word = stabilizer.xor_columns(token_inputs, index) ^ constant << token_fields["observed"][0]
         at_pairs, *token_flips = _images(token_fields, token, (word, *token_coins))
         zero ^= at_pairs
         flips += token_flips
@@ -349,7 +349,7 @@ def _rejected(words):
     # Whether the sender rejects a run word, or each word of an int array:
     # protocol._accepts on the five fields it checks, negated by `^ True`.
     checked = ("record2", "tele", "secret", "token_r1", "token_r2")
-    return protocol._accepts(*(protocol._field(words, _RUN_FIELDS[name]) for name in checked)) ^ True
+    return protocol._accepts(*(stabilizer.field(words, _RUN_FIELDS[name]) for name in checked)) ^ True
 
 
 # The sender's check is one parity of a run word's bits: its value at the

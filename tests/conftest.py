@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from qsshare import protocol, statevec
+from qsshare import protocol, stabilizer, statevec
 from qsshare.bell import BELL_LABELS, BellLabel
 
 # Fixed example sequence and no example database, so property tests draw the
@@ -84,12 +84,12 @@ def dyadic(probability, n_qubits):
 
 def enumerate_steps(state, steps):
     """Every nonzero (probability, outcomes) branch of the
-    ``protocol.Step`` list ``steps`` on the plain register ``state``,
+    ``stabilizer.Step`` list ``steps`` on the plain register ``state``,
     forked by statevec projection one step at a time, each outcome label or
     bit in the order it is listed, with each probability snapped by
     :func:`dyadic`.  ``outcomes`` holds one label or bit per measurement
     step, in step order.  The statevec reference for the phase maps
-    (``protocol._linear_map``)."""
+    (``stabilizer.linear_map``)."""
     if not steps:
         return [(Fraction(1), ())]
     (kind, qubits, _), rest = steps[0], steps[1:]
@@ -137,7 +137,7 @@ def branch_table(state, steps):
     likely branches of ``steps`` on ``state`` (:func:`equal_shares`, which
     raises on any other distribution), sorted by their bits: a Bell outcome
     orders by its z bit, then its x bit.  These are the branches a phase's
-    map (``protocol._linear_map``) gives that register's input, in the
+    map (``stabilizer.linear_map``) gives that register's input, in the
     order ``protocol._draw`` draws them; the tests' statevec reference,
     enumerated on the register itself."""
     by_bits = sorted(equal_shares(state, steps))
@@ -157,17 +157,17 @@ def span(parities, symbols):
 
 def stacked_table(phase, steps):
     """The branch table of ``steps`` for every input of the ``phase``,
-    expanded from the symbolic pass (``protocol._coin_parities``): shaped
+    expanded from the symbolic pass (``stabilizer._coin_parities``): shaped
     (*inputs, 2^d, M) by input codes, branch and measurement step, each
     outcome ``2*z + x`` for a Bell step and the bit for a computational one.
     An input's rows are the XOR of its set input columns with each element
     of the span of the coins' columns, sorted by bits.  The tables the
     phase maps replaced, kept here to check the maps row for row."""
-    parities, inputs, coins = protocol._coin_parities(phase, steps)
+    parities, inputs, coins = stabilizer._coin_parities(phase, steps)
     rows = span(parities, range(inputs))[:, None] ^ span(parities, range(inputs, inputs + coins))
     rows.sort(axis=1)
     widths = [2 if step.kind == "bell" else 1 for step in steps if step.kind != "ancilla"]
     shifts = np.array([sum(widths[i + 1 :]) for i in range(len(widths))])
     table = (rows[..., None] >> shifts) & np.array([(1 << width) - 1 for width in widths])
-    secret, pairs = protocol._REFERENCES[phase]
+    secret, pairs = stabilizer._REFERENCES[phase]
     return table.reshape((2,) * secret + (4,) * len(pairs) + table.shape[1:])

@@ -1,0 +1,87 @@
+"""A mutation gate for the stabilizer engine.
+
+Each mutant names a file under ``src/qsshare``, an exact old text that must
+occur there once, and its replacement.  For each mutant the harness copies
+``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory, applies
+the mutant to the copy, and runs the engine's tests (:data:`TESTS`) there;
+pyproject's ``pythonpath`` puts the copy's ``src`` first on the path.  A
+mutant is killed when a test fails.  Every mutant must be killed except the
+no-op control, which must survive: that shows the gate can report a
+survivor.  The script needs no package beyond the test dependencies:
+
+    python tests/mutants.py
+
+It prints one line per mutant and exits 1 when any verdict is not the
+expected one.  It is not a tier-1 test: each mutant costs a pytest run,
+the surviving control about 20 s on a 2-vCPU machine.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TESTS = ("tests/test_ranks.py", "tests/test_exact_branches.py", "tests/test_draws.py")
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/qsshare
+    old: str
+    new: str
+    killed: bool = True  # False for the control, which must survive
+
+
+MUTANTS = (
+    # reduce stops recording which rows it took, so a sign read off a
+    # product of generators loses their masks.
+    Mutant("reduce-without-tag", "stabilizer.py", "        tag ^= row_tag\n", ""),
+    # The transpose writes outcome bit k at word bit k, not top - k.
+    Mutant("transpose-unreversed", "stabilizer.py", "|= 1 << top - k", "|= 1 << k"),
+    # The symplectic partner without its X/Z swap: anticommutation is read
+    # off the Pauli itself.
+    Mutant("partner-unswapped", "stabilizer.py", "partner = pauli >> _Z | (pauli & _X_BITS) << _Z", "partner = pauli"),
+    Mutant("no-op-control", "stabilizer.py", "        coins += 1\n", "        coins = coins + 1\n", killed=False),
+)
+
+
+def killed(mutant: Mutant) -> tuple[bool, float]:
+    """Whether the tests fail on a copy of the tree with the mutant applied,
+    and the seconds they took."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        target = copy / "src" / "qsshare" / mutant.file
+        text = target.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            raise SystemExit(f"{mutant.name}: its old text occurs {text.count(mutant.old)} times in {mutant.file}")
+        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS]
+        start = time.perf_counter()
+        result = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True)
+        seconds = time.perf_counter() - start
+    if result.returncode not in (0, 1):  # not a verdict: a collection or usage error
+        raise SystemExit(f"{mutant.name}: pytest exited {result.returncode}\n{result.stdout}{result.stderr}")
+    return result.returncode == 1, seconds
+
+
+def main() -> int:
+    wrong = 0
+    for mutant in MUTANTS:
+        verdict, seconds = killed(mutant)
+        expected = "" if verdict == mutant.killed else " (unexpected)"
+        wrong += bool(expected)
+        print(f"{mutant.name}: {'killed' if verdict else 'survived'} in {seconds:.1f} s{expected}", flush=True)
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

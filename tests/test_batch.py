@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qsshare import cli, protocol, security
+from qsshare import cli, protocol, security, stabilizer
 from qsshare.bell import BELL_LABELS, BellLabel
 from qsshare.protocol import MAX_SEED, NO_ATTACK, AttackModel, run_qss22
 from qsshare.security import (
@@ -214,7 +214,7 @@ def test_all_32_splitting_tables_of_a_step_list_have_one_length():
             len(branch_table(splitting_register(secret, pair1, pair2), steps))
             for secret, pair1, pair2 in product((0, 1), BELL_LABELS, BELL_LABELS)
         }
-        assert lengths == {1 << len(protocol._linear_map("splitting", steps).coins)}, steps
+        assert lengths == {1 << len(stabilizer.linear_map("splitting", steps).coins)}, steps
 
 
 @pytest.mark.parametrize("spec", SPECS)

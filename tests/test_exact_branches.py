@@ -39,7 +39,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qsshare
-from qsshare import protocol, security, statevec
+from qsshare import protocol, security, stabilizer, statevec
 from qsshare.bell import (
     BELL_LABELS,
     BSM_OUTCOMES,
@@ -281,7 +281,7 @@ def drawn_rows(phase, steps, inputs):
     """The input's branches of the phase's map, by name, read through the
     run's draw: branch i is what the coins of i's bits, most significant
     first, draw."""
-    coins = len(protocol._linear_map(phase, steps).coins)
+    coins = len(stabilizer.linear_map(phase, steps).coins)
     return [protocol._draw_named(phase, steps, inputs, ScriptedCoins(script)) for script in scripts(coins)]
 
 
@@ -305,7 +305,7 @@ def test_qss55_swap_and_teleport_are_the_cipher_maps():
     # same 16 (swap, teleport) pairs in the same order, each input's own
     # register's branch table without the cipher step.
     assert HONEST_SPLITTING[-1].name == "cipher"
-    honest, no_cipher = (protocol._linear_map("splitting", steps) for steps in (HONEST_SPLITTING, NO_CIPHER))
+    honest, no_cipher = (stabilizer.linear_map("splitting", steps) for steps in (HONEST_SPLITTING, NO_CIPHER))
     assert (len(no_cipher.coins), dict(no_cipher.fields)) == (4, {"swap": (2, 2), "tele": (0, 2)})
     assert no_cipher.inputs == (0,) * 5
     assert [column >> 1 for column in honest.inputs + honest.coins] == list(no_cipher.inputs + no_cipher.coins)
@@ -430,7 +430,7 @@ def assert_map_shape(phase, steps, inputs):
     """The map has a column per input bit and per coin, one int each, and
     a (shift, width) per step name that tiles the word from its top bit
     down, in step order."""
-    linear_map = protocol._linear_map(phase, steps)
+    linear_map = stabilizer.linear_map(phase, steps)
     assert type(linear_map.inputs) is type(linear_map.coins) is tuple
     assert len(linear_map.inputs) == inputs
     assert all(type(column) is int for column in linear_map.inputs + linear_map.coins)
@@ -496,8 +496,8 @@ def drawn_words(phase, steps, inputs):
     """The input's branches of the phase's map as the sorted table holds
     them, read through the run's draw: each outcome a code or a bit, in step
     order, at branch i the coins of i's bits, most significant first."""
-    linear_map = protocol._linear_map(phase, steps)
-    word = protocol._xor_columns(linear_map.inputs, protocol._input_index(inputs))
+    linear_map = stabilizer.linear_map(phase, steps)
+    word = stabilizer.xor_columns(linear_map.inputs, protocol._input_index(inputs))
     widths = [2 if step.kind == "bell" else 1 for step in steps if step.kind != "ancilla"]
     shifts = [sum(widths[i + 1 :]) for i in range(len(widths))]
     rows = []
@@ -526,7 +526,7 @@ def test_each_coin_pivot_is_read_by_its_coin_alone():
     # other column, input or coin, and the coins sorted by it are already
     # in reduced echelon form, in draw order.
     for phase, steps in every_step_list():
-        linear_map = protocol._linear_map(phase, steps)
+        linear_map = stabilizer.linear_map(phase, steps)
         columns = linear_map.inputs + linear_map.coins
         assert list(linear_map.coins) == sorted(linear_map.coins, reverse=True)
         for coin in linear_map.coins:
@@ -573,15 +573,15 @@ def every_branch(attack):
     rounds = []
     for receiver, token_map, coin in zip(protocol._TOKEN_TARGETS, maps, coins):
         pairs = tuple(map(int, protocol.DEFAULT_AUTH_PAIRS[receiver]))
-        word = protocol._xor_columns(token_map.inputs, protocol._input_index(pairs))
-        word ^= protocol._xor_columns(token_map.coins, coin)
-        code, observed = (protocol._field(word, token_map.fields[name]) for name in ("code", "observed"))
+        word = stabilizer.xor_columns(token_map.inputs, protocol._input_index(pairs))
+        word ^= stabilizer.xor_columns(token_map.coins, coin)
+        code, observed = (stabilizer.field(word, token_map.fields[name]) for name in ("code", "observed"))
         rounds.append((code, infer_remote_bsm(*pairs, observed)))
     (pair1, record1), (pair2, record2) = rounds
     splitting = maps[2]
-    word = protocol._xor_columns(splitting.inputs, 16 * secret + 4 * record1 + record2)
-    word ^= protocol._xor_columns(splitting.coins, coins[2])
-    swap, tele, cipher = (protocol._field(word, splitting.fields[name]) for name in ("swap", "tele", "cipher"))
+    word = stabilizer.xor_columns(splitting.inputs, 16 * secret + 4 * record1 + record2)
+    word ^= stabilizer.xor_columns(splitting.coins, coins[2])
+    swap, tele, cipher = (stabilizer.field(word, splitting.fields[name]) for name in ("swap", "tele", "cipher"))
     # The tokens the sender receives: mask_tokens on the code columns, XOR
     # the attack's fixed alteration.
     token_r1, token_r2 = protocol.mask_tokens(pair1, pair2, swap, cipher)
@@ -694,7 +694,7 @@ def symbolic_passes(monkeypatch):
     projections, which the statevec enumerator forks by, raise if anything
     calls them."""
     calls = []
-    real = protocol._coin_parities
+    real = stabilizer._coin_parities
 
     def counted(phase, steps):
         calls.append((phase, steps))
@@ -703,7 +703,7 @@ def symbolic_passes(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a linear map projected a register")
 
-    monkeypatch.setattr(protocol, "_coin_parities", counted)
+    monkeypatch.setattr(stabilizer, "_coin_parities", counted)
     for name in ("bell_project", "project_computational"):
         monkeypatch.setattr(statevec, name, forbidden)
     return calls
@@ -714,10 +714,10 @@ def test_linear_maps_make_one_symbolic_pass_per_step_list(monkeypatch):
     attacks = [AttackModel.from_spec(spec) for spec in SPECS]
     lists = {("splitting", protocol.splitting_steps(attack)) for attack in attacks}
     lists |= {("token", steps) for steps in token_step_lists()}
-    protocol._linear_map.cache_clear()
+    stabilizer.linear_map.cache_clear()
     for phase, steps in lists:
         calls.clear()
-        protocol._linear_map(phase, steps)
+        stabilizer.linear_map(phase, steps)
         assert calls == [(phase, steps)]
 
 
@@ -740,7 +740,7 @@ def test_runs_and_exact_rates_pass_five_splitting_step_lists(monkeypatch):
     splitting = [steps for phase, steps in calls if phase == "splitting"]
     assert len(splitting) == len(set(splitting)) == 5
     assert all(any(step.name == "cipher" for step in steps) for steps in splitting)
-    assert security._splitting_branches is protocol._linear_map
+    assert security._splitting_branches is stabilizer.linear_map
 
 
 def test_cold_rates_pass_three_token_step_lists_and_runs_none(monkeypatch):
@@ -751,7 +751,7 @@ def test_cold_rates_pass_three_token_step_lists_and_runs_none(monkeypatch):
     calls = symbolic_passes(monkeypatch)
     prepared = []
     monkeypatch.setattr(protocol, "prepare_token_register", lambda *pairs: prepared.append(pairs))
-    protocol._linear_map.cache_clear()
+    stabilizer.linear_map.cache_clear()
     attacks = [AttackModel.from_spec(spec) for spec in SPECS]
     for attack in attacks:
         security.exact_detection_rate(attack)

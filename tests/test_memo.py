@@ -23,14 +23,14 @@ import numpy as np
 import pytest
 
 import qsshare
-from qsshare import protocol, security, statevec
+from qsshare import protocol, security, stabilizer, statevec
 from qsshare.protocol import AttackModel
 from conftest import SPECS
 from test_draws import GOLDEN_QSS22, GOLDEN_QSS55, golden_digests
 from test_security import PINNED_EXACT_RATES
 
 SEEDS = range(200)
-MAPS = (protocol._linear_map,)
+MAPS = (stabilizer.linear_map,)
 # Every functools cache of the package.  A memo that a cold pass does not
 # empty would make it warm, so a new one has to be named here and cannot
 # slip in unseen.
@@ -39,7 +39,7 @@ PACKAGE_CACHES = {
     "qsshare.bell.generate_swap_table",
     "qsshare.protocol.token_steps",
     "qsshare.protocol.splitting_steps",
-    "qsshare.protocol._linear_map",
+    "qsshare.stabilizer.linear_map",
     "qsshare.security.enumerate_honest_cases",
     "qsshare.security._leaf_table",
 }
@@ -171,13 +171,13 @@ def test_qss55_and_exact_enumeration_see_only_plain_states(monkeypatch):
     for name in MEASUREMENTS + ("reduced_density", "extract_pure_qubit"):
         spy(name)
     read = []
-    real_map = protocol._linear_map
+    real_map = stabilizer.linear_map
 
     def recorded_map(*key):
         read.append(key)
         return real_map(*key)
 
-    monkeypatch.setattr(protocol, "_linear_map", recorded_map)
+    monkeypatch.setattr(stabilizer, "linear_map", recorded_map)
     clear_maps()
     protocol.run_qss55((0.6, 0.8j), 0)  # builds the one map the runs read
     seen.clear()

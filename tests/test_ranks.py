@@ -13,7 +13,7 @@ computed over every branch of the run by an evaluation of its own
 (``every_branch``); check that the package's every-branch words, its
 basis expanded (``security._run_words``), read by field, are that
 evaluation; check the one elimination behind every span test
-(``protocol._echelon`` and ``protocol._reduce``) against brute force;
+(``stabilizer.echelon`` and ``stabilizer.reduce``) against brute force;
 and check that a cold sweep record or the honest cases
 compose the run's maps once.
 """
@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qsshare import protocol, security
+from qsshare import protocol, security, stabilizer
 from qsshare.protocol import NO_ATTACK, AttackModel
 from qsshare.security import VIEW_NAMES
 from test_exact_branches import RUN_COLUMNS, every_attack, every_branch
@@ -117,10 +117,10 @@ def test_the_elimination_ranks_tests_spans_and_names_its_witness(rows):
         return reduce(xor, (row for i, row in enumerate(rows) if tag >> i & 1), 0)
 
     span = {combination(subset) for subset in range(1 << len(rows))}
-    pivots = protocol._echelon((row, 1 << i) for i, row in enumerate(rows))
+    pivots = stabilizer.echelon((row, 1 << i) for i, row in enumerate(rows))
     assert 1 << len(pivots) == len(span)
     for vector in range(64):
-        rest, tag = protocol._reduce(pivots, vector)
+        rest, tag = stabilizer.reduce(pivots, vector)
         assert (rest == 0) == (vector in span), vector
         assert combination(tag) ^ rest == vector, vector
 
@@ -149,7 +149,7 @@ def test_the_basis_expands_to_every_column_on_every_branch(attack):
     assert run.dtype == np.int64 and run.shape == (2 << protocol.coin_count(attack),)
     assert set(security._RUN_FIELDS) == set(expected) == set(RUN_COLUMNS)
     for name, field in security._RUN_FIELDS.items():
-        assert (protocol._field(run, field) == expected[name]).all(), name
+        assert (stabilizer.field(run, field) == expected[name]).all(), name
 
 
 def run_words(run):

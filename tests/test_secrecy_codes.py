@@ -17,7 +17,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from qsshare import protocol, security, statevec
+from qsshare import protocol, security, stabilizer, statevec
 from qsshare.bell import BELL_LABELS, end_to_end_correction
 from qsshare.protocol import RECEIVER_1, RECEIVER_2, AttackModel, mask_tokens, sent_tokens
 from qsshare.security import PIECES, VIEW_NAMES, SecrecyReport
@@ -131,11 +131,11 @@ def drop_branch(linear_map):
 )
 def test_honest_columns_check_the_honest_branches(corrupt, message, monkeypatch):
     # Only the splitting map is corrupted: the run's token rounds read
-    # their own maps.  The run reads them through protocol's name.
-    real = protocol._linear_map
+    # their own maps.  The run reads them through stabilizer's name.
+    real = stabilizer.linear_map
     corrupted = corrupt(real("splitting", HONEST))
     monkeypatch.setattr(
-        protocol, "_linear_map", lambda phase, steps: corrupted if phase == "splitting" else real(phase, steps)
+        stabilizer, "linear_map", lambda phase, steps: corrupted if phase == "splitting" else real(phase, steps)
     )
     security.enumerate_honest_cases.cache_clear()
     with pytest.raises(AssertionError) as raised:
@@ -150,11 +150,11 @@ def test_honest_columns_hold_equal_shares_by_construction(monkeypatch):
     # its share it refuses the register, while the honest columns, which
     # read the symbolic map, stay the 512 cases.  The double weight is
     # patched into the conftest enumerator, which branch_table reads.
-    linear_map = protocol._linear_map("splitting", HONEST)
+    linear_map = stabilizer.linear_map("splitting", HONEST)
     assert len(linear_map.coins) == 4
     for index in range(32):
-        word = protocol._xor_columns(linear_map.inputs, index)
-        assert len({word ^ protocol._xor_columns(linear_map.coins, i) for i in range(16)}) == 16
+        word = stabilizer.xor_columns(linear_map.inputs, index)
+        assert len({word ^ stabilizer.xor_columns(linear_map.coins, i) for i in range(16)}) == 16
     cases = security.enumerate_honest_cases()
     real = conftest.enumerate_steps
 
@@ -166,7 +166,7 @@ def test_honest_columns_hold_equal_shares_by_construction(monkeypatch):
         return branches
 
     monkeypatch.setattr(conftest, "enumerate_steps", double_weight)
-    protocol._linear_map.cache_clear()
+    stabilizer.linear_map.cache_clear()
     security.enumerate_honest_cases.cache_clear()
     message = r"^branch weights (1/16, ){5}1/8(, 1/16){10} are not 2\^d equal shares$"
     register = protocol.prepare_splitting_register(
@@ -188,10 +188,10 @@ def test_unknown_view_message_is_unchanged():
 
 def test_unknown_view_is_refused_before_any_map_is_built():
     # A cold ``analyze --view nope`` raises without a symbolic splitting pass.
-    protocol._linear_map.cache_clear()
+    stabilizer.linear_map.cache_clear()
     with pytest.raises(ValueError) as raised:
         security.mutual_information_22("nope")
-    assert protocol._linear_map.cache_info().misses == 0
+    assert stabilizer.linear_map.cache_info().misses == 0
     with pytest.raises(ValueError) as expected:
         reference_view_values("nope", security.enumerate_honest_cases()[0])
     assert str(raised.value) == str(expected.value)
