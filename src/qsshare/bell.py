@@ -22,7 +22,8 @@ distribution of two Bell measurements over that stack, and its Φ+ rows are
 the 16-row teleport table; both are diffed against reference tables
 transcribed row by row, by the test suite (which also compares the XOR
 operations with both on every row) and by the ``verify-tables`` command.
-Protocol runs use the XOR operations alone.
+Protocol runs use the XOR operations alone: numpy is imported only by the
+oracle sweep, so importing this module does not load it.
 
 Global phases are dropped throughout: they are unobservable, and the swapping
 identities only hold modulo a phase.
@@ -33,8 +34,6 @@ from __future__ import annotations
 import numbers
 import operator
 from functools import lru_cache
-
-import numpy as np
 
 
 def _index(value) -> int:
@@ -206,7 +205,10 @@ def _surviving_pairs(joint) -> list:
     and each pair combination must map the outcomes one to one.  A failed
     check raises ``AssertionError`` naming its first failing case.
     """
-    # Imported here to avoid an import cycle (statevec uses the label types).
+    # Imported here: numpy serves only the oracle sweep, and statevec uses
+    # the label types (an import cycle at module level).
+    import numpy as np
+
     from . import statevec
 
     def case(a, b):
@@ -263,6 +265,8 @@ def generate_swap_table() -> dict:
     the surviving end-to-end pair.  Each combination must map the outcomes
     one to one.
     """
+    import numpy as np
+
     from . import statevec
 
     pair_codes = np.arange(4)

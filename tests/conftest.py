@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,17 @@ SPECS = (
     "intercept-resend-bell:split-r1",
     "entangle-ancilla:split-r2",
 )
+
+
+def run_fresh(code: str) -> str:
+    # The output of ``code`` run in a fresh interpreter, so that nothing an
+    # earlier test ran is warm or imported.  This tree's own src comes first
+    # on the path, so a copy of the tree is checked against itself.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return result.stdout
 
 
 class CountingWords:

@@ -1,11 +1,13 @@
-"""A mutation gate for the stabilizer engine.
+"""A mutation gate for the stabilizer engine, the run's bit algebra and the
+numpy-free imports.
 
 Each mutant names a file under ``src/qsshare``, an exact old text that must
-occur there once, and its replacement.  For each mutant the harness copies
-``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory, applies
-the mutant to the copy, and runs the engine's tests (:data:`TESTS`) there;
-pyproject's ``pythonpath`` puts the copy's ``src`` first on the path.  A
-mutant is killed when a test fails.  Every mutant must be killed except the
+occur there once, its replacement, and the test files that must kill it
+(the engine's tests, :data:`TESTS`, unless it names others).  For each
+mutant the harness copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
+temporary directory, applies the mutant to the copy, and runs its tests
+there; pyproject's ``pythonpath`` puts the copy's ``src`` first on the path.
+A mutant is killed when a test fails.  Every mutant must be killed except the
 no-op control, which must survive: that shows the gate can report a
 survivor.  The script needs no package beyond the test dependencies:
 
@@ -35,6 +37,7 @@ class Mutant(NamedTuple):
     old: str
     new: str
     killed: bool = True  # False for the control, which must survive
+    tests: tuple[str, ...] = TESTS
 
 
 MUTANTS = (
@@ -46,6 +49,46 @@ MUTANTS = (
     # The symplectic partner without its X/Z swap: anticommutation is read
     # off the Pauli itself.
     Mutant("partner-unswapped", "stabilizer.py", "partner = pauli >> _Z | (pauli & _X_BITS) << _Z", "partner = pauli"),
+    # bell loads numpy when imported, not only in its oracle sweep.
+    Mutant(
+        "bell-imports-numpy",
+        "bell.py",
+        "from functools import lru_cache\n",
+        "from functools import lru_cache\n\nimport numpy as np\n",
+        tests=("tests/test_stabilizer.py",),
+    ),
+    # A coin is 1 when its raw word's top bit is 1, not 0.
+    Mutant(
+        "draw-coin-inverted",
+        "protocol.py",
+        "raw < _COIN_BELOW",
+        "raw >= _COIN_BELOW",
+        tests=("tests/test_draws.py",),
+    ),
+    # The sender's check reads the x bit of R2's record, not its z bit.
+    Mutant(
+        "accepts-without-z-shift",
+        "protocol.py",
+        "secret ^ record2 >> 1) & 1",
+        "secret ^ record2) & 1",
+        tests=("tests/test_exact_branches.py",),
+    ),
+    # R2's token masks its cipher bit with the x bit of its code alone.
+    Mutant(
+        "mask-drops-r2-z",
+        "protocol.py",
+        "(code2 >> 1 ^ code2) & 1",
+        "code2 & 1",
+        tests=("tests/test_protocol.py",),
+    ),
+    # Philox's round keys start one increment late.
+    Mutant(
+        "philox-round-key-off-by-one",
+        "protocol.py",
+        "for r in range(_PHILOX_ROUNDS)",
+        "for r in range(1, _PHILOX_ROUNDS + 1)",
+        tests=("tests/test_draws.py",),
+    ),
     Mutant("no-op-control", "stabilizer.py", "        coins += 1\n", "        coins = coins + 1\n", killed=False),
 )
 
@@ -64,7 +107,7 @@ def killed(mutant: Mutant) -> tuple[bool, float]:
             raise SystemExit(f"{mutant.name}: its old text occurs {text.count(mutant.old)} times in {mutant.file}")
         target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
         env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
-        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS]
+        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests]
         start = time.perf_counter()
         result = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True)
         seconds = time.perf_counter() - start

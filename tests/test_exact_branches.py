@@ -26,9 +26,6 @@ exact pass keeps no state beyond the package's lru caches.
 """
 
 import inspect
-import os
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -48,7 +45,16 @@ from qsshare.bell import (
     infer_remote_bsm,
 )
 from qsshare.protocol import NO_ATTACK, AttackModel, Step
-from conftest import SPECS, attach_ancilla, branch_table, enumerate_steps, equal_shares, named, stacked_table
+from conftest import (
+    SPECS,
+    attach_ancilla,
+    branch_table,
+    enumerate_steps,
+    equal_shares,
+    named,
+    run_fresh,
+    stacked_table,
+)
 
 # The attack spec behind each eavesdropper intercept: None is the honest
 # splitting phase.
@@ -880,16 +886,6 @@ for _ in range(2):
     counts.append(calls)
 print(*counts)
 """
-
-
-def run_fresh(code: str) -> str:
-    # The output of ``code`` run in a fresh interpreter, so that nothing an
-    # earlier test ran is warm or imported.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return result.stdout
 
 
 def test_cold_exact_passes_keep_no_state_beyond_the_lru_caches():

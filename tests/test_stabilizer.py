@@ -1,42 +1,44 @@
-"""The stabilizer engine stands alone.
+"""The stabilizer engine and the pair algebra stand alone.
 
-``qsshare.stabilizer`` imports only the standard library, so whatever
-needs only its int maps need not load numpy.  Importing it through the
-package would load numpy anyway (``qsshare/__init__`` imports ``bell`` and
-``statevec``), so a fresh interpreter loads the module by its file path and
-builds a map there.  The engine's qubit bound is a local constant, held
-equal to the simulator's here.
+``qsshare.stabilizer`` imports only the standard library, and ``qsshare.bell``
+imports numpy only inside its oracle sweep, so whatever needs only the int
+maps and the 2-bit codes need not load numpy.  A fresh interpreter imports
+both through the package and builds a map and a label XOR there.  The
+engine's qubit bound is a local constant, held equal to the simulator's here.
 """
 
 import ast
-import subprocess
 import sys
 from pathlib import Path
 
+from conftest import run_fresh
 from qsshare import protocol, stabilizer, statevec
+from qsshare.bell import BELL_LABELS
 
-PATH_LOAD = """
-import importlib.util
+PACKAGE_IMPORT = """
 import sys
 
-spec = importlib.util.spec_from_file_location("stabilizer", {path!r})
-module = importlib.util.module_from_spec(spec)
-sys.modules[spec.name] = module
-spec.loader.exec_module(module)
-Step = module.Step
-token = module.linear_map("token", (Step("bell", (1, 2), "code"), Step("bell", (0, 3), "observed")))
-loaded = sorted(name for name in sys.modules if name.partition(".")[0] in ("numpy", "qsshare"))
-print(repr((token.inputs, token.coins, dict(token.fields), loaded)))
+def loaded():
+    return sorted(name for name in sys.modules if name.partition(".")[0] in ("numpy", "qsshare"))
+
+import qsshare
+bare = loaded()
+import qsshare.bell, qsshare.stabilizer
+Step = qsshare.stabilizer.Step
+token = qsshare.stabilizer.linear_map("token", (Step("bell", (1, 2), "code"), Step("bell", (0, 3), "observed")))
+labels = qsshare.bell.BELL_LABELS
+xor = [(type(a ^ b).__name__, (a ^ b).bits) for a in labels for b in labels]
+print(repr((bare, loaded(), token.inputs, token.coins, dict(token.fields), xor)))
 """
 
 
-def test_the_engine_builds_the_honest_token_map_without_numpy_or_the_package():
-    code = PATH_LOAD.format(path=stabilizer.__file__)
-    result = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, check=True)
-    inputs, coins, fields, loaded = ast.literal_eval(result.stdout)
-    assert loaded == []
+def test_the_package_imports_the_engine_and_the_pair_algebra_without_numpy():
+    bare, loaded, inputs, coins, fields, xor = ast.literal_eval(run_fresh(PACKAGE_IMPORT))
+    assert bare == ["qsshare"]
+    assert loaded == ["qsshare", "qsshare.bell", "qsshare.stabilizer"]
     honest = stabilizer.linear_map("token", protocol.token_steps("auth-r1", protocol.NO_ATTACK))
     assert (inputs, coins, fields) == (honest.inputs, honest.coins, dict(honest.fields))
+    assert xor == [(type(a ^ b).__name__, (a ^ b).bits) for a in BELL_LABELS for b in BELL_LABELS]
 
 
 def test_the_engine_imports_only_the_standard_library():
