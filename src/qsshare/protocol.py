@@ -94,20 +94,28 @@ def make_rng(seed: int) -> np.random.Philox:
 
 
 # Philox4x64-10 (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as
-# easy as 1, 2, 3", SC'11): the multipliers as (high half, low half, whole)
-# and each round's key increment (r * W0, r * W1) mod 2^64.
-_PHILOX_M = tuple(
-    (np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF), np.uint64(m))
-    for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-)
+# easy as 1, 2, 3", SC'11): the multipliers as (high half, low half, whole),
+# each round's key increment (r * W0, r * W1) mod 2^64, and for each
+# multiplier M the least x with hi(M·x) ≥ 2^63, ⌈2^127 / M⌉.
+_M0, _M1 = _MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_M = tuple((np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF), np.uint64(m)) for m in _MULTIPLIERS)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _PHILOX_KEYS = tuple(
     (np.uint64(r * _PHILOX_W[0] % (MAX_SEED + 1)), np.uint64(r * _PHILOX_W[1] % (MAX_SEED + 1)))
     for r in range(_PHILOX_ROUNDS)
 )
+_HI_TOP_FROM = tuple(np.uint64(-(-(1 << 127) // m)) for m in _MULTIPLIERS)
+# Rounds 0 and 1 on the counter alone for blocks j = 1..16 (words 0..63):
+# rows hi(M1·h), lo(M1·h) and l ^ W1, where (h, l) = mulhilo(M0, j).
+_COUNTER_ROUNDS = np.array(
+    [(*divmod(_M1 * (_M0 * j >> 64), MAX_SEED + 1), (_M0 * j & MAX_SEED) ^ _PHILOX_W[1]) for j in range(1, 17)],
+    dtype=np.uint64,
+).T.copy()
+_COUNTER_ROUNDS.flags.writeable = False  # coin_index's round-1 terms are views of it
 _LOW32 = np.uint64(0xFFFFFFFF)
 _COIN_BELOW = 1 << 63  # a coin is 1 when its raw word's top bit is 0
+_TOP_BIT = np.uint64(_COIN_BELOW)
 
 
 def _mulhilo(a: tuple[np.uint64, ...], b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,34 +141,37 @@ def _mulhilo(a: tuple[np.uint64, ...], b: np.ndarray) -> tuple[np.ndarray, np.nd
     return high, b * a_full
 
 
-def philox_words(keys: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` raw words of ``np.random.Philox(key=k)`` for each
-    uint64 key ``k`` of ``keys``, as an array of shape (len(keys), count).
+def coin_index(keys: np.ndarray, count: int) -> np.ndarray:
+    """The branch index the first ``count`` coins of ``make_rng(k)`` give
+    each uint64 key ``k``, read as :func:`_draw` reads them: coin j is 1
+    when raw word j is below 2^63, and the first coin is the most
+    significant bit.  ``count`` is below 64, so an index fits an int64.
 
     numpy's Philox increments its counter before it fills each block of
     four words, so block j is the cipher of counter (j + 1, 0, 0, 0) under
     key (k, 0).  Round r maps (x0, x1, x2, x3) under key (k0, k1) + r·W to
-    (hi(M1·x2) ^ x1 ^ k0, lo(M1·x2), hi(M0·x0) ^ x3 ^ k1, lo(M0·x0)), so
-    the first two rounds fold:
+    (hi(M1·x2) ^ x1 ^ k0, lo(M1·x2), hi(M0·x0) ^ x3 ^ k1, lo(M0·x0)), so:
 
-    * round 0 gives (k, 0, h, l) with (h, l) = mulhilo(M0, j + 1), a
-      vector over the blocks alone;
-    * round 1 gives (hi(M1·h) ^ (k + W0), lo(M1·h), hi(M0·k) ^ l ^ W1,
-      lo(M0·k)): one product over the blocks alone, one over the keys
-      alone, and XORs that broadcast them to (keys × blocks) arrays.
+    * round 0 gives (k, 0, h, l) with (h, l) = mulhilo(M0, j + 1), and
+      round 1 (hi(M1·h) ^ (k + W0), lo(M1·h), hi(M0·k) ^ l ^ W1, lo(M0·k)):
+      a row of ``_COUNTER_ROUNDS`` per block and one product over the keys;
+    * rounds 2 to 8 multiply the full (keys × blocks) arrays in place;
+    * a coin reads only its word's top bit in round 9.  hi(M·x) ≥ 2^63
+      exactly when x ≥ ⌈2^127 / M⌉ (``_HI_TOP_FROM``), and the top bit of
+      a XOR is the XOR of the top bits, so the round is two wrapping
+      multiplies and compares.
 
-    The other eight rounds multiply the full arrays, updating them in place.
-    """
+    Packing each key's coins into the low bits of a 64-bit row gives its
+    index as one big-endian word."""
+    if not 0 <= count < 64:
+        raise ValueError(f"coin_index packs 0 to 63 coins, got {count}")
     keys = np.asarray(keys, dtype=np.uint64)[:, None]
     blocks = -(-count // 4)
-    ctr_hi, ctr_lo = _mulhilo(_PHILOX_M[0], np.arange(1, blocks + 1, dtype=np.uint64))
+    ctr_hi, x1, ctr_lo = _COUNTER_ROUNDS[:, :blocks]
     key_hi, x3 = _mulhilo(_PHILOX_M[0], keys)
-    ctr_hi, x1 = _mulhilo(_PHILOX_M[1], ctr_hi)
-    k0, k1 = _PHILOX_KEYS[1]
-    x0 = ctr_hi ^ (keys + k0)
+    x0 = ctr_hi ^ (keys + _PHILOX_KEYS[1][0])
     x2 = key_hi ^ ctr_lo
-    x2 ^= k1
-    for k0, k1 in _PHILOX_KEYS[2:]:
+    for k0, k1 in _PHILOX_KEYS[2:-1]:
         hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
         hi1 ^= x1
@@ -168,19 +179,14 @@ def philox_words(keys: np.ndarray, count: int) -> np.ndarray:
         hi0 ^= x3
         hi0 ^= k1
         x0, x1, x2, x3 = hi1, lo1, hi0, lo0
-    return np.stack((x0, x1, x2, x3), axis=-1).reshape(len(keys), 4 * blocks)[:, :count]
-
-
-def coin_index(keys: np.ndarray, count: int) -> np.ndarray:
-    """The branch index the first ``count`` coins of ``make_rng(k)`` give
-    each uint64 key ``k``, read as :func:`_draw` reads them: coin j is 1
-    when raw word j is below 2^63, and the first coin is the most
-    significant bit.  ``count`` is below 64, so an index fits an int64.
-
-    Each key's coins fill the low bits of a 64-bit row, so packing the rows
-    one after another gives each index as one big-endian word."""
+    k0, k1 = _PHILOX_KEYS[-1]
+    coins = np.stack(
+        [(x2 < _HI_TOP_FROM[1]) ^ ((x1 ^ (keys + k0)) >= _TOP_BIT), x2 * _PHILOX_M[1][2] < _TOP_BIT,
+         (x0 < _HI_TOP_FROM[0]) ^ ((x3 ^ k1) >= _TOP_BIT), x0 * _PHILOX_M[0][2] < _TOP_BIT],
+        axis=-1,
+    )
     bits = np.zeros((len(keys), 64), dtype=bool)
-    np.less(philox_words(keys, count), np.uint64(_COIN_BELOW), out=bits[:, 64 - count :])
+    bits[:, 64 - count :] = coins.reshape(len(keys), 4 * blocks)[:, :count]
     return np.packbits(bits).view(">i8").astype(np.int64)
 
 

@@ -1,5 +1,5 @@
-"""A mutation gate for the stabilizer engine, the run's bit algebra and the
-numpy-free imports.
+"""A mutation gate for the stabilizer engine, the run's bit algebra, the
+vectorised Philox and the numpy-free imports.
 
 Each mutant names a file under ``src/qsshare``, an exact old text that must
 occur there once, its replacement, and the test files that must kill it
@@ -88,6 +88,23 @@ MUTANTS = (
         "for r in range(_PHILOX_ROUNDS)",
         "for r in range(1, _PHILOX_ROUNDS + 1)",
         tests=("tests/test_draws.py",),
+    ),
+    # hi(M·x) reads as top bit 1 from one past ⌈2^127 / M⌉; random keys
+    # reach that x with probability 2^-64.
+    Mutant(
+        "coin-threshold-off-by-one",
+        "protocol.py",
+        "-(-(1 << 127) // m))",
+        "-(-(1 << 127) // m) + 1)",
+        tests=("tests/test_batch.py",),
+    ),
+    # The counter table starts at block 0, not at numpy's first counter 1.
+    Mutant(
+        "counter-table-from-block-0",
+        "protocol.py",
+        "for j in range(1, 17)",
+        "for j in range(16)",
+        tests=("tests/test_batch.py",),
     ),
     Mutant("no-op-control", "stabilizer.py", "        coins += 1\n", "        coins = coins + 1\n", killed=False),
 )

@@ -3,10 +3,10 @@ distinct leaf.
 
 A seeded (2,2) run draws a fixed number of fair coins, and coin j of the
 run with seed k is the top bit of raw word j of ``Philox(key=k)``.  The
-sweeps compute those words for all trials at once with a vectorised
+sweeps compute those coins for all trials at once with a vectorised
 Philox4x64-10, read each trial's leaf key off the run's branch table, and
 run one full :func:`run_qss22` per key they have not seen.  These tests pin
-the words against numpy, the coin counts against the tables, the leaf keys
+the coins against numpy, the coin counts against the tables, the leaf keys
 against a run of every coin pattern, and the reports byte for byte against
 the scalar loop the sweeps used to run, which is kept here as the
 reference.
@@ -144,62 +144,89 @@ def counted_calls(monkeypatch):
 # ---------------------------------------------------------------------------
 # The vectorised Philox.
 
-def test_philox_words_match_numpy():
+def unpacked_coins(indices, count):
+    # The coins of each index, the first most significant.
+    return (np.asarray(indices)[:, None] >> np.arange(count - 1, -1, -1) & 1 == 1).tolist()
+
+
+def numpy_coins(keys, count):
+    return [(np.random.Philox(key=key).random_raw(count) < 2**63).tolist() for key in keys]
+
+
+def test_coins_match_numpy():
     # Round r adds r * W0 to the key, so the top ten keys wrap past 2^64 in
-    # the folded rounds as well as in the full ones.
+    # the folded rounds as well as in the full ones; 63 coins read all 16
+    # blocks of the counter table.
     keys = (
         KEY_GRID
         + tuple(random.Random(27).getrandbits(64) for _ in range(2000))
         + tuple(range(2**64 - 10, 2**64))
     )
-    words = protocol.philox_words(np.array(keys, dtype=np.uint64), 12)
-    assert words.shape == (len(keys), 12)
-    for key, row in zip(keys, words):
-        assert row.tolist() == np.random.Philox(key=key).random_raw(12).tolist(), key
+    indices = protocol.coin_index(np.array(keys, dtype=np.uint64), 63)
+    assert indices.shape == (len(keys),) and indices.dtype == np.int64
+    for key, coins, expected in zip(keys, unpacked_coins(indices, 63), numpy_coins(keys, 63)):
+        assert coins == expected, key
 
 
-@pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 12])
-def test_philox_words_cut_to_any_count(count):
-    keys = np.array(KEY_GRID[:6], dtype=np.uint64)
-    words = protocol.philox_words(keys, count)
-    assert words.shape == (6, count)
-    assert (words == protocol.philox_words(keys, 12)[:, :count]).all()
+@pytest.mark.parametrize("count", range(64))
+def test_coin_indices_cut_to_any_count(count):
+    # The first count coins of 63, across every block boundary.
+    keys = np.array(KEY_GRID, dtype=np.uint64)
+    indices = protocol.coin_index(keys, count)
+    assert indices.tolist() == (protocol.coin_index(keys, 63) >> 63 - count).tolist()
 
 
-@pytest.mark.parametrize("count", [0, 10])
-def test_philox_words_of_no_keys(count):
-    words = protocol.philox_words(np.array([], dtype=np.uint64), count)
-    assert words.shape == (0, count) and words.dtype == np.uint64
+@pytest.mark.parametrize("count", [-1, 64, 65, 100])
+def test_coin_index_refuses_counts_it_cannot_pack(count):
+    with pytest.raises(ValueError, match="0 to 63 coins"):
+        protocol.coin_index(np.array([1, 2, 3], dtype=np.uint64), count)
 
 
 def test_trial_keys_wrap_past_the_last_seed():
     keys = security._trial_keys(2**64 - 3, 0, 6)
     assert keys.tolist() == [2**64 - 3, 2**64 - 2, 2**64 - 1, 0, 1, 2]
-    words = protocol.philox_words(keys, 12)
-    for i, row in enumerate(words):
-        expected = np.random.Philox(key=(2**64 - 3 + i) % 2**64).random_raw(12)
-        assert row.tolist() == expected.tolist()
+    coins = unpacked_coins(protocol.coin_index(keys, 12), 12)
+    assert coins == numpy_coins(keys.tolist(), 12)
 
 
 def test_coin_indices_are_the_draws_a_run_compares():
     # Each key's index is the word _draw makes of n coins whose columns are
     # the bits of an n-bit index, the first most significant, and its bits
     # are the raw words a run compares with 2^63; n crosses the byte
-    # boundaries at 8 and 16.
-    for count in range(18):
+    # boundaries at 8 and 16 and every block boundary.
+    for count in range(64):
         indices = protocol.coin_index(np.array(KEY_GRID, dtype=np.uint64), count)
         assert indices.shape == (len(KEY_GRID),) and indices.dtype == np.int64
+        assert unpacked_coins(indices, count) == numpy_coins(KEY_GRID, count), count
         columns = tuple(1 << j for j in reversed(range(count)))
         for key, index in zip(KEY_GRID, indices.tolist()):
             assert index == protocol._draw(0, columns, protocol.make_rng(key)), (key, count)
-            coins = [index >> j & 1 == 1 for j in reversed(range(count))]
-            assert coins == (protocol.make_rng(key).random_raw(count) < 2**63).tolist(), (key, count)
 
 
-@pytest.mark.parametrize("count", [0, 10])
+@pytest.mark.parametrize("count", [0, 10, 63])
 def test_coin_indices_of_no_keys(count):
     indices = protocol.coin_index(np.array([], dtype=np.uint64), count)
     assert indices.shape == (0,) and indices.dtype == np.int64
+
+
+@pytest.mark.parametrize("m, top_from", zip(protocol._MULTIPLIERS, protocol._HI_TOP_FROM), ids=["M0", "M1"])
+def test_high_word_top_bit_thresholds_are_exact(m, top_from):
+    # Random keys reach x = T with probability 2^-64, so only this test sees
+    # a threshold one off.
+    top_from = int(top_from)
+    assert m * (top_from - 1) >> 64 < 2**63 <= m * top_from >> 64
+
+
+def test_counter_table_rows_are_rounds_0_and_1_of_blocks_1_to_16():
+    # Recomputed in Python ints: round 0 on counter (j, 0, 0, 0) under key
+    # (k, 0) gives (k, 0, h, l), and round 1's counter-only terms are
+    # hi(M1·h), lo(M1·h) and l ^ W1.
+    m0, m1 = protocol._MULTIPLIERS
+    rows = list(zip(*(column.tolist() for column in protocol._COUNTER_ROUNDS)))
+    assert len(rows) == 16
+    for j, row in enumerate(rows, start=1):
+        h, l = m0 * j >> 64, m0 * j % 2**64
+        assert row == (m1 * h >> 64, m1 * h % 2**64, l ^ protocol._PHILOX_W[1]), j
 
 
 # ---------------------------------------------------------------------------

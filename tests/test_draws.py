@@ -80,9 +80,9 @@ def test_runs_read_the_words_a_generator_drew_from():
     # drew integers(4) twice, then four such coins.
     indices = protocol.coin_index(LAYOUT_KEYS, 10)
     coins = [[index >> j & 1 == 1 for j in reversed(range(10))] for index in indices.tolist()]
-    word0 = protocol.philox_words(LAYOUT_KEYS, 1)[:, 0]
-    pair_codes = np.stack([word0 >> 30 & 3, word0 >> 62], axis=1)
-    for key, row, codes in zip(LAYOUT_KEYS.tolist(), coins, pair_codes.tolist()):
+    for key, row in zip(LAYOUT_KEYS.tolist(), coins):
+        word0 = int(np.random.Philox(key=key).random_raw(1)[0])
+        codes = [word0 >> 30 & 3, word0 >> 62]
         qss22 = np.random.Generator(np.random.Philox(key=key))
         assert row == [qss22.random() < 0.5 for _ in range(10)], key
         qss55 = np.random.Generator(np.random.Philox(key=key))
