@@ -486,8 +486,9 @@ def _intercept_steps(attack: AttackModel, target: str, in_flight: tuple[int, ...
 
 @lru_cache(maxsize=None)
 def token_steps(target: str, attack: AttackModel) -> tuple[Step, ...]:
-    """Steps of one token round on :func:`prepare_token_register`: any
-    intercept of the two sent halves (quantum send ``target``), the
+    """Steps of one token round on its four-qubit register [kept half of
+    pair a, sent half of pair a, sent half of pair b, kept half of pair b]:
+    any intercept of the two sent halves (quantum send ``target``), the
     receiver's Bell measurement (``code``), then the sender's (``observed``)."""
     return _intercept_steps(attack, target, (1, 2)) + (
         Step("bell", (1, 2), "code"),
@@ -497,10 +498,11 @@ def token_steps(target: str, attack: AttackModel) -> tuple[Step, ...]:
 
 @lru_cache(maxsize=None)
 def splitting_steps(attack: AttackModel) -> tuple[Step, ...]:
-    """Steps of the splitting phase on :func:`prepare_splitting_register`:
-    any intercept, R1's swap measurement, the sender's teleport measurement,
-    R2's measurement of the cipher qubit, and the eavesdropper's reading of
-    an attached ancilla."""
+    """Steps of the splitting phase on its five-qubit register [secret,
+    kept half of pair 1, pair-1 half to R1, pair-2 half to R1, pair-2 half
+    to R2]: any intercept, R1's swap measurement, the sender's teleport
+    measurement, R2's measurement of the cipher qubit, and the
+    eavesdropper's reading of an attached ancilla."""
     steps = (
         _intercept_steps(attack, "split-r1", (2, 3))
         + _intercept_steps(attack, "split-r2", (4,))

@@ -22,12 +22,10 @@ and a sweep's leaf keys, by doubling it once per basis bit.
   parity of a run word's bits (:data:`_REJECT_MASK`), read off
   :func:`protocol._accepts`, which :func:`protocol.verify_authentication`
   also decides by;
-- the encrypted qubit's correction XORs the four pieces, so unknown pieces
-  XOR-convolve a 4-bin histogram of corrections, and the averaged qubit is
-  the secret's Bloch vector twirled by that histogram: each axis scaled by
-  an integer sum of signs over the histogram's total.  An unknown piece
-  makes the histogram uniform, so every sign sum, and the distance, is
-  exactly zero.
+- the encrypted qubit is the secret under one Pauli, the XOR of the four
+  pieces' codes.  An unknown piece makes that Pauli uniform, which leaves
+  the averaged qubit maximally mixed whatever the secret: the distance is
+  exactly zero.  With all four pieces known the qubit is pure.
 
 Floating point only appears at the reporting boundary, so "exactly zero"
 results do not depend on rounding.
@@ -50,7 +48,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import protocol, stabilizer, statevec
-from .bell import BELL_LABELS, PHI_PLUS, BellLabel, end_to_end_correction, infer_remote_bsm
+from .bell import BELL_LABELS, PHI_PLUS, BellLabel, infer_remote_bsm
 from .protocol import (
     NO_ATTACK,
     AttackModel,
@@ -214,11 +212,6 @@ def _pins_secret(basis: tuple[int, ...], names: tuple[str, ...]) -> bool:
 # ---------------------------------------------------------------------------
 # Mixedness of the encrypted qubit in the (5,5) scheme.
 
-# _BLOCH_SIGNS[c] is how the correction of code c, Z^z X^x with c = 2*z + x,
-# signs the (X, Y, Z) Bloch axes of the qubit it conjugates.
-_BLOCH_SIGNS = ((1, 1, 1), (1, -1, -1), (-1, -1, 1), (-1, 1, -1))
-
-
 def encrypted_qubit_mixedness_55(
     known: Mapping[str, BellLabel] | None = None,
     secret_amplitudes: tuple[complex, complex] = _PROBE_QUBIT,
@@ -231,35 +224,25 @@ def encrypted_qubit_mixedness_55(
     averaged uniformly.  With any piece unknown the average is maximally
     mixed; with all four known the state is pure and the distance is 1/2.
 
-    The encrypted qubit is the secret under the Pauli
-    :func:`end_to_end_correction`, the XOR of the pieces.  So the known
-    pieces' correction (Φ+ standing in for each unknown piece) has weight 1,
-    and each unknown piece XOR-convolves the four integer weights with a
-    uniform 2-bit code, whose closed form puts their total in every bin: the
-    histogram is uniform.  Each correction but I flips the signs of two axes
-    of the secret's Bloch vector (:data:`_BLOCH_SIGNS`), so the averaged
-    qubit's Bloch vector is the secret's with each axis scaled by its
-    weighted sign sum over the total weight, and the distance is half its
-    length.  Every axis has two signs of each kind, so a uniform histogram
-    makes every sign sum the integer 0, and the distance is exactly 0.0.
+    The encrypted qubit is the secret under one Pauli,
+    :func:`bell.end_to_end_correction` of the pieces, the XOR of their
+    codes.  With any piece unknown that Pauli is uniform over all four, and
+    the four conjugations of any qubit average to the maximally mixed
+    state, so the distance is exactly 0.0, with no float arithmetic.  With
+    all four known the Pauli only flips the signs of Bloch axes, so the
+    distance is half the length of the secret's Bloch vector.
     """
     known = dict(known or {})
-    unknown = [p for p in PIECES if p not in known]
     if set(known) - set(PIECES):
         raise ValueError(f"unknown piece names: {sorted(set(known) - set(PIECES))}")
     for name, value in known.items():
         if value not in BELL_LABELS:
             raise ValueError(f"piece {name} must be one of the four 2-bit codes, got {value!r}")
-    weights = [0] * 4
-    weights[end_to_end_correction(*(known.get(p, PHI_PLUS) for p in PIECES))] = 1
-    for _ in unknown:
-        weights = [sum(weights)] * 4
     amp0, amp1 = statevec.single_qubit(*secret_amplitudes).amplitudes.tolist()
+    if len(known) < len(PIECES):
+        return 0.0
     cross = amp0.conjugate() * amp1
-    bloch = (2 * cross.real, 2 * cross.imag, abs(amp0) ** 2 - abs(amp1) ** 2)
-    total = sum(weights)
-    scales = [sum(map(operator.mul, weights, signs)) / total for signs in zip(*_BLOCH_SIGNS)]
-    return 0.5 * math.hypot(*(scale * r for scale, r in zip(scales, bloch)))
+    return 0.5 * math.hypot(2 * cross.real, 2 * cross.imag, abs(amp0) ** 2 - abs(amp1) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,9 @@ class Step(NamedTuple):
     name: str | None = None
 
 
-# Each phase's reference register, which protocol.prepare_token_register or
-# prepare_splitting_register builds at all-zero inputs: whether the
-# splitting secret |0> sits on qubit 0, and each Φ+ pair's qubits.  Every
+# Each phase's reference register, the phase's register at all-zero inputs:
+# whether the splitting secret |0> sits on qubit 0, and each Φ+ pair's
+# qubits, the qubit that carries its Pauli code first.  Every
 # input bit is a sign symbol of its stabilizer generators (_coin_parities),
 # in input order, so it has one input column of the phase's map
 # (linear_map): a secret bit s is X^s on qubit 0, so it flips the sign of

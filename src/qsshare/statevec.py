@@ -50,6 +50,7 @@ MAX_QUBITS = 6
 NORM_TOL = 1e-12
 ZERO_PROBABILITY = 1e-15
 EQUALITY_FIDELITY = 1.0 - 1e-12
+PURITY_TOL = 1e-9
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -189,19 +190,10 @@ def apply_pauli(state: StateVector, q: int, corr: int | np.ndarray) -> StateVect
     """Apply Z^z X^x (X first) to qubit ``q``: ``corr`` is ``2*z + x``, or codes over the stack axes."""
     _check_qubit(state, q)
     n = state.n_qubits
-    if not isinstance(corr, np.ndarray):
-        # One code, by slices: ≈4× faster a call than the array path below,
-        # and every (5,5) run applies two.
-        if type(corr) is bool or not (isinstance(corr, (int, np.integer)) and 0 <= corr <= 3):
-            raise ValueError(f"Pauli codes must be 0..3, got {corr!r}")
-        view = _qubit_axis(state.amplitudes, n, q)
-        out = (view[:, ::-1] if corr & 1 else view).copy()
-        if corr >> 1:  # row 0 untouched: a ×(1+0j) would turn a -0.0 part into +0.0
-            out[:, 1:] *= -1.0
-        return StateVector._wrap(n, out.reshape(state.amplitudes.shape))
-    if corr.dtype.kind not in "iu" or (corr >> 2).any():  # a bool or float array holds no codes
+    codes = np.asarray(corr)  # one code is a 0-d array
+    if codes.dtype.kind not in "iu" or (codes >> 2).any():  # a bool, float or object array holds no codes
         raise ValueError(f"Pauli codes must be 0..3, got {corr!r}")
-    codes = corr[..., None, None, None]  # a stack the codes widen cannot reshape back
+    codes = codes[..., None, None, None]  # a stack the codes widen cannot reshape back
     view = state.amplitudes.reshape(state.amplitudes.shape[:-1] + (1 << q, 2, 1 << (n - q - 1)))
     out = np.where(codes & 1, view[..., ::-1, :], view)
     ones = out[..., 1:, :]  # row 0 untouched: a ×(1+0j) would turn a -0.0 part into +0.0
@@ -375,15 +367,15 @@ def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(rho.reshape(dim, dim))
 
 
-def extract_pure_qubit(state: StateVector, q: int, tol: float = 1e-9) -> StateVector:
+def extract_pure_qubit(state: StateVector, q: int) -> StateVector:
     """Single-qubit state of ``q`` when it is unentangled with the rest.
 
-    Raises if the reduced state is not pure within ``tol``.  The returned
-    state carries an arbitrary global phase.
+    Raises if the reduced state is not pure within ``PURITY_TOL``.  The
+    returned state carries an arbitrary global phase.
     """
     rho = reduced_density(state, [q])
     eigenvalues, eigenvectors = np.linalg.eigh(rho.entries)
-    if eigenvalues[-1] < 1.0 - tol:
+    if eigenvalues[-1] < 1.0 - PURITY_TOL:
         raise ValueError(
             f"qubit {q} is entangled with the rest of the register "
             f"(largest eigenvalue {eigenvalues[-1]})"
@@ -400,18 +392,16 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def states_equal(a: StateVector, b: StateVector, threshold: float = EQUALITY_FIDELITY) -> bool:
-    """Equality up to global phase: fidelity at least ``threshold``."""
-    return fidelity(a, b) >= threshold
+def states_equal(a: StateVector, b: StateVector) -> bool:
+    """Equality up to global phase: fidelity at least ``EQUALITY_FIDELITY``."""
+    return fidelity(a, b) >= EQUALITY_FIDELITY
 
 
-def trace_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) -> float:
+def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the trace norm of the difference of two density matrices."""
-    ea = a.entries if isinstance(a, DensityMatrix) else np.asarray(a, dtype=complex)
-    eb = b.entries if isinstance(b, DensityMatrix) else np.asarray(b, dtype=complex)
-    if ea.shape != eb.shape:
-        raise ValueError(f"dimension mismatch: {ea.shape} vs {eb.shape}")
-    eigenvalues = np.linalg.eigvalsh(ea - eb)
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.entries.shape} vs {b.entries.shape}")
+    eigenvalues = np.linalg.eigvalsh(a.entries - b.entries)
     return float(0.5 * np.sum(np.abs(eigenvalues)))
 
 

@@ -1,5 +1,6 @@
 """A mutation gate for the stabilizer engine, the run's bit algebra, the
-vectorised Philox and the numpy-free imports.
+vectorised Philox, the numpy-free imports, the (5,5) mixedness and the
+state-vector gates.
 
 Each mutant names a file under ``src/qsshare``, an exact old text that must
 occur there once, its replacement, and the test files that must kill it
@@ -15,7 +16,7 @@ survivor.  The script needs no package beyond the test dependencies:
 
 It prints one line per mutant and exits 1 when any verdict is not the
 expected one.  It is not a tier-1 test: each mutant costs a pytest run,
-the surviving control about 20 s on a 2-vCPU machine.
+the surviving control about 15 s on a 2-vCPU machine, and all 17 about 51 s.
 """
 
 import os
@@ -105,6 +106,56 @@ MUTANTS = (
         "for j in range(1, 17)",
         "for j in range(16)",
         tests=("tests/test_batch.py",),
+    ),
+    # Three of the four pieces known already reads as a pure qubit.
+    Mutant(
+        "mixedness-three-pieces-pure",
+        "security.py",
+        "len(known) < len(PIECES)",
+        "len(known) < len(PIECES) - 1",
+        tests=("tests/test_security.py", "tests/test_secrecy_codes.py"),
+    ),
+    # A Z code flips the sign of the |0> row, not the |1> row.
+    Mutant(
+        "pauli-flips-row-0",
+        "statevec.py",
+        "ones = out[..., 1:, :]",
+        "ones = out[..., :1, :]",
+        tests=("tests/test_statevec.py", "tests/test_draws.py"),
+    ),
+    # A register whose amplitudes have an infinite or NaN imaginary part is
+    # taken as finite.
+    Mutant(
+        "finite-real-only",
+        "statevec.py",
+        "np.isfinite(amps).all()",
+        "np.isfinite(amps.real).all()",
+        tests=("tests/test_statevec.py",),
+    ),
+    # The expansion doubles by the first coin's word first, so the last
+    # coin's bit is the most significant of a branch index.
+    Mutant(
+        "run-words-unreversed",
+        "security.py",
+        "for word in reversed(rest):",
+        "for word in rest:",
+        tests=("tests/test_secrecy_codes.py", "tests/test_batch.py"),
+    ),
+    # A flip keeps the bits outside the named fields.
+    Mutant(
+        "flips-without-mask",
+        "security.py",
+        "(w ^ basis[0]) & mask",
+        "w ^ basis[0]",
+        tests=("tests/test_security.py", "tests/test_secrecy_codes.py"),
+    ),
+    # A bit that masks a token leaves R1's token share out of its image.
+    Mutant(
+        "token-images-without-r1-token",
+        "security.py",
+        "unit ^ t1 << _T1 ^ t2 << _T2",
+        "unit ^ t2 << _T2",
+        tests=("tests/test_security.py", "tests/test_secrecy_codes.py"),
     ),
     Mutant("no-op-control", "stabilizer.py", "        coins += 1\n", "        coins = coins + 1\n", killed=False),
 )

@@ -2,10 +2,11 @@
 
 Adversary views, the encrypted qubit's mixedness and the token rounds are
 read off int codes: views are rank tests on an honest run's int columns
-at its basis branches, mixedness twirls the secret's Bloch vector by the Pauli
-corrections the unknown pieces XOR-convolve into, and the two token rounds
-share one enumeration when their steps agree.  These tests hold each to
-the per-case loop it replaced, which is kept here as the reference.
+at its basis branches, mixedness is the closed form of one Pauli on the
+secret (0 with a piece unknown, half the Bloch length with all four
+known), and the two token rounds share one enumeration when their steps
+agree.  These tests hold each to the per-case loop it replaced, which is
+kept here as the reference.
 """
 
 import hashlib
@@ -219,7 +220,8 @@ def reference_mixedness(known=None, secret_amplitudes=security._PROBE_QUBIT):
         encrypted = statevec.apply_pauli(secret, 0, correction)
         accumulated += np.outer(encrypted.amplitudes, encrypted.amplitudes.conj())
         count += 1
-    return statevec.trace_distance(accumulated / count, np.eye(2, dtype=complex) / 2)
+    mixed = statevec.DensityMatrix(np.eye(2, dtype=complex) / 2)
+    return statevec.trace_distance(statevec.DensityMatrix(accumulated / count), mixed)
 
 
 def random_qubit(rng):
@@ -241,9 +243,10 @@ def test_mixedness_matches_the_4k_loop(size):
 
 
 def test_mixedness_is_exactly_zero_with_any_piece_unknown():
-    # The twirl's weighted sign sums are integers that cancel, so no
-    # tolerance: the 4^k loop leaves float residues here.  With all four
-    # pieces known the qubit is pure and only rounding separates the two.
+    # An unknown piece makes the Pauli uniform, and the closed form returns
+    # 0.0 with no tolerance: the 4^k loop leaves float residues here.  With
+    # all four pieces known the qubit is pure and only rounding separates
+    # the two.
     rng = random.Random(21)
     secrets = [security._PROBE_QUBIT] + [random_qubit(rng) for _ in range(200)]
     for secret in secrets:
@@ -258,7 +261,7 @@ def test_mixedness_is_exactly_zero_with_any_piece_unknown():
 
 # sha256 of the reprs of encrypted_qubit_mixedness_55 over the grid below,
 # one per line: the probe qubit and 200 random secrets, each under all 16
-# subsets of PIECES with random known codes.  The integer twirl claims the
+# subsets of PIECES with random known codes.  The closed form claims the
 # same bytes, not only values within a tolerance.
 GOLDEN_MIXEDNESS = "4630b6d77069c8d2d6e216af96326aeffba2fd2f62c015fa94993d0685073efd"
 
@@ -285,6 +288,18 @@ def test_mixedness_validation_messages_are_unchanged(known):
         security.encrypted_qubit_mixedness_55(known)
     with pytest.raises(ValueError) as expected:
         reference_mixedness(known)
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("size", range(len(PIECES) + 1))
+def test_mixedness_validates_the_secret_with_any_piece_unknown(size):
+    # The closed form needs no secret with a piece unknown, but a secret
+    # that is not a qubit is refused as the loop refuses it.
+    known = dict.fromkeys(PIECES[:size], BELL_LABELS[0])
+    with pytest.raises(ValueError) as raised:
+        security.encrypted_qubit_mixedness_55(known, (0.9, 0.9))
+    with pytest.raises(ValueError) as expected:
+        reference_mixedness(known, (0.9, 0.9))
     assert str(raised.value) == str(expected.value)
 
 
