@@ -13,14 +13,16 @@ The (5,5) scheme runs the same splitting circuit on a qubit secret, with the
 five decryption pieces sent to five receivers over private channels and no
 authentication round.
 
-Every run produces a :class:`Transcript`: an ordered record of quantum sends,
-classical messages, measurements and phase markers, serialisable as one JSON
-object per line (schema ``qss-transcript/1``, bit strings rendered most
-significant bit first).  A run reads its coins and pair codes off raw words
-of Philox4x64-10 keyed by the 64-bit seed, a stream numpy pins across
-versions, so identical (secret, seed, attack) triples yield byte-identical
-transcripts.  Parties interact only through channel events inside a
-single-threaded loop; independent runs may execute concurrently.
+Every run produces a :class:`Transcript`, which records its own events: quantum
+sends, classical messages, measurements and phase markers, in order.  It is
+serialised as one JSON object per line (schema ``qss-transcript/1``, bit
+strings rendered most significant bit first) by :func:`jsonl`, the one line
+writer of transcripts and ``qss-report/1`` reports: compact, keys sorted.  A
+run reads its coins and pair codes off raw words of Philox4x64-10 keyed by the
+64-bit seed, a stream numpy pins across versions, so identical (secret, seed,
+attack) triples yield byte-identical transcripts.  Parties interact only
+through channel events inside a single-threaded loop; independent runs may
+execute concurrently.
 """
 
 from __future__ import annotations
@@ -270,6 +272,19 @@ NO_ATTACK = AttackModel()
 # ---------------------------------------------------------------------------
 # Transcript model.
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def jsonl(*records) -> str:
+    """Each record as one line of compact JSON with sorted keys: the line
+    format of transcripts and ``qss-report/1`` reports."""
+    return "".join(_ENCODER.encode(record) + "\n" for record in records)
+
+
+def _bits(label: BellLabel | None) -> str | None:
+    return None if label is None else label.bits
+
+
 @dataclass
 class Event:
     index: int
@@ -281,21 +296,17 @@ class Event:
     basis: str | None = None
     result: str | None = None
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "index": self.index,
-                "phase": self.phase,
-                "kind": self.kind,
-                "from": self.sender,
-                "to": self.recipient,
-                "payload": self.payload,
-                "basis": self.basis,
-                "result": self.result,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+    def to_json_obj(self) -> dict:
+        return {
+            "index": self.index,
+            "phase": self.phase,
+            "kind": self.kind,
+            "from": self.sender,
+            "to": self.recipient,
+            "payload": self.payload,
+            "basis": self.basis,
+            "result": self.result,
+        }
 
 
 @dataclass
@@ -316,14 +327,14 @@ class ShareSet22:
     def to_json_obj(self) -> dict:
         return {
             "r1-share": {
-                "pair-label": self.pair1_label.bits if self.pair1_label is not None else None,
-                "swap-bsm": self.swap_bsm.bits if self.swap_bsm is not None else None,
+                "pair-label": _bits(self.pair1_label),
+                "swap-bsm": _bits(self.swap_bsm),
             },
             "r2-share": {
                 "cipher-bit": None if self.cipher_bit is None else str(self.cipher_bit),
-                "pair-label": self.pair2_label.bits if self.pair2_label is not None else None,
+                "pair-label": _bits(self.pair2_label),
             },
-            "public-teleport-bsm": self.teleport_bsm.bits if self.teleport_bsm is not None else None,
+            "public-teleport-bsm": _bits(self.teleport_bsm),
         }
 
 
@@ -347,11 +358,11 @@ class ShareSet55:
         if self.encrypted_qubit is not None:
             qubit = [[a.real, a.imag] for a in self.encrypted_qubit.amplitudes]
         return {
-            "r1-swap-bsm": self.swap_bsm.bits if self.swap_bsm is not None else None,
+            "r1-swap-bsm": _bits(self.swap_bsm),
             "r2-encrypted-qubit": qubit,
-            "r3-pair1-label": self.pair1_label.bits if self.pair1_label is not None else None,
-            "r4-pair2-label": self.pair2_label.bits if self.pair2_label is not None else None,
-            "r5-teleport-bsm": self.teleport_bsm.bits if self.teleport_bsm is not None else None,
+            "r3-pair1-label": _bits(self.pair1_label),
+            "r4-pair2-label": _bits(self.pair2_label),
+            "r5-teleport-bsm": _bits(self.teleport_bsm),
         }
 
 
@@ -369,55 +380,39 @@ class Transcript:
     def to_jsonl(self) -> str:
         """One JSON object per line: header, events, then a footer with the
         final shares and outcome."""
-        header = json.dumps(
-            {"schema": TRANSCRIPT_SCHEMA, "scheme": self.scheme, "seed": self.seed},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        footer_obj = {
+        header = {"schema": TRANSCRIPT_SCHEMA, "scheme": self.scheme, "seed": self.seed}
+        footer = {
             "outcome": self.outcome,
             "reconstructed": None if self.reconstructed is None else str(self.reconstructed),
             "shares": self.shares.to_json_obj() if self.shares is not None else None,
         }
         if self.scheme == "qss55":
-            footer_obj["fidelity"] = self.reconstruction_fidelity
+            footer["fidelity"] = self.reconstruction_fidelity
         if self.eavesdropper is not None:
-            footer_obj["eavesdropper"] = self.eavesdropper
-        footer = json.dumps(footer_obj, sort_keys=True, separators=(",", ":"))
-        lines = [header, *(e.to_json() for e in self.events), footer]
-        return "\n".join(lines) + "\n"
+            footer["eavesdropper"] = self.eavesdropper
+        return jsonl(header, *(e.to_json_obj() for e in self.events), footer)
 
     def public_messages(self) -> list[Event]:
         return [e for e in self.events if e.kind == "classical-public"]
 
-
-class _TranscriptBuilder:
-    # Each helper appends one positionally built Event: (index, phase, kind,
-    # sender, recipient, payload, basis, result).
-    def __init__(self, seed: int, scheme: str) -> None:
-        self.transcript = Transcript(seed=seed, scheme=scheme)
-        self._events = self.transcript.events
-        self._phase = ""
-
     def phase(self, name: str) -> None:
-        self._phase = name
-        events = self._events
-        events.append(Event(len(events), name, "phase", None, None, name))
+        self.events.append(Event(len(self.events), name, "phase", None, None, name))
 
     def quantum_send(self, sender: str, recipient: str, wire: str) -> None:
-        events = self._events
-        events.append(Event(len(events), self._phase, "quantum-send", sender, recipient, wire))
+        self._record("quantum-send", sender, recipient, wire)
 
     def classical(self, sender: str, recipient: str, bits: str, private: bool = False) -> None:
-        kind = "classical-private" if private else "classical-public"
-        events = self._events
-        events.append(Event(len(events), self._phase, kind, sender, recipient, bits))
+        self._record("classical-private" if private else "classical-public", sender, recipient, bits)
 
     def measurement(self, party: str, basis: str, result: str) -> None:
-        events = self._events
-        events.append(
-            Event(len(events), self._phase, "measurement", party, None, None, basis, result)
-        )
+        self._record("measurement", party, None, None, basis, result)
+
+    def _record(self, kind: str, *values: str | None) -> None:
+        # Appends an Event of sender, recipient, payload, basis and result in
+        # the last event's phase: a marker carries its own name, and before
+        # any marker the phase is "".
+        events = self.events
+        events.append(Event(len(events), events[-1].phase if events else "", kind, *values))
 
 
 # Payloads a classical channel may carry and results a measurement may
@@ -574,7 +569,7 @@ def prepare_token_register(pair_a: BellLabel, pair_b: BellLabel) -> StateVector:
 
 def run_auth_tokens(
     rng: np.random.Philox,
-    transcript: _TranscriptBuilder,
+    transcript: Transcript,
     attack: AttackModel,
 ) -> AuthResult:
     """Token phase of the (2,2) scheme.
@@ -636,7 +631,7 @@ def coin_count(attack: AttackModel) -> int:
     return sum(len(linear_map.coins) for linear_map in _run_maps(attack))
 
 
-def _record_splitting(transcript: _TranscriptBuilder, results: Mapping) -> None:
+def _record_splitting(transcript: Transcript, results: Mapping) -> None:
     # The splitting phase's sends and its receivers' and sender's
     # measurements, from the outcomes by name.
     transcript.quantum_send(SENDER, RECEIVER_1, "split-pair1-half")
@@ -653,7 +648,7 @@ def run_splitting_22(
     pair1: BellLabel,
     pair2: BellLabel,
     rng: np.random.Philox,
-    transcript: _TranscriptBuilder,
+    transcript: Transcript,
     attack: AttackModel,
 ) -> SplitResult:
     """Splitting phase of the (2,2) scheme on a computational-basis secret."""
@@ -817,27 +812,22 @@ def run_qss22(
     if secret_bit not in (0, 1):
         raise ValueError(f"secret bit must be 0 or 1, got {secret_bit}")
     rng = make_rng(seed)
-    builder = _TranscriptBuilder(operator.index(seed), "qss22")  # make_rng's key
+    transcript = Transcript(operator.index(seed), "qss22")  # make_rng's key
 
-    builder.phase("authentication-tokens")
-    auth = run_auth_tokens(rng, builder, attack)
+    transcript.phase("authentication-tokens")
+    auth = run_auth_tokens(rng, transcript, attack)
 
-    builder.phase("information-splitting")
+    transcript.phase("information-splitting")
     split = run_splitting_22(
-        secret_bit,
-        auth.records[RECEIVER_1],
-        auth.records[RECEIVER_2],
-        rng,
-        builder,
-        attack,
+        secret_bit, auth.records[RECEIVER_1], auth.records[RECEIVER_2], rng, transcript, attack
     )
 
-    builder.phase("authentication")
+    transcript.phase("authentication")
     code1 = auth.codes[RECEIVER_1]
     code2 = auth.codes[RECEIVER_2]
     token_r1, token_r2 = sent_tokens(code1, code2, split.swap_bsm, split.cipher_bit, attack)
-    builder.classical(RECEIVER_1, SENDER, token_r1.bits)
-    builder.classical(RECEIVER_2, SENDER, str(token_r2))
+    transcript.classical(RECEIVER_1, SENDER, token_r1.bits)
+    transcript.classical(RECEIVER_2, SENDER, str(token_r2))
 
     records = SenderRecords(
         pair1_label=auth.records[RECEIVER_1],
@@ -847,11 +837,10 @@ def run_qss22(
     )
     accepted = verify_authentication(records, (token_r1.z, token_r1.x), token_r2)
 
-    transcript = builder.transcript
     if accepted:
-        builder.classical(SENDER, RECEIVER_1, split.teleport_bsm.bits)
-        builder.classical(SENDER, RECEIVER_2, split.teleport_bsm.bits)
-        builder.phase("combining")
+        transcript.classical(SENDER, RECEIVER_1, split.teleport_bsm.bits)
+        transcript.classical(SENDER, RECEIVER_2, split.teleport_bsm.bits)
+        transcript.phase("combining")
         shares = ShareSet22(
             pair1_label=code1,
             swap_bsm=split.swap_bsm,
@@ -895,27 +884,26 @@ def run_qss55(
     """
     secret = statevec.single_qubit(*secret_amplitudes)  # validates normalisation
     rng = make_rng(seed)
-    builder = _TranscriptBuilder(operator.index(seed), "qss55")  # make_rng's key
+    transcript = Transcript(operator.index(seed), "qss55")  # make_rng's key
 
-    builder.phase("information-splitting")
+    transcript.phase("information-splitting")
     # Word 0's low and high 32-bit halves give the pair codes, by top 2 bits.
     word = rng.random_raw()
     pair1, pair2 = BELL_LABELS[word >> 30 & 3], BELL_LABELS[word >> 62]
-    builder.classical(SENDER, RECEIVER_3, pair1.bits, private=True)
-    builder.classical(SENDER, RECEIVER_4, pair2.bits, private=True)
+    transcript.classical(SENDER, RECEIVER_3, pair1.bits, private=True)
+    transcript.classical(SENDER, RECEIVER_4, pair2.bits, private=True)
     # The swap and teleport outcomes are uniform whatever the secret qubit, so
     # secret bit 0 serves; the cipher bit draws no coin, and R2 keeps its qubit.
     results = _draw_named("splitting", splitting_steps(NO_ATTACK), (0, pair1, pair2), rng)
     del results["cipher"]
     swap, tele = results["swap"], results["tele"]
-    _record_splitting(builder, results)
-    builder.classical(SENDER, RECEIVER_5, tele.bits, private=True)
+    _record_splitting(transcript, results)
+    transcript.classical(SENDER, RECEIVER_5, tele.bits, private=True)
 
     encrypted = statevec.apply_pauli(secret, 0, end_to_end_correction(pair1, pair2, swap, tele))
     shares = ShareSet55(swap, encrypted, pair1, pair2, tele)
-    builder.phase("decoding")
+    transcript.phase("decoding")
     recovered = reconstruct55(shares)
-    transcript = builder.transcript
     transcript.shares = shares
     transcript.outcome = "accepted"
     transcript.reconstruction_fidelity = statevec.fidelity(recovered, secret)

@@ -36,7 +36,6 @@ outcome distributions) and the secret bit is uniform.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -590,10 +589,4 @@ _REPORT_KINDS = {
 
 
 def report_to_jsonl(report: SecrecyReport | AttackSweepReport | UniformityReport) -> str:
-    header = json.dumps(
-        {"schema": REPORT_SCHEMA, "kind": _REPORT_KINDS[type(report)]},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    body = json.dumps(report.to_json_obj(), sort_keys=True, separators=(",", ":"))
-    return header + "\n" + body + "\n"
+    return protocol.jsonl({"schema": REPORT_SCHEMA, "kind": _REPORT_KINDS[type(report)]}, report.to_json_obj())

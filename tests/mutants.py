@@ -1,6 +1,7 @@
 """A mutation gate for the stabilizer engine, the run's bit algebra, the
-vectorised Philox, the numpy-free imports, the (5,5) mixedness and the
-state-vector gates.
+vectorised Philox, the numpy-free imports, the (5,5) mixedness, the
+state-vector gates, the exact analysis's run basis and the transcript's
+line writer and recorders.
 
 Each mutant names a file under ``src/qsshare``, an exact old text that must
 occur there once, its replacement, and the test files that must kill it
@@ -16,7 +17,7 @@ survivor.  The script needs no package beyond the test dependencies:
 
 It prints one line per mutant and exits 1 when any verdict is not the
 expected one.  It is not a tier-1 test: each mutant costs a pytest run,
-the surviving control about 15 s on a 2-vCPU machine, and all 17 about 51 s.
+the surviving control about 14 s on a 2-vCPU machine, and all 25 about 69 s.
 """
 
 import os
@@ -107,6 +108,31 @@ MUTANTS = (
         "for j in range(16)",
         tests=("tests/test_batch.py",),
     ),
+    # The coins' columns are XORed in last coin first: coin weights read
+    # least significant first.
+    Mutant(
+        "draw-coins-reversed",
+        "protocol.py",
+        "zip(coins, rng.random_raw(",
+        "zip(coins[::-1], rng.random_raw(",
+        tests=("tests/test_draws.py",),
+    ),
+    # The line writer keeps each record's key order.
+    Mutant(
+        "jsonl-unsorted",
+        "protocol.py",
+        "sort_keys=True, ",
+        "",
+        tests=("tests/test_draws.py",),
+    ),
+    # A recorded event takes the phase of the first event, not the last.
+    Mutant(
+        "record-in-first-phase",
+        "protocol.py",
+        "events[-1].phase",
+        "events[0].phase",
+        tests=("tests/test_draws.py",),
+    ),
     # Three of the four pieces known already reads as a pure qubit.
     Mutant(
         "mixedness-three-pieces-pure",
@@ -155,6 +181,48 @@ MUTANTS = (
         "security.py",
         "unit ^ t1 << _T1 ^ t2 << _T2",
         "unit ^ t2 << _T2",
+        tests=("tests/test_security.py", "tests/test_secrecy_codes.py"),
+    ),
+    # The basis leaves out the last splitting coin's word.
+    Mutant(
+        "basis-without-last-coin",
+        "security.py",
+        "flips + split_flips]",
+        "flips + split_flips[:-1]]",
+        tests=("tests/test_secrecy_codes.py", "tests/test_ranks.py"),
+    ),
+    # The secret's word sets the secret's own bit but leaves out what the
+    # secret flips in the splitting phase.
+    Mutant(
+        "basis-without-secret",
+        "security.py",
+        '[images["secret"][0] ^ secret]',
+        '[images["secret"][0]]',
+        tests=("tests/test_secrecy_codes.py", "tests/test_security.py"),
+    ),
+    # R1's token is packed over the teleport outcome's bits in a run word.
+    Mutant(
+        "token-r1-over-tele",
+        "security.py",
+        '"token_r1": (1, 2)',
+        '"token_r1": (3, 2)',
+        tests=("tests/test_secrecy_codes.py", "tests/test_security.py"),
+    ),
+    # The rejection mask leaves out the secret's bit.
+    Mutant(
+        "reject-mask-without-secret",
+        "security.py",
+        "for units in _UNITS.values()",
+        "for units in list(_UNITS.values())[1:]",
+        tests=("tests/test_security.py", "tests/test_secrecy_codes.py"),
+    ),
+    # A view pins the secret by reducing its flip against a span that holds
+    # that flip too, so no view ever pins it.
+    Mutant(
+        "pins-secret-against-own-flip",
+        "security.py",
+        "for c in coins]), secret)",
+        "for c in (secret, *coins)]), secret)",
         tests=("tests/test_security.py", "tests/test_secrecy_codes.py"),
     ),
     Mutant("no-op-control", "stabilizer.py", "        coins += 1\n", "        coins = coins + 1\n", killed=False),

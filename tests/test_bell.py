@@ -31,7 +31,7 @@ from qsshare.bell import (
 )
 from qsshare.protocol import (
     NO_ATTACK,
-    _TranscriptBuilder,
+    Transcript,
     make_rng,
     run_qss22,
     run_splitting_22,
@@ -169,7 +169,7 @@ def test_a_value_is_never_read_as_a_bit(value):
     with pytest.raises(TypeError):
         run_qss22(value, 7)
     with pytest.raises(TypeError):
-        run_splitting_22(value, PHI_PLUS, PHI_PLUS, make_rng(7), _TranscriptBuilder(7, "qss22"), NO_ATTACK)
+        run_splitting_22(value, PHI_PLUS, PHI_PLUS, make_rng(7), Transcript(7, "qss22"), NO_ATTACK)
     with pytest.raises(ValueError, match="bits must be 0 or 1"):
         statevec.computational_state([value])
 

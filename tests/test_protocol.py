@@ -33,7 +33,7 @@ from qsshare.protocol import (
     SenderRecords,
     ShareSet22,
     ShareSet55,
-    _TranscriptBuilder,
+    Transcript,
     make_rng,
     prepare_splitting_register,
     prepare_token_register,
@@ -89,7 +89,7 @@ def test_token_round_agrees_for_every_outcome(pairs):
 
 def test_run_auth_tokens_honest_records_match():
     for seed in range(50):
-        result = run_auth_tokens(make_rng(seed), _TranscriptBuilder(seed, "qss22"), NO_ATTACK)
+        result = run_auth_tokens(make_rng(seed), Transcript(seed, "qss22"), NO_ATTACK)
         assert result.records == result.codes
 
 
@@ -97,7 +97,7 @@ def test_token_outcomes_are_uniform():
     counts = {label: 0 for label in BELL_LABELS}
     trials = 10000
     for seed in range(trials):
-        result = run_auth_tokens(make_rng(seed), _TranscriptBuilder(seed, "qss22"), NO_ATTACK)
+        result = run_auth_tokens(make_rng(seed), Transcript(seed, "qss22"), NO_ATTACK)
         counts[result.codes[RECEIVER_1]] += 1
     # each outcome has probability 1/4; allow 3 sigma
     sigma = (trials * 0.25 * 0.75) ** 0.5
@@ -233,7 +233,7 @@ def test_run_qss22_reads_an_integer_secret_as_its_bit(secret, bit):
                 run_qss22(secret, 7, attack)
             with pytest.raises(TypeError):
                 run_splitting_22(
-                    secret, PHI_PLUS, PHI_PLUS, make_rng(7), _TranscriptBuilder(7, "qss22"), attack
+                    secret, PHI_PLUS, PHI_PLUS, make_rng(7), Transcript(7, "qss22"), attack
                 )
         else:
             assert run_qss22(secret, 7, attack).to_jsonl() == run_qss22(bit, 7, attack).to_jsonl()
@@ -258,6 +258,31 @@ def test_transcript_jsonl_shape():
     for line in lines[1:-1]:
         event = json.loads(line)
         assert set(event) == {"index", "phase", "kind", "from", "to", "payload", "basis", "result"}
+
+
+def test_transcript_records_each_event_in_the_latest_phase():
+    # Full runs always open with a marker; a bare transcript records its
+    # first events in phase "", then each event in the latest marker's.
+    transcript = Transcript(7, "qss22")
+    transcript.quantum_send(SENDER, RECEIVER_1, "wire")
+    transcript.classical(RECEIVER_1, SENDER, "01")
+    transcript.phase("first")
+    transcript.measurement(RECEIVER_1, "bell", "10")
+    transcript.classical(SENDER, RECEIVER_2, "1", private=True)
+    transcript.phase("second")
+    transcript.quantum_send(SENDER, RECEIVER_2, "wire")
+    transcript.measurement(RECEIVER_2, "computational", "0")
+    assert transcript.events == [
+        Event(0, "", "quantum-send", SENDER, RECEIVER_1, "wire"),
+        Event(1, "", "classical-public", RECEIVER_1, SENDER, "01"),
+        Event(2, "first", "phase", payload="first"),
+        Event(3, "first", "measurement", RECEIVER_1, basis="bell", result="10"),
+        Event(4, "first", "classical-private", SENDER, RECEIVER_2, "1"),
+        Event(5, "second", "phase", payload="second"),
+        Event(6, "second", "quantum-send", SENDER, RECEIVER_2, "wire"),
+        Event(7, "second", "measurement", RECEIVER_2, basis="computational", result="0"),
+    ]
+    validate_transcript(transcript)
 
 
 def test_channel_discipline_is_enforced():
