@@ -156,20 +156,22 @@ def coin_index(keys: np.ndarray, count: int) -> np.ndarray:
 
     * round 0 gives (k, 0, h, l) with (h, l) = mulhilo(M0, j + 1), and
       round 1 (hi(M1·h) ^ (k + W0), lo(M1·h), hi(M0·k) ^ l ^ W1, lo(M0·k)):
-      a row of ``_COUNTER_ROUNDS`` per block and one product over the keys;
-    * rounds 2 to 8 multiply the full (keys × blocks) arrays in place;
+      a column of ``_COUNTER_ROUNDS`` per block and one product over the
+      keys;
+    * rounds 2 to 8 multiply (blocks × keys) arrays, a row per block, so
+      every key and counter term broadcasts along a contiguous row;
     * a coin reads only its word's top bit in round 9.  hi(M·x) ≥ 2^63
       exactly when x ≥ ⌈2^127 / M⌉ (``_HI_TOP_FROM``), and the top bit of
       a XOR is the XOR of the top bits, so the round is two wrapping
       multiplies and compares.
 
-    Packing each key's coins into the low bits of a 64-bit row gives its
-    index as one big-endian word."""
+    Coin j is word j & 3 of block j >> 2, and the coins shift into the
+    index one by one, the first most significant."""
     if not 0 <= count < 64:
         raise ValueError(f"coin_index packs 0 to 63 coins, got {count}")
-    keys = np.asarray(keys, dtype=np.uint64)[:, None]
+    keys = np.asarray(keys, dtype=np.uint64)
     blocks = -(-count // 4)
-    ctr_hi, x1, ctr_lo = _COUNTER_ROUNDS[:, :blocks]
+    ctr_hi, x1, ctr_lo = _COUNTER_ROUNDS[:, :blocks, None]
     key_hi, x3 = _mulhilo(_PHILOX_M[0], keys)
     x0 = ctr_hi ^ (keys + _PHILOX_KEYS[1][0])
     x2 = key_hi ^ ctr_lo
@@ -182,14 +184,15 @@ def coin_index(keys: np.ndarray, count: int) -> np.ndarray:
         hi0 ^= k1
         x0, x1, x2, x3 = hi1, lo1, hi0, lo0
     k0, k1 = _PHILOX_KEYS[-1]
-    coins = np.stack(
-        [(x2 < _HI_TOP_FROM[1]) ^ ((x1 ^ (keys + k0)) >= _TOP_BIT), x2 * _PHILOX_M[1][2] < _TOP_BIT,
-         (x0 < _HI_TOP_FROM[0]) ^ ((x3 ^ k1) >= _TOP_BIT), x0 * _PHILOX_M[0][2] < _TOP_BIT],
-        axis=-1,
+    words = (
+        (x2 < _HI_TOP_FROM[1]) ^ ((x1 ^ (keys + k0)) >= _TOP_BIT), x2 * _PHILOX_M[1][2] < _TOP_BIT,
+        (x0 < _HI_TOP_FROM[0]) ^ ((x3 ^ k1) >= _TOP_BIT), x0 * _PHILOX_M[0][2] < _TOP_BIT,
     )
-    bits = np.zeros((len(keys), 64), dtype=bool)
-    bits[:, 64 - count :] = coins.reshape(len(keys), 4 * blocks)[:, :count]
-    return np.packbits(bits).view(">i8").astype(np.int64)
+    index = np.zeros(len(keys), dtype=np.int64)
+    for j in range(count):
+        index <<= 1
+        index |= words[j & 3][j >> 2]
+    return index
 
 
 # ---------------------------------------------------------------------------

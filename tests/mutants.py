@@ -17,7 +17,7 @@ survivor.  The script needs no package beyond the test dependencies:
 
 It prints one line per mutant and exits 1 when any verdict is not the
 expected one.  It is not a tier-1 test: each mutant costs a pytest run,
-the surviving control about 14 s on a 2-vCPU machine, and all 25 about 69 s.
+the surviving control about 15 s on a 2-vCPU machine, and all 26 about 76 s.
 """
 
 import os
@@ -106,6 +106,14 @@ MUTANTS = (
         "protocol.py",
         "for j in range(1, 17)",
         "for j in range(16)",
+        tests=("tests/test_batch.py",),
+    ),
+    # The index reads the four words of each block last word first.
+    Mutant(
+        "coin-lanes-reversed",
+        "protocol.py",
+        "words[j & 3][j >> 2]",
+        "words[3 - (j & 3)][j >> 2]",
         tests=("tests/test_batch.py",),
     ),
     # The coins' columns are XORed in last coin first: coin weights read

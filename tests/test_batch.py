@@ -168,6 +168,25 @@ def test_coins_match_numpy():
         assert coins == expected, key
 
 
+@pytest.mark.parametrize("count", [8, 10, 11])
+def test_coins_match_numpy_at_sweep_widths(count):
+    # A sweep reads 8 or 10 coins per trial, two or three blocks of a
+    # chunk's keys; 11 leaves one word of the third block unread.
+    keys = [random.Random(count).getrandbits(64) for _ in range(1000)]
+    indices = protocol.coin_index(np.array(keys, dtype=np.uint64), count)
+    assert unpacked_coins(indices, count) == numpy_coins(keys, count)
+
+
+def test_coin_indices_of_strided_and_listed_keys():
+    # The keys broadcast along each block's row whatever their memory
+    # layout: a strided view and a Python list give the contiguous array's
+    # indices.
+    keys = np.array([random.Random(3).getrandbits(64) for _ in range(300)], dtype=np.uint64)[::3]
+    expected = protocol.coin_index(np.ascontiguousarray(keys), 11).tolist()
+    assert protocol.coin_index(keys, 11).tolist() == expected
+    assert protocol.coin_index(keys.tolist(), 11).tolist() == expected
+
+
 @pytest.mark.parametrize("count", range(64))
 def test_coin_indices_cut_to_any_count(count):
     # The first count coins of 63, across every block boundary.
@@ -282,6 +301,28 @@ def test_analyze_view_reports_are_pinned(capsys):
             assert cli.main(["analyze", "--view", view, "--format", fmt]) == cli.EXIT_OK
             digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == GOLDEN_VIEWS
+
+
+@pytest.mark.parametrize(
+    "spec, trials, seed, digest",
+    [
+        # 10,000 trials in three 4096-trial chunks, 10 coins each: a third,
+        # partial Philox block.
+        ("intercept-resend-computational:auth-r2", 10000, 5,
+         "6c09326dad7f2b832c0758cedea91315ec998c2f541a09f7c7e5f2a8f0d6e2b8"),
+        # The ancilla step list.
+        ("entangle-ancilla", 1000, 3, "f9cf27d6ad427c1925c449c5b7ae8f1dff5c7c9f4760558adcb027c69c0c5363"),
+        # The widest run: 10 coins, 2,048 leaf keys.
+        ("intercept-resend-computational:auth-r1", 1000, 3,
+         "7273182c707bb0865d458b7864cbb66095e8ea7e5e10b194c0b380fa9be4d61e"),
+    ],
+    ids=["chunked", "ancilla", "widest"],
+)
+def test_ci_sweep_pins_hold_in_process(spec, trials, seed, digest, capsys):
+    # The sweep rows the main CI job pins against the installed entry point.
+    argv = ["analyze", "--attack", spec, "--trials", str(trials), "--seed", str(seed), "--format", "structured"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
