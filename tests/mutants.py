@@ -1,12 +1,13 @@
 """A mutation gate for the stabilizer engine, the run's bit algebra, the
 vectorised Philox, the numpy-free imports, the (5,5) mixedness, the
-state-vector gates, the exact analysis's run basis and the transcript's
-line writer and recorders.
+state-vector gates, the exact analysis's run basis, the transcript's
+line writer and recorders, and the command line's output.
 
 Each mutant names a file under ``src/qsshare``, an exact old text that must
 occur there once, its replacement, and the test files that must kill it
 (the engine's tests, :data:`TESTS`, unless it names others).  For each
-mutant the harness copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
+mutant the harness copies ``src/``, ``tests/``, ``pyproject.toml`` and
+``README.md`` (whose examples ``tests/test_pins.py`` reads) to a
 temporary directory, applies the mutant to the copy, and runs its tests
 there; pyproject's ``pythonpath`` puts the copy's ``src`` first on the path.
 A mutant is killed when a test fails.  Every mutant must be killed except the
@@ -17,7 +18,7 @@ survivor.  The script needs no package beyond the test dependencies:
 
 It prints one line per mutant and exits 1 when any verdict is not the
 expected one.  It is not a tier-1 test: each mutant costs a pytest run,
-the surviving control about 15 s on a 2-vCPU machine, and all 26 about 76 s.
+the surviving control about 15 s on a 2-vCPU machine, and all 27 about 79 s.
 """
 
 import os
@@ -233,6 +234,14 @@ MUTANTS = (
         "for c in (secret, *coins)]), secret)",
         tests=("tests/test_security.py", "tests/test_secrecy_codes.py"),
     ),
+    # A multi-trial run prints a blank line between its trials.
+    Mutant(
+        "run-trials-newline-joined",
+        "cli.py",
+        '"".join(chunks)',
+        '"\\n".join(chunks)',
+        tests=("tests/test_pins.py",),
+    ),
     Mutant("no-op-control", "stabilizer.py", "        coins += 1\n", "        coins = coins + 1\n", killed=False),
 )
 
@@ -244,7 +253,8 @@ def killed(mutant: Mutant) -> tuple[bool, float]:
         copy = Path(tmp)
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", copy)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, copy)
         target = copy / "src" / "qsshare" / mutant.file
         text = target.read_text(encoding="utf-8")
         if text.count(mutant.old) != 1:

@@ -303,28 +303,6 @@ def test_analyze_view_reports_are_pinned(capsys):
     assert digest.hexdigest() == GOLDEN_VIEWS
 
 
-@pytest.mark.parametrize(
-    "spec, trials, seed, digest",
-    [
-        # 10,000 trials in three 4096-trial chunks, 10 coins each: a third,
-        # partial Philox block.
-        ("intercept-resend-computational:auth-r2", 10000, 5,
-         "6c09326dad7f2b832c0758cedea91315ec998c2f541a09f7c7e5f2a8f0d6e2b8"),
-        # The ancilla step list.
-        ("entangle-ancilla", 1000, 3, "f9cf27d6ad427c1925c449c5b7ae8f1dff5c7c9f4760558adcb027c69c0c5363"),
-        # The widest run: 10 coins, 2,048 leaf keys.
-        ("intercept-resend-computational:auth-r1", 1000, 3,
-         "7273182c707bb0865d458b7864cbb66095e8ea7e5e10b194c0b380fa9be4d61e"),
-    ],
-    ids=["chunked", "ancilla", "widest"],
-)
-def test_ci_sweep_pins_hold_in_process(spec, trials, seed, digest, capsys):
-    # The sweep rows the main CI job pins against the installed entry point.
-    argv = ["analyze", "--attack", spec, "--trials", str(trials), "--seed", str(seed), "--format", "structured"]
-    assert cli.main(argv) == cli.EXIT_OK
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-
-
 # ---------------------------------------------------------------------------
 # Edge cases.
 

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import subprocess
@@ -123,17 +122,6 @@ def test_verify_tables_passes_on_fresh_build(capsys):
     assert code == EXIT_OK
     assert "16/16 teleportation entries, 64/64 swapping entries verified" in out
     assert "teleport Φ- bsm=11 -> X" in out
-
-
-# sha256 of the whole ``verify-tables`` stdout: 80 table rows in key order
-# and the verdict line.
-GOLDEN_VERIFY_TABLES = "30d87e38f1f341fb280b6d2ac48eafc8942b45ac817c8b49dc01da9a5a7c9fb9"
-
-
-def test_verify_tables_output_is_pinned(capsys):
-    code, out, _ = run_main(["verify-tables"], capsys)
-    assert code == EXIT_OK
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_TABLES
 
 
 def test_verify_tables_reports_corruption(monkeypatch, capsys):
