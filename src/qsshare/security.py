@@ -52,7 +52,6 @@ from .protocol import (
     NO_ATTACK,
     AttackModel,
     mask_tokens,
-    run_qss22,
     sent_tokens,
 )
 
@@ -395,18 +394,16 @@ class _SweepRecord(NamedTuple):
     """What the sweeps know of the run under one attack (:func:`_leaf_table`)."""
 
     keys: np.ndarray  # each branch's leaf key, by branch index: the basis expanded
-    leaves: list[tuple[bool, tuple[str, ...]] | None]  # a slot per key
     basis: tuple[int, ...]  # the run's words at its basis branches (_basis)
 
 
 @lru_cache(maxsize=None)
 def _leaf_table(attack: AttackModel) -> _SweepRecord:
     # The sweeps' record of the run under the attack: its basis, which gives
-    # the exact rate; each branch's leaf key, the low five bits of that basis
-    # expanded (_run_words), with tele 4 on rejection; and a slot per key
-    # for a run's rejection and first three payloads, filled as trials reach
-    # it.  The rejecting keys' share (key >= 32), read by field, must be the
-    # basis' rate, read by mask, and a key's first run must encode to it.
+    # the exact rate, and each branch's leaf key, the low five bits of that
+    # basis expanded (_run_words), with tele 4 on rejection.  The rejecting
+    # keys' share (key >= 32), read by field, must be the basis' rate, read
+    # by mask.
     basis = _basis(attack)
     run = _run_words(basis)
     keys = np.where(_rejected(run), run & 7 | 32, run & 31)
@@ -414,7 +411,7 @@ def _leaf_table(attack: AttackModel) -> _SweepRecord:
     if Fraction(int(np.count_nonzero(keys >= 32)), len(keys)) != rate:
         raise AssertionError(f"{attack.spec_string}: the leaf keys disagree with the basis rate {rate}")
     keys.flags.writeable = False
-    return _SweepRecord(keys, [None] * 40, basis)
+    return _SweepRecord(keys, basis)
 
 
 def _trial_keys(seed: int, start: int, stop: int) -> np.ndarray:
@@ -422,9 +419,9 @@ def _trial_keys(seed: int, start: int, stop: int) -> np.ndarray:
     return np.arange(start, stop, dtype=np.uint64) + np.uint64(seed % (protocol.MAX_SEED + 1))
 
 
-def _trial_leaves(attack: AttackModel, trials: int, seed: int):
-    """Yield ``((rejected, public payloads), count)`` over the distinct
-    outcomes of ``trials`` seeded (2,2) runs under the attack.
+def _leaf_counts(attack: AttackModel, trials: int, seed: int) -> np.ndarray:
+    """How many of ``trials`` seeded (2,2) runs under the attack reach each
+    of the 40 leaf keys, as an int64 array indexed by key.
 
     Trial ``i`` runs with seed ``(seed + i) mod 2^64`` and secret ``i mod 2``.
     A run's transcript is a function of the attack, its secret and its
@@ -433,42 +430,38 @@ def _trial_leaves(attack: AttackModel, trials: int, seed: int):
     indices (:func:`protocol.coin_index`), and index the leaf keys of the
     run's branches in the attack's record (:func:`_leaf_table`), whose basis
     holds a word per coin besides the all-zero and the secret's words.  A
-    key's first trial runs in full (:func:`run_qss22`), and its payloads
-    must encode to the key.
+    key is the low five bits of a run word, so its fields
+    (:data:`_RUN_FIELDS`) are the run's first three payloads; a key of 32
+    or more is a rejection.
     """
     record = _leaf_table(attack)
-    keys, leaves, coins = record.keys, record.leaves, len(record.basis) - 2
+    keys, coins = record.keys, len(record.basis) - 2
+    counts = np.zeros(40, dtype=np.int64)
     for start in range(0, trials, _CHUNK_TRIALS):
         stop = min(start + _CHUNK_TRIALS, trials)
         seeds = _trial_keys(seed, start, stop)
-        drawn = keys[(np.arange(start, stop) & 1) << coins | protocol.coin_index(seeds, coins)]
-        counts = np.bincount(drawn, minlength=len(leaves)).tolist()
-        for key in (key for key, count in enumerate(counts) if count and leaves[key] is None):
-            i = int(np.argmax(drawn == key))
-            transcript = run_qss22((start + i) & 1, int(seeds[i]), attack)
-            payloads = tuple(event.payload for event in transcript.public_messages()[:3])
-            rejected = transcript.outcome == "rejected"
-            if int(payloads[0] + payloads[1], 2) + 8 * (4 if rejected else int(payloads[2], 2)) != key:
-                raise AssertionError(f"a run with payloads {payloads} drew leaf key {key}")
-            leaves[key] = rejected, payloads
-        yield from ((leaves[key], count) for key, count in enumerate(counts) if count)
+        indices = (np.arange(start, stop) & 1) << coins | protocol.coin_index(seeds, coins)
+        counts += np.bincount(keys[indices], minlength=40)
+    return counts
 
 
 def attack_sweep(attack: AttackModel, trials: int, seed: int) -> AttackSweepReport:
-    """Run the (2,2) scheme ``trials`` times under the attack and compare the
+    """Sample ``trials`` seeded (2,2) runs under the attack and compare their
     rejection fraction with the exact rate (:func:`exact_detection_rate`),
     read off the basis in the attack's record (:func:`_leaf_table`), so a
     warm sweep evaluates no branch of the run.
 
     Trial ``i`` runs with seed ``(seed + i) mod 2^64`` and secret ``i mod 2``,
-    so every trial is reproducible in isolation.  The sweep makes one full
-    run per distinct leaf, the first trial to reach it (:func:`_trial_leaves`).
+    so every trial is reproducible in isolation.  No trial runs in full
+    (:func:`protocol.run_qss22`): the sweep counts the trials that reach
+    each leaf key (:func:`_leaf_counts`), and the detections are the trials
+    at a rejecting key.
     """
     # Integers only: a float seed such as 1.5 raises instead of truncating.
     trials, seed = operator.index(trials), operator.index(seed)
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    detections = sum(count for (rejected, _), count in _trial_leaves(attack, trials, seed) if rejected)
+    detections = int(_leaf_counts(attack, trials, seed)[32:].sum())
     rate = detections / trials
     exact = _detection_rate(_leaf_table(attack).basis)
     low, high = interval_around_rate(float(exact), trials)
@@ -524,34 +517,31 @@ def public_transcript_uniformity(trials: int, seed: int) -> UniformityReport:
     and empirically with a chi-square test over seeded runs.
 
     Trial ``i`` is the honest run with seed ``(seed + i) mod 2^64`` and
-    secret ``i mod 2``; its three public messages are counted, with one full
-    run per distinct leaf (:func:`_trial_leaves`).  No trials report p = 1;
-    a negative count raises ``ValueError``.  The exact checks read the
-    basis in the honest run's sweep record (:func:`_leaf_table`), so a warm
-    call evaluates no branch of the run.
+    secret ``i mod 2``; its three public messages are its leaf key's fields
+    (:func:`_leaf_counts`), counted with the trials that reach each key.
+    No trials report p = 1; a negative count raises ``ValueError``.  The
+    exact checks read the basis in the honest run's sweep record
+    (:func:`_leaf_table`), so a warm call evaluates no branch of the run.
     """
     trials, seed = operator.index(trials), operator.index(seed)
     if trials < 0:
         raise ValueError(f"trials must not be negative, got {trials}")
     run = _leaf_table(NO_ATTACK).basis
+    counts = _leaf_counts(NO_ATTACK, trials, seed)
+    drawn = np.flatnonzero(counts)
     # In the order the run publishes them: the public-only view's columns.
     names = ("masked-swap-token", "masked-cipher-token", "published-teleport-bsm")
-    empirical: dict[str, dict[str, int]] = {name: {} for name in names}
-    for (_, payloads), count in _trial_leaves(NO_ATTACK, trials, seed):
-        for name, value in zip(names, payloads):
-            empirical[name][value] = empirical[name].get(value, 0) + count
     messages = {}
     for name, column in zip(names, _VIEW_COLUMNS["public-only"]):
-        counts = empirical[name]
         width = _RUN_FIELDS[column][1]  # the message's bits, one value per bit string
-        observed = [counts.get(format(v, f"0{width}b"), 0) for v in range(1 << width)]
-        chi_p = _uniform_chi_square_p(observed) if trials else 1.0
+        values = stabilizer.field(drawn, _RUN_FIELDS[column])
+        observed = np.bincount(values, counts[drawn], 1 << width).astype(np.int64).tolist()
         messages[name] = MessageUniformity(
             values=1 << width,
             exact_uniform=_rank(_flips(run, (column,))) == width,
             exact_secret_independent=not _pins_secret(run, (column,)),
-            empirical_counts=dict(sorted(counts.items())),
-            chi_square_p=chi_p,
+            empirical_counts={format(v, f"0{width}b"): c for v, c in enumerate(observed) if c},
+            chi_square_p=_uniform_chi_square_p(observed) if trials else 1.0,
         )
     return UniformityReport(trials=trials, messages=messages)
 

@@ -18,7 +18,7 @@ survivor.  The script needs no package beyond the test dependencies:
 
 It prints one line per mutant and exits 1 when any verdict is not the
 expected one.  It is not a tier-1 test: each mutant costs a pytest run,
-the surviving control about 15 s on a 2-vCPU machine, and all 27 about 79 s.
+the surviving control about 15 s on a 2-vCPU machine, and all 29 about 76 s.
 """
 
 import os
@@ -224,6 +224,25 @@ MUTANTS = (
         "for units in _UNITS.values()",
         "for units in list(_UNITS.values())[1:]",
         tests=("tests/test_security.py", "tests/test_secrecy_codes.py"),
+    ),
+    # The zero word sends R2's token flipped: every basis word, and so every
+    # leaf key, rejects the honest run, which the record's own rate check
+    # cannot see.
+    Mutant(
+        "basis-zero-flips-r2-token",
+        "security.py",
+        "zero = t1 << _T1 ^ t2 << _T2",
+        "zero = t1 << _T1 ^ (t2 ^ 1) << _T2",
+        tests=("tests/test_batch.py",),
+    ),
+    # The uniformity check counts each drawn leaf key once, not once per
+    # trial that reaches it.
+    Mutant(
+        "uniformity-unweighted",
+        "security.py",
+        "counts[drawn]",
+        "None",
+        tests=("tests/test_batch.py",),
     ),
     # A view pins the secret by reducing its flip against a span that holds
     # that flip too, so no view ever pins it.

@@ -1,15 +1,15 @@
-"""Batched sweeps: every trial's coins in one numpy pass, one full run per
-distinct leaf.
+"""Batched sweeps: every trial's coins in one numpy pass, counted by leaf
+key, and no full run.
 
 A seeded (2,2) run draws a fixed number of fair coins, and coin j of the
 run with seed k is the top bit of raw word j of ``Philox(key=k)``.  The
 sweeps compute those coins for all trials at once with a vectorised
 Philox4x64-10, read each trial's leaf key off the run's branch table, and
-run one full :func:`run_qss22` per key they have not seen.  These tests pin
-the coins against numpy, the coin counts against the tables, the leaf keys
-against a run of every coin pattern, and the reports byte for byte against
-the scalar loop the sweeps used to run, which is kept here as the
-reference.
+count the trials per key, whose fields are the run's public payloads.
+These tests pin the coins against numpy, the coin counts against the
+tables, the leaf keys against a full run of every coin pattern of every
+attack model, and the reports byte for byte against the scalar loop the
+sweeps used to run, which is kept here as the reference.
 """
 
 import hashlib
@@ -120,25 +120,6 @@ def scalar_uniformity(trials, seed):
             chi_square_p=security._uniform_chi_square_p(observed) if trials else 1.0,
         )
     return UniformityReport(trials=trials, messages=messages)
-
-
-@pytest.fixture
-def counted_calls(monkeypatch):
-    # Counts the full runs a sweep makes and the generators they key.
-    calls = {"run_qss22": 0, "make_rng": 0}
-    real_run, real_make_rng = security.run_qss22, protocol.make_rng
-
-    def counting_run(*args):
-        calls["run_qss22"] += 1
-        return real_run(*args)
-
-    def counting_make_rng(seed):
-        calls["make_rng"] += 1
-        return real_make_rng(seed)
-
-    monkeypatch.setattr(security, "run_qss22", counting_run)
-    monkeypatch.setattr(protocol, "make_rng", counting_make_rng)
-    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -360,38 +341,69 @@ def test_sweeps_spanning_several_chunks(monkeypatch):
     )
 
 
-def test_a_warm_sweep_makes_no_run(counted_calls):
-    # Cold, each sweep makes one run per leaf key it draws: at most 40 under
-    # the attack and 32 honest ones.
+def test_leaf_counts_are_the_leaf_keys_of_full_runs():
+    # Key by key, not only the detections or one public message: each
+    # trial's full run decodes to a leaf key, for every attack model and
+    # across the last seed.
+    seed = 2**64 - 30
+    for attack in every_attack():
+        expected = [0] * 40
+        for i in range(64):
+            transcript = run_qss22(i % 2, (seed + i) % (MAX_SEED + 1), attack)
+            payloads = [event.payload for event in transcript.public_messages()[:3]]
+            expected[leaf_key(transcript.outcome == "rejected", payloads)] += 1
+        counts = security._leaf_counts(attack, 64, seed)
+        assert counts.dtype == np.int64 and counts.tolist() == expected, attack
+
+
+def test_leaf_counts_split_at_an_even_trial(monkeypatch):
+    # Trial i has seed seed + i and secret i mod 2, so for even k the counts
+    # of n trials are those of the first k plus those of n - k trials from
+    # seed + k.  Chunks of 7 also cut them at odd trials.
+    monkeypatch.setattr(security, "_CHUNK_TRIALS", 7)
+    seed = 2**64 - 20
+    for spec in SPECS:
+        attack = AttackModel.from_spec(spec)
+        counts = security._leaf_counts(attack, 60, seed)
+        assert counts.sum() == 60, spec
+        assert set(np.flatnonzero(counts).tolist()) <= set(security._leaf_table(attack).keys.tolist()), spec
+        for k in (0, 2, 24, 60):
+            rest = security._leaf_counts(attack, 60 - k, (seed + k) % (MAX_SEED + 1))
+            assert (security._leaf_counts(attack, k, seed) + rest).tolist() == counts.tolist(), (spec, k)
+
+
+def test_a_sweep_makes_no_run_cold_or_warm(monkeypatch):
+    # A sweep counts the trials per leaf key, and the keys' fields are the
+    # payloads: neither a cold nor a warm sweep runs the protocol or keys a
+    # generator.
     attack = AttackModel.from_spec("intercept-resend-computational:auth-r2")
+
+    def sweeps():
+        return report_to_jsonl(attack_sweep(attack, 500, 3)), report_to_jsonl(public_transcript_uniformity(500, 3))
+
+    expected = sweeps()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sweep ran the protocol")
+
+    assert not hasattr(security, "run_qss22")
+    monkeypatch.setattr(protocol, "run_qss22", forbidden)
+    monkeypatch.setattr(protocol, "make_rng", forbidden)
     security._leaf_table.cache_clear()
-    first = report_to_jsonl(attack_sweep(attack, 500, 3)), report_to_jsonl(
-        public_transcript_uniformity(500, 3)
-    )
-    filled = sum(leaf is not None for a in (attack, NO_ATTACK) for leaf in security._leaf_table(a).leaves)
-    assert 0 < counted_calls["run_qss22"] == counted_calls["make_rng"] == filled <= 40 + 32
-    counted_calls.update(run_qss22=0, make_rng=0)
-    second = report_to_jsonl(attack_sweep(attack, 500, 3)), report_to_jsonl(
-        public_transcript_uniformity(500, 3)
-    )
-    assert second == first
-    assert counted_calls == {"run_qss22": 0, "make_rng": 0}
+    assert sweeps() == expected
+    assert sweeps() == expected
 
 
-def test_leaf_tables_hold_a_key_per_branch_and_a_slot_per_key():
+def test_leaf_tables_hold_a_key_per_branch():
     # 32 keys when no branch is rejected, 8 when every branch is, and both
     # sets when half are.
     for spec in SPECS:
         attack = AttackModel.from_spec(spec)
-        attack_sweep(attack, 3000, 1)
-        keys, leaves, _ = security._leaf_table(attack)
+        keys = security._leaf_table(attack).keys
         rate = security.exact_detection_rate(attack)
-        assert len(keys) == 2 * 2 ** protocol.coin_count(attack) and len(leaves) == 40
+        assert len(keys) == 2 * 2 ** protocol.coin_count(attack)
         assert len(set(keys.tolist())) == {0: 32, 1: 8}.get(rate, 40), spec
-        filled = {key: leaf for key, leaf in enumerate(leaves) if leaf is not None}
-        assert set(filled) == set(keys.tolist()), spec
-        assert all(leaf_key(*leaf) == key for key, leaf in filled.items()), spec
-        rejected = {leaf[0] for leaf in filled.values()}
+        rejected = set((keys >= 32).tolist())
         assert rejected == ({False} if rate == 0 else {True} if rate == 1 else {False, True}), spec
 
 
@@ -423,26 +435,6 @@ def test_every_coin_pattern_of_a_run_reaches_the_leaf_key_of_its_branch(monkeypa
             assert leaf_key(transcript.outcome == "rejected", payloads) == key, (attack, branch)
 
 
-def test_a_run_that_misses_its_leaf_key_raises(monkeypatch):
-    # A run whose payloads do not encode to the key its trial drew is an
-    # error, not a leaf: here R2's token is flipped after the run.
-    real_run = security.run_qss22
-
-    def altered_run(*args):
-        transcript = real_run(*args)
-        token = transcript.public_messages()[1]
-        token.payload = str(1 - int(token.payload))
-        return transcript
-
-    monkeypatch.setattr(security, "run_qss22", altered_run)
-    security._leaf_table.cache_clear()
-    try:
-        with pytest.raises(AssertionError, match="leaf key"):
-            attack_sweep(AttackModel.from_spec("none"), 100, 0)
-    finally:
-        security._leaf_table.cache_clear()
-
-
 def test_exact_rates_read_no_leaf_table():
     security._leaf_table.cache_clear()
     security._splitting_branches.cache_clear()
@@ -452,7 +444,7 @@ def test_exact_rates_read_no_leaf_table():
 
 
 # ---------------------------------------------------------------------------
-# The sweep record: leaf keys, leaf slots and the run's basis.
+# The sweep record: leaf keys and the run's basis.
 
 def test_sweep_rates_are_the_exact_rates_cold_and_warm():
     # A sweep reads its exact rate off the basis its record holds, through
@@ -484,10 +476,10 @@ def test_records_hold_a_read_only_basis_and_the_coin_count():
 
 def test_run_fields_tile_17_bits_and_the_low_five_are_a_leaf_key():
     # Each column of a run word has bits of its own, and together they
-    # are bits 0-16.  A word's low five bits are its leaf key as a sweep
-    # decodes a run's payloads (leaf_key, _trial_leaves' check): R1's
-    # token, R2's token and the teleport outcome, with 32 and the tokens
-    # alone on rejection.
+    # are bits 0-16.  A word's low five bits are its leaf key, whose
+    # fields a sweep reads as a run's payloads (leaf_key): R1's token,
+    # R2's token and the teleport outcome, with 32 and the tokens alone on
+    # rejection.
     fields = security._RUN_FIELDS
     masks = [(1 << width) - 1 << shift for shift, width in fields.values()]
     assert sum(masks) == np.bitwise_or.reduce(masks) == (1 << 17) - 1
@@ -513,28 +505,6 @@ def test_a_warm_sweep_evaluates_no_branch_of_the_run(monkeypatch):
         public_transcript_uniformity(300, 4)
     )
     assert second == first
-
-
-def test_a_record_whose_basis_disagrees_with_its_runs_raises(monkeypatch):
-    # R2's token is one bit of the sender's parity, so flipping it in every
-    # basis word turns the honest run's rate of 0 into 1.  The leaf keys
-    # expand that basis, so every key rejects too, and it is the first run
-    # drawn whose payloads do not encode to its key that catches it.
-    real_basis = security._basis
-    token_r2 = 1 << security._RUN_FIELDS["token_r2"][0]
-
-    def flipped(attack):
-        return tuple(word ^ token_r2 for word in real_basis(attack))
-
-    monkeypatch.setattr(security, "_basis", flipped)
-    security._leaf_table.cache_clear()
-    try:
-        with pytest.raises(AssertionError, match="leaf key"):
-            attack_sweep(NO_ATTACK, 10, 0)
-        with pytest.raises(AssertionError, match="leaf key"):
-            public_transcript_uniformity(10, 0)
-    finally:
-        security._leaf_table.cache_clear()
 
 
 def test_a_record_whose_rate_disagrees_with_its_keys_raises(monkeypatch):

@@ -57,8 +57,8 @@ PINS = (
         0,
         "6c09326dad7f2b832c0758cedea91315ec998c2f541a09f7c7e5f2a8f0d6e2b8",
     ),
-    # A cold sweep of the ancilla step list: its leaves come from one run
-    # per leaf key of the run's branches.
+    # A cold sweep of the ancilla step list: its leaf keys come from the
+    # run's branches, counted with no run.
     (
         "analyze --attack entangle-ancilla --trials 1000 --seed 3 --format structured",
         0,
