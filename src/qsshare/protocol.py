@@ -147,7 +147,11 @@ def coin_index(keys: np.ndarray, count: int) -> np.ndarray:
     """The branch index the first ``count`` coins of ``make_rng(k)`` give
     each uint64 key ``k``, read as :func:`_draw` reads them: coin j is 1
     when raw word j is below 2^63, and the first coin is the most
-    significant bit.  ``count`` is below 64, so an index fits an int64.
+    significant bit.  ``count`` is below 64, so an index fits an int64,
+    and a count of 0 gives zeros without a Philox pass.  The sweeps pass
+    the fewest coins they read (:func:`security.attack_sweep`): an attack
+    sweep the coins up to the last that moves the sender's check, often
+    none, and the uniformity check every coin of the run.
 
     numpy's Philox increments its counter before it fills each block of
     four words, so block j is the cipher of counter (j + 1, 0, 0, 0) under
@@ -170,6 +174,8 @@ def coin_index(keys: np.ndarray, count: int) -> np.ndarray:
     if not 0 <= count < 64:
         raise ValueError(f"coin_index packs 0 to 63 coins, got {count}")
     keys = np.asarray(keys, dtype=np.uint64)
+    if not count:  # no coin to read, so no block to compute
+        return np.zeros(len(keys), dtype=np.int64)
     blocks = -(-count // 4)
     ctr_hi, x1, ctr_lo = _COUNTER_ROUNDS[:, :blocks, None]
     key_hi, x3 = _mulhilo(_PHILOX_M[0], keys)

@@ -318,12 +318,21 @@ def exact_detection_rate(attack: AttackModel) -> Fraction:
     return _detection_rate(_basis(attack))
 
 
+def _sender_check(basis: tuple[int, ...]) -> tuple[int, list[int]]:
+    # The sender's check on a run's basis (_basis): its value at the zero
+    # word, and whether each basis branch flips the rejection parity
+    # (_REJECT_MASK), the secret's then each coin's.
+    zero, *rest = basis
+    return _REJECTED_AT_ZERO ^ (zero & _REJECT_MASK).bit_count() & 1, [
+        ((word ^ zero) & _REJECT_MASK).bit_count() & 1 for word in rest
+    ]
+
+
 def _detection_rate(basis: tuple[int, ...]) -> Fraction:
     # The rejection rate a run's basis (_basis) gives: 1/2 when a basis
-    # branch flips the rejection parity (_REJECT_MASK), else its value at zero.
-    zero, *rest = basis
-    flipped = any(((word ^ zero) & _REJECT_MASK).bit_count() & 1 for word in rest)
-    return Fraction(1, 2) if flipped else Fraction(_REJECTED_AT_ZERO ^ (zero & _REJECT_MASK).bit_count() & 1)
+    # branch flips the check, else its value at zero.
+    at_zero, moves = _sender_check(basis)
+    return Fraction(1, 2) if any(moves) else Fraction(at_zero)
 
 
 def _rejected(words):
@@ -399,11 +408,13 @@ class _SweepRecord(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _leaf_table(attack: AttackModel) -> _SweepRecord:
-    # The sweeps' record of the run under the attack: its basis, which gives
-    # the exact rate, and each branch's leaf key, the low five bits of that
-    # basis expanded (_run_words), with tele 4 on rejection.  The rejecting
-    # keys' share (key >= 32), read by field, must be the basis' rate, read
-    # by mask.
+    """The sweeps' record of the run under the attack, built on first use:
+    its basis (:func:`_basis`), which gives the exact rate and each basis
+    bit's flip of the sender's check, and each branch's leaf key, the low
+    five bits of that basis expanded (:func:`_run_words`), with tele 4 on
+    rejection, which only the uniformity check reads.  The rejecting keys'
+    share (key >= 32), read by field, must be the basis' rate, read by
+    mask, or the record raises ``AssertionError``."""
     basis = _basis(attack)
     run = _run_words(basis)
     keys = np.where(_rejected(run), run & 7 | 32, run & 31)
@@ -419,9 +430,16 @@ def _trial_keys(seed: int, start: int, stop: int) -> np.ndarray:
     return np.arange(start, stop, dtype=np.uint64) + np.uint64(seed % (protocol.MAX_SEED + 1))
 
 
+def _trial_indices(seed: int, start: int, stop: int, coins: int) -> np.ndarray:
+    # The branch indices of trials start <= i < stop cut to their first
+    # coins: secret i mod 2 above the coins the trial's seed draws.
+    return (np.arange(start, stop) & 1) << coins | protocol.coin_index(_trial_keys(seed, start, stop), coins)
+
+
 def _leaf_counts(attack: AttackModel, trials: int, seed: int) -> np.ndarray:
     """How many of ``trials`` seeded (2,2) runs under the attack reach each
-    of the 40 leaf keys, as an int64 array indexed by key.
+    of the 40 leaf keys, as an int64 array indexed by key: what the
+    uniformity check reads, which needs every coin of every trial.
 
     Trial ``i`` runs with seed ``(seed + i) mod 2^64`` and secret ``i mod 2``.
     A run's transcript is a function of the attack, its secret and its
@@ -438,11 +456,19 @@ def _leaf_counts(attack: AttackModel, trials: int, seed: int) -> np.ndarray:
     keys, coins = record.keys, len(record.basis) - 2
     counts = np.zeros(40, dtype=np.int64)
     for start in range(0, trials, _CHUNK_TRIALS):
-        stop = min(start + _CHUNK_TRIALS, trials)
-        seeds = _trial_keys(seed, start, stop)
-        indices = (np.arange(start, stop) & 1) << coins | protocol.coin_index(seeds, coins)
+        indices = _trial_indices(seed, start, min(start + _CHUNK_TRIALS, trials), coins)
         counts += np.bincount(keys[indices], minlength=40)
     return counts
+
+
+def _parity(words: np.ndarray, width: int) -> np.ndarray:
+    # The parity of each word's low `width` bits, folded in halves in place:
+    # numpy 1.24, the oldest supported, has no bitwise_count.
+    shift = 1 << (width - 1).bit_length()  # the least power of two >= width
+    while shift > 1:
+        shift >>= 1
+        words ^= words >> shift
+    return words & 1
 
 
 def attack_sweep(attack: AttackModel, trials: int, seed: int) -> AttackSweepReport:
@@ -453,17 +479,28 @@ def attack_sweep(attack: AttackModel, trials: int, seed: int) -> AttackSweepRepo
 
     Trial ``i`` runs with seed ``(seed + i) mod 2^64`` and secret ``i mod 2``,
     so every trial is reproducible in isolation.  No trial runs in full
-    (:func:`protocol.run_qss22`): the sweep counts the trials that reach
-    each leaf key (:func:`_leaf_counts`), and the detections are the trials
-    at a rejecting key.
+    (:func:`protocol.run_qss22`) and no leaf key is read: the sender's check
+    is one parity of a run word (:data:`_REJECT_MASK`), so a trial rejects
+    when the check's value at the zero word XOR the flips of its secret and
+    its coins is 1.  The trials draw only the coins up to the last whose
+    flip moves the check (:func:`protocol.coin_index`): none at rate 0 or 1.
     """
     # Integers only: a float seed such as 1.5 raises instead of truncating.
     trials, seed = operator.index(trials), operator.index(seed)
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    detections = int(_leaf_counts(attack, trials, seed)[32:].sum())
+    basis = _leaf_table(attack).basis
+    at_zero, moves = _sender_check(basis)
+    # The last coin that moves the check, and the index bits that do: the
+    # secret's above the coins', the first coin most significant.
+    coins = max((j for j, move in enumerate(moves) if move), default=0)
+    mask = sum(move << coins - j for j, move in enumerate(moves[: coins + 1]))
+    detections = 0
+    for start in range(0, trials, _CHUNK_TRIALS):
+        indices = _trial_indices(seed, start, min(start + _CHUNK_TRIALS, trials), coins)
+        detections += int(np.count_nonzero(_parity(indices & mask, coins + 1) ^ at_zero))
     rate = detections / trials
-    exact = _detection_rate(_leaf_table(attack).basis)
+    exact = _detection_rate(basis)
     low, high = interval_around_rate(float(exact), trials)
     return AttackSweepReport(
         attack=attack.spec_string,

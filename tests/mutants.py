@@ -1,7 +1,8 @@
 """A mutation gate for the stabilizer engine, the run's bit algebra, the
 vectorised Philox, the numpy-free imports, the (5,5) mixedness, the
-state-vector gates, the exact analysis's run basis, the transcript's
-line writer and recorders, and the command line's output.
+state-vector gates, the exact analysis's run basis, the attack sweeps'
+check parity, the transcript's line writer and recorders, and the command
+line's output.
 
 Each mutant names a file under ``src/qsshare``, an exact old text that must
 occur there once, its replacement, and the test files that must kill it
@@ -18,7 +19,7 @@ survivor.  The script needs no package beyond the test dependencies:
 
 It prints one line per mutant and exits 1 when any verdict is not the
 expected one.  It is not a tier-1 test: each mutant costs a pytest run,
-the surviving control about 15 s on a 2-vCPU machine, and all 29 about 76 s.
+the surviving control about 15 s on a 2-vCPU machine, and all 32 about 80 s.
 """
 
 import os
@@ -233,6 +234,33 @@ MUTANTS = (
         "security.py",
         "zero = t1 << _T1 ^ t2 << _T2",
         "zero = t1 << _T1 ^ (t2 ^ 1) << _T2",
+        tests=("tests/test_batch.py",),
+    ),
+    # An attack sweep draws one coin short of the last that moves the check,
+    # and so leaves that coin's flip out of the parity.
+    Mutant(
+        "sweep-draws-one-coin-short",
+        "security.py",
+        "max((j for j, move in",
+        "max((j - 1 for j, move in",
+        tests=("tests/test_batch.py",),
+    ),
+    # A trial's rejection is the parity of its flips alone, without the
+    # check's value at the zero word: rate 0 and rate 1 swap.
+    Mutant(
+        "sweep-parity-without-zero-word",
+        "security.py",
+        "coins + 1) ^ at_zero)",
+        "coins + 1))",
+        tests=("tests/test_batch.py",),
+    ),
+    # No coins still run the cipher's rounds on the keys, for indices of
+    # zeros all the same.
+    Mutant(
+        "coin-index-of-no-coins-runs-philox",
+        "protocol.py",
+        "    if not count:",
+        "    if count < 0:",
         tests=("tests/test_batch.py",),
     ),
     # The uniformity check counts each drawn leaf key once, not once per

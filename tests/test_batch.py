@@ -151,8 +151,10 @@ def test_coins_match_numpy():
 
 @pytest.mark.parametrize("count", [8, 10, 11])
 def test_coins_match_numpy_at_sweep_widths(count):
-    # A sweep reads 8 or 10 coins per trial, two or three blocks of a
-    # chunk's keys; 11 leaves one word of the third block unread.
+    # A run draws 8 or 10 coins, two or three blocks of a chunk's keys:
+    # the uniformity check reads all 8 of the honest run's, an attack sweep
+    # only those up to the last that moves the check.  11 leaves one word
+    # of the third block unread.
     keys = [random.Random(count).getrandbits(64) for _ in range(1000)]
     indices = protocol.coin_index(np.array(keys, dtype=np.uint64), count)
     assert unpacked_coins(indices, count) == numpy_coins(keys, count)
@@ -207,6 +209,18 @@ def test_coin_indices_are_the_draws_a_run_compares():
 def test_coin_indices_of_no_keys(count):
     indices = protocol.coin_index(np.array([], dtype=np.uint64), count)
     assert indices.shape == (0,) and indices.dtype == np.int64
+
+
+def test_no_coins_compute_no_philox_block(monkeypatch):
+    # An attack sweep at rate 0 or 1 asks for no coin: its indices are
+    # zeros without a round of the cipher.
+    def forbidden(*args):
+        raise AssertionError("coin_index ran a Philox round for no coins")
+
+    monkeypatch.setattr(protocol, "_mulhilo", forbidden)
+    for keys in (np.array(KEY_GRID, dtype=np.uint64), list(KEY_GRID), np.array([], dtype=np.uint64)):
+        indices = protocol.coin_index(keys, 0)
+        assert indices.dtype == np.int64 and indices.tolist() == [0] * len(keys)
 
 
 @pytest.mark.parametrize("m, top_from", zip(protocol._MULTIPLIERS, protocol._HI_TOP_FROM), ids=["M0", "M1"])
@@ -339,6 +353,44 @@ def test_sweeps_spanning_several_chunks(monkeypatch):
     assert report_to_jsonl(public_transcript_uniformity(60, seed)) == report_to_jsonl(
         scalar_uniformity(60, seed)
     )
+
+
+@pytest.mark.parametrize("chunk", [security._CHUNK_TRIALS, 7])
+@pytest.mark.parametrize("seed", [0, 9, 2**64 - 300])
+def test_sweep_detections_are_the_rejecting_leaf_keys(monkeypatch, seed, chunk):
+    # A sweep reads its detections off the check's parity and the coins that
+    # move it; the uniformity check's counts by leaf key, off every coin,
+    # must agree, for every attack model, within a chunk and across chunks.
+    monkeypatch.setattr(security, "_CHUNK_TRIALS", chunk)
+    for attack in every_attack():
+        for trials in (1, 7, 1000):
+            expected = security._leaf_counts(attack, trials, seed)[32:].sum()
+            assert attack_sweep(attack, trials, seed).detections == expected, (attack, trials)
+
+
+def test_attack_sweeps_draw_only_the_coins_that_move_the_check(monkeypatch):
+    # No coin and no secret moves the check of a model at rate 0 or 1, and
+    # on auth-r2 the fifth and sixth of its 10 coins do; the uniformity
+    # check reads every coin of the honest run.
+    drawn = []
+    coin_index = protocol.coin_index
+
+    def spy(keys, count):
+        drawn.append(count)
+        return coin_index(keys, count)
+
+    monkeypatch.setattr(protocol, "coin_index", spy)
+    for attack in every_attack():
+        drawn.clear()
+        attack_sweep(attack, 1000, 41)
+        rate = security.exact_detection_rate(attack)
+        if attack.spec_string == "intercept-resend-computational:auth-r2":
+            assert rate == Fraction(1, 2) and drawn == [6]
+        else:
+            assert rate in (0, 1) and drawn == [0], attack
+    drawn.clear()
+    public_transcript_uniformity(1000, 41)
+    assert drawn == [protocol.coin_count(NO_ATTACK)] == [8]
 
 
 def test_leaf_counts_are_the_leaf_keys_of_full_runs():
