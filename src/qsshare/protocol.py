@@ -31,7 +31,7 @@ import json
 import operator
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -114,7 +114,7 @@ _COUNTER_ROUNDS = np.array(
     [(*divmod(_M1 * (_M0 * j >> 64), MAX_SEED + 1), (_M0 * j & MAX_SEED) ^ _PHILOX_W[1]) for j in range(1, 17)],
     dtype=np.uint64,
 ).T.copy()
-_COUNTER_ROUNDS.flags.writeable = False  # coin_index's round-1 terms are views of it
+_COUNTER_ROUNDS.flags.writeable = False  # a table of constants
 _LOW32 = np.uint64(0xFFFFFFFF)
 _COIN_BELOW = 1 << 63  # a coin is 1 when its raw word's top bit is 0
 _TOP_BIT = np.uint64(_COIN_BELOW)
@@ -143,15 +143,16 @@ def _mulhilo(a: tuple[np.uint64, ...], b: np.ndarray) -> tuple[np.ndarray, np.nd
     return high, b * a_full
 
 
-def coin_index(keys: np.ndarray, count: int) -> np.ndarray:
-    """The branch index the first ``count`` coins of ``make_rng(k)`` give
-    each uint64 key ``k``, read as :func:`_draw` reads them: coin j is 1
-    when raw word j is below 2^63, and the first coin is the most
-    significant bit.  ``count`` is below 64, so an index fits an int64,
-    and a count of 0 gives zeros without a Philox pass.  The sweeps pass
-    the fewest coins they read (:func:`security.attack_sweep`): an attack
-    sweep the coins up to the last that moves the sender's check, often
-    none, and the uniformity check every coin of the run.
+def coin_bits(keys: np.ndarray, coins: Iterable[int]) -> list[np.ndarray]:
+    """Coins of ``make_rng(k)`` for each uint64 key ``k``, as :func:`_draw`
+    reads them: one bool array per coin position in ``coins``, in the order
+    asked, where coin j is True when raw word j is below 2^63.  Positions
+    run from 0 to 63, in any order; any other raises ``ValueError``.  Only
+    the Philox blocks that hold an asked coin are computed, and of the last
+    round only the words read, so no coins compute no block.  An attack
+    sweep asks for the coins that move the sender's check
+    (:func:`security.attack_sweep`): coins 4 and 5, block 1 alone, under
+    ``intercept-resend-computational:auth-r2``, and none at rate 0 or 1.
 
     numpy's Philox increments its counter before it fills each block of
     four words, so block j is the cipher of counter (j + 1, 0, 0, 0) under
@@ -162,22 +163,23 @@ def coin_index(keys: np.ndarray, count: int) -> np.ndarray:
       round 1 (hi(M1·h) ^ (k + W0), lo(M1·h), hi(M0·k) ^ l ^ W1, lo(M0·k)):
       a column of ``_COUNTER_ROUNDS`` per block and one product over the
       keys;
-    * rounds 2 to 8 multiply (blocks × keys) arrays, a row per block, so
-      every key and counter term broadcasts along a contiguous row;
+    * rounds 2 to 8 multiply (blocks × keys) arrays, a row per computed
+      block, so every key and counter term broadcasts along a contiguous
+      row;
     * a coin reads only its word's top bit in round 9.  hi(M·x) ≥ 2^63
       exactly when x ≥ ⌈2^127 / M⌉ (``_HI_TOP_FROM``), and the top bit of
-      a XOR is the XOR of the top bits, so the round is two wrapping
-      multiplies and compares.
+      a XOR is the XOR of the top bits, so a word is a wrapping multiply
+      or a compare.
 
-    Coin j is word j & 3 of block j >> 2, and the coins shift into the
-    index one by one, the first most significant."""
-    if not 0 <= count < 64:
-        raise ValueError(f"coin_index packs 0 to 63 coins, got {count}")
+    Coin j is word j & 3 of block j >> 2."""
+    coins = list(coins)
+    if not all(0 <= coin < 64 for coin in coins):
+        raise ValueError(f"coin positions run from 0 to 63, got {coins}")
+    if not coins:  # no coin to read, so no block to compute
+        return []
     keys = np.asarray(keys, dtype=np.uint64)
-    if not count:  # no coin to read, so no block to compute
-        return np.zeros(len(keys), dtype=np.int64)
-    blocks = -(-count // 4)
-    ctr_hi, x1, ctr_lo = _COUNTER_ROUNDS[:, :blocks, None]
+    blocks = sorted({coin >> 2 for coin in coins})
+    ctr_hi, x1, ctr_lo = _COUNTER_ROUNDS[:, blocks, None]
     key_hi, x3 = _mulhilo(_PHILOX_M[0], keys)
     x0 = ctr_hi ^ (keys + _PHILOX_KEYS[1][0])
     x2 = key_hi ^ ctr_lo
@@ -190,14 +192,30 @@ def coin_index(keys: np.ndarray, count: int) -> np.ndarray:
         hi0 ^= k1
         x0, x1, x2, x3 = hi1, lo1, hi0, lo0
     k0, k1 = _PHILOX_KEYS[-1]
-    words = (
-        (x2 < _HI_TOP_FROM[1]) ^ ((x1 ^ (keys + k0)) >= _TOP_BIT), x2 * _PHILOX_M[1][2] < _TOP_BIT,
-        (x0 < _HI_TOP_FROM[0]) ^ ((x3 ^ k1) >= _TOP_BIT), x0 * _PHILOX_M[0][2] < _TOP_BIT,
+    last_round = (  # each word's coin, a row per block
+        lambda: (x2 < _HI_TOP_FROM[1]) ^ ((x1 ^ (keys + k0)) >= _TOP_BIT),
+        lambda: x2 * _PHILOX_M[1][2] < _TOP_BIT,
+        lambda: (x0 < _HI_TOP_FROM[0]) ^ ((x3 ^ k1) >= _TOP_BIT),
+        lambda: x0 * _PHILOX_M[0][2] < _TOP_BIT,
     )
+    words = {word: last_round[word]() for word in {coin & 3 for coin in coins}}
+    rows = {block: row for row, block in enumerate(blocks)}
+    return [words[coin & 3][rows[coin >> 2]] for coin in coins]
+
+
+def coin_index(keys: np.ndarray, count: int) -> np.ndarray:
+    """The branch index the first ``count`` coins of ``make_rng(k)`` give
+    each uint64 key ``k`` (:func:`coin_bits`), the first coin most
+    significant, as :func:`_draw` packs them.  ``count`` is below 64, so
+    an index fits an int64, and a count of 0 gives zeros without a Philox
+    pass.  The uniformity check reads every coin of the run this way
+    (:func:`security._leaf_counts`)."""
+    if not 0 <= count < 64:
+        raise ValueError(f"coin_index packs 0 to 63 coins, got {count}")
     index = np.zeros(len(keys), dtype=np.int64)
-    for j in range(count):
+    for coin in coin_bits(keys, range(count)):
         index <<= 1
-        index |= words[j & 3][j >> 2]
+        index |= coin
     return index
 
 

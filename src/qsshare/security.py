@@ -461,16 +461,6 @@ def _leaf_counts(attack: AttackModel, trials: int, seed: int) -> np.ndarray:
     return counts
 
 
-def _parity(words: np.ndarray, width: int) -> np.ndarray:
-    # The parity of each word's low `width` bits, folded in halves in place:
-    # numpy 1.24, the oldest supported, has no bitwise_count.
-    shift = 1 << (width - 1).bit_length()  # the least power of two >= width
-    while shift > 1:
-        shift >>= 1
-        words ^= words >> shift
-    return words & 1
-
-
 def attack_sweep(attack: AttackModel, trials: int, seed: int) -> AttackSweepReport:
     """Sample ``trials`` seeded (2,2) runs under the attack and compare their
     rejection fraction with the exact rate (:func:`exact_detection_rate`),
@@ -480,25 +470,26 @@ def attack_sweep(attack: AttackModel, trials: int, seed: int) -> AttackSweepRepo
     Trial ``i`` runs with seed ``(seed + i) mod 2^64`` and secret ``i mod 2``,
     so every trial is reproducible in isolation.  No trial runs in full
     (:func:`protocol.run_qss22`) and no leaf key is read: the sender's check
-    is one parity of a run word (:data:`_REJECT_MASK`), so a trial rejects
-    when the check's value at the zero word XOR the flips of its secret and
-    its coins is 1.  The trials draw only the coins up to the last whose
-    flip moves the check (:func:`protocol.coin_index`): none at rate 0 or 1.
+    is one parity of a run word (:data:`_REJECT_MASK`), so a trial's
+    rejection is the check's value at the zero word, XOR its secret when
+    the secret moves the check, XOR each coin that moves it.  The trials
+    compute only those coins (:func:`protocol.coin_bits`): none at rate 0
+    or 1.
     """
     # Integers only: a float seed such as 1.5 raises instead of truncating.
     trials, seed = operator.index(trials), operator.index(seed)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     basis = _leaf_table(attack).basis
-    at_zero, moves = _sender_check(basis)
-    # The last coin that moves the check, and the index bits that do: the
-    # secret's above the coins', the first coin most significant.
-    coins = max((j for j, move in enumerate(moves) if move), default=0)
-    mask = sum(move << coins - j for j, move in enumerate(moves[: coins + 1]))
+    at_zero, (secret_moves, *coin_moves) = _sender_check(basis)
+    moving = [j for j, move in enumerate(coin_moves) if move]
     detections = 0
     for start in range(0, trials, _CHUNK_TRIALS):
-        indices = _trial_indices(seed, start, min(start + _CHUNK_TRIALS, trials), coins)
-        detections += int(np.count_nonzero(_parity(indices & mask, coins + 1) ^ at_zero))
+        stop = min(start + _CHUNK_TRIALS, trials)
+        rejected = np.arange(start, stop) & secret_moves ^ at_zero
+        for coin in protocol.coin_bits(_trial_keys(seed, start, stop), moving):
+            rejected ^= coin
+        detections += int(np.count_nonzero(rejected))
     rate = detections / trials
     exact = _detection_rate(basis)
     low, high = interval_around_rate(float(exact), trials)

@@ -1,7 +1,7 @@
 """A mutation gate for the stabilizer engine, the run's bit algebra, the
 vectorised Philox, the numpy-free imports, the (5,5) mixedness, the
 state-vector gates, the exact analysis's run basis, the attack sweeps'
-check parity, the transcript's line writer and recorders, and the command
+rejections, the transcript's line writer and recorders, and the command
 line's output.
 
 Each mutant names a file under ``src/qsshare``, an exact old text that must
@@ -19,7 +19,8 @@ survivor.  The script needs no package beyond the test dependencies:
 
 It prints one line per mutant and exits 1 when any verdict is not the
 expected one.  It is not a tier-1 test: each mutant costs a pytest run,
-the surviving control about 15 s on a 2-vCPU machine, and all 32 about 80 s.
+the surviving control about 15 s on a 2-vCPU machine, and all 33 about
+100–115 s.
 """
 
 import os
@@ -110,12 +111,21 @@ MUTANTS = (
         "for j in range(16)",
         tests=("tests/test_batch.py",),
     ),
-    # The index reads the four words of each block last word first.
+    # The coins read the four words of each block last word first.
     Mutant(
         "coin-lanes-reversed",
         "protocol.py",
-        "words[j & 3][j >> 2]",
-        "words[3 - (j & 3)][j >> 2]",
+        "words[coin & 3][rows",
+        "words[3 - (coin & 3)][rows",
+        tests=("tests/test_batch.py",),
+    ),
+    # The rounds run on the first blocks, as many as are asked for, not on
+    # the asked ones: block 1's coins are read off block 0's row.
+    Mutant(
+        "coin-bits-from-first-blocks",
+        "protocol.py",
+        "_COUNTER_ROUNDS[:, blocks, None]",
+        "_COUNTER_ROUNDS[:, : len(blocks), None]",
         tests=("tests/test_batch.py",),
     ),
     # The coins' columns are XORed in last coin first: coin weights read
@@ -236,31 +246,31 @@ MUTANTS = (
         "zero = t1 << _T1 ^ (t2 ^ 1) << _T2",
         tests=("tests/test_batch.py",),
     ),
-    # An attack sweep draws one coin short of the last that moves the check,
-    # and so leaves that coin's flip out of the parity.
+    # An attack sweep leaves the last coin that moves the check out of a
+    # trial's rejection.
     Mutant(
-        "sweep-draws-one-coin-short",
+        "sweep-xor-without-last-coin",
         "security.py",
-        "max((j for j, move in",
-        "max((j - 1 for j, move in",
+        "stop), moving)",
+        "stop), moving[:-1])",
         tests=("tests/test_batch.py",),
     ),
-    # A trial's rejection is the parity of its flips alone, without the
-    # check's value at the zero word: rate 0 and rate 1 swap.
+    # A trial's rejection is the XOR of its flips alone, without the check's
+    # value at the zero word: rate 0 and rate 1 swap.
     Mutant(
-        "sweep-parity-without-zero-word",
+        "sweep-rejection-without-zero-word",
         "security.py",
-        "coins + 1) ^ at_zero)",
-        "coins + 1))",
+        "& secret_moves ^ at_zero",
+        "& secret_moves",
         tests=("tests/test_batch.py",),
     ),
-    # No coins still run the cipher's rounds on the keys, for indices of
-    # zeros all the same.
+    # No coins still run the cipher's rounds on the keys, so the packer's
+    # indices of no coins are zeros after a Philox pass all the same.
     Mutant(
         "coin-index-of-no-coins-runs-philox",
         "protocol.py",
-        "    if not count:",
-        "    if count < 0:",
+        "    if not coins:",
+        "    if coins is None:",
         tests=("tests/test_batch.py",),
     ),
     # The uniformity check counts each drawn leaf key once, not once per

@@ -151,10 +151,9 @@ def test_coins_match_numpy():
 
 @pytest.mark.parametrize("count", [8, 10, 11])
 def test_coins_match_numpy_at_sweep_widths(count):
-    # A run draws 8 or 10 coins, two or three blocks of a chunk's keys:
-    # the uniformity check reads all 8 of the honest run's, an attack sweep
-    # only those up to the last that moves the check.  11 leaves one word
-    # of the third block unread.
+    # A run draws 8 or 10 coins, two or three blocks of a chunk's keys,
+    # and the uniformity check packs all 8 of the honest run's.  11 leaves
+    # one word of the third block unread.
     keys = [random.Random(count).getrandbits(64) for _ in range(1000)]
     indices = protocol.coin_index(np.array(keys, dtype=np.uint64), count)
     assert unpacked_coins(indices, count) == numpy_coins(keys, count)
@@ -212,8 +211,7 @@ def test_coin_indices_of_no_keys(count):
 
 
 def test_no_coins_compute_no_philox_block(monkeypatch):
-    # An attack sweep at rate 0 or 1 asks for no coin: its indices are
-    # zeros without a round of the cipher.
+    # Indices of no coins are zeros without a round of the cipher.
     def forbidden(*args):
         raise AssertionError("coin_index ran a Philox round for no coins")
 
@@ -221,6 +219,43 @@ def test_no_coins_compute_no_philox_block(monkeypatch):
     for keys in (np.array(KEY_GRID, dtype=np.uint64), list(KEY_GRID), np.array([], dtype=np.uint64)):
         indices = protocol.coin_index(keys, 0)
         assert indices.dtype == np.int64 and indices.tolist() == [0] * len(keys)
+
+
+@pytest.mark.parametrize("coins", [[4, 5], [5, 4], [0, 63], [9], []], ids=str)
+def test_coin_bits_match_numpy_at_any_positions(coins):
+    # Positions that are no prefix, in any order: block 1 alone, the same
+    # words asked the other way round, the first and last blocks with no
+    # block between them, one word of block 2, and nothing.
+    bits = protocol.coin_bits(np.array(KEY_GRID, dtype=np.uint64), coins)
+    expected = numpy_coins(KEY_GRID, 64)
+    assert len(bits) == len(coins)
+    for coin, column in zip(coins, bits):
+        assert column.shape == (len(KEY_GRID),) and column.dtype == bool
+        assert column.tolist() == [row[coin] for row in expected], coin
+
+
+@pytest.mark.parametrize("coins, rows", [([4, 5], 1), ([5, 4], 1), ([0, 63], 2), ([9], 1), ([], None)], ids=str)
+def test_coin_bits_compute_only_the_blocks_they_read(monkeypatch, coins, rows):
+    # The key prelude multiplies the keys alone; rounds 2 to 8 then run on
+    # a row per block that holds an asked coin, and no coin runs no round.
+    shapes = []
+    mulhilo = protocol._mulhilo
+
+    def spy(a, b):
+        shapes.append(b.shape)
+        return mulhilo(a, b)
+
+    monkeypatch.setattr(protocol, "_mulhilo", spy)
+    protocol.coin_bits(np.array(KEY_GRID, dtype=np.uint64), coins)
+    keys = len(KEY_GRID)
+    assert shapes == ([] if rows is None else [(keys,)] + [(rows, keys)] * 14)
+
+
+@pytest.mark.parametrize("coins", [[-1], [64], [4, 64], [-1, 5]], ids=str)
+def test_coin_bits_refuse_positions_outside_the_counter_table(coins):
+    # Coin -1 would read the last block's counter and 64 a 17th block.
+    with pytest.raises(ValueError, match="0 to 63"):
+        protocol.coin_bits(np.array([1, 2, 3], dtype=np.uint64), coins)
 
 
 @pytest.mark.parametrize("m, top_from", zip(protocol._MULTIPLIERS, protocol._HI_TOP_FROM), ids=["M0", "M1"])
@@ -373,24 +408,25 @@ def test_attack_sweeps_draw_only_the_coins_that_move_the_check(monkeypatch):
     # on auth-r2 the fifth and sixth of its 10 coins do; the uniformity
     # check reads every coin of the honest run.
     drawn = []
-    coin_index = protocol.coin_index
+    coin_bits = protocol.coin_bits
 
-    def spy(keys, count):
-        drawn.append(count)
-        return coin_index(keys, count)
+    def spy(keys, coins):
+        coins = list(coins)
+        drawn.append(coins)
+        return coin_bits(keys, coins)
 
-    monkeypatch.setattr(protocol, "coin_index", spy)
+    monkeypatch.setattr(protocol, "coin_bits", spy)
     for attack in every_attack():
         drawn.clear()
         attack_sweep(attack, 1000, 41)
         rate = security.exact_detection_rate(attack)
         if attack.spec_string == "intercept-resend-computational:auth-r2":
-            assert rate == Fraction(1, 2) and drawn == [6]
+            assert rate == Fraction(1, 2) and drawn == [[4, 5]]
         else:
-            assert rate in (0, 1) and drawn == [0], attack
+            assert rate in (0, 1) and drawn == [[]], attack
     drawn.clear()
     public_transcript_uniformity(1000, 41)
-    assert drawn == [protocol.coin_count(NO_ATTACK)] == [8]
+    assert drawn == [list(range(protocol.coin_count(NO_ATTACK)))] == [list(range(8))]
 
 
 def test_leaf_counts_are_the_leaf_keys_of_full_runs():
