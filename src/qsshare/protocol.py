@@ -153,6 +153,8 @@ def coin_bits(keys: np.ndarray, coins: Iterable[int]) -> list[np.ndarray]:
     sweep asks for the coins that move the sender's check
     (:func:`security.attack_sweep`): coins 4 and 5, block 1 alone, under
     ``intercept-resend-computational:auth-r2``, and none at rate 0 or 1.
+    The uniformity check asks for the coins that move a public bit, 0 to 2
+    and 4 to 7.
 
     numpy's Philox increments its counter before it fills each block of
     four words, so block j is the cipher of counter (j + 1, 0, 0, 0) under
@@ -201,22 +203,6 @@ def coin_bits(keys: np.ndarray, coins: Iterable[int]) -> list[np.ndarray]:
     words = {word: last_round[word]() for word in {coin & 3 for coin in coins}}
     rows = {block: row for row, block in enumerate(blocks)}
     return [words[coin & 3][rows[coin >> 2]] for coin in coins]
-
-
-def coin_index(keys: np.ndarray, count: int) -> np.ndarray:
-    """The branch index the first ``count`` coins of ``make_rng(k)`` give
-    each uint64 key ``k`` (:func:`coin_bits`), the first coin most
-    significant, as :func:`_draw` packs them.  ``count`` is below 64, so
-    an index fits an int64, and a count of 0 gives zeros without a Philox
-    pass.  The uniformity check reads every coin of the run this way
-    (:func:`security._leaf_counts`)."""
-    if not 0 <= count < 64:
-        raise ValueError(f"coin_index packs 0 to 63 coins, got {count}")
-    index = np.zeros(len(keys), dtype=np.int64)
-    for coin in coin_bits(keys, range(count)):
-        index <<= 1
-        index |= coin
-    return index
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ word (:data:`_RUN_FIELDS`), affine over GF(2) in those bits.  So
 :func:`_basis`, the one place that composes the maps, fixes the run by its
 words at the all-zero branch and each single-bit one, the zero word XOR
 one map column's image each, and :func:`_run_words` expands them into
-one int64 array for the readers of every branch, the 512 honest cases
-and a sweep's leaf keys, by doubling it once per basis bit.
+one int64 array for the 512 honest cases, by doubling it once per basis
+bit.
 
 - a view (:data:`_VIEW_COLUMNS`) of an honest run gives 1 bit, with guess
   advantage 1/2, when the secret's flip of its columns lies outside the
@@ -66,7 +66,8 @@ Z_99 = 2.5758293035489004
 PIECES = ("pair1", "pair2", "swap-bsm", "teleport-bsm")
 
 # Each column's (shift, width) in a run word (_basis), as in LinearMap.fields;
-# the low five bits are a sweep's leaf key, 8*tele + 2*token_r1 + token_r2.
+# the low five bits are the run's public messages, 8*tele + 2*token_r1 +
+# token_r2, which the uniformity check counts.
 _RUN_FIELDS = {
     "secret": (16, 1), "pair1": (14, 2), "pair2": (12, 2), "record1": (10, 2), "record2": (8, 2),
     "cipher": (7, 1), "swap": (5, 2), "tele": (3, 2), "token_r1": (1, 2), "token_r2": (0, 1),
@@ -315,7 +316,7 @@ def exact_detection_rate(attack: AttackModel) -> Fraction:
     uniform hidden randomness and secret: 1/2 when the secret or any coin
     flips the sender's check, one parity of a run word's bits
     (:data:`_REJECT_MASK`), and otherwise its value at zero (:func:`_basis`)."""
-    return _detection_rate(_basis(attack))
+    return _detection_rate(*_sender_check(_basis(attack)))
 
 
 def _sender_check(basis: tuple[int, ...]) -> tuple[int, list[int]]:
@@ -328,10 +329,10 @@ def _sender_check(basis: tuple[int, ...]) -> tuple[int, list[int]]:
     ]
 
 
-def _detection_rate(basis: tuple[int, ...]) -> Fraction:
-    # The rejection rate a run's basis (_basis) gives: 1/2 when a basis
-    # branch flips the check, else its value at zero.
-    at_zero, moves = _sender_check(basis)
+def _detection_rate(at_zero: int, moves: list[int]) -> Fraction:
+    # The rejection rate the sender's check on a run's basis gives
+    # (_sender_check): 1/2 when a basis branch flips it, else its value at
+    # zero.
     return Fraction(1, 2) if any(moves) else Fraction(at_zero)
 
 
@@ -399,30 +400,11 @@ def interval_around_rate(rate: float, trials: int) -> tuple[float, float]:
 _CHUNK_TRIALS = 4096
 
 
-class _SweepRecord(NamedTuple):
-    """What the sweeps know of the run under one attack (:func:`_leaf_table`)."""
-
-    keys: np.ndarray  # each branch's leaf key, by branch index: the basis expanded
-    basis: tuple[int, ...]  # the run's words at its basis branches (_basis)
-
-
 @lru_cache(maxsize=None)
-def _leaf_table(attack: AttackModel) -> _SweepRecord:
-    """The sweeps' record of the run under the attack, built on first use:
-    its basis (:func:`_basis`), which gives the exact rate and each basis
-    bit's flip of the sender's check, and each branch's leaf key, the low
-    five bits of that basis expanded (:func:`_run_words`), with tele 4 on
-    rejection, which only the uniformity check reads.  The rejecting keys'
-    share (key >= 32), read by field, must be the basis' rate, read by
-    mask, or the record raises ``AssertionError``."""
-    basis = _basis(attack)
-    run = _run_words(basis)
-    keys = np.where(_rejected(run), run & 7 | 32, run & 31)
-    rate = _detection_rate(basis)
-    if Fraction(int(np.count_nonzero(keys >= 32)), len(keys)) != rate:
-        raise AssertionError(f"{attack.spec_string}: the leaf keys disagree with the basis rate {rate}")
-    keys.flags.writeable = False
-    return _SweepRecord(keys, basis)
+def _sweep_basis(attack: AttackModel) -> tuple[int, ...]:
+    # The run's basis (_basis) under the attack, cached for the sweeps
+    # alone, so that the views and the exact pass stay cold.
+    return _basis(attack)
 
 
 def _trial_keys(seed: int, start: int, stop: int) -> np.ndarray:
@@ -430,68 +412,47 @@ def _trial_keys(seed: int, start: int, stop: int) -> np.ndarray:
     return np.arange(start, stop, dtype=np.uint64) + np.uint64(seed % (protocol.MAX_SEED + 1))
 
 
-def _trial_indices(seed: int, start: int, stop: int, coins: int) -> np.ndarray:
-    # The branch indices of trials start <= i < stop cut to their first
-    # coins: secret i mod 2 above the coins the trial's seed draws.
-    return (np.arange(start, stop) & 1) << coins | protocol.coin_index(_trial_keys(seed, start, stop), coins)
+def _sampled(at_zero: int, flips: Sequence[int], trials: int, seed: int) -> Iterator[np.ndarray]:
+    """An affine value of the branch bits of ``trials`` seeded (2,2) runs,
+    an int64 array per chunk of at most :data:`_CHUNK_TRIALS` trials.
 
-
-def _leaf_counts(attack: AttackModel, trials: int, seed: int) -> np.ndarray:
-    """How many of ``trials`` seeded (2,2) runs under the attack reach each
-    of the 40 leaf keys, as an int64 array indexed by key: what the
-    uniformity check reads, which needs every coin of every trial.
-
-    Trial ``i`` runs with seed ``(seed + i) mod 2^64`` and secret ``i mod 2``.
-    A run's transcript is a function of the attack, its secret and its
-    coins, apart from the seed in its header, so the trials' coins are
-    computed in one numpy pass per chunk, packed straight into branch
-    indices (:func:`protocol.coin_index`), and index the leaf keys of the
-    run's branches in the attack's record (:func:`_leaf_table`), whose basis
-    holds a word per coin besides the all-zero and the secret's words.  A
-    key is the low five bits of a run word, so its fields
-    (:data:`_RUN_FIELDS`) are the run's first three payloads; a key of 32
-    or more is a rejection.
+    Trial ``i`` runs with seed ``(seed + i) mod 2^64`` and secret ``i mod 2``,
+    so every trial is reproducible in isolation.  Its value is ``at_zero``,
+    XOR the secret's flip (``flips[0]``) when ``i`` is odd, XOR the flip of
+    each coin (``flips[1:]``, in draw order) that the trial's seed draws as
+    1.  No trial runs in full (:func:`protocol.run_qss22`): a trial computes
+    only the coins whose flip is nonzero (:func:`protocol.coin_bits`).
     """
-    record = _leaf_table(attack)
-    keys, coins = record.keys, len(record.basis) - 2
-    counts = np.zeros(40, dtype=np.int64)
+    secret, *coins = flips
+    moving = [j for j, flip in enumerate(coins) if flip]
     for start in range(0, trials, _CHUNK_TRIALS):
-        indices = _trial_indices(seed, start, min(start + _CHUNK_TRIALS, trials), coins)
-        counts += np.bincount(keys[indices], minlength=40)
-    return counts
+        stop = min(start + _CHUNK_TRIALS, trials)
+        values = (np.arange(start, stop) & 1) * secret ^ at_zero
+        for j, coin in zip(moving, protocol.coin_bits(_trial_keys(seed, start, stop), moving)):
+            values ^= coin * coins[j]
+        yield values
 
 
 def attack_sweep(attack: AttackModel, trials: int, seed: int) -> AttackSweepReport:
     """Sample ``trials`` seeded (2,2) runs under the attack and compare their
-    rejection fraction with the exact rate (:func:`exact_detection_rate`),
-    read off the basis in the attack's record (:func:`_leaf_table`), so a
-    warm sweep evaluates no branch of the run.
+    rejection fraction with the exact rate (:func:`exact_detection_rate`).
 
-    Trial ``i`` runs with seed ``(seed + i) mod 2^64`` and secret ``i mod 2``,
-    so every trial is reproducible in isolation.  No trial runs in full
-    (:func:`protocol.run_qss22`) and no leaf key is read: the sender's check
-    is one parity of a run word (:data:`_REJECT_MASK`), so a trial's
-    rejection is the check's value at the zero word, XOR its secret when
-    the secret moves the check, XOR each coin that moves it.  The trials
-    compute only those coins (:func:`protocol.coin_bits`): none at rate 0
-    or 1.
+    The sender's check is one parity of a run word (:data:`_REJECT_MASK`),
+    so it is affine in the branch bits: each trial's rejection is sampled
+    (:func:`_sampled`) from the check's value at the zero word and its
+    flips, which also give the exact rate.  Both are read off the run's
+    basis (:func:`_sweep_basis`), so a warm sweep evaluates no branch of
+    the run, and a trial computes only the coins that move the check: none
+    at rate 0 or 1.
     """
     # Integers only: a float seed such as 1.5 raises instead of truncating.
     trials, seed = operator.index(trials), operator.index(seed)
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    basis = _leaf_table(attack).basis
-    at_zero, (secret_moves, *coin_moves) = _sender_check(basis)
-    moving = [j for j, move in enumerate(coin_moves) if move]
-    detections = 0
-    for start in range(0, trials, _CHUNK_TRIALS):
-        stop = min(start + _CHUNK_TRIALS, trials)
-        rejected = np.arange(start, stop) & secret_moves ^ at_zero
-        for coin in protocol.coin_bits(_trial_keys(seed, start, stop), moving):
-            rejected ^= coin
-        detections += int(np.count_nonzero(rejected))
+    check = _sender_check(_sweep_basis(attack))
+    detections = sum(int(np.count_nonzero(rejected)) for rejected in _sampled(*check, trials, seed))
     rate = detections / trials
-    exact = _detection_rate(basis)
+    exact = _detection_rate(*check)
     low, high = interval_around_rate(float(exact), trials)
     return AttackSweepReport(
         attack=attack.spec_string,
@@ -545,17 +506,20 @@ def public_transcript_uniformity(trials: int, seed: int) -> UniformityReport:
     and empirically with a chi-square test over seeded runs.
 
     Trial ``i`` is the honest run with seed ``(seed + i) mod 2^64`` and
-    secret ``i mod 2``; its three public messages are its leaf key's fields
-    (:func:`_leaf_counts`), counted with the trials that reach each key.
-    No trials report p = 1; a negative count raises ``ValueError``.  The
-    exact checks read the basis in the honest run's sweep record
-    (:func:`_leaf_table`), so a warm call evaluates no branch of the run.
+    secret ``i mod 2``.  Its three public messages are the low five bits of
+    its run word (:data:`_RUN_FIELDS`), sampled (:func:`_sampled`) from the
+    honest run's basis (:func:`_sweep_basis`) and counted by value.  No
+    trials report p = 1; a negative count raises ``ValueError``.  A warm
+    call evaluates no branch of the run.
     """
     trials, seed = operator.index(trials), operator.index(seed)
     if trials < 0:
         raise ValueError(f"trials must not be negative, got {trials}")
-    run = _leaf_table(NO_ATTACK).basis
-    counts = _leaf_counts(NO_ATTACK, trials, seed)
+    run = _sweep_basis(NO_ATTACK)
+    zero, *words = (word & 31 for word in run)
+    counts = np.zeros(32, dtype=np.int64)
+    for public in _sampled(zero, [word ^ zero for word in words], trials, seed):
+        counts += np.bincount(public, minlength=32)
     drawn = np.flatnonzero(counts)
     # In the order the run publishes them: the public-only view's columns.
     names = ("masked-swap-token", "masked-cipher-token", "published-teleport-bsm")

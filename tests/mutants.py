@@ -1,7 +1,7 @@
 """A mutation gate for the stabilizer engine, the run's bit algebra, the
 vectorised Philox, the numpy-free imports, the (5,5) mixedness, the
-state-vector gates, the exact analysis's run basis, the attack sweeps'
-rejections, the transcript's line writer and recorders, and the command
+state-vector gates, the exact analysis's run basis, the sweeps' sampled
+rejections and messages, the transcript's line writer and recorders, and the command
 line's output.
 
 Each mutant names a file under ``src/qsshare``, an exact old text that must
@@ -19,8 +19,8 @@ survivor.  The script needs no package beyond the test dependencies:
 
 It prints one line per mutant and exits 1 when any verdict is not the
 expected one.  It is not a tier-1 test: each mutant costs a pytest run,
-the surviving control about 15 s on a 2-vCPU machine, and all 33 about
-100–115 s.
+the surviving control about 15–20 s on a 2-vCPU machine, and all 33 and
+the control about 100 s.
 """
 
 import os
@@ -236,9 +236,10 @@ MUTANTS = (
         "for units in list(_UNITS.values())[1:]",
         tests=("tests/test_security.py", "tests/test_secrecy_codes.py"),
     ),
-    # The zero word sends R2's token flipped: every basis word, and so every
-    # leaf key, rejects the honest run, which the record's own rate check
-    # cannot see.
+    # The zero word sends R2's token flipped: every branch of the honest run
+    # rejects, and the exact rate and the sampled rejections agree on it,
+    # since both read the same basis; only the full runs of the scalar loop
+    # see it.
     Mutant(
         "basis-zero-flips-r2-token",
         "security.py",
@@ -246,8 +247,9 @@ MUTANTS = (
         "zero = t1 << _T1 ^ (t2 ^ 1) << _T2",
         tests=("tests/test_batch.py",),
     ),
-    # An attack sweep leaves the last coin that moves the check out of a
-    # trial's rejection.
+    # The sweeps' sampler reads no last coin with a nonzero flip, so that
+    # coin never moves a trial's value: an attack sweep's rejection or the
+    # uniformity check's message.
     Mutant(
         "sweep-xor-without-last-coin",
         "security.py",
@@ -255,25 +257,34 @@ MUTANTS = (
         "stop), moving[:-1])",
         tests=("tests/test_batch.py",),
     ),
-    # A trial's rejection is the XOR of its flips alone, without the check's
-    # value at the zero word: rate 0 and rate 1 swap.
+    # A trial's value is the XOR of its flips alone, without its value at
+    # the zero word: an attack sweep's rates 0 and 1 swap.
     Mutant(
         "sweep-rejection-without-zero-word",
         "security.py",
-        "& secret_moves ^ at_zero",
-        "& secret_moves",
+        "* secret ^ at_zero",
+        "* secret",
         tests=("tests/test_batch.py",),
     ),
-    # No coins still run the cipher's rounds on the keys, so the packer's
-    # indices of no coins are zeros after a Philox pass all the same.
+    # No coins still run the cipher's rounds on the keys, so coin_bits(keys,
+    # []) is [] after a Philox pass all the same.
     Mutant(
-        "coin-index-of-no-coins-runs-philox",
+        "coin-bits-of-no-coins-run-philox",
         "protocol.py",
         "    if not coins:",
         "    if coins is None:",
         tests=("tests/test_batch.py",),
     ),
-    # The uniformity check counts each drawn leaf key once, not once per
+    # The uniformity check samples the public messages without the secret's
+    # flip, as if every trial's secret were 0.
+    Mutant(
+        "uniformity-message-without-secret-flip",
+        "security.py",
+        "[word ^ zero for word in words]",
+        "[0] + [word ^ zero for word in words[1:]]",
+        tests=("tests/test_batch.py",),
+    ),
+    # The uniformity check counts each drawn message once, not once per
     # trial that reaches it.
     Mutant(
         "uniformity-unweighted",

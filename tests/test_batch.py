@@ -1,20 +1,23 @@
-"""Batched sweeps: every trial's coins in one numpy pass, counted by leaf
-key, and no full run.
+"""Batched sweeps: every trial's coins in one numpy pass, and no full run.
 
 A seeded (2,2) run draws a fixed number of fair coins, and coin j of the
 run with seed k is the top bit of raw word j of ``Philox(key=k)``.  The
-sweeps compute those coins for all trials at once with a vectorised
-Philox4x64-10, read each trial's leaf key off the run's branch table, and
-count the trials per key, whose fields are the run's public payloads.
+sweeps compute the coins they read for all trials at once with a
+vectorised Philox4x64-10, and read each trial's rejection or public
+messages as an affine value of its secret and coins off the run's basis.
 These tests pin the coins against numpy, the coin counts against the
-tables, the leaf keys against a full run of every coin pattern of every
-attack model, and the reports byte for byte against the scalar loop the
-sweeps used to run, which is kept here as the reference.
+tables, the sweeps against a reference kept here that expands the basis
+into every branch's leaf key (its public payloads, or its rejection),
+that reference against a full run of every coin pattern of every attack
+model, and the reports byte for byte against the scalar loop the sweeps
+used to run, which is kept here as the reference too.
 """
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -55,6 +58,36 @@ def leaf_key(rejected, payloads):
     token_r1 = int(BellLabel.from_bits(payloads[0]))
     tele = 4 if rejected else int(BellLabel.from_bits(payloads[2]))
     return 2 * token_r1 + int(payloads[1]) + 8 * tele
+
+
+def leaf_keys(attack):
+    # Each branch's leaf key, by branch index: the run's basis expanded
+    # over every branch, its low five bits, or 32 and R1's token when the
+    # sender rejects the branch, read by field.
+    run = security._run_words(security._basis(attack))
+    return np.where(security._rejected(run), run & 7 | 32, run & 31)
+
+
+def reference_leaf_counts(attack, trials, seed):
+    # How many of the seeded trials reach each of the 40 leaf keys: trial
+    # i's branch is its secret i mod 2 above the coins its seed draws.
+    coins = protocol.coin_count(attack)
+    branches = (np.arange(trials) & 1) << coins | packed_coins(security._trial_keys(seed, 0, trials), coins)
+    return np.bincount(leaf_keys(attack)[branches], minlength=40)
+
+
+def reference_message_counts(trials, seed):
+    # Each public message's counts by bit string over honest trials, its
+    # field of the leaf keys the trials reach.
+    counts = reference_leaf_counts(NO_ATTACK, trials, seed)
+    assert not counts[32:].any()  # the honest run rejects no branch
+    messages = []
+    for column in security._VIEW_COLUMNS["public-only"]:
+        width = security._RUN_FIELDS[column][1]
+        values = stabilizer.field(np.arange(40), security._RUN_FIELDS[column])
+        observed = np.bincount(values, counts, 1 << width).astype(int)
+        messages.append({format(v, f"0{width}b"): c for v, c in enumerate(observed.tolist()) if c})
+    return messages
 
 
 def scalar_attack_sweep(attack, trials, seed):
@@ -125,9 +158,16 @@ def scalar_uniformity(trials, seed):
 # ---------------------------------------------------------------------------
 # The vectorised Philox.
 
-def unpacked_coins(indices, count):
-    # The coins of each index, the first most significant.
-    return (np.asarray(indices)[:, None] >> np.arange(count - 1, -1, -1) & 1 == 1).tolist()
+def coin_rows(keys, count):
+    # The first count coins of each key (coin_bits), a row per key.
+    return np.array(protocol.coin_bits(keys, range(count)), dtype=bool).reshape(count, len(keys)).T.tolist()
+
+
+def packed_coins(keys, count):
+    # The first count coins of each key packed into one index, the first
+    # most significant, as _draw packs them.
+    zeros = np.zeros(len(keys), dtype=np.int64)
+    return reduce(lambda index, coin: index << 1 | coin, protocol.coin_bits(keys, range(count)), zeros)
 
 
 def numpy_coins(keys, count):
@@ -143,82 +183,71 @@ def test_coins_match_numpy():
         + tuple(random.Random(27).getrandbits(64) for _ in range(2000))
         + tuple(range(2**64 - 10, 2**64))
     )
-    indices = protocol.coin_index(np.array(keys, dtype=np.uint64), 63)
-    assert indices.shape == (len(keys),) and indices.dtype == np.int64
-    for key, coins, expected in zip(keys, unpacked_coins(indices, 63), numpy_coins(keys, 63)):
+    rows = coin_rows(np.array(keys, dtype=np.uint64), 63)
+    for key, coins, expected in zip(keys, rows, numpy_coins(keys, 63)):
         assert coins == expected, key
 
 
 @pytest.mark.parametrize("count", [8, 10, 11])
 def test_coins_match_numpy_at_sweep_widths(count):
     # A run draws 8 or 10 coins, two or three blocks of a chunk's keys,
-    # and the uniformity check packs all 8 of the honest run's.  11 leaves
-    # one word of the third block unread.
+    # and the uniformity check reads coins of both blocks of the honest
+    # run's 8.  11 leaves one word of the third block unread.
     keys = [random.Random(count).getrandbits(64) for _ in range(1000)]
-    indices = protocol.coin_index(np.array(keys, dtype=np.uint64), count)
-    assert unpacked_coins(indices, count) == numpy_coins(keys, count)
+    assert coin_rows(np.array(keys, dtype=np.uint64), count) == numpy_coins(keys, count)
 
 
-def test_coin_indices_of_strided_and_listed_keys():
+def test_coin_bits_of_strided_and_listed_keys():
     # The keys broadcast along each block's row whatever their memory
     # layout: a strided view and a Python list give the contiguous array's
-    # indices.
+    # coins.
     keys = np.array([random.Random(3).getrandbits(64) for _ in range(300)], dtype=np.uint64)[::3]
-    expected = protocol.coin_index(np.ascontiguousarray(keys), 11).tolist()
-    assert protocol.coin_index(keys, 11).tolist() == expected
-    assert protocol.coin_index(keys.tolist(), 11).tolist() == expected
+    expected = coin_rows(np.ascontiguousarray(keys), 11)
+    assert coin_rows(keys, 11) == expected
+    assert coin_rows(keys.tolist(), 11) == expected
 
 
 @pytest.mark.parametrize("count", range(64))
-def test_coin_indices_cut_to_any_count(count):
+def test_coin_bits_cut_to_any_count(count):
     # The first count coins of 63, across every block boundary.
     keys = np.array(KEY_GRID, dtype=np.uint64)
-    indices = protocol.coin_index(keys, count)
-    assert indices.tolist() == (protocol.coin_index(keys, 63) >> 63 - count).tolist()
-
-
-@pytest.mark.parametrize("count", [-1, 64, 65, 100])
-def test_coin_index_refuses_counts_it_cannot_pack(count):
-    with pytest.raises(ValueError, match="0 to 63 coins"):
-        protocol.coin_index(np.array([1, 2, 3], dtype=np.uint64), count)
+    assert coin_rows(keys, count) == [row[:count] for row in coin_rows(keys, 63)]
 
 
 def test_trial_keys_wrap_past_the_last_seed():
     keys = security._trial_keys(2**64 - 3, 0, 6)
     assert keys.tolist() == [2**64 - 3, 2**64 - 2, 2**64 - 1, 0, 1, 2]
-    coins = unpacked_coins(protocol.coin_index(keys, 12), 12)
-    assert coins == numpy_coins(keys.tolist(), 12)
+    assert coin_rows(keys, 12) == numpy_coins(keys.tolist(), 12)
 
 
-def test_coin_indices_are_the_draws_a_run_compares():
-    # Each key's index is the word _draw makes of n coins whose columns are
-    # the bits of an n-bit index, the first most significant, and its bits
-    # are the raw words a run compares with 2^63; n crosses the byte
+def test_packed_coins_are_the_draws_a_run_compares():
+    # Each key's packed coins are the word _draw makes of n coins whose
+    # columns are the bits of an n-bit index, the first most significant,
+    # from the raw words a run compares with 2^63; n crosses the byte
     # boundaries at 8 and 16 and every block boundary.
     for count in range(64):
-        indices = protocol.coin_index(np.array(KEY_GRID, dtype=np.uint64), count)
+        indices = packed_coins(KEY_GRID, count)
         assert indices.shape == (len(KEY_GRID),) and indices.dtype == np.int64
-        assert unpacked_coins(indices, count) == numpy_coins(KEY_GRID, count), count
         columns = tuple(1 << j for j in reversed(range(count)))
         for key, index in zip(KEY_GRID, indices.tolist()):
             assert index == protocol._draw(0, columns, protocol.make_rng(key)), (key, count)
 
 
 @pytest.mark.parametrize("count", [0, 10, 63])
-def test_coin_indices_of_no_keys(count):
-    indices = protocol.coin_index(np.array([], dtype=np.uint64), count)
-    assert indices.shape == (0,) and indices.dtype == np.int64
+def test_coin_bits_of_no_keys(count):
+    bits = protocol.coin_bits(np.array([], dtype=np.uint64), range(count))
+    assert len(bits) == count
+    assert all(column.shape == (0,) and column.dtype == bool for column in bits)
 
 
 def test_no_coins_compute_no_philox_block(monkeypatch):
-    # Indices of no coins are zeros without a round of the cipher.
+    # No coins asked are no coins read, without a round of the cipher.
     def forbidden(*args):
-        raise AssertionError("coin_index ran a Philox round for no coins")
+        raise AssertionError("coin_bits ran a Philox round for no coins")
 
     monkeypatch.setattr(protocol, "_mulhilo", forbidden)
     for keys in (np.array(KEY_GRID, dtype=np.uint64), list(KEY_GRID), np.array([], dtype=np.uint64)):
-        indices = protocol.coin_index(keys, 0)
-        assert indices.dtype == np.int64 and indices.tolist() == [0] * len(keys)
+        assert protocol.coin_bits(keys, []) == []
 
 
 @pytest.mark.parametrize("coins", [[4, 5], [5, 4], [0, 63], [9], []], ids=str)
@@ -394,45 +423,58 @@ def test_sweeps_spanning_several_chunks(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 9, 2**64 - 300])
 def test_sweep_detections_are_the_rejecting_leaf_keys(monkeypatch, seed, chunk):
     # A sweep reads its detections off the check's parity and the coins that
-    # move it; the uniformity check's counts by leaf key, off every coin,
-    # must agree, for every attack model, within a chunk and across chunks.
+    # move it, and the uniformity check its messages off the public bits'
+    # flips; each trial's leaf key, off every coin, must agree, for every
+    # attack model, within a chunk and across chunks.
     monkeypatch.setattr(security, "_CHUNK_TRIALS", chunk)
-    for attack in every_attack():
-        for trials in (1, 7, 1000):
-            expected = security._leaf_counts(attack, trials, seed)[32:].sum()
+    for trials in (1, 7, 1000):
+        for attack in every_attack():
+            expected = reference_leaf_counts(attack, trials, seed)[32:].sum()
             assert attack_sweep(attack, trials, seed).detections == expected, (attack, trials)
+        report = public_transcript_uniformity(trials, seed)
+        counts = [message.empirical_counts for message in report.messages.values()]
+        assert counts == reference_message_counts(trials, seed), trials
 
 
 def test_attack_sweeps_draw_only_the_coins_that_move_the_check(monkeypatch):
     # No coin and no secret moves the check of a model at rate 0 or 1, and
-    # on auth-r2 the fifth and sixth of its 10 coins do; the uniformity
-    # check reads every coin of the honest run.
-    drawn = []
-    coin_bits = protocol.coin_bits
+    # on auth-r2 the fifth and sixth of its 10 coins do; an attack sweep
+    # reads the check once, for its detections and its exact rate.  Every
+    # coin of the honest run but the fourth moves a public bit.
+    drawn, checks = [], []
+    coin_bits, sender_check = protocol.coin_bits, security._sender_check
 
     def spy(keys, coins):
         coins = list(coins)
         drawn.append(coins)
         return coin_bits(keys, coins)
 
+    def counted(basis):
+        checks.append(basis)
+        return sender_check(basis)
+
     monkeypatch.setattr(protocol, "coin_bits", spy)
+    monkeypatch.setattr(security, "_sender_check", counted)
     for attack in every_attack():
         drawn.clear()
+        checks.clear()
         attack_sweep(attack, 1000, 41)
+        assert checks == [security._basis(attack)], attack
         rate = security.exact_detection_rate(attack)
         if attack.spec_string == "intercept-resend-computational:auth-r2":
             assert rate == Fraction(1, 2) and drawn == [[4, 5]]
         else:
             assert rate in (0, 1) and drawn == [[]], attack
     drawn.clear()
+    checks.clear()
     public_transcript_uniformity(1000, 41)
-    assert drawn == [list(range(protocol.coin_count(NO_ATTACK)))] == [list(range(8))]
+    assert drawn == [[0, 1, 2, 4, 5, 6, 7]] and checks == []
 
 
 def test_leaf_counts_are_the_leaf_keys_of_full_runs():
     # Key by key, not only the detections or one public message: each
-    # trial's full run decodes to a leaf key, for every attack model and
-    # across the last seed.
+    # trial's full run decodes to the leaf key the reference counts, for
+    # every attack model and across the last seed.
     seed = 2**64 - 30
     for attack in every_attack():
         expected = [0] * 40
@@ -440,30 +482,42 @@ def test_leaf_counts_are_the_leaf_keys_of_full_runs():
             transcript = run_qss22(i % 2, (seed + i) % (MAX_SEED + 1), attack)
             payloads = [event.payload for event in transcript.public_messages()[:3]]
             expected[leaf_key(transcript.outcome == "rejected", payloads)] += 1
-        counts = security._leaf_counts(attack, 64, seed)
-        assert counts.dtype == np.int64 and counts.tolist() == expected, attack
+        assert reference_leaf_counts(attack, 64, seed).tolist() == expected, attack
 
 
-def test_leaf_counts_split_at_an_even_trial(monkeypatch):
+def test_sweeps_split_at_an_even_trial(monkeypatch):
     # Trial i has seed seed + i and secret i mod 2, so for even k the counts
     # of n trials are those of the first k plus those of n - k trials from
     # seed + k.  Chunks of 7 also cut them at odd trials.
     monkeypatch.setattr(security, "_CHUNK_TRIALS", 7)
     seed = 2**64 - 20
+
+    def split(sweep, k):
+        return sweep(k, seed), sweep(60 - k, (seed + k) % (MAX_SEED + 1))
+
     for spec in SPECS:
         attack = AttackModel.from_spec(spec)
-        counts = security._leaf_counts(attack, 60, seed)
-        assert counts.sum() == 60, spec
-        assert set(np.flatnonzero(counts).tolist()) <= set(security._leaf_table(attack).keys.tolist()), spec
-        for k in (0, 2, 24, 60):
-            rest = security._leaf_counts(attack, 60 - k, (seed + k) % (MAX_SEED + 1))
-            assert (security._leaf_counts(attack, k, seed) + rest).tolist() == counts.tolist(), (spec, k)
+        detections = reference_leaf_counts(attack, 60, seed)[32:].sum()
+        assert attack_sweep(attack, 60, seed).detections == detections, spec
+        for k in (2, 24, 58):
+            first, rest = split(lambda n, s: attack_sweep(attack, n, s).detections, k)
+            assert first + rest == detections, (spec, k)
+
+    def message_counts(trials, seed):
+        report = public_transcript_uniformity(trials, seed)
+        return [Counter(message.empirical_counts) for message in report.messages.values()]
+
+    counts = message_counts(60, seed)
+    assert counts == reference_message_counts(60, seed)
+    for k in (0, 2, 24, 60):
+        first, rest = split(message_counts, k)
+        assert [a + b for a, b in zip(first, rest)] == counts, k
 
 
 def test_a_sweep_makes_no_run_cold_or_warm(monkeypatch):
-    # A sweep counts the trials per leaf key, and the keys' fields are the
-    # payloads: neither a cold nor a warm sweep runs the protocol or keys a
-    # generator.
+    # A sweep reads its trials' rejections and payloads off the run's
+    # basis: neither a cold nor a warm sweep runs the protocol, keys a
+    # generator or evaluates every branch of the run.
     attack = AttackModel.from_spec("intercept-resend-computational:auth-r2")
 
     def sweeps():
@@ -472,22 +526,23 @@ def test_a_sweep_makes_no_run_cold_or_warm(monkeypatch):
     expected = sweeps()
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a sweep ran the protocol")
+        raise AssertionError("a sweep ran the protocol or every branch of it")
 
     assert not hasattr(security, "run_qss22")
     monkeypatch.setattr(protocol, "run_qss22", forbidden)
     monkeypatch.setattr(protocol, "make_rng", forbidden)
-    security._leaf_table.cache_clear()
+    monkeypatch.setattr(security, "_run_words", forbidden)
+    security._sweep_basis.cache_clear()
     assert sweeps() == expected
     assert sweeps() == expected
 
 
-def test_leaf_tables_hold_a_key_per_branch():
+def test_leaf_keys_hold_a_key_per_branch():
     # 32 keys when no branch is rejected, 8 when every branch is, and both
-    # sets when half are.
+    # sets when half are, as the exact rate has it.
     for spec in SPECS:
         attack = AttackModel.from_spec(spec)
-        keys = security._leaf_table(attack).keys
+        keys = leaf_keys(attack)
         rate = security.exact_detection_rate(attack)
         assert len(keys) == 2 * 2 ** protocol.coin_count(attack)
         assert len(set(keys.tolist())) == {0: 32, 1: 8}.get(rate, 40), spec
@@ -508,12 +563,12 @@ class FixedCoins:
 
 
 def test_every_coin_pattern_of_a_run_reaches_the_leaf_key_of_its_branch(monkeypatch):
-    # Branch i of the flattened run table is the run with secret i >> coins
-    # and coins the bits below it, the first most significant: the order
-    # in which the run draws them and the sweeps index the table.
+    # Branch i of the expanded basis is the run with secret i >> coins and
+    # coins the bits below it, the first most significant: the order in
+    # which the run draws them and the reference indexes the keys.
     for attack in every_attack():
         coins = protocol.coin_count(attack)
-        keys = security._leaf_table(attack).keys
+        keys = leaf_keys(attack)
         for branch, key in enumerate(keys.tolist()):
             rng = FixedCoins(branch >> j & 1 for j in reversed(range(coins)))
             monkeypatch.setattr(protocol, "make_rng", lambda seed: rng)
@@ -523,51 +578,48 @@ def test_every_coin_pattern_of_a_run_reaches_the_leaf_key_of_its_branch(monkeypa
             assert leaf_key(transcript.outcome == "rejected", payloads) == key, (attack, branch)
 
 
-def test_exact_rates_read_no_leaf_table():
-    security._leaf_table.cache_clear()
+def test_exact_rates_read_no_sweep_basis():
+    security._sweep_basis.cache_clear()
     security._splitting_branches.cache_clear()
     for spec in SPECS:
         security.exact_detection_rate(AttackModel.from_spec(spec))
-    assert security._leaf_table.cache_info()[:2] == (0, 0)
+    assert security._sweep_basis.cache_info()[:2] == (0, 0)
 
 
 # ---------------------------------------------------------------------------
-# The sweep record: leaf keys and the run's basis.
+# The sweeps' basis.
 
 def test_sweep_rates_are_the_exact_rates_cold_and_warm():
-    # A sweep reads its exact rate off the basis its record holds, through
+    # A sweep reads its exact rate off the basis the sweeps cache, through
     # the helper exact_detection_rate uses: the first sweep of each model
-    # builds the record, the second reads it.
-    security._leaf_table.cache_clear()
+    # composes the basis, the second reads it.
+    security._sweep_basis.cache_clear()
     for attack in every_attack():
         exact = security.exact_detection_rate(attack)
         for misses in (1, 0):
-            before = security._leaf_table.cache_info().misses
+            before = security._sweep_basis.cache_info().misses
             report = attack_sweep(attack, 20, 0)
-            assert security._leaf_table.cache_info().misses - before == misses, attack
+            assert security._sweep_basis.cache_info().misses - before == misses, attack
             assert report.exact_rate_rational == f"{exact.numerator}/{exact.denominator}", attack
 
 
-def test_records_hold_a_read_only_basis_and_the_coin_count():
-    # The basis is a tuple of ints, which cannot change in place, a word
-    # per coin besides the all-zero and the secret's; the keys are a
-    # read-only array.
+def test_sweep_bases_are_the_run_basis_and_hold_the_coin_count():
+    # The cached basis is a tuple of ints, which cannot change in place, a
+    # word per coin besides the all-zero and the secret's.
     for attack in every_attack():
-        record = security._leaf_table(attack)
-        assert len(record.basis) == 2 + protocol.coin_count(attack), attack
-        assert not record.keys.flags.writeable, attack
-        basis = security._basis(attack)
-        assert type(record.basis) is type(basis) is tuple, attack
-        assert all(type(word) is int for word in record.basis + basis), attack
-        assert record.basis == basis, attack
+        cached, basis = security._sweep_basis(attack), security._basis(attack)
+        assert len(cached) == 2 + protocol.coin_count(attack), attack
+        assert type(cached) is type(basis) is tuple, attack
+        assert all(type(word) is int for word in cached + basis), attack
+        assert cached == basis, attack
 
 
 def test_run_fields_tile_17_bits_and_the_low_five_are_a_leaf_key():
     # Each column of a run word has bits of its own, and together they
     # are bits 0-16.  A word's low five bits are its leaf key, whose
-    # fields a sweep reads as a run's payloads (leaf_key): R1's token,
-    # R2's token and the teleport outcome, with 32 and the tokens alone on
-    # rejection.
+    # fields the uniformity check reads as a run's payloads (leaf_key):
+    # R1's token, R2's token and the teleport outcome, with 32 and the
+    # tokens alone on rejection.
     fields = security._RUN_FIELDS
     masks = [(1 << width) - 1 << shift for shift, width in fields.values()]
     assert sum(masks) == np.bitwise_or.reduce(masks) == (1 << 17) - 1
@@ -577,34 +629,3 @@ def test_run_fields_tile_17_bits_and_the_low_five_are_a_leaf_key():
         payloads = token_r1.bits, str(token_r2), tele.bits
         assert word & 31 == leaf_key(False, payloads)
         assert word & 7 | 32 == leaf_key(True, payloads)
-
-
-def test_a_warm_sweep_evaluates_no_branch_of_the_run(monkeypatch):
-    attack = AttackModel.from_spec("intercept-resend-computational:auth-r2")
-    first = report_to_jsonl(attack_sweep(attack, 300, 4)), report_to_jsonl(
-        public_transcript_uniformity(300, 4)
-    )
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a warm sweep evaluated the run's branches")
-
-    monkeypatch.setattr(security, "_run_words", forbidden)
-    second = report_to_jsonl(attack_sweep(attack, 300, 4)), report_to_jsonl(
-        public_transcript_uniformity(300, 4)
-    )
-    assert second == first
-
-
-def test_a_record_whose_rate_disagrees_with_its_keys_raises(monkeypatch):
-    # The share of rejecting leaf keys, counted over every branch, must be
-    # the rank rate of the basis: a rate helper that reads 1 for the honest
-    # run, whose keys reject none, trips the record's check.
-    monkeypatch.setattr(security, "_detection_rate", lambda basis: Fraction(1))
-    security._leaf_table.cache_clear()
-    try:
-        with pytest.raises(AssertionError, match="basis rate 1"):
-            attack_sweep(NO_ATTACK, 10, 0)
-        with pytest.raises(AssertionError, match="basis rate 1"):
-            public_transcript_uniformity(10, 0)
-    finally:
-        security._leaf_table.cache_clear()

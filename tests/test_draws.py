@@ -78,8 +78,7 @@ def test_runs_read_the_words_a_generator_drew_from():
     # The layout of a run's words, against the Generator draws the runs
     # once made: a qss22 run's coins are random() < 1/2, and a qss55 run
     # drew integers(4) twice, then four such coins.
-    indices = protocol.coin_index(LAYOUT_KEYS, 10)
-    coins = [[index >> j & 1 == 1 for j in reversed(range(10))] for index in indices.tolist()]
+    coins = np.column_stack(protocol.coin_bits(LAYOUT_KEYS, range(10))).tolist()
     for key, row in zip(LAYOUT_KEYS.tolist(), coins):
         word0 = int(np.random.Philox(key=key).random_raw(1)[0])
         codes = [word0 >> 30 & 3, word0 >> 62]

@@ -41,7 +41,7 @@ PACKAGE_CACHES = {
     "qsshare.protocol.splitting_steps",
     "qsshare.stabilizer.linear_map",
     "qsshare.security.enumerate_honest_cases",
-    "qsshare.security._leaf_table",
+    "qsshare.security._sweep_basis",
 }
 MEASUREMENTS = (
     "measure_computational",

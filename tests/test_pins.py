@@ -51,21 +51,21 @@ PINS = (
         "1d8f63b5411461b6edf9bb2b3e55ce0a1f5de4f1799710ad0a3ec267e788629f",
     ),
     # A batched sweep: 10,000 trials run in three chunks of at most 4096,
-    # and each trial's 10 coins take a third, partial Philox block.
+    # and each trial's check reads 2 of its 10 coins, block 1 alone.
     (
         "analyze --attack intercept-resend-computational:auth-r2 --trials 10000 --seed 5 --format structured",
         0,
         "6c09326dad7f2b832c0758cedea91315ec998c2f541a09f7c7e5f2a8f0d6e2b8",
     ),
-    # A cold sweep of the ancilla step list: its leaf keys come from the
-    # run's branches, counted with no run.
+    # A cold sweep of the ancilla step list: its basis comes from the run's
+    # maps, sampled with no run.
     (
         "analyze --attack entangle-ancilla --trials 1000 --seed 3 --format structured",
         0,
         "f9cf27d6ad427c1925c449c5b7ae8f1dff5c7c9f4760558adcb027c69c0c5363",
     ),
-    # The widest run's cold sweep: 10 coins, so its 2,048 leaf keys are its
-    # basis expanded at its largest width.
+    # The widest run's cold sweep: 10 coins, so its basis has its largest
+    # width, 12 words.
     (
         "analyze --attack intercept-resend-computational:auth-r1 --trials 1000 --seed 3 --format structured",
         0,

@@ -14,7 +14,7 @@ computed over every branch of the run by an evaluation of its own
 basis expanded (``security._run_words``), read by field, are that
 evaluation; check the one elimination behind every span test
 (``stabilizer.echelon`` and ``stabilizer.reduce``) against brute force;
-and check that a cold sweep record or the honest cases
+and check that a cold sweep basis or the honest cases
 compose the run's maps once.
 """
 
@@ -202,7 +202,7 @@ def evaluated(monkeypatch):
 def test_each_exact_result_evaluates_the_run_at_its_basis_branches(evaluated):
     # The basis is composed from the phases' maps: no exact result
     # evaluates every branch of the run.
-    security._leaf_table(NO_ATTACK)  # the honest run's sweep record: its keys and basis
+    security._sweep_basis(NO_ATTACK)  # the honest run's basis, as the sweeps cache it
     evaluated.clear()
     security.exact_detection_rate(NO_ATTACK)
     security.exact_detection_rate(AttackModel.from_spec("intercept-resend-computational:auth-r2"))
@@ -215,8 +215,8 @@ def test_each_exact_result_evaluates_the_run_at_its_basis_branches(evaluated):
         evaluated.clear()
         security.mutual_information_22(view)
         assert evaluated == [("_basis", 10)], view
-    # The uniformity check reads the basis the honest run's sweep record
-    # holds, so it evaluates no branch.
+    # The uniformity check reads the honest run's basis the sweeps cache,
+    # so it evaluates no branch.
     evaluated.clear()
     security.public_transcript_uniformity(100, 0)
     assert evaluated == []
@@ -236,13 +236,13 @@ def run_maps(monkeypatch):
     return attacks
 
 
-def test_a_cold_record_and_the_honest_cases_compose_the_run_once(run_maps):
-    # The sweep record's leaf keys expand the basis it holds, and the
-    # honest cases expand the honest run's basis: each composes the run's
-    # maps once, not once for the basis and again for every branch.
+def test_a_cold_sweep_basis_and_the_honest_cases_compose_the_run_once(run_maps):
+    # The sweeps cache the run's basis, and the honest cases expand the
+    # honest run's basis: each composes the run's maps once, not once for
+    # the basis and again for every branch.
     attack = AttackModel.from_spec("intercept-resend-computational:auth-r1")
-    security._leaf_table.cache_clear()
-    security._leaf_table(attack)
+    security._sweep_basis.cache_clear()
+    security._sweep_basis(attack)
     assert run_maps == [attack]
     run_maps.clear()
     security.enumerate_honest_cases.cache_clear()
