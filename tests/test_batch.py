@@ -6,10 +6,10 @@ sweeps compute the coins they read for all trials at once with a
 vectorised Philox4x64-10, and read each trial's rejection or public
 messages as an affine value of its secret and coins off the run's basis.
 These tests pin the coins against numpy, the coin counts against the
-tables, the sweeps against a reference kept here that expands the basis
-into every branch's leaf key (its public payloads, or its rejection),
-that reference against a full run of every coin pattern of every attack
-model, and the reports byte for byte against the scalar loop the sweeps
+tables, the sampler against numpy's coins, the sweeps against a
+reference kept here that expands the basis into every branch's leaf key
+(its public payloads, or its rejection), that reference against a full
+run of every coin pattern of every attack model, and the reports byte for byte against the scalar loop the sweeps
 used to run, which is kept here as the reference too.
 """
 
@@ -537,6 +537,21 @@ def test_a_sweep_makes_no_run_cold_or_warm(monkeypatch):
     assert sweeps() == expected
 
 
+def test_a_warm_sweep_evaluates_no_branch_of_the_run(monkeypatch):
+    # A warm sweep reads the basis the sweeps cache: it composes no basis
+    # and evaluates no branch of the run.
+    attack = AttackModel.from_spec("intercept-resend-computational:auth-r2")
+    first = report_to_jsonl(attack_sweep(attack, 300, 4)), report_to_jsonl(public_transcript_uniformity(300, 4))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a warm sweep evaluated the run's branches")
+
+    monkeypatch.setattr(security, "_basis", forbidden)
+    monkeypatch.setattr(security, "_run_words", forbidden)
+    second = report_to_jsonl(attack_sweep(attack, 300, 4)), report_to_jsonl(public_transcript_uniformity(300, 4))
+    assert second == first
+
+
 def test_leaf_keys_hold_a_key_per_branch():
     # 32 keys when no branch is rejected, 8 when every branch is, and both
     # sets when half are, as the exact rate has it.
@@ -612,6 +627,51 @@ def test_sweep_bases_are_the_run_basis_and_hold_the_coin_count():
         assert type(cached) is type(basis) is tuple, attack
         assert all(type(word) is int for word in cached + basis), attack
         assert cached == basis, attack
+
+
+@pytest.mark.parametrize(
+    "at_zero, flips",
+    [
+        (1, [0] * 11),
+        (0, [1] + [0] * 10),
+        (5, [0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 16]),
+        (77, [random.Random(11).getrandbits(17) for _ in range(11)]),
+    ],
+    ids=["no-flip", "secret-only", "sparse-coins", "every-flip"],
+)
+def test_sampled_values_are_affine_in_the_secret_and_coins(monkeypatch, at_zero, flips):
+    # Trial i's value is at_zero, XOR the secret's flip when i is odd, XOR
+    # the flip of each coin numpy's Philox draws as 1 under seed + i, in
+    # chunks of at most _CHUNK_TRIALS, across the last seed.
+    monkeypatch.setattr(security, "_CHUNK_TRIALS", 7)
+    seed, trials = 2**64 - 30, 60
+    keys = [(seed + i) % (MAX_SEED + 1) for i in range(trials)]
+    expected = []
+    for i, coins in enumerate(numpy_coins(keys, len(flips) - 1)):
+        value = at_zero ^ (i & 1) * flips[0]
+        for coin, flip in zip(coins, flips[1:]):
+            value ^= coin * flip
+        expected.append(value)
+    chunks = list(security._sampled(at_zero, flips, trials, seed))
+    assert [len(chunk) for chunk in chunks] == [7] * 8 + [4]
+    assert all(chunk.dtype == np.int64 for chunk in chunks)
+    assert np.concatenate(chunks).tolist() == expected
+
+
+def test_sampled_of_no_trials_yields_nothing():
+    assert list(security._sampled(1, [1, 1, 1], 0, 3)) == []
+
+
+def test_sweeps_at_rate_0_or_1_detect_no_trial_or_every_trial():
+    # The exact rate and the detections come from one read of the check,
+    # so a model the check always accepts or always rejects agrees with its
+    # rate on every trial, within a chunk and across chunks.
+    for attack in every_attack():
+        rate = security.exact_detection_rate(attack)
+        if rate not in (0, 1):
+            continue
+        for trials, seed in product((1, 9, 2 * security._CHUNK_TRIALS + 3), (0, 2**64 - 5)):
+            assert attack_sweep(attack, trials, seed).detections == rate * trials, (attack, trials, seed)
 
 
 def test_run_fields_tile_17_bits_and_the_low_five_are_a_leaf_key():
