@@ -3,13 +3,22 @@
 Exit codes: 0 success, 1 usage error, 2 protocol rejection (attack detected),
 3 table verification mismatch.  Identical seeds and flags produce
 byte-identical output files; exit codes are the only pass/fail channel.
+
+The commands and their flags are one table, :data:`COMMANDS`.  The parser
+(:func:`build_parser`) reads it in argparse's syntax (``--flag VALUE`` or
+``--flag=VALUE``, unique prefixes, the last repeat wins) and wording, and
+``-h`` lists a command's flags.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
+import re
 import sys
+from collections import namedtuple
+from collections.abc import Callable, Sequence
+from types import SimpleNamespace
+from typing import NoReturn
 
 from . import bell, statevec
 from .protocol import MAX_SEED, NO_ATTACK, AttackModel, run_qss22, run_qss55
@@ -29,13 +38,6 @@ QUBIT_NORM_SQ_WARN = statevec.NORM_TOL / 32
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad flags by default; usage errors must exit 1.
-    def error(self, message: str) -> None:
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def parse_amplitude(text: str) -> complex:
@@ -100,7 +102,7 @@ def _write(out: str, content: str) -> None:
         raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_run(args: SimpleNamespace) -> int:
     _check_seed(args.seed)
     _check_trials(args.trials)
     attack = NO_ATTACK
@@ -138,7 +140,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_REJECTED if any_rejected else EXIT_OK
 
 
-def cmd_verify_tables(args: argparse.Namespace) -> int:
+def cmd_verify_tables(args: SimpleNamespace) -> int:
     generated_teleport = bell.generate_teleport_table()
     generated_swap = bell.generate_swap_table()
     lines = [
@@ -160,7 +162,7 @@ def cmd_verify_tables(args: argparse.Namespace) -> int:
     return EXIT_TABLE_MISMATCH if teleport_mismatches or swap_mismatches else EXIT_OK
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: SimpleNamespace) -> int:
     from . import security
 
     if (args.view is None) == (args.attack is None):
@@ -192,40 +194,138 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="qsshare", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+# A flag of :data:`COMMANDS`: it takes one value, converted by ``type``; a
+# required flag has no default.
+Flag = namedtuple("Flag", "help default type choices required", defaults=(None, str, None, False))
+_OUT = Flag("output path, - for stdout", "-")
+_FORMATS = ("text", "structured")
 
-    run_parser = sub.add_parser("run", help="run a secret-sharing scheme end to end")
-    run_parser.add_argument("--scheme", choices=("qss22", "qss55"), default="qss22")
-    run_parser.add_argument(
-        "--secret", required=True, help="bit for qss22, 're,re±im·i' amplitudes for qss55"
-    )
-    run_parser.add_argument("--seed", type=int, default=0)
-    run_parser.add_argument("--trials", type=int, default=1)
-    run_parser.add_argument("--attack", default=None, help="attack spec, e.g. token-flip or r1-lie:01")
-    run_parser.add_argument("--out", default="-", help="output path, - for stdout")
-    run_parser.add_argument("--format", choices=("text", "structured"), default="structured")
-    run_parser.set_defaults(func=cmd_run)
+# Each command's handler, help and flags.  The handler reads ``--name`` as
+# ``args.name``, the default when it is not given.  Handlers are named, not
+# bound, and looked up when the command runs, so that a wrapper set on this
+# module after import (perfbench's tracer) is the one called.
+COMMANDS = {
+    "run": ("cmd_run", "run a secret-sharing scheme end to end", {
+        "--scheme": Flag("scheme to run", "qss22", choices=("qss22", "qss55")),
+        "--secret": Flag("bit for qss22, 're,re±im·i' amplitudes for qss55", required=True),
+        "--seed": Flag("seed of trial 0; trial i runs seed + i", 0, int),
+        "--trials": Flag("number of runs", 1, int),
+        "--attack": Flag("attack spec, e.g. token-flip or r1-lie:01"),
+        "--out": _OUT,
+        "--format": Flag("a text line or a JSONL transcript per trial", "structured", choices=_FORMATS),
+    }),
+    "verify-tables": ("cmd_verify_tables", "regenerate and diff the correction tables", {"--out": _OUT}),
+    "analyze": ("cmd_analyze", "secrecy / attack analysis", {
+        "--view": Flag("adversary view to analyze"),
+        "--attack": Flag("attack spec to sweep"),
+        "--trials": Flag("trials of an attack sweep", 10000, int),
+        "--seed": Flag("seed of the sweep's trial 0", 0, int),
+        "--out": _OUT,
+        "--format": Flag("a text line or a JSONL report", "text", choices=_FORMATS),
+    }),
+}
+_HELP = ("-h", "--help")
+_HELP_VALUE = "argument -h/--help: ignored explicit argument {!r}"
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a value: no flag looks like one
 
-    verify_parser = sub.add_parser("verify-tables", help="regenerate and diff the correction tables")
-    verify_parser.add_argument("--out", default="-")
-    verify_parser.set_defaults(func=cmd_verify_tables)
 
-    analyze_parser = sub.add_parser("analyze", help="secrecy / attack analysis")
-    analyze_parser.add_argument("--view", default=None, help="adversary view to analyze")
-    analyze_parser.add_argument("--attack", default=None, help="attack spec to sweep")
-    analyze_parser.add_argument("--trials", type=int, default=10000)
-    analyze_parser.add_argument("--seed", type=int, default=0)
-    analyze_parser.add_argument("--out", default="-")
-    analyze_parser.add_argument("--format", choices=("text", "structured"), default="text")
-    analyze_parser.set_defaults(func=cmd_analyze)
-    return parser
+def _read(token: str, names: tuple[str, ...]) -> tuple[str | None, str | None] | None:
+    """``token`` as argparse reads it among the flags ``names``: None for a
+    value, else the flag it names (None for none) and its ``=`` value."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    name, eq, value = token.partition("=")
+    value = value if eq else None
+    if name in names:
+        return name, value
+    if token[1] == "-":
+        matches = [flag for flag in names if flag.startswith(name)]
+        if len(matches) > 1:
+            raise ValueError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value
+    elif token[1] == "h":
+        return "-h", token[2:]
+    return None if " " in token or _NEGATIVE_NUMBER.match(token) else (None, None)
+
+
+def _exit(command: str | None, error: str | None = None) -> NoReturn:
+    """Exit as argparse does: 1 after the usage line and the ``error`` on
+    stderr, else 0 after the help on stdout.  ``command`` None is qsshare's."""
+    if command is None:
+        prog, usage, title = "qsshare", f"qsshare [-h] {{{','.join(COMMANDS)}}} ...", __doc__.splitlines()[0]
+        rows = [(name, entry[1]) for name, entry in COMMANDS.items()]
+    else:
+        prog, title, flags = f"qsshare {command}", COMMANDS[command][1], COMMANDS[command][2].items()
+        shown = {n: f"{n} {{{','.join(f.choices)}}}" if f.choices else f"{n} {n[2:].upper()}" for n, f in flags}
+        usage = " ".join([f"{prog} [-h]"] + [shown[n] if f.required else f"[{shown[n]}]" for n, f in flags])
+        rows = [(shown[n], f.help) for n, f in flags]
+    if error is not None:
+        sys.stderr.write(f"usage: {usage}\n{prog}: error: {error}\n")
+        raise SystemExit(EXIT_USAGE)
+    rows.insert(0, ("-h, --help", "show this help and exit"))
+    sys.stdout.write(f"usage: {usage}\n\n{title}\n\n" + "".join(f"  {left:<28}{text}\n" for left, text in rows))
+    raise SystemExit(EXIT_OK)
+
+
+def _parse_args(argv: Sequence[str] | None = None) -> SimpleNamespace:
+    """``argv`` (``sys.argv[1:]`` when None) as its handler's namespace:
+    ``command``, ``func`` and every flag.  A usage error exits 1 and ``-h``
+    exits 0 (:func:`_exit`)."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    index = 0
+    while index < len(argv) and (read := _read(argv[index], _HELP)) is not None:
+        if read[0]:
+            _exit(None, None if read[1] is None else _HELP_VALUE.format(read[1]))
+        index += 1
+    # argparse takes "--" for the command, unless nothing follows it.
+    if argv[index:] in ([], ["--"]):
+        _exit(None, "the following arguments are required: command")
+    extras, command, rest = argv[:index], argv[index], argv[index + 1 :]
+    if command not in COMMANDS:
+        _exit(None, f"argument command: invalid choice: {command!r} (choose from {', '.join(map(repr, COMMANDS))})")
+    handler, _, flags = COMMANDS[command]
+    # Strings from "--" on are left over; ambiguity fails before any flag is read.
+    cut = rest.index("--") if "--" in rest else len(rest)
+    try:
+        reading = zip(rest, [_read(token, _HELP + tuple(flags)) for token in rest[:cut]])
+    except ValueError as exc:
+        _exit(command, str(exc))
+    values = {name[2:]: flag.default for name, flag in flags.items()}
+    for token, read in reading:
+        name, value = read or (None, None)  # a stray value is left over, like an unknown flag
+        if name in _HELP:
+            _exit(command, None if value is None else _HELP_VALUE.format(value))
+        if name is None:
+            extras.append(token)
+            continue
+        if value is None:
+            value, read = next(reading, (None, ()))
+            if read is not None:
+                _exit(command, f"argument {name}: expected one argument")
+        flag = flags[name]
+        try:
+            values[name[2:]] = value = flag.type(value)
+        except ValueError:
+            _exit(command, f"argument {name}: invalid {flag.type.__name__} value: {value!r}")
+        if flag.choices and value not in flag.choices:
+            _exit(command, f"argument {name}: invalid choice: {value!r} (choose from {', '.join(map(repr, flag.choices))})")
+    missing = [name for name, flag in flags.items() if flag.required and values[name[2:]] is None]
+    if missing:
+        _exit(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras + rest[cut:]:
+        _exit(None, f"unrecognized arguments: {' '.join(extras + rest[cut:])}")
+    return SimpleNamespace(command=command, func=globals()[handler], **values)
+
+
+def build_parser() -> Callable[[Sequence[str] | None], SimpleNamespace]:
+    """The command line's parser, :func:`_parse_args`: it reads the
+    :data:`COMMANDS` table, so nothing is built per call."""
+    return _parse_args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser()(argv)
     try:
         return args.func(args)
     except UsageError as exc:

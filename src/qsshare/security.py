@@ -428,8 +428,9 @@ def _sampled(at_zero: int, flips: Sequence[int], trials: int, seed: int) -> Iter
     for start in range(0, trials, _CHUNK_TRIALS):
         stop = min(start + _CHUNK_TRIALS, trials)
         values = (np.arange(start, stop) & 1) * secret ^ at_zero
-        for j, coin in zip(moving, protocol.coin_bits(_trial_keys(seed, start, stop), moving)):
-            values ^= coin * coins[j]
+        if moving:  # none at rate 0 or 1: no trial keys are built
+            for j, coin in zip(moving, protocol.coin_bits(_trial_keys(seed, start, stop), moving)):
+                values ^= coin * coins[j]
         yield values
 
 

@@ -2,7 +2,7 @@
 vectorised Philox, the numpy-free imports, the (5,5) mixedness, the
 state-vector gates, the exact analysis's run basis, the sweeps' sampled
 rejections and messages, the transcript's line writer and recorders, and the command
-line's output.
+line's parser and output.
 
 Each mutant names a file under ``src/qsshare``, an exact old text that must
 occur there once, its replacement, and the test files that must kill it
@@ -19,7 +19,7 @@ survivor.  The script needs no package beyond the test dependencies:
 
 It prints one line per mutant and exits 1 when any verdict is not the
 expected one.  It is not a tier-1 test: each mutant costs a pytest run,
-the surviving control about 15–20 s on a 2-vCPU machine, and all 33 and
+the surviving control about 15–20 s on a 2-vCPU machine, and all 34 and
 the control about 100 s.
 """
 
@@ -309,6 +309,14 @@ MUTANTS = (
         '"".join(chunks)',
         '"\\n".join(chunks)',
         tests=("tests/test_pins.py",),
+    ),
+    # An ambiguous flag prefix takes the first flag it matches.
+    Mutant(
+        "ambiguous-prefix-takes-first-match",
+        "cli.py",
+        "if len(matches) > 1:",
+        "if not matches:",
+        tests=("tests/test_cli.py",),
     ),
     Mutant("no-op-control", "stabilizer.py", "        coins += 1\n", "        coins = coins + 1\n", killed=False),
 )

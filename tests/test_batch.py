@@ -437,12 +437,13 @@ def test_sweep_detections_are_the_rejecting_leaf_keys(monkeypatch, seed, chunk):
 
 
 def test_attack_sweeps_draw_only_the_coins_that_move_the_check(monkeypatch):
-    # No coin and no secret moves the check of a model at rate 0 or 1, and
-    # on auth-r2 the fifth and sixth of its 10 coins do; an attack sweep
-    # reads the check once, for its detections and its exact rate.  Every
-    # coin of the honest run but the fourth moves a public bit.
-    drawn, checks = [], []
-    coin_bits, sender_check = protocol.coin_bits, security._sender_check
+    # No coin and no secret moves the check of a model at rate 0 or 1, so
+    # its sweep builds no trial keys and draws no coin; on auth-r2 the fifth
+    # and sixth of its 10 coins do.  An attack sweep reads the check once,
+    # for its detections and its exact rate.  Every coin of the honest run
+    # but the fourth moves a public bit.
+    drawn, checks, keyed = [], [], []
+    coin_bits, sender_check, trial_keys = protocol.coin_bits, security._sender_check, security._trial_keys
 
     def spy(keys, coins):
         coins = list(coins)
@@ -453,22 +454,29 @@ def test_attack_sweeps_draw_only_the_coins_that_move_the_check(monkeypatch):
         checks.append(basis)
         return sender_check(basis)
 
+    def keys(seed, start, stop):
+        keyed.append((start, stop))
+        return trial_keys(seed, start, stop)
+
     monkeypatch.setattr(protocol, "coin_bits", spy)
     monkeypatch.setattr(security, "_sender_check", counted)
+    monkeypatch.setattr(security, "_trial_keys", keys)
     for attack in every_attack():
         drawn.clear()
         checks.clear()
+        keyed.clear()
         attack_sweep(attack, 1000, 41)
         assert checks == [security._basis(attack)], attack
         rate = security.exact_detection_rate(attack)
         if attack.spec_string == "intercept-resend-computational:auth-r2":
-            assert rate == Fraction(1, 2) and drawn == [[4, 5]]
+            assert rate == Fraction(1, 2) and drawn == [[4, 5]] and keyed == [(0, 1000)]
         else:
-            assert rate in (0, 1) and drawn == [[]], attack
+            assert rate in (0, 1) and drawn == [] and keyed == [], attack
     drawn.clear()
     checks.clear()
+    keyed.clear()
     public_transcript_uniformity(1000, 41)
-    assert drawn == [[0, 1, 2, 4, 5, 6, 7]] and checks == []
+    assert drawn == [[0, 1, 2, 4, 5, 6, 7]] and checks == [] and keyed == [(0, 1000)]
 
 
 def test_leaf_counts_are_the_leaf_keys_of_full_runs():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_fresh
 from qsshare import bell, cli, security
 from qsshare.bell import CORRECTION_I, PHI_MINUS, BellLabel
 from qsshare.cli import EXIT_OK, EXIT_REJECTED, EXIT_TABLE_MISMATCH, EXIT_USAGE, main
@@ -258,13 +259,124 @@ def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
     assert err == f"qsshare: error: cannot write {path}: No such file or directory\n"
 
 
-def test_malformed_flags_exit_one(capsys):
+RUN_FLAGS = ("--scheme", "--secret", "--seed", "--trials", "--attack", "--out", "--format")
+ANALYZE_FLAGS = ("--view", "--attack", "--trials", "--seed", "--out", "--format")
+
+
+@pytest.mark.parametrize(
+    "argv, prog, message",
+    [
+        ([], "qsshare", "the following arguments are required: command"),
+        (["--bogus"], "qsshare", "the following arguments are required: command"),
+        (
+            ["frobnicate"],
+            "qsshare",
+            "argument command: invalid choice: 'frobnicate' (choose from 'run', 'verify-tables', 'analyze')",
+        ),
+        # Strings no command reads are reported by the top level, in order.
+        (["run", "--secret", "1", "extra", "--bogus=2", "-x"], "qsshare", "unrecognized arguments: extra --bogus=2 -x"),
+        (["verify-tables", "-"], "qsshare", "unrecognized arguments: -"),
+        (["run", "--secret", "1", "--", "--x"], "qsshare", "unrecognized arguments: -- --x"),
+        (["run", "--secret", "1", "--out", "--format", "text"], "qsshare run", "argument --out: expected one argument"),
+        (["run", "--secret"], "qsshare run", "argument --secret: expected one argument"),
+        # Only a negative number or a string with a space may start with -.
+        (["run", "--secret", "1", "--seed", "-1e3"], "qsshare run", "argument --seed: expected one argument"),
+        (["run", "--secret", "-x"], "qsshare run", "argument --secret: expected one argument"),
+        (["run", "--secret", "1", "--seed", "x"], "qsshare run", "argument --seed: invalid int value: 'x'"),
+        (["analyze", "--trials="], "qsshare analyze", "argument --trials: invalid int value: ''"),
+        (
+            ["run", "--secret", "1", "--format", "yaml"],
+            "qsshare run",
+            "argument --format: invalid choice: 'yaml' (choose from 'text', 'structured')",
+        ),
+        (
+            ["run", "--sch", "qss33", "--secret", "1"],
+            "qsshare run",
+            "argument --scheme: invalid choice: 'qss33' (choose from 'qss22', 'qss55')",
+        ),
+        (["run", "--seed", "3"], "qsshare run", "the following arguments are required: --secret"),
+        # A missing flag is reported before strings no command reads.
+        (["run", "extra"], "qsshare run", "the following arguments are required: --secret"),
+        (["run", "--", "--secret", "1"], "qsshare run", "the following arguments are required: --secret"),
+        (["run", "--s", "1"], "qsshare run", "ambiguous option: --s could match --scheme, --secret, --seed"),
+        (["run", "--s=1"], "qsshare run", "ambiguous option: --s=1 could match --scheme, --secret, --seed"),
+        # Ambiguity is found before any flag is read.
+        (
+            ["run", "--seed", "x", "--format=yaml", "--s", "1"],
+            "qsshare run",
+            "ambiguous option: --s could match --scheme, --secret, --seed",
+        ),
+        # Otherwise flags are read in order.
+        (["analyze", "--seed", "x", "--format=yaml"], "qsshare analyze", "argument --seed: invalid int value: 'x'"),
+        (["run", "--secret", "1", "--help=x"], "qsshare run", "argument -h/--help: ignored explicit argument 'x'"),
+    ],
+)
+def test_malformed_flags_exit_one(argv, prog, message, capsys):
+    # argparse's wording, after a usage line under the same prog.  The
+    # usage line's wrapping is not pinned.
     with pytest.raises(SystemExit) as excinfo:
-        main(["run", "--secret", "1", "--format", "yaml"])
+        main(argv)
+    out, err = capsys.readouterr()
     assert excinfo.value.code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"usage: {prog} [-h] ")
+    assert err.endswith(f"\n{prog}: error: {message}\n")
+    assert err.count("error:") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, spelled",
+    [
+        (["run", "--sec", "1", "--see", "5"], ["run", "--secret", "1", "--seed", "5"]),
+        (["run", "--secret=1", "--seed=5", "--form=text"], ["run", "--secret", "1", "--seed", "5", "--format", "text"]),
+        (["run", "--secret", "0", "--seed", "9", "--secret", "1", "--seed", "5"], ["run", "--secret", "1", "--seed", "5"]),
+        (
+            ["run", "--sc", "qss55", "--secret", "0.6,-0.8i", "--tri", "2"],
+            ["run", "--scheme", "qss55", "--secret=0.6,-0.8i", "--trials", "2"],
+        ),
+        (["run", "--secret", "1", "--attack", "-a b"], ["run", "--secret", "1", "--attack=-a b"]),
+        (["analyze", "--vi", "r2-alone", "--fo=structured"], ["analyze", "--view", "r2-alone", "--format", "structured"]),
+        (["verify-tables", "--o", "-"], ["verify-tables"]),
+    ],
+)
+def test_abbreviated_and_repeated_flags_parse_as_spelled_out(argv, spelled, capsys):
+    assert run_main(argv, capsys) == run_main(spelled, capsys)
+
+
+@pytest.mark.parametrize("argv", [["run", "--secret", "1", "--seed", "-4"], ["run", "--seed=-4", "--secret", "1"]])
+def test_a_negative_seed_reaches_the_seed_check(argv, capsys):
+    assert run_main(argv, capsys) == (EXIT_USAGE, "", "qsshare: error: seed must be an unsigned 64-bit integer\n")
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["-h"], ("--help", "run", "verify-tables", "analyze")),
+        (["--he"], ("--help", "run", "verify-tables", "analyze")),
+        (["run", "-h"], ("--help",) + RUN_FLAGS),
+        (["run", "--secret", "1", "--help", "--seed", "x"], ("--help",) + RUN_FLAGS),
+        (["verify-tables", "--help"], ("--help", "--out")),
+        (["analyze", "--h"], ("--help",) + ANALYZE_FLAGS),
+    ],
+)
+def test_help_names_every_flag_and_exits_zero(argv, names, capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main(["frobnicate"])
-    assert excinfo.value.code == EXIT_USAGE
+        main(argv)
+    out, err = capsys.readouterr()
+    assert excinfo.value.code == EXIT_OK
+    assert err == ""
+    assert out.startswith("usage: qsshare")
+    for name in names:
+        assert f" {name}" in out, name
+
+
+def test_main_calls_the_handler_the_module_holds(monkeypatch):
+    # perfbench/tracing.py times a command by wrapping its handler on the
+    # module, after import.
+    calls = []
+    monkeypatch.setattr(cli, "cmd_verify_tables", lambda args: calls.append(args.out) or EXIT_OK)
+    assert main(["verify-tables"]) == EXIT_OK
+    assert calls == ["-"]
 
 
 def test_amplitude_parser():
@@ -290,6 +402,12 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_argparse():
+    # The command line is parsed from the module's own table.
+    code = "import sys, qsshare.cli\nprint([m for m in ('argparse', 'gettext') if m in sys.modules])"
+    assert run_fresh(code).strip() == "[]"
 
 
 def loaded_modules(argv):
