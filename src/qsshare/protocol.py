@@ -16,13 +16,14 @@ authentication round.
 Every run produces a :class:`Transcript`, which records its own events: quantum
 sends, classical messages, measurements and phase markers, in order.  It is
 serialised as one JSON object per line (schema ``qss-transcript/1``, bit
-strings rendered most significant bit first) by :func:`jsonl`, the one line
-writer of transcripts and ``qss-report/1`` reports: compact, keys sorted.  A
-run reads its coins and pair codes off raw words of Philox4x64-10 keyed by the
-64-bit seed, a stream numpy pins across versions, so identical (secret, seed,
-attack) triples yield byte-identical transcripts.  Parties interact only
-through channel events inside a single-threaded loop; independent runs may
-execute concurrently.
+strings rendered most significant bit first), compact with keys sorted, by
+:func:`jsonl`, the line writer of transcripts and ``qss-report/1`` reports,
+except its events: :meth:`Event.to_jsonl` writes the same bytes from one
+fixed-key format.  A run reads its coins and pair codes off raw words of
+Philox4x64-10 keyed by the 64-bit seed, a stream numpy pins across versions,
+so identical (secret, seed, attack) triples yield byte-identical transcripts.
+Parties interact only through channel events inside a single-threaded loop;
+independent runs may execute concurrently.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import json
 import operator
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -286,11 +288,15 @@ NO_ATTACK = AttackModel()
 # Transcript model.
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# An event's keys, sorted.  A text slot is null or quoted as json quotes under
+# ensure_ascii (encode_basestring_ascii), so a line is the one jsonl writes.
+_EVENT_LINE = '{"basis":%s,"from":%s,"index":%d,"kind":%s,"payload":%s,"phase":%s,"result":%s,"to":%s}\n'
 
 
 def jsonl(*records) -> str:
     """Each record as one line of compact JSON with sorted keys: the line
-    format of transcripts and ``qss-report/1`` reports."""
+    format of transcripts and ``qss-report/1`` reports.  Event lines come
+    from :meth:`Event.to_jsonl`'s fixed-key format, with the same bytes."""
     return "".join(_ENCODER.encode(record) + "\n" for record in records)
 
 
@@ -309,17 +315,22 @@ class Event:
     basis: str | None = None
     result: str | None = None
 
-    def to_json_obj(self) -> dict:
-        return {
-            "index": self.index,
-            "phase": self.phase,
-            "kind": self.kind,
-            "from": self.sender,
-            "to": self.recipient,
-            "payload": self.payload,
-            "basis": self.basis,
-            "result": self.result,
-        }
+    def to_jsonl(self) -> str:
+        """This event as a transcript line.  A text field neither str nor
+        None, or an index not an int (``True`` passes validation), raises
+        TypeError, since json would write it as other bytes."""
+        if type(self.index) is not int:
+            raise TypeError(f"event index {self.index!r} is not an int")
+        return _EVENT_LINE % (
+            "null" if self.basis is None else encode_basestring_ascii(self.basis),
+            "null" if self.sender is None else encode_basestring_ascii(self.sender),
+            self.index,
+            "null" if self.kind is None else encode_basestring_ascii(self.kind),
+            "null" if self.payload is None else encode_basestring_ascii(self.payload),
+            "null" if self.phase is None else encode_basestring_ascii(self.phase),
+            "null" if self.result is None else encode_basestring_ascii(self.result),
+            "null" if self.recipient is None else encode_basestring_ascii(self.recipient),
+        )
 
 
 @dataclass
@@ -392,7 +403,7 @@ class Transcript:
 
     def to_jsonl(self) -> str:
         """One JSON object per line: header, events, then a footer with the
-        final shares and outcome."""
+        final shares and outcome; each event's line is its own to_jsonl."""
         header = {"schema": TRANSCRIPT_SCHEMA, "scheme": self.scheme, "seed": self.seed}
         footer = {
             "outcome": self.outcome,
@@ -403,7 +414,7 @@ class Transcript:
             footer["fidelity"] = self.reconstruction_fidelity
         if self.eavesdropper is not None:
             footer["eavesdropper"] = self.eavesdropper
-        return jsonl(header, *(e.to_json_obj() for e in self.events), footer)
+        return "".join([jsonl(header), *[e.to_jsonl() for e in self.events], jsonl(footer)])
 
     def public_messages(self) -> list[Event]:
         return [e for e in self.events if e.kind == "classical-public"]

@@ -36,6 +36,21 @@ SPECS = (
 )
 
 
+def event_record(event: protocol.Event) -> dict:
+    """The record whose :func:`protocol.jsonl` line an event's line must
+    equal: its fields under their transcript keys."""
+    return {
+        "index": event.index,
+        "phase": event.phase,
+        "kind": event.kind,
+        "from": event.sender,
+        "to": event.recipient,
+        "payload": event.payload,
+        "basis": event.basis,
+        "result": event.result,
+    }
+
+
 def run_fresh(code: str) -> str:
     # The output of ``code`` run in a fresh interpreter, so that nothing an
     # earlier test ran is warm or imported.  This tree's own src comes first

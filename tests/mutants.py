@@ -1,8 +1,8 @@
 """A mutation gate for the stabilizer engine, the run's bit algebra, the
 vectorised Philox, the numpy-free imports, the (5,5) mixedness, the
 state-vector gates, the exact analysis's run basis, the sweeps' sampled
-rejections and messages, the transcript's line writer and recorders, and the command
-line's parser and output.
+rejections and messages, the transcript's line writer, event format and
+recorders, and the command line's parser and output.
 
 Each mutant names a file under ``src/qsshare``, an exact old text that must
 occur there once, its replacement, and the test files that must kill it
@@ -19,7 +19,7 @@ survivor.  The script needs no package beyond the test dependencies:
 
 It prints one line per mutant and exits 1 when any verdict is not the
 expected one.  It is not a tier-1 test: each mutant costs a pytest run,
-the surviving control about 15–20 s on a 2-vCPU machine, and all 34 and
+the surviving control about 15–20 s on a 2-vCPU machine, and all 36 and
 the control about 100 s.
 """
 
@@ -143,6 +143,23 @@ MUTANTS = (
         "protocol.py",
         "sort_keys=True, ",
         "",
+        tests=("tests/test_draws.py",),
+    ),
+    # The event format writes the sender under "to" and the recipient under
+    # "from".
+    Mutant(
+        "event-line-from-to-swapped",
+        "protocol.py",
+        '"from":%s,"index":%d,"kind":%s,"payload":%s,"phase":%s,"result":%s,"to":%s}',
+        '"to":%s,"index":%d,"kind":%s,"payload":%s,"phase":%s,"result":%s,"from":%s}',
+        tests=("tests/test_draws.py",),
+    ),
+    # The event format writes a basis of None as "", not null.
+    Mutant(
+        "event-line-null-as-empty-string",
+        "protocol.py",
+        '"null" if self.basis is None',
+        "'\"\"' if self.basis is None",
         tests=("tests/test_draws.py",),
     ),
     # A recorded event takes the phase of the first event, not the last.

@@ -12,6 +12,7 @@ pins the seed -> transcript map of both schemes, and the word layout is
 checked against the draws numpy's ``Generator`` made from the same words."""
 
 import hashlib
+import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -21,7 +22,7 @@ import pytest
 
 from qsshare import protocol, statevec
 from qsshare.protocol import AttackModel
-from conftest import SPECS, branch_table, enumerate_steps
+from conftest import SPECS, branch_table, enumerate_steps, event_record
 
 # Two coins per token round (the receiver's Bell outcome; the sender's then
 # follows) and two for each splitting Bell measurement: 8.  A computational
@@ -111,22 +112,38 @@ def test_a_branch_table_needs_equally_likely_branches():
         branch_table(state, steps)
 
 
+def golden_transcripts():
+    """The golden grid's qss22 transcripts, then its qss55 ones, in grid
+    order."""
+    for spec, seed, secret in product(SPECS, GOLDEN_SEEDS, (0, 1)):
+        yield protocol.run_qss22(secret, seed, AttackModel.from_spec(spec))
+    for qubit, seed in product(GOLDEN_QUBITS, range(10)):
+        yield protocol.run_qss55(qubit, seed)[0]
+
+
 def golden_digests():
     """The sha256 of the golden grid's qss22 transcripts and of its qss55
     ones, in grid order."""
-    qss22 = hashlib.sha256()
-    for spec, seed, secret in product(SPECS, GOLDEN_SEEDS, (0, 1)):
-        transcript = protocol.run_qss22(secret, seed, AttackModel.from_spec(spec))
-        qss22.update(transcript.to_jsonl().encode())
-    qss55 = hashlib.sha256()
-    for qubit, seed in product(GOLDEN_QUBITS, range(10)):
-        transcript, _ = protocol.run_qss55(qubit, seed)
-        qss55.update(transcript.to_jsonl().encode())
-    return qss22.hexdigest(), qss55.hexdigest()
+    digests = {"qss22": hashlib.sha256(), "qss55": hashlib.sha256()}
+    for transcript in golden_transcripts():
+        digests[transcript.scheme].update(transcript.to_jsonl().encode())
+    return digests["qss22"].hexdigest(), digests["qss55"].hexdigest()
 
 
 def test_golden_transcripts():
     assert golden_digests() == (GOLDEN_QSS22, GOLDEN_QSS55)
+
+
+def test_golden_transcripts_are_what_jsonl_writes_for_every_record():
+    # The reference is jsonl of every record.  Header and footer are written
+    # by jsonl itself, so their records are read back from the lines (floats
+    # round-trip through repr).
+    for transcript in golden_transcripts():
+        text = transcript.to_jsonl()
+        lines = text.splitlines()
+        assert len(lines) == len(transcript.events) + 2
+        records = map(event_record, transcript.events)
+        assert text == protocol.jsonl(json.loads(lines[0]), *records, json.loads(lines[-1]))
 
 
 class NoDraws(np.random.Generator):

@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qsshare import statevec
 from qsshare.bell import (
@@ -34,6 +36,7 @@ from qsshare.protocol import (
     ShareSet22,
     ShareSet55,
     Transcript,
+    jsonl,
     make_rng,
     prepare_splitting_register,
     prepare_token_register,
@@ -47,6 +50,7 @@ from qsshare.protocol import (
     validate_transcript,
     verify_authentication,
 )
+from conftest import event_record
 from test_exact_branches import every_attack, random_qubits
 
 
@@ -258,6 +262,48 @@ def test_transcript_jsonl_shape():
     for line in lines[1:-1]:
         event = json.loads(line)
         assert set(event) == {"index", "phase", "kind", "from", "to", "payload", "basis", "result"}
+
+
+# Text with lone surrogates as well as quotes, backslashes, control and
+# non-ASCII characters: hypothesis leaves surrogates out unless asked.
+_TEXT = st.none() | st.text(st.characters(exclude_categories=()))
+
+
+@given(st.builds(
+    Event,
+    index=st.integers(),
+    phase=_TEXT,
+    kind=_TEXT,
+    sender=_TEXT,
+    recipient=_TEXT,
+    payload=_TEXT,
+    basis=_TEXT,
+    result=_TEXT,
+))
+@example(Event(0, "", "phase"))
+@example(Event(-(2**70), '"\\\x00\x1f\x7f', "é\u2028\ud800", "\U0001f600", "\udfff\ud83d", "\n\t", "b", "r"))
+def test_an_event_line_is_what_jsonl_writes_for_its_record(event):
+    assert event.to_jsonl() == jsonl(event_record(event))
+
+
+@pytest.mark.parametrize(
+    "event, old",
+    [
+        # True == 1 passes validation as event 1's index.
+        (Event(True, "a", "phase", payload="a"), '"index":true'),
+        # A phase marker's payload is not validated.
+        (Event(1, "a", "phase", payload=7), '"payload":7'),
+    ],
+)
+def test_an_event_line_raises_where_jsonl_would_write_other_bytes(event, old):
+    # jsonl writes these fields as JSON's true and 7.  A plain format would
+    # write True, which is not JSON, so the event writer raises TypeError
+    # rather than write other bytes than jsonl's.
+    transcript = Transcript(3, "qss22", [Event(0, "a", "phase", payload="a"), event])
+    validate_transcript(transcript)
+    assert old in jsonl(event_record(event))
+    with pytest.raises(TypeError):
+        transcript.to_jsonl()
 
 
 def test_transcript_records_each_event_in_the_latest_phase():
